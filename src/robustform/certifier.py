@@ -29,12 +29,15 @@ from . import sdp
 from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
     reduced_laplacian
 from .polyalg import ExponentVec, MatrixPolynomial, Polynomial, mono_mul
-from .smr import PowerVector, _positions, gram_expand_matrix, \
+from .smr import PowerVector, _positions, gram_base, gram_expand_matrix, \
     gram_null_basis, power_vector
 
 # A solved bound above this value counts as a connectivity verdict; below it
 # the outcome is treated as inconclusive rather than as a disconnection proof.
 CONNECTIVITY_THRESHOLD = 1e-6
+
+# Sample points evaluated and eigendecomposed per batched call.
+SAMPLE_CHUNK = 256
 
 
 class CertifierError(ValueError):
@@ -137,49 +140,6 @@ class Assembly:
         return y
 
 
-def _block_coeffs(B: np.ndarray, pv: PowerVector, s: int
-                  ) -> dict[ExponentVec, np.ndarray]:
-    """Coefficient matrices of the polynomial matrix a Gram matrix expands
-    to.  Same contraction as smr.gram_expand_matrix, kept at the ndarray
-    level so assembly never builds per-entry Polynomial objects."""
-    l = len(pv)
-    out: dict[ExponentVec, np.ndarray] = {}
-    for a in range(l):
-        for b in range(l):
-            blk = B[a * s:(a + 1) * s, b * s:(b + 1) * s]
-            if not np.any(blk):
-                continue
-            mu = mono_mul(pv.monos[a], pv.monos[b])
-            if mu in out:
-                out[mu] = out[mu] + blk
-            else:
-                out[mu] = blk.copy()
-    return out
-
-
-def _gram_base(coeffs: dict[ExponentVec, np.ndarray], pv: PowerVector,
-               s: int, pos: dict) -> np.ndarray:
-    """Equal-split Gram representative of a symmetric coefficient family,
-    matching smr.gram_canonical position for position."""
-    size = len(pv) * s
-    G = np.zeros((size, size))
-    for mu, C in coeffs.items():
-        if not np.any(C):
-            continue
-        places = pos.get(mu)
-        if places is None:
-            raise CertifierError(
-                f"monomial {mu} not representable at degree {pv.d}")
-        share = C / len(places)
-        for a, b in places:
-            if a == b:
-                G[a * s:(a + 1) * s, a * s:(a + 1) * s] += share
-            else:
-                G[a * s:(a + 1) * s, b * s:(b + 1) * s] += share / 2
-                G[b * s:(b + 1) * s, a * s:(a + 1) * s] += share.T / 2
-    return G
-
-
 def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
              plan: DegreePlan | None = None, d_P: int = 0) -> Assembly:
     """Compile the certification problem for a reduced Laplacian.
@@ -220,7 +180,7 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     phi_R = [power_vector(r, dr) for dr in plan.d_R]
     pos_H = _positions(phi_H)
     size_H = len(phi_H) * s
-    Lc = L_hat.coefficient_matrices()
+    Lc = L_hat.coeffs
 
     prob = sdp.SdpProblem()
     c_index = prob.add_var("c", obj=1.0)
@@ -235,7 +195,7 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     coeffs: dict[int, np.ndarray | sparse.csr_array] = {
         c_index: -np.eye(size_H)}
     for k in range(len(p_var.indices)):
-        pk = _block_coeffs(p_var.basis_matrix(k), phi_P, s)
+        pk = gram_expand_matrix(p_var.basis_matrix(k), phi_P, s).coeffs
         hk: dict[ExponentVec, np.ndarray] = {}
         for e1, A in pk.items():
             for e2, C in Lc.items():
@@ -247,10 +207,10 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
                 else:
                     hk[mu] = M
         coeffs[int(p_var.indices[k])] = sparse.csr_array(
-            _gram_base(hk, phi_H, s, pos_H))
+            gram_base(hk, phi_H, s, pos_H))
     for i, (g, var, pv) in enumerate(zip(region, r_vars, phi_R)):
         for k in range(len(var.indices)):
-            rk = _block_coeffs(var.basis_matrix(k), pv, s)
+            rk = gram_expand_matrix(var.basis_matrix(k), pv, s).coeffs
             gk: dict[ExponentVec, np.ndarray] = {}
             for e1, A in rk.items():
                 for e2, cf in g.terms.items():
@@ -260,7 +220,7 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
                     else:
                         gk[mu] = cf * A
             coeffs[int(var.indices[k])] = sparse.csr_array(
-                -_gram_base(gk, phi_H, s, pos_H))
+                -gram_base(gk, phi_H, s, pos_H))
     for k, D in enumerate(nulls):
         coeffs[delta_indices[k]] = sparse.csr_array(D)
 
@@ -437,7 +397,8 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if trace_error > psd_tol:
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
-    # Pointwise route: evaluate everything numerically at region samples.
+    # Pointwise route: evaluate everything numerically at region samples,
+    # a chunk of samples at a time.
     rng = np.random.default_rng(seed)
     thetas = adj.sample_omega(rng, n_samples) if n_samples > 0 else \
         np.zeros((0, adj.r))
@@ -445,20 +406,18 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     sampled_P = float("inf")
     if len(thetas):
         s = asm.s
-        phiP_vals = asm.phi_P.eval_batch(thetas)
-        phiH_vals = asm.phi_H.eval_batch(thetas)
-        norm2 = np.sum(phiH_vals ** 2, axis=1)
-        for t in range(len(thetas)):
-            theta = thetas[t]
-            Q = np.kron(phiP_vals[t], np.eye(s))
-            P_num = Q @ cert.P_bar @ Q.T
-            L_num = L_hat(theta)
-            H_num = P_num @ L_num + L_num.T @ P_num
-            ev_P = float(np.linalg.eigvalsh(P_num)[0])
-            ev_H = float(np.linalg.eigvalsh(
-                H_num - cert.c_star * norm2[t] * np.eye(s))[0])
-            sampled_P = min(sampled_P, ev_P)
-            sampled_pencil = min(sampled_pencil, ev_H)
+        for lo in range(0, len(thetas), SAMPLE_CHUNK):
+            chunk = thetas[lo:lo + SAMPLE_CHUNK]
+            Q = np.kron(asm.phi_P.eval_batch(chunk)[:, None, :], np.eye(s))
+            P_num = Q @ cert.P_bar @ Q.transpose(0, 2, 1)
+            L_num = L_hat.eval_batch(chunk)
+            H_num = P_num @ L_num + L_num.transpose(0, 2, 1) @ P_num
+            norm2 = np.sum(asm.phi_H.eval_batch(chunk) ** 2, axis=1)
+            shift = (cert.c_star * norm2)[:, None, None] * np.eye(s)
+            sampled_P = min(sampled_P,
+                            float(np.linalg.eigvalsh(P_num)[:, 0].min()))
+            sampled_pencil = min(sampled_pencil, float(
+                np.linalg.eigvalsh(H_num - shift)[:, 0].min()))
         if sampled_P < -sample_tol:
             failures.append(
                 f"sampled P(theta) eigenvalue {sampled_P:.3e}")
@@ -492,7 +451,7 @@ class Lambda2Samples:
 def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
                    seed: int | None = None,
                    rng: np.random.Generator | None = None,
-                   batch: int = 256) -> Lambda2Samples:
+                   batch: int = SAMPLE_CHUNK) -> Lambda2Samples:
     """Second-smallest Laplacian eigenvalue at sampled region points.
 
     A purely numerical check, independent of the Gram machinery: draw
@@ -502,20 +461,11 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     if n_samples <= 0:
         raise CertifierError("n_samples must be positive")
     thetas = adj.sample_omega(rng, n_samples)
-    Lc = laplacian(adj).coefficient_matrices()
-    N = adj.N
+    L = laplacian(adj)
     values = np.empty(n_samples)
     for lo in range(0, n_samples, batch):
-        hi = min(lo + batch, n_samples)
-        chunk = thetas[lo:hi]
-        Lb = np.zeros((hi - lo, N, N))
-        for e, C in Lc.items():
-            if any(e):
-                mono = np.prod(chunk ** np.asarray(e), axis=1)
-            else:
-                mono = np.ones(hi - lo)
-            Lb += mono[:, None, None] * C
-        values[lo:hi] = np.linalg.eigvalsh(Lb)[:, 1]
+        values[lo:lo + batch] = np.linalg.eigvalsh(
+            L.eval_batch(thetas[lo:lo + batch]))[:, 1]
     k = int(np.argmin(values))
     return Lambda2Samples(values=values, thetas=thetas,
                           min_value=float(values[k]),

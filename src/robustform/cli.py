@@ -545,25 +545,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("RF_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        print(f"warning: ignoring non-integer RF_THREADS={cap!r}",
-              file=sys.stderr)
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="robustform",
@@ -616,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

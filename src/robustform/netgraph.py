@@ -153,19 +153,11 @@ def laplacian(G):
     if isinstance(G, MatrixPolynomial):
         if not G.is_symmetric(tol=0.0):
             raise ValueError("adjacency is not symmetric")
-        N = G.rows
-        for i in range(N):
-            if not G.entry(i, i).is_zero:
-                raise ValueError("adjacency has nonzero diagonal")
-        L = MatrixPolynomial.zeros(N, N, G.r)
-        for i in range(N):
-            deg = Polynomial.zero(G.r)
-            for j in range(N):
-                if i != j:
-                    deg = deg + G.entry(i, j)
-                    L.set_entry(i, j, -G.entry(i, j))
-            L.set_entry(i, i, deg)
-        return L
+        if any(np.any(np.diag(C)) for C in G.coeffs.values()):
+            raise ValueError("adjacency has nonzero diagonal")
+        return MatrixPolynomial(
+            G.rows, G.cols, G.r,
+            {e: np.diag(C.sum(axis=1)) - C for e, C in G.coeffs.items()})
     G = np.asarray(G, dtype=float)
     if not np.allclose(G, G.T, atol=0.0):
         raise ValueError("adjacency is not symmetric")
@@ -195,9 +187,9 @@ def reduced_laplacian(L, M: np.ndarray):
     Connectedness for a given theta is exactly positive definiteness of the
     reduced matrix there."""
     if isinstance(L, MatrixPolynomial):
-        coeffs = {e: M.T @ C @ M for e, C in L.coefficient_matrices().items()}
         k = M.shape[1]
-        return MatrixPolynomial.from_coefficient_matrices(k, k, L.r, coeffs)
+        return MatrixPolynomial(k, k, L.r,
+                                {e: M.T @ C @ M for e, C in L.coeffs.items()})
     L = np.asarray(L, dtype=float)
     return M.T @ L @ M
 

@@ -9,18 +9,18 @@ Zero-coefficient terms are never stored; any coefficient whose magnitude drops
 below COEFF_CLEANUP after an arithmetic operation is dropped, so equal
 polynomials always have equal term dicts and == is reliable.
 
-MatrixPolynomial is a dense rows-by-cols grid of Polynomial entries sharing one
-parameter count r.  It exists to represent parameter-dependent adjacency and
-Laplacian matrices and the matrix polynomials produced by Gram expansions, so
-the operation set is deliberately small: add/sub/mul/transpose/scale,
-evaluation at a point or a batch of points, and conversion to and from
-per-monomial coefficient matrices (the representation every downstream
-consumer actually wants).
+MatrixPolynomial is a rows-by-cols matrix polynomial M(theta) = sum_e C_e
+theta^e stored as its per-monomial coefficient matrices {e: C_e}, the form
+the Laplacian reductions, Gram expansions and samplers all work in.  It
+represents parameter-dependent adjacency and Laplacian matrices and the
+matrix polynomials produced by Gram expansions; entries can be read and set
+as Polynomials, and evaluation at a batch of points is one contraction of the
+monomial powers (mono_powers, shared with Polynomial and the power vector)
+against the coefficient stack.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,12 +50,20 @@ def mono_sort_key(e: ExponentVec):
     return (-mono_degree(e), tuple(-x for x in e))
 
 
-def mono_eval(e: ExponentVec, theta: Sequence[float]) -> float:
-    v = 1.0
-    for x, p in zip(theta, e):
-        if p:
-            v *= x ** p
-    return v
+def mono_powers(monos: Sequence[ExponentVec], thetas, r: int) -> np.ndarray:
+    """theta^e for every point of an (m, r) batch and every monomial e in
+    monos, shape (m, len(monos)).  A 1-D theta is a batch of one point."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim == 1:
+        thetas = thetas.reshape(1, -1)
+    if thetas.shape[1] != r:
+        raise ValueError(f"batch has {thetas.shape[1]} columns, expected {r}")
+    out = np.ones((thetas.shape[0], len(monos)))
+    for i, e in enumerate(monos):
+        for k, p in enumerate(e):
+            if p:
+                out[:, i] *= thetas[:, k] ** p
+    return out
 
 
 class Polynomial:
@@ -178,23 +186,13 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, theta: Sequence[float]) -> float:
-        return poly_eval(self, theta)
+        return float(self.eval_batch(theta)[0])
 
     def eval_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate at a (m, r) batch of points, returning shape (m,)."""
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas.reshape(1, -1)
-        if thetas.shape[1] != self.r:
-            raise ValueError(f"batch has {thetas.shape[1]} columns, expected {self.r}")
-        out = np.zeros(thetas.shape[0])
-        for e, c in self.terms.items():
-            term = np.full(thetas.shape[0], c)
-            for k, p in enumerate(e):
-                if p:
-                    term *= thetas[:, k] ** p
-            out += term
-        return out
+        monos = list(self.terms)
+        return mono_powers(monos, thetas, self.r) @ \
+            np.array([self.terms[e] for e in monos], dtype=float)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -233,34 +231,34 @@ def poly_arith(a: Polynomial, b: Polynomial, kind: str) -> Polynomial:
     return Polynomial(a.r, terms)
 
 
-def poly_eval(f: Polynomial, theta: Sequence[float]) -> float:
-    """Direct monomial-by-monomial evaluation (exact for exactly
-    representable inputs; no Horner rewriting)."""
-    theta = tuple(float(t) for t in theta)
-    if len(theta) != f.r:
-        raise ValueError(f"point has length {len(theta)}, expected {f.r}")
-    return math.fsum(c * mono_eval(e, theta) for e, c in f.terms.items())
-
-
 class MatrixPolynomial:
-    """Dense matrix with Polynomial entries, all sharing one parameter count."""
+    """rows-by-cols matrix polynomial M(theta) = sum_e C_e theta^e, stored as
+    its per-monomial coefficient matrices coeffs = {e: C_e}.
 
-    __slots__ = ("rows", "cols", "r", "entries")
+    COEFF_CLEANUP applies entrywise: any |C_e[i, j]| <= COEFF_CLEANUP is
+    stored as 0, and a monomial whose matrix is then all zero is dropped.
+    The constructor copies the matrices it is given; consumers read coeffs
+    and must not mutate it."""
+
+    __slots__ = ("rows", "cols", "r", "coeffs")
 
     def __init__(self, rows: int, cols: int, r: int,
-                 entries: Sequence[Polynomial] | None = None):
+                 coeffs: Mapping[ExponentVec, np.ndarray] | None = None):
         self.rows = int(rows)
         self.cols = int(cols)
         self.r = int(r)
-        if entries is None:
-            entries = [Polynomial.zero(r) for _ in range(rows * cols)]
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        for p in entries:
-            if p.r != r:
-                raise ValueError("entry parameter count mismatch")
-        self.entries = entries
+        self.coeffs: dict[ExponentVec, np.ndarray] = {}
+        for e, C in (coeffs or {}).items():
+            e = tuple(int(x) for x in e)
+            if len(e) != self.r or any(x < 0 for x in e):
+                raise ValueError(f"bad exponent {e} for r={self.r}")
+            C = np.array(C, dtype=float)
+            if C.shape != (self.rows, self.cols):
+                raise ValueError(f"coefficient of {e} has shape {C.shape}, "
+                                 f"expected {(self.rows, self.cols)}")
+            C[np.abs(C) <= COEFF_CLEANUP] = 0.0
+            if np.any(C):
+                self.coeffs[e] = C
 
     # -- constructors -------------------------------------------------------
 
@@ -271,37 +269,24 @@ class MatrixPolynomial:
     @classmethod
     def constant(cls, mat: np.ndarray, r: int) -> "MatrixPolynomial":
         mat = np.asarray(mat, dtype=float)
-        ent = [Polynomial.constant(r, mat[i, j])
-               for i in range(mat.shape[0]) for j in range(mat.shape[1])]
-        return cls(mat.shape[0], mat.shape[1], r, ent)
-
-    @classmethod
-    def from_coefficient_matrices(cls, rows: int, cols: int, r: int,
-                                  coeffs: Mapping[ExponentVec, np.ndarray]
-                                  ) -> "MatrixPolynomial":
-        terms_grid: list[dict[ExponentVec, float]] = [
-            {} for _ in range(rows * cols)]
-        for e, C in coeffs.items():
-            C = np.asarray(C, dtype=float)
-            for i in range(rows):
-                for j in range(cols):
-                    v = C[i, j]
-                    if v != 0.0:
-                        terms_grid[i * cols + j][tuple(e)] = \
-                            terms_grid[i * cols + j].get(tuple(e), 0.0) + v
-        return cls(rows, cols, r,
-                   [Polynomial(r, t) for t in terms_grid])
+        return cls(mat.shape[0], mat.shape[1], r, {(0,) * r: mat})
 
     # -- access -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i * self.cols + j]
+        return Polynomial(self.r, {e: C[i, j] for e, C in self.coeffs.items()})
 
     def set_entry(self, i: int, j: int, p: Polynomial) -> None:
         # construction-time helper; MatrixPolynomials are not mutated after use
         if p.r != self.r:
             raise ValueError("parameter count mismatch")
-        self.entries[i * self.cols + j] = p
+        for C in self.coeffs.values():
+            C[i, j] = 0.0
+        for e, c in p.terms.items():
+            if e not in self.coeffs:
+                self.coeffs[e] = np.zeros((self.rows, self.cols))
+            self.coeffs[e][i, j] = c
+        self.coeffs = {e: C for e, C in self.coeffs.items() if np.any(C)}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -309,137 +294,30 @@ class MatrixPolynomial:
 
     def deg(self) -> int:
         """Max total degree over entries (0 for the zero matrix)."""
-        return max((p.degree for p in self.entries if not p.is_zero), default=0)
+        return max((mono_degree(e) for e in self.coeffs), default=0)
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         """Coefficient-wise symmetry check.  tol=0 demands exact equality of
         stored coefficients (canonical forms make this meaningful)."""
         if self.rows != self.cols:
             return False
-        for i in range(self.rows):
-            for j in range(i + 1, self.cols):
-                a, b = self.entry(i, j), self.entry(j, i)
-                keys = set(a.terms) | set(b.terms)
-                for e in keys:
-                    if abs(a.terms.get(e, 0.0) - b.terms.get(e, 0.0)) > tol:
-                        return False
-        return True
-
-    def coefficient_matrices(self) -> dict[ExponentVec, np.ndarray]:
-        """Per-monomial coefficient matrices: M(theta) = sum_e C_e theta^e."""
-        out: dict[ExponentVec, np.ndarray] = {}
-        for i in range(self.rows):
-            for j in range(self.cols):
-                for e, c in self.entry(i, j).terms.items():
-                    if e not in out:
-                        out[e] = np.zeros((self.rows, self.cols))
-                    out[e][i, j] = c
-        return out
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        self._check_same_shape(other)
-        return MatrixPolynomial(
-            self.rows, self.cols, self.r,
-            [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        self._check_same_shape(other)
-        return MatrixPolynomial(
-            self.rows, self.cols, self.r,
-            [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        if isinstance(other, Polynomial):
-            return MatrixPolynomial(self.rows, self.cols, self.r,
-                                    [p * other for p in self.entries])
-        if isinstance(other, MatrixPolynomial):
-            return matpoly_mul(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def scale(self, c: float) -> "MatrixPolynomial":
-        return MatrixPolynomial(self.rows, self.cols, self.r,
-                                [p.scale(c) for p in self.entries])
-
-    def transpose(self) -> "MatrixPolynomial":
-        return MatrixPolynomial(
-            self.cols, self.rows, self.r,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    @property
-    def T(self) -> "MatrixPolynomial":
-        return self.transpose()
-
-    def _check_same_shape(self, other: "MatrixPolynomial") -> None:
-        if self.shape != other.shape or self.r != other.r:
-            raise ValueError(
-                f"shape/parameter mismatch: {self.shape},r={self.r} vs "
-                f"{other.shape},r={other.r}")
+        return all(np.all(np.abs(C - C.T) <= tol)
+                   for C in self.coeffs.values())
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, theta: Sequence[float]) -> np.ndarray:
-        return matpoly_eval(self, theta)
+        return self.eval_batch(theta)[0]
 
     def eval_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate at a (m, r) batch, returning (m, rows, cols).
-
-        Uses the coefficient-matrix form so the per-sample work is a single
-        tensor contraction; this is the path the certifier's sampling
-        oracle leans on."""
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas.reshape(1, -1)
-        coeffs = self.coefficient_matrices()
-        if not coeffs:
-            return np.zeros((thetas.shape[0], self.rows, self.cols))
-        monos = sorted(coeffs, key=mono_sort_key)
-        stack = np.stack([coeffs[e] for e in monos])          # (q, rows, cols)
-        powers = np.ones((thetas.shape[0], len(monos)))
-        for idx, e in enumerate(monos):
-            for k, p in enumerate(e):
-                if p:
-                    powers[:, idx] *= thetas[:, k] ** p
+        """Evaluate at a (m, r) batch, returning (m, rows, cols): one tensor
+        contraction of the monomial powers with the coefficient stack."""
+        monos = sorted(self.coeffs, key=mono_sort_key)
+        powers = mono_powers(monos, thetas, self.r)
+        if not monos:
+            return np.zeros((powers.shape[0], self.rows, self.cols))
+        stack = np.stack([self.coeffs[e] for e in monos])      # (q, rows, cols)
         return np.einsum("mq,qrc->mrc", powers, stack)
 
     def __repr__(self) -> str:
         return f"MatrixPolynomial({self.rows}x{self.cols}, r={self.r}, deg={self.deg()})"
-
-
-def matpoly_mul(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolynomial:
-    """Matrix product with polynomial entries."""
-    if a.cols != b.rows:
-        raise ValueError(f"inner dimension mismatch: {a.shape} x {b.shape}")
-    if a.r != b.r:
-        raise ValueError(f"parameter count mismatch: {a.r} vs {b.r}")
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            terms: dict[ExponentVec, float] = {}
-            for k in range(a.cols):
-                pa, pb = a.entry(i, k), b.entry(k, j)
-                if pa.is_zero or pb.is_zero:
-                    continue
-                for ea, ca in pa.terms.items():
-                    for eb, cb in pb.terms.items():
-                        e = mono_mul(ea, eb)
-                        terms[e] = terms.get(e, 0.0) + ca * cb
-            out.append(Polynomial(a.r, terms))
-    return MatrixPolynomial(a.rows, b.cols, a.r, out)
-
-
-def matpoly_eval(m: MatrixPolynomial, theta: Sequence[float]) -> np.ndarray:
-    """Evaluate a matrix polynomial at a point, returning a float array."""
-    out = np.empty((m.rows, m.cols))
-    for i in range(m.rows):
-        for j in range(m.cols):
-            out[i, j] = poly_eval(m.entry(i, j), theta)
-    return out

@@ -123,10 +123,25 @@ class ScenarioSpec:
         unc = doc["uncertainty"]
         r = int(unc["n_parameters"])
         entries = MatrixPolynomial.zeros(N, N, r)
-        for w in unc["weights"]:
+        pairs = set()
+        for k, w in enumerate(unc["weights"]):
+            where = f"uncertainty.weights[{k}]"
+            i, j = w["i"], w["j"]
+            if not (isinstance(i, int) and isinstance(j, int)
+                    and 0 <= i < N and 0 <= j < N):
+                raise ValueError(
+                    f"{where}: pair ({i},{j}) is not two indices in [0, {N})")
+            if i == j:
+                raise ValueError(f"{where}: self loop ({i},{j})")
+            pair = canon_edge(i, j)
+            if pair in pairs:
+                raise ValueError(f"{where}: duplicate pair ({i},{j})")
+            pairs.add(pair)
+            if not all(math.isfinite(float(t["coeff"])) for t in w["terms"]):
+                raise ValueError(f"{where}: non-finite coefficient")
             p = Polynomial.from_records(r, w["terms"])
-            entries.set_entry(int(w["i"]), int(w["j"]), p)
-            entries.set_entry(int(w["j"]), int(w["i"]), p)
+            entries.set_entry(i, j, p)
+            entries.set_entry(j, i, p)
         adj = UncertainAdjacency(
             N=N, entries=entries,
             omega=[Polynomial.from_records(r, s["terms"])

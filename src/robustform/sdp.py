@@ -224,25 +224,6 @@ class SdpProblem:
                 raise ValueError(f"unknown variable index {i}")
         self.objective = {int(i): float(c) for i, c in coeffs.items()}
 
-    def dump_text(self) -> str:
-        """Plain-text dump (sizes, then matrices row-major) for external
-        cross-checking with other solvers."""
-        out = [f"vars {self.n_vars}", f"objective " +
-               " ".join(f"{i}:{c:.17g}" for i, c in
-                        sorted(self.objective.items()))]
-        for coeffs, rhs in self.eqs:
-            out.append("eq " + " ".join(
-                f"{i}:{c:.17g}" for i, c in sorted(coeffs.items())) +
-                f" = {rhs:.17g}")
-        for k, blk in enumerate(self.lmis):
-            out.append(f"lmi {k} size {blk.size}")
-            out.append("const " + " ".join(
-                f"{v:.17g}" for v in blk.const.ravel()))
-            for i in sorted(blk.cols):
-                out.append(f"coeff {i} " + " ".join(
-                    f"{v:.17g}" for v in blk.coeff_matrix(i).ravel()))
-        return "\n".join(out) + "\n"
-
     # -- assembled views ----------------------------------------------------
 
     def b_vector(self) -> np.ndarray:

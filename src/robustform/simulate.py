@@ -304,9 +304,15 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                 f"no positive connectivity certificate: status "
                 f"{cert.status}, c_star={cert.c_star}")
 
-    theta = adj.sample_omega(rng, 1)[0] if adj.r > 0 \
-        else np.zeros(0)
-    G = np.asarray(adj.entries(theta), dtype=float)
+    # the seed fixes the draw order: the run's theta, then the tuning
+    # samples; all weight matrices are then evaluated in one batch
+    thetas = adj.sample_omega(rng, 1) if adj.r > 0 else np.zeros((1, 0))
+    if scenario.barrier is None and adj.r > 0 \
+            and scenario.n_weight_samples > 0:
+        thetas = np.vstack(
+            [thetas, adj.sample_omega(rng, scenario.n_weight_samples)])
+    weights = adj.entries.eval_batch(thetas)
+    theta, G = thetas[0], weights[0]
 
     topo = initial_topology(positions, scenario.formation_edges, geom)
     zone = zone_pairs_at(positions, topo, geom)
@@ -317,11 +323,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     if scenario.barrier is not None:
         params = scenario.barrier
     else:
-        samples = [G]
-        if adj.r > 0 and scenario.n_weight_samples > 0:
-            for th in adj.sample_omega(rng, scenario.n_weight_samples):
-                samples.append(np.asarray(adj.entries(th), dtype=float))
-        tune = tune_mu(positions, velocities, tau, topo, geom, samples)
+        tune = tune_mu(positions, velocities, tau, topo, geom, list(weights))
         params = tune.params
 
     n_steps = int(round(T_end / dt))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .polyalg import (
     MatrixPolynomial,
     Polynomial,
     mono_mul,
+    mono_powers,
     mono_sort_key,
 )
 
@@ -51,29 +53,9 @@ class PowerVector:
     def index(self, e: ExponentVec) -> int:
         return self.monos.index(tuple(e))
 
-    def eval(self, theta) -> np.ndarray:
-        """phi(theta) as a float vector."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty(len(self.monos))
-        for i, e in enumerate(self.monos):
-            v = 1.0
-            for k, p in enumerate(e):
-                if p:
-                    v *= theta[k] ** p
-            out[i] = v
-        return out
-
     def eval_batch(self, thetas: np.ndarray) -> np.ndarray:
         """phi at a (m, r) batch of points, shape (m, len(phi))."""
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas.reshape(1, -1)
-        out = np.ones((thetas.shape[0], len(self.monos)))
-        for i, e in enumerate(self.monos):
-            for k, p in enumerate(e):
-                if p:
-                    out[:, i] *= thetas[:, k] ** p
-        return out
+        return mono_powers(self.monos, thetas, self.r)
 
 
 def power_vector(r: int, d: int) -> PowerVector:
@@ -148,21 +130,11 @@ class GramForm:
         A = self.base if delta is None else self.family_member(delta)
         return gram_expand_matrix(A, self.power, self.s)
 
-    def dump_csv(self, path) -> None:
-        """Write base and null-basis matrices as CSV blocks for debugging."""
-        with open(path, "w") as fh:
-            fh.write("# base %dx%d, power vector: %s\n"
-                     % (self.size, self.size,
-                        " ".join(str(e) for e in self.power.monos)))
-            np.savetxt(fh, self.base, delimiter=",", fmt="%.17g")
-            for k, B in enumerate(self.null_basis):
-                fh.write(f"# null[{k}]\n")
-                np.savetxt(fh, B, delimiter=",", fmt="%.17g")
-
 
 def _as_matrix(m: MatrixPolynomial | Polynomial) -> MatrixPolynomial:
     if isinstance(m, Polynomial):
-        return MatrixPolynomial(1, 1, m.r, [m])
+        return MatrixPolynomial(
+            1, 1, m.r, {e: [[c]] for e, c in m.terms.items()})
     return m
 
 
@@ -185,15 +157,27 @@ def gram_canonical(m: MatrixPolynomial | Polynomial, d: int,
         raise ValueError("matrix polynomial is not symmetric")
     if M.deg() > 2 * d:
         raise ValueError(f"degree {M.deg()} exceeds 2*d = {2 * d}")
-    s = M.rows
     pv = power_vector(M.r, d)
-    pos = _positions(pv)
+    base = gram_base(M.coeffs, pv, M.rows, _positions(pv))
+    nb = gram_null_basis(M.r, d, M.rows) if with_null_basis else []
+    return GramForm(pv, M.rows, base, nb)
+
+
+def gram_base(coeffs: Mapping[ExponentVec, np.ndarray], pv: PowerVector,
+              s: int, pos: dict) -> np.ndarray:
+    """Equal-split Gram representative of the s-by-s coefficient family
+    coeffs against pv; pos is _positions(pv).
+
+    Works on coefficient matrices directly, so the certifier's assembly can
+    pass in its per-variable families and the positions it computed once."""
     size = len(pv) * s
     base = np.zeros((size, size))
-    for mu, C in M.coefficient_matrices().items():
+    for mu, C in coeffs.items():
+        if not np.any(C):
+            continue
         places = pos.get(mu)
         if places is None:
-            raise ValueError(f"monomial {mu} not representable at d={d}")
+            raise ValueError(f"monomial {mu} not representable at d={pv.d}")
         share = C / len(places)
         for (a, b) in places:
             if a == b:
@@ -201,8 +185,7 @@ def gram_canonical(m: MatrixPolynomial | Polynomial, d: int,
             else:
                 base[a * s:(a + 1) * s, b * s:(b + 1) * s] += share / 2
                 base[b * s:(b + 1) * s, a * s:(a + 1) * s] += share.T / 2
-    nb = gram_null_basis(M.r, d, s) if with_null_basis else []
-    return GramForm(pv, s, base, nb)
+    return base
 
 
 def gram_null_basis(r: int, d: int, s: int = 1) -> list[np.ndarray]:
@@ -307,12 +290,12 @@ def gram_expand_matrix(A: np.ndarray, pv: PowerVector, s: int
     coeffs: dict[ExponentVec, np.ndarray] = {}
     for a in range(l):
         for b in range(l):
+            blk = A[a * s:(a + 1) * s, b * s:(b + 1) * s]
+            if not np.any(blk):
+                continue
             mu = mono_mul(pv.monos[a], pv.monos[b])
-            block = A[a * s:(a + 1) * s, b * s:(b + 1) * s]
-            if mu not in coeffs:
-                coeffs[mu] = np.zeros((s, s))
-            coeffs[mu] += block
-    return MatrixPolynomial.from_coefficient_matrices(s, s, pv.r, coeffs)
+            coeffs[mu] = coeffs[mu] + blk if mu in coeffs else blk
+    return MatrixPolynomial(s, s, pv.r, coeffs)
 
 
 def gram_expand(g: GramForm, delta=None) -> MatrixPolynomial:

@@ -75,7 +75,8 @@ def test_quartic_alternate_gram_pair_reconstructs_and_lies_in_family():
                          [-delta, 0.0, 0.0]])
 
     pv = power_vector(1, 2)
-    target = MatrixPolynomial(1, 1, 1, [f])
+    target = MatrixPolynomial.zeros(1, 1, 1)
+    target.set_entry(0, 0, f)
     for delta in (-1.0, 0.0, 2.5):
         got = gram_expand_matrix(F + shift(delta), pv, 1)
         assert _max_coeff_err(got, target) < 1e-12

@@ -16,6 +16,7 @@ Frozen oracles, all derived by hand or by independent numerics:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from robustform.certifier import (Assembly, Certificate, CertifierError,
 from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
 from robustform.polyalg import MatrixPolynomial, Polynomial
+from robustform.scenario import six_agent
 from robustform.smr import gram_expand_matrix, power_vector
 
 
@@ -160,7 +162,7 @@ def test_assemble_lmi_expands_to_pencil_identity():
     for e in [(0, 0), (1, 0), (0, 1)]:
         C = rng.standard_normal((s, s))
         coeffs[e] = C + C.T
-    L_hat = MatrixPolynomial.from_coefficient_matrices(s, s, r, coeffs)
+    L_hat = MatrixPolynomial(s, s, r, coeffs)
     g = unit_disk(r)
     asm = assemble(L_hat, [g])
     y = rng.standard_normal(asm.problem.n_vars)
@@ -390,6 +392,60 @@ def test_verify_perturbed_delta_breaks_identity():
                        cert.P_bar, cert.R_bars, bad)
     rep = verify_certificate(fake, adj, n_samples=0)
     assert rep.pencil_margin < -1e-3
+
+
+def _sampled_margins_per_sample(cert, adj, n_samples, seed):
+    """Reference for the sampled route of verify_certificate: one sample at
+    a time, each reduced-Laplacian entry an exactly rounded sum of terms."""
+    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
+    asm = assemble(L_hat, adj.omega, plan=cert.plan)
+    thetas = adj.sample_omega(np.random.default_rng(seed), n_samples)
+    s = asm.s
+    phiP_vals = asm.phi_P.eval_batch(thetas)
+    norm2 = np.sum(asm.phi_H.eval_batch(thetas) ** 2, axis=1)
+    entries = [[L_hat.entry(i, j).terms for j in range(s)] for i in range(s)]
+    pencil, P_min = float("inf"), float("inf")
+    for t, theta in enumerate(thetas):
+        Q = np.kron(phiP_vals[t], np.eye(s))
+        P_num = Q @ cert.P_bar @ Q.T
+        L_num = np.array([[math.fsum(c * float(np.prod(theta ** np.array(e)))
+                                     for e, c in terms.items())
+                           for terms in row] for row in entries])
+        H_num = P_num @ L_num + L_num.T @ P_num
+        P_min = min(P_min, float(np.linalg.eigvalsh(P_num)[0]))
+        pencil = min(pencil, float(np.linalg.eigvalsh(
+            H_num - cert.c_star * norm2[t] * np.eye(s))[0]))
+    return pencil, P_min
+
+
+def _random_disk_adjacency(seed, n=5):
+    """Random connected graph whose weights stay positive on the unit disk."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(0, j)), j) for j in range(1, n)}
+    pairs |= {(0, n - 1), (1, 3)}
+    weights = {
+        e: Polynomial(2, {(0, 0): float(rng.uniform(1.0, 2.0)),
+                          (1, 0): float(rng.uniform(-0.3, 0.3)),
+                          (0, 1): float(rng.uniform(-0.3, 0.3))})
+        for e in sorted(pairs)}
+    return edge_weight_adjacency(n, weights, 2, [unit_disk(2)],
+                                 [(-1.0, 1.0), (-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("case", ["six_agent", "random_disk_dP1"])
+def test_batched_sampled_margins_match_per_sample_loop(case):
+    if case == "six_agent":
+        adj = six_agent().adjacency
+        cert = certify(adj).certificate
+    else:
+        adj = _random_disk_adjacency(31)
+        cert = certify(adj, d_P=1).certificate
+    # 600 samples: two full chunks of the batched route and a partial one
+    rep = verify_certificate(cert, adj, n_samples=600, seed=3)
+    pencil, P_min = _sampled_margins_per_sample(cert, adj, 600, 3)
+    assert rep.ok, rep.failures
+    assert rep.sampled_pencil_margin == pytest.approx(pencil, abs=1e-12)
+    assert rep.sampled_P_margin == pytest.approx(P_min, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

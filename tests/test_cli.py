@@ -71,6 +71,31 @@ def test_check_wrong_format_exits_2(tmp_path):
     assert run_cli("check", str(p)) == 2
 
 
+BAD_INDICES = {"index_out_of_range": {"j": 9},
+               "negative_index": {"i": -1, "j": 2},
+               "fractional_index": {"i": 0.5, "j": 2},
+               "self_loop": {"j": 0}}
+
+
+@pytest.mark.parametrize("case", [*BAD_INDICES, "infinite_coefficient",
+                                  "duplicate_pair"])
+def test_check_bad_weight_record_exits_2(tmp_path, capsys, case):
+    doc = json.loads(builtin_path("six_agent").read_text())
+    weights = doc["uncertainty"]["weights"]
+    w, k = weights[0], 0  # the record for pair (0, 1)
+    if case == "duplicate_pair":
+        weights.append(dict(w, i=1, j=0))
+        k = len(weights) - 1
+    elif case == "infinite_coefficient":
+        w["terms"][0]["coeff"] = float("inf")
+    else:
+        w.update(BAD_INDICES[case])
+    p = tmp_path / "weights.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
+    assert f"uncertainty.weights[{k}]" in capsys.readouterr().err
+
+
 def test_certify_six_agent(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = run_cli("certify", "six_agent", "--samples", "500",
@@ -221,19 +246,6 @@ def test_unsafe_flag_lets_uncertifiable_run_proceed(tmp_path):
     metrics = json.loads(
         (tmp_path / "r2" / "split_seed0" / "metrics.json").read_text())
     assert metrics["failure"]["kind"] == "disconnected"
-
-
-def test_thread_cap_env():
-    # the cap applies process-wide, so exercise it in a child process
-    import os
-    import subprocess
-    import sys
-    for value in ("2", "soup"):
-        env = dict(os.environ, RF_THREADS=value)
-        proc = subprocess.run(
-            [sys.executable, "-m", "robustform.cli", "check",
-             "six_agent"], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
 
 
 def test_version_flag(capsys):

@@ -86,7 +86,7 @@ class TestLaplacian:
         w01 = Polynomial.constant(1, 1.0) + t.scale(0.3)
         one = Polynomial.constant(1, 1.0)
         zero = Polynomial.zero(1)
-        A = MatrixPolynomial(3, 3, 1, [
+        A = _grid(3, 3, 1, [
             zero, w01, one,
             w01, zero, one,
             one, one, zero,
@@ -131,7 +131,7 @@ class TestReducedBasis:
         t = Polynomial.variable(1, 0)
         w = Polynomial.constant(1, 2.0) + t
         zero = Polynomial.zero(1)
-        A = MatrixPolynomial(2, 2, 1, [zero, w, w, zero])
+        A = _grid(2, 2, 1, [zero, w, w, zero])
         L = laplacian(A)
         M = reduced_basis(2)
         R = reduced_laplacian(L, M)
@@ -213,7 +213,7 @@ class TestUncertainAdjacency:
         t = Polynomial.variable(1, 0)
         w = Polynomial.constant(1, 1.0) + t.scale(0.5)
         zero = Polynomial.zero(1)
-        ent = MatrixPolynomial(2, 2, 1, [zero, w, w, zero])
+        ent = _grid(2, 2, 1, [zero, w, w, zero])
         # Omega = [-1, 1] described by 1 - theta^2 >= 0.
         s = Polynomial.constant(1, 1.0) - t * t
         return UncertainAdjacency(2, ent, [s], [(-1.2, 1.2)])
@@ -232,14 +232,14 @@ class TestUncertainAdjacency:
 
     def test_rejects_nonzero_diagonal(self):
         t = Polynomial.variable(1, 0)
-        ent = MatrixPolynomial(2, 2, 1, [t, t, t, t])
+        ent = _grid(2, 2, 1, [t, t, t, t])
         with pytest.raises(ValueError):
             UncertainAdjacency(2, ent, [], [(-1, 1)])
 
     def test_rejects_asymmetric(self):
         zero = Polynomial.zero(1)
         one = Polynomial.constant(1, 1.0)
-        ent = MatrixPolynomial(2, 2, 1, [zero, one, zero, zero])
+        ent = _grid(2, 2, 1, [zero, one, zero, zero])
         with pytest.raises(ValueError):
             UncertainAdjacency(2, ent, [], [(-1, 1)])
 
@@ -247,7 +247,7 @@ class TestUncertainAdjacency:
         t = Polynomial.variable(1, 0)
         w = Polynomial.constant(1, 1.0) + t
         zero = Polynomial.zero(1)
-        ent = MatrixPolynomial(2, 2, 1, [zero, w, w, zero])
+        ent = _grid(2, 2, 1, [zero, w, w, zero])
         with pytest.raises(ValueError):
             UncertainAdjacency(2, ent, [], [])
 
@@ -308,3 +308,11 @@ class TestAssumptions:
         tau, _, pos = self.line_setup()
         rep = validate_assumptions(tau, [], pos, GEOM)
         assert rep.all_pass
+
+
+def _grid(rows, cols, r, entries):
+    """Matrix polynomial from a row-major list of Polynomial entries."""
+    A = MatrixPolynomial.zeros(rows, cols, r)
+    for k, p in enumerate(entries):
+        A.set_entry(k // cols, k % cols, p)
+    return A

@@ -1,5 +1,7 @@
 """Polynomial and matrix-polynomial algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,33 @@ from robustform.polyalg import (
     COEFF_CLEANUP,
     MatrixPolynomial,
     Polynomial,
-    matpoly_eval,
-    matpoly_mul,
     mono_sort_key,
     poly_arith,
-    poly_eval,
 )
+
+
+def poly_eval(f, theta):
+    """Scalar oracle: monomial-by-monomial evaluation with an exactly
+    rounded sum (math.fsum), no Horner rewriting."""
+    assert len(theta) == f.r
+    total = []
+    for e, c in f.terms.items():
+        v = 1.0
+        for x, p in zip(theta, e):
+            if p:
+                v *= float(x) ** p
+        total.append(c * v)
+    return math.fsum(total)
+
+
+def matpoly_eval(m, theta):
+    """Per-entry oracle for a matrix polynomial, entry by entry through the
+    scalar oracle."""
+    out = np.empty((m.rows, m.cols))
+    for i in range(m.rows):
+        for j in range(m.cols):
+            out[i, j] = poly_eval(m.entry(i, j), theta)
+    return out
 
 
 def quartic_example() -> Polynomial:
@@ -113,26 +136,6 @@ class TestPolynomial:
 
 
 class TestMatrixPolynomial:
-    def test_eval_homomorphism(self):
-        # evaluation commutes with matrix multiply: (A B)(theta) == A(theta) B(theta)
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            A = _random_matpoly(rng, 3, 2, r=2)
-            B = _random_matpoly(rng, 2, 4, r=2)
-            theta = rng.uniform(-1.5, 1.5, size=2)
-            lhs = matpoly_eval(matpoly_mul(A, B), theta)
-            rhs = matpoly_eval(A, theta) @ matpoly_eval(B, theta)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-    def test_add_transpose_eval(self):
-        rng = np.random.default_rng(9)
-        A = _random_matpoly(rng, 3, 3, r=1)
-        theta = [0.37]
-        np.testing.assert_allclose(
-            matpoly_eval(A + A.T, theta),
-            matpoly_eval(A, theta) + matpoly_eval(A, theta).T,
-            atol=1e-12)
-
     def test_symmetry_flag(self):
         A = MatrixPolynomial.zeros(2, 2, 1)
         p = Polynomial(1, {(1,): 2.0})
@@ -144,14 +147,13 @@ class TestMatrixPolynomial:
     def test_constant_roundtrip(self):
         M = np.arange(6, dtype=float).reshape(2, 3)
         A = MatrixPolynomial.constant(M, r=2)
-        np.testing.assert_array_equal(matpoly_eval(A, [0.3, -0.7]), M)
+        np.testing.assert_array_equal(A([0.3, -0.7]), M)
         assert A.deg() == 0
 
     def test_coefficient_matrices_roundtrip(self):
         rng = np.random.default_rng(13)
         A = _random_matpoly(rng, 2, 2, r=2)
-        B = MatrixPolynomial.from_coefficient_matrices(
-            2, 2, 2, A.coefficient_matrices())
+        B = MatrixPolynomial(2, 2, 2, A.coeffs)
         for i in range(2):
             for j in range(2):
                 assert A.entry(i, j) == B.entry(i, j)
@@ -164,11 +166,29 @@ class TestMatrixPolynomial:
         for i in range(25):
             np.testing.assert_allclose(batch[i], matpoly_eval(A, pts[i]),
                                        atol=1e-12)
+            np.testing.assert_array_equal(A(pts[i]), batch[i])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            matpoly_mul(MatrixPolynomial.zeros(2, 3, 1),
-                        MatrixPolynomial.zeros(2, 3, 1))
+            MatrixPolynomial(2, 3, 1, {(1,): np.ones((3, 2))})
+
+    def test_cleanup_is_entrywise(self):
+        # tiny entries are stored as zero; a monomial left all zero is dropped
+        C = np.array([[1.0, COEFF_CLEANUP], [-COEFF_CLEANUP / 2, 0.0]])
+        A = MatrixPolynomial(2, 2, 1, {(0,): C,
+                                       (1,): np.full((2, 2), 1e-15)})
+        assert list(A.coeffs) == [(0,)]
+        np.testing.assert_array_equal(A.coeffs[(0,)], [[1.0, 0.0],
+                                                       [0.0, 0.0]])
+        assert A.entry(0, 1).is_zero and A.entry(0, 0) == \
+            Polynomial.constant(1, 1.0)
+
+    def test_set_entry_replaces_and_drops_empty_monomials(self):
+        A = MatrixPolynomial.zeros(2, 2, 1)
+        A.set_entry(0, 1, Polynomial(1, {(1,): 2.0, (0,): 1.0}))
+        A.set_entry(0, 1, Polynomial(1, {(2,): 3.0}))
+        assert set(A.coeffs) == {(2,)}
+        assert A.entry(0, 1) == Polynomial(1, {(2,): 3.0})
 
 
 def _random_poly(rng, r, max_deg=3, n_terms=5):
@@ -180,7 +200,8 @@ def _random_poly(rng, r, max_deg=3, n_terms=5):
 
 
 def _random_matpoly(rng, rows, cols, r):
-    return MatrixPolynomial(
-        rows, cols, r,
-        [_random_poly(rng, r, max_deg=2, n_terms=3)
-         for _ in range(rows * cols)])
+    A = MatrixPolynomial.zeros(rows, cols, r)
+    for i in range(rows):
+        for j in range(cols):
+            A.set_entry(i, j, _random_poly(rng, r, max_deg=2, n_terms=3))
+    return A
