@@ -1,11 +1,15 @@
 """Barrier potentials for edge keeping and collision avoidance.
 
-Two families of scalar potentials drive the controller.  The edge-keeping
-barrier psi_e grows from zero at perfect formation to its cap mu1 exactly
-when a formation pair reaches its sensing margin, so bounded total energy
-keeps formation edges alive.  The collision barrier psi_c vanishes at the
-desired separation and climbs to its cap mu2 exactly at the safety distance
-d_s, so bounded energy keeps agents apart.
+Two families of potentials drive the controller.  The edge-keeping barrier
+psi_e grows from zero at perfect formation to its cap mu1 exactly when a
+formation pair reaches its sensing margin, so bounded total energy keeps
+formation edges alive.  The collision barrier psi_c vanishes at the desired
+separation and climbs to its cap mu2 exactly at the safety distance d_s, so
+bounded energy keeps agents apart.
+
+psi_e, psi_c and their gradients are written once, on arrays of pairs (a
+scalar is a single pair).  PairArrays holds the pairs of one mask epoch and
+evaluates with them the composite energy W and the control law -grad W.
 
 The caps are not free parameters: tune_mu picks them above the worst-case
 initial energy plus everything zone entries can ever add, which is what
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import AgentGeometry, TopologyState
+from .netgraph import AgentGeometry, TopologyState, pair_distances
 
 
 class DomainViolation(RuntimeError):
@@ -27,7 +31,12 @@ class DomainViolation(RuntimeError):
 
     During a simulation this means the invariance guarantee already failed
     upstream: either the caps were tuned wrong or the integrator stepped
-    through the boundary."""
+    through the boundary.  index is the position of the first offending
+    pair when the barrier was evaluated on an array of pairs."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class TuneError(RuntimeError):
@@ -66,127 +75,176 @@ def eps_hat_default(geom: AgentGeometry) -> float:
     return geom.eps / 2.0
 
 
-def psi_e(q: float, r_hat_s: float, mu1: float) -> float:
+def _checked(D, what: str, **values):
+    """D, after raising DomainViolation at the first pair where D <= 0."""
+    if (D <= 0).any():
+        k = int(np.flatnonzero(D <= 0)[0])
+        at = ", ".join(f"{name}={np.broadcast_to(v, D.shape).flat[k]:.6f}"
+                       for name, v in values.items())
+        raise DomainViolation(
+            f"{what} denominator {np.ravel(D)[k]:.3e} <= 0 at {at}", k)
+    return D
+
+
+def _edge_denominator(q, r_hat_s, mu1: float):
+    return _checked(r_hat_s - q + r_hat_s * r_hat_s / mu1, "psi_e",
+                    q=q, r_hat_s=r_hat_s)
+
+
+def _collision_denominator(p, tau_norm, d_s: float, mu2: float):
+    gap = d_s - tau_norm
+    return _checked(p - d_s + gap * gap / mu2, "psi_c", p=p,
+                    tau_norm=tau_norm)
+
+
+def psi_e(q, r_hat_s, mu1: float):
     """Edge-keeping barrier at formation error q = ||y_ij||.
 
     q^2 / (r_hat_s - q + r_hat_s^2/mu1); equals mu1 exactly at
     q = r_hat_s.  mu1 = inf gives the envelope q^2 / (r_hat_s - q)."""
-    if q < 0:
+    q = np.asarray(q, dtype=float)
+    if (q < 0).any():
         raise ValueError(f"q is a norm, got {q}")
-    if r_hat_s <= 0:
+    if (np.asarray(r_hat_s) <= 0).any():
         raise ValueError(f"r_hat_s must be positive, got {r_hat_s}")
-    D = r_hat_s - q + r_hat_s * r_hat_s / mu1
-    if D <= 0:
-        raise DomainViolation(
-            f"psi_e denominator {D:.3e} <= 0 at q={q:.6f}, "
-            f"r_hat_s={r_hat_s:.6f}")
-    return q * q / D
+    return q * q / _edge_denominator(q, r_hat_s, mu1)
 
 
-def grad_psi_e(y_ij: np.ndarray, r_hat_s: float, mu1: float) -> np.ndarray:
+def grad_psi_e(y_ij, r_hat_s, mu1: float):
     """Gradient of psi_e with respect to the first agent's position.
 
     ((2 D + q) / D^2) * y_ij with D the psi_e denominator; finite as
-    q -> 0."""
+    q -> 0.  y_ij is one formation error vector or a (pairs, dim) array."""
     y_ij = np.asarray(y_ij, dtype=float)
-    q = float(np.linalg.norm(y_ij))
-    D = r_hat_s - q + r_hat_s * r_hat_s / mu1
-    if D <= 0:
-        raise DomainViolation(
-            f"psi_e denominator {D:.3e} <= 0 at q={q:.6f}, "
-            f"r_hat_s={r_hat_s:.6f}")
-    return ((2.0 * D + q) / (D * D)) * y_ij
+    q = np.linalg.norm(y_ij, axis=-1)
+    D = _edge_denominator(q, r_hat_s, mu1)
+    return ((2.0 * D + q) / (D * D))[..., None] * y_ij
 
 
-def psi_c(p: float, tau_norm: float, d_s: float, mu2: float) -> float:
+def psi_c(p, tau_norm, d_s: float, mu2: float):
     """Collision barrier at separation p = ||x_ij||.
 
     (p - tau_norm)^2 / (p - d_s + (d_s - tau_norm)^2/mu2); vanishes at the
     desired separation and equals mu2 exactly at p = d_s.  mu2 = inf gives
     the envelope (p - tau_norm)^2 / (p - d_s)."""
-    if p < 0:
+    p = np.asarray(p, dtype=float)
+    if (p < 0).any():
         raise ValueError(f"p is a norm, got {p}")
-    gap = d_s - tau_norm
-    D = p - d_s + gap * gap / mu2
-    if D <= 0:
-        raise DomainViolation(
-            f"psi_c denominator {D:.3e} <= 0 at p={p:.6f}, "
-            f"tau_norm={tau_norm:.6f}, d_s={d_s:.6f}")
+    D = _collision_denominator(p, tau_norm, d_s, mu2)
     diff = p - tau_norm
     return diff * diff / D
 
 
-def grad_psi_c(y_ij: np.ndarray, tau_ij: np.ndarray, d_s: float,
-               mu2: float) -> np.ndarray:
+def grad_psi_c(x_ij, tau_norm, d_s: float, mu2: float):
     """Gradient of psi_c with respect to the first agent's position.
 
-    Chain rule through p = ||y_ij + tau_ij||; finite as p -> tau_norm."""
-    y_ij = np.asarray(y_ij, dtype=float)
-    tau_ij = np.asarray(tau_ij, dtype=float)
-    x = y_ij + tau_ij
-    p = float(np.linalg.norm(x))
-    if p == 0.0:
+    Chain rule through p = ||x_ij||, x_ij the separation vector (or a
+    (pairs, dim) array of them); finite as p -> tau_norm."""
+    x_ij = np.asarray(x_ij, dtype=float)
+    p = np.linalg.norm(x_ij, axis=-1)
+    D = _collision_denominator(p, tau_norm, d_s, mu2)
+    if (p == 0.0).any():
         raise DomainViolation(
             "psi_c gradient singular at zero separation; collision "
-            "avoidance has already failed")
-    tau_norm = float(np.linalg.norm(tau_ij))
-    gap = d_s - tau_norm
-    D = p - d_s + gap * gap / mu2
-    if D <= 0:
-        raise DomainViolation(
-            f"psi_c denominator {D:.3e} <= 0 at p={p:.6f}, "
-            f"tau_norm={tau_norm:.6f}, d_s={d_s:.6f}")
+            "avoidance has already failed", int(np.argmax(p == 0.0)))
     diff = p - tau_norm
-    dpsi_dp = (2.0 * diff * D - diff * diff) / (D * D)
-    return dpsi_dp * x / p
+    dpsi = (2.0 * diff * D - diff * diff) / (D * D)
+    return (dpsi / p)[..., None] * x_ij
 
 
-def zone_pairs_at(positions: np.ndarray, topo: TopologyState,
+def zone_pairs_at(dist: np.ndarray, topo: TopologyState,
                   geom: AgentGeometry) -> frozenset:
-    """Connected pairs currently inside the collision zone (dist < r_z)."""
-    positions = np.asarray(positions, dtype=float)
-    out = set()
-    for (i, j) in topo.edges:
-        if np.linalg.norm(positions[i] - positions[j]) < geom.r_z:
-            out.add((i, j))
-    return frozenset(out)
+    """Connected pairs currently inside the collision zone (dist < r_z).
+
+    dist is the pair-distance matrix of the positions (pair_distances)."""
+    i, j = np.nonzero(np.triu(dist < geom.r_z, 1))
+    return frozenset(e for e in zip(i.tolist(), j.tolist())
+                     if e in topo.edges)
 
 
-def energy_W(positions: np.ndarray, velocities: np.ndarray,
-             tau: np.ndarray, topo: TopologyState, geom: AgentGeometry,
-             G: np.ndarray, params: BarrierParams,
-             zone_pairs=None) -> float:
-    """Composite energy: barriers, Laplacian quadratic, kinetic term.
+def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), sorted, as two index arrays."""
+    return np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+
+
+def _on_pairs(fn, i: np.ndarray, j: np.ndarray, *args):
+    """fn(*args) on the pairs (i, j); a domain violation names its pair."""
+    try:
+        return fn(*args)
+    except DomainViolation as err:
+        k = err.index
+        raise DomainViolation(f"pair ({i[k]},{j[k]}): {err}", k) from None
+
+
+class PairArrays:
+    """The pairs of one mask epoch, where W and the control law are
+    evaluated.
 
     W = sum over formation pairs of psi_e
       + sum over zone pairs of psi_c
-      + 1/2 sum over connected pairs of G_ij ||y_ij||^2
-      + 1/2 sum over agents of ||rho_i||^2.
+      + 1/2 sum over edges of G_ij ||y_ij||^2
+      + 1/2 sum over agents of ||rho_i||^2,
 
-    zone_pairs defaults to the pairs currently within r_z; passing an
-    explicit set evaluates W against a frozen zone membership, which is
-    what the drift monitor needs across a step."""
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    G = np.asarray(G, dtype=float)
-    y = positions - tau
-    if zone_pairs is None:
-        zone_pairs = zone_pairs_at(positions, topo, geom)
-    W = 0.0
-    for (i, j) in topo.formation_edges:
-        tau_norm = float(np.linalg.norm(tau[i] - tau[j]))
-        W += psi_e(float(np.linalg.norm(y[i] - y[j])),
-                   geom.r_s - tau_norm, params.mu1)
-    for (i, j) in zone_pairs:
-        W += psi_c(float(np.linalg.norm(positions[i] - positions[j])),
-                   float(np.linalg.norm(tau[i] - tau[j])),
-                   geom.d_s, params.mu2)
-    for (i, j) in topo.edges:
-        d = y[i] - y[j]
-        W += 0.5 * G[i, j] * float(d @ d)
-    W += 0.5 * float(np.sum(velocities * velocities))
-    return W
+    with y = positions - tau.  The zone pairs are frozen for the epoch,
+    which is what the drift monitor needs across a step."""
+
+    def __init__(self, topo: TopologyState, zone_pairs, tau: np.ndarray,
+                 geom: AgentGeometry, G: np.ndarray):
+        tau = np.asarray(tau, dtype=float)
+        self.fi, self.fj = _index_pairs(topo.formation_edges)
+        self.r_hat = geom.r_s - np.linalg.norm(tau[self.fi] - tau[self.fj],
+                                               axis=1)
+        self.zi, self.zj = _index_pairs(zone_pairs)
+        self.z_tn = np.linalg.norm(tau[self.zi] - tau[self.zj], axis=1)
+        self.ei, self.ej = _index_pairs(topo.edges)
+        self.w = np.asarray(G, dtype=float)[self.ei, self.ej]
+        self.tau = tau
+        self.geom = geom
+        self.n = topo.n_agents
+        self.edge_pairs = frozenset(topo.edges)
+        self.zone_set = frozenset(zone_pairs)
+
+    def control(self, positions: np.ndarray, velocities: np.ndarray,
+                params: BarrierParams) -> np.ndarray:
+        y = positions - self.tau
+        u = np.zeros_like(positions)
+        if self.fi.size:
+            g = _on_pairs(grad_psi_e, self.fi, self.fj,
+                          y[self.fi] - y[self.fj], self.r_hat, params.mu1)
+            np.add.at(u, self.fi, -g)
+            np.add.at(u, self.fj, g)
+        if self.zi.size:
+            g = _on_pairs(grad_psi_c, self.zi, self.zj,
+                          positions[self.zi] - positions[self.zj],
+                          self.z_tn, self.geom.d_s, params.mu2)
+            np.add.at(u, self.zi, -g)
+            np.add.at(u, self.zj, g)
+        if self.ei.size:
+            spring = self.w[:, None] * (y[self.ei] - y[self.ej])
+            damp = self.w[:, None] * (velocities[self.ei]
+                                      - velocities[self.ej])
+            np.add.at(u, self.ei, -(spring + damp))
+            np.add.at(u, self.ej, spring + damp)
+        return u
+
+    def energy(self, positions: np.ndarray, velocities: np.ndarray,
+               params: BarrierParams) -> float:
+        y = positions - self.tau
+        W = 0.5 * float(np.sum(velocities * velocities))
+        if self.fi.size:
+            q = np.linalg.norm(y[self.fi] - y[self.fj], axis=1)
+            W += float(np.sum(_on_pairs(psi_e, self.fi, self.fj, q,
+                                        self.r_hat, params.mu1)))
+        if self.zi.size:
+            p = np.linalg.norm(positions[self.zi] - positions[self.zj],
+                               axis=1)
+            W += float(np.sum(_on_pairs(psi_c, self.zi, self.zj, p,
+                                        self.z_tn, self.geom.d_s,
+                                        params.mu2)))
+        if self.ei.size:
+            d = y[self.ei] - y[self.ej]
+            W += 0.5 * float(np.sum(self.w * np.sum(d * d, axis=1)))
+        return W
 
 
 @dataclass
@@ -216,6 +274,7 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     exact arithmetic; the loop guards against that ever failing and raises
     with a trace when it does."""
     positions = np.asarray(positions, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
     tau = np.asarray(tau, dtype=float)
     N = positions.shape[0]
     eps_hat = eps_hat_default(geom)
@@ -223,28 +282,29 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     if not weight_samples:
         raise TuneError("need at least one weight matrix sample")
 
-    pair_taus = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            tn = float(np.linalg.norm(tau[i] - tau[j]))
-            if tn <= geom.d_s:
-                raise TuneError(
-                    f"infeasible formation: desired distance {tn:.4f} of "
-                    f"pair ({i},{j}) is not above d_s={geom.d_s}")
-            pair_taus.append(tn)
+    iu, ju = np.triu_indices(N, k=1)
+    pair_taus = pair_distances(tau)[iu, ju]
+    bad = np.flatnonzero(pair_taus <= geom.d_s)
+    if bad.size:
+        k = int(bad[0])
+        raise TuneError(
+            f"infeasible formation: desired distance {pair_taus[k]:.4f} "
+            f"of pair ({iu[k]},{ju[k]}) is not above d_s={geom.d_s}")
+    zone = zone_pairs_at(pair_distances(positions), topo, geom)
+    epochs = [PairArrays(topo, zone, tau, geom, G) for G in weight_samples]
 
     def mu_safe_at(mu: float) -> tuple[float, float, float]:
         params = BarrierParams(mu, mu, eps_hat)
         try:
-            w0 = max(energy_W(positions, velocities, tau, topo, geom, G,
-                              params) for G in weight_samples)
+            w0 = max(a.energy(positions, velocities, params)
+                     for a in epochs)
         except DomainViolation as err:
             raise TuneError(
                 f"initial state is outside the barrier envelope: {err}"
             ) from err
-        zone = max(psi_c(geom.r_z, tn, geom.d_s, mu) for tn in pair_taus) \
-            if pair_taus else 0.0
-        zone_total = 0.5 * N * (N - 1) * zone
+        zone_cap = float(np.max(psi_c(geom.r_z, pair_taus, geom.d_s, mu))) \
+            if pair_taus.size else 0.0
+        zone_total = 0.5 * N * (N - 1) * zone_cap
         return w0 + zone_total, w0, zone_total
 
     envelope, _, _ = mu_safe_at(math.inf)

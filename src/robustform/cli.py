@@ -545,6 +545,19 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _time_flag(zero_ok: bool):
+    """argparse type of --T and --dt: a finite float > 0, or >= 0."""
+    def time_value(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0 or
+                                          (zero_ok and value == 0))):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>=' if zero_ok else '>'} 0, "
+                f"got {text}")
+        return value
+    return time_value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="robustform",
@@ -579,9 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one seeded simulation")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=float, default=None,
-                   help="horizon override")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--T", type=_time_flag(zero_ok=True), default=None,
+                   help="horizon override (0 records the initial state)")
+    p.add_argument("--dt", type=_time_flag(zero_ok=False), default=None,
                    help="step-size override")
     p.add_argument("--unsafe", action="store_true",
                    help="skip assumption and certificate gating")

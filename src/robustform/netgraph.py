@@ -5,7 +5,9 @@ hysteresis: a pair becomes an edge when its distance drops to r_s - eps and
 the edge is only removed when the distance exceeds r_s.  Formation edges are
 designated at setup and are never removed by the update rule; losing one at
 runtime is an alarm raised by the simulator's monitors, not something this
-module does silently.
+module does silently.  Pairwise geometry is one N x N distance matrix
+(pair_distances) per state; the hysteresis update reads it through boolean
+masks.
 
 Edge weights may depend polynomially on an uncertainty vector theta confined
 to a semialgebraic set Omega = {theta : s_i(theta) >= 0}.  Connectedness of
@@ -159,7 +161,7 @@ def laplacian(G):
             G.rows, G.cols, G.r,
             {e: np.diag(C.sum(axis=1)) - C for e, C in G.coeffs.items()})
     G = np.asarray(G, dtype=float)
-    if not np.allclose(G, G.T, atol=0.0):
+    if not np.array_equal(G, G.T):
         raise ValueError("adjacency is not symmetric")
     if np.any(np.abs(np.diag(G)) > 0):
         raise ValueError("adjacency has nonzero diagonal")
@@ -194,56 +196,39 @@ def reduced_laplacian(L, M: np.ndarray):
     return M.T @ L @ M
 
 
-def update_edges(positions: np.ndarray, topo: TopologyState,
+def pair_distances(x: np.ndarray) -> np.ndarray:
+    """N x N matrix of center distances ||x_i - x_j||."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _edge_mask(edges, N: int) -> np.ndarray:
+    """Boolean N x N matrix, True at the stored (i, j), i < j, of edges."""
+    mask = np.zeros((N, N), dtype=bool)
+    if edges:
+        i, j = zip(*edges)
+        mask[i, j] = True
+    return mask
+
+
+def update_edges(dist: np.ndarray, topo: TopologyState,
                  geom: AgentGeometry, t: float = 0.0) -> TopologyState:
-    """One hysteresis update of the edge set.
+    """One hysteresis update of the edge set from the pair-distance matrix
+    dist (pair_distances).
 
     Adds (i, j) when distance(i, j) <= r_s - eps and the edge is absent;
     removes a non-formation edge when distance(i, j) > r_s.  Formation edges
     are never removed here."""
-    positions = np.asarray(positions, dtype=float)
     N = topo.n_agents
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    edges = set(topo.edges)
-    changed = False
-    for i in range(N):
-        for j in range(i + 1, N):
-            e = (i, j)
-            if e in edges:
-                if dist[i, j] > geom.r_s and e not in topo.formation_edges:
-                    edges.remove(e)
-                    changed = True
-            else:
-                if dist[i, j] <= geom.r_s - geom.eps:
-                    edges.add(e)
-                    changed = True
-    if not changed:
+    present = _edge_mask(topo.edges, N)
+    add = np.triu(dist <= geom.r_s - geom.eps, 1) & ~present
+    drop = present & (dist > geom.r_s) \
+        & ~_edge_mask(topo.formation_edges, N)
+    if not (add.any() or drop.any()):
         return topo
-    return TopologyState(N, frozenset(edges), topo.formation_edges,
-                         last_switch_time=t)
-
-
-def neighbor_sets(i: int, positions: np.ndarray, topo: TopologyState,
-                  geom: AgentGeometry
-                  ) -> tuple[set[int], set[int], set[int]]:
-    """(sensing neighbors, formation neighbors among them, collision-zone
-    neighbors among them) for agent i.
-
-    Zone membership uses a strict distance test dist < r_z."""
-    positions = np.asarray(positions, dtype=float)
-    ns: set[int] = set()
-    nsf: set[int] = set()
-    nsz: set[int] = set()
-    for j in range(topo.n_agents):
-        if j == i or not topo.has_edge(i, j):
-            continue
-        ns.add(j)
-        if canon_edge(i, j) in topo.formation_edges:
-            nsf.add(j)
-        if np.linalg.norm(positions[i] - positions[j]) < geom.r_z:
-            nsz.add(j)
-    return ns, nsf, nsz
+    i, j = np.nonzero((present | add) & ~drop)
+    return TopologyState(N, frozenset(zip(i.tolist(), j.tolist())),
+                         topo.formation_edges, last_switch_time=t)
 
 
 def connected_components(N: int, edges) -> int:

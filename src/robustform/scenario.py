@@ -22,6 +22,14 @@ from .netgraph import AgentGeometry, UncertainAdjacency, canon_edge
 from .polyalg import MatrixPolynomial, Polynomial
 
 FORMAT = "formation-scenario/1"
+METHODS = ("rk4", "euler")
+
+
+def _finite_polynomial(r: int, terms, where: str) -> Polynomial:
+    """Polynomial of term records whose coefficients are all finite."""
+    if not all(math.isfinite(float(t["coeff"])) for t in terms):
+        raise ValueError(f"{where}: non-finite coefficient")
+    return Polynomial.from_records(r, terms)
 
 
 @dataclass
@@ -63,6 +71,18 @@ class ScenarioSpec:
         for (i, j) in self.formation_edges:
             if not (0 <= i < N and 0 <= j < N):
                 raise ValueError(f"formation edge ({i},{j}) out of range")
+        for name in ("dt", "T_end"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}: must be finite and > 0, got "
+                                 f"{value}")
+        if not (isinstance(self.record_every, int)
+                and self.record_every >= 1):
+            raise ValueError(f"record_every: must be an integer >= 1, got "
+                             f"{self.record_every!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method: must be one of {list(METHODS)}, got "
+                             f"{self.method!r}")
 
     @property
     def n_agents(self) -> int:
@@ -137,16 +157,17 @@ class ScenarioSpec:
             if pair in pairs:
                 raise ValueError(f"{where}: duplicate pair ({i},{j})")
             pairs.add(pair)
-            if not all(math.isfinite(float(t["coeff"])) for t in w["terms"]):
-                raise ValueError(f"{where}: non-finite coefficient")
-            p = Polynomial.from_records(r, w["terms"])
+            p = _finite_polynomial(r, w["terms"], where)
             entries.set_entry(i, j, p)
             entries.set_entry(j, i, p)
-        adj = UncertainAdjacency(
-            N=N, entries=entries,
-            omega=[Polynomial.from_records(r, s["terms"])
-                   for s in unc["region"]],
-            box=[tuple(b) for b in unc["box"]])
+        omega = [_finite_polynomial(r, s["terms"], f"uncertainty.region[{k}]")
+                 for k, s in enumerate(unc["region"])]
+        box = [tuple(float(v) for v in b) for b in unc["box"]]
+        for k, b in enumerate(box):
+            if len(b) != 2 or not all(math.isfinite(v) for v in b):
+                raise ValueError(f"uncertainty.box[{k}]: bounds {list(b)} "
+                                 f"are not two finite numbers")
+        adj = UncertainAdjacency(N=N, entries=entries, omega=omega, box=box)
         barrier = doc.get("barrier")
         return cls(
             name=doc["name"],
@@ -163,7 +184,7 @@ class ScenarioSpec:
             jitter_vel=float(doc.get("jitter_vel", 0.0)),
             T_end=float(doc.get("T_end", 40.0)),
             dt=float(doc.get("dt", 1e-3)),
-            record_every=int(doc.get("record_every", 100)),
+            record_every=doc.get("record_every", 100),
             n_weight_samples=int(doc.get("n_weight_samples", 16)),
             method=doc.get("method", "rk4"),
             conv_tol=(None if doc.get("conv_tol") is None

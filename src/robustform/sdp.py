@@ -529,16 +529,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
                    "unbounded")
             break
 
-        try:
-            scalings = [_Scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
-            B = _schur_matrix(cols_list, A_list, scalings, sizes, n_vars,
-                              chunk)
-            kkt = _KktSolver(B, E)
-        except np.linalg.LinAlgError as err:
-            status = SdpStatus.NUMERICAL_FAILURE
-            msg = f"scaling or factorization failed: {err}"
-            break
-
         def direction(N_list):
             rhs_y = -r_g.copy()
             for A, sc, Nk, rd in zip(A_list, scalings, N_list, res_d):
@@ -552,30 +542,44 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
                 dZ.append(0.5 * (dZk + dZk.T))
             return dy, dw, dS, dZ
 
-        # Predictor: drive straight at complementarity zero.
-        N_aff = [-Zk for Zk in Z]
-        dy_a, dw_a, dS_a, dZ_a = direction(N_aff)
+        # every factorization and solve of the iteration: a singular one
+        # ends the run with a status instead of an exception
+        try:
+            scalings = [_Scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
+            B = _schur_matrix(cols_list, A_list, scalings, sizes, n_vars,
+                              chunk)
+            kkt = _KktSolver(B, E)
 
-        ap = min([1.0] + [_max_step(S[k], dS_a[k]) for k in range(len(S))])
-        ad = min([1.0] + [_max_step(Z[k], dZ_a[k]) for k in range(len(Z))])
-        gap_aff = sum(float(np.sum((S[k] + ap * dS_a[k]) *
-                                   (Z[k] + ad * dZ_a[k])))
-                      for k in range(len(S)))
-        mu = gap / n_tot
-        sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3))
+            # Predictor: drive straight at complementarity zero.
+            N_aff = [-Zk for Zk in Z]
+            dy_a, dw_a, dS_a, dZ_a = direction(N_aff)
 
-        # Corrector with the Mehrotra second order term.
-        N_cmb = []
-        for k, sc in enumerate(scalings):
-            etaS = sc.Rinv @ dS_a[k] @ sc.Rinv.T
-            etaZ = sc.R.T @ dZ_a[k] @ sc.R
-            cross = etaS @ etaZ
-            D = sigma * mu * np.eye(sizes[k]) - np.diag(sc.lam ** 2) \
-                - 0.5 * (cross + cross.T)
-            denom = sc.lam[:, None] + sc.lam[None, :]
-            U = 2.0 * D / denom
-            N_cmb.append(sc.Rinv.T @ U @ sc.Rinv)
-        dy, dw, dS, dZ = direction(N_cmb)
+            ap = min([1.0] + [_max_step(S[k], dS_a[k])
+                              for k in range(len(S))])
+            ad = min([1.0] + [_max_step(Z[k], dZ_a[k])
+                              for k in range(len(Z))])
+            gap_aff = sum(float(np.sum((S[k] + ap * dS_a[k]) *
+                                       (Z[k] + ad * dZ_a[k])))
+                          for k in range(len(S)))
+            mu = gap / n_tot
+            sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3))
+
+            # Corrector with the Mehrotra second order term.
+            N_cmb = []
+            for k, sc in enumerate(scalings):
+                etaS = sc.Rinv @ dS_a[k] @ sc.Rinv.T
+                etaZ = sc.R.T @ dZ_a[k] @ sc.R
+                cross = etaS @ etaZ
+                D = sigma * mu * np.eye(sizes[k]) - np.diag(sc.lam ** 2) \
+                    - 0.5 * (cross + cross.T)
+                denom = sc.lam[:, None] + sc.lam[None, :]
+                U = 2.0 * D / denom
+                N_cmb.append(sc.Rinv.T @ U @ sc.Rinv)
+            dy, dw, dS, dZ = direction(N_cmb)
+        except np.linalg.LinAlgError as err:
+            status = SdpStatus.NUMERICAL_FAILURE
+            msg = f"scaling, factorization or KKT solve failed: {err}"
+            break
 
         ap = min(1.0, 0.99 * min([np.inf] + [_max_step(S[k], dS[k])
                                              for k in range(len(S))]))

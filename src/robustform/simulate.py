@@ -7,6 +7,10 @@ promises: pairwise distances stay above the safety floor, formation pairs
 stay inside sensing range, the composite energy never grows between
 topology switches beyond integration tolerance, and switches change the
 energy by exactly the entering and leaving terms.
+
+Each step computes one pair-distance matrix at the new positions; the
+topology and zone updates and the safety and edge-break monitors all read
+it.  Energy and control come from barrier.PairArrays.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import (BarrierParams, DomainViolation, TuneResult, tune_mu,
-                      zone_pairs_at)
+from .barrier import (BarrierParams, DomainViolation, PairArrays,
+                      TuneResult, tune_mu, zone_pairs_at)
 from .certifier import certify
 from .netgraph import (AgentGeometry, TopologyState, canon_edge,
-                       is_connected, neighbor_sets, update_edges,
+                       is_connected, pair_distances, update_edges,
                        validate_assumptions)
 from .scenario import ScenarioSpec
 
@@ -34,155 +38,28 @@ class SimState:
 
     zone_pairs is part of the state because collision terms switch on a
     detection event, not on a smooth condition: membership is frozen
-    while a step integrates and refreshed afterwards."""
+    while a step integrates and refreshed afterwards.  distances is
+    pair_distances(positions) when step or run made the state; the masks
+    were read off it."""
 
     t: float
     positions: np.ndarray
     velocities: np.ndarray
     topo: TopologyState
     zone_pairs: frozenset
-
-
-class _PairArrays:
-    """Index arrays for one mask epoch, shared by control and energy."""
-
-    def __init__(self, topo: TopologyState, zone_pairs, tau: np.ndarray,
-                 geom: AgentGeometry, G: np.ndarray):
-        tau = np.asarray(tau, dtype=float)
-        form = sorted(topo.formation_edges)
-        self.fi = np.array([e[0] for e in form], dtype=int)
-        self.fj = np.array([e[1] for e in form], dtype=int)
-        tn = np.linalg.norm(tau[self.fi] - tau[self.fj], axis=1) \
-            if form else np.zeros(0)
-        self.r_hat = geom.r_s - tn
-        zone = sorted(zone_pairs)
-        self.zi = np.array([e[0] for e in zone], dtype=int)
-        self.zj = np.array([e[1] for e in zone], dtype=int)
-        self.z_tau = tau[self.zi] - tau[self.zj] if zone \
-            else np.zeros((0, tau.shape[1]))
-        self.z_tn = np.linalg.norm(self.z_tau, axis=1)
-        edges = sorted(topo.edges)
-        self.ei = np.array([e[0] for e in edges], dtype=int)
-        self.ej = np.array([e[1] for e in edges], dtype=int)
-        self.w = np.asarray(G, dtype=float)[self.ei, self.ej] \
-            if edges else np.zeros(0)
-        self.tau = tau
-        self.geom = geom
-        self.n = topo.n_agents
-        self.edge_pairs = frozenset(topo.edges)
-        self.zone_set = frozenset(zone_pairs)
-
-    def _psi_e_pieces(self, y: np.ndarray, mu1: float):
-        d = y[self.fi] - y[self.fj]
-        q = np.linalg.norm(d, axis=1)
-        D = self.r_hat - q + self.r_hat ** 2 / mu1
-        bad = np.flatnonzero(D <= 0)
-        if bad.size:
-            k = int(bad[0])
-            raise DomainViolation(
-                f"edge barrier domain violated for pair "
-                f"({self.fi[k]},{self.fj[k]}): q={q[k]:.6f} with "
-                f"r_hat_s={self.r_hat[k]:.6f}")
-        return d, q, D
-
-    def _psi_c_pieces(self, x: np.ndarray, mu2: float):
-        xd = x[self.zi] - x[self.zj]
-        p = np.linalg.norm(xd, axis=1)
-        gap = self.geom.d_s - self.z_tn
-        D = p - self.geom.d_s + gap ** 2 / mu2
-        bad = np.flatnonzero(D <= 0)
-        if bad.size:
-            k = int(bad[0])
-            raise DomainViolation(
-                f"collision barrier domain violated for pair "
-                f"({self.zi[k]},{self.zj[k]}): separation {p[k]:.6f}")
-        if np.any(p == 0.0):
-            k = int(np.flatnonzero(p == 0.0)[0])
-            raise DomainViolation(
-                f"zero separation for pair ({self.zi[k]},{self.zj[k]})")
-        return xd, p, D
-
-    def control(self, positions: np.ndarray, velocities: np.ndarray,
-                params: BarrierParams) -> np.ndarray:
-        y = positions - self.tau
-        u = np.zeros_like(positions)
-        if self.fi.size:
-            d, q, D = self._psi_e_pieces(y, params.mu1)
-            g = ((2.0 * D + q) / D ** 2)[:, None] * d
-            np.add.at(u, self.fi, -g)
-            np.add.at(u, self.fj, g)
-        if self.zi.size:
-            xd, p, D = self._psi_c_pieces(positions, params.mu2)
-            diff = p - self.z_tn
-            dpsi = (2.0 * diff * D - diff ** 2) / D ** 2
-            g = (dpsi / p)[:, None] * xd
-            np.add.at(u, self.zi, -g)
-            np.add.at(u, self.zj, g)
-        if self.ei.size:
-            spring = self.w[:, None] * (y[self.ei] - y[self.ej])
-            damp = self.w[:, None] * (velocities[self.ei]
-                                      - velocities[self.ej])
-            np.add.at(u, self.ei, -(spring + damp))
-            np.add.at(u, self.ej, spring + damp)
-        return u
-
-    def energy(self, positions: np.ndarray, velocities: np.ndarray,
-               params: BarrierParams) -> float:
-        y = positions - self.tau
-        W = 0.5 * float(np.sum(velocities * velocities))
-        if self.fi.size:
-            _, q, D = self._psi_e_pieces(y, params.mu1)
-            W += float(np.sum(q * q / D))
-        if self.zi.size:
-            _, p, D = self._psi_c_pieces(positions, params.mu2)
-            W += float(np.sum((p - self.z_tn) ** 2 / D))
-        if self.ei.size:
-            d = y[self.ei] - y[self.ej]
-            W += 0.5 * float(np.sum(self.w * np.sum(d * d, axis=1)))
-        return W
-
-
-def control_input(i: int, positions: np.ndarray, velocities: np.ndarray,
-                  tau: np.ndarray, topo: TopologyState,
-                  geom: AgentGeometry, G: np.ndarray,
-                  params: BarrierParams, zone_pairs=None) -> np.ndarray:
-    """Control for one agent from its own neighborhoods only.
-
-    Slow reference path; the integrator uses the vectorized equivalent.
-    Only rows of G and entries of positions belonging to agent i's
-    sensing neighbors are read."""
-    from .barrier import grad_psi_c, grad_psi_e
-
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    y = positions - tau
-    ns, nsf, nsz = neighbor_sets(i, positions, topo, geom)
-    if zone_pairs is not None:
-        nsz = {j for j in ns if canon_edge(i, j) in zone_pairs}
-    u = np.zeros(positions.shape[1])
-    for j in nsf:
-        tn = float(np.linalg.norm(tau[i] - tau[j]))
-        u -= grad_psi_e(y[i] - y[j], geom.r_s - tn, params.mu1)
-    for j in nsz:
-        u -= grad_psi_c(y[i] - y[j], tau[i] - tau[j], geom.d_s,
-                        params.mu2)
-    for j in ns:
-        u -= G[i, j] * (y[i] - y[j])
-        u -= G[i, j] * (velocities[i] - velocities[j])
-    return u
+    distances: np.ndarray | None = None
 
 
 def step(state: SimState, tau: np.ndarray, geom: AgentGeometry,
          G: np.ndarray, params: BarrierParams, dt: float,
-         method: str = "rk4", _arrays: _PairArrays | None = None
+         method: str = "rk4", _arrays: PairArrays | None = None
          ) -> SimState:
     """Advance one step with topology and zone membership frozen.
 
     The masks seen by the control law are the ones in the incoming state,
     at every integrator stage; the returned state carries the refreshed
-    masks evaluated at the new positions."""
-    arrays = _arrays if _arrays is not None else _PairArrays(
+    masks, read off the one distance matrix of the new positions."""
+    arrays = _arrays if _arrays is not None else PairArrays(
         state.topo, state.zone_pairs, tau, geom, G)
     x, v = state.positions, state.velocities
     if method == "rk4":
@@ -202,10 +79,11 @@ def step(state: SimState, tau: np.ndarray, geom: AgentGeometry,
     else:
         raise ValueError(f"unknown method {method!r}")
     t_new = state.t + dt
-    topo_new = update_edges(x_new, state.topo, geom, t_new)
-    zone_new = zone_pairs_at(x_new, topo_new, geom)
+    dist = pair_distances(x_new)
+    topo_new = update_edges(dist, state.topo, geom, t_new)
+    zone_new = zone_pairs_at(dist, topo_new, geom)
     return SimState(t=t_new, positions=x_new, velocities=v_new,
-                    topo=topo_new, zone_pairs=zone_new)
+                    topo=topo_new, zone_pairs=zone_new, distances=dist)
 
 
 @dataclass
@@ -247,15 +125,11 @@ def initial_topology(positions: np.ndarray, formation_edges,
                      geom: AgentGeometry) -> TopologyState:
     """Edge set at start: every pair inside the hysteresis-add radius."""
     positions = np.asarray(positions, dtype=float)
-    N = positions.shape[0]
     fe = frozenset(canon_edge(i, j) for (i, j) in formation_edges)
-    edges = set(fe)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if np.linalg.norm(positions[i] - positions[j]) \
-                    <= geom.r_s - geom.eps:
-                edges.add((i, j))
-    return TopologyState(N, frozenset(edges), fe)
+    near = np.triu(pair_distances(positions) <= geom.r_s - geom.eps, 1)
+    i, j = np.nonzero(near)
+    return TopologyState(positions.shape[0],
+                         fe | frozenset(zip(i.tolist(), j.tolist())), fe)
 
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
@@ -315,9 +189,10 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     theta, G = thetas[0], weights[0]
 
     topo = initial_topology(positions, scenario.formation_edges, geom)
-    zone = zone_pairs_at(positions, topo, geom)
+    dist = pair_distances(positions)
+    zone = zone_pairs_at(dist, topo, geom)
     state = SimState(t=0.0, positions=positions, velocities=velocities,
-                     topo=topo, zone_pairs=zone)
+                     topo=topo, zone_pairs=zone, distances=dist)
 
     tune = None
     if scenario.barrier is not None:
@@ -336,7 +211,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     max_jump_err = 0.0
     n_switches = 0
 
-    def record(st: SimState, ar: _PairArrays):
+    def record(st: SimState, ar: PairArrays):
         rec_t.append(st.t)
         rec_x.append(st.positions.copy())
         rec_v.append(st.velocities.copy())
@@ -344,18 +219,21 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
 
     iu, ju = np.triu_indices(N, k=1)
 
-    def offdiag_min(x):
-        d = np.linalg.norm(x[iu] - x[ju], axis=1)
+    def offdiag_min(distances):
+        d = distances[iu, ju]
         k = int(np.argmin(d))
-        return float(d[k]), (int(iu[k]), int(ju[k])), d
+        return float(d[k]), (int(iu[k]), int(ju[k]))
 
+    # formation edges are fixed for the run: one index pair for the
+    # edge-break monitor and the final formation error
+    arrays = PairArrays(topo, zone, tau, geom, G)
+    fi, fj = arrays.fi, arrays.fj
     try:
-        arrays = _PairArrays(topo, zone, tau, geom, G)
         W_prev = arrays.energy(positions, velocities, params)
         W_t.append(0.0)
         W_vals.append(W_prev)
         record(state, arrays)
-        d0, pair0, _ = offdiag_min(positions)
+        d0, pair0 = offdiag_min(dist)
         min_dist_run = d0
         if d0 <= geom.d_s:
             failure = {"kind": "safety_distance", "t": 0.0, "pair": pair0,
@@ -379,12 +257,11 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             masks_changed = (new_state.topo is not state.topo or
                              new_state.zone_pairs != state.zone_pairs)
             if masks_changed:
-                new_arrays = _PairArrays(new_state.topo,
-                                         new_state.zone_pairs, tau, geom,
-                                         G)
+                new_arrays = PairArrays(new_state.topo,
+                                        new_state.zone_pairs, tau, geom, G)
                 W_actual = new_arrays.energy(x_new, v_new, params)
-                expected = _mask_change_terms(
-                    arrays, new_arrays, x_new, tau, G, geom, params)
+                expected = _mask_change_terms(arrays, new_arrays, x_new, G,
+                                              params)
                 err = abs(W_actual - W_frozen - expected)
                 max_jump_err = max(max_jump_err, err)
                 if err > jump_tol * max(1.0, abs(W_actual)) \
@@ -406,19 +283,19 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             else:
                 W_actual = W_frozen
 
-            dmin, pair, dall = offdiag_min(x_new)
+            dmin, pair = offdiag_min(new_state.distances)
             min_dist_run = min(min_dist_run, dmin)
             if dmin <= geom.d_s and failure is None:
                 failure = {"kind": "safety_distance", "t": t_new,
                            "pair": pair, "value": dmin}
             if failure is None:
-                for (i, j) in state.topo.formation_edges:
-                    dij = float(np.linalg.norm(x_new[i] - x_new[j]))
-                    if dij >= geom.r_s:
-                        failure = {"kind": "formation_edge_break",
-                                   "t": t_new, "pair": (i, j),
-                                   "value": dij}
-                        break
+                d_form = new_state.distances[fi, fj]
+                broken = np.flatnonzero(d_form >= geom.r_s)
+                if broken.size:
+                    b = int(broken[0])
+                    failure = {"kind": "formation_edge_break", "t": t_new,
+                               "pair": (int(fi[b]), int(fj[b])),
+                               "value": float(d_form[b])}
 
             state = new_state
             W_prev = W_actual
@@ -446,10 +323,6 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         velocities=np.array(rec_v), controls=np.array(rec_u),
         W_times=np.array(W_t), W_values=np.array(W_vals), events=events)
 
-    fi = np.array([e[0] for e in sorted(state.topo.formation_edges)],
-                  dtype=int)
-    fj = np.array([e[1] for e in sorted(state.topo.formation_edges)],
-                  dtype=int)
     y = state.positions - tau
     form_err = float(np.max(np.linalg.norm(y[fi] - y[fj], axis=1))) \
         if fi.size else 0.0
@@ -474,27 +347,19 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                      assumptions=report)
 
 
-def _mask_change_terms(old: _PairArrays, new: _PairArrays,
-                       positions: np.ndarray, tau: np.ndarray,
-                       G: np.ndarray, geom: AgentGeometry,
+def _mask_change_terms(old: PairArrays, new: PairArrays,
+                       positions: np.ndarray, G: np.ndarray,
                        params: BarrierParams) -> float:
-    """Exact energy difference induced by a mask change at fixed state."""
-    from .barrier import psi_c
+    """Exact energy difference induced by a mask change at fixed state.
 
-    y = positions - tau
-    total = 0.0
-    for (i, j) in new.zone_set - old.zone_set:
-        total += psi_c(float(np.linalg.norm(positions[i] - positions[j])),
-                       float(np.linalg.norm(tau[i] - tau[j])), geom.d_s,
-                       params.mu2)
-    for (i, j) in old.zone_set - new.zone_set:
-        total -= psi_c(float(np.linalg.norm(positions[i] - positions[j])),
-                       float(np.linalg.norm(tau[i] - tau[j])), geom.d_s,
-                       params.mu2)
-    for (i, j) in new.edge_pairs - old.edge_pairs:
-        d = y[i] - y[j]
-        total += 0.5 * G[i, j] * float(d @ d)
-    for (i, j) in old.edge_pairs - new.edge_pairs:
-        d = y[i] - y[j]
-        total -= 0.5 * G[i, j] * float(d @ d)
-    return total
+    The collision and spring terms of the pairs that entered the masks,
+    minus those of the pairs that left them, each set evaluated as a
+    PairArrays epoch of its own at rest."""
+    rest = np.zeros_like(positions)
+
+    def terms(a: PairArrays, b: PairArrays) -> float:
+        topo = TopologyState(a.n, a.edge_pairs - b.edge_pairs, frozenset())
+        return PairArrays(topo, a.zone_set - b.zone_set, a.tau, a.geom,
+                          G).energy(positions, rest, params)
+
+    return terms(new, old) - terms(old, new)

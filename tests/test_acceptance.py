@@ -257,7 +257,7 @@ def test_barrier_caps_exact_and_gradients_match_finite_differences():
             mu2 = float(rng.uniform(1.0, 30.0))
             x = rng.uniform(-1, 1, size=2)  # the separation vector itself
             x *= rng.uniform(d_s * 1.05, tau_n * 1.5) / np.linalg.norm(x)
-            g = grad_psi_c(x - tau_v, tau_v, d_s, mu2)
+            g = grad_psi_c(x, tau_n, d_s, mu2)
             num = np.zeros(2)
             for a in range(2):
                 e = np.zeros(2)

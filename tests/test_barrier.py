@@ -16,11 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from robustform.barrier import (BarrierParams, DomainViolation, TuneError,
-                                energy_W, eps_hat_default, grad_psi_c,
+import oracles
+from robustform.barrier import (BarrierParams, DomainViolation, PairArrays,
+                                TuneError, eps_hat_default, grad_psi_c,
                                 grad_psi_e, psi_c, psi_e, tune_mu,
                                 zone_pairs_at)
-from robustform.netgraph import AgentGeometry, TopologyState, laplacian
+from robustform.netgraph import (AgentGeometry, TopologyState, laplacian,
+                                 pair_distances)
 
 
 GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
@@ -30,6 +32,15 @@ GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
 def pair_topology():
     return TopologyState(n_agents=2, edges=frozenset({(0, 1)}),
                          formation_edges=frozenset({(0, 1)}))
+
+
+def energy(positions, velocities, tau, topo, geom, G, params,
+           zone_pairs=None):
+    """W through PairArrays; zone_pairs defaults to the pairs within r_z."""
+    if zone_pairs is None:
+        zone_pairs = zone_pairs_at(pair_distances(positions), topo, geom)
+    return PairArrays(topo, zone_pairs, tau, geom, G).energy(
+        positions, velocities, params)
 
 
 # ---------------------------------------------------------------- params
@@ -176,7 +187,7 @@ def test_grad_psi_c_matches_central_differences():
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
         y = p_target * direction - tau
-        g = grad_psi_c(y, tau, d_s, mu)
+        g = grad_psi_c(y + tau, tn, d_s, mu)
         fd = central_difference(
             lambda v: psi_c(float(np.linalg.norm(v + tau)), tn, d_s, mu),
             y, 1e-5)
@@ -196,25 +207,23 @@ def test_grad_psi_e_bounded_near_origin():
 
 
 def test_grad_psi_c_finite_at_desired_distance():
-    tau = np.array([3.0, 0.0])
-    g = grad_psi_c(np.zeros(2), tau, 1.875, 0.5)
+    g = grad_psi_c(np.array([3.0, 0.0]), 3.0, 1.875, 0.5)
     assert np.all(np.isfinite(g))
     assert np.linalg.norm(g) <= 1e-14
 
 
 def test_grad_psi_c_singular_at_overlap():
-    tau = np.array([3.0, 0.0])
     with pytest.raises(DomainViolation):
-        grad_psi_c(-tau, tau, 1.875, 0.5)
+        grad_psi_c(np.zeros(2), 3.0, 1.875, 0.5)
 
 
-# ----------------------------------------------------------- energy_W
+# ------------------------------------------------------------ energy
 
 def test_energy_zero_at_rest_on_formation():
     tau = np.array([[0.0, 0.0], [3.0, 0.0]])
     params = BarrierParams(0.44, 0.44, 0.05)
-    W = energy_W(tau, np.zeros((2, 2)), tau, pair_topology(), GEOM,
-                 np.array([[0.0, 1.0], [1.0, 0.0]]), params)
+    W = energy(tau, np.zeros((2, 2)), tau, pair_topology(), GEOM,
+               np.array([[0.0, 1.0], [1.0, 0.0]]), params)
     assert W == 0.0
 
 
@@ -225,9 +234,9 @@ def test_energy_translation_invariant():
     vel = rng.normal(size=(2, 2))
     params = BarrierParams(2.0, 2.0, 0.05)
     G = np.array([[0.0, 1.3], [1.3, 0.0]])
-    a = energy_W(pos, vel, tau, pair_topology(), GEOM, G, params)
-    b = energy_W(pos + np.array([5.0, -2.0]), vel, tau, pair_topology(),
-                 GEOM, G, params)
+    a = energy(pos, vel, tau, pair_topology(), GEOM, G, params)
+    b = energy(pos + np.array([5.0, -2.0]), vel, tau, pair_topology(),
+               GEOM, G, params)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -245,8 +254,8 @@ def test_energy_quadratic_part_is_laplacian_form():
     tau = 100.0 * np.arange(N)[:, None] * np.array([[1.0, 0.0]])
     y = rng.normal(size=(N, dim))
     params = BarrierParams(1.0, 1.0, 0.05)
-    W = energy_W(tau + y, np.zeros((N, dim)), tau, topo, GEOM, G, params,
-                 zone_pairs=frozenset())
+    W = energy(tau + y, np.zeros((N, dim)), tau, topo, GEOM, G, params,
+               zone_pairs=frozenset())
     L = laplacian(G)
     quad = 0.5 * y.reshape(-1) @ np.kron(L, np.eye(dim)) @ y.reshape(-1)
     assert W == pytest.approx(quad, abs=1e-12 * max(1.0, abs(quad)))
@@ -256,8 +265,8 @@ def test_energy_kinetic_part():
     tau = np.array([[0.0, 0.0], [3.0, 0.0]])
     vel = np.array([[1.0, 2.0], [-0.5, 0.25]])
     params = BarrierParams(0.44, 0.44, 0.05)
-    W = energy_W(tau, vel, tau, pair_topology(), GEOM,
-                 np.array([[0.0, 1.0], [1.0, 0.0]]), params)
+    W = energy(tau, vel, tau, pair_topology(), GEOM,
+               np.array([[0.0, 1.0], [1.0, 0.0]]), params)
     assert W == pytest.approx(0.5 * np.sum(vel ** 2), rel=1e-15)
 
 
@@ -268,10 +277,11 @@ def test_energy_zone_pair_contribution():
     params = BarrierParams(0.7, 0.7, 0.05)
     G = np.array([[0.0, 1.0], [1.0, 0.0]])
     topo = pair_topology()
-    assert zone_pairs_at(pos, topo, GEOM) == frozenset({(0, 1)})
-    with_zone = energy_W(pos, np.zeros((2, 2)), tau, topo, GEOM, G, params)
-    frozen_out = energy_W(pos, np.zeros((2, 2)), tau, topo, GEOM, G,
-                          params, zone_pairs=frozenset())
+    assert zone_pairs_at(pair_distances(pos), topo, GEOM) \
+        == frozenset({(0, 1)})
+    with_zone = energy(pos, np.zeros((2, 2)), tau, topo, GEOM, G, params)
+    frozen_out = energy(pos, np.zeros((2, 2)), tau, topo, GEOM, G,
+                        params, zone_pairs=frozenset())
     gap = with_zone - frozen_out
     assert gap == pytest.approx(psi_c(2.2, 3.0, 1.875, 0.7), rel=1e-12)
 
@@ -308,7 +318,7 @@ def test_tune_caps_dominate_recomputed_bound():
     G = np.array([[0.0, 1.0, 0.8], [1.0, 0.0, 1.2], [0.8, 1.2, 0.0]])
     res = tune_mu(pos, vel, tau, topo, GEOM, [G])
     # recompute the bound at the returned caps and check domination
-    W0 = energy_W(pos, vel, tau, topo, GEOM, G, res.params)
+    W0 = oracles.energy_W(pos, vel, tau, topo, GEOM, G, res.params)
     worst_zone = max(
         psi_c(GEOM.r_z, float(np.linalg.norm(tau[i] - tau[j])), GEOM.d_s,
               res.params.mu2)

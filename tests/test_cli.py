@@ -96,6 +96,60 @@ def test_check_bad_weight_record_exits_2(tmp_path, capsys, case):
     assert f"uncertainty.weights[{k}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, bad", [
+    ("region[0]", "inf"), ("region[0]", "nan"),
+    ("box[0]", "inf"), ("box[1]", "-inf"), ("box[1]", "nan")])
+def test_check_bad_region_or_box_record_exits_2(tmp_path, capsys, where,
+                                                bad):
+    # an inf region coefficient used to reach the box-corner check and
+    # exit 1 with a message about the sampling box
+    doc = json.loads(builtin_path("six_agent").read_text())
+    field, k = where[:-3], int(where[-2])
+    if field == "region":
+        doc["uncertainty"]["region"][k]["terms"][0]["coeff"] = float(bad)
+    else:
+        doc["uncertainty"]["box"][k][0] = float(bad)
+    p = tmp_path / "region.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
+    assert f"uncertainty.{where}" in capsys.readouterr().err
+
+
+# time-grid probes that used to end in a traceback (dt 0, record_every 0,
+# an unknown method) or in "simulate: OK" after 0 steps (dt < 0, --T -1)
+BAD_TIME_FIELDS = {"dt_zero": ("dt", 0.0), "dt_negative": ("dt", -0.005),
+                   "dt_nan": ("dt", float("nan")),
+                   "T_end_zero": ("T_end", 0.0),
+                   "T_end_infinite": ("T_end", float("inf")),
+                   "record_every_zero": ("record_every", 0),
+                   "record_every_fractional": ("record_every", 2.5),
+                   "unknown_method": ("method", "rk5")}
+
+
+@pytest.mark.parametrize("case", list(BAD_TIME_FIELDS))
+def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
+    field, value = BAD_TIME_FIELDS[case]
+    doc = json.loads(builtin_path("six_agent").read_text())
+    doc[field] = value
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("simulate", str(p), "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert f"{field}:" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "inf"), ("--T", "-1"),
+    ("--T", "nan")])
+def test_simulate_bad_time_flag_exits_2(tmp_path, capsys, flag, value):
+    assert run_cli("simulate", "six_agent", flag, value,
+                   "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_certify_six_agent(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = run_cli("certify", "six_agent", "--samples", "500",

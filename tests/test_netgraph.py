@@ -6,18 +6,50 @@ the complete graph on N vertices has {0, N, ..., N}."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from robustform.barrier import zone_pairs_at
 from robustform.netgraph import (AgentGeometry, AssumptionReport,
                                  GeometryError, TopologyState,
                                  UncertainAdjacency, canon_edge,
                                  connected_components, is_connected,
-                                 laplacian, neighbor_sets, reduced_basis,
+                                 laplacian, pair_distances, reduced_basis,
                                  reduced_laplacian, update_edges,
                                  validate_assumptions)
 from robustform.polyalg import MatrixPolynomial, Polynomial
+from robustform.simulate import initial_topology
 
 GEOM = AgentGeometry(r_a=0.5, r_c=0.75, r_z=2.5, r_s=8.0, d_s=1.875,
                      eps=0.1)
+THRESHOLDS = (GEOM.r_s - GEOM.eps, GEOM.r_s, GEOM.r_z)
+
+
+@st.composite
+def swarms(draw):
+    """Positions plus an edge set with formation edges inside it.
+
+    Either all agents sit on the x axis, at signed offsets from agent 0
+    that are often exactly r_s - eps, r_s or r_z, or every coordinate is
+    a multiple of 1/4.  Either way the per-pair norm of the oracles (a
+    dot product, which may fuse its multiply-adds) and the matrix entry are
+    the same number, so both decide every threshold comparison alike."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        offset = st.one_of(st.sampled_from(THRESHOLDS),
+                           st.floats(0.0, 10.0))
+        x = [0.0] + [draw(offset) * draw(st.sampled_from((1.0, -1.0)))
+                     for _ in range(n - 1)]
+        pos = np.column_stack([x, np.zeros(n)])
+    else:
+        grid = st.integers(-40, 40)
+        pos = np.array(draw(st.lists(st.tuples(grid, grid), min_size=n,
+                                     max_size=n)), dtype=float) / 4.0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = frozenset(e for e in pairs if draw(st.booleans()))
+    formation = frozenset(e for e in sorted(edges) if draw(st.booleans()))
+    return pos, TopologyState(n, edges, formation)
 
 
 def complete_adjacency(N):
@@ -74,6 +106,11 @@ class TestLaplacian:
         G[0, 1] = 1.0
         with pytest.raises(ValueError):
             laplacian(G)
+
+    def test_rejects_near_symmetric(self):
+        # a relative asymmetry of 1e-6 is still asymmetric
+        with pytest.raises(ValueError, match="not symmetric"):
+            laplacian(np.array([[0.0, 1.0], [1.000001, 0.0]]))
 
     def test_rejects_diagonal(self):
         G = complete_adjacency(3) + np.eye(3)
@@ -150,51 +187,70 @@ class TestTopology:
         # Agents 0 and 3 sit exactly at r_s - eps: edge is added.
         topo = TopologyState(2, frozenset(), frozenset())
         pos = np.array([[0.0, 0.0], [GEOM.r_s - GEOM.eps, 0.0]])
-        new = update_edges(pos, topo, GEOM, t=1.5)
+        new = update_edges(pair_distances(pos), topo, GEOM, t=1.5)
         assert new.has_edge(0, 1)
         assert new.last_switch_time == 1.5
 
     def test_no_add_inside_band(self):
         # Distance in (r_s - eps, r_s]: no addition, and an existing edge
         # also survives, which is the hysteresis band doing its job.
-        pos = np.array([[0.0, 0.0], [GEOM.r_s - GEOM.eps / 2, 0.0]])
+        dist = pair_distances(
+            np.array([[0.0, 0.0], [GEOM.r_s - GEOM.eps / 2, 0.0]]))
         empty = TopologyState(2, frozenset(), frozenset())
-        assert not update_edges(pos, empty, GEOM).has_edge(0, 1)
+        assert not update_edges(dist, empty, GEOM).has_edge(0, 1)
         present = TopologyState(2, frozenset({(0, 1)}), frozenset())
-        assert update_edges(pos, present, GEOM).has_edge(0, 1)
+        assert update_edges(dist, present, GEOM).has_edge(0, 1)
 
     def test_remove_beyond_rs(self):
         pos = np.array([[0.0, 0.0], [GEOM.r_s + 0.01, 0.0]])
         present = TopologyState(2, frozenset({(0, 1)}), frozenset())
-        new = update_edges(pos, present, GEOM, t=2.0)
+        new = update_edges(pair_distances(pos), present, GEOM, t=2.0)
         assert not new.has_edge(0, 1)
         assert new.last_switch_time == 2.0
 
     def test_formation_edge_never_removed(self):
-        pos = np.array([[0.0, 0.0], [GEOM.r_s + 5.0, 0.0]])
+        dist = pair_distances(np.array([[0.0, 0.0], [GEOM.r_s + 5.0, 0.0]]))
         present = TopologyState(2, frozenset({(0, 1)}),
                                 frozenset({(0, 1)}))
-        assert update_edges(pos, present, GEOM).has_edge(0, 1)
+        assert update_edges(dist, present, GEOM).has_edge(0, 1)
 
     def test_unchanged_returns_same_object(self):
-        pos = np.array([[0.0, 0.0], [3.0, 0.0]])
+        dist = pair_distances(np.array([[0.0, 0.0], [3.0, 0.0]]))
         present = TopologyState(2, frozenset({(0, 1)}), frozenset())
-        assert update_edges(pos, present, GEOM, t=9.0) is present
+        assert update_edges(dist, present, GEOM, t=9.0) is present
 
     def test_neighbor_sets(self):
         topo = self.make_topo()
         pos = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
-        ns, nsf, nsz = neighbor_sets(1, pos, topo, GEOM)
+        ns, nsf, nsz = oracles.neighbor_sets(1, pos, topo, GEOM)
         assert ns == {0, 2}
         assert nsf == {0, 2}
         assert nsz == {0, 2}
-        ns0, nsf0, nsz0 = neighbor_sets(0, pos, topo, GEOM)
+        ns0, nsf0, nsz0 = oracles.neighbor_sets(0, pos, topo, GEOM)
         assert ns0 == {1}
         # Distance 2.0 < r_z so agent 1 is in agent 0's zone set.
         assert nsz0 == {1}
-        ns3, nsf3, nsz3 = neighbor_sets(3, pos, topo, GEOM)
+        ns3, nsf3, nsz3 = oracles.neighbor_sets(3, pos, topo, GEOM)
         assert ns3 == {2}
         assert nsf3 == set()
+        # the zone sets are the zone pairs read off the distance matrix
+        assert zone_pairs_at(pair_distances(pos), topo, GEOM) \
+            == frozenset({(0, 1), (1, 2), (2, 3)})
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(swarms())
+    def test_mask_geometry_matches_loop_oracles(self, swarm):
+        pos, topo = swarm
+        dist = pair_distances(pos)
+        new = update_edges(dist, topo, GEOM, t=1.5)
+        ref = oracles.update_edges(pos, topo, GEOM, t=1.5)
+        assert new == ref
+        assert (new is topo) == (ref is topo)
+        assert zone_pairs_at(dist, new, GEOM) \
+            == oracles.zone_pairs_at(pos, new, GEOM)
+        assert initial_topology(pos, topo.formation_edges, GEOM) \
+            == oracles.initial_topology(pos, topo.formation_edges, GEOM)
 
     def test_canon_edge(self):
         assert canon_edge(3, 1) == (1, 3)

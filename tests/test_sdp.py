@@ -212,6 +212,20 @@ class TestDegenerate:
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
         assert sol.y[0] == pytest.approx(0.0, abs=1e-6)
 
+    def test_proportional_equalities_return_a_status(self):
+        # The second row is twice the first, so the reduced KKT matrix
+        # E B^-1 E' is singular; solve reports it instead of raising.
+        prob = SdpProblem()
+        y1 = prob.add_var(obj=1.0)
+        y2 = prob.add_var(obj=1.0)
+        prob.add_lmi(np.zeros((1, 1)), {y1: np.eye(1)})
+        prob.add_lmi(np.zeros((1, 1)), {y2: np.eye(1)})
+        prob.add_eq({y1: 1.0, y2: 1.0}, 1.0)
+        prob.add_eq({y1: 2.0, y2: 2.0}, 2.0)
+        sol = solve(prob)
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert "failed" in sol.message
+
 
 class TestValidationAndResiduals:
 

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from robustform.barrier import BarrierParams, energy_W
-from robustform.netgraph import AgentGeometry, TopologyState
+import oracles
+from robustform.barrier import BarrierParams, PairArrays
+from robustform.netgraph import (AgentGeometry, TopologyState,
+                                 UncertainAdjacency, pair_distances)
 from robustform.polyalg import MatrixPolynomial, Polynomial
-from robustform.netgraph import UncertainAdjacency
 from robustform.scenario import ScenarioSpec, adversarial, six_agent
-from robustform.simulate import (PreconditionError, SimState, _PairArrays,
-                                 control_input, initial_topology, run,
-                                 step)
+from robustform.simulate import (PreconditionError, SimState,
+                                 initial_topology, run, step)
 from robustform.barrier import zone_pairs_at
 from robustform.certifier import certify
 
@@ -58,11 +58,11 @@ def test_control_zero_at_equilibrium():
     tau, topo, G = triangle_system()
     common = np.array([1.2, -0.4])
     vel = np.tile(common, (3, 1))
-    arrays = _PairArrays(topo, frozenset(), tau, GEOM, G)
+    arrays = PairArrays(topo, frozenset(), tau, GEOM, G)
     u = arrays.control(tau.copy(), vel, PARAMS)
     assert np.allclose(u, 0.0, atol=1e-14)
     for i in range(3):
-        ui = control_input(i, tau, vel, tau, topo, GEOM, G, PARAMS)
+        ui = oracles.control_input(i, tau, vel, tau, topo, GEOM, G, PARAMS)
         assert np.allclose(ui, 0.0, atol=1e-14)
 
 
@@ -74,8 +74,8 @@ def test_control_pair_antisymmetry():
     for _ in range(5):
         pos = tau + 0.5 * rng.normal(size=(2, 2))
         vel = rng.normal(size=(2, 2))
-        zone = zone_pairs_at(pos, topo, GEOM)
-        arrays = _PairArrays(topo, zone, tau, GEOM, G)
+        zone = zone_pairs_at(pair_distances(pos), topo, GEOM)
+        arrays = PairArrays(topo, zone, tau, GEOM, G)
         u = arrays.control(pos, vel, PARAMS)
         assert np.allclose(u[0], -u[1], atol=1e-12)
 
@@ -85,9 +85,9 @@ def test_control_sums_to_zero_with_zone_active():
     pos = tau.copy()
     pos[1] = pos[0] + np.array([2.3, 0.0])  # inside r_z
     vel = np.random.default_rng(4).normal(size=(6, 2))
-    zone = zone_pairs_at(pos, topo, six_agent().geometry)
+    zone = zone_pairs_at(pair_distances(pos), topo, six_agent().geometry)
     assert (0, 1) in zone
-    arrays = _PairArrays(topo, zone, tau, six_agent().geometry, G)
+    arrays = PairArrays(topo, zone, tau, six_agent().geometry, G)
     u = arrays.control(pos, vel, PARAMS)
     assert np.allclose(u.sum(axis=0), 0.0, atol=1e-12)
 
@@ -99,12 +99,12 @@ def test_vectorized_control_matches_per_agent():
     for _ in range(5):
         pos = tau + 0.4 * rng.normal(size=(6, 2))
         vel = rng.normal(size=(6, 2))
-        zone = zone_pairs_at(pos, topo, s.geometry)
-        arrays = _PairArrays(topo, zone, tau, s.geometry, G)
+        zone = zone_pairs_at(pair_distances(pos), topo, s.geometry)
+        arrays = PairArrays(topo, zone, tau, s.geometry, G)
         u_fast = arrays.control(pos, vel, PARAMS)
         u_ref = np.stack([
-            control_input(i, pos, vel, tau, topo, s.geometry, G, PARAMS,
-                          zone_pairs=zone)
+            oracles.control_input(i, pos, vel, tau, topo, s.geometry, G,
+                                  PARAMS, zone_pairs=zone)
             for i in range(6)])
         assert np.allclose(u_fast, u_ref, atol=1e-11)
 
@@ -119,14 +119,14 @@ def test_control_reads_only_neighbors():
     pos = tau + 0.3 * rng.normal(size=(6, 2))
     vel = rng.normal(size=(6, 2))
     zone = frozenset()
-    u0 = control_input(0, pos, vel, tau, topo, s.geometry, G, PARAMS,
-                       zone_pairs=zone)
+    u0 = PairArrays(topo, zone, tau, s.geometry, G).control(pos, vel,
+                                                           PARAMS)[0]
     pos2, vel2, G2 = pos.copy(), vel.copy(), G.copy()
     pos2[3:] += 50.0
     vel2[3:] = rng.normal(size=(3, 2)) * 10
     G2[0, 4] = G2[4, 0] = 999.0  # not an edge of this topology
-    u0b = control_input(0, pos2, vel2, tau, topo, s.geometry, G2, PARAMS,
-                        zone_pairs=zone)
+    u0b = PairArrays(topo, zone, tau, s.geometry, G2).control(pos2, vel2,
+                                                             PARAMS)[0]
     assert np.allclose(u0, u0b, atol=0.0)
 
 
@@ -165,11 +165,11 @@ def test_energy_fast_path_matches_reference():
     for _ in range(5):
         pos = tau + 0.4 * rng.normal(size=(6, 2))
         vel = rng.normal(size=(6, 2))
-        zone = zone_pairs_at(pos, topo, s.geometry)
-        arrays = _PairArrays(topo, zone, tau, s.geometry, G)
+        zone = zone_pairs_at(pair_distances(pos), topo, s.geometry)
+        arrays = PairArrays(topo, zone, tau, s.geometry, G)
         fast = arrays.energy(pos, vel, PARAMS)
-        ref = energy_W(pos, vel, tau, topo, s.geometry, G, PARAMS,
-                       zone_pairs=zone)
+        ref = oracles.energy_W(pos, vel, tau, topo, s.geometry, G, PARAMS,
+                               zone_pairs=zone)
         assert fast == pytest.approx(ref, rel=1e-12)
 
 
@@ -179,8 +179,8 @@ def test_energy_decreases_over_step():
     tau, topo, G = hexagon_system()
     pos = tau + 0.2 * rng.normal(size=(6, 2))
     vel = rng.normal(size=(6, 2))
-    zone = zone_pairs_at(pos, topo, s.geometry)
-    arrays = _PairArrays(topo, zone, tau, s.geometry, G)
+    zone = zone_pairs_at(pair_distances(pos), topo, s.geometry)
+    arrays = PairArrays(topo, zone, tau, s.geometry, G)
     state = SimState(0.0, pos, vel, topo, zone)
     W0 = arrays.energy(pos, vel, PARAMS)
     new = step(state, tau, s.geometry, G, PARAMS, dt=1e-3,
@@ -326,3 +326,53 @@ def test_run_time_grid_overrides():
     res = run(sc, seed=3, T_end=0.1, dt=0.01, certificate=cert)
     assert res.metrics["n_steps_taken"] == 10
     assert res.metrics["t_final"] == pytest.approx(0.1)
+
+
+def test_run_trips_formation_edge_break():
+    # caps of 1 cannot hold a pair flying apart with kinetic energy 100;
+    # the edge barrier's domain reaches q = 30, so the pair first crosses
+    # the sensing radius and the edge-break monitor must trip
+    sc = const_pair_scenario(
+        positions=np.array([[0.0, 0.0], [3.0, 0.0]]),
+        velocities=np.array([[-10.0, 0.0], [10.0, 0.0]]),
+        barrier=BarrierParams(1.0, 1.0, 0.05), T_end=2.0)
+    res = run(sc, seed=0)
+    assert res.failure["kind"] == "formation_edge_break"
+    assert res.exit_kind == "invariant"
+    assert res.failure["pair"] == (0, 1)
+    assert GEOM.r_s <= res.failure["value"] < GEOM.r_s + 0.1
+    assert 0.0 < res.failure["t"] < 1.0
+    assert res.metrics["min_distance"] == pytest.approx(3.0)
+
+
+def test_run_zone_and_edge_switches_conserve_energy_jumps():
+    # a chain 0-1-2 whose far end flies in: (0, 2) is added at r_s - eps,
+    # (1, 2) and then (0, 1) pass through the collision zone, and (0, 2) is
+    # dropped again beyond r_s; every mask change must move W by exactly
+    # the entering minus the leaving terms
+    tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
+    entries = MatrixPolynomial.zeros(3, 3, 0)
+    w = Polynomial.constant(0, 0.2)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        entries.set_entry(i, j, w)
+        entries.set_entry(j, i, w)
+    adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
+    sc = ScenarioSpec(
+        name="chain", geometry=GEOM, tau=tau,
+        positions=np.array([[0.0, 0.0], [3.0, 0.0], [10.5, 0.0]]),
+        velocities=np.array([[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]),
+        formation_edges=frozenset({(0, 1), (1, 2)}), adjacency=adj,
+        T_end=3.0)
+    res = run(sc, seed=0)
+    assert res.ok, res.failure
+    switches = [e for e in res.log.events if e["type"] == "switch"]
+    zones = [e for e in res.log.events if e["type"] == "zone"]
+    assert [e["added"] for e in switches] == [[(0, 2)], []]
+    assert [e["removed"] for e in switches] == [[], [(0, 2)]]
+    assert sorted(p for e in zones for p in e["entered"]) \
+        == [(0, 1), (1, 2)]
+    assert sorted(p for e in zones for p in e["left"]) == [(0, 1), (1, 2)]
+    assert res.metrics["n_switches"] == 2
+    jump_tol = 1e-9
+    assert res.metrics["max_energy_jump_error"] \
+        <= jump_tol * max(1.0, float(np.max(res.log.W_values)))
