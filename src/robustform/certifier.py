@@ -140,6 +140,57 @@ class Assembly:
         return y
 
 
+def _gram_setup(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
+                plan: DegreePlan | None, d_P: int):
+    """Check the data of a certification problem; return its plan (the
+    given one, validated, or the automatic one for d_P), the power vectors
+    of P, of the Gram identity and of each multiplier, and the Gram
+    positions of the identity's power vector."""
+    rows, cols = L_hat.shape
+    if rows != cols:
+        raise CertifierError(f"reduced Laplacian must be square, got "
+                             f"{L_hat.shape}")
+    if rows == 0:
+        raise CertifierError("empty reduced Laplacian; need >= 2 agents")
+    if not L_hat.is_symmetric(tol=1e-12):
+        raise CertifierError("reduced Laplacian is not symmetric")
+    for i, g in enumerate(region):
+        if g.r != L_hat.r:
+            raise CertifierError(
+                f"region inequality {i} has {g.r} variables, expected "
+                f"{L_hat.r}")
+    region_degrees = [g.degree for g in region]
+    if plan is None:
+        plan = DegreePlan.auto(L_hat.deg(), region_degrees, d_P=d_P)
+    else:
+        plan.validate(L_hat.deg(), region_degrees)
+    r = L_hat.r
+    phi_H = power_vector(r, plan.d_H)
+    return (plan, power_vector(r, plan.d_P), phi_H,
+            [power_vector(r, dr) for dr in plan.d_R], _positions(phi_H))
+
+
+def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
+               phi_H: PowerVector, s: int, pos_H: dict) -> np.ndarray:
+    """Gram matrix against phi_H of a product with the matrix polynomial
+    whose Gram matrix is X against phi_X; linear in X.
+
+    factor maps monomials to s-by-s matrices or to scalars.  Matrices
+    (the reduced Laplacian L) give the pencil, Gram(P L + L' P); scalars
+    (a region inequality g) give the multiplier term, Gram(R g)."""
+    terms: dict[ExponentVec, np.ndarray] = {}
+    for e1, A in gram_expand_matrix(X, phi_X, s).coeffs.items():
+        for e2, C in factor.items():
+            if np.ndim(C):
+                M = A @ C
+                M = M + M.T
+            else:
+                M = C * A
+            mu = mono_mul(e1, e2)
+            terms[mu] = terms[mu] + M if mu in terms else M
+    return gram_base(terms, phi_H, s, pos_H)
+
+
 def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
              plan: DegreePlan | None = None, d_P: int = 0) -> Assembly:
     """Compile the certification problem for a reduced Laplacian.
@@ -155,30 +206,10 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     are the region inequalities.  Expanding the final constraint shows that
     on the region the pencil dominates c * |phi(theta)|^2 * I, hence c * I,
     since the power vector contains the constant monomial."""
-    rows, cols = L_hat.shape
-    if rows != cols:
-        raise CertifierError(f"reduced Laplacian must be square, got "
-                             f"{L_hat.shape}")
-    if rows == 0:
-        raise CertifierError("empty reduced Laplacian; need >= 2 agents")
-    if not L_hat.is_symmetric(tol=1e-12):
-        raise CertifierError("reduced Laplacian is not symmetric")
-    s = rows
+    plan, phi_P, phi_H, phi_R, pos_H = _gram_setup(L_hat, region, plan,
+                                                   d_P)
+    s = L_hat.rows
     r = L_hat.r
-    for i, g in enumerate(region):
-        if g.r != r:
-            raise CertifierError(
-                f"region inequality {i} has {g.r} variables, expected {r}")
-    region_degrees = [g.degree for g in region]
-    if plan is None:
-        plan = DegreePlan.auto(L_hat.deg(), region_degrees, d_P=d_P)
-    else:
-        plan.validate(L_hat.deg(), region_degrees)
-
-    phi_P = power_vector(r, plan.d_P)
-    phi_H = power_vector(r, plan.d_H)
-    phi_R = [power_vector(r, dr) for dr in plan.d_R]
-    pos_H = _positions(phi_H)
     size_H = len(phi_H) * s
     Lc = L_hat.coeffs
 
@@ -195,32 +226,12 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     coeffs: dict[int, np.ndarray | sparse.csr_array] = {
         c_index: -np.eye(size_H)}
     for k in range(len(p_var.indices)):
-        pk = gram_expand_matrix(p_var.basis_matrix(k), phi_P, s).coeffs
-        hk: dict[ExponentVec, np.ndarray] = {}
-        for e1, A in pk.items():
-            for e2, C in Lc.items():
-                M = A @ C
-                M = M + M.T
-                mu = mono_mul(e1, e2)
-                if mu in hk:
-                    hk[mu] = hk[mu] + M
-                else:
-                    hk[mu] = M
-        coeffs[int(p_var.indices[k])] = sparse.csr_array(
-            gram_base(hk, phi_H, s, pos_H))
-    for i, (g, var, pv) in enumerate(zip(region, r_vars, phi_R)):
+        coeffs[int(p_var.indices[k])] = sparse.csr_array(gram_image(
+            p_var.basis_matrix(k), phi_P, Lc, phi_H, s, pos_H))
+    for g, var, pv in zip(region, r_vars, phi_R):
         for k in range(len(var.indices)):
-            rk = gram_expand_matrix(var.basis_matrix(k), pv, s).coeffs
-            gk: dict[ExponentVec, np.ndarray] = {}
-            for e1, A in rk.items():
-                for e2, cf in g.terms.items():
-                    mu = mono_mul(e1, e2)
-                    if mu in gk:
-                        gk[mu] = gk[mu] + cf * A
-                    else:
-                        gk[mu] = cf * A
-            coeffs[int(var.indices[k])] = sparse.csr_array(
-                -gram_base(gk, phi_H, s, pos_H))
+            coeffs[int(var.indices[k])] = sparse.csr_array(-gram_image(
+                var.basis_matrix(k), pv, g.terms, phi_H, s, pos_H))
     for k, D in enumerate(nulls):
         coeffs[delta_indices[k]] = sparse.csr_array(D)
 
@@ -362,8 +373,9 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                        sample_tol: float = 1e-6) -> VerifyReport:
     """Re-check a certificate without the solver.
 
-    Replays the Gram identity by packing the stored matrices into a freshly
-    assembled problem and reading off block eigenvalues, then independently
+    Replays the Gram identity by evaluating the main constraint of the
+    certification problem at the stored matrices and reading off its
+    eigenvalues and those of the stored matrices, then independently
     samples the region and checks the pencil dominance numerically at each
     sample point."""
     if cert.n_agents != adj.N:
@@ -376,16 +388,42 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     L = laplacian(adj)
     M = reduced_basis(adj.N)
     L_hat = reduced_laplacian(L, M)
-    asm = assemble(L_hat, adj.omega, plan=cert.plan)
-    y = asm.solution_vector(cert.c_star, cert.P_bar, cert.R_bars, cert.delta)
-    rep = sdp.residuals(asm.problem, y)
-    min_eigs = [float(v) for v in rep["min_eigenvalues"]]
-    pencil_margin = min_eigs[asm.main_lmi]
-    trace_error = float(rep["eq_residual"])
+    plan, phi_P, phi_H, phi_R, pos_H = _gram_setup(L_hat, adj.omega,
+                                                   cert.plan, 0)
+    s = L_hat.rows
+    nulls = gram_null_basis(adj.r, plan.d_H, s)
+    if len(cert.R_bars) != len(phi_R):
+        raise CertifierError(
+            f"{len(cert.R_bars)} multiplier matrices for "
+            f"{len(phi_R)} region inequalities")
+    if cert.delta.size != len(nulls):
+        raise CertifierError(
+            f"{cert.delta.size} Gram offsets for {len(nulls)} null "
+            f"directions")
+    stored = [("P_bar", cert.P_bar, phi_P)] + [
+        (f"R_bars[{i}]", R, pv)
+        for i, (R, pv) in enumerate(zip(cert.R_bars, phi_R))]
+    for name, X, pv in stored:
+        if X.shape != (len(pv) * s,) * 2 or not np.array_equal(X, X.T):
+            raise CertifierError(
+                f"{name} must be a symmetric {len(pv) * s}-square "
+                f"matrix, got shape {X.shape}")
+
+    H = gram_image(cert.P_bar, phi_P, L_hat.coeffs, phi_H, s, pos_H)
+    for g, R, pv in zip(adj.omega, cert.R_bars, phi_R):
+        H -= gram_image(R, pv, g.terms, phi_H, s, pos_H)
+    for dk, D in zip(cert.delta, nulls):
+        H += dk * D
+    H -= cert.c_star * np.eye(len(H))
+    min_eigs = [float(np.linalg.eigvalsh(X)[0])
+                for X in [X for _, X, _ in stored] + [H]]
+    main_lmi = len(stored)
+    pencil_margin = min_eigs[main_lmi]
+    trace_error = abs(float(np.trace(cert.P_bar)) - 1.0)
 
     failures: list[str] = []
     for k, ev in enumerate(min_eigs):
-        if k == asm.main_lmi:
+        if k == main_lmi:
             continue
         if ev < -psd_tol:
             failures.append(
@@ -405,14 +443,13 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     sampled_pencil = float("inf")
     sampled_P = float("inf")
     if len(thetas):
-        s = asm.s
         for lo in range(0, len(thetas), SAMPLE_CHUNK):
             chunk = thetas[lo:lo + SAMPLE_CHUNK]
-            Q = np.kron(asm.phi_P.eval_batch(chunk)[:, None, :], np.eye(s))
+            Q = np.kron(phi_P.eval_batch(chunk)[:, None, :], np.eye(s))
             P_num = Q @ cert.P_bar @ Q.transpose(0, 2, 1)
             L_num = L_hat.eval_batch(chunk)
             H_num = P_num @ L_num + L_num.transpose(0, 2, 1) @ P_num
-            norm2 = np.sum(asm.phi_H.eval_batch(chunk) ** 2, axis=1)
+            norm2 = np.sum(phi_H.eval_batch(chunk) ** 2, axis=1)
             shift = (cert.c_star * norm2)[:, None, None] * np.eye(s)
             sampled_P = min(sampled_P,
                             float(np.linalg.eigvalsh(P_num)[:, 0].min()))

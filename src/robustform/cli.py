@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .certifier import certify, sample_lambda2
-from .netgraph import validate_assumptions
+from .netgraph import RegionSamplingError, validate_assumptions
 from .scenario import ScenarioSpec
 from .simulate import PreconditionError, run
 
@@ -106,13 +106,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    spec = _load_scenario(args.scenario)
+    path = _resolve_scenario_path(args.scenario)
+    spec = _load_scenario(path)
     adj = spec.adjacency
+    try:
+        samples = sample_lambda2(adj, n_samples=args.samples, seed=args.seed)
+    except RegionSamplingError as err:
+        print(f"error: {path}: {err}", file=sys.stderr)
+        return 2
     res = certify(adj, d_P=args.dP, tol=args.tol)
     if res.solution is not None and not res.solution.ok:
         print(f"solver failure: {res.status}")
         return 3
-    samples = sample_lambda2(adj, n_samples=args.samples, seed=args.seed)
     print(f"c_star = {res.c_star:.9g}")
     print(f"degree plan: d_P={res.certificate.plan.d_P} "
           f"d_H={res.certificate.plan.d_H} "
@@ -207,6 +212,9 @@ def cmd_simulate(args) -> int:
     try:
         res = run(spec, seed=args.seed, T_end=args.T, dt=args.dt,
                   unsafe=args.unsafe)
+    except RegionSamplingError as err:
+        print(f"error: {scenario_path}: {err}", file=sys.stderr)
+        return 2
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return 1

@@ -65,6 +65,10 @@ class AgentGeometry:
                 f"need 0 <= eps <= r_s - r_z, got eps={self.eps}")
 
 
+class RegionSamplingError(ValueError):
+    """Rejection sampling found too few points of Omega in its box."""
+
+
 @dataclass
 class UncertainAdjacency:
     """Symmetric polynomial weight matrix plus the uncertainty set Omega.
@@ -119,9 +123,10 @@ class UncertainAdjacency:
             out = np.vstack([out, cand[keep]])
             if out.shape[0] >= n:
                 return out[:n]
-        raise RuntimeError(
-            f"could not draw {n} Omega samples from the box; got "
-            f"{out.shape[0]} (is the box far larger than Omega?)")
+        raise RegionSamplingError(
+            f"uncertainty.region: could not draw {n} samples of the region "
+            f"from uncertainty.box in {max_tries} rounds; got "
+            f"{out.shape[0]} (is the box far larger than the region?)")
 
 
 @dataclass(frozen=True)

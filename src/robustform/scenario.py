@@ -32,6 +32,25 @@ def _finite_polynomial(r: int, terms, where: str) -> Polynomial:
     return Polynomial.from_records(r, terms)
 
 
+def check_time_grid(dt, T_end, record_every, method,
+                    zero_horizon: bool = False) -> None:
+    """Raise ValueError naming the first bad time-grid setting: dt and
+    T_end finite and > 0 (T_end >= 0 with zero_horizon), record_every an
+    integer >= 1, method one of METHODS."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt: must be finite and > 0, got {dt}")
+    if not (math.isfinite(T_end) and (T_end > 0 or
+                                      (zero_horizon and T_end == 0))):
+        raise ValueError(f"T_end: must be finite and "
+                         f"{'>=' if zero_horizon else '>'} 0, got {T_end}")
+    if not (isinstance(record_every, int) and record_every >= 1):
+        raise ValueError(f"record_every: must be an integer >= 1, got "
+                         f"{record_every!r}")
+    if method not in METHODS:
+        raise ValueError(f"method: must be one of {list(METHODS)}, got "
+                         f"{method!r}")
+
+
 @dataclass
 class ScenarioSpec:
     """Complete input for a simulation run, minus the seed."""
@@ -71,18 +90,7 @@ class ScenarioSpec:
         for (i, j) in self.formation_edges:
             if not (0 <= i < N and 0 <= j < N):
                 raise ValueError(f"formation edge ({i},{j}) out of range")
-        for name in ("dt", "T_end"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name}: must be finite and > 0, got "
-                                 f"{value}")
-        if not (isinstance(self.record_every, int)
-                and self.record_every >= 1):
-            raise ValueError(f"record_every: must be an integer >= 1, got "
-                             f"{self.record_every!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"method: must be one of {list(METHODS)}, got "
-                             f"{self.method!r}")
+        check_time_grid(self.dt, self.T_end, self.record_every, self.method)
 
     @property
     def n_agents(self) -> int:

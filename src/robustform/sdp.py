@@ -15,9 +15,21 @@ keeps the reassembled matrix PSD.
 
 The solver runs a standard primal-dual predictor-corrector iteration with
 Nesterov-Todd scaling, an infeasible start, and a Schur complement system
-assembled blockwise from sparse constraint columns.  Certificates produced
-elsewhere in the package are re-checked by `residuals`, which evaluates the
-constraints directly from the problem data without touching solver state.
+B_ij = sum_k <F_{k,i}, W_k F_{k,j} W_k> assembled blockwise from sparse
+constraint columns.  Before the first iteration each block's columns are
+split by their number q of svec entries, comparing the operation counts of
+two ways to form W F W (after Fujisawa, Kojima and Nakata, Math. Prog.
+1997):
+
+  * thick columns are unpacked to dense matrices and taken through two
+    dense products; their whole column of B comes from one sparse product
+    with A', and its thin rows fill the thin columns' thick rows;
+  * thin columns (q < n, such as an identity cone's one-entry columns)
+    form W F W as a rank-2q product of rows of W and fill only their thin
+    rows of B.
+
+`residuals` evaluates the constraints of a candidate point directly from
+the problem data, without touching solver state.
 """
 
 from __future__ import annotations
@@ -367,34 +379,130 @@ def _max_step(S: np.ndarray, dS: np.ndarray) -> float:
     return -1.0 / lo
 
 
-def _unpack_chunk(A: sp.csc_matrix, cols: np.ndarray, n: int) -> np.ndarray:
-    """Dense (len(cols), n, n) symmetric matrices from svec columns."""
-    dense = A[:, cols].toarray().T  # (C, svecdim)
+def _index(idx: np.ndarray):
+    """idx (ascending, no repeats) as a slice when it is a contiguous
+    range, so that B is read and written through a view instead of a
+    gather and a scatter."""
+    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _submatrix(rows: np.ndarray, cols: np.ndarray):
+    """Index of the rows-by-cols submatrix of B."""
+    r, c = _index(rows), _index(cols)
+    if isinstance(r, slice) or isinstance(c, slice):
+        return r, c
+    return np.ix_(r, c)
+
+
+@dataclass
+class _BlockColumns:
+    """One LMI block's columns, split once per solve by `_split_columns`.
+
+    A thick chunk holds the flat positions in its (C, n, n) stack of the
+    upper and lower triangle entries of its C columns, with their values.
+    A thin chunk holds, for its C columns of q svec entries each, the rows
+    of W that make up W F W as a (C, n, 2q) by (C, 2q, n) product, and the
+    coefficients of the left factor."""
+
+    n: int
+    At: sp.csr_matrix              # A' diag(w), one row per variable
+    thick: list[tuple]             # (C, cols, mirror, upper, lower, vals)
+    thin_rows: slice | np.ndarray  # the thin columns, as rows of B
+    thin_At: sp.csr_matrix         # those rows of At
+    thin: list[tuple]              # (target, left, right, coeffs)
+
+
+def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
+    """Choose the Schur path of each nonzero column from operation counts.
+
+    A column with q svec entries is F = sum of q terms c (e_a e_b' +
+    e_b e_a'), so W F W = U V' + V U' with U, V the n-by-q columns of W
+    it touches (scaled by c): 4 q n^2 flops.  The unpack path spends 4 n^3
+    on its two dense products; thin columns are those where the first
+    count is the smaller."""
+    counts = np.diff(A.indptr)
+    cols = np.flatnonzero(counts)
     iu, ju = svec_indices(n)
-    inv_w = 1.0 / svec_weights(n)
-    M = np.zeros((dense.shape[0], n, n))
-    vals = dense * inv_w[None, :]
-    M[:, iu, ju] = vals
-    M[:, ju, iu] = vals
-    return M
+    w = svec_weights(n)
+    # the svec weights go into A', so svec(Y) is a plain gather of Y
+    At = (sp.diags(w) @ A).T.tocsr()
+    is_thin = counts[cols] < n
+    thick_cols, thin_cols = cols[~is_thin], cols[is_thin]
+
+    thick = []
+    for start in range(0, len(thick_cols), chunk):
+        cc = thick_cols[start:start + chunk]
+        Ac = A[:, cc]
+        pos = Ac.indices
+        stack = np.repeat(np.arange(len(cc)), np.diff(Ac.indptr)) * n * n
+        thick.append((len(cc), _index(cc), _submatrix(cc, thin_cols),
+                      stack + iu[pos] * n + ju[pos],
+                      stack + ju[pos] * n + iu[pos], Ac.data / w[pos]))
+
+    thin = []
+    for q in np.unique(counts[thin_cols]):
+        group = thin_cols[counts[thin_cols] == q]
+        for start in range(0, len(group), chunk):
+            cc = group[start:start + chunk]
+            span = np.stack([np.arange(A.indptr[i], A.indptr[i + 1])
+                             for i in cc])
+            pos = A.indices[span]
+            a, b = iu[pos], ju[pos]
+            coef = 0.5 * A.data[span] * w[pos]
+            thin.append((_submatrix(thin_cols, cc),
+                         np.concatenate([a, b], axis=1),
+                         np.concatenate([b, a], axis=1),
+                         np.concatenate([coef, coef], axis=1)))
+    return _BlockColumns(n=n, At=At, thick=thick,
+                         thin_rows=_index(thin_cols),
+                         thin_At=At[thin_cols], thin=thin)
 
 
-def _schur_matrix(cols_list, A_list, scalings, sizes, n_vars, chunk):
+def _schur_matrix(blocks: list[_BlockColumns], scalings,
+                  n_vars: int) -> np.ndarray:
+    """B_ij = sum over blocks of <F_i, W F_j W>, with W = Winv.
+
+    A thick chunk unpacks its columns, forms W M W with two dense
+    products and fills its whole columns of B through A' K; their rows of
+    thin variables are mirrored into the thick rows.  A thin chunk forms
+    W F W as a product of rows of W and fills only its thin rows, through
+    the thin rows of A'."""
     B = np.zeros((n_vars, n_vars))
-    for A, sc, n, cols in zip(A_list, scalings, sizes, cols_list):
-        if len(cols) == 0:
-            continue
+    for blk, sc in zip(blocks, scalings):
+        n = blk.n
         iu, ju = svec_indices(n)
-        w = svec_weights(n)
+        triu = iu * n + ju
         Winv = sc.Winv
-        At = A.T.tocsr()
-        for start in range(0, len(cols), chunk):
-            cc = cols[start:start + chunk]
-            M = _unpack_chunk(A, cc, n)
-            Y = np.matmul(Winv, np.matmul(M, Winv))
-            K = (Y[:, iu, ju] * w[None, :]).T  # (svecdim, C)
-            B[:, cc] += At @ K
-    return 0.5 * (B + B.T)
+        for C, cols, mirror, upper, lower, vals in blk.thick:
+            M = np.zeros(C * n * n)
+            M[upper] = vals
+            M[lower] = vals
+            M = M.reshape(C, n, n)
+            Y = np.matmul(Winv, np.matmul(M, Winv)).reshape(C, -1)
+            Bc = blk.At @ Y.T[triu]
+            B[:, cols] += Bc
+            B[mirror] += Bc[blk.thin_rows].T
+        for target, left, right, coef in blk.thin:
+            Y = np.matmul((Winv[left] * coef[:, :, None]).transpose(0, 2, 1),
+                          Winv[right]).reshape(len(left), -1)
+            B[target] += blk.thin_At @ Y.T[triu]
+    _symmetrize(B)
+    return B
+
+
+def _symmetrize(B: np.ndarray) -> None:
+    """B <- (B + B') / 2 in place, one pair of 256-square tiles at a time;
+    B + B' over the whole matrix reads B' across its rows and takes
+    several times longer."""
+    n, t = B.shape[0], 256
+    for i in range(0, n, t):
+        for j in range(0, i + 1, t):
+            T = B[i:i + t, j:j + t] + B[j:j + t, i:i + t].T
+            T *= 0.5
+            B[i:i + t, j:j + t] = T
+            B[j:j + t, i:i + t] = T.T
 
 
 class _KktSolver:
@@ -405,9 +513,13 @@ class _KktSolver:
         scale = max(1.0, float(np.max(np.abs(np.diag(B)))))
         jitter = 0.0
         for attempt in range(8):
+            # a retry factors a fresh copy of B with jitter on its diagonal
+            Bj = B
+            if jitter:
+                Bj = B.copy()
+                Bj.flat[::B.shape[0] + 1] += jitter
             try:
-                self.chol = sla.cho_factor(
-                    B + jitter * np.eye(B.shape[0]), lower=True)
+                self.chol = sla.cho_factor(Bj, lower=True)
                 break
             except np.linalg.LinAlgError:
                 jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
@@ -447,7 +559,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
     consts = [blk.const for blk in problem.lmis]
     if not sizes:
         raise ValueError("problem has no LMI constraints")
-    cols_list = [np.nonzero(np.diff(A.indptr))[0] for A in A_list]
+    blocks = [_split_columns(A, n, chunk) for A, n in zip(A_list, sizes)]
     n_tot = sum(sizes)
 
     def lmi_at(k, yv):
@@ -546,9 +658,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
         # ends the run with a status instead of an exception
         try:
             scalings = [_Scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
-            B = _schur_matrix(cols_list, A_list, scalings, sizes, n_vars,
-                              chunk)
-            kkt = _KktSolver(B, E)
+            # the previous iteration's factor goes before the next Schur
+            # matrix is built, and B itself once it is factored
+            kkt = None
+            kkt = _KktSolver(_schur_matrix(blocks, scalings, n_vars), E)
 
             # Predictor: drive straight at complementarity zero.
             N_aff = [-Zk for Zk in Z]

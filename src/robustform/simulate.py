@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import (BarrierParams, DomainViolation, PairArrays,
-                      TuneResult, tune_mu, zone_pairs_at)
+                      TuneError, TuneResult, tune_mu, zone_pairs_at)
 from .certifier import certify
 from .netgraph import (AgentGeometry, TopologyState, canon_edge,
                        is_connected, pair_distances, update_edges,
                        validate_assumptions)
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, check_time_grid
 
 
 class PreconditionError(RuntimeError):
@@ -138,10 +138,14 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         jump_tol: float = 1e-9, method: str | None = None) -> RunResult:
     """Integrate one seeded realization of a scenario, with monitoring.
 
-    Raises PreconditionError when the setup assumptions fail or no
-    positive connectivity certificate can be produced, unless unsafe=True
-    or a precomputed certificate is supplied.  Invariant violations do
-    not raise: they stop the run and are reported on the result."""
+    Raises ValueError naming a bad dt, T_end, record_every or method (the
+    rules of the scenario fields, except that T_end = 0 records the
+    initial state only).  Raises PreconditionError when the setup
+    assumptions fail or no positive connectivity certificate can be
+    produced, unless unsafe=True or a precomputed certificate is supplied,
+    and also when a formation pair is not closer than r_s or the barrier
+    caps cannot be tuned.  Invariant violations do not raise: they stop
+    the run and are reported on the result."""
     geom = scenario.geometry
     adj = scenario.adjacency
     tau = scenario.tau
@@ -151,6 +155,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     record_every = scenario.record_every if record_every is None \
         else record_every
     method = scenario.method if method is None else method
+    check_time_grid(dt, T_end, record_every, method, zero_horizon=True)
 
     rng = np.random.default_rng(seed)
     positions = scenario.positions.copy()
@@ -169,6 +174,14 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         raise PreconditionError(
             "setup assumptions failed:\n  "
             + "\n  ".join(report.summary_lines()))
+
+    # the edge-keeping barrier of a formation pair is defined only below r_s
+    for (i, j) in sorted(scenario.formation_edges):
+        if np.linalg.norm(tau[i] - tau[j]) >= geom.r_s:
+            raise PreconditionError(
+                f"formation pair ({i},{j}): desired distance "
+                f"{np.linalg.norm(tau[i] - tau[j]):.6g} is not below "
+                f"r_s={geom.r_s}")
 
     cert = certificate
     if cert is None and not unsafe:
@@ -198,7 +211,11 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     if scenario.barrier is not None:
         params = scenario.barrier
     else:
-        tune = tune_mu(positions, velocities, tau, topo, geom, list(weights))
+        try:
+            tune = tune_mu(positions, velocities, tau, topo, geom,
+                           list(weights))
+        except TuneError as err:
+            raise PreconditionError(f"barrier cap tuning: {err}") from err
         params = tune.params
 
     n_steps = int(round(T_end / dt))

@@ -1,9 +1,11 @@
-"""Slow scalar reference paths, kept as oracles for the vectorised code.
+"""Slow reference paths, kept as oracles for the fast code.
 
-Each function here loops over agents or pairs in Python and measures every
-distance on its own, the way the package did before its geometry was read
-off one pair-distance matrix and its energy and control were evaluated on
-index arrays (barrier.PairArrays).  The tests compare the two.
+Most functions here loop over agents or pairs in Python and measure every
+distance on their own, the way the package did before its geometry was
+read off one pair-distance matrix and its energy and control were evaluated
+on index arrays (barrier.PairArrays).  schur_matrix is the SDP solver's
+generic Schur complement builder, one path for every constraint column.
+The tests compare each with the package.
 """
 
 import numpy as np
@@ -122,3 +124,26 @@ def control_input(i, positions, velocities, tau, topo, geom, G, params,
         u -= G[i, j] * (y[i] - y[j])
         u -= G[i, j] * (velocities[i] - velocities[j])
     return u
+
+
+def schur_matrix(A_list, scalings, sizes, n_vars, chunk):
+    """Generic Schur complement B_ij = sum_k <F_{k,i}, W_k F_{k,j} W_k>.
+
+    Every nonzero column is unpacked to a dense symmetric matrix, taken
+    through W M W, and multiplied by the whole of A' again."""
+    B = np.zeros((n_vars, n_vars))
+    for A, sc, n in zip(A_list, scalings, sizes):
+        cols = np.nonzero(np.diff(A.indptr))[0]
+        iu, ju = np.triu_indices(n)
+        w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+        At = A.T.tocsr()
+        for start in range(0, len(cols), chunk):
+            cc = cols[start:start + chunk]
+            dense = A[:, cc].toarray().T / w[None, :]
+            M = np.zeros((len(cc), n, n))
+            M[:, iu, ju] = dense
+            M[:, ju, iu] = dense
+            Y = np.matmul(sc.Winv, np.matmul(M, sc.Winv))
+            K = (Y[:, iu, ju] * w[None, :]).T
+            B[:, cc] += At @ K
+    return 0.5 * (B + B.T)

@@ -480,3 +480,49 @@ def test_sample_lambda2_rejects_nonpositive_count():
     adj = const_adjacency([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(CertifierError):
         sample_lambda2(adj, n_samples=0)
+
+
+@pytest.mark.parametrize("case", ["six_agent", "random_disk_dP1"])
+def test_replay_equals_residuals_of_the_assembled_problem(case):
+    # the replay evaluates the main constraint at the stored matrices; the
+    # same matrices packed into the assembled problem must give the same
+    # eigenvalues and trace error, also away from the optimum
+    if case == "six_agent":
+        adj = six_agent().adjacency
+        cert = certify(adj).certificate
+    else:
+        adj = _random_disk_adjacency(31)
+        cert = certify(adj, d_P=1).certificate
+    rng = np.random.default_rng(5)
+
+    def moved(X):
+        N = rng.normal(scale=0.1, size=X.shape)
+        return X + (N + N.T) / 2.0
+
+    fake = Certificate(cert.n_agents, cert.r, cert.plan, 0.9 * cert.c_star,
+                       moved(cert.P_bar), [moved(R) for R in cert.R_bars],
+                       cert.delta + rng.normal(scale=0.1,
+                                               size=cert.delta.shape))
+    rep = verify_certificate(fake, adj, n_samples=0)
+    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
+    asm = assemble(L_hat, adj.omega, plan=cert.plan)
+    ref = sdp.residuals(asm.problem, asm.solution_vector(
+        fake.c_star, fake.P_bar, fake.R_bars, fake.delta))
+    np.testing.assert_allclose(rep.min_eigenvalues, ref["min_eigenvalues"],
+                               rtol=0, atol=1e-12)
+    assert rep.pencil_margin == rep.min_eigenvalues[asm.main_lmi]
+    assert rep.trace_error == pytest.approx(ref["eq_residual"], abs=1e-12)
+
+
+def test_verify_rejects_malformed_stored_matrices():
+    adj = _random_disk_adjacency(31)
+    cert = certify(adj).certificate
+    asymmetric = cert.P_bar.copy()
+    asymmetric[0, -1] += 1e-3
+    R = cert.R_bars[0]
+    for P, R_bars in [(asymmetric, cert.R_bars), (np.eye(3), cert.R_bars),
+                      (cert.P_bar, [R[:-1, :-1]]), (cert.P_bar, [R, R])]:
+        fake = Certificate(cert.n_agents, cert.r, cert.plan, cert.c_star,
+                           P, R_bars, cert.delta)
+        with pytest.raises(CertifierError):
+            verify_certificate(fake, adj, n_samples=0)

@@ -305,3 +305,40 @@ def test_unsafe_flag_lets_uncertifiable_run_proceed(tmp_path):
 def test_version_flag(capsys):
     assert run_cli("--version") == 0
     assert "robustform" in capsys.readouterr().out
+
+
+# set-up failures that used to leave simulate as a traceback with exit 1:
+# the edge barrier of a pair held beyond r_s = 8 (a ValueError from psi_e)
+# and a desired distance inside d_s (a TuneError from tune_mu)
+@pytest.mark.parametrize("tau_x, message", [
+    (8.5, "formation pair (0,1)"), (1.5, "barrier cap tuning")])
+def test_simulate_barrier_setup_failure_is_a_precondition(
+        tmp_path, capsys, tau_x, message):
+    sc = pair_scenario_doc(tau_x=tau_x, positions=[[0.0, 0.0], [3.0, 0.0]])
+    sc.assumption_overrides = {"A1": "probe", "A3": "probe"}
+    p = tmp_path / "pair.json"
+    sc.save(p)
+    assert run_cli("check", str(p)) == 0
+    capsys.readouterr()
+    assert run_cli("simulate", str(p), "--out", str(tmp_path / "r")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_region_too_small_to_sample_exits_2(tmp_path, capsys, command):
+    # radius^2 1e-6 inside the box [-1, 1]^2: rejection sampling finds
+    # (almost) no point of the region
+    doc = json.loads(builtin_path("six_agent").read_text())
+    terms = doc["uncertainty"]["region"][0]["terms"]
+    assert terms[2] == {"exponents": [0, 0], "coeff": 1.0}
+    terms[2]["coeff"] = 1e-6
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli(command, str(p), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "uncertainty.region" in err and "uncertainty.box" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

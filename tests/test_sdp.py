@@ -6,7 +6,13 @@ optimal value is known exactly before the solver runs."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import oracles
+from robustform import sdp
+from robustform.certifier import assemble
+from robustform.netgraph import laplacian, reduced_basis, reduced_laplacian
+from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.sdp import (SdpProblem, SdpStatus, residuals, smat, solve,
                             svec, svec_dim)
 
@@ -270,3 +276,119 @@ class TestValidationAndResiduals:
         y[X.indices] = svec(M)
         lin = sum(cf * y[i] for i, cf in coeffs.items())
         assert lin == pytest.approx(np.sum(A * M), rel=1e-12)
+
+
+def random_spd(rng, n):
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q @ np.diag(rng.uniform(0.1, 3.0, size=n)) @ Q.T
+
+
+def relative_error(B, ref):
+    return float(np.max(np.abs(B - ref)) / np.max(np.abs(ref)))
+
+
+def certification_problem(name):
+    adj = ScenarioSpec.load(builtin_path(name)).adjacency
+    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
+    return assemble(L_hat, adj.omega).problem
+
+
+SCHUR_MATRIX = sdp._schur_matrix
+
+
+def solve_checked(monkeypatch, prob, use_oracle=False, **kw):
+    """solve() with every Schur matrix compared to the generic oracle's;
+    returns the solution and the relative errors, one per iteration.
+    use_oracle makes the solver run on the oracle's matrices."""
+    A_list = prob.compile_columns()
+    sizes = [blk.size for blk in prob.lmis]
+    chunk = kw.get("chunk", 256)
+    errors = []
+
+    def checked(blocks, scalings, n_vars):
+        B = SCHUR_MATRIX(blocks, scalings, n_vars)
+        ref = oracles.schur_matrix(A_list, scalings, sizes, n_vars, chunk)
+        errors.append(relative_error(B, ref))
+        return ref if use_oracle else B
+
+    monkeypatch.setattr(sdp, "_schur_matrix", checked)
+    return solve(prob, **kw), errors
+
+
+class TestSchurMatrix:
+
+    def test_six_agent_every_iterate_matches_oracle(self, monkeypatch):
+        prob = certification_problem("six_agent")
+        sol, errors = solve_checked(monkeypatch, prob)
+        ref, _ = solve_checked(monkeypatch, prob, use_oracle=True)
+        assert len(errors) == sol.n_iterations - 1
+        assert max(errors) < 1e-10
+        # the iteration count is not compared: this problem stalls near
+        # its optimum, and rounding at 1e-16 decides when the run stops
+        assert sol.ok and ref.ok
+        assert sol.objective_value == pytest.approx(ref.objective_value,
+                                                    abs=1e-8)
+
+    def test_fifty_agent_iterate_matches_oracle(self, monkeypatch):
+        # thin columns: 2401 of two entries in the main block and the
+        # one-entry columns of both identity cones.  W is a multiple of I
+        # at the start; the second iterate has a general W.
+        prob = certification_problem("fifty_agent")
+        _, errors = solve_checked(monkeypatch, prob, max_iter=2)
+        assert len(errors) == 2 and max(errors) < 1e-10
+
+    @pytest.mark.parametrize("chunk", [2, 512])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_blocks_match_oracle(self, seed, chunk):
+        # per block and variable: no entry, one diagonal entry, a few
+        # entries (thin), or a full symmetric matrix (thick); one variable
+        # is in no block, and the 1x1 blocks only have thick columns
+        rng = np.random.default_rng(seed)
+        prob = SdpProblem()
+        idx = [prob.add_var() for _ in range(14)]
+        for n in (7, 1, 4, 1, 9):
+            coeffs = {}
+            for i in idx[:-1]:
+                kind = rng.integers(4)
+                if kind == 0:
+                    continue
+                F = np.zeros((n, n))
+                if kind == 1:
+                    k = rng.integers(n)
+                    F[k, k] = rng.normal()
+                elif kind == 2:
+                    for _ in range(rng.integers(1, 4)):
+                        a, b = rng.integers(n, size=2)
+                        F[a, b] = F[b, a] = rng.normal()
+                else:
+                    F = sym(rng, n)
+                coeffs[i] = F
+            prob.add_lmi(np.zeros((n, n)), coeffs)
+        A_list = prob.compile_columns()
+        sizes = [blk.size for blk in prob.lmis]
+        scalings = [sdp._Scaling(random_spd(rng, n), random_spd(rng, n))
+                    for n in sizes]
+        blocks = [sdp._split_columns(A, n, chunk)
+                  for A, n in zip(A_list, sizes)]
+        B = sdp._schur_matrix(blocks, scalings, prob.n_vars)
+        ref = oracles.schur_matrix(A_list, scalings, sizes, prob.n_vars,
+                                   chunk)
+        assert relative_error(B, ref) < 1e-10
+        assert np.array_equal(B, B.T)
+        assert not B[-1].any()
+
+
+def test_kkt_retry_factors_a_jittered_copy():
+    # a rank-one B has no Cholesky factor; the retry factors B + jitter I
+    # with the first jitter, scale * 1e-12, and leaves B as it was
+    v = np.array([1.0, 2.0, 3.0])
+    B = np.outer(v, v)
+    kept = B.copy()
+    kkt = sdp._KktSolver(B, np.zeros((0, 3)))
+    np.testing.assert_array_equal(B, kept)
+    jitter = 9.0 * 1e-12
+    expected = sla.cho_factor(B + jitter * np.eye(3), lower=True)[0]
+    np.testing.assert_array_equal(kkt.chol[0], expected)
+    rhs = np.array([1.0, -1.0, 0.5])
+    dy, _ = kkt.solve(rhs, np.zeros(0))
+    np.testing.assert_array_equal(dy, sla.cho_solve((expected, True), rhs))

@@ -376,3 +376,14 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
     jump_tol = 1e-9
     assert res.metrics["max_energy_jump_error"] \
         <= jump_tol * max(1.0, float(np.max(res.log.W_values)))
+
+
+# arguments that used to end in ZeroDivisionError (dt 0, record_every 0),
+# in "cannot convert float NaN to integer" (T_end nan), in ok=True after 0
+# steps (dt < 0) or in an error from step (method)
+@pytest.mark.parametrize("argument, value", [
+    ("dt", 0.0), ("dt", -0.01), ("T_end", float("nan")),
+    ("T_end", -1.0), ("record_every", 0), ("method", "rk5")])
+def test_run_rejects_bad_time_grid_argument(argument, value):
+    with pytest.raises(ValueError, match=f"^{argument}: must be"):
+        run(six_agent(), **{argument: value})
