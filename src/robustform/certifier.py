@@ -7,13 +7,15 @@ and produces a standalone certificate that can be re-checked without running
 the solver again.
 
 The certified quantity is a uniform lower bound c on the symmetrized reduced
-pencil P(theta) Lhat(theta) + Lhat(theta)^T P(theta), where Lhat is the
-Laplacian compressed onto the complement of the all-ones direction and P is a
-trace-normalized positive matrix polynomial.  The bound is enforced through
-Gram-matrix (sum of squares) constraints with one positive multiplier per
-region inequality.  Because the squared power vector used in the Gram
-expansion is at least one everywhere, a positive optimal c certifies that the
-algebraic connectivity is bounded away from zero uniformly on the region.
+pencil P Lhat(theta) + Lhat(theta) P = 2 Lhat(theta) / s, where Lhat is the
+s-by-s Laplacian compressed onto the complement of the all-ones direction and
+the pencil matrix P is fixed at I / s: Lhat is symmetric, so it is positive
+definite at a point exactly when this pencil is.  The bound is enforced
+through Gram-matrix (sum of squares) constraints with one positive multiplier
+per region inequality.  Because the squared power vector used in the Gram
+expansion is at least one everywhere, a positive optimal c* gives
+2 Lhat(theta) / s >= c* I on the region, so c* s / 2 is a certified lower
+bound on the algebraic connectivity.
 """
 
 from __future__ import annotations
@@ -46,44 +48,39 @@ class CertifierError(ValueError):
 
 @dataclass(frozen=True)
 class DegreePlan:
-    """Relaxation degrees: d_P for the pencil matrix, d_H for the Gram
-    identity, one multiplier degree per region inequality."""
+    """Relaxation degrees: d_H for the Gram identity, one multiplier degree
+    per region inequality."""
 
-    d_P: int
     d_H: int
     d_R: tuple[int, ...]
 
     @classmethod
-    def auto(cls, deg_L: int, region_degrees: Sequence[int],
-             d_P: int = 0) -> "DegreePlan":
+    def auto(cls, deg_L: int, region_degrees: Sequence[int]) -> "DegreePlan":
         """Smallest balanced plan for the given data degrees.
 
-        d_H starts at ceil((deg_L + 2 d_P) / 2) and is raised until every
-        region inequality admits a nonnegative multiplier degree; each
-        multiplier then gets the largest degree that still fits."""
-        if d_P < 0:
-            raise CertifierError(f"d_P must be nonnegative, got {d_P}")
+        d_H starts at ceil(deg_L / 2) and is raised until every region
+        inequality admits a nonnegative multiplier degree; each multiplier
+        then gets the largest degree that still fits."""
         if deg_L < 0:
             raise CertifierError(f"deg_L must be nonnegative, got {deg_L}")
-        d_H = (deg_L + 2 * d_P + 1) // 2
+        d_H = (deg_L + 1) // 2
         for dg in region_degrees:
             if dg < 0:
                 raise CertifierError("region degrees must be nonnegative")
             d_H = max(d_H, (dg + 1) // 2)
         d_R = tuple((2 * d_H - dg) // 2 for dg in region_degrees)
-        return cls(d_P, d_H, d_R)
+        return cls(d_H, d_R)
 
     def validate(self, deg_L: int, region_degrees: Sequence[int]) -> None:
-        if self.d_P < 0 or self.d_H < 0 or any(d < 0 for d in self.d_R):
+        if self.d_H < 0 or any(d < 0 for d in self.d_R):
             raise CertifierError(f"negative degree in {self}")
         if len(self.d_R) != len(region_degrees):
             raise CertifierError(
                 f"plan has {len(self.d_R)} multiplier degrees for "
                 f"{len(region_degrees)} region inequalities")
-        if deg_L + 2 * self.d_P > 2 * self.d_H:
+        if deg_L > 2 * self.d_H:
             raise CertifierError(
-                f"pencil degree {deg_L + 2 * self.d_P} exceeds 2*d_H "
-                f"= {2 * self.d_H}")
+                f"pencil degree {deg_L} exceeds 2*d_H = {2 * self.d_H}")
         for i, (dr, dg) in enumerate(zip(self.d_R, region_degrees)):
             if 2 * dr + dg > 2 * self.d_H:
                 raise CertifierError(
@@ -91,12 +88,17 @@ class DegreePlan:
                     f"2*d_H = {2 * self.d_H}")
 
     def to_dict(self) -> dict:
-        return {"d_P": self.d_P, "d_H": self.d_H, "d_R": list(self.d_R)}
+        # d_P, the degree of the pencil matrix, stays in the file format;
+        # the pencil matrix is the constant I / s, so it is always 0
+        return {"d_P": 0, "d_H": self.d_H, "d_R": list(self.d_R)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DegreePlan":
-        return cls(int(d["d_P"]), int(d["d_H"]),
-                   tuple(int(x) for x in d["d_R"]))
+        if int(d["d_P"]) != 0:
+            raise CertifierError(
+                f"pencil matrix degree d_P = {d['d_P']}; only constant "
+                f"pencil matrices (d_P = 0) are supported")
+        return cls(int(d["d_H"]), tuple(int(x) for x in d["d_R"]))
 
 
 @dataclass
@@ -109,43 +111,19 @@ class Assembly:
     r: int
     s: int
     c_index: int
-    p_var: sdp.MatrixVar
     r_vars: list[sdp.MatrixVar]
     delta_indices: list[int]
-    phi_P: PowerVector
     phi_H: PowerVector
     phi_R: list[PowerVector]
     main_lmi: int
 
-    def solution_vector(self, c: float, P_bar: np.ndarray,
-                        R_bars: Sequence[np.ndarray],
-                        delta: Sequence[float]) -> np.ndarray:
-        """Pack certificate pieces into the problem's variable order."""
-        y = np.zeros(self.problem.n_vars)
-        y[self.c_index] = c
-        y[self.p_var.indices] = sdp.svec(np.asarray(P_bar, dtype=float))
-        if len(R_bars) != len(self.r_vars):
-            raise CertifierError(
-                f"{len(R_bars)} multiplier matrices for "
-                f"{len(self.r_vars)} region inequalities")
-        for var, R in zip(self.r_vars, R_bars):
-            y[var.indices] = sdp.svec(np.asarray(R, dtype=float))
-        delta = np.asarray(delta, dtype=float).reshape(-1)
-        if delta.size != len(self.delta_indices):
-            raise CertifierError(
-                f"{delta.size} Gram offsets for "
-                f"{len(self.delta_indices)} null directions")
-        for idx, dk in zip(self.delta_indices, delta):
-            y[idx] = dk
-        return y
-
 
 def _gram_setup(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
-                plan: DegreePlan | None, d_P: int):
+                plan: DegreePlan | None):
     """Check the data of a certification problem; return its plan (the
-    given one, validated, or the automatic one for d_P), the power vectors
-    of P, of the Gram identity and of each multiplier, and the Gram
-    positions of the identity's power vector."""
+    given one, validated, or the automatic one), the power vectors of the
+    Gram identity and of each multiplier, and the Gram positions of the
+    identity's power vector."""
     rows, cols = L_hat.shape
     if rows != cols:
         raise CertifierError(f"reduced Laplacian must be square, got "
@@ -161,13 +139,12 @@ def _gram_setup(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
                 f"{L_hat.r}")
     region_degrees = [g.degree for g in region]
     if plan is None:
-        plan = DegreePlan.auto(L_hat.deg(), region_degrees, d_P=d_P)
+        plan = DegreePlan.auto(L_hat.deg(), region_degrees)
     else:
         plan.validate(L_hat.deg(), region_degrees)
-    r = L_hat.r
-    phi_H = power_vector(r, plan.d_H)
-    return (plan, power_vector(r, plan.d_P), phi_H,
-            [power_vector(r, dr) for dr in plan.d_R], _positions(phi_H))
+    phi_H = power_vector(L_hat.r, plan.d_H)
+    return (plan, phi_H, [power_vector(L_hat.r, dr) for dr in plan.d_R],
+            _positions(phi_H))
 
 
 def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
@@ -192,42 +169,37 @@ def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
 
 
 def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
-             plan: DegreePlan | None = None, d_P: int = 0) -> Assembly:
+             plan: DegreePlan | None = None) -> Assembly:
     """Compile the certification problem for a reduced Laplacian.
 
     Maximize c subject to
 
-        P_bar >= 0,  trace(P_bar) = 1,  R_bar_i >= 0,
-        Gram(P Lhat + Lhat^T P) + C(delta) - c I
-            - sum_i Gram(R_i * g_i)  >=  0,
+        R_bar_i >= 0,
+        Gram(P Lhat + Lhat P) + C(delta) - c I
+            - sum_i Gram(R_i * g_i)  >=  0,   P = I / s,
 
     where every Gram image is taken against the degree-d_H power vector,
     C(delta) ranges over the null directions of the Gram expansion, and g_i
     are the region inequalities.  Expanding the final constraint shows that
-    on the region the pencil dominates c * |phi(theta)|^2 * I, hence c * I,
-    since the power vector contains the constant monomial."""
-    plan, phi_P, phi_H, phi_R, pos_H = _gram_setup(L_hat, region, plan,
-                                                   d_P)
+    on the region the pencil 2 Lhat / s dominates c * |phi(theta)|^2 * I,
+    hence c * I when c >= 0, since the power vector contains the constant
+    monomial."""
+    plan, phi_H, phi_R, pos_H = _gram_setup(L_hat, region, plan)
     s = L_hat.rows
     r = L_hat.r
     size_H = len(phi_H) * s
-    Lc = L_hat.coeffs
 
     prob = sdp.SdpProblem()
     c_index = prob.add_var("c", obj=1.0)
-    p_var = prob.add_psd_var(len(phi_P) * s, "P")
     r_vars = [prob.add_psd_var(len(pv) * s, f"R{i}")
               for i, pv in enumerate(phi_R)]
     nulls = gram_null_basis(r, plan.d_H, s)
     delta_indices = [prob.add_var(f"delta{k}") for k in range(len(nulls))]
 
-    prob.add_eq(p_var.inner_coeffs(np.eye(p_var.size)), 1.0)
-
+    pencil = gram_image(np.eye(s) / s, power_vector(r, 0), L_hat.coeffs,
+                        phi_H, s, pos_H)
     coeffs: dict[int, np.ndarray | sparse.csr_array] = {
         c_index: -np.eye(size_H)}
-    for k in range(len(p_var.indices)):
-        coeffs[int(p_var.indices[k])] = sparse.csr_array(gram_image(
-            p_var.basis_matrix(k), phi_P, Lc, phi_H, s, pos_H))
     for g, var, pv in zip(region, r_vars, phi_R):
         for k in range(len(var.indices)):
             coeffs[int(var.indices[k])] = sparse.csr_array(-gram_image(
@@ -235,17 +207,17 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     for k, D in enumerate(nulls):
         coeffs[delta_indices[k]] = sparse.csr_array(D)
 
-    main_lmi = prob.add_lmi(np.zeros((size_H, size_H)), coeffs)
+    main_lmi = prob.add_lmi(pencil, coeffs)
     return Assembly(problem=prob, plan=plan, r=r, s=s, c_index=c_index,
-                    p_var=p_var, r_vars=r_vars,
-                    delta_indices=delta_indices, phi_P=phi_P, phi_H=phi_H,
+                    r_vars=r_vars, delta_indices=delta_indices, phi_H=phi_H,
                     phi_R=phi_R, main_lmi=main_lmi)
 
 
 @dataclass
 class Certificate:
     """Standalone connectivity certificate: the certified bound plus every
-    matrix needed to replay the Gram identity."""
+    matrix needed to replay the Gram identity.  P_bar is the constant
+    pencil matrix, I / s for a certificate written by `certify`."""
 
     n_agents: int
     r: int
@@ -316,10 +288,9 @@ class CertifyResult:
         return self.solution.ok
 
 
-def certify(adj: UncertainAdjacency, d_P: int = 0,
-            plan: DegreePlan | None = None, tol: float = 1e-8,
-            threshold: float = CONNECTIVITY_THRESHOLD, max_iter: int = 200,
-            verbose: bool = False) -> CertifyResult:
+def certify(adj: UncertainAdjacency, plan: DegreePlan | None = None,
+            tol: float = 1e-8, threshold: float = CONNECTIVITY_THRESHOLD,
+            max_iter: int = 200, verbose: bool = False) -> CertifyResult:
     """Solve the certification problem for an uncertain adjacency.
 
     connected is True only when the solver converged and the certified
@@ -329,7 +300,7 @@ def certify(adj: UncertainAdjacency, d_P: int = 0,
     L = laplacian(adj)
     M = reduced_basis(N)
     L_hat = reduced_laplacian(L, M)
-    asm = assemble(L_hat, adj.omega, plan=plan, d_P=d_P)
+    asm = assemble(L_hat, adj.omega, plan=plan)
     sol = sdp.solve(asm.problem, tol=tol, max_iter=max_iter, verbose=verbose)
     cert = None
     c_star = float("nan")
@@ -338,7 +309,7 @@ def certify(adj: UncertainAdjacency, d_P: int = 0,
         c_star = float(y[asm.c_index])
         cert = Certificate(
             n_agents=N, r=asm.r, plan=asm.plan, c_star=c_star,
-            P_bar=asm.p_var.value(y),
+            P_bar=np.eye(asm.s) / asm.s,
             R_bars=[v.value(y) for v in asm.r_vars],
             delta=np.array([y[i] for i in asm.delta_indices]),
             threshold=threshold)
@@ -354,7 +325,7 @@ class VerifyReport:
 
     Two independent routes: an algebraic replay of the Gram identity
     (min_eigenvalues, trace_error) and a pointwise sweep over sampled
-    parameters (sampled_pencil_margin, sampled_P_margin)."""
+    parameters (sampled_pencil_margin)."""
 
     ok: bool
     c_star: float
@@ -362,7 +333,6 @@ class VerifyReport:
     trace_error: float
     pencil_margin: float
     sampled_pencil_margin: float
-    sampled_P_margin: float
     n_samples: int
     failures: list[str] = field(default_factory=list)
 
@@ -388,8 +358,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     L = laplacian(adj)
     M = reduced_basis(adj.N)
     L_hat = reduced_laplacian(L, M)
-    plan, phi_P, phi_H, phi_R, pos_H = _gram_setup(L_hat, adj.omega,
-                                                   cert.plan, 0)
+    plan, phi_H, phi_R, pos_H = _gram_setup(L_hat, adj.omega, cert.plan)
     s = L_hat.rows
     nulls = gram_null_basis(adj.r, plan.d_H, s)
     if len(cert.R_bars) != len(phi_R):
@@ -400,7 +369,8 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         raise CertifierError(
             f"{cert.delta.size} Gram offsets for {len(nulls)} null "
             f"directions")
-    stored = [("P_bar", cert.P_bar, phi_P)] + [
+    phi_0 = power_vector(adj.r, 0)
+    stored = [("P_bar", cert.P_bar, phi_0)] + [
         (f"R_bars[{i}]", R, pv)
         for i, (R, pv) in enumerate(zip(cert.R_bars, phi_R))]
     for name, X, pv in stored:
@@ -409,7 +379,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                 f"{name} must be a symmetric {len(pv) * s}-square "
                 f"matrix, got shape {X.shape}")
 
-    H = gram_image(cert.P_bar, phi_P, L_hat.coeffs, phi_H, s, pos_H)
+    H = gram_image(cert.P_bar, phi_0, L_hat.coeffs, phi_H, s, pos_H)
     for g, R, pv in zip(adj.omega, cert.R_bars, phi_R):
         H -= gram_image(R, pv, g.terms, phi_H, s, pos_H)
     for dk, D in zip(cert.delta, nulls):
@@ -441,23 +411,16 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     thetas = adj.sample_omega(rng, n_samples) if n_samples > 0 else \
         np.zeros((0, adj.r))
     sampled_pencil = float("inf")
-    sampled_P = float("inf")
     if len(thetas):
+        P = cert.P_bar
         for lo in range(0, len(thetas), SAMPLE_CHUNK):
             chunk = thetas[lo:lo + SAMPLE_CHUNK]
-            Q = np.kron(phi_P.eval_batch(chunk)[:, None, :], np.eye(s))
-            P_num = Q @ cert.P_bar @ Q.transpose(0, 2, 1)
             L_num = L_hat.eval_batch(chunk)
-            H_num = P_num @ L_num + L_num.transpose(0, 2, 1) @ P_num
+            H_num = P @ L_num + L_num.transpose(0, 2, 1) @ P
             norm2 = np.sum(phi_H.eval_batch(chunk) ** 2, axis=1)
             shift = (cert.c_star * norm2)[:, None, None] * np.eye(s)
-            sampled_P = min(sampled_P,
-                            float(np.linalg.eigvalsh(P_num)[:, 0].min()))
             sampled_pencil = min(sampled_pencil, float(
                 np.linalg.eigvalsh(H_num - shift)[:, 0].min()))
-        if sampled_P < -sample_tol:
-            failures.append(
-                f"sampled P(theta) eigenvalue {sampled_P:.3e}")
         if sampled_pencil < -sample_tol:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -467,7 +430,6 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                         min_eigenvalues=min_eigs, trace_error=trace_error,
                         pencil_margin=pencil_margin,
                         sampled_pencil_margin=sampled_pencil,
-                        sampled_P_margin=sampled_P,
                         n_samples=len(thetas), failures=failures)
 
 

@@ -114,13 +114,12 @@ def cmd_certify(args) -> int:
     except RegionSamplingError as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 2
-    res = certify(adj, d_P=args.dP, tol=args.tol)
+    res = certify(adj, tol=args.tol)
     if res.solution is not None and not res.solution.ok:
         print(f"solver failure: {res.status}")
         return 3
     print(f"c_star = {res.c_star:.9g}")
-    print(f"degree plan: d_P={res.certificate.plan.d_P} "
-          f"d_H={res.certificate.plan.d_H} "
+    print(f"degree plan: d_H={res.certificate.plan.d_H} "
           f"d_R={list(res.certificate.plan.d_R)}")
     print(f"sampled min lambda2 = {samples.min_value:.9g} "
           f"over {args.samples} points")
@@ -130,8 +129,7 @@ def cmd_certify(args) -> int:
     if res.connected and samples.min_value > 0.0:
         print("certify: CONNECTED")
         return 0
-    print("certify: INCONCLUSIVE; consider rerunning with "
-          f"--dP {args.dP + 1} for a richer multiplier degree")
+    print("certify: INCONCLUSIVE")
     return 1
 
 
@@ -566,6 +564,18 @@ def _time_flag(zero_ok: bool):
     return time_value
 
 
+def _sample_count(text: str) -> int:
+    """argparse type of --samples: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="robustform",
@@ -585,11 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="produce a worst-case connectivity "
                             "certificate")
     p.add_argument("scenario")
-    p.add_argument("--dP", type=int, default=0,
-                   help="polynomial degree of the dual variable")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="interior-point termination tolerance")
-    p.add_argument("--samples", type=int, default=10000,
+    p.add_argument("--samples", type=_sample_count, default=10000,
                    help="sample count for the eigenvalue cross-check")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampling cross-check")

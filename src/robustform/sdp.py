@@ -4,8 +4,10 @@ Problems are stated in linear-matrix-inequality form over a flat vector y of
 scalar decision variables:
 
     maximize    b' y
-    subject to  E y = e
-                S_k(y) = F0_k + sum_i y_i F_{k,i}  is PSD,  k = 1..K
+    subject to  S_k(y) = F0_k + sum_i y_i F_{k,i}  is PSD,  k = 1..K
+
+There are no equality constraints: every variable is free and the feasible
+set is cut out by the LMIs alone.
 
 Symmetric matrix variables are layered on top through `add_psd_var`, which
 allocates one scalar per upper-triangular entry in the scaled vectorization
@@ -151,13 +153,6 @@ class LmiBlock:
     cols: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict)
 
-    def coeff_matrix(self, i: int) -> np.ndarray:
-        v = np.zeros(svec_dim(self.size))
-        if i in self.cols:
-            idx, vals = self.cols[i]
-            v[idx] = vals
-        return smat(v, self.size)
-
     def value(self, y: np.ndarray) -> np.ndarray:
         v = np.zeros(svec_dim(self.size))
         for i, (idx, vals) in self.cols.items():
@@ -175,8 +170,6 @@ class SdpProblem:
         self.var_names: list[str] = []
         self.objective: dict[int, float] = {}
         self.lmis: list[LmiBlock] = []
-        self.eqs: list[tuple[dict[int, float], float]] = []
-        self.matrix_vars: list[MatrixVar] = []
 
     def add_var(self, name: str = "", obj: float = 0.0) -> int:
         idx = self.n_vars
@@ -195,12 +188,11 @@ class SdpProblem:
         m = svec_dim(size)
         idx = np.arange(base, base + m)
         self.n_vars += m
-        nm = name or f"X{len(self.matrix_vars)}"
+        nm = name or f"X{base}"
         self.var_names.extend(f"{nm}[{k}]" for k in range(m))
         var = MatrixVar(nm, size, idx)
         coeffs = {int(idx[k]): var.basis_matrix(k) for k in range(m)}
         self.add_lmi(np.zeros((size, size)), coeffs)
-        self.matrix_vars.append(var)
         return var
 
     def add_lmi(self, const: np.ndarray, coeffs: dict) -> int:
@@ -222,20 +214,6 @@ class SdpProblem:
         self.lmis.append(LmiBlock(n, 0.5 * (const + const.T), clean))
         return len(self.lmis) - 1
 
-    def add_eq(self, coeffs: dict[int, float], rhs: float) -> None:
-        for i in coeffs:
-            if not 0 <= i < self.n_vars:
-                raise ValueError(f"unknown variable index {i}")
-        self.eqs.append(({int(i): float(c) for i, c in coeffs.items()},
-                         float(rhs)))
-
-    def set_objective(self, coeffs: dict[int, float]) -> None:
-        """Maximization coefficients b; replaces any previous objective."""
-        for i in coeffs:
-            if not 0 <= i < self.n_vars:
-                raise ValueError(f"unknown variable index {i}")
-        self.objective = {int(i): float(c) for i, c in coeffs.items()}
-
     # -- assembled views ----------------------------------------------------
 
     def b_vector(self) -> np.ndarray:
@@ -243,15 +221,6 @@ class SdpProblem:
         for i, c in self.objective.items():
             b[i] = c
         return b
-
-    def eq_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        E = np.zeros((len(self.eqs), self.n_vars))
-        e = np.zeros(len(self.eqs))
-        for r, (coeffs, rhs) in enumerate(self.eqs):
-            for i, c in coeffs.items():
-                E[r, i] = c
-            e[r] = rhs
-        return E, e
 
     def compile_columns(self) -> list[sp.csc_matrix]:
         """Per-block sparse matrix whose column i is svec(F_{k,i})."""
@@ -283,7 +252,6 @@ class SdpSolution:
     objective_value: float
     duality_gap: float
     min_eigenvalues: list[float]
-    eq_residual: float
     n_iterations: int
     message: str = ""
 
@@ -299,46 +267,38 @@ class SdpSolution:
 def residuals(problem: SdpProblem, y: np.ndarray) -> dict:
     """Feasibility of a candidate point, straight from the problem data.
 
-    Returns min eigenvalue per LMI block, the worst equality violation, and
-    the objective value.  This path shares no code with the solver iteration
-    on purpose: it is the re-check used on stored certificates."""
+    Returns min eigenvalue per LMI block and the objective value.  This
+    path shares no code with the solver iteration on purpose: it is the
+    re-check used on stored certificates."""
     y = np.asarray(y, dtype=float)
     mins = []
     for k in range(len(problem.lmis)):
         M = problem.lmi_value(k, y)
         mins.append(float(np.linalg.eigvalsh(M)[0]) if M.size else 0.0)
-    eq_res = 0.0
-    for coeffs, rhs in problem.eqs:
-        val = sum(c * y[i] for i, c in coeffs.items())
-        eq_res = max(eq_res, abs(val - rhs))
     b = problem.b_vector()
     return {
         "min_eigenvalues": mins,
-        "eq_residual": eq_res,
         "objective": float(b @ y),
     }
 
 
-def _presolve(problem: SdpProblem):
-    """Split off variables that appear in no LMI and no equality.
+def _presolve(problem: SdpProblem) -> str | None:
+    """Failure message if a variable with a nonzero objective coefficient
+    appears in no LMI: it is unconstrained, so the objective is unbounded.
 
-    Such a variable is unconstrained: with zero objective coefficient it is
-    fixed to zero, otherwise the problem is unbounded.  Returns (keep
-    indices, failure message or None)."""
+    A variable in no LMI with zero objective coefficient is left in place;
+    its row of the Schur complement is zero, which the jitter retry of the
+    factorization absorbs, and it stays at its starting value 0."""
     used = np.zeros(problem.n_vars, dtype=bool)
     for blk in problem.lmis:
         for i in blk.cols:
             used[i] = True
-    for coeffs, _ in problem.eqs:
-        for i in coeffs:
-            used[i] = True
     b = problem.b_vector()
-    dangling = np.nonzero(~used)[0]
-    bad = [i for i in dangling if b[i] != 0.0]
+    bad = [i for i in np.nonzero(~used)[0] if b[i] != 0.0]
     if bad:
-        return None, (f"objective variable {problem.var_names[bad[0]]} is "
-                      "unconstrained; the objective is unbounded")
-    return np.nonzero(used)[0], None
+        return (f"objective variable {problem.var_names[bad[0]]} is "
+                "unconstrained; the objective is unbounded")
+    return None
 
 
 class _Scaling:
@@ -506,10 +466,10 @@ def _symmetrize(B: np.ndarray) -> None:
 
 
 class _KktSolver:
-    """Factor [B E'; E 0] by eliminating y through a Cholesky of B."""
+    """Cholesky factor of the Schur complement B, retried with a growing
+    diagonal jitter when B is numerically singular."""
 
-    def __init__(self, B: np.ndarray, E: np.ndarray):
-        self.E = E
+    def __init__(self, B: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(np.diag(B)))))
         jitter = 0.0
         for attempt in range(8):
@@ -525,17 +485,9 @@ class _KktSolver:
                 jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
         else:
             raise np.linalg.LinAlgError("Schur complement not factorizable")
-        if E.shape[0]:
-            self.BiEt = sla.cho_solve(self.chol, E.T)
-            self.Sw = E @ self.BiEt
 
-    def solve(self, rhs_y: np.ndarray, rhs_w: np.ndarray):
-        v = sla.cho_solve(self.chol, rhs_y)
-        if self.E.shape[0] == 0:
-            return v, np.zeros(0)
-        dw = np.linalg.solve(self.Sw, self.E @ v - rhs_w)
-        dy = v - self.BiEt @ dw
-        return dy, dw
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return sla.cho_solve(self.chol, rhs)
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
@@ -546,14 +498,13 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
     tol bounds the relative duality gap and the scaled primal and dual
     residuals at termination.  `callback`, when given, is invoked once per
     iteration with a small stats dict."""
-    keep, fail_msg = _presolve(problem)
+    fail_msg = _presolve(problem)
     if fail_msg is not None:
         return SdpSolution(SdpStatus.INFEASIBLE, np.zeros(problem.n_vars),
-                           math.inf, math.inf, [], 0.0, 0, fail_msg)
+                           math.inf, math.inf, [], 0, fail_msg)
 
     n_vars = problem.n_vars
     b = problem.b_vector()
-    E, e = problem.eq_matrix()
     A_list = problem.compile_columns()
     sizes = [blk.size for blk in problem.lmis]
     consts = [blk.const for blk in problem.lmis]
@@ -565,18 +516,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
     def lmi_at(k, yv):
         return consts[k] + smat(np.asarray(A_list[k] @ yv).ravel(), sizes[k])
 
-    # Infeasible start: y from the equalities, identity-scaled S and Z.
-    if E.shape[0]:
-        y = np.linalg.lstsq(E, e, rcond=None)[0]
-    else:
-        y = np.zeros(n_vars)
+    # Infeasible start: y = 0, identity-scaled S and Z.
+    y = np.zeros(n_vars)
     S, Z = [], []
     for k, n in enumerate(sizes):
         M0 = lmi_at(k, y)
         zeta = max(1.0, float(np.linalg.norm(M0, 2)))
         S.append(zeta * np.eye(n))
         Z.append(np.eye(n))
-    w = np.zeros(E.shape[0])
 
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     msg = ""
@@ -591,19 +538,16 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
 
     for it in range(1, max_iter + 1):
         res_d = [lmi_at(k, y) - S[k] for k in range(len(sizes))]
-        r_p = e - E @ y if E.shape[0] else np.zeros(0)
-        r_g = (E.T @ w if E.shape[0] else 0.0) - b
+        r_g = -b
         for A, Zk in zip(A_list, Z):
             r_g = r_g - A.T @ svec(Zk)
         r_g = np.asarray(r_g).ravel()
         gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
         pobj = float(b @ y)
-        dobj = sum(float(np.sum(F0 * Zk)) for F0, Zk in zip(consts, Z)) \
-            + (float(e @ w) if E.shape[0] else 0.0)
+        dobj = sum(float(np.sum(F0 * Zk)) for F0, Zk in zip(consts, Z))
 
-        pinf = max([np.linalg.norm(r_p, np.inf) if r_p.size else 0.0] +
-                   [np.linalg.norm(rd, 2) / (1.0 + np.linalg.norm(c, 2))
-                    for rd, c in zip(res_d, consts)])
+        pinf = max(np.linalg.norm(rd, 2) / (1.0 + np.linalg.norm(c, 2))
+                   for rd, c in zip(res_d, consts))
         dinf = np.linalg.norm(r_g, np.inf) / b_scale
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
 
@@ -617,7 +561,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
         merit = max(relgap, pinf, dinf)
         if merit < best_merit:
             best_merit = merit
-            best_point = (y.copy(), w.copy(), [Sk.copy() for Sk in S],
+            best_point = (y.copy(), [Sk.copy() for Sk in S],
                           [Zk.copy() for Zk in Z])
             since_best = 0
         else:
@@ -633,7 +577,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
 
         diverged = max(
             np.linalg.norm(y, np.inf) if y.size else 0.0,
-            np.linalg.norm(w, np.inf) if w.size else 0.0,
             max(np.linalg.norm(Zk, np.inf) for Zk in Z))
         if diverged > DIVERGENCE_LIMIT:
             status = SdpStatus.INFEASIBLE
@@ -645,14 +588,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
             rhs_y = -r_g.copy()
             for A, sc, Nk, rd in zip(A_list, scalings, N_list, res_d):
                 rhs_y += A.T @ svec(Nk - sc.Winv @ rd @ sc.Winv)
-            dy, dw = kkt.solve(np.asarray(rhs_y).ravel(), r_p)
+            dy = kkt.solve(np.asarray(rhs_y).ravel())
             dS, dZ = [], []
             for k, (A, sc, rd) in enumerate(zip(A_list, scalings, res_d)):
                 dSk = smat(np.asarray(A @ dy).ravel(), sizes[k]) + rd
                 dZk = N_list[k] - sc.Winv @ dSk @ sc.Winv
                 dS.append(dSk)
                 dZ.append(0.5 * (dZk + dZk.T))
-            return dy, dw, dS, dZ
+            return dy, dS, dZ
 
         # every factorization and solve of the iteration: a singular one
         # ends the run with a status instead of an exception
@@ -661,11 +604,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
             # the previous iteration's factor goes before the next Schur
             # matrix is built, and B itself once it is factored
             kkt = None
-            kkt = _KktSolver(_schur_matrix(blocks, scalings, n_vars), E)
+            kkt = _KktSolver(_schur_matrix(blocks, scalings, n_vars))
 
             # Predictor: drive straight at complementarity zero.
             N_aff = [-Zk for Zk in Z]
-            dy_a, dw_a, dS_a, dZ_a = direction(N_aff)
+            dy_a, dS_a, dZ_a = direction(N_aff)
 
             ap = min([1.0] + [_max_step(S[k], dS_a[k])
                               for k in range(len(S))])
@@ -688,7 +631,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
                 denom = sc.lam[:, None] + sc.lam[None, :]
                 U = 2.0 * D / denom
                 N_cmb.append(sc.Rinv.T @ U @ sc.Rinv)
-            dy, dw, dS, dZ = direction(N_cmb)
+            dy, dS, dZ = direction(N_cmb)
         except np.linalg.LinAlgError as err:
             status = SdpStatus.NUMERICAL_FAILURE
             msg = f"scaling, factorization or KKT solve failed: {err}"
@@ -704,21 +647,19 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
             break
 
         y = y + ap * dy
-        w = w + ad * dw
         for k in range(len(S)):
             S[k] = S[k] + ap * dS[k]
             Z[k] = Z[k] + ad * dZ[k]
 
     if status is not SdpStatus.OPTIMAL and best_point is not None \
             and best_merit <= 100.0 * tol:
-        y, w, S, Z = best_point
+        y, S, Z = best_point
         status = SdpStatus.NEAR_OPTIMAL
         msg = (f"stopped at the best iterate; criteria met within "
                f"{best_merit / tol:.1f}x tol")
     mins = [float(np.linalg.eigvalsh(lmi_at(k, y))[0])
             for k in range(len(sizes))]
-    eq_res = float(np.linalg.norm(E @ y - e, np.inf)) if E.shape[0] else 0.0
     gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
     if status is SdpStatus.MAX_ITER:
         msg = f"no convergence within {max_iter} iterations"
-    return SdpSolution(status, y, float(b @ y), gap, mins, eq_res, it, msg)
+    return SdpSolution(status, y, float(b @ y), gap, mins, it, msg)

@@ -13,8 +13,7 @@ matrix polynomial M(theta) of degree <= 2d gets the block analogue
 
 This module builds the canonical representative (coefficients split equally
 over all Gram positions that produce a given monomial), an orthonormal basis
-of the null space, the expansion map back to polynomials, and the embedding of
-a Gram matrix at one degree into the power vector of a higher degree.
+of the null space, and the expansion map back to polynomials.
 
 Power vector order is graded descending with ties broken lexicographically
 (theta_1 before theta_2), so the constant monomial is always last: for r=1,
@@ -24,7 +23,7 @@ d=2 the vector is (t^2, t, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from .polyalg import (
     ExponentVec,
     MatrixPolynomial,
-    Polynomial,
     mono_mul,
     mono_powers,
     mono_sort_key,
@@ -96,80 +94,18 @@ def _positions(pv: PowerVector) -> dict[ExponentVec, list[tuple[int, int]]]:
     return out
 
 
-@dataclass
-class GramForm:
-    """A Gram representation: base matrix plus the null-space family.
-
-    size = len(power) * s.  base is the fixed representative; any matrix
-    base + sum_k delta_k * null_basis[k] expands to the same polynomial
-    matrix."""
-
-    power: PowerVector
-    s: int
-    base: np.ndarray
-    null_basis: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.power) * self.s
-
-    def family_member(self, delta) -> np.ndarray:
-        """base + sum_k delta_k * null_basis[k]."""
-        delta = np.asarray(delta, dtype=float).reshape(-1)
-        if delta.size != len(self.null_basis):
-            raise ValueError(
-                f"delta has {delta.size} entries, null basis has "
-                f"{len(self.null_basis)}")
-        A = self.base.copy()
-        for dk, Bk in zip(delta, self.null_basis):
-            if dk:
-                A = A + dk * Bk
-        return A
-
-    def expand(self, delta=None) -> MatrixPolynomial:
-        A = self.base if delta is None else self.family_member(delta)
-        return gram_expand_matrix(A, self.power, self.s)
-
-
-def _as_matrix(m: MatrixPolynomial | Polynomial) -> MatrixPolynomial:
-    if isinstance(m, Polynomial):
-        return MatrixPolynomial(
-            1, 1, m.r, {e: [[c]] for e, c in m.terms.items()})
-    return m
-
-
-def gram_canonical(m: MatrixPolynomial | Polynomial, d: int,
-                   with_null_basis: bool = True) -> GramForm:
-    """Canonical Gram form of a symmetric matrix polynomial of degree <= 2d.
-
-    Each monomial coefficient is split equally over all Gram positions (pairs
-    of power-vector monomials) whose product gives that monomial; an
-    off-diagonal position holds half its share in each of its two blocks.
-    For f = 7t^4 + 2t^3 + 4t^2 + 6t + 9 at d=2 this produces
-
-        [[7, 1, 1], [1, 2, 3], [1, 3, 9]]
-
-    against phi = (t^2, t, 1)."""
-    M = _as_matrix(m)
-    if M.rows != M.cols:
-        raise ValueError(f"matrix must be square, got {M.shape}")
-    if not M.is_symmetric(tol=0.0):
-        raise ValueError("matrix polynomial is not symmetric")
-    if M.deg() > 2 * d:
-        raise ValueError(f"degree {M.deg()} exceeds 2*d = {2 * d}")
-    pv = power_vector(M.r, d)
-    base = gram_base(M.coeffs, pv, M.rows, _positions(pv))
-    nb = gram_null_basis(M.r, d, M.rows) if with_null_basis else []
-    return GramForm(pv, M.rows, base, nb)
-
-
 def gram_base(coeffs: Mapping[ExponentVec, np.ndarray], pv: PowerVector,
               s: int, pos: dict) -> np.ndarray:
     """Equal-split Gram representative of the s-by-s coefficient family
     coeffs against pv; pos is _positions(pv).
 
     Works on coefficient matrices directly, so the certifier's assembly can
-    pass in its per-variable families and the positions it computed once."""
+    pass in its per-variable families and the positions it computed once.
+    For f = 7t^4 + 2t^3 + 4t^2 + 6t + 9 at d=2 this produces
+
+        [[7, 1, 1], [1, 2, 3], [1, 3, 9]]
+
+    against phi = (t^2, t, 1)."""
     size = len(pv) * s
     base = np.zeros((size, size))
     for mu, C in coeffs.items():
@@ -269,17 +205,6 @@ def gram_null_basis(r: int, d: int, s: int = 1) -> list[np.ndarray]:
     return out
 
 
-def null_dimension(r: int, d: int, s: int = 1) -> int:
-    """Kernel dimension by rank count: dim of the symmetric space minus the
-    number of (monomial, symmetric-entry) coefficient constraints."""
-    pv = power_vector(r, d)
-    l = len(pv)
-    pos = _positions(pv)
-    sym_part = sum(len(p) - 1 for p in pos.values()) * (s * (s + 1) // 2)
-    anti_part = (l * (l - 1) // 2) * (s * (s - 1) // 2)
-    return sym_part + anti_part
-
-
 def gram_expand_matrix(A: np.ndarray, pv: PowerVector, s: int
                        ) -> MatrixPolynomial:
     """Expand a Gram matrix back to the matrix polynomial it represents."""
@@ -296,30 +221,3 @@ def gram_expand_matrix(A: np.ndarray, pv: PowerVector, s: int
             mu = mono_mul(pv.monos[a], pv.monos[b])
             coeffs[mu] = coeffs[mu] + blk if mu in coeffs else blk
     return MatrixPolynomial(s, s, pv.r, coeffs)
-
-
-def gram_expand(g: GramForm, delta=None) -> MatrixPolynomial:
-    """Expand base + C(delta) through the power vector."""
-    return g.expand(delta)
-
-
-def gram_pad(A: np.ndarray, r: int, d_from: int, d_to: int, s: int = 1
-             ) -> np.ndarray:
-    """Embed a Gram matrix over phi(r, d_from) into phi(r, d_to) >= d_from.
-
-    The embedded matrix expands to the same polynomial matrix: blocks are
-    scattered to the positions of the matching monomials, everything else
-    is zero."""
-    if d_to < d_from:
-        raise ValueError(f"d_to={d_to} < d_from={d_from}")
-    pv_from = power_vector(r, d_from)
-    pv_to = power_vector(r, d_to)
-    index_to = {e: i for i, e in enumerate(pv_to.monos)}
-    idx = [index_to[e] for e in pv_from.monos]
-    out = np.zeros((len(pv_to) * s, len(pv_to) * s))
-    A = np.asarray(A, dtype=float)
-    for a, a2 in enumerate(idx):
-        for b, b2 in enumerate(idx):
-            out[a2 * s:(a2 + 1) * s, b2 * s:(b2 + 1) * s] = \
-                A[a * s:(a + 1) * s, b * s:(b + 1) * s]
-    return out

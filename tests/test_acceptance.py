@@ -21,7 +21,7 @@ from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.scenario import fifty_agent, six_agent
 from robustform.sdp import SdpProblem, SdpStatus, solve
 from robustform.simulate import run
-from robustform.smr import (gram_canonical, gram_expand_matrix,
+from robustform.smr import (_positions, gram_base, gram_expand_matrix,
                             gram_null_basis, power_vector)
 
 
@@ -81,9 +81,10 @@ def test_quartic_alternate_gram_pair_reconstructs_and_lies_in_family():
         got = gram_expand_matrix(F + shift(delta), pv, 1)
         assert _max_coeff_err(got, target) < 1e-12
 
-    g = gram_canonical(f, 2)
-    diff = F - g.base
-    proj = sum(float(np.sum(diff * B)) * B for B in g.null_basis)
+    base = gram_base({e: np.array([[c]]) for e, c in f.terms.items()}, pv, 1,
+                     _positions(pv))
+    diff = F - base
+    proj = sum(float(np.sum(diff * B)) * B for B in gram_null_basis(1, 2, 1))
     assert np.max(np.abs(diff - proj)) < 1e-12
     assert time.perf_counter() - t0 < 1.0
 
@@ -98,8 +99,9 @@ def test_gram_roundtrip_on_500_random_forms_and_null_bases_vanish():
         s = int(rng.integers(1, 5))
         deg = int(rng.integers(1, 2 * d + 1))
         M = _random_sym_matpoly(rng, s, r, deg)
-        g = gram_canonical(M, d, with_null_basis=False)
-        worst = max(worst, _max_coeff_err(g.expand(), M))
+        pv = power_vector(r, d)
+        base = gram_base(M.coeffs, pv, s, _positions(pv))
+        worst = max(worst, _max_coeff_err(gram_expand_matrix(base, pv, s), M))
     assert worst < 1e-10
 
     # the null space depends only on the shape, so sweep every shape the
@@ -177,8 +179,10 @@ def _disk_adjacency(N, edges):
 
 def test_disk_uncertainty_certificates_are_sound():
     # 20 two-parameter scenarios on the unit disk: every positive verdict
-    # must be confirmed by dense eigenvalue sampling, and graphs that can
-    # disconnect somewhere on the disk must never get a positive verdict
+    # must be confirmed by dense eigenvalue sampling, its certified lambda2
+    # bound c* s / 2 must lie at or below the sampled minimum, and graphs
+    # that can disconnect somewhere on the disk must never get a positive
+    # verdict
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
 
@@ -215,6 +219,8 @@ def test_disk_uncertainty_certificates_are_sound():
             samp = sample_lambda2(adj, 10000, seed=5)
             assert samp.n_samples == 10000
             assert samp.min_value > 0.0
+            assert res.certificate.c_star * (adj.N - 1) / 2.0 \
+                <= samp.min_value
         if kind == "breakable":
             assert not positive
             n_breakable_rejected += 1
@@ -324,10 +330,9 @@ def test_interior_point_reaches_planted_and_analytic_optima():
         # complementary PSD pair per block with a drawn multiplier vector,
         # so the optimum is known exactly before the solver runs
         rng = np.random.default_rng(seed)
-        prob = SdpProblem()
-        idx = [prob.add_var() for _ in range(m)]
         y_star = rng.normal(size=m)
         b = np.zeros(m)
+        blocks = []
         for n in sizes:
             split = n // 2 + 1
             Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -338,10 +343,13 @@ def test_interior_point_reaches_planted_and_analytic_optima():
             F = [rng.normal(size=(n, n)) for _ in range(m)]
             F = [0.5 * (Fk + Fk.T) for Fk in F]
             F0 = S_star - sum(y_star[i] * F[i] for i in range(m))
-            prob.add_lmi(F0, {idx[i]: F[i] for i in range(m)})
+            blocks.append((F0, F))
             for i in range(m):
                 b[i] -= float(np.sum(F[i] * Z_star))
-        prob.set_objective({idx[i]: b[i] for i in range(m)})
+        prob = SdpProblem()
+        idx = [prob.add_var(obj=b[i]) for i in range(m)]
+        for F0, F in blocks:
+            prob.add_lmi(F0, {idx[i]: F[i] for i in range(m)})
         return prob, float(b @ y_star)
 
     worst_obj, worst_gap = 0.0, 0.0
@@ -361,12 +369,12 @@ def test_interior_point_reaches_planted_and_analytic_optima():
     sol = solve(prob, tol=1e-11)
     assert abs(sol.objective_value - 2.0) <= 1e-9
 
-    # normalized scalar: max c with p PSD, p = 1, and 2p - c PSD
+    # normalized scalar: max c with p PSD, 1 - p PSD, and 2p - c PSD
     prob = SdpProblem()
     c = prob.add_var("c", obj=1.0)
     p = prob.add_psd_var(1, "p")
     scalar = int(p.indices[0])
-    prob.add_eq({scalar: 1.0}, 1.0)
+    prob.add_lmi(np.ones((1, 1)), {scalar: -np.ones((1, 1))})
     prob.add_lmi(np.zeros((1, 1)), {scalar: 2.0 * np.ones((1, 1)),
                                     c: -np.ones((1, 1))})
     sol = solve(prob, tol=1e-11)

@@ -1,27 +1,40 @@
-"""The benchmark's traced mode wraps package names from outside.
+"""The benchmark's contract with the package.
 
 bench/tracer.py lists in PATCHES every (owner, name) it replaces with a
 timing wrapper.  A refactor that renames or moves one of them breaks the
 benchmark, so each entry must resolve here the way Tracer.install looks it
 up: through the class __dict__ for a class, through getattr for a module.
+
+bench/oracle.py re-checks every certificate the benchmark writes, from the
+scenario JSON alone.  A change to the certificate format or to the certified
+quantity that the oracle does not know of fails the benchmark, so a
+certificate written by `certify six_agent` must pass it here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from robustform.certifier import sample_lambda2
+from robustform.cli import main
+from robustform.scenario import builtin_path, six_agent
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+oracle = _load("oracle")
 
 
 @pytest.mark.parametrize("where,name", [(w, n) for w, n, _ in tracer.PATCHES],
@@ -35,3 +48,16 @@ def test_patched_name_resolves(where, name):
         assert hasattr(owner, name), f"{where} binds no {name}"
         raw = getattr(owner, name)
     assert callable(raw) or isinstance(raw, classmethod)
+
+
+def test_six_agent_certificate_passes_the_oracle(tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "six_agent", "--samples", "500",
+                 "--out", str(out)]) == 0
+    lam = sample_lambda2(six_agent().adjacency, n_samples=500, seed=0)
+    fails, info = oracle.certificate_checks(
+        oracle.ScenarioOracle(builtin_path("six_agent")),
+        json.loads(out.read_text()), lam.thetas, lam.values,
+        np.random.default_rng([0, 2017]), n_samples=1000)
+    assert fails == []
+    assert 0.0 < info["lambda2_bound"] <= info["oracle_min_lambda2"]

@@ -1,13 +1,13 @@
 """Certifier tests.
 
-Frozen oracles, all derived by hand or by independent numerics:
+Frozen oracles, all derived by hand or by independent numerics.  The
+pencil matrix is fixed at P = I / s, so with no uncertainty c* is
+2 lambda_2 / s:
 
-* single unit edge, no uncertainty: the reduced Laplacian is [2] and the
-  compiled problem is "max c s.t. 4 p - c >= 0, p >= 0, trace p = 1",
-  so c* = 4;
-* path on three vertices, unit weights: in the eigenbasis of the reduced
-  Laplacian (eigenvalues 1 and 3) the problem decouples and the optimum
-  equalizes 2 a = 6 (1 - a), giving c* = 3/2;
+* single unit edge, no uncertainty: the reduced Laplacian is [2], s = 1 and
+  the compiled problem is "max c s.t. 4 - c >= 0", so c* = 4;
+* path on three vertices, unit weights: the reduced Laplacian has
+  eigenvalues 1 and 3 and s = 2, so c* = 2 * 1 / 2 = 1;
 * single edge, weight 1 + theta/2 on theta in [-1, 1]: the 2x2 Gram
   constraint [[rho - c, 1], [1, 4 - c - rho]] >= 0 is maximized at
   rho = 2, c* = 1 (tight at theta = -1 where the weight is 1/2);
@@ -66,12 +66,12 @@ def unit_disk(r):
 
 
 def test_plan_auto_affine_weight_disk_region():
-    plan = DegreePlan.auto(1, [2], d_P=0)
-    assert plan == DegreePlan(0, 1, (0,))
+    plan = DegreePlan.auto(1, [2])
+    assert plan == DegreePlan(1, (0,))
 
 
 def test_plan_auto_no_uncertainty():
-    assert DegreePlan.auto(0, []) == DegreePlan(0, 0, ())
+    assert DegreePlan.auto(0, []) == DegreePlan(0, ())
 
 
 def test_plan_auto_raises_dH_for_region():
@@ -80,28 +80,24 @@ def test_plan_auto_raises_dH_for_region():
     assert plan.d_R == (0,)
 
 
-def test_plan_auto_with_dP():
-    plan = DegreePlan.auto(2, [2], d_P=1)
-    assert plan == DegreePlan(1, 2, (1,))
-
-
 def test_plan_validate_rejects_pencil_overflow():
     with pytest.raises(CertifierError):
-        DegreePlan(0, 0, ()).validate(1, [])
+        DegreePlan(0, ()).validate(1, [])
 
 
 def test_plan_validate_rejects_multiplier_overflow():
     with pytest.raises(CertifierError):
-        DegreePlan(0, 1, (1,)).validate(1, [2])
+        DegreePlan(1, (1,)).validate(1, [2])
 
 
 def test_plan_validate_rejects_length_mismatch():
     with pytest.raises(CertifierError):
-        DegreePlan(0, 1, ()).validate(1, [2])
+        DegreePlan(1, ()).validate(1, [2])
 
 
 def test_plan_dict_roundtrip():
-    plan = DegreePlan(1, 3, (2, 0))
+    plan = DegreePlan(3, (2, 0))
+    assert plan.to_dict() == {"d_P": 0, "d_H": 3, "d_R": [2, 0]}
     assert DegreePlan.from_dict(plan.to_dict()) == plan
 
 
@@ -112,22 +108,23 @@ def test_plan_dict_roundtrip():
 def test_assemble_single_edge_matches_hand_problem():
     # weight-2 edge, no uncertainty: reduced Laplacian is the 1x1 matrix [2]
     L_hat = MatrixPolynomial.constant(np.array([[2.0]]), 0)
+    # and P = I / 1: the problem is max c s.t. 4 - c >= 0
     asm = assemble(L_hat, [])
     prob = asm.problem
-    assert prob.n_vars == 2
+    assert prob.n_vars == 1
     assert asm.delta_indices == []
-    assert len(prob.lmis) == 2
+    assert len(prob.lmis) == 1
     blk = prob.lmis[asm.main_lmi]
     assert blk.size == 1
-    np.testing.assert_allclose(blk.coeff_matrix(asm.c_index), [[-1.0]])
-    np.testing.assert_allclose(
-        blk.coeff_matrix(int(asm.p_var.indices[0])), [[4.0]])
-    assert prob.eqs == [({int(asm.p_var.indices[0]): 1.0}, 1.0)]
+    np.testing.assert_allclose(blk.const, [[4.0]])
+    assert list(blk.cols) == [asm.c_index]
+    np.testing.assert_allclose(prob.lmi_value(asm.main_lmi, [1.0]), [[3.0]])
+    assert prob.objective == {asm.c_index: 1.0}
 
 
 def test_assemble_counts_fifty_agent_plan():
-    # affine weights in one parameter, 50 agents: 1 bound + 1225 pencil
-    # + 1176 Gram offsets + 1225 multiplier variables
+    # affine weights in one parameter, 50 agents: 1 bound + 1176 Gram
+    # offsets + 1225 multiplier variables
     rng = np.random.default_rng(5)
     n = 50
     w = {}
@@ -136,8 +133,8 @@ def test_assemble_counts_fifty_agent_plan():
     adj = edge_weight_adjacency(n, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(n))
     asm = assemble(L_hat, adj.omega)
-    assert asm.plan == DegreePlan(0, 1, (0,))
-    assert asm.problem.n_vars == 1 + 1225 + 1176 + 1225
+    assert asm.plan == DegreePlan(1, (0,))
+    assert asm.problem.n_vars == 1 + 1176 + 1225
     assert asm.problem.lmis[asm.main_lmi].size == 98
 
 
@@ -155,7 +152,8 @@ def test_assemble_rejects_region_variable_mismatch():
 
 def test_assemble_lmi_expands_to_pencil_identity():
     # independent route: for random variable values, the main LMI block must
-    # Gram-expand to P L + L P - c |phi|^2 I - R g, checked numerically
+    # Gram-expand to P L + L P - c |phi|^2 I - R g with P = I / s, checked
+    # numerically
     rng = np.random.default_rng(11)
     s, r = 3, 2
     coeffs = {}
@@ -170,15 +168,11 @@ def test_assemble_lmi_expands_to_pencil_identity():
     expanded = gram_expand_matrix(G, asm.phi_H, s)
 
     c = y[asm.c_index]
-    P_bar = asm.p_var.value(y)
     R_bar = asm.r_vars[0].value(y)
-    lP = len(asm.phi_P)
-    lR = len(asm.phi_R[0])
+    P_num = np.eye(s) / s
     for _ in range(20):
         theta = rng.uniform(-1, 1, size=r)
-        QP = np.kron(asm.phi_P.eval_batch(theta)[0], np.eye(s))
         QR = np.kron(asm.phi_R[0].eval_batch(theta)[0], np.eye(s))
-        P_num = QP @ P_bar @ QP.T
         R_num = QR @ R_bar @ QR.T
         L_num = L_hat(theta)
         phi = asm.phi_H.eval_batch(theta)[0]
@@ -188,30 +182,13 @@ def test_assemble_lmi_expands_to_pencil_identity():
         np.testing.assert_allclose(expanded(theta), want, atol=1e-10)
 
 
-def test_solution_vector_roundtrip():
-    L_hat = MatrixPolynomial.constant(np.array([[2.0]]), 0)
-    asm = assemble(L_hat, [])
-    y = asm.solution_vector(3.5, [[0.25]], [], [])
-    assert y[asm.c_index] == 3.5
-    assert asm.p_var.value(y)[0, 0] == pytest.approx(0.25)
-
-
-def test_solution_vector_rejects_bad_shapes():
-    L_hat = MatrixPolynomial.constant(np.array([[2.0]]), 0)
-    asm = assemble(L_hat, [])
-    with pytest.raises(CertifierError):
-        asm.solution_vector(0.0, [[1.0]], [np.eye(1)], [])
-    with pytest.raises(CertifierError):
-        asm.solution_vector(0.0, [[1.0]], [], [1.0])
-
-
 # ---------------------------------------------------------------------------
 # certified bounds against hand-derived optima
 
 
 def test_single_unit_edge():
-    # reduced Laplacian [2], so the problem is max c s.t. 4p - c >= 0,
-    # trace p = 1
+    # reduced Laplacian [2] and P = I / 1, so the problem is max c s.t.
+    # 4 - c >= 0
     adj = const_adjacency([[0.0, 1.0], [1.0, 0.0]])
     res = certify(adj)
     assert res.ok
@@ -226,7 +203,10 @@ def test_path_three_vertices():
     W[1, 2] = W[2, 1] = 1.0
     res = certify(const_adjacency(W))
     assert res.connected
-    assert res.c_star == pytest.approx(1.5, abs=1e-6)
+    # 2 lambda_2 / s with s = 2: the Laplacian's spectrum is 0, 1, 3
+    lam2 = float(np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1])
+    assert lam2 == pytest.approx(1.0, abs=1e-12)
+    assert res.c_star == pytest.approx(2.0 * lam2 / 2, abs=1e-6)
 
 
 def test_edge_affine_weight_certifies_at_one():
@@ -288,18 +268,6 @@ def test_verdict_matches_eigenvalues_on_random_graphs():
             f"trial {trial}: c*={res.c_star:.3e}, lambda2={lam2:.3e}"
 
 
-def test_larger_dP_still_certifies():
-    w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
-    adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
-                                [unit_disk(1)], [(-1.0, 1.0)])
-    res = certify(adj, d_P=1)
-    assert res.connected
-    assert res.c_star > 0.3
-    assert res.assembly.plan.d_P == 1
-    rep = verify_certificate(res.certificate, adj, n_samples=300, seed=1)
-    assert rep.ok, rep.failures
-
-
 def test_two_parameter_triangle():
     r = 2
     w01 = Polynomial(r, {(0, 0): 1.0, (1, 0): 0.3})
@@ -331,6 +299,8 @@ def test_certificate_json_roundtrip(tmp_path):
     adj, res = certified_edge()
     path = tmp_path / "cert.json"
     res.certificate.save(path)
+    doc = json.loads(path.read_text())
+    assert doc["degree_plan"]["d_P"] == 0
     loaded = Certificate.load(path)
     assert loaded.c_star == res.certificate.c_star
     assert loaded.plan == res.certificate.plan
@@ -343,6 +313,14 @@ def test_certificate_json_roundtrip(tmp_path):
 def test_certificate_rejects_unknown_format():
     with pytest.raises(CertifierError):
         Certificate.from_dict({"format": "something-else"})
+
+
+def test_certificate_rejects_polynomial_pencil_matrix():
+    _adj, res = certified_edge()
+    doc = res.certificate.to_dict()
+    doc["degree_plan"]["d_P"] = 1
+    with pytest.raises(CertifierError, match="d_P"):
+        Certificate.from_dict(doc)
 
 
 def test_verify_rejects_inflated_bound():
@@ -396,26 +374,24 @@ def test_verify_perturbed_delta_breaks_identity():
 
 def _sampled_margins_per_sample(cert, adj, n_samples, seed):
     """Reference for the sampled route of verify_certificate: one sample at
-    a time, each reduced-Laplacian entry an exactly rounded sum of terms."""
+    a time, each reduced-Laplacian entry an exactly rounded sum of terms.
+    Also returns the smallest eigenvalue of the constant pencil matrix."""
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
-    asm = assemble(L_hat, adj.omega, plan=cert.plan)
     thetas = adj.sample_omega(np.random.default_rng(seed), n_samples)
-    s = asm.s
-    phiP_vals = asm.phi_P.eval_batch(thetas)
-    norm2 = np.sum(asm.phi_H.eval_batch(thetas) ** 2, axis=1)
+    s = L_hat.rows
+    phi_H = power_vector(adj.r, cert.plan.d_H)
+    norm2 = np.sum(phi_H.eval_batch(thetas) ** 2, axis=1)
     entries = [[L_hat.entry(i, j).terms for j in range(s)] for i in range(s)]
-    pencil, P_min = float("inf"), float("inf")
+    P_num = cert.P_bar
+    pencil = float("inf")
     for t, theta in enumerate(thetas):
-        Q = np.kron(phiP_vals[t], np.eye(s))
-        P_num = Q @ cert.P_bar @ Q.T
         L_num = np.array([[math.fsum(c * float(np.prod(theta ** np.array(e)))
                                      for e, c in terms.items())
                            for terms in row] for row in entries])
         H_num = P_num @ L_num + L_num.T @ P_num
-        P_min = min(P_min, float(np.linalg.eigvalsh(P_num)[0]))
         pencil = min(pencil, float(np.linalg.eigvalsh(
             H_num - cert.c_star * norm2[t] * np.eye(s))[0]))
-    return pencil, P_min
+    return pencil, float(np.linalg.eigvalsh(P_num)[0])
 
 
 def _random_disk_adjacency(seed, n=5):
@@ -432,20 +408,17 @@ def _random_disk_adjacency(seed, n=5):
                                  [(-1.0, 1.0), (-1.0, 1.0)])
 
 
-@pytest.mark.parametrize("case", ["six_agent", "random_disk_dP1"])
+@pytest.mark.parametrize("case", ["six_agent", "random_disk"])
 def test_batched_sampled_margins_match_per_sample_loop(case):
-    if case == "six_agent":
-        adj = six_agent().adjacency
-        cert = certify(adj).certificate
-    else:
-        adj = _random_disk_adjacency(31)
-        cert = certify(adj, d_P=1).certificate
+    adj = six_agent().adjacency if case == "six_agent" \
+        else _random_disk_adjacency(31)
+    cert = certify(adj).certificate
     # 600 samples: two full chunks of the batched route and a partial one
     rep = verify_certificate(cert, adj, n_samples=600, seed=3)
     pencil, P_min = _sampled_margins_per_sample(cert, adj, 600, 3)
     assert rep.ok, rep.failures
     assert rep.sampled_pencil_margin == pytest.approx(pencil, abs=1e-12)
-    assert rep.sampled_P_margin == pytest.approx(P_min, abs=1e-12)
+    assert rep.min_eigenvalues[0] == pytest.approx(P_min, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +455,16 @@ def test_sample_lambda2_rejects_nonpositive_count():
         sample_lambda2(adj, n_samples=0)
 
 
-@pytest.mark.parametrize("case", ["six_agent", "random_disk_dP1"])
+@pytest.mark.parametrize("case", ["six_agent", "random_disk"])
 def test_replay_equals_residuals_of_the_assembled_problem(case):
     # the replay evaluates the main constraint at the stored matrices; the
     # same matrices packed into the assembled problem must give the same
-    # eigenvalues and trace error, also away from the optimum
-    if case == "six_agent":
-        adj = six_agent().adjacency
-        cert = certify(adj).certificate
-    else:
-        adj = _random_disk_adjacency(31)
-        cert = certify(adj, d_P=1).certificate
+    # eigenvalues, also away from the optimum.  The problem fixes P = I / s,
+    # so the stored P_bar stays as written there; the trace error is checked
+    # on a moved P_bar of its own
+    adj = six_agent().adjacency if case == "six_agent" \
+        else _random_disk_adjacency(31)
+    cert = certify(adj).certificate
     rng = np.random.default_rng(5)
 
     def moved(X):
@@ -500,18 +472,28 @@ def test_replay_equals_residuals_of_the_assembled_problem(case):
         return X + (N + N.T) / 2.0
 
     fake = Certificate(cert.n_agents, cert.r, cert.plan, 0.9 * cert.c_star,
-                       moved(cert.P_bar), [moved(R) for R in cert.R_bars],
+                       cert.P_bar, [moved(R) for R in cert.R_bars],
                        cert.delta + rng.normal(scale=0.1,
                                                size=cert.delta.shape))
     rep = verify_certificate(fake, adj, n_samples=0)
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
     asm = assemble(L_hat, adj.omega, plan=cert.plan)
-    ref = sdp.residuals(asm.problem, asm.solution_vector(
-        fake.c_star, fake.P_bar, fake.R_bars, fake.delta))
-    np.testing.assert_allclose(rep.min_eigenvalues, ref["min_eigenvalues"],
-                               rtol=0, atol=1e-12)
-    assert rep.pencil_margin == rep.min_eigenvalues[asm.main_lmi]
-    assert rep.trace_error == pytest.approx(ref["eq_residual"], abs=1e-12)
+    y = np.zeros(asm.problem.n_vars)
+    y[asm.c_index] = fake.c_star
+    for var, R in zip(asm.r_vars, fake.R_bars):
+        y[var.indices] = sdp.svec(R)
+    y[asm.delta_indices] = fake.delta
+    ref = sdp.residuals(asm.problem, y)
+    # the replay's first block is P_bar, which has no block in the problem
+    np.testing.assert_allclose(rep.min_eigenvalues[1:],
+                               ref["min_eigenvalues"], rtol=0, atol=1e-12)
+    assert rep.pencil_margin == rep.min_eigenvalues[1 + asm.main_lmi]
+
+    P = moved(cert.P_bar)
+    fake.P_bar = P
+    rep = verify_certificate(fake, adj, n_samples=0)
+    assert rep.trace_error == pytest.approx(
+        abs(math.fsum(np.diag(P)) - 1.0), abs=1e-12)
 
 
 def test_verify_rejects_malformed_stored_matrices():

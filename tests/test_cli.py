@@ -179,7 +179,18 @@ def test_certify_disconnected_inconclusive(tmp_path, capsys):
     code = run_cli("certify", str(p), "--samples", "200",
                    "--out", str(tmp_path / "c.json"))
     assert code == 1
-    assert "INCONCLUSIVE" in capsys.readouterr().out
+    assert capsys.readouterr().out.endswith("certify: INCONCLUSIVE\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "1.5", "many"])
+def test_certify_bad_sample_count_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "c.json"
+    assert run_cli("certify", "six_agent", "--samples", value,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "argument --samples: must be an integer >= 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_writes_run_directory(tmp_path):

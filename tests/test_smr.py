@@ -1,18 +1,20 @@
-"""Gram representations: power vectors, canonical forms, null spaces."""
+"""Gram representations: power vectors, canonical forms, null spaces.
+
+The canonical (equal-split) form is built with gram_base, as the
+certifier's assembly builds it; see gram_form below."""
 
 import math
 
 import numpy as np
 import pytest
 
+from robustform.certifier import assemble
 from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.smr import (
-    GramForm,
-    gram_canonical,
-    gram_expand,
+    _positions,
+    gram_base,
+    gram_expand_matrix,
     gram_null_basis,
-    gram_pad,
-    null_dimension,
     power_vector,
 )
 
@@ -27,6 +29,26 @@ QUARTIC_GRAM = np.array([[7.0, 1.0, 0.0],
 NULL_PATTERN = np.array([[0.0, 0.0, -1.0],
                          [0.0, 2.0, 0.0],
                          [-1.0, 0.0, 0.0]])
+
+
+def gram_form(m, d):
+    """Power vector and canonical Gram matrix of a polynomial or a matrix
+    polynomial of degree <= 2d, through gram_base."""
+    if isinstance(m, Polynomial):
+        m = MatrixPolynomial(1, 1, m.r, {e: [[c]] for e, c in m.terms.items()})
+    pv = power_vector(m.r, d)
+    return pv, gram_base(m.coeffs, pv, m.rows, _positions(pv))
+
+
+def null_dimension(r, d, s=1):
+    """Kernel dimension by rank count: dim of the symmetric space minus the
+    number of (monomial, symmetric-entry) coefficient constraints."""
+    pv = power_vector(r, d)
+    l = len(pv)
+    sym_part = sum(len(p) - 1 for p in _positions(pv).values()) \
+        * (s * (s + 1) // 2)
+    anti_part = (l * (l - 1) // 2) * (s * (s - 1) // 2)
+    return sym_part + anti_part
 
 
 class TestPowerVector:
@@ -59,31 +81,30 @@ class TestPowerVector:
 
 class TestCanonicalGram:
     def test_quartic_equal_split(self):
-        g = gram_canonical(QUARTIC, 2)
+        _pv, base = gram_form(QUARTIC, 2)
         np.testing.assert_allclose(
-            g.base, [[7, 1, 1], [1, 2, 3], [1, 3, 9]], atol=1e-15)
+            base, [[7, 1, 1], [1, 2, 3], [1, 3, 9]], atol=1e-15)
 
     def test_expand_inverts_canonical(self):
-        g = gram_canonical(QUARTIC, 2)
-        f = gram_expand(g).entry(0, 0)
+        pv, base = gram_form(QUARTIC, 2)
+        f = gram_expand_matrix(base, pv, 1).entry(0, 0)
         assert f == QUARTIC
 
     def test_handworked_gram_is_in_affine_family(self):
         # the hand-worked representative differs from the canonical base by
         # exactly one null direction
-        g = gram_canonical(QUARTIC, 2)
-        assert len(g.null_basis) == 1
-        diff = QUARTIC_GRAM - g.base
-        B = g.null_basis[0]
+        _pv, base = gram_form(QUARTIC, 2)
+        null_basis = gram_null_basis(1, 2, 1)
+        assert len(null_basis) == 1
+        diff = QUARTIC_GRAM - base
+        B = null_basis[0]
         coef = np.sum(diff * B)  # orthonormal basis: projection is exact
         np.testing.assert_allclose(coef * B, diff, atol=1e-13)
 
     def test_handworked_gram_expands_to_quartic_with_deltas(self):
-        g = gram_canonical(QUARTIC, 2)
-        pv = g.power
+        pv, _base = gram_form(QUARTIC, 2)
         for delta in (-1.0, 0.0, 2.5):
             A = QUARTIC_GRAM + delta * NULL_PATTERN
-            from robustform.smr import gram_expand_matrix
             f = gram_expand_matrix(A, pv, 1).entry(0, 0)
             err = max(abs(f.terms.get(e, 0.0) - QUARTIC.terms[e])
                       for e in QUARTIC.terms)
@@ -91,28 +112,29 @@ class TestCanonicalGram:
             assert set(f.terms) == set(QUARTIC.terms)
 
     def test_asymmetric_matrix_rejected(self):
+        # the certifier checks symmetry before it takes any Gram form
         M = MatrixPolynomial.zeros(2, 2, 1)
         M.set_entry(0, 1, Polynomial(1, {(1,): 1.0}))
         with pytest.raises(ValueError):
-            gram_canonical(M, 1)
+            assemble(M, [])
 
     def test_degree_too_high_rejected(self):
         with pytest.raises(ValueError):
-            gram_canonical(QUARTIC, 1)
+            gram_form(QUARTIC, 1)
 
     def test_matrix_case_roundtrip(self):
         rng = np.random.default_rng(2)
         r, s, d = 2, 3, 1
         M = _random_sym_matpoly(rng, s, r, 2 * d)
-        g = gram_canonical(M, d)
-        back = gram_expand(g)
+        pv, base = gram_form(M, d)
+        back = gram_expand_matrix(base, pv, s)
         _assert_matpoly_close(back, M, atol=1e-12)
 
     def test_base_is_symmetric(self):
         rng = np.random.default_rng(4)
         M = _random_sym_matpoly(rng, 2, 2, 2)
-        g = gram_canonical(M, 1)
-        np.testing.assert_allclose(g.base, g.base.T, atol=1e-15)
+        _pv, base = gram_form(M, 1)
+        np.testing.assert_allclose(base, base.T, atol=1e-15)
 
 
 class TestNullBasis:
@@ -137,7 +159,6 @@ class TestNullBasis:
         nb = gram_null_basis(2, 1, 2)
         assert len(nb) == null_dimension(2, 1, 2)
         pv = power_vector(2, 1)
-        from robustform.smr import gram_expand_matrix
         for B in nb:
             M = gram_expand_matrix(B, pv, 2)
             assert M.deg() == 0
@@ -153,7 +174,6 @@ class TestNullBasis:
                                                abs=1e-11)
 
     def test_elements_symmetric_and_expand_to_zero(self):
-        from robustform.smr import gram_expand_matrix
         for (r, d, s) in [(1, 2, 1), (2, 2, 1), (3, 1, 2), (2, 2, 2)]:
             pv = power_vector(r, d)
             for B in gram_null_basis(r, d, s):
@@ -171,19 +191,24 @@ class TestRoundTripRandom:
             r = int(rng.integers(1, 4))
             d = int(rng.integers(1, 4 if r < 3 else 3))
             f = _random_poly_of_degree(rng, r, 2 * d)
-            g = gram_canonical(f, d)
-            back = gram_expand(g).entry(0, 0)
+            pv, base = gram_form(f, d)
+            back = gram_expand_matrix(base, pv, 1).entry(0, 0)
             err = max(abs(back.terms.get(e, 0.0) - c)
                       for e, c in f.terms.items()) if f.terms else 0.0
             assert err < 1e-10
             # random family member expands to the same polynomial
-            delta = rng.uniform(-2, 2, size=len(g.null_basis))
-            back2 = gram_expand(g, delta).entry(0, 0)
+            null_basis = gram_null_basis(r, d, 1)
+            delta = rng.uniform(-2, 2, size=len(null_basis))
+            member = base + sum(dk * B for dk, B in zip(delta, null_basis))
+            back2 = gram_expand_matrix(member, pv, 1).entry(0, 0)
             err2 = max(abs(back2.terms.get(e, 0.0) - c)
                        for e, c in f.terms.items()) if f.terms else 0.0
             assert err2 < 1e-10
 
     def test_pad_preserves_expansion(self):
+        # a matrix polynomial of degree <= 2 d_from, taken against the
+        # longer power vector of degree d_to (as the certifier does when a
+        # region inequality raises d_H), expands back to itself
         rng = np.random.default_rng(23)
         for _ in range(20):
             r = int(rng.integers(1, 3))
@@ -191,10 +216,8 @@ class TestRoundTripRandom:
             d_to = d_from + int(rng.integers(0, 2))
             s = int(rng.integers(1, 3))
             M = _random_sym_matpoly(rng, s, r, 2 * d_from)
-            g = gram_canonical(M, d_from)
-            A2 = gram_pad(g.base, r, d_from, d_to, s)
-            from robustform.smr import gram_expand_matrix
-            back = gram_expand_matrix(A2, power_vector(r, d_to), s)
+            pv, A2 = gram_form(M, d_to)
+            back = gram_expand_matrix(A2, pv, s)
             _assert_matpoly_close(back, M, atol=1e-11)
 
 
@@ -237,7 +260,6 @@ def _kernel_dim_by_svd(r, d, s):
     size = l * s
     # basis of the symmetric matrix space
     rows = []
-    from robustform.smr import gram_expand_matrix
     for p in range(size):
         for q in range(p, size):
             E = np.zeros((size, size))
