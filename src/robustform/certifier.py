@@ -277,7 +277,7 @@ class CertifyResult:
     connected: bool
     c_star: float
     status: sdp.SdpStatus
-    certificate: Certificate | None
+    certificate: Certificate
     solution: sdp.SdpSolution
     assembly: Assembly
 
@@ -288,9 +288,7 @@ class CertifyResult:
         return self.solution.ok
 
 
-def certify(adj: UncertainAdjacency, plan: DegreePlan | None = None,
-            tol: float = 1e-8, threshold: float = CONNECTIVITY_THRESHOLD,
-            max_iter: int = 200, verbose: bool = False) -> CertifyResult:
+def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
     """Solve the certification problem for an uncertain adjacency.
 
     connected is True only when the solver converged and the certified
@@ -300,20 +298,16 @@ def certify(adj: UncertainAdjacency, plan: DegreePlan | None = None,
     L = laplacian(adj)
     M = reduced_basis(N)
     L_hat = reduced_laplacian(L, M)
-    asm = assemble(L_hat, adj.omega, plan=plan)
-    sol = sdp.solve(asm.problem, tol=tol, max_iter=max_iter, verbose=verbose)
-    cert = None
-    c_star = float("nan")
-    if sol.y is not None:
-        y = sol.y
-        c_star = float(y[asm.c_index])
-        cert = Certificate(
-            n_agents=N, r=asm.r, plan=asm.plan, c_star=c_star,
-            P_bar=np.eye(asm.s) / asm.s,
-            R_bars=[v.value(y) for v in asm.r_vars],
-            delta=np.array([y[i] for i in asm.delta_indices]),
-            threshold=threshold)
-    connected = bool(sol.ok and c_star > threshold)
+    asm = assemble(L_hat, adj.omega)
+    sol = sdp.solve(asm.problem, tol=tol)
+    y = sol.y
+    c_star = float(y[asm.c_index])
+    cert = Certificate(
+        n_agents=N, r=asm.r, plan=asm.plan, c_star=c_star,
+        P_bar=np.eye(asm.s) / asm.s,
+        R_bars=[v.value(y) for v in asm.r_vars],
+        delta=np.array([y[i] for i in asm.delta_indices]))
+    connected = bool(sol.ok and cert.connected)
     return CertifyResult(connected=connected, c_star=c_star,
                          status=sol.status, certificate=cert, solution=sol,
                          assembly=asm)
@@ -448,23 +442,20 @@ class Lambda2Samples:
 
 
 def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
-                   seed: int | None = None,
-                   rng: np.random.Generator | None = None,
-                   batch: int = SAMPLE_CHUNK) -> Lambda2Samples:
+                   seed: int | None = None) -> Lambda2Samples:
     """Second-smallest Laplacian eigenvalue at sampled region points.
 
     A purely numerical check, independent of the Gram machinery: draw
     parameters from the region, evaluate the Laplacian, take eigenvalues."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     if n_samples <= 0:
         raise CertifierError("n_samples must be positive")
+    rng = np.random.default_rng(seed)
     thetas = adj.sample_omega(rng, n_samples)
     L = laplacian(adj)
     values = np.empty(n_samples)
-    for lo in range(0, n_samples, batch):
-        values[lo:lo + batch] = np.linalg.eigvalsh(
-            L.eval_batch(thetas[lo:lo + batch]))[:, 1]
+    for lo in range(0, n_samples, SAMPLE_CHUNK):
+        values[lo:lo + SAMPLE_CHUNK] = np.linalg.eigvalsh(
+            L.eval_batch(thetas[lo:lo + SAMPLE_CHUNK]))[:, 1]
     k = int(np.argmin(values))
     return Lambda2Samples(values=values, thetas=thetas,
                           min_value=float(values[k]),

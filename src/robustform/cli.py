@@ -115,7 +115,7 @@ def cmd_certify(args) -> int:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 2
     res = certify(adj, tol=args.tol)
-    if res.solution is not None and not res.solution.ok:
+    if not res.solution.ok:
         print(f"solver failure: {res.status}")
         return 3
     print(f"c_star = {res.c_star:.9g}")
@@ -551,29 +551,23 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _time_flag(zero_ok: bool):
-    """argparse type of --T and --dt: a finite float > 0, or >= 0."""
-    def time_value(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and (value > 0 or
-                                          (zero_ok and value == 0))):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'>=' if zero_ok else '>'} 0, "
-                f"got {text}")
+def _number_flag(kind: type, low: float, strict: bool = False):
+    """argparse type of a numeric flag: a finite value of `kind` (int or
+    float) that is > low when strict, >= low otherwise."""
+    op = ">" if strict else ">="
+    rule = f"an integer {op} {low}" if kind is int else \
+        f"finite and {op} {low}"
+
+    def number(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails both comparisons below
+        if not (value > low if strict else value >= low) \
+                or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
-    return time_value
-
-
-def _sample_count(text: str) -> int:
-    """argparse type of --samples: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text}")
-    return value
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,11 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="produce a worst-case connectivity "
                             "certificate")
     p.add_argument("scenario")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_number_flag(float, 0, strict=True),
+                   default=1e-8,
                    help="interior-point termination tolerance")
-    p.add_argument("--samples", type=_sample_count, default=10000,
+    p.add_argument("--samples", type=_number_flag(int, 1), default=10000,
                    help="sample count for the eigenvalue cross-check")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_number_flag(int, 0), default=0,
                    help="seed for the sampling cross-check")
     p.add_argument("--out", default=None,
                    help="certificate output path")
@@ -607,10 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one seeded simulation")
     p.add_argument("scenario")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=_time_flag(zero_ok=True), default=None,
+    p.add_argument("--seed", type=_number_flag(int, 0), default=0)
+    p.add_argument("--T", type=_number_flag(float, 0), default=None,
                    help="horizon override (0 records the initial state)")
-    p.add_argument("--dt", type=_time_flag(zero_ok=False), default=None,
+    p.add_argument("--dt", type=_number_flag(float, 0, strict=True),
+                   default=None,
                    help="step-size override")
     p.add_argument("--unsafe", action="store_true",
                    help="skip assumption and certificate gating")

@@ -18,17 +18,11 @@ keeps the reassembled matrix PSD.
 The solver runs a standard primal-dual predictor-corrector iteration with
 Nesterov-Todd scaling, an infeasible start, and a Schur complement system
 B_ij = sum_k <F_{k,i}, W_k F_{k,j} W_k> assembled blockwise from sparse
-constraint columns.  Before the first iteration each block's columns are
-split by their number q of svec entries, comparing the operation counts of
-two ways to form W F W (after Fujisawa, Kojima and Nakata, Math. Prog.
-1997):
-
-  * thick columns are unpacked to dense matrices and taken through two
-    dense products; their whole column of B comes from one sparse product
-    with A', and its thin rows fill the thin columns' thick rows;
-  * thin columns (q < n, such as an identity cone's one-entry columns)
-    form W F W as a rank-2q product of rows of W and fill only their thin
-    rows of B.
+constraint columns.  A column with q svec entries is a sum of q symmetric
+unit pairs, so W F W is a rank-2q product of rows of W (after Fujisawa,
+Kojima and Nakata, Math. Prog. 1997); before the first iteration each
+block's columns are grouped by q, and each group is taken through that
+product a chunk of columns at a time.
 
 `residuals` evaluates the constraints of a candidate point directly from
 the problem data, without touching solver state.
@@ -45,6 +39,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 DIVERGENCE_LIMIT = 1e8
+
+# Constraint columns taken through one batched product of the Schur build.
+SCHUR_CHUNK = 256
 
 
 class SdpStatus(enum.Enum):
@@ -99,13 +96,6 @@ class MatrixVar:
         e = np.zeros(svec_dim(self.size))
         e[k] = 1.0
         return smat(e, self.size)
-
-    def inner_coeffs(self, A: np.ndarray) -> dict[int, float]:
-        """Coefficients expressing <A, X> as a linear form in the scalars."""
-        A = np.asarray(A, dtype=float)
-        s = svec(0.5 * (A + A.T))
-        return {int(self.indices[k]): float(s[k])
-                for k in range(len(s)) if s[k] != 0.0}
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return smat(np.asarray(y)[self.indices], self.size)
@@ -358,52 +348,33 @@ def _submatrix(rows: np.ndarray, cols: np.ndarray):
 
 @dataclass
 class _BlockColumns:
-    """One LMI block's columns, split once per solve by `_split_columns`.
+    """One LMI block's columns, grouped once per solve by `_split_columns`.
 
-    A thick chunk holds the flat positions in its (C, n, n) stack of the
-    upper and lower triangle entries of its C columns, with their values.
-    A thin chunk holds, for its C columns of q svec entries each, the rows
-    of W that make up W F W as a (C, n, 2q) by (C, 2q, n) product, and the
+    A chunk holds, for its C columns of q svec entries each, the rows of
+    W that make up W F W as a (C, n, 2q) by (C, 2q, n) product, and the
     coefficients of the left factor."""
 
     n: int
-    At: sp.csr_matrix              # A' diag(w), one row per variable
-    thick: list[tuple]             # (C, cols, mirror, upper, lower, vals)
-    thin_rows: slice | np.ndarray  # the thin columns, as rows of B
-    thin_At: sp.csr_matrix         # those rows of At
-    thin: list[tuple]              # (target, left, right, coeffs)
+    At: sp.csr_matrix   # A' diag(w), one row per nonzero column
+    chunks: list[tuple]  # (target, left, right, coeffs)
 
 
 def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
-    """Choose the Schur path of each nonzero column from operation counts.
+    """Group the nonzero columns by their svec entry count q, in chunks of
+    at most `chunk` columns.
 
     A column with q svec entries is F = sum of q terms c (e_a e_b' +
     e_b e_a'), so W F W = U V' + V U' with U, V the n-by-q columns of W
-    it touches (scaled by c): 4 q n^2 flops.  The unpack path spends 4 n^3
-    on its two dense products; thin columns are those where the first
-    count is the smaller."""
+    it touches (scaled by c): 4 q n^2 flops."""
     counts = np.diff(A.indptr)
     cols = np.flatnonzero(counts)
     iu, ju = svec_indices(n)
     w = svec_weights(n)
     # the svec weights go into A', so svec(Y) is a plain gather of Y
-    At = (sp.diags(w) @ A).T.tocsr()
-    is_thin = counts[cols] < n
-    thick_cols, thin_cols = cols[~is_thin], cols[is_thin]
-
-    thick = []
-    for start in range(0, len(thick_cols), chunk):
-        cc = thick_cols[start:start + chunk]
-        Ac = A[:, cc]
-        pos = Ac.indices
-        stack = np.repeat(np.arange(len(cc)), np.diff(Ac.indptr)) * n * n
-        thick.append((len(cc), _index(cc), _submatrix(cc, thin_cols),
-                      stack + iu[pos] * n + ju[pos],
-                      stack + ju[pos] * n + iu[pos], Ac.data / w[pos]))
-
-    thin = []
-    for q in np.unique(counts[thin_cols]):
-        group = thin_cols[counts[thin_cols] == q]
+    At = (sp.diags(w) @ A).T.tocsr()[cols]
+    chunks = []
+    for q in np.unique(counts[cols]):
+        group = cols[counts[cols] == q]
         for start in range(0, len(group), chunk):
             cc = group[start:start + chunk]
             span = np.stack([np.arange(A.indptr[i], A.indptr[i + 1])
@@ -411,43 +382,29 @@ def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
             pos = A.indices[span]
             a, b = iu[pos], ju[pos]
             coef = 0.5 * A.data[span] * w[pos]
-            thin.append((_submatrix(thin_cols, cc),
-                         np.concatenate([a, b], axis=1),
-                         np.concatenate([b, a], axis=1),
-                         np.concatenate([coef, coef], axis=1)))
-    return _BlockColumns(n=n, At=At, thick=thick,
-                         thin_rows=_index(thin_cols),
-                         thin_At=At[thin_cols], thin=thin)
+            chunks.append((_submatrix(cols, cc),
+                           np.concatenate([a, b], axis=1),
+                           np.concatenate([b, a], axis=1),
+                           np.concatenate([coef, coef], axis=1)))
+    return _BlockColumns(n=n, At=At, chunks=chunks)
 
 
 def _schur_matrix(blocks: list[_BlockColumns], scalings,
                   n_vars: int) -> np.ndarray:
     """B_ij = sum over blocks of <F_i, W F_j W>, with W = Winv.
 
-    A thick chunk unpacks its columns, forms W M W with two dense
-    products and fills its whole columns of B through A' K; their rows of
-    thin variables are mirrored into the thick rows.  A thin chunk forms
-    W F W as a product of rows of W and fills only its thin rows, through
-    the thin rows of A'."""
+    Each chunk forms W F W as a product of rows of W and fills its
+    columns of B in the rows of the block's nonzero columns, through A'."""
     B = np.zeros((n_vars, n_vars))
     for blk, sc in zip(blocks, scalings):
         n = blk.n
         iu, ju = svec_indices(n)
         triu = iu * n + ju
         Winv = sc.Winv
-        for C, cols, mirror, upper, lower, vals in blk.thick:
-            M = np.zeros(C * n * n)
-            M[upper] = vals
-            M[lower] = vals
-            M = M.reshape(C, n, n)
-            Y = np.matmul(Winv, np.matmul(M, Winv)).reshape(C, -1)
-            Bc = blk.At @ Y.T[triu]
-            B[:, cols] += Bc
-            B[mirror] += Bc[blk.thin_rows].T
-        for target, left, right, coef in blk.thin:
+        for target, left, right, coef in blk.chunks:
             Y = np.matmul((Winv[left] * coef[:, :, None]).transpose(0, 2, 1),
                           Winv[right]).reshape(len(left), -1)
-            B[target] += blk.thin_At @ Y.T[triu]
+            B[target] += blk.At @ Y.T[triu]
     _symmetrize(B)
     return B
 
@@ -491,7 +448,6 @@ class _KktSolver:
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
-          chunk: int = 256, verbose: bool = False,
           callback=None) -> SdpSolution:
     """Run the predictor-corrector interior point method.
 
@@ -510,7 +466,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
     consts = [blk.const for blk in problem.lmis]
     if not sizes:
         raise ValueError("problem has no LMI constraints")
-    blocks = [_split_columns(A, n, chunk) for A, n in zip(A_list, sizes)]
+    blocks = [_split_columns(A, n, SCHUR_CHUNK)
+              for A, n in zip(A_list, sizes)]
     n_tot = sum(sizes)
 
     def lmi_at(k, yv):
@@ -554,9 +511,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
         if callback is not None:
             callback({"iter": it, "gap": gap, "pinf": pinf, "dinf": dinf,
                       "pobj": pobj, "dobj": dobj})
-        if verbose:
-            print(f"  it {it:3d}  pobj {pobj: .6e}  gap {relgap:.2e}  "
-                  f"pinf {pinf:.2e}  dinf {dinf:.2e}")
 
         merit = max(relgap, pinf, dinf)
         if merit < best_merit:

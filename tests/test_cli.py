@@ -193,6 +193,20 @@ def test_certify_bad_sample_count_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--seed", "-1"), ("simulate", "--seed", "-1"),
+    ("certify", "--tol", "nan"), ("certify", "--tol", "inf"),
+    ("certify", "--tol", "-1"), ("certify", "--tol", "0")])
+def test_bad_seed_or_tolerance_exits_2(tmp_path, capsys, command, flag,
+                                       value):
+    out = tmp_path / "out"
+    assert run_cli(command, "six_agent", flag, value,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_writes_run_directory(tmp_path):
     code = run_cli("simulate", "six_agent", "--seed", "1", "--T", "2",
                    "--out", str(tmp_path / "runs"))

@@ -134,10 +134,12 @@ class TestPlanted:
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(opt, abs=2e-6)
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         prob, opt = planted_problem(5)
-        a = solve(prob, chunk=2)
-        bsol = solve(prob, chunk=512)
+        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 2)
+        a = solve(prob)
+        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 512)
+        bsol = solve(prob)
         assert a.status is SdpStatus.OPTIMAL
         assert bsol.status is SdpStatus.OPTIMAL
         assert a.objective_value == pytest.approx(bsol.objective_value,
@@ -257,18 +259,6 @@ class TestValidationAndResiduals:
         assert rep["min_eigenvalues"][1] == pytest.approx(3.0, abs=1e-12)
         assert rep["objective"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_matrix_var_inner_coeffs(self):
-        prob = SdpProblem()
-        X = prob.add_psd_var(3, "X")
-        rng = np.random.default_rng(4)
-        A = sym(rng, 3)
-        coeffs = X.inner_coeffs(A)
-        y = np.zeros(prob.n_vars)
-        M = sym(rng, 3)
-        y[X.indices] = svec(M)
-        lin = sum(cf * y[i] for i, cf in coeffs.items())
-        assert lin == pytest.approx(np.sum(A * M), rel=1e-12)
-
 
 def random_spd(rng, n):
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -294,12 +284,12 @@ def solve_checked(monkeypatch, prob, use_oracle=False, **kw):
     use_oracle makes the solver run on the oracle's matrices."""
     A_list = prob.compile_columns()
     sizes = [blk.size for blk in prob.lmis]
-    chunk = kw.get("chunk", 256)
     errors = []
 
     def checked(blocks, scalings, n_vars):
         B = SCHUR_MATRIX(blocks, scalings, n_vars)
-        ref = oracles.schur_matrix(A_list, scalings, sizes, n_vars, chunk)
+        ref = oracles.schur_matrix(A_list, scalings, sizes, n_vars,
+                                   sdp.SCHUR_CHUNK)
         errors.append(relative_error(B, ref))
         return ref if use_oracle else B
 
@@ -322,9 +312,9 @@ class TestSchurMatrix:
                                                     abs=1e-8)
 
     def test_fifty_agent_iterate_matches_oracle(self, monkeypatch):
-        # thin columns: 2401 of two entries in the main block and the
-        # one-entry columns of both identity cones.  W is a multiple of I
-        # at the start; the second iterate has a general W.
+        # columns of one entry (both identity cones), of two (the main
+        # block's R and delta columns) and of n (c's -I).  W is a multiple
+        # of I at the start; the second iterate has a general W.
         prob = certification_problem("fifty_agent")
         _, errors = solve_checked(monkeypatch, prob, max_iter=2)
         assert len(errors) == 2 and max(errors) < 1e-10
@@ -333,15 +323,15 @@ class TestSchurMatrix:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_blocks_match_oracle(self, seed, chunk):
         # per block and variable: no entry, one diagonal entry, a few
-        # entries (thin), or a full symmetric matrix (thick); one variable
-        # is in no block, and the 1x1 blocks only have thick columns
+        # entries, +-I (q = n entries, the shape of c's column) or a full
+        # symmetric matrix; one variable is in no block
         rng = np.random.default_rng(seed)
         prob = SdpProblem()
         idx = [prob.add_var() for _ in range(14)]
         for n in (7, 1, 4, 1, 9):
             coeffs = {}
             for i in idx[:-1]:
-                kind = rng.integers(4)
+                kind = rng.integers(5)
                 if kind == 0:
                     continue
                 F = np.zeros((n, n))
@@ -352,6 +342,8 @@ class TestSchurMatrix:
                     for _ in range(rng.integers(1, 4)):
                         a, b = rng.integers(n, size=2)
                         F[a, b] = F[b, a] = rng.normal()
+                elif kind == 3:
+                    F = rng.choice([-1.0, 1.0]) * np.eye(n)
                 else:
                     F = sym(rng, n)
                 coeffs[i] = F
