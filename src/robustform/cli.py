@@ -230,10 +230,9 @@ def cmd_simulate(args) -> int:
     _write_events_jsonl(run_dir / "events.jsonl", res.log.events)
 
     cert_name = None
-    cert_obj = getattr(res.cert, "certificate", res.cert)
-    if cert_obj is not None and hasattr(cert_obj, "save"):
+    if res.cert is not None:
         cert_name = "certificate.json"
-        cert_obj.save(run_dir / cert_name)
+        res.cert.save(run_dir / cert_name)
         outputs.append(cert_name)
 
     # the convergence budget is defined at the scenario's own horizon;
@@ -461,50 +460,52 @@ class _Chart:
 
 
 def _read_run_dir(run_dir: Path):
+    """Parse a run directory; raises ValueError (or the parser's own
+    error) on anything a run does not write."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    rows = []
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest.json is not a JSON object")
+    scen = manifest["scenario"]
+    N = int(scen["n_agents"])
+    d_s = float(scen["geometry"]["d_s"])
+    fe = [(int(i), int(j)) for i, j in scen["formation_edges"]]
+    if any(not (0 <= a < N) for e in fe for a in e):
+        raise ValueError(f"formation edge outside agents 0..{N - 1}")
     with (run_dir / "trajectory.csv").open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            rows.append([float(v) for v in row])
+        header, *body = csv.reader(fh)
+    rows = [[float(v) for v in row] for row in body]
     dim = (len(header) - 2) // 3
     data = np.array(rows) if rows else np.zeros((0, 2 + 3 * dim))
     times = np.unique(data[:, 0]) if rows else np.zeros(0)
-    N = int(manifest["scenario"]["n_agents"])
     S = times.shape[0]
     positions = np.zeros((S, N, dim))
     velocities = np.zeros((S, N, dim))
     t_index = {t: k for k, t in enumerate(times)}
     for row in rows:
         s = t_index[row[0]]
-        a = int(row[1])
-        positions[s, a] = row[2:2 + dim]
-        velocities[s, a] = row[2 + dim:2 + 2 * dim]
-    erows = []
+        a = row[1]
+        if not (0 <= a < N and a.is_integer()):
+            raise ValueError(f"trajectory.csv: agent {a:g} is not one of "
+                             f"0..{N - 1}")
+        positions[s, int(a)] = row[2:2 + dim]
+        velocities[s, int(a)] = row[2 + dim:2 + 2 * dim]
     with (run_dir / "energy.csv").open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            erows.append((float(row[0]), float(row[1])))
+        _, *body = csv.reader(fh)
+    erows = [(float(row[0]), float(row[1])) for row in body]
     energy = np.array(erows) if erows else np.zeros((0, 2))
-    return manifest, times, positions, velocities, energy
+    return N, d_s, fe, times, positions, velocities, energy
 
 
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        manifest, times, positions, velocities, energy = \
+        N, d_s, fe, times, positions, velocities, energy = \
             _read_run_dir(run_dir)
-    except (FileNotFoundError, json.JSONDecodeError, ValueError,
-            KeyError) as err:
+    except (OSError, ValueError, LookupError, TypeError,
+            OverflowError) as err:
         print(f"error: cannot read run directory {run_dir}: {err}",
               file=sys.stderr)
         return 2
-
-    N = int(manifest["scenario"]["n_agents"])
-    d_s = float(manifest["scenario"]["geometry"]["d_s"])
-    fe = [tuple(e) for e in manifest["scenario"]["formation_edges"]]
 
     chart = _Chart("Agent trajectories", "x", "y", equal_aspect=True)
     for a in range(N):

@@ -1,13 +1,15 @@
-"""Sparse multivariate polynomial and matrix-polynomial algebra.
+"""Sparse multivariate polynomials and matrix polynomials: storage,
+serialization and evaluation.
 
 Polynomials live over a parameter vector theta in R^r with float coefficients.
 A polynomial is a dict mapping exponent tuples to coefficients:
 
     4*t1^2*t2 + 9  ->  {(2, 1): 4.0, (0, 0): 9.0}
 
-Zero-coefficient terms are never stored; any coefficient whose magnitude drops
-below COEFF_CLEANUP after an arithmetic operation is dropped, so equal
-polynomials always have equal term dicts and == is reliable.
+Zero-coefficient terms are never stored; any coefficient of magnitude at most
+COEFF_CLEANUP, including a sum of like terms that cancels, is dropped at
+construction, so equal polynomials always have equal term dicts and == is
+reliable.
 
 MatrixPolynomial is a rows-by-cols matrix polynomial M(theta) = sum_e C_e
 theta^e stored as its per-monomial coefficient matrices {e: C_e}, the form
@@ -28,7 +30,7 @@ import numpy as np
 # Exponent tuple: entry k is the power of theta_{k+1}.
 ExponentVec = tuple[int, ...]
 
-# Coefficients with |c| below this are dropped after every operation.
+# Coefficients with |c| at most this are dropped at construction.
 COEFF_CLEANUP = 1e-14
 
 
@@ -93,23 +95,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, r: int) -> "Polynomial":
-        return cls(r, {})
-
-    @classmethod
-    def constant(cls, r: int, c: float) -> "Polynomial":
-        return cls(r, {(0,) * r: float(c)})
-
-    @classmethod
-    def variable(cls, r: int, k: int) -> "Polynomial":
-        """The polynomial theta_{k+1} (k is 0-based)."""
-        if not 0 <= k < r:
-            raise ValueError(f"variable index {k} out of range for r={r}")
-        e = [0] * r
-        e[k] = 1
-        return cls(r, {tuple(e): 1.0})
-
-    @classmethod
     def from_records(cls, r: int, records: Iterable[Mapping]) -> "Polynomial":
         """Build from serialized [{'exponents': [...], 'coeff': c}, ...]."""
         terms: dict[ExponentVec, float] = {}
@@ -150,39 +135,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.r, frozenset(self.terms.items())))
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "Polynomial":
-        return poly_arith(self, self._coerce(other), "add")
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        return poly_arith(self, self._coerce(other), "sub")
-
-    def __rsub__(self, other) -> "Polynomial":
-        return poly_arith(self._coerce(other), self, "sub")
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        return poly_arith(self, other, "mul")
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1.0)
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, float)):
-            return Polynomial.constant(self.r, float(other))
-        raise TypeError(f"cannot combine Polynomial with {type(other)!r}")
-
-    def scale(self, c: float) -> "Polynomial":
-        return Polynomial(self.r, {e: v * c for e, v in self.terms.items()})
-
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, theta: Sequence[float]) -> float:
@@ -204,31 +156,6 @@ class Polynomial:
                             for k, p in enumerate(e) if p)
             parts.append(f"{c:g}" + (f"*{mono}" if mono else ""))
         return f"Polynomial(r={self.r}, {' + '.join(parts)})"
-
-
-def poly_arith(a: Polynomial, b: Polynomial, kind: str) -> Polynomial:
-    """Combine two polynomials: kind in {'add', 'sub', 'mul'}.
-
-    Raises ValueError on mismatched parameter counts."""
-    if a.r != b.r:
-        raise ValueError(f"parameter count mismatch: {a.r} vs {b.r}")
-    if kind == "add":
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, 0.0) + c
-    elif kind == "sub":
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, 0.0) - c
-    elif kind == "mul":
-        terms = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = mono_mul(ea, eb)
-                terms[e] = terms.get(e, 0.0) + ca * cb
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return Polynomial(a.r, terms)
 
 
 class MatrixPolynomial:

@@ -5,7 +5,8 @@ agent geometry, desired formation offsets, initial positions and
 velocities, the formation edge list, and the uncertain weight matrix with
 its parameter region.  Scenarios serialize to a small JSON document whose
 polynomial entries are explicit term records, so files stay diffable and
-independent of any pickle format.
+independent of any pickle format.  The shipped scenarios (BUILTIN) are
+defined only by their files under scenarios/, found by builtin_path.
 """
 
 from __future__ import annotations
@@ -143,6 +144,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
+        if not isinstance(doc, dict):
+            raise ValueError(f"top level must be a JSON object, got "
+                             f"{type(doc).__name__}")
         if doc.get("format") != FORMAT:
             raise ValueError(
                 f"unsupported scenario format {doc.get('format')!r}")
@@ -207,119 +211,7 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _ring_offsets(n: int, radius: float) -> np.ndarray:
-    ang = 2.0 * math.pi * np.arange(n) / n
-    return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
-def _affine(r: int, const: float, linear) -> Polynomial:
-    p = Polynomial.constant(r, const)
-    for k, c in enumerate(linear):
-        if c:
-            p = p + Polynomial.variable(r, k).scale(c)
-    return p
-
-
-def six_agent() -> ScenarioSpec:
-    """Hexagon of six agents with two-parameter uncertain ring weights.
-
-    Ring side 2.8 sits inside [r_z, r_s - eps]; only the ring pairs are
-    formation edges (the diagonals would put the collision and edge
-    barriers in conflict).  Ring weights vary affinely over the unit disk
-    with coefficients small enough to keep every weight positive; the
-    remaining pairs carry constant unit weights and act only while inside
-    sensing range."""
-    geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
-                         d_s=1.875, eps=0.1)
-    tau = _ring_offsets(6, 2.8)
-    edges = [(k, (k + 1) % 6) for k in range(6)]
-    a = [0.30, -0.20, 0.25, -0.30, 0.15, 0.20]
-    b = [-0.25, 0.15, -0.10, 0.20, -0.30, 0.10]
-    entries = MatrixPolynomial.zeros(6, 6, 2)
-    for k, (i, j) in enumerate(edges):
-        p = _affine(2, 1.0, [a[k], b[k]])
-        entries.set_entry(i, j, p)
-        entries.set_entry(j, i, p)
-    one = Polynomial.constant(2, 1.0)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if canon_edge(i, j) not in {canon_edge(*e) for e in edges}:
-                entries.set_entry(i, j, one)
-                entries.set_entry(j, i, one)
-    disk = Polynomial.constant(2, 1.0) - \
-        Polynomial.variable(2, 0) * Polynomial.variable(2, 0) - \
-        Polynomial.variable(2, 1) * Polynomial.variable(2, 1)
-    adj = UncertainAdjacency(N=6, entries=entries, omega=[disk],
-                             box=[(-1.0, 1.0), (-1.0, 1.0)])
-    return ScenarioSpec(
-        name="six_agent", geometry=geom, tau=tau, positions=tau.copy(),
-        velocities=np.zeros((6, 2)), formation_edges=frozenset(edges),
-        adjacency=adj, jitter_pos=0.2, jitter_vel=1.0,
-        T_end=40.0, dt=5e-3, record_every=20, conv_tol=1e-2)
-
-
-def fifty_agent() -> ScenarioSpec:
-    """Fifty agents on a circle of radius 30 with one-parameter weights.
-
-    Adjacent desired spacing is 2 * 30 * sin(pi/50), under the sensing
-    radius of 5, while second neighbours sit well outside it, so the
-    communication graph is exactly the ring.  The long-range geometry
-    cannot satisfy the margin assumption that separates the edge and
-    collision barriers, which is recorded as an explicit override."""
-    geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.2, r_s=5.0,
-                         d_s=1.875, eps=0.1)
-    tau = _ring_offsets(50, 30.0)
-    edges = [(k, (k + 1) % 50) for k in range(50)]
-    entries = MatrixPolynomial.zeros(50, 50, 1)
-    for k, (i, j) in enumerate(edges):
-        coef = 0.4 * math.cos(2.0 * math.pi * k / 50.0)
-        p = _affine(1, 1.0, [coef])
-        entries.set_entry(i, j, p)
-        entries.set_entry(j, i, p)
-    band = Polynomial.constant(1, 1.0) - \
-        Polynomial.variable(1, 0) * Polynomial.variable(1, 0)
-    adj = UncertainAdjacency(N=50, entries=entries, omega=[band],
-                             box=[(-1.0, 1.0)])
-    return ScenarioSpec(
-        name="fifty_agent", geometry=geom, tau=tau, positions=tau.copy(),
-        velocities=np.zeros((50, 2)), formation_edges=frozenset(edges),
-        adjacency=adj,
-        assumption_overrides={
-            "A3": "ring spacing 3.766 with r_s=5 leaves no barrier "
-                  "separation margin; collision zone is unreachable "
-                  "here because the edge barrier caps formation error "
-                  "at 1.234"},
-        jitter_pos=0.0, jitter_vel=2.0,
-        T_end=10.0, dt=1e-3, record_every=100)
-
-
-def adversarial() -> ScenarioSpec:
-    """Two agents closing head-on with barrier caps pinned far too low.
-
-    The explicit barrier block bypasses cap tuning.  The caps are orders
-    of magnitude below the initial kinetic energy, so the collision
-    barrier cannot absorb the approach and the safety monitor must
-    trip."""
-    geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
-                         d_s=1.875, eps=0.1)
-    tau = np.array([[0.0, 0.0], [3.0, 0.0]])
-    entries = MatrixPolynomial.zeros(2, 2, 0)
-    w = Polynomial.constant(0, 0.05)
-    entries.set_entry(0, 1, w)
-    entries.set_entry(1, 0, w)
-    adj = UncertainAdjacency(N=2, entries=entries, omega=[], box=[])
-    return ScenarioSpec(
-        name="adversarial", geometry=geom, tau=tau,
-        positions=tau.copy(),
-        velocities=np.array([[2.5, 0.0], [-2.5, 0.0]]),
-        formation_edges=frozenset({(0, 1)}),
-        adjacency=adj,
-        barrier=BarrierParams(mu1=1e-3, mu2=1e-3, eps_hat=0.05),
-        T_end=2.0, dt=1e-3, record_every=10)
-
-
-BUILTIN = {"six_agent": six_agent, "fifty_agent": fifty_agent,
-           "adversarial": adversarial}
+BUILTIN = ("six_agent", "fifty_agent", "adversarial")
 
 
 def builtin_path(name: str) -> Path:

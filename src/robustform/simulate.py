@@ -21,7 +21,7 @@ import numpy as np
 
 from .barrier import (BarrierParams, DomainViolation, PairArrays,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
-from .certifier import certify
+from .certifier import Certificate, certify
 from .netgraph import (AgentGeometry, TopologyState, canon_edge,
                        is_connected, pair_distances, update_edges,
                        validate_assumptions)
@@ -108,7 +108,7 @@ class RunResult:
     state: SimState
     params: BarrierParams
     tune: TuneResult | None
-    cert: object | None
+    cert: Certificate | None
     theta: np.ndarray
     assumptions: object
 
@@ -134,18 +134,21 @@ def initial_topology(positions: np.ndarray, formation_edges,
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         dt: float | None = None, record_every: int | None = None,
-        unsafe: bool = False, certificate=None, drift_tol: float = 1e-4,
-        jump_tol: float = 1e-9, method: str | None = None) -> RunResult:
+        unsafe: bool = False, certificate: Certificate | None = None,
+        drift_tol: float = 1e-4, jump_tol: float = 1e-9,
+        method: str | None = None) -> RunResult:
     """Integrate one seeded realization of a scenario, with monitoring.
 
     Raises ValueError naming a bad dt, T_end, record_every or method (the
     rules of the scenario fields, except that T_end = 0 records the
-    initial state only).  Raises PreconditionError when the setup
-    assumptions fail or no positive connectivity certificate can be
-    produced, unless unsafe=True or a precomputed certificate is supplied,
-    and also when a formation pair is not closer than r_s or the barrier
-    caps cannot be tuned.  Invariant violations do not raise: they stop
-    the run and are reported on the result."""
+    initial state only).  Given no certificate, a run that is not unsafe
+    certifies the scenario itself.  Raises PreconditionError when the
+    setup assumptions fail, when no positive connectivity certificate can
+    be produced, or when the supplied one is for another agent count or
+    does not clear its threshold, unless unsafe=True; and also when a
+    formation pair is not closer than r_s or the barrier caps cannot be
+    tuned.  Invariant violations do not raise: they stop the run and are
+    reported on the result."""
     geom = scenario.geometry
     adj = scenario.adjacency
     tau = scenario.tau
@@ -184,12 +187,25 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                 f"r_s={geom.r_s}")
 
     cert = certificate
-    if cert is None and not unsafe:
-        cert = certify(adj)
+    if cert is not None and not isinstance(cert, Certificate):
+        raise TypeError(f"certificate must be a Certificate, got "
+                        f"{type(cert).__name__}")
+    if cert is not None and not unsafe:
+        if cert.n_agents != N:
+            raise PreconditionError(
+                f"certificate is for {cert.n_agents} agents, scenario has "
+                f"{N}")
         if not cert.connected:
             raise PreconditionError(
+                f"certificate c_star={cert.c_star} does not clear its "
+                f"threshold {cert.threshold}")
+    if cert is None and not unsafe:
+        res = certify(adj)
+        if not res.connected:
+            raise PreconditionError(
                 f"no positive connectivity certificate: status "
-                f"{cert.status}, c_star={cert.c_star}")
+                f"{res.status}, c_star={res.c_star}")
+        cert = res.certificate
 
     # the seed fixes the draw order: the run's theta, then the tuning
     # samples; all weight matrices are then evaluated in one batch

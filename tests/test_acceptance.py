@@ -7,18 +7,21 @@ internals, these go through the public entry points only.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustform
 from robustform.barrier import grad_psi_c, grad_psi_e, psi_c, psi_e
 from robustform.certifier import certify, sample_lambda2
 from robustform.netgraph import UncertainAdjacency
 from robustform.polyalg import MatrixPolynomial, Polynomial
-from robustform.scenario import fifty_agent, six_agent
+from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.sdp import SdpProblem, SdpStatus, solve
 from robustform.simulate import run
 from robustform.smr import (_positions, gram_base, gram_expand_matrix,
@@ -280,11 +283,11 @@ def test_barrier_caps_exact_and_gradients_match_finite_differences():
 
 def test_hexagon_swarm_ten_seeds_stay_safe_and_converge():
     t0 = time.perf_counter()
-    spec = six_agent()
+    spec = ScenarioSpec.load(builtin_path("six_agent"))
     cert = certify(spec.adjacency)  # certify once, reuse across seeds
     assert cert.ok and cert.certificate.c_star > 1e-6
     for seed in range(10):
-        res = run(spec, seed=seed, certificate=cert)
+        res = run(spec, seed=seed, certificate=cert.certificate)
         assert res.ok, (seed, res.failure)
         assert res.metrics["min_distance"] > spec.geometry.d_s
         assert res.metrics["max_energy_drift"] <= 1e-4 * spec.dt
@@ -296,7 +299,7 @@ def test_hexagon_swarm_ten_seeds_stay_safe_and_converge():
 
 def test_fifty_agent_ring_completes_with_invariants_intact():
     t0 = time.perf_counter()
-    spec = fifty_agent()
+    spec = ScenarioSpec.load(builtin_path("fifty_agent"))
     res = run(spec, seed=0)
     assert res.ok, res.failure
     assert res.metrics["min_distance"] > spec.geometry.d_s
@@ -310,10 +313,14 @@ def test_undersized_caps_trip_the_safety_monitor_with_exit_code_4(tmp_path):
     # the monitor must catch the resulting spacing violation and the command
     # line must report it with the dedicated exit code
     t0 = time.perf_counter()
+    # the child imports the package this suite imported, installed or not
+    path = [str(Path(robustform.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "robustform.cli", "simulate", "adversarial",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 4, proc.stderr
     metrics = json.loads(
         (tmp_path / "adversarial_seed0" / "metrics.json").read_text())

@@ -20,7 +20,7 @@ import pytest
 
 from robustform.certifier import sample_lambda2
 from robustform.cli import main
-from robustform.scenario import builtin_path, six_agent
+from robustform.scenario import ScenarioSpec, builtin_path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -54,7 +54,8 @@ def test_six_agent_certificate_passes_the_oracle(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "six_agent", "--samples", "500",
                  "--out", str(out)]) == 0
-    lam = sample_lambda2(six_agent().adjacency, n_samples=500, seed=0)
+    adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency
+    lam = sample_lambda2(adj, n_samples=500, seed=0)
     fails, info = oracle.certificate_checks(
         oracle.ScenarioOracle(builtin_path("six_agent")),
         json.loads(out.read_text()), lam.thetas, lam.values,

@@ -29,7 +29,7 @@ from robustform.certifier import (Assembly, Certificate, CertifierError,
 from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
 from robustform.polyalg import MatrixPolynomial, Polynomial
-from robustform.scenario import six_agent
+from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.smr import gram_expand_matrix, power_vector
 
 
@@ -52,13 +52,11 @@ def edge_weight_adjacency(n, weights, r, omega, box):
 
 
 def unit_disk(r):
+    """1 - |theta|^2."""
     terms = {(0,) * r: 1.0}
-    g = Polynomial(r, terms)
     for k in range(r):
-        e = [0] * r
-        e[k] = 2
-        g = g - Polynomial(r, {tuple(e): 1.0})
-    return g
+        terms[tuple(2 * (m == k) for m in range(r))] = -1.0
+    return Polynomial(r, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +408,8 @@ def _random_disk_adjacency(seed, n=5):
 
 @pytest.mark.parametrize("case", ["six_agent", "random_disk"])
 def test_batched_sampled_margins_match_per_sample_loop(case):
-    adj = six_agent().adjacency if case == "six_agent" \
-        else _random_disk_adjacency(31)
+    adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency \
+        if case == "six_agent" else _random_disk_adjacency(31)
     cert = certify(adj).certificate
     # 600 samples: two full chunks of the batched route and a partial one
     rep = verify_certificate(cert, adj, n_samples=600, seed=3)
@@ -462,8 +460,8 @@ def test_replay_equals_residuals_of_the_assembled_problem(case):
     # eigenvalues, also away from the optimum.  The problem fixes P = I / s,
     # so the stored P_bar stays as written there; the trace error is checked
     # on a moved P_bar of its own
-    adj = six_agent().adjacency if case == "six_agent" \
-        else _random_disk_adjacency(31)
+    adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency \
+        if case == "six_agent" else _random_disk_adjacency(31)
     cert = certify(adj).certificate
     rng = np.random.default_rng(5)
 

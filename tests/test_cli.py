@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, artifacts, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,7 @@ from robustform.certifier import Certificate
 from robustform.cli import main
 from robustform.netgraph import UncertainAdjacency
 from robustform.polyalg import MatrixPolynomial, Polynomial
-from robustform.scenario import (ScenarioSpec, adversarial, builtin_path,
-                                 six_agent)
+from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
 from robustform.netgraph import AgentGeometry
 
 
@@ -28,7 +28,7 @@ def pair_scenario_doc(tau_x=3.0, positions=None, barrier=None,
                          d_s=1.875, eps=0.1)
     tau = np.array([[0.0, 0.0], [tau_x, 0.0]])
     entries = MatrixPolynomial.zeros(2, 2, 0)
-    w = Polynomial.constant(0, weight)
+    w = Polynomial(0, {(): weight})
     entries.set_entry(0, 1, w)
     entries.set_entry(1, 0, w)
     adj = UncertainAdjacency(N=2, entries=entries, omega=[], box=[])
@@ -69,6 +69,29 @@ def test_check_wrong_format_exits_2(tmp_path):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"format": "something-else/9"}))
     assert run_cli("check", str(p)) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "certify", "simulate"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"hello"', "null", "3"])
+def test_top_level_not_an_object_exits_2(tmp_path, capsys, command, text):
+    p = tmp_path / "odd.json"
+    p.write_text(text)
+    args = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    assert run_cli(command, str(p), *args) == 2
+    err = capsys.readouterr().err
+    assert "top level must be a JSON object" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_files_are_the_builtin_scenarios():
+    # the packaged files are the only definition of a shipped scenario:
+    # the same set of names, each file exactly what its spec writes back
+    files = sorted(builtin_path("six_agent").parent.glob("*.json"))
+    assert sorted(p.stem for p in files) == sorted(BUILTIN)
+    for p in files:
+        text = json.dumps(ScenarioSpec.load(p).to_dict(), indent=2) + "\n"
+        assert text.encode() == p.read_bytes(), p.name
 
 
 BAD_INDICES = {"index_out_of_range": {"j": 9},
@@ -167,7 +190,7 @@ def test_certify_disconnected_inconclusive(tmp_path, capsys):
                          d_s=1.875, eps=0.1)
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
     entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial.constant(0, 1.0)
+    w = Polynomial(0, {(): 1.0})
     entries.set_entry(0, 1, w)
     entries.set_entry(1, 0, w)
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
@@ -289,6 +312,38 @@ def test_plot_missing_directory_exits_2(tmp_path):
     assert run_cli("plot", str(tmp_path / "nope")) == 2
 
 
+def _edit_manifest(**scenario):
+    def edit(text):
+        doc = json.loads(text)
+        doc["scenario"].update(scenario)
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("manifest.json", lambda text: "[]"),
+    ("manifest.json", _edit_manifest(formation_edges=[[0, 99]])),
+    ("manifest.json", _edit_manifest(n_agents=math.inf)),
+    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,99,", 1)),
+    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,-1,", 1))],
+    ids=["manifest_not_an_object", "edge_out_of_range", "infinite_n_agents",
+         "agent_99", "agent_minus_1"])
+def test_plot_corrupt_run_directory_exits_2(tmp_path, capsys, name,
+                                            corrupt):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "six_agent", "--T", "0",
+                   "--out", str(out)) == 0
+    path = out / "six_agent_seed0" / name
+    text = path.read_text()
+    assert corrupt(text) != text
+    path.write_text(corrupt(text))
+    capsys.readouterr()
+    assert run_cli("plot", str(path.parent)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read run directory")
+    assert "Traceback" not in err
+
+
 def test_plot_zero_horizon_run(tmp_path):
     out = tmp_path / "runs"
     assert run_cli("simulate", "six_agent", "--seed", "2", "--T", "0",
@@ -305,7 +360,7 @@ def test_unsafe_flag_lets_uncertifiable_run_proceed(tmp_path):
                          d_s=1.875, eps=0.1)
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 100.0]])
     entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial.constant(0, 1.0)
+    w = Polynomial(0, {(): 1.0})
     entries.set_entry(0, 1, w)
     entries.set_entry(1, 0, w)
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])

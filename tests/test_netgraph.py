@@ -119,10 +119,9 @@ class TestLaplacian:
 
     def test_polynomial_matches_numeric_samples(self):
         # K3 with one uncertain weight 1 + 0.3 theta on edge (0,1).
-        t = Polynomial.variable(1, 0)
-        w01 = Polynomial.constant(1, 1.0) + t.scale(0.3)
-        one = Polynomial.constant(1, 1.0)
-        zero = Polynomial.zero(1)
+        w01 = Polynomial(1, {(0,): 1.0, (1,): 0.3})
+        one = Polynomial(1, {(0,): 1.0})
+        zero = Polynomial(1)
         A = _grid(3, 3, 1, [
             zero, w01, one,
             w01, zero, one,
@@ -165,9 +164,8 @@ class TestReducedBasis:
         assert np.allclose(red, full[1:], atol=1e-10)
 
     def test_polynomial_reduction_commutes_with_eval(self):
-        t = Polynomial.variable(1, 0)
-        w = Polynomial.constant(1, 2.0) + t
-        zero = Polynomial.zero(1)
+        w = Polynomial(1, {(0,): 2.0, (1,): 1.0})
+        zero = Polynomial(1)
         A = _grid(2, 2, 1, [zero, w, w, zero])
         L = laplacian(A)
         M = reduced_basis(2)
@@ -266,12 +264,11 @@ class TestTopology:
 class TestUncertainAdjacency:
 
     def make(self):
-        t = Polynomial.variable(1, 0)
-        w = Polynomial.constant(1, 1.0) + t.scale(0.5)
-        zero = Polynomial.zero(1)
+        w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
+        zero = Polynomial(1)
         ent = _grid(2, 2, 1, [zero, w, w, zero])
         # Omega = [-1, 1] described by 1 - theta^2 >= 0.
-        s = Polynomial.constant(1, 1.0) - t * t
+        s = Polynomial(1, {(0,): 1.0, (2,): -1.0})
         return UncertainAdjacency(2, ent, [s], [(-1.2, 1.2)])
 
     def test_valid(self):
@@ -287,22 +284,21 @@ class TestUncertainAdjacency:
         assert pts.min() < -0.8 and pts.max() > 0.8
 
     def test_rejects_nonzero_diagonal(self):
-        t = Polynomial.variable(1, 0)
+        t = Polynomial(1, {(1,): 1.0})
         ent = _grid(2, 2, 1, [t, t, t, t])
         with pytest.raises(ValueError):
             UncertainAdjacency(2, ent, [], [(-1, 1)])
 
     def test_rejects_asymmetric(self):
-        zero = Polynomial.zero(1)
-        one = Polynomial.constant(1, 1.0)
+        zero = Polynomial(1)
+        one = Polynomial(1, {(0,): 1.0})
         ent = _grid(2, 2, 1, [zero, one, zero, zero])
         with pytest.raises(ValueError):
             UncertainAdjacency(2, ent, [], [(-1, 1)])
 
     def test_rejects_bad_box(self):
-        t = Polynomial.variable(1, 0)
-        w = Polynomial.constant(1, 1.0) + t
-        zero = Polynomial.zero(1)
+        w = Polynomial(1, {(0,): 1.0, (1,): 1.0})
+        zero = Polynomial(1)
         ent = _grid(2, 2, 1, [zero, w, w, zero])
         with pytest.raises(ValueError):
             UncertainAdjacency(2, ent, [], [])

@@ -10,7 +10,6 @@ from robustform.polyalg import (
     MatrixPolynomial,
     Polynomial,
     mono_sort_key,
-    poly_arith,
 )
 
 
@@ -55,17 +54,12 @@ class TestPolynomial:
         assert f([2.0]) == 7 * 16 + 2 * 8 + 4 * 4 + 12 + 9
         assert f([-1.0]) == 7 - 2 + 4 - 6 + 9
 
-    def test_subtraction_drops_leading_terms(self):
-        f = quartic_example()
-        g = Polynomial(1, {(4,): 7, (3,): 2})
-        h = f - g
-        assert h.terms == {(2,): 4.0, (1,): 6.0, (0,): 9.0}
-        assert h.degree == 2
-
     def test_zero_padding_never_stored(self):
         p = Polynomial(2, {(0, 0): 0.0, (1, 0): 1.0})
         assert (0, 0) not in p.terms
-        q = p - Polynomial.variable(2, 0)
+        q = Polynomial.from_records(2, [
+            {"exponents": [1, 0], "coeff": 1.0},
+            {"exponents": [1, 0], "coeff": -1.0}])
         assert q.is_zero
         assert q.terms == {}
         assert q.degree == 0
@@ -73,41 +67,10 @@ class TestPolynomial:
     def test_cleanup_threshold(self):
         p = Polynomial(1, {(1,): COEFF_CLEANUP / 10})
         assert p.is_zero
-        q = Polynomial(1, {(1,): 1.0}) - Polynomial(1, {(1,): 1.0 - 1e-16})
+        q = Polynomial.from_records(1, [
+            {"exponents": [1], "coeff": 1.0},
+            {"exponents": [1], "coeff": -(1.0 - 1e-16)}])
         assert q.is_zero
-
-    def test_arith_ring_axioms_random(self):
-        # seeded property check: (a+b)(c) == a(c)+b(c), (a*b)(c) == a(c)*b(c)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            r = int(rng.integers(1, 4))
-            a = _random_poly(rng, r)
-            b = _random_poly(rng, r)
-            theta = rng.uniform(-2, 2, size=r)
-            fa, fb = poly_eval(a, theta), poly_eval(b, theta)
-            assert poly_eval(a + b, theta) == pytest.approx(fa + fb, abs=1e-9)
-            assert poly_eval(a - b, theta) == pytest.approx(fa - fb, abs=1e-9)
-            assert poly_eval(a * b, theta) == pytest.approx(fa * fb, rel=1e-9, abs=1e-9)
-
-    def test_mul_commutes_and_distributes(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = _random_poly(rng, 2)
-            b = _random_poly(rng, 2)
-            c = _random_poly(rng, 2)
-            ab, ba = a * b, b * a
-            assert set(ab.terms) == set(ba.terms)
-            for e, v in ab.terms.items():
-                assert v == pytest.approx(ba.terms[e], rel=1e-12, abs=1e-12)
-            lhs = a * (b + c)
-            rhs = a * b + a * c
-            for e in set(lhs.terms) | set(rhs.terms):
-                assert lhs.terms.get(e, 0.0) == pytest.approx(
-                    rhs.terms.get(e, 0.0), abs=1e-10)
-
-    def test_mismatched_r_raises(self):
-        with pytest.raises(ValueError):
-            poly_arith(Polynomial.zero(1), Polynomial.zero(2), "add")
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +144,7 @@ class TestMatrixPolynomial:
         np.testing.assert_array_equal(A.coeffs[(0,)], [[1.0, 0.0],
                                                        [0.0, 0.0]])
         assert A.entry(0, 1).is_zero and A.entry(0, 0) == \
-            Polynomial.constant(1, 1.0)
+            Polynomial(1, {(0,): 1.0})
 
     def test_set_entry_replaces_and_drops_empty_monomials(self):
         A = MatrixPolynomial.zeros(2, 2, 1)

@@ -1,5 +1,8 @@
 """Controller structure, integrator behavior, and monitored runs."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,11 @@ from robustform.barrier import BarrierParams, PairArrays
 from robustform.netgraph import (AgentGeometry, TopologyState,
                                  UncertainAdjacency, pair_distances)
 from robustform.polyalg import MatrixPolynomial, Polynomial
-from robustform.scenario import ScenarioSpec, adversarial, six_agent
+from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.simulate import (PreconditionError, SimState,
                                  initial_topology, run, step)
 from robustform.barrier import zone_pairs_at
-from robustform.certifier import certify
+from robustform.certifier import Certificate, certify
 
 
 GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
@@ -29,7 +32,7 @@ def triangle_system():
 
 
 def hexagon_system():
-    s = six_agent()
+    s = ScenarioSpec.load(builtin_path("six_agent"))
     G = np.asarray(s.adjacency.entries(np.zeros(2)), dtype=float)
     topo = initial_topology(s.tau, s.formation_edges, s.geometry)
     return s.tau, topo, G
@@ -40,7 +43,7 @@ def const_pair_scenario(positions, velocities, weight=1.0, tau=None,
     if tau is None:
         tau = np.array([[0.0, 0.0], [3.0, 0.0]])
     entries = MatrixPolynomial.zeros(2, 2, 0)
-    w = Polynomial.constant(0, weight)
+    w = Polynomial(0, {(): weight})
     entries.set_entry(0, 1, w)
     entries.set_entry(1, 0, w)
     adj = UncertainAdjacency(N=2, entries=entries, omega=[], box=[])
@@ -85,16 +88,17 @@ def test_control_sums_to_zero_with_zone_active():
     pos = tau.copy()
     pos[1] = pos[0] + np.array([2.3, 0.0])  # inside r_z
     vel = np.random.default_rng(4).normal(size=(6, 2))
-    zone = zone_pairs_at(pair_distances(pos), topo, six_agent().geometry)
+    geom = ScenarioSpec.load(builtin_path("six_agent")).geometry
+    zone = zone_pairs_at(pair_distances(pos), topo, geom)
     assert (0, 1) in zone
-    arrays = PairArrays(topo, zone, tau, six_agent().geometry, G)
+    arrays = PairArrays(topo, zone, tau, geom, G)
     u = arrays.control(pos, vel, PARAMS)
     assert np.allclose(u.sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_vectorized_control_matches_per_agent():
     rng = np.random.default_rng(9)
-    s = six_agent()
+    s = ScenarioSpec.load(builtin_path("six_agent"))
     tau, topo, G = hexagon_system()
     for _ in range(5):
         pos = tau + 0.4 * rng.normal(size=(6, 2))
@@ -111,7 +115,7 @@ def test_vectorized_control_matches_per_agent():
 
 def test_control_reads_only_neighbors():
     tau, _, G = hexagon_system()
-    s = six_agent()
+    s = ScenarioSpec.load(builtin_path("six_agent"))
     # topology where agent 0 talks to 1 and 2 only
     edges = frozenset({(0, 1), (0, 2), (3, 4), (4, 5)})
     topo = TopologyState(6, edges, frozenset({(0, 1)}))
@@ -160,7 +164,7 @@ def test_step_refreshes_topology_after_integration():
 
 def test_energy_fast_path_matches_reference():
     rng = np.random.default_rng(21)
-    s = six_agent()
+    s = ScenarioSpec.load(builtin_path("six_agent"))
     tau, topo, G = hexagon_system()
     for _ in range(5):
         pos = tau + 0.4 * rng.normal(size=(6, 2))
@@ -175,7 +179,7 @@ def test_energy_fast_path_matches_reference():
 
 def test_energy_decreases_over_step():
     rng = np.random.default_rng(30)
-    s = six_agent()
+    s = ScenarioSpec.load(builtin_path("six_agent"))
     tau, topo, G = hexagon_system()
     pos = tau + 0.2 * rng.normal(size=(6, 2))
     vel = rng.normal(size=(6, 2))
@@ -223,7 +227,7 @@ def test_step_rejects_unknown_method():
 # ----------------------------------------------------------------- runs
 
 def test_run_adversarial_trips_safety_monitor():
-    res = run(adversarial(), seed=1)
+    res = run(ScenarioSpec.load(builtin_path("adversarial")), seed=1)
     assert not res.ok
     assert res.failure["kind"] == "safety_distance"
     assert res.exit_kind == "invariant"
@@ -249,7 +253,7 @@ def test_run_refuses_uncertifiable_graph():
     # third agent with zero-weight links: weighted graph is disconnected
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 100.0]])
     entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial.constant(0, 1.0)
+    w = Polynomial(0, {(): 1.0})
     entries.set_entry(0, 1, w)
     entries.set_entry(1, 0, w)
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
@@ -281,17 +285,44 @@ def test_run_assumption_gate_and_override():
 
 
 def test_run_accepts_precomputed_certificate():
-    sc = six_agent()
-    cert = certify(sc.adjacency)
-    assert cert.connected
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    result = certify(sc.adjacency)
+    assert result.connected
+    cert = result.certificate
     res = run(sc, seed=5, T_end=0.5, certificate=cert)
     assert res.ok
     assert res.cert is cert
 
 
+# stored with the benchmark: n_agents 50, c* 3.7e-3
+FIFTY_CERT = Path(__file__).parents[1] / "bench" / \
+    "fifty_agent_certificate.json"
+
+
+@pytest.mark.parametrize("scenario, c_star, message", [
+    ("six_agent", None, "certificate is for 50 agents, scenario has 6"),
+    ("fifty_agent", 5e-7, "does not clear its threshold 1e-06")])
+def test_run_refuses_a_certificate_that_does_not_fit(scenario, c_star,
+                                                     message):
+    cert = Certificate.load(FIFTY_CERT)
+    if c_star is not None:
+        cert = dataclasses.replace(cert, c_star=c_star)
+    sc = ScenarioSpec.load(builtin_path(scenario))
+    with pytest.raises(PreconditionError, match=message):
+        run(sc, seed=0, T_end=0.1, certificate=cert)
+    assert run(sc, seed=0, T_end=0.1, certificate=cert, unsafe=True) \
+        .cert is cert
+
+
+def test_run_takes_only_a_certificate():
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    with pytest.raises(TypeError, match="must be a Certificate"):
+        run(sc, seed=0, T_end=0.1, certificate={"c_star": 1.0})
+
+
 def test_run_seed_determinism():
-    sc = six_agent()
-    cert = certify(sc.adjacency)
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    cert = certify(sc.adjacency).certificate
     a = run(sc, seed=7, T_end=0.5, certificate=cert)
     b = run(sc, seed=7, T_end=0.5, certificate=cert)
     c = run(sc, seed=8, T_end=0.5, certificate=cert)
@@ -301,8 +332,8 @@ def test_run_seed_determinism():
 
 
 def test_run_log_shapes_and_metrics():
-    sc = six_agent()
-    cert = certify(sc.adjacency)
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    cert = certify(sc.adjacency).certificate
     res = run(sc, seed=3, T_end=1.0, certificate=cert)
     n = res.log.times.shape[0]
     assert res.log.positions.shape == (n, 6, 2)
@@ -321,8 +352,8 @@ def test_run_log_shapes_and_metrics():
 
 
 def test_run_time_grid_overrides():
-    sc = six_agent()
-    cert = certify(sc.adjacency)
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    cert = certify(sc.adjacency).certificate
     res = run(sc, seed=3, T_end=0.1, dt=0.01, certificate=cert)
     assert res.metrics["n_steps_taken"] == 10
     assert res.metrics["t_final"] == pytest.approx(0.1)
@@ -352,7 +383,7 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
     # the entering minus the leaving terms
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
     entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial.constant(0, 0.2)
+    w = Polynomial(0, {(): 0.2})
     for i, j in ((0, 1), (0, 2), (1, 2)):
         entries.set_entry(i, j, w)
         entries.set_entry(j, i, w)
@@ -386,4 +417,5 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
     ("T_end", -1.0), ("record_every", 0), ("method", "rk5")])
 def test_run_rejects_bad_time_grid_argument(argument, value):
     with pytest.raises(ValueError, match=f"^{argument}: must be"):
-        run(six_agent(), **{argument: value})
+        run(ScenarioSpec.load(builtin_path("six_agent")),
+            **{argument: value})
