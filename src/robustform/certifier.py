@@ -31,14 +31,15 @@ from . import sdp
 from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
     reduced_laplacian
 from .polyalg import ExponentVec, MatrixPolynomial, Polynomial, mono_mul
-from .smr import PowerVector, _positions, gram_base, gram_expand_matrix, \
+from .smr import PowerVector, _positions, gram_base, gram_expand, \
     gram_null_basis, power_vector
 
 # A solved bound above this value counts as a connectivity verdict; below it
 # the outcome is treated as inconclusive rather than as a disconnection proof.
 CONNECTIVITY_THRESHOLD = 1e-6
 
-# Sample points evaluated and eigendecomposed per batched call.
+# Sample points evaluated and eigendecomposed, or multiplier columns built
+# by `assemble`, per batched call.
 SAMPLE_CHUNK = 256
 
 
@@ -150,21 +151,24 @@ def _gram_setup(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
 def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
                phi_H: PowerVector, s: int, pos_H: dict) -> np.ndarray:
     """Gram matrix against phi_H of a product with the matrix polynomial
-    whose Gram matrix is X against phi_X; linear in X.
+    whose Gram matrix is X against phi_X; linear in X.  X may carry
+    leading batch axes, which the result shares.
 
     factor maps monomials to s-by-s matrices or to scalars.  Matrices
     (the reduced Laplacian L) give the pencil, Gram(P L + L' P); scalars
     (a region inequality g) give the multiplier term, Gram(R g)."""
     terms: dict[ExponentVec, np.ndarray] = {}
-    for e1, A in gram_expand_matrix(X, phi_X, s).coeffs.items():
+    for e1, A in gram_expand(X, phi_X, s).items():
         for e2, C in factor.items():
             if np.ndim(C):
                 M = A @ C
-                M = M + M.T
+                M = M + np.swapaxes(M, -1, -2)
             else:
                 M = C * A
             mu = mono_mul(e1, e2)
             terms[mu] = terms[mu] + M if mu in terms else M
+    if not terms:
+        return np.zeros(np.shape(X)[:-2] + (len(phi_H) * s,) * 2)
     return gram_base(terms, phi_H, s, pos_H)
 
 
@@ -194,20 +198,22 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     r_vars = [prob.add_psd_var(len(pv) * s, f"R{i}")
               for i, pv in enumerate(phi_R)]
     nulls = gram_null_basis(r, plan.d_H, s)
-    delta_indices = [prob.add_var(f"delta{k}") for k in range(len(nulls))]
+    delta_indices = [prob.add_var(f"delta{k}") for k in range(nulls.shape[1])]
 
     pencil = gram_image(np.eye(s) / s, power_vector(r, 0), L_hat.coeffs,
                         phi_H, s, pos_H)
-    coeffs: dict[int, np.ndarray | sparse.csr_array] = {
-        c_index: -np.eye(size_H)}
+    # one svec column per variable, in variable order: c, the R_i, delta
+    columns = [sparse.csc_array(-sdp.svec(np.eye(size_H))[:, None])]
     for g, var, pv in zip(region, r_vars, phi_R):
-        for k in range(len(var.indices)):
-            coeffs[int(var.indices[k])] = sparse.csr_array(-gram_image(
-                var.basis_matrix(k), pv, g.terms, phi_H, s, pos_H))
-    for k, D in enumerate(nulls):
-        coeffs[delta_indices[k]] = sparse.csr_array(D)
+        m = len(var.indices)
+        for lo in range(0, m, SAMPLE_CHUNK):
+            units = np.eye(min(SAMPLE_CHUNK, m - lo), m, lo)
+            G = gram_image(sdp.smat(units, var.size), pv, g.terms, phi_H,
+                           s, pos_H)
+            columns.append(sparse.csc_array(-sdp.svec(G).T))
+    columns.append(nulls)
 
-    main_lmi = prob.add_lmi(pencil, coeffs)
+    main_lmi = prob.add_lmi(pencil, sparse.hstack(columns, format="csc"))
     return Assembly(problem=prob, plan=plan, r=r, s=s, c_index=c_index,
                     r_vars=r_vars, delta_indices=delta_indices, phi_H=phi_H,
                     phi_R=phi_R, main_lmi=main_lmi)
@@ -359,9 +365,9 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         raise CertifierError(
             f"{len(cert.R_bars)} multiplier matrices for "
             f"{len(phi_R)} region inequalities")
-    if cert.delta.size != len(nulls):
+    if cert.delta.size != nulls.shape[1]:
         raise CertifierError(
-            f"{cert.delta.size} Gram offsets for {len(nulls)} null "
+            f"{cert.delta.size} Gram offsets for {nulls.shape[1]} null "
             f"directions")
     phi_0 = power_vector(adj.r, 0)
     stored = [("P_bar", cert.P_bar, phi_0)] + [
@@ -376,8 +382,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     H = gram_image(cert.P_bar, phi_0, L_hat.coeffs, phi_H, s, pos_H)
     for g, R, pv in zip(adj.omega, cert.R_bars, phi_R):
         H -= gram_image(R, pv, g.terms, phi_H, s, pos_H)
-    for dk, D in zip(cert.delta, nulls):
-        H += dk * D
+    H += sdp.smat(nulls @ cert.delta, len(H))
     H -= cert.c_star * np.eye(len(H))
     min_eigs = [float(np.linalg.eigvalsh(X)[0])
                 for X in [X for _, X, _ in stored] + [H]]

@@ -507,20 +507,19 @@ def cmd_plot(args) -> int:
               file=sys.stderr)
         return 2
 
+    # the first two coordinates; a one-coordinate run is drawn on y = 0
+    xy = positions[..., :2]
+    xy = np.pad(xy, ((0, 0), (0, 0), (0, 2 - xy.shape[2])))
     chart = _Chart("Agent trajectories", "x", "y", equal_aspect=True)
     for a in range(N):
         color = _PALETTE[a % len(_PALETTE)]
         if times.size:
-            chart.add_series(positions[:, a, 0], positions[:, a, 1],
-                             color, 1.2)
-            chart.add_point(positions[-1, a, 0], positions[-1, a, 1],
-                            color, 4.0)
+            chart.add_series(xy[:, a, 0], xy[:, a, 1], color, 1.2)
+            chart.add_point(xy[-1, a, 0], xy[-1, a, 1], color, 4.0)
     if times.size:
         for (i, j) in fe:
-            chart.add_series(
-                np.array([positions[-1, i, 0], positions[-1, j, 0]]),
-                np.array([positions[-1, i, 1], positions[-1, j, 1]]),
-                "#999999", 0.8)
+            chart.add_series(xy[-1, [i, j], 0], xy[-1, [i, j], 1],
+                             "#999999", 0.8)
     (run_dir / "trajectories.svg").write_text(chart.render())
 
     iu, ju = np.triu_indices(N, k=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .polyalg import MatrixPolynomial, Polynomial
 
 FORMAT = "formation-scenario/1"
 METHODS = ("rk4", "euler")
+NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
 def _finite_polynomial(r: int, terms, where: str) -> Polynomial:
@@ -75,17 +77,21 @@ class ScenarioSpec:
     conv_tol: float | None = None
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=float)
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.velocities = np.asarray(self.velocities, dtype=float)
+        # the name becomes a file name in output directories
+        if not (isinstance(self.name, str) and NAME_RE.fullmatch(self.name)):
+            raise ValueError(f"name: {self.name!r} is not a plain file "
+                             f"name matching {NAME_RE.pattern}")
         N = self.adjacency.N
+        for key in ("tau", "positions", "velocities"):
+            a = np.asarray(getattr(self, key), dtype=float)
+            if a.ndim != 2 or a.shape[0] != N or a.shape[1] < 1:
+                raise ValueError(
+                    f"{key}: must be {N} rows of coordinates, one per "
+                    f"agent, got shape {a.shape}")
+            setattr(self, key, a)
         if self.tau.shape != self.positions.shape or \
                 self.tau.shape != self.velocities.shape:
             raise ValueError("tau, positions, velocities shapes differ")
-        if self.tau.shape[0] != N:
-            raise ValueError(
-                f"{self.tau.shape[0]} agents in tau but adjacency is "
-                f"{N} x {N}")
         self.formation_edges = frozenset(
             canon_edge(i, j) for (i, j) in self.formation_edges)
         for (i, j) in self.formation_edges:
@@ -151,6 +157,9 @@ class ScenarioSpec:
             raise ValueError(
                 f"unsupported scenario format {doc.get('format')!r}")
         tau = np.asarray(doc["tau"], dtype=float)
+        if tau.ndim != 2:  # N is read off tau
+            raise ValueError(f"tau: must be rows of coordinates, got shape "
+                             f"{tau.shape}")
         N = tau.shape[0]
         unc = doc["uncertainty"]
         r = int(unc["n_parameters"])

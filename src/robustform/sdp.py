@@ -9,11 +9,16 @@ scalar decision variables:
 There are no equality constraints: every variable is free and the feasible
 set is cut out by the LMIs alone.
 
+Coefficients are given in one format only: the svec column.  svec stacks
+the upper triangle row by row, off-diagonal entries scaled by sqrt(2) so
+that matrix inner products become plain dot products.  `add_lmi` takes the
+constant term and one sparse matrix whose column i is svec(F_{k,i}); the
+block keeps its nonzero entries as (svec row, variable, value) triplets,
+and `compile_columns` turns them into one sparse column matrix per block.
+
 Symmetric matrix variables are layered on top through `add_psd_var`, which
-allocates one scalar per upper-triangular entry in the scaled vectorization
-(off-diagonal entries carry a factor sqrt(2) so that matrix inner products
-become plain dot products) and attaches an identity-coefficient LMI that
-keeps the reassembled matrix PSD.
+allocates one scalar per svec entry and attaches the identity LMI that
+keeps the reassembled matrix PSD: its columns are the unit vectors.
 
 The solver runs a standard primal-dual predictor-corrector iteration with
 Nesterov-Todd scaling, an infeasible start, and a Schur complement system
@@ -31,8 +36,9 @@ the problem data, without touching solver state.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,9 +58,13 @@ class SdpStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+@functools.lru_cache(maxsize=64)
 def svec_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the upper triangle, row-major."""
-    return np.triu_indices(n)
+    """Row and column indices of the upper triangle, row-major; read-only,
+    and kept per n, since every svec, smat and Schur build asks again."""
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def svec_weights(n: int) -> np.ndarray:
@@ -64,23 +74,30 @@ def svec_weights(n: int) -> np.ndarray:
 
 
 def svec(X: np.ndarray) -> np.ndarray:
-    """Scaled upper-triangle vectorization; svec(X) . svec(Y) = <X, Y>."""
-    n = X.shape[0]
+    """Scaled upper-triangle vectorization of the last two axes;
+    svec(X) . svec(Y) = <X, Y>."""
+    n = X.shape[-1]
     iu, ju = svec_indices(n)
-    return X[iu, ju] * svec_weights(n)
+    return X[..., iu, ju] * svec_weights(n)
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    X = np.zeros((n, n))
+    """Inverse of svec over the last axis of v."""
+    X = np.zeros(np.shape(v)[:-1] + (n, n))
     iu, ju = svec_indices(n)
     vals = v / svec_weights(n)
-    X[iu, ju] = vals
-    X[ju, iu] = vals
+    X[..., iu, ju] = vals
+    X[..., ju, iu] = vals
     return X
 
 
 def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def svec_position(i, j, n: int):
+    """Position of entry (i, j), i <= j, in svec of an n-square matrix."""
+    return i * n - (i * (i - 1)) // 2 + (j - i)
 
 
 @dataclass
@@ -91,64 +108,24 @@ class MatrixVar:
     size: int
     indices: np.ndarray  # flat variable indices, one per upper-tri entry
 
-    def basis_matrix(self, k: int) -> np.ndarray:
-        """d(matrix)/d(scalar k): unit svec direction as a symmetric matrix."""
-        e = np.zeros(svec_dim(self.size))
-        e[k] = 1.0
-        return smat(e, self.size)
-
     def value(self, y: np.ndarray) -> np.ndarray:
         return smat(np.asarray(y)[self.indices], self.size)
 
 
-def _svec_sparse(F) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero svec positions and values of a symmetric matrix.
-
-    Accepts dense arrays or scipy sparse matrices; only the upper triangle
-    is read.  Positions follow the row-major triu order used by `svec`."""
-    if sp.issparse(F):
-        n = F.shape[0]
-        C = sp.triu(F, 0).tocoo()
-        i, j, v = C.row, C.col, C.data
-    else:
-        F = np.asarray(F, dtype=float)
-        n = F.shape[0]
-        i, j = np.nonzero(np.triu(F))
-        v = F[i, j]
-    pos = i * n - (i * (i - 1)) // 2 + (j - i)
-    w = np.where(i == j, 1.0, math.sqrt(2.0))
-    keep = v != 0.0
-    return pos[keep].astype(np.int64), (v * w)[keep]
-
-
-def _check_symmetric(F, n: int, what: str) -> None:
-    if F.shape != (n, n):
-        raise ValueError(f"{what} has shape {F.shape}, LMI size is {n}")
-    if sp.issparse(F):
-        d = F - F.T
-        asym = np.max(np.abs(d.data)) if d.nnz else 0.0
-    else:
-        F = np.asarray(F)
-        asym = float(np.max(np.abs(F - F.T))) if F.size else 0.0
-    if asym > 1e-12:
-        raise ValueError(f"{what} not symmetric (max asymmetry {asym:g})")
-
-
 @dataclass
 class LmiBlock:
-    """One PSD constraint, coefficients held as sparse svec columns."""
+    """One PSD constraint: its constant term and the nonzero entries of
+    its coefficient columns as (svec row, variable, value) triplets."""
 
     size: int
     const: np.ndarray
-    cols: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict)
+    rows: np.ndarray
+    vars: np.ndarray
+    vals: np.ndarray
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        v = np.zeros(svec_dim(self.size))
-        for i, (idx, vals) in self.cols.items():
-            yi = y[i]
-            if yi != 0.0:
-                v[idx] += yi * vals
+        v = np.bincount(self.rows, weights=self.vals * y[self.vars],
+                        minlength=svec_dim(self.size))
         return self.const + smat(v, self.size)
 
 
@@ -173,35 +150,43 @@ class SdpProblem:
         """Symmetric PSD matrix variable of the given size.
 
         Allocates svec scalars and attaches the identity LMI that constrains
-        the reassembled matrix to the PSD cone."""
+        the reassembled matrix to the PSD cone: column k of that LMI is the
+        k-th unit vector."""
         base = self.n_vars
         m = svec_dim(size)
         idx = np.arange(base, base + m)
         self.n_vars += m
         nm = name or f"X{base}"
         self.var_names.extend(f"{nm}[{k}]" for k in range(m))
-        var = MatrixVar(nm, size, idx)
-        coeffs = {int(idx[k]): var.basis_matrix(k) for k in range(m)}
-        self.add_lmi(np.zeros((size, size)), coeffs)
-        return var
+        self.lmis.append(LmiBlock(size, np.zeros((size, size)),
+                                  np.arange(m), idx, np.ones(m)))
+        return MatrixVar(nm, size, idx)
 
-    def add_lmi(self, const: np.ndarray, coeffs: dict) -> int:
-        """PSD constraint const + sum_i y_i coeffs[i]; coefficient values
-        may be dense arrays or scipy sparse matrices."""
+    def add_lmi(self, const: np.ndarray, columns) -> int:
+        """PSD constraint const + sum_i y_i F_i.
+
+        columns is one sparse matrix with svec_dim(n) rows whose column i
+        is svec(F_i); it may have fewer columns than there are variables,
+        and the missing ones are zero."""
         const = np.asarray(const, dtype=float)
         n = const.shape[0]
         if const.shape != (n, n):
             raise ValueError("LMI constant term must be square")
-        _check_symmetric(const, n, "LMI constant term")
-        clean: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i, F in coeffs.items():
-            if not 0 <= i < self.n_vars:
-                raise ValueError(f"unknown variable index {i}")
-            _check_symmetric(F, n, f"coefficient for var {i}")
-            idx, vals = _svec_sparse(F)
-            if len(idx):
-                clean[int(i)] = (idx, vals)
-        self.lmis.append(LmiBlock(n, 0.5 * (const + const.T), clean))
+        asym = float(np.max(np.abs(const - const.T))) if const.size else 0.0
+        if asym > 1e-12:
+            raise ValueError(
+                f"LMI constant term not symmetric (max asymmetry {asym:g})")
+        cols = sp.coo_array(columns)
+        if cols.ndim != 2 or cols.shape[0] != svec_dim(n):
+            raise ValueError(f"LMI columns have shape {cols.shape}, need "
+                             f"{svec_dim(n)} rows for LMI size {n}")
+        if cols.shape[1] > self.n_vars:
+            raise ValueError(f"LMI columns for {cols.shape[1]} variables, "
+                             f"the problem has {self.n_vars}")
+        keep = cols.data != 0.0
+        self.lmis.append(LmiBlock(n, 0.5 * (const + const.T),
+                                  cols.row[keep], cols.col[keep],
+                                  cols.data[keep]))
         return len(self.lmis) - 1
 
     # -- assembled views ----------------------------------------------------
@@ -214,22 +199,9 @@ class SdpProblem:
 
     def compile_columns(self) -> list[sp.csc_matrix]:
         """Per-block sparse matrix whose column i is svec(F_{k,i})."""
-        out = []
-        for blk in self.lmis:
-            rows, cols, data = [], [], []
-            for i, (idx, vals) in blk.cols.items():
-                rows.append(idx)
-                cols.append(np.full(len(idx), i, dtype=np.int64))
-                data.append(vals)
-            if rows:
-                A = sp.csc_matrix(
-                    (np.concatenate(data),
-                     (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(svec_dim(blk.size), self.n_vars))
-            else:
-                A = sp.csc_matrix((svec_dim(blk.size), self.n_vars))
-            out.append(A)
-        return out
+        return [sp.csc_matrix((blk.vals, (blk.rows, blk.vars)),
+                              shape=(svec_dim(blk.size), self.n_vars))
+                for blk in self.lmis]
 
     def lmi_value(self, k: int, y: np.ndarray) -> np.ndarray:
         return self.lmis[k].value(np.asarray(y, dtype=float))
@@ -281,8 +253,7 @@ def _presolve(problem: SdpProblem) -> str | None:
     factorization absorbs, and it stays at its starting value 0."""
     used = np.zeros(problem.n_vars, dtype=bool)
     for blk in problem.lmis:
-        for i in blk.cols:
-            used[i] = True
+        used[blk.vars] = True
     b = problem.b_vector()
     bad = [i for i in np.nonzero(~used)[0] if b[i] != 0.0]
     if bad:

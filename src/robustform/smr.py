@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy import sparse
 
+from . import sdp
 from .polyalg import (
+    COEFF_CLEANUP,
     ExponentVec,
     MatrixPolynomial,
     mono_mul,
@@ -97,7 +100,8 @@ def _positions(pv: PowerVector) -> dict[ExponentVec, list[tuple[int, int]]]:
 def gram_base(coeffs: Mapping[ExponentVec, np.ndarray], pv: PowerVector,
               s: int, pos: dict) -> np.ndarray:
     """Equal-split Gram representative of the s-by-s coefficient family
-    coeffs against pv; pos is _positions(pv).
+    coeffs against pv; pos is _positions(pv).  The coefficients may carry
+    leading batch axes, which the result shares.
 
     Works on coefficient matrices directly, so the certifier's assembly can
     pass in its per-variable families and the positions it computed once.
@@ -107,7 +111,8 @@ def gram_base(coeffs: Mapping[ExponentVec, np.ndarray], pv: PowerVector,
 
     against phi = (t^2, t, 1)."""
     size = len(pv) * s
-    base = np.zeros((size, size))
+    batch = next((np.shape(C)[:-2] for C in coeffs.values()), ())
+    base = np.zeros(batch + (size, size))
     for mu, C in coeffs.items():
         if not np.any(C):
             continue
@@ -117,15 +122,17 @@ def gram_base(coeffs: Mapping[ExponentVec, np.ndarray], pv: PowerVector,
         share = C / len(places)
         for (a, b) in places:
             if a == b:
-                base[a * s:(a + 1) * s, a * s:(a + 1) * s] += share
+                base[..., a * s:(a + 1) * s, a * s:(a + 1) * s] += share
             else:
-                base[a * s:(a + 1) * s, b * s:(b + 1) * s] += share / 2
-                base[b * s:(b + 1) * s, a * s:(a + 1) * s] += share.T / 2
+                base[..., a * s:(a + 1) * s, b * s:(b + 1) * s] += share / 2
+                base[..., b * s:(b + 1) * s, a * s:(a + 1) * s] += \
+                    np.swapaxes(share, -1, -2) / 2
     return base
 
 
-def gram_null_basis(r: int, d: int, s: int = 1) -> list[np.ndarray]:
-    """Orthonormal basis of symmetric matrices expanding to zero.
+def gram_null_basis(r: int, d: int, s: int = 1) -> sparse.csc_array:
+    """Orthonormal basis of symmetric matrices expanding to zero, as the
+    svec columns of one sparse matrix.
 
     Two kinds of element span the kernel of the expansion map:
 
@@ -139,85 +146,91 @@ def gram_null_basis(r: int, d: int, s: int = 1) -> list[np.ndarray]:
     A dimension count against the full symmetric space minus the coefficient
     space shows these exhaust the kernel.  Elements are Frobenius-orthonormal:
     the two kinds have orthogonal supports, distinct monomials touch disjoint
-    positions, and within one monomial a Gram-Schmidt pass handles the only
-    non-trivial overlaps.  Everything is deterministic."""
+    positions, and within one monomial a Gram-Schmidt pass over the weights
+    of the positions handles the only non-trivial overlaps.  Everything is
+    deterministic."""
     pv = power_vector(r, d)
     l = len(pv)
     size = l * s
     pos = _positions(pv)
-    out: list[np.ndarray] = []
+    root2 = math.sqrt(2.0)
+    rows: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
 
-    # symmetric unit directions for the per-monomial assignment kernels
-    sym_units: list[np.ndarray] = []
-    for u in range(s):
-        U = np.zeros((s, s))
-        U[u, u] = 1.0
-        sym_units.append(U)
-    for u in range(s):
-        for v in range(u + 1, s):
-            U = np.zeros((s, s))
-            U[u, v] = U[v, u] = 1.0
-            sym_units.append(U)
-
-    def embed(places, kappa, U):
-        B = np.zeros((size, size))
-        for k, (a, b) in enumerate(places):
-            w = kappa[k]
-            if w == 0.0:
-                continue
-            if a == b:
-                B[a * s:(a + 1) * s, a * s:(a + 1) * s] += w * U
-            else:
-                B[a * s:(a + 1) * s, b * s:(b + 1) * s] += w * U / 2
-                B[b * s:(b + 1) * s, a * s:(a + 1) * s] += w * U / 2
-        return B
-
+    # symmetric units (u, v), u <= v, the diagonal ones first, placed at
+    # every Gram position (a, b) of a monomial
+    units = [(u, u) for u in range(s)] + \
+        [(u, v) for u in range(s) for v in range(u + 1, s)]
     for mu in sorted(pos, key=mono_sort_key):
-        places = pos[mu]
-        t = len(places)
-        if t < 2:
+        if len(pos[mu]) < 2:
             continue
-        for U in sym_units:
+        a, b = np.array(pos[mu]).T
+        on_diag = a == b
+        for u, v in units:
+            # squared Frobenius norm and svec value of the unit at each
+            # position; off the diagonal it is halved over (a, b) and
+            # (b, a), and (a s + v, b s + u) is a second svec entry
+            c = np.where(on_diag, 1.0, 0.5) * (1.0 if u == v else 2.0)
+            f = np.where(on_diag, 1.0 if u == v else root2, root2 / 2)
+            twin = ~on_diag & (u != v)
+            at = np.concatenate([
+                sdp.svec_position(a * s + u, b * s + v, size),
+                sdp.svec_position(a[twin] * s + v, b[twin] * s + u, size)])
+            # Gram-Schmidt of e_0 - e_j, j >= 1, in the weights c
             group: list[np.ndarray] = []
-            for j in range(1, t):
-                kappa = np.zeros(t)
-                kappa[0], kappa[j] = 1.0, -1.0
-                B = embed(places, kappa, U)
-                # modified Gram-Schmidt against the group so far
-                for G in group:
-                    B = B - np.sum(B * G) * G
-                B = B / np.linalg.norm(B)
-                group.append(B)
-            out.extend(group)
+            for j in range(1, len(a)):
+                x = np.zeros(len(a))
+                x[0], x[j] = 1.0, -1.0
+                for g in group:
+                    x = x - np.sum(c * x * g) * g
+                group.append(x / np.sqrt(np.sum(c * x * x)))
+                rows.append(at)
+                vals.append(np.concatenate([group[-1] * f,
+                                            (group[-1] * f)[twin]]))
 
-    # antisymmetric off-diagonal block directions (only exist for s >= 2)
-    if s >= 2:
-        for a in range(l):
-            for b in range(a + 1, l):
-                for u in range(s):
-                    for v in range(u + 1, s):
-                        B = np.zeros((size, size))
-                        B[a * s + u, b * s + v] = 0.5
-                        B[b * s + v, a * s + u] = 0.5
-                        B[a * s + v, b * s + u] = -0.5
-                        B[b * s + u, a * s + v] = -0.5
-                        out.append(B)
-    return out
+    # antisymmetric off-diagonal block directions (only exist for s >= 2):
+    # +-1/2 at (a s + u, b s + v) and (a s + v, b s + u), a < b, u < v
+    ends = np.array(
+        [((a * s + u, b * s + v), (a * s + v, b * s + u))
+         for a in range(l) for b in range(a + 1, l)
+         for u in range(s) for v in range(u + 1, s)],
+        dtype=np.int64).reshape(-1, 2, 2)
+    rows.append(sdp.svec_position(ends[..., 0], ends[..., 1], size).ravel())
+    vals.append(np.tile([root2 / 2, -root2 / 2], len(ends)))
+
+    counts = [len(x) for x in rows[:-1]] + [2] * len(ends)
+    return sparse.csc_array(
+        (np.concatenate(vals), np.concatenate(rows), np.cumsum([0] + counts)),
+        shape=(sdp.svec_dim(size), len(counts)))
+
+
+def gram_expand(A: np.ndarray, pv: PowerVector, s: int
+                ) -> dict[ExponentVec, np.ndarray]:
+    """Coefficient matrices by monomial of the matrix polynomial whose Gram
+    matrix against pv is A; A may carry leading batch axes.
+
+    As in MatrixPolynomial, coefficients of magnitude at most COEFF_CLEANUP
+    are zeroed and monomials left all zero are dropped."""
+    A = np.asarray(A, dtype=float)
+    l = len(pv)
+    if A.shape[-2:] != (l * s, l * s):
+        raise ValueError(f"Gram matrix shape {A.shape}, expected "
+                         f"{(l * s, l * s)}")
+    sums: dict[ExponentVec, np.ndarray] = {}
+    for a in range(l):
+        for b in range(l):
+            blk = A[..., a * s:(a + 1) * s, b * s:(b + 1) * s]
+            mu = mono_mul(pv.monos[a], pv.monos[b])
+            sums[mu] = sums[mu] + blk if mu in sums else blk.copy()
+    coeffs = {}
+    for mu, C in sums.items():
+        C[np.abs(C) <= COEFF_CLEANUP] = 0.0
+        if np.any(C):
+            coeffs[mu] = C
+    return coeffs
 
 
 def gram_expand_matrix(A: np.ndarray, pv: PowerVector, s: int
                        ) -> MatrixPolynomial:
     """Expand a Gram matrix back to the matrix polynomial it represents."""
-    A = np.asarray(A, dtype=float)
-    l = len(pv)
-    if A.shape != (l * s, l * s):
-        raise ValueError(f"Gram matrix shape {A.shape}, expected {(l*s, l*s)}")
-    coeffs: dict[ExponentVec, np.ndarray] = {}
-    for a in range(l):
-        for b in range(l):
-            blk = A[a * s:(a + 1) * s, b * s:(b + 1) * s]
-            if not np.any(blk):
-                continue
-            mu = mono_mul(pv.monos[a], pv.monos[b])
-            coeffs[mu] = coeffs[mu] + blk if mu in coeffs else blk
-    return MatrixPolynomial(s, s, pv.r, coeffs)
+    return MatrixPolynomial(s, s, pv.r, gram_expand(A, pv, s))

@@ -5,13 +5,24 @@ distance on their own, the way the package did before its geometry was
 read off one pair-distance matrix and its energy and control were evaluated
 on index arrays (barrier.PairArrays).  schur_matrix is the SDP solver's
 generic Schur complement builder, one path for every constraint column.
-The tests compare each with the package.
+assembly_columns builds the certification problem's constraint columns one
+variable at a time through dense matrices, and null_basis is the dense
+Gram-Schmidt construction of the Gram null space, the way the package did
+before it assembled svec columns directly.  The tests compare each with the
+package.
 """
 
-import numpy as np
+import math
 
+import numpy as np
+import scipy.sparse as sp
+
+from robustform import sdp
 from robustform.barrier import grad_psi_c, grad_psi_e, psi_c, psi_e
+from robustform.certifier import gram_image
 from robustform.netgraph import TopologyState, canon_edge
+from robustform.polyalg import mono_sort_key
+from robustform.smr import _positions, gram_null_basis, power_vector
 
 
 def update_edges(positions, topo, geom, t=0.0):
@@ -147,3 +158,136 @@ def schur_matrix(A_list, scalings, sizes, n_vars, chunk):
             K = (Y[:, iu, ju] * w[None, :]).T
             B[:, cc] += At @ K
     return 0.5 * (B + B.T)
+
+
+def lmi_columns(coeffs, n):
+    """Dense {variable: F} coefficients of an n-square LMI as the svec
+    column matrix SdpProblem.add_lmi takes: column i is svec(F_i), and
+    zero for a variable below the largest given that has no F_i."""
+    A = np.zeros((sdp.svec_dim(n), max(coeffs, default=-1) + 1))
+    for i, F in coeffs.items():
+        A[:, i] = sdp.svec(np.asarray(F, dtype=float))
+    return sp.csc_array(A)
+
+
+def null_matrices(r, d, s):
+    """The elements of smr.gram_null_basis(r, d, s) as dense matrices."""
+    size = len(power_vector(r, d)) * s
+    return list(sdp.smat(gram_null_basis(r, d, s).T.toarray(), size))
+
+
+def svec_sparse(F):
+    """Nonzero svec positions and values of a dense symmetric matrix, read
+    off its upper triangle."""
+    F = np.asarray(F, dtype=float)
+    n = F.shape[0]
+    i, j = np.nonzero(np.triu(F))
+    pos = i * n - (i * (i - 1)) // 2 + (j - i)
+    w = np.where(i == j, 1.0, math.sqrt(2.0))
+    return pos.astype(np.int64), F[i, j] * w
+
+
+def basis_matrix(size, k):
+    """d(matrix)/d(svec scalar k) of a size-square matrix variable."""
+    e = np.zeros(sdp.svec_dim(size))
+    e[k] = 1.0
+    return sdp.smat(e, size)
+
+
+def null_basis(r, d, s):
+    """Dense orthonormal basis of the symmetric matrices that expand to
+    zero, in the order and with the signs of smr.gram_null_basis: per
+    monomial and symmetric unit, a Gram-Schmidt pass over dense matrices,
+    then the antisymmetric off-diagonal block directions.  A generator, so
+    that only one dense element is alive at a time."""
+    pv = power_vector(r, d)
+    l = len(pv)
+    size = l * s
+    pos = _positions(pv)
+    sym_units = []
+    for u in range(s):
+        U = np.zeros((s, s))
+        U[u, u] = 1.0
+        sym_units.append(U)
+    for u in range(s):
+        for v in range(u + 1, s):
+            U = np.zeros((s, s))
+            U[u, v] = U[v, u] = 1.0
+            sym_units.append(U)
+
+    def embed(places, kappa, U):
+        B = np.zeros((size, size))
+        for k, (a, b) in enumerate(places):
+            w = kappa[k]
+            if a == b:
+                B[a * s:(a + 1) * s, a * s:(a + 1) * s] += w * U
+            else:
+                B[a * s:(a + 1) * s, b * s:(b + 1) * s] += w * U / 2
+                B[b * s:(b + 1) * s, a * s:(a + 1) * s] += w * U / 2
+        return B
+
+    for mu in sorted(pos, key=mono_sort_key):
+        places = pos[mu]
+        t = len(places)
+        if t < 2:
+            continue
+        for U in sym_units:
+            group = []
+            for j in range(1, t):
+                kappa = np.zeros(t)
+                kappa[0], kappa[j] = 1.0, -1.0
+                B = embed(places, kappa, U)
+                for G in group:
+                    B = B - np.sum(B * G) * G
+                B = B / np.linalg.norm(B)
+                group.append(B)
+            yield from group
+    for a in range(l):
+        for b in range(a + 1, l):
+            for u in range(s):
+                for v in range(u + 1, s):
+                    B = np.zeros((size, size))
+                    B[a * s + u, b * s + v] = 0.5
+                    B[b * s + v, a * s + u] = 0.5
+                    B[a * s + v, b * s + u] = -0.5
+                    B[b * s + u, a * s + v] = -0.5
+                    yield B
+
+
+def assembly_columns(asm, region):
+    """The compiled columns of every block of asm = assemble(L_hat,
+    region), built one variable at a time: each multiplier column is the
+    dense Gram image of a dense basis matrix, each Gram offset a dense
+    null_basis element, and each column goes through svec_sparse."""
+    prob = asm.problem
+    s, phi_H = asm.s, asm.phi_H
+    pos_H = _positions(phi_H)
+
+    def main():
+        yield asm.c_index, -np.eye(len(phi_H) * s)
+        for g, var, pv in zip(region, asm.r_vars, asm.phi_R):
+            for k in range(len(var.indices)):
+                yield int(var.indices[k]), -gram_image(
+                    basis_matrix(var.size, k), pv, g.terms, phi_H, s, pos_H)
+        yield from zip(asm.delta_indices,
+                       null_basis(asm.r, asm.plan.d_H, s))
+
+    def identity(var):
+        for k in range(len(var.indices)):
+            yield int(var.indices[k]), basis_matrix(var.size, k)
+
+    blocks = [identity(var) for var in asm.r_vars]
+    blocks.insert(asm.main_lmi, main())
+    out = []
+    for blk, lmi in zip(blocks, prob.lmis):
+        rows, cols, data = [], [], []
+        for i, F in blk:
+            idx, vals = svec_sparse(F)
+            rows.append(idx)
+            cols.append(np.full(len(idx), i, dtype=np.int64))
+            data.append(vals)
+        out.append(sp.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows),
+                                    np.concatenate(cols))),
+            shape=(sdp.svec_dim(lmi.size), prob.n_vars)))
+    return out

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import robustform
 from robustform.barrier import grad_psi_c, grad_psi_e, psi_c, psi_e
 from robustform.certifier import certify, sample_lambda2
@@ -25,7 +26,7 @@ from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.sdp import SdpProblem, SdpStatus, solve
 from robustform.simulate import run
 from robustform.smr import (_positions, gram_base, gram_expand_matrix,
-                            gram_null_basis, power_vector)
+                            power_vector)
 
 
 def _random_poly(rng, r, deg):
@@ -87,7 +88,8 @@ def test_quartic_alternate_gram_pair_reconstructs_and_lies_in_family():
     base = gram_base({e: np.array([[c]]) for e, c in f.terms.items()}, pv, 1,
                      _positions(pv))
     diff = F - base
-    proj = sum(float(np.sum(diff * B)) * B for B in gram_null_basis(1, 2, 1))
+    proj = sum(float(np.sum(diff * B)) * B
+               for B in oracles.null_matrices(1, 2, 1))
     assert np.max(np.abs(diff - proj)) < 1e-12
     assert time.perf_counter() - t0 < 1.0
 
@@ -114,7 +116,7 @@ def test_gram_roundtrip_on_500_random_forms_and_null_bases_vanish():
         for d in (1, 2, 3):
             pv = power_vector(r, d)
             for s in (1, 2, 3, 4):
-                for B in gram_null_basis(r, d, s):
+                for B in oracles.null_matrices(r, d, s):
                     Z = gram_expand_matrix(B, pv, s)
                     for i in range(Z.rows):
                         for j in range(Z.cols):
@@ -356,7 +358,8 @@ def test_interior_point_reaches_planted_and_analytic_optima():
         prob = SdpProblem()
         idx = [prob.add_var(obj=b[i]) for i in range(m)]
         for F0, F in blocks:
-            prob.add_lmi(F0, {idx[i]: F[i] for i in range(m)})
+            prob.add_lmi(F0, oracles.lmi_columns(
+                {idx[i]: F[i] for i in range(m)}, len(F0)))
         return prob, float(b @ y_star)
 
     worst_obj, worst_gap = 0.0, 0.0
@@ -372,7 +375,7 @@ def test_interior_point_reaches_planted_and_analytic_optima():
     # smallest diagonal entry: max c with diag(2, 5) - c I PSD
     prob = SdpProblem()
     c = prob.add_var("c", obj=1.0)
-    prob.add_lmi(np.diag([2.0, 5.0]), {c: -np.eye(2)})
+    prob.add_lmi(np.diag([2.0, 5.0]), oracles.lmi_columns({c: -np.eye(2)}, 2))
     sol = solve(prob, tol=1e-11)
     assert abs(sol.objective_value - 2.0) <= 1e-9
 
@@ -381,9 +384,11 @@ def test_interior_point_reaches_planted_and_analytic_optima():
     c = prob.add_var("c", obj=1.0)
     p = prob.add_psd_var(1, "p")
     scalar = int(p.indices[0])
-    prob.add_lmi(np.ones((1, 1)), {scalar: -np.ones((1, 1))})
-    prob.add_lmi(np.zeros((1, 1)), {scalar: 2.0 * np.ones((1, 1)),
-                                    c: -np.ones((1, 1))})
+    prob.add_lmi(np.ones((1, 1)),
+                 oracles.lmi_columns({scalar: -np.ones((1, 1))}, 1))
+    prob.add_lmi(np.zeros((1, 1)),
+                 oracles.lmi_columns({scalar: 2.0 * np.ones((1, 1)),
+                                      c: -np.ones((1, 1))}, 1))
     sol = solve(prob, tol=1e-11)
     assert abs(sol.objective_value - 2.0) <= 1e-9
     assert time.perf_counter() - t0 < 60.0

@@ -9,6 +9,11 @@ bench/oracle.py re-checks every certificate the benchmark writes, from the
 scenario JSON alone.  A change to the certificate format or to the certified
 quantity that the oracle does not know of fails the benchmark, so a
 certificate written by `certify six_agent` must pass it here.
+
+bench/fifty_agent_certificate.json is the stored certificate the benchmark
+replays.  Its Gram offsets delta are coordinates in the null basis of the
+Gram expansion, so a change to the order or the signs of that basis breaks
+the replay; its pencil margin is pinned here.
 """
 
 import importlib.util
@@ -18,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustform.certifier import sample_lambda2
+from robustform.certifier import (Certificate, sample_lambda2,
+                                  verify_certificate)
 from robustform.cli import main
 from robustform.scenario import ScenarioSpec, builtin_path
 
@@ -62,3 +68,17 @@ def test_six_agent_certificate_passes_the_oracle(tmp_path):
         np.random.default_rng([0, 2017]), n_samples=1000)
     assert fails == []
     assert 0.0 < info["lambda2_bound"] <= info["oracle_min_lambda2"]
+
+
+# Algebraic pencil margin of the stored certificate, as replayed with the
+# null basis built one dense matrix per element.
+STORED_PENCIL_MARGIN = 3.019996667139514e-10
+
+
+def test_stored_fifty_agent_certificate_replays():
+    cert = Certificate.load(BENCH / "fifty_agent_certificate.json")
+    adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+    rep = verify_certificate(cert, adj, n_samples=200)
+    assert rep.ok, rep.failures
+    assert rep.pencil_margin == pytest.approx(STORED_PENCIL_MARGIN,
+                                              rel=0, abs=1e-12)

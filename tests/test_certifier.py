@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from robustform import sdp
 from robustform.certifier import (Assembly, Certificate, CertifierError,
                                   CertifyResult, DegreePlan, Lambda2Samples,
@@ -115,7 +116,7 @@ def test_assemble_single_edge_matches_hand_problem():
     blk = prob.lmis[asm.main_lmi]
     assert blk.size == 1
     np.testing.assert_allclose(blk.const, [[4.0]])
-    assert list(blk.cols) == [asm.c_index]
+    assert blk.vars.tolist() == [asm.c_index]
     np.testing.assert_allclose(prob.lmi_value(asm.main_lmi, [1.0]), [[3.0]])
     assert prob.objective == {asm.c_index: 1.0}
 
@@ -404,6 +405,46 @@ def _random_disk_adjacency(seed, n=5):
         for e in sorted(pairs)}
     return edge_weight_adjacency(n, weights, 2, [unit_disk(2)],
                                  [(-1.0, 1.0), (-1.0, 1.0)])
+
+
+def _oracle_case(case):
+    """Adjacency of a shipped scenario, of _random_disk_adjacency(seed)
+    for "random_disk_<seed>", of a three-vertex path with one quartic
+    weight, whose plan has d_H = 2 and a degree-1 multiplier, or of one
+    edge with a zero region polynomial, whose multiplier columns in the
+    main block are all zero."""
+    if case.startswith("random_disk_"):
+        return _random_disk_adjacency(int(case.rsplit("_", 1)[1]))
+    if case == "zero_region":
+        return edge_weight_adjacency(
+            2, {(0, 1): Polynomial(1, {(0,): 1.0, (1,): 0.5})}, 1,
+            [Polynomial(1, {}), unit_disk(1)], [(-1.0, 1.0)])
+    if case == "quartic_path":
+        w = Polynomial(1, {(0,): 1.0, (2,): 0.5, (4,): 0.25})
+        return edge_weight_adjacency(
+            3, {(0, 1): w, (1, 2): Polynomial(1, {(0,): 1.0})}, 1,
+            [unit_disk(1)], [(-1.0, 1.0)])
+    return ScenarioSpec.load(builtin_path(case)).adjacency
+
+
+@pytest.mark.parametrize("case", [
+    "six_agent", "adversarial", "fifty_agent", "random_disk_31",
+    "random_disk_0", "random_disk_1", "random_disk_2", "quartic_path",
+    "zero_region"])
+def test_compiled_columns_equal_the_per_variable_route(case):
+    # every block's columns, entry for entry, against the dense route of
+    # one basis matrix, Gram image and null-basis element per variable
+    adj = _oracle_case(case)
+    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
+    asm = assemble(L_hat, adj.omega)
+    got = asm.problem.compile_columns()
+    ref = oracles.assembly_columns(asm, adj.omega)
+    assert len(got) == len(ref) == len(asm.r_vars) + 1
+    for A, B in zip(got, ref):
+        assert A.shape == B.shape
+        np.testing.assert_array_equal(A.indptr, B.indptr)
+        np.testing.assert_array_equal(A.indices, B.indices)
+        np.testing.assert_array_equal(A.data, B.data)
 
 
 @pytest.mark.parametrize("case", ["six_agent", "random_disk"])

@@ -422,3 +422,77 @@ def test_region_too_small_to_sample_exits_2(tmp_path, capsys, command):
     assert "uncertainty.region" in err and "uncertainty.box" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def adversarial_doc():
+    return json.loads(builtin_path("adversarial").read_text())
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("flatten", [
+    ("tau", "positions", "velocities"), ("positions",), ("velocities",)],
+    ids=["all_three", "positions", "velocities"])
+def test_agent_arrays_must_be_two_dimensional(tmp_path, capsys, command,
+                                              flatten):
+    # [[0, 0], [3, 0]] flattened to [0, 0, 3, 0] or cut to [0, 3]; the
+    # error names the first bad field
+    doc = adversarial_doc()
+    for key in flatten:
+        doc[key] = [row[0] for row in doc[key]]
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(doc))
+    args = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    assert run_cli(command, str(p), *args) == 2
+    err = capsys.readouterr().err
+    assert f"{flatten[0]}: must be " in err and "rows of coordinates" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["../evil", "a/b", ".hidden", "..", "",
+                                  "-dash", "tab\tname"])
+def test_scenario_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    doc = adversarial_doc()
+    doc["name"] = name
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
+    assert "name: " in capsys.readouterr().err
+
+
+def test_scenario_name_cannot_write_outside_the_output(tmp_path,
+                                                      monkeypatch):
+    # simulate's run directory and certify's default certificate path are
+    # both made from the name; with work/ as the working and the output
+    # directory, "../evil" would put them next to work/ in tmp_path
+    work = tmp_path / "work"
+    work.mkdir()
+    doc = adversarial_doc()
+    doc["name"] = "../evil"
+    p = work / "named.json"
+    p.write_text(json.dumps(doc))
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.parent.iterdir())
+    assert run_cli("simulate", str(p), "--out", str(work)) == 2
+    assert run_cli("certify", str(p), "--samples", "100") == 2
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == [p]
+    assert sorted(tmp_path.parent.iterdir()) == before
+
+
+def test_plot_one_coordinate_run(tmp_path):
+    # adversarial cut to its first coordinate: a head-on run on a line,
+    # drawn on y = 0
+    doc = adversarial_doc()
+    for key in ("tau", "positions", "velocities"):
+        doc[key] = [row[:1] for row in doc[key]]
+    p = tmp_path / "line.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) in (0, 1)
+    out = tmp_path / "runs"
+    assert run_cli("simulate", str(p), "--out", str(out)) in (0, 4)
+    rd = out / "adversarial_seed0"
+    assert run_cli("plot", str(rd)) == 0
+    svg = (rd / "trajectories.svg").read_text()
+    for s in ("min_distance.svg", "velocity_diff.svg", "energy.svg"):
+        assert (rd / s).exists()
+    assert svg.count("<circle") == 2

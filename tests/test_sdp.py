@@ -49,7 +49,8 @@ def planted_problem(seed, sizes=(5, 4), m=6, rank_split=None):
     prob = SdpProblem()
     idx = [prob.add_var(obj=b[i]) for i in range(m)]
     for F0, F in blocks:
-        prob.add_lmi(F0, {idx[i]: F[i] for i in range(m)})
+        prob.add_lmi(F0, oracles.lmi_columns(
+            {idx[i]: F[i] for i in range(m)}, len(F0)))
     return prob, float(b @ y_star)
 
 
@@ -69,6 +70,18 @@ class TestSvec:
     def test_dim(self):
         assert [svec_dim(n) for n in (1, 2, 3, 10)] == [1, 3, 6, 55]
 
+    def test_batch_axes(self):
+        # leading axes are a batch: each element as if taken on its own
+        rng = np.random.default_rng(3)
+        X = np.array([[sym(rng, 4) for _ in range(3)] for _ in range(2)])
+        V = svec(X)
+        assert V.shape == (2, 3, 10)
+        back = smat(V, 4)
+        for a in range(2):
+            for b in range(3):
+                np.testing.assert_array_equal(V[a, b], svec(X[a, b]))
+                np.testing.assert_array_equal(back[a, b], smat(V[a, b], 4))
+
 
 class TestAnalytic:
 
@@ -76,7 +89,8 @@ class TestAnalytic:
         # max c with diag(2, 3) - c I PSD; the answer is the smallest entry.
         prob = SdpProblem()
         c = prob.add_var("c", obj=1.0)
-        prob.add_lmi(np.diag([2.0, 3.0]), {c: -np.eye(2)})
+        prob.add_lmi(np.diag([2.0, 3.0]),
+                     oracles.lmi_columns({c: -np.eye(2)}, 2))
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
@@ -85,7 +99,8 @@ class TestAnalytic:
         # max y with 3 - y >= 0 as a 1x1 LMI.
         prob = SdpProblem()
         yv = prob.add_var(obj=1.0)
-        prob.add_lmi(np.array([[3.0]]), {yv: np.array([[-1.0]])})
+        prob.add_lmi(np.array([[3.0]]),
+                     oracles.lmi_columns({yv: np.array([[-1.0]])}, 1))
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-7)
@@ -95,7 +110,7 @@ class TestAnalytic:
         prob = SdpProblem()
         yv = prob.add_var(obj=1.0)
         off = np.array([[0.0, 1.0], [1.0, 0.0]])
-        prob.add_lmi(np.eye(2), {yv: off})
+        prob.add_lmi(np.eye(2), oracles.lmi_columns({yv: off}, 2))
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
@@ -108,7 +123,7 @@ class TestAnalytic:
         C = sym(rng, 5, scale=2.0)
         prob = SdpProblem()
         t = prob.add_var("t", obj=-1.0)
-        prob.add_lmi(-C, {t: np.eye(5)})
+        prob.add_lmi(-C, oracles.lmi_columns({t: np.eye(5)}, 5))
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         target = float(np.linalg.eigvalsh(C)[-1])
@@ -152,13 +167,8 @@ class TestPlanted:
         prob2 = SdpProblem()
         for i in range(3):
             prob2.add_var(obj=10.0 * prob1.objective.get(i, 0.0))
-        blk = prob1.lmis[0]
-        coeffs = {}
-        for i, (pos, vals) in blk.cols.items():
-            v = np.zeros(svec_dim(blk.size))
-            v[pos] = vals
-            coeffs[i] = 10.0 * smat(v, blk.size)
-        prob2.add_lmi(10.0 * blk.const, coeffs)
+        prob2.add_lmi(10.0 * prob1.lmis[0].const,
+                      10.0 * prob1.compile_columns()[0])
         s1 = solve(prob1)
         s2 = solve(prob2)
         assert s2.objective_value == pytest.approx(10.0 * s1.objective_value,
@@ -178,8 +188,9 @@ class TestDegenerate:
         # y >= 0 and -1 - y >= 0 cannot both hold.
         prob = SdpProblem()
         yv = prob.add_var(obj=0.0)
-        prob.add_lmi(np.zeros((1, 1)), {yv: np.eye(1)})
-        prob.add_lmi(np.array([[-1.0]]), {yv: -np.eye(1)})
+        prob.add_lmi(np.zeros((1, 1)), oracles.lmi_columns({yv: np.eye(1)}, 1))
+        prob.add_lmi(np.array([[-1.0]]),
+                     oracles.lmi_columns({yv: -np.eye(1)}, 1))
         sol = solve(prob)
         assert sol.status is SdpStatus.INFEASIBLE
 
@@ -188,7 +199,7 @@ class TestDegenerate:
         # or unbounded by dual divergence.
         prob = SdpProblem()
         yv = prob.add_var(obj=1.0)
-        prob.add_lmi(np.zeros((1, 1)), {yv: np.eye(1)})
+        prob.add_lmi(np.zeros((1, 1)), oracles.lmi_columns({yv: np.eye(1)}, 1))
         sol = solve(prob)
         assert sol.status is SdpStatus.INFEASIBLE
 
@@ -196,7 +207,7 @@ class TestDegenerate:
         prob = SdpProblem()
         prob.add_var("free", obj=1.0)
         c = prob.add_var("c", obj=1.0)
-        prob.add_lmi(np.diag([2.0]), {c: -np.eye(1)})
+        prob.add_lmi(np.diag([2.0]), oracles.lmi_columns({c: -np.eye(1)}, 1))
         sol = solve(prob)
         assert sol.status is SdpStatus.INFEASIBLE
         assert "unbounded" in sol.message
@@ -206,7 +217,8 @@ class TestDegenerate:
         prob = SdpProblem()
         prob.add_var("unused")
         c = prob.add_var("c", obj=1.0)
-        prob.add_lmi(np.diag([2.0, 5.0]), {c: -np.eye(2)})
+        prob.add_lmi(np.diag([2.0, 5.0]),
+                     oracles.lmi_columns({c: -np.eye(2)}, 2))
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
@@ -221,7 +233,8 @@ class TestDegenerate:
         monkeypatch.setattr(sdp, "_KktSolver", unfactorizable)
         prob = SdpProblem()
         c = prob.add_var("c", obj=1.0)
-        prob.add_lmi(np.diag([2.0, 5.0]), {c: -np.eye(2)})
+        prob.add_lmi(np.diag([2.0, 5.0]),
+                     oracles.lmi_columns({c: -np.eye(2)}, 2))
         sol = solve(prob)
         assert sol.status is SdpStatus.NUMERICAL_FAILURE
         assert "failed" in sol.message
@@ -233,27 +246,29 @@ class TestValidationAndResiduals:
         prob = SdpProblem()
         prob.add_var()
         with pytest.raises(ValueError):
-            prob.add_lmi(np.array([[0.0, 1.0], [0.0, 0.0]]), {})
+            prob.add_lmi(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         oracles.lmi_columns({}, 2))
 
     def test_rejects_wrong_shape_coeff(self):
+        # columns for a 3-square LMI have 6 rows, a 2-square one needs 3
         prob = SdpProblem()
         v = prob.add_var()
         with pytest.raises(ValueError):
-            prob.add_lmi(np.eye(2), {v: np.eye(3)})
+            prob.add_lmi(np.eye(2), oracles.lmi_columns({v: np.eye(3)}, 3))
 
     def test_rejects_unknown_index(self):
         prob = SdpProblem()
         prob.add_var()
         with pytest.raises(ValueError):
-            prob.add_lmi(np.eye(2), {5: np.eye(2)})
-        with pytest.raises(ValueError):
-            prob.add_lmi(np.eye(2), {-1: np.eye(2)})
+            prob.add_lmi(np.eye(2), oracles.lmi_columns({5: np.eye(2)}, 2))
 
     def test_residuals_report(self):
         prob = SdpProblem()
         c = prob.add_var("c", obj=1.0)
-        prob.add_lmi(np.diag([2.0, 3.0]), {c: -np.eye(2)})
-        prob.add_lmi(np.array([[1.0]]), {c: np.array([[2.0]])})
+        prob.add_lmi(np.diag([2.0, 3.0]),
+                     oracles.lmi_columns({c: -np.eye(2)}, 2))
+        prob.add_lmi(np.array([[1.0]]),
+                     oracles.lmi_columns({c: np.array([[2.0]])}, 1))
         rep = residuals(prob, np.array([1.0]))
         assert rep["min_eigenvalues"][0] == pytest.approx(1.0, abs=1e-12)
         assert rep["min_eigenvalues"][1] == pytest.approx(3.0, abs=1e-12)
@@ -347,7 +362,7 @@ class TestSchurMatrix:
                 else:
                     F = sym(rng, n)
                 coeffs[i] = F
-            prob.add_lmi(np.zeros((n, n)), coeffs)
+            prob.add_lmi(np.zeros((n, n)), oracles.lmi_columns(coeffs, n))
         A_list = prob.compile_columns()
         sizes = [blk.size for blk in prob.lmis]
         scalings = [sdp._Scaling(random_spd(rng, n), random_spd(rng, n))

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from robustform import sdp
 from robustform.certifier import assemble
 from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.smr import (
@@ -94,7 +96,7 @@ class TestCanonicalGram:
         # the hand-worked representative differs from the canonical base by
         # exactly one null direction
         _pv, base = gram_form(QUARTIC, 2)
-        null_basis = gram_null_basis(1, 2, 1)
+        null_basis = oracles.null_matrices(1, 2, 1)
         assert len(null_basis) == 1
         diff = QUARTIC_GRAM - base
         B = null_basis[0]
@@ -139,7 +141,7 @@ class TestCanonicalGram:
 
 class TestNullBasis:
     def test_univariate_d2_dimension_and_pattern(self):
-        nb = gram_null_basis(1, 2, 1)
+        nb = oracles.null_matrices(1, 2, 1)
         assert len(nb) == 1
         B = nb[0]
         # proportional to the hand-worked pattern (not necessarily equal)
@@ -151,12 +153,12 @@ class TestNullBasis:
         # compare against a generic SVD-based kernel of the expansion map
         for (r, d, s) in [(1, 2, 1), (2, 1, 1), (2, 2, 1), (1, 1, 2),
                           (2, 1, 2), (1, 2, 2), (3, 1, 2)]:
-            nb = gram_null_basis(r, d, s)
+            nb = oracles.null_matrices(r, d, s)
             assert len(nb) == null_dimension(r, d, s)
             assert len(nb) == _kernel_dim_by_svd(r, d, s)
 
     def test_case_r2_d1_s2(self):
-        nb = gram_null_basis(2, 1, 2)
+        nb = oracles.null_matrices(2, 1, 2)
         assert len(nb) == null_dimension(2, 1, 2)
         pv = power_vector(2, 1)
         for B in nb:
@@ -166,7 +168,7 @@ class TestNullBasis:
 
     def test_elements_orthonormal(self):
         for (r, d, s) in [(1, 2, 1), (2, 2, 1), (2, 1, 3), (1, 3, 2)]:
-            nb = gram_null_basis(r, d, s)
+            nb = oracles.null_matrices(r, d, s)
             for i, Bi in enumerate(nb):
                 for j, Bj in enumerate(nb):
                     ip = np.sum(Bi * Bj)
@@ -176,12 +178,38 @@ class TestNullBasis:
     def test_elements_symmetric_and_expand_to_zero(self):
         for (r, d, s) in [(1, 2, 1), (2, 2, 1), (3, 1, 2), (2, 2, 2)]:
             pv = power_vector(r, d)
-            for B in gram_null_basis(r, d, s):
+            for B in oracles.null_matrices(r, d, s):
                 np.testing.assert_allclose(B, B.T, atol=1e-14)
                 M = gram_expand_matrix(B, pv, s)
                 worst = max((np.max(np.abs(C)) for C in M.coeffs.values()),
                             default=0.0)
                 assert worst < 1e-12
+
+
+    # (r, d, s) shapes; in the first four no monomial has more than two
+    # Gram positions, so no element needs a Gram-Schmidt projection
+    SHAPES = [(1, 2, 1), (1, 2, 2), (2, 1, 3), (3, 1, 2),
+              (2, 2, 1), (1, 3, 2), (2, 2, 2), (3, 2, 2)]
+
+    @pytest.mark.parametrize("r,d,s", SHAPES)
+    def test_columns_orthonormal(self, r, d, s):
+        N = gram_null_basis(r, d, s)
+        assert N.shape == (sdp.svec_dim(len(power_vector(r, d)) * s),
+                           null_dimension(r, d, s))
+        np.testing.assert_allclose((N.T @ N).toarray(),
+                                   np.eye(N.shape[1]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("r,d,s", SHAPES)
+    def test_columns_match_dense_construction(self, r, d, s):
+        # same elements, order and signs as the dense Gram-Schmidt pass;
+        # bit for bit where no projection is taken
+        N = gram_null_basis(r, d, s).toarray()
+        ref = np.array([sdp.svec(B) for B in oracles.null_basis(r, d, s)]).T
+        assert N.shape == ref.shape
+        if self.SHAPES.index((r, d, s)) < 4:
+            np.testing.assert_array_equal(N, ref)
+        else:
+            np.testing.assert_allclose(N, ref, rtol=0, atol=1e-15)
 
 
 class TestRoundTripRandom:
@@ -197,7 +225,7 @@ class TestRoundTripRandom:
                       for e, c in f.terms.items()) if f.terms else 0.0
             assert err < 1e-10
             # random family member expands to the same polynomial
-            null_basis = gram_null_basis(r, d, 1)
+            null_basis = oracles.null_matrices(r, d, 1)
             delta = rng.uniform(-2, 2, size=len(null_basis))
             member = base + sum(dk * B for dk, B in zip(delta, null_basis))
             back2 = gram_expand_matrix(member, pv, 1).entry(0, 0)
