@@ -259,18 +259,23 @@ class TuneResult:
     residual: float
 
 
+# tune_mu's cap margin, iteration limit and relative self-consistency tolerance
+TUNE_MARGIN = 1.1
+TUNE_MAX_ITER = 100
+TUNE_TOL = 1e-9
+
+
 def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
             topo: TopologyState, geom: AgentGeometry,
-            weight_samples, margin: float = 1.1, max_iter: int = 100,
-            tol: float = 1e-9) -> TuneResult:
+            weight_samples) -> TuneResult:
     """Pick barrier caps that dominate the worst-case energy.
 
     The caps must beat mu_safe(mu) = W(t0; mu) + N(N-1)/2 * Psi_zone(mu),
     where Psi_zone bounds what one pair entering the collision zone can add
     and W(t0) is maximized over the supplied weight matrices.  mu_safe is
     increasing and bounded in mu (the envelope caps at mu = inf), so
-    seeding at margin times the envelope value and iterating
-    mu <- margin * mu_safe(mu) reaches self-consistency immediately in
+    seeding at TUNE_MARGIN times the envelope value and iterating
+    mu <- TUNE_MARGIN * mu_safe(mu) reaches self-consistency immediately in
     exact arithmetic; the loop guards against that ever failing and raises
     with a trace when it does."""
     positions = np.asarray(positions, dtype=float)
@@ -308,21 +313,21 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
         return w0 + zone_total, w0, zone_total
 
     envelope, _, _ = mu_safe_at(math.inf)
-    mu = margin * envelope if envelope > 0 else 1.0
+    mu = TUNE_MARGIN * envelope if envelope > 0 else 1.0
     trace = []
-    for step in range(1, max_iter + 1):
+    for step in range(1, TUNE_MAX_ITER + 1):
         need, w0, zone_total = mu_safe_at(mu)
-        residual = max(0.0, margin * need - mu)
+        residual = max(0.0, TUNE_MARGIN * need - mu)
         trace.append((mu, need, residual))
-        if residual <= tol * max(1.0, mu):
+        if residual <= TUNE_TOL * max(1.0, mu):
             params = BarrierParams(mu, mu, eps_hat)
             return TuneResult(params=params, mu_safe=need, w0=w0,
                               zone_term=zone_total, n_steps=step,
                               residual=residual)
-        mu = margin * need
+        mu = TUNE_MARGIN * need
     lines = "\n".join(
         f"  step {k + 1}: mu={m:.6e} mu_safe={n:.6e} residual={r:.3e}"
         for k, (m, n, r) in enumerate(trace[-10:]))
     raise TuneError(
-        f"cap tuning did not reach self-consistency in {max_iter} "
+        f"cap tuning did not reach self-consistency in {TUNE_MAX_ITER} "
         f"iterations; last steps:\n{lines}")

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,20 +139,16 @@ def _csv_num(x: float) -> str:
 
 
 def _write_trajectory_csv(path: Path, log, dim: int) -> None:
-    cols = ["t", "agent"]
-    cols += [f"x{k}" for k in range(dim)]
-    cols += [f"v{k}" for k in range(dim)]
-    cols += [f"u{k}" for k in range(dim)]
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
+        w.writerow(["t", "agent"] + [f"{c}{k}" for c in "xvu"
+                                     for k in range(dim)])
         for s in range(log.times.shape[0]):
             for a in range(log.positions.shape[1]):
-                row = [_csv_num(log.times[s]), str(a)]
-                row += [_csv_num(v) for v in log.positions[s, a]]
-                row += [_csv_num(v) for v in log.velocities[s, a]]
-                row += [_csv_num(v) for v in log.controls[s, a]]
-                w.writerow(row)
+                w.writerow([_csv_num(log.times[s]), str(a)] + [
+                    _csv_num(v) for arr in (log.positions, log.velocities,
+                                            log.controls)
+                    for v in arr[s, a]])
 
 
 def _write_energy_csv(path: Path, log) -> None:
@@ -176,30 +173,24 @@ def _jsonable(obj):
     return obj
 
 
+# switch and zone events are written one line per pair:
+# (event type, key of its pair list, action)
+_PAIR_ACTIONS = (("switch", "added", "add"), ("switch", "removed", "remove"),
+                 ("zone", "entered", "zone_enter"),
+                 ("zone", "left", "zone_leave"))
+
+
 def _write_events_jsonl(path: Path, events) -> None:
     with path.open("w") as fh:
         for ev in events:
-            if ev["type"] == "switch":
-                for pair in ev["added"]:
-                    fh.write(json.dumps(_jsonable(
-                        {"t": ev["t"], "pair": list(pair),
-                         "action": "add"})) + "\n")
-                for pair in ev["removed"]:
-                    fh.write(json.dumps(_jsonable(
-                        {"t": ev["t"], "pair": list(pair),
-                         "action": "remove"})) + "\n")
-            elif ev["type"] == "zone":
-                for pair in ev["entered"]:
-                    fh.write(json.dumps(_jsonable(
-                        {"t": ev["t"], "pair": list(pair),
-                         "action": "zone_enter"})) + "\n")
-                for pair in ev["left"]:
-                    fh.write(json.dumps(_jsonable(
-                        {"t": ev["t"], "pair": list(pair),
-                         "action": "zone_leave"})) + "\n")
+            if ev["type"] in ("switch", "zone"):
+                docs = [{"t": ev["t"], "pair": list(pair), "action": action}
+                        for kind, key, action in _PAIR_ACTIONS
+                        if kind == ev["type"] for pair in ev[key]]
             else:
-                doc = {"action": ev["type"]}
-                doc.update({k: v for k, v in ev.items() if k != "type"})
+                docs = [{"action": ev["type"], **{
+                    k: v for k, v in ev.items() if k != "type"}}]
+            for doc in docs:
                 fh.write(json.dumps(_jsonable(doc)) + "\n")
 
 
@@ -255,16 +246,14 @@ def cmd_simulate(args) -> int:
             "sha256": hashlib.sha256(scenario_bytes).hexdigest(),
             "n_agents": spec.n_agents,
             "dim": spec.dim,
-            "geometry": {k: getattr(spec.geometry, k)
-                         for k in ("r_a", "r_c", "r_z", "r_s", "d_s",
-                                   "eps")},
+            "geometry": asdict(spec.geometry),
             "formation_edges": sorted(list(e)
                                       for e in spec.formation_edges),
         },
         "seed": args.seed,
         "T_end": args.T if args.T is not None else spec.T_end,
-        "dt": args.dt if args.dt is not None else spec.dt,
-        "method": spec.method,
+        "dt": dt_used,
+        "method": "rk4",
         "unsafe": bool(args.unsafe),
         "theta": _jsonable(res.theta),
         "barrier": {"mu1": res.params.mu1, "mu2": res.params.mu2,

@@ -69,6 +69,10 @@ class RegionSamplingError(ValueError):
     """Rejection sampling found too few points of Omega in its box."""
 
 
+# rounds of rejection sampling before sample_omega gives up
+SAMPLE_MAX_TRIES = 200
+
+
 @dataclass
 class UncertainAdjacency:
     """Symmetric polynomial weight matrix plus the uncertainty set Omega.
@@ -109,13 +113,12 @@ class UncertainAdjacency:
     def r(self) -> int:
         return self.entries.r
 
-    def sample_omega(self, rng: np.random.Generator, n: int,
-                     max_tries: int = 200) -> np.ndarray:
+    def sample_omega(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Rejection-sample n points of Omega from the bounding box."""
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         out = np.empty((0, self.r))
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_MAX_TRIES):
             cand = rng.uniform(lo, hi, size=(max(n, 64), self.r))
             keep = np.ones(cand.shape[0], dtype=bool)
             for s in self.omega:
@@ -125,7 +128,7 @@ class UncertainAdjacency:
                 return out[:n]
         raise RegionSamplingError(
             f"uncertainty.region: could not draw {n} samples of the region "
-            f"from uncertainty.box in {max_tries} rounds; got "
+            f"from uncertainty.box in {SAMPLE_MAX_TRIES} rounds; got "
             f"{out.shape[0]} (is the box far larger than the region?)")
 
 
@@ -312,7 +315,6 @@ def validate_assumptions(tau: np.ndarray, formation_edges,
     initial_positions = np.asarray(initial_positions, dtype=float)
     overrides = overrides or {}
     fe = sorted(canon_edge(i, j) for (i, j) in formation_edges)
-    results = []
 
     def finish(name, violations):
         if name in overrides:
@@ -322,28 +324,18 @@ def validate_assumptions(tau: np.ndarray, formation_edges,
         return AssumptionResult(name, passed=not violations,
                                 violations=tuple(violations))
 
-    v1 = []
+    v1, v2, v3 = [], [], []
     for (i, j) in fe:
         d = float(np.linalg.norm(tau[i] - tau[j]))
+        d0 = float(np.linalg.norm(initial_positions[i] - initial_positions[j]))
         if not (geom.r_z <= d <= geom.r_s - geom.eps):
             v1.append(f"pair ({i},{j}): desired distance {d:.4f} outside "
                       f"[{geom.r_z}, {geom.r_s - geom.eps}]")
-    results.append(finish("A1", v1))
-
-    v2 = []
-    for (i, j) in fe:
-        d = float(np.linalg.norm(initial_positions[i] - initial_positions[j]))
-        if d > geom.r_s - geom.eps:
-            v2.append(f"pair ({i},{j}): initial distance {d:.4f} > "
+        if d0 > geom.r_s - geom.eps:
+            v2.append(f"pair ({i},{j}): initial distance {d0:.4f} > "
                       f"{geom.r_s - geom.eps}")
-    results.append(finish("A2", v2))
-
-    v3 = []
-    for (i, j) in fe:
-        d = float(np.linalg.norm(tau[i] - tau[j]))
         if not (geom.r_s - d > geom.d_s + d):
             v3.append(f"pair ({i},{j}): r_s - {d:.4f} = {geom.r_s - d:.4f} "
                       f"not > d_s + {d:.4f} = {geom.d_s + d:.4f}")
-    results.append(finish("A3", v3))
-
-    return AssumptionReport(tuple(results))
+    return AssumptionReport((finish("A1", v1), finish("A2", v2),
+                             finish("A3", v3)))

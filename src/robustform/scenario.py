@@ -7,6 +7,9 @@ its parameter region.  Scenarios serialize to a small JSON document whose
 polynomial entries are explicit term records, so files stay diffable and
 independent of any pickle format.  The shipped scenarios (BUILTIN) are
 defined only by their files under scenarios/, found by builtin_path.
+
+Runs integrate with classical RK4, the only integrator: a file records it
+as "method": "rk4", and from_dict refuses any other value.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from .netgraph import AgentGeometry, UncertainAdjacency, canon_edge
 from .polyalg import MatrixPolynomial, Polynomial
 
 FORMAT = "formation-scenario/1"
-METHODS = ("rk4", "euler")
 NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
@@ -35,23 +37,23 @@ def _finite_polynomial(r: int, terms, where: str) -> Polynomial:
     return Polynomial.from_records(r, terms)
 
 
-def check_time_grid(dt, T_end, record_every, method,
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    """Raise ValueError naming the field key unless ok."""
+    if not ok:
+        raise ValueError(f"{key}: must be {rule}, got {value!r}")
+
+
+def check_time_grid(dt, T_end, record_every,
                     zero_horizon: bool = False) -> None:
     """Raise ValueError naming the first bad time-grid setting: dt and
     T_end finite and > 0 (T_end >= 0 with zero_horizon), record_every an
-    integer >= 1, method one of METHODS."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt: must be finite and > 0, got {dt}")
-    if not (math.isfinite(T_end) and (T_end > 0 or
-                                      (zero_horizon and T_end == 0))):
-        raise ValueError(f"T_end: must be finite and "
-                         f"{'>=' if zero_horizon else '>'} 0, got {T_end}")
-    if not (isinstance(record_every, int) and record_every >= 1):
-        raise ValueError(f"record_every: must be an integer >= 1, got "
-                         f"{record_every!r}")
-    if method not in METHODS:
-        raise ValueError(f"method: must be one of {list(METHODS)}, got "
-                         f"{method!r}")
+    integer >= 1."""
+    _require(math.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
+    _require(math.isfinite(T_end) and (T_end > 0 or (zero_horizon and
+                                                     T_end == 0)),
+             "T_end", f"finite and {'>=' if zero_horizon else '>'} 0", T_end)
+    _require(isinstance(record_every, int) and record_every >= 1,
+             "record_every", "an integer >= 1", record_every)
 
 
 @dataclass
@@ -73,7 +75,6 @@ class ScenarioSpec:
     dt: float = 1e-3
     record_every: int = 100
     n_weight_samples: int = 16
-    method: str = "rk4"
     conv_tol: float | None = None
 
     def __post_init__(self):
@@ -88,6 +89,11 @@ class ScenarioSpec:
                 raise ValueError(
                     f"{key}: must be {N} rows of coordinates, one per "
                     f"agent, got shape {a.shape}")
+            bad = np.argwhere(~np.isfinite(a))
+            if bad.size:
+                i, k = bad[0]
+                raise ValueError(f"{key}: coordinate [{i}][{k}] is "
+                                 f"{a[i, k]}, must be finite")
             setattr(self, key, a)
         if self.tau.shape != self.positions.shape or \
                 self.tau.shape != self.velocities.shape:
@@ -97,7 +103,16 @@ class ScenarioSpec:
         for (i, j) in self.formation_edges:
             if not (0 <= i < N and 0 <= j < N):
                 raise ValueError(f"formation edge ({i},{j}) out of range")
-        check_time_grid(self.dt, self.T_end, self.record_every, self.method)
+        check_time_grid(self.dt, self.T_end, self.record_every)
+        n, tol = self.n_weight_samples, self.conv_tol
+        _require(isinstance(n, int) and n >= 0, "n_weight_samples",
+                 "an integer >= 0", n)
+        for key in ("jitter_pos", "jitter_vel"):
+            value = getattr(self, key)
+            _require(math.isfinite(value) and value >= 0, key,
+                     "finite and >= 0", value)
+        _require(tol is None or (math.isfinite(tol) and tol > 0), "conv_tol",
+                 "null or finite and > 0", tol)
 
     @property
     def n_agents(self) -> int:
@@ -119,9 +134,7 @@ class ScenarioSpec:
         doc = {
             "format": FORMAT,
             "name": self.name,
-            "geometry": {k: getattr(self.geometry, k)
-                         for k in ("r_a", "r_c", "r_z", "r_s", "d_s",
-                                   "eps")},
+            "geometry": asdict(self.geometry),
             "tau": self.tau.tolist(),
             "positions": self.positions.tolist(),
             "velocities": self.velocities.tolist(),
@@ -143,7 +156,7 @@ class ScenarioSpec:
             "dt": self.dt,
             "record_every": self.record_every,
             "n_weight_samples": self.n_weight_samples,
-            "method": self.method,
+            "method": "rk4",
             "conv_tol": self.conv_tol,
         }
         return doc
@@ -156,6 +169,10 @@ class ScenarioSpec:
         if doc.get("format") != FORMAT:
             raise ValueError(
                 f"unsupported scenario format {doc.get('format')!r}")
+        method = doc.get("method", "rk4")
+        if method != "rk4":
+            raise ValueError(f"method: only 'rk4' is supported, got "
+                             f"{method!r}")
         tau = np.asarray(doc["tau"], dtype=float)
         if tau.ndim != 2:  # N is read off tau
             raise ValueError(f"tau: must be rows of coordinates, got shape "
@@ -206,8 +223,7 @@ class ScenarioSpec:
             T_end=float(doc.get("T_end", 40.0)),
             dt=float(doc.get("dt", 1e-3)),
             record_every=doc.get("record_every", 100),
-            n_weight_samples=int(doc.get("n_weight_samples", 16)),
-            method=doc.get("method", "rk4"),
+            n_weight_samples=doc.get("n_weight_samples", 16),
             conv_tol=(None if doc.get("conv_tol") is None
                       else float(doc["conv_tol"])),
         )

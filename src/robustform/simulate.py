@@ -2,11 +2,12 @@
 
 Agents obey x_dot = rho, rho_dot = u with the barrier-based control law.
 A run samples one uncertain-weight realization, tunes (or accepts) the
-barrier caps, then integrates while monitoring the invariants the design
-promises: pairwise distances stay above the safety floor, formation pairs
-stay inside sensing range, the composite energy never grows between
-topology switches beyond integration tolerance, and switches change the
-energy by exactly the entering and leaving terms.
+barrier caps, then integrates with the classical fourth-order Runge-Kutta
+scheme while monitoring the invariants the design promises: pairwise
+distances stay above the safety floor, formation pairs stay inside
+sensing range, the composite energy never grows between topology switches
+beyond integration tolerance, and switches change the energy by exactly
+the entering and leaving terms.
 
 Each step computes one pair-distance matrix at the new positions; the
 topology and zone updates and the safety and edge-break monitors all read
@@ -26,6 +27,12 @@ from .netgraph import (AgentGeometry, TopologyState, canon_edge,
                        is_connected, pair_distances, update_edges,
                        validate_assumptions)
 from .scenario import ScenarioSpec, check_time_grid
+
+
+# monitor limits: energy rise per step DRIFT_TOL * dt with the masks frozen;
+# mask-change energy jump error JUMP_TOL * max(1, |W|)
+DRIFT_TOL = 1e-4
+JUMP_TOL = 1e-9
 
 
 class PreconditionError(RuntimeError):
@@ -50,38 +57,29 @@ class SimState:
     distances: np.ndarray | None = None
 
 
-def step(state: SimState, tau: np.ndarray, geom: AgentGeometry,
-         G: np.ndarray, params: BarrierParams, dt: float,
-         method: str = "rk4", _arrays: PairArrays | None = None
-         ) -> SimState:
-    """Advance one step with topology and zone membership frozen.
+def step(state: SimState, arrays: PairArrays, params: BarrierParams,
+         dt: float) -> SimState:
+    """Advance one classical RK4 step with topology and zone membership
+    frozen.
 
-    The masks seen by the control law are the ones in the incoming state,
-    at every integrator stage; the returned state carries the refreshed
-    masks, read off the one distance matrix of the new positions."""
-    arrays = _arrays if _arrays is not None else PairArrays(
-        state.topo, state.zone_pairs, tau, geom, G)
+    arrays is the PairArrays of the incoming state's masks; the control
+    law sees those masks at every stage.  The returned state carries the
+    refreshed masks, read off the one distance matrix of the new
+    positions."""
     x, v = state.positions, state.velocities
-    if method == "rk4":
-        u1 = arrays.control(x, v, params)
-        x2, v2 = x + 0.5 * dt * v, v + 0.5 * dt * u1
-        u2 = arrays.control(x2, v2, params)
-        x3, v3 = x + 0.5 * dt * v2, v + 0.5 * dt * u2
-        u3 = arrays.control(x3, v3, params)
-        x4, v4 = x + dt * v3, v + dt * u3
-        u4 = arrays.control(x4, v4, params)
-        x_new = x + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v_new = v + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
-    elif method == "euler":
-        u = arrays.control(x, v, params)
-        v_new = v + dt * u
-        x_new = x + dt * v_new
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    u1 = arrays.control(x, v, params)
+    x2, v2 = x + 0.5 * dt * v, v + 0.5 * dt * u1
+    u2 = arrays.control(x2, v2, params)
+    x3, v3 = x + 0.5 * dt * v2, v + 0.5 * dt * u2
+    u3 = arrays.control(x3, v3, params)
+    x4, v4 = x + dt * v3, v + dt * u3
+    u4 = arrays.control(x4, v4, params)
+    x_new = x + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v_new = v + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
     t_new = state.t + dt
     dist = pair_distances(x_new)
-    topo_new = update_edges(dist, state.topo, geom, t_new)
-    zone_new = zone_pairs_at(dist, topo_new, geom)
+    topo_new = update_edges(dist, state.topo, arrays.geom, t_new)
+    zone_new = zone_pairs_at(dist, topo_new, arrays.geom)
     return SimState(t=t_new, positions=x_new, velocities=v_new,
                     topo=topo_new, zone_pairs=zone_new, distances=dist)
 
@@ -123,42 +121,36 @@ class RunResult:
 
 def initial_topology(positions: np.ndarray, formation_edges,
                      geom: AgentGeometry) -> TopologyState:
-    """Edge set at start: every pair inside the hysteresis-add radius."""
+    """Edge set at start: the formation edges, then one hysteresis update,
+    which adds every pair inside the add radius."""
     positions = np.asarray(positions, dtype=float)
     fe = frozenset(canon_edge(i, j) for (i, j) in formation_edges)
-    near = np.triu(pair_distances(positions) <= geom.r_s - geom.eps, 1)
-    i, j = np.nonzero(near)
-    return TopologyState(positions.shape[0],
-                         fe | frozenset(zip(i.tolist(), j.tolist())), fe)
+    return update_edges(pair_distances(positions),
+                        TopologyState(positions.shape[0], fe, fe), geom)
 
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
-        dt: float | None = None, record_every: int | None = None,
-        unsafe: bool = False, certificate: Certificate | None = None,
-        drift_tol: float = 1e-4, jump_tol: float = 1e-9,
-        method: str | None = None) -> RunResult:
+        dt: float | None = None, unsafe: bool = False,
+        certificate: Certificate | None = None) -> RunResult:
     """Integrate one seeded realization of a scenario, with monitoring.
 
-    Raises ValueError naming a bad dt, T_end, record_every or method (the
-    rules of the scenario fields, except that T_end = 0 records the
-    initial state only).  Given no certificate, a run that is not unsafe
-    certifies the scenario itself.  Raises PreconditionError when the
-    setup assumptions fail, when no positive connectivity certificate can
-    be produced, or when the supplied one is for another agent count or
-    does not clear its threshold, unless unsafe=True; and also when a
-    formation pair is not closer than r_s or the barrier caps cannot be
-    tuned.  Invariant violations do not raise: they stop the run and are
-    reported on the result."""
+    Raises ValueError naming a bad dt or T_end (the rules of the scenario
+    fields, except that T_end = 0 records the initial state only).  Given
+    no certificate, a run that is not unsafe certifies the scenario
+    itself.  Raises PreconditionError when the setup assumptions fail,
+    when no positive connectivity certificate can be produced, or when the
+    supplied one is for another agent count or does not clear its
+    threshold, unless unsafe=True; and also when a formation pair is not
+    closer than r_s or the barrier caps cannot be tuned.  Invariant
+    violations do not raise: they stop the run and are reported on the
+    result."""
     geom = scenario.geometry
     adj = scenario.adjacency
     tau = scenario.tau
     N = scenario.n_agents
     dt = scenario.dt if dt is None else dt
     T_end = scenario.T_end if T_end is None else T_end
-    record_every = scenario.record_every if record_every is None \
-        else record_every
-    method = scenario.method if method is None else method
-    check_time_grid(dt, T_end, record_every, method, zero_horizon=True)
+    check_time_grid(dt, T_end, scenario.record_every, zero_horizon=True)
 
     rng = np.random.default_rng(seed)
     positions = scenario.positions.copy()
@@ -238,8 +230,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     rec_t, rec_x, rec_v, rec_u = [], [], [], []
     W_t, W_vals = [], []
     events: list = []
-    failure = None
-    min_dist_run = np.inf
+    min_dist_run = np.inf  # stays so if the initial energy already fails
     max_drift = 0.0
     max_jump_err = 0.0
     n_switches = 0
@@ -252,10 +243,16 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
 
     iu, ju = np.triu_indices(N, k=1)
 
-    def offdiag_min(distances):
-        d = distances[iu, ju]
+    def closest_pair(st: SimState):
+        """The smallest pair distance of st, and the safety failure it is
+        when at most d_s."""
+        d = st.distances[iu, ju]
         k = int(np.argmin(d))
-        return float(d[k]), (int(iu[k]), int(ju[k]))
+        dmin = float(d[k])
+        if dmin <= geom.d_s:
+            return dmin, {"kind": "safety_distance", "t": st.t,
+                          "pair": (int(iu[k]), int(ju[k])), "value": dmin}
+        return dmin, None
 
     # formation edges are fixed for the run: one index pair for the
     # edge-break monitor and the final formation error
@@ -266,26 +263,21 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         W_t.append(0.0)
         W_vals.append(W_prev)
         record(state, arrays)
-        d0, pair0 = offdiag_min(dist)
-        min_dist_run = d0
-        if d0 <= geom.d_s:
-            failure = {"kind": "safety_distance", "t": 0.0, "pair": pair0,
-                       "value": d0}
+        min_dist_run, failure = closest_pair(state)
 
         for k in range(n_steps):
             if failure is not None:
                 break
-            new_state = step(state, tau, geom, G, params, dt,
-                             method=method, _arrays=arrays)
+            new_state = step(state, arrays, params, dt)
             x_new, v_new = new_state.positions, new_state.velocities
             t_new = new_state.t
 
             W_frozen = arrays.energy(x_new, v_new, params)
             drift = W_frozen - W_prev
             max_drift = max(max_drift, drift)
-            if drift > drift_tol * dt:
+            if drift > DRIFT_TOL * dt:
                 failure = {"kind": "energy_drift", "t": t_new,
-                           "value": drift, "limit": drift_tol * dt}
+                           "value": drift, "limit": DRIFT_TOL * dt}
 
             masks_changed = (new_state.topo is not state.topo or
                              new_state.zone_pairs != state.zone_pairs)
@@ -297,7 +289,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                                               params)
                 err = abs(W_actual - W_frozen - expected)
                 max_jump_err = max(max_jump_err, err)
-                if err > jump_tol * max(1.0, abs(W_actual)) \
+                if err > JUMP_TOL * max(1.0, abs(W_actual)) \
                         and failure is None:
                     failure = {"kind": "energy_jump", "t": t_new,
                                "value": err}
@@ -316,11 +308,9 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             else:
                 W_actual = W_frozen
 
-            dmin, pair = offdiag_min(new_state.distances)
+            dmin, too_close = closest_pair(new_state)
             min_dist_run = min(min_dist_run, dmin)
-            if dmin <= geom.d_s and failure is None:
-                failure = {"kind": "safety_distance", "t": t_new,
-                           "pair": pair, "value": dmin}
+            failure = failure or too_close
             if failure is None:
                 d_form = new_state.distances[fi, fj]
                 broken = np.flatnonzero(d_form >= geom.r_s)
@@ -335,7 +325,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             W_t.append(t_new)
             W_vals.append(W_actual)
 
-            if (k + 1) % record_every == 0 or k == n_steps - 1 \
+            if (k + 1) % scenario.record_every == 0 or k == n_steps - 1 \
                     or failure is not None:
                 record(state, arrays)
                 if failure is None and \

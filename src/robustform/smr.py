@@ -22,6 +22,7 @@ d=2 the vector is (t^2, t, 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -130,9 +131,11 @@ def gram_base(coeffs: Mapping[ExponentVec, np.ndarray], pv: PowerVector,
     return base
 
 
+@functools.lru_cache(maxsize=16)
 def gram_null_basis(r: int, d: int, s: int = 1) -> sparse.csc_array:
     """Orthonormal basis of symmetric matrices expanding to zero, as the
-    svec columns of one sparse matrix.
+    svec columns of one sparse matrix; read-only, and kept per (r, d, s),
+    since every assembly and every replay asks again.
 
     Two kinds of element span the kernel of the expansion map:
 
@@ -199,9 +202,12 @@ def gram_null_basis(r: int, d: int, s: int = 1) -> sparse.csc_array:
     vals.append(np.tile([root2 / 2, -root2 / 2], len(ends)))
 
     counts = [len(x) for x in rows[:-1]] + [2] * len(ends)
-    return sparse.csc_array(
+    basis = sparse.csc_array(
         (np.concatenate(vals), np.concatenate(rows), np.cumsum([0] + counts)),
         shape=(sdp.svec_dim(size), len(counts)))
+    for a in (basis.data, basis.indices, basis.indptr):
+        a.flags.writeable = False
+    return basis
 
 
 def gram_expand(A: np.ndarray, pv: PowerVector, s: int

@@ -138,24 +138,42 @@ def test_check_bad_region_or_box_record_exits_2(tmp_path, capsys, where,
     assert f"uncertainty.{where}" in capsys.readouterr().err
 
 
-# time-grid probes that used to end in a traceback (dt 0, record_every 0,
-# an unknown method) or in "simulate: OK" after 0 steps (dt < 0, --T -1)
-BAD_TIME_FIELDS = {"dt_zero": ("dt", 0.0), "dt_negative": ("dt", -0.005),
-                   "dt_nan": ("dt", float("nan")),
-                   "T_end_zero": ("T_end", 0.0),
-                   "T_end_infinite": ("T_end", float("inf")),
-                   "record_every_zero": ("record_every", 0),
-                   "record_every_fractional": ("record_every", 2.5),
-                   "unknown_method": ("method", "rk5")}
+# time-grid and scalar probes that used to end in a traceback (dt 0,
+# record_every 0, an unknown method, an infinite n_weight_samples or
+# jitter), in "simulate: OK" after 0 steps (dt < 0, --T -1), in a run
+# that silently rounded or ignored the value (a fractional or negative
+# n_weight_samples, a nan or negative jitter) or in "convergence tolerance
+# nan was not met" (conv_tol nan)
+BAD_SCALAR_FIELDS = {
+    "dt_zero": ("dt", 0.0), "dt_negative": ("dt", -0.005),
+    "dt_nan": ("dt", float("nan")),
+    "T_end_zero": ("T_end", 0.0),
+    "T_end_infinite": ("T_end", float("inf")),
+    "record_every_zero": ("record_every", 0),
+    "record_every_fractional": ("record_every", 2.5),
+    "unknown_method": ("method", "rk5"),
+    "euler_method": ("method", "euler"),
+    "n_weight_samples_infinite": ("n_weight_samples", float("inf")),
+    "n_weight_samples_fractional": ("n_weight_samples", 2.5),
+    "n_weight_samples_negative": ("n_weight_samples", -3),
+    "jitter_pos_infinite": ("jitter_pos", float("inf")),
+    "jitter_pos_nan": ("jitter_pos", float("nan")),
+    "jitter_pos_negative": ("jitter_pos", -0.5),
+    "jitter_vel_infinite": ("jitter_vel", float("inf")),
+    "jitter_vel_nan": ("jitter_vel", float("nan")),
+    "jitter_vel_negative": ("jitter_vel", -0.5),
+    "conv_tol_nan": ("conv_tol", float("nan")),
+    "conv_tol_zero": ("conv_tol", 0.0)}
 
 
-@pytest.mark.parametrize("case", list(BAD_TIME_FIELDS))
+@pytest.mark.parametrize("case", list(BAD_SCALAR_FIELDS))
 def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
-    field, value = BAD_TIME_FIELDS[case]
+    field, value = BAD_SCALAR_FIELDS[case]
     doc = json.loads(builtin_path("six_agent").read_text())
     doc[field] = value
     p = tmp_path / "grid.json"
     p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
     assert run_cli("simulate", str(p), "--out", str(tmp_path / "r")) == 2
     err = capsys.readouterr().err
     assert f"{field}:" in err and "Traceback" not in err
@@ -446,6 +464,26 @@ def test_agent_arrays_must_be_two_dimensional(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert f"{flatten[0]}: must be " in err and "rows of coordinates" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("field, value", [
+    ("positions", float("nan")), ("tau", float("inf")),
+    ("velocities", float("-inf"))])
+def test_agent_arrays_must_be_finite(tmp_path, capsys, command, field,
+                                     value):
+    # a nan position used to pass check and run to "simulate: OK" with
+    # min_distance NaN, since the safety monitor never trips on nan
+    doc = json.loads(builtin_path("six_agent").read_text())
+    doc[field][2][1] = value
+    p = tmp_path / "nonfinite.json"
+    p.write_text(json.dumps(doc))
+    args = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    assert run_cli(command, str(p), *args) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: coordinate [2][1] is {value}, must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["../evil", "a/b", ".hidden", "..", "",

@@ -142,8 +142,8 @@ def test_free_motion_advances_exactly():
     state = SimState(t=0.0, positions=tau.copy(),
                      velocities=np.array([[1.0, -2.0], [0.5, 0.25]]),
                      topo=topo, zone_pairs=frozenset())
-    G = np.zeros((2, 2))
-    new = step(state, tau, GEOM, G, PARAMS, dt=0.01)
+    arrays = PairArrays(topo, frozenset(), tau, GEOM, np.zeros((2, 2)))
+    new = step(state, arrays, PARAMS, dt=0.01)
     assert np.allclose(new.positions,
                        state.positions + 0.01 * state.velocities,
                        rtol=1e-13, atol=0.0)
@@ -156,7 +156,8 @@ def test_step_refreshes_topology_after_integration():
     state = SimState(t=0.0, positions=tau.copy(),
                      velocities=np.array([[0.5, 0.0], [-0.5, 0.0]]),
                      topo=topo, zone_pairs=frozenset())
-    new = step(state, tau, GEOM, np.zeros((2, 2)), PARAMS, dt=0.1)
+    arrays = PairArrays(topo, frozenset(), tau, GEOM, np.zeros((2, 2)))
+    new = step(state, arrays, PARAMS, dt=0.1)
     assert state.topo.edges == frozenset()
     assert new.topo.edges == frozenset({(0, 1)})
     assert new.topo.last_switch_time == pytest.approx(0.1)
@@ -187,41 +188,37 @@ def test_energy_decreases_over_step():
     arrays = PairArrays(topo, zone, tau, s.geometry, G)
     state = SimState(0.0, pos, vel, topo, zone)
     W0 = arrays.energy(pos, vel, PARAMS)
-    new = step(state, tau, s.geometry, G, PARAMS, dt=1e-3,
-               _arrays=arrays)
+    new = step(state, arrays, PARAMS, dt=1e-3)
     W1 = arrays.energy(new.positions, new.velocities, PARAMS)
     assert W1 < W0
 
 
-def test_euler_drift_is_first_order():
+def test_rk4_error_is_fourth_order():
+    # halving dt cuts the error against a fine-step reference by 2^4; the
+    # step sizes keep the error far above rounding, and nothing switches
     tau, topo, G = triangle_system()
     rng = np.random.default_rng(40)
     pos0 = tau + 0.2 * rng.normal(size=(3, 2))
     vel0 = 0.5 * rng.normal(size=(3, 2))
     zone = frozenset()
+    arrays = PairArrays(topo, zone, tau, GEOM, G)
 
-    def integrate(dt, method, T=0.4):
+    def integrate(dt, T=0.4):
         state = SimState(0.0, pos0.copy(), vel0.copy(), topo, zone)
         for _ in range(int(round(T / dt))):
-            state = step(state, tau, GEOM, G, PARAMS, dt, method=method)
+            state = step(state, arrays, PARAMS, dt)
             assert state.topo is topo  # no switching in this window
+            assert state.zone_pairs == zone
         return state
 
-    ref = integrate(1e-4, "rk4")
+    ref = integrate(1e-3)
     err = {}
-    for dt in (2e-3, 1e-3):
-        st = integrate(dt, "euler")
+    for dt in (4e-2, 2e-2):
+        st = integrate(dt)
         err[dt] = np.linalg.norm(st.positions - ref.positions) + \
             np.linalg.norm(st.velocities - ref.velocities)
-    ratio = err[2e-3] / err[1e-3]
-    assert 1.5 < ratio < 2.6
-
-
-def test_step_rejects_unknown_method():
-    tau, topo, G = triangle_system()
-    state = SimState(0.0, tau.copy(), np.zeros((3, 2)), topo, frozenset())
-    with pytest.raises(ValueError, match="method"):
-        step(state, tau, GEOM, G, PARAMS, 1e-3, method="verlet")
+    assert err[2e-2] > 1e-9
+    assert 12.0 <= err[4e-2] / err[2e-2] <= 20.0
 
 
 # ----------------------------------------------------------------- runs
@@ -409,12 +406,12 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
         <= jump_tol * max(1.0, float(np.max(res.log.W_values)))
 
 
-# arguments that used to end in ZeroDivisionError (dt 0, record_every 0),
-# in "cannot convert float NaN to integer" (T_end nan), in ok=True after 0
-# steps (dt < 0) or in an error from step (method)
+# arguments that used to end in ZeroDivisionError (dt 0), in "cannot
+# convert float NaN to integer" (T_end nan) or in ok=True after 0 steps
+# (dt < 0)
 @pytest.mark.parametrize("argument, value", [
     ("dt", 0.0), ("dt", -0.01), ("T_end", float("nan")),
-    ("T_end", -1.0), ("record_every", 0), ("method", "rk5")])
+    ("T_end", -1.0)])
 def test_run_rejects_bad_time_grid_argument(argument, value):
     with pytest.raises(ValueError, match=f"^{argument}: must be"):
         run(ScenarioSpec.load(builtin_path("six_agent")),

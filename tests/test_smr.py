@@ -211,6 +211,15 @@ class TestNullBasis:
         else:
             np.testing.assert_allclose(N, ref, rtol=0, atol=1e-15)
 
+    def test_built_once_and_read_only(self):
+        # assembly and replay share the one matrix, so no caller may
+        # write to it
+        N = gram_null_basis(2, 2, 3)
+        assert gram_null_basis(2, 2, 3) is N
+        for a in (N.data, N.indices, N.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
 
 class TestRoundTripRandom:
     def test_scalar_roundtrip_random(self):
