@@ -8,8 +8,9 @@ separation and climbs to its cap mu2 exactly at the safety distance d_s, so
 bounded energy keeps agents apart.
 
 psi_e, psi_c and their gradients are written once, on arrays of pairs (a
-scalar is a single pair).  PairArrays holds the pairs of one mask epoch and
-evaluates with them the composite energy W and the control law -grad W.
+scalar is a single pair).  PairArrays reads the pairs of one mask epoch off
+its masks, in row-major order, and evaluates with them the composite
+energy W and the control law -grad W.
 
 The caps are not free parameters: tune_mu picks them above the worst-case
 initial energy plus everything zone entries can ever add, which is what
@@ -153,18 +154,12 @@ def grad_psi_c(x_ij, tau_norm, d_s: float, mu2: float):
 
 
 def zone_pairs_at(dist: np.ndarray, topo: TopologyState,
-                  geom: AgentGeometry) -> frozenset:
-    """Connected pairs currently inside the collision zone (dist < r_z).
-
-    dist is the pair-distance matrix of the positions (pair_distances)."""
-    i, j = np.nonzero(np.triu(dist < geom.r_z, 1))
-    return frozenset(e for e in zip(i.tolist(), j.tolist())
-                     if e in topo.edges)
-
-
-def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), sorted, as two index arrays."""
-    return np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+                  geom: AgentGeometry) -> np.ndarray:
+    """Read-only mask of the edges currently inside the collision zone
+    (dist < r_z), dist the pair-distance matrix (pair_distances)."""
+    zone = np.triu(dist < geom.r_z, 1) & topo.edges
+    zone.flags.writeable = False
+    return zone
 
 
 def _on_pairs(fn, i: np.ndarray, j: np.ndarray, *args):
@@ -188,21 +183,20 @@ class PairArrays:
     with y = positions - tau.  The zone pairs are frozen for the epoch,
     which is what the drift monitor needs across a step."""
 
-    def __init__(self, topo: TopologyState, zone_pairs, tau: np.ndarray,
-                 geom: AgentGeometry, G: np.ndarray):
+    def __init__(self, topo: TopologyState, zone: np.ndarray,
+                 tau: np.ndarray, geom: AgentGeometry, G: np.ndarray):
         tau = np.asarray(tau, dtype=float)
-        self.fi, self.fj = _index_pairs(topo.formation_edges)
+        self.fi, self.fj = np.nonzero(topo.formation)
         self.r_hat = geom.r_s - np.linalg.norm(tau[self.fi] - tau[self.fj],
                                                axis=1)
-        self.zi, self.zj = _index_pairs(zone_pairs)
+        self.zi, self.zj = np.nonzero(zone)
         self.z_tn = np.linalg.norm(tau[self.zi] - tau[self.zj], axis=1)
-        self.ei, self.ej = _index_pairs(topo.edges)
+        self.ei, self.ej = np.nonzero(topo.edges)
         self.w = np.asarray(G, dtype=float)[self.ei, self.ej]
         self.tau = tau
         self.geom = geom
-        self.n = topo.n_agents
-        self.edge_pairs = frozenset(topo.edges)
-        self.zone_set = frozenset(zone_pairs)
+        self.topo = topo
+        self.zone = zone
 
     def control(self, positions: np.ndarray, velocities: np.ndarray,
                 params: BarrierParams) -> np.ndarray:

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .certifier import certify, sample_lambda2
-from .netgraph import RegionSamplingError, validate_assumptions
+from .netgraph import (RegionSamplingError, pair_distances,
+                       validate_assumptions)
 from .scenario import ScenarioSpec
 from .simulate import PreconditionError, run
 
@@ -514,18 +515,16 @@ def cmd_plot(args) -> int:
     iu, ju = np.triu_indices(N, k=1)
     chart = _Chart("Minimum pairwise distance", "t", "distance")
     if times.size:
-        dmin = np.array([
-            float(np.min(np.linalg.norm(p[iu] - p[ju], axis=1)))
-            for p in positions])
+        dmin = np.array([float(np.min(pair_distances(p)[iu, ju]))
+                         for p in positions])
         chart.add_series(times, dmin, _PALETTE[0], 1.6)
     chart.add_hline(d_s, "#d62728", f"d_s = {_fmt(d_s)}")
     (run_dir / "min_distance.svg").write_text(chart.render())
 
     chart = _Chart("Velocity disagreement", "t", "max |v_i - v_j|")
     if times.size:
-        vdis = np.array([
-            float(np.max(np.linalg.norm(v[iu] - v[ju], axis=1)))
-            for v in velocities])
+        vdis = np.array([float(np.max(pair_distances(v)))
+                         for v in velocities])
         chart.add_series(times, vdis, _PALETTE[1], 1.6)
     (run_dir / "velocity_diff.svg").write_text(chart.render())
 

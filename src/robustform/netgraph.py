@@ -6,8 +6,8 @@ the edge is only removed when the distance exceeds r_s.  Formation edges are
 designated at setup and are never removed by the update rule; losing one at
 runtime is an alarm raised by the simulator's monitors, not something this
 module does silently.  Pairwise geometry is one N x N distance matrix
-(pair_distances) per state; the hysteresis update reads it through boolean
-masks.
+(pair_distances) per state; edge sets are read-only boolean masks over it,
+True only at (i, j) with i < j.
 
 Edge weights may depend polynomially on an uncertainty vector theta confined
 to a semialgebraic set Omega = {theta : s_i(theta) >= 0}.  Connectedness of
@@ -19,9 +19,11 @@ fixed orthonormal basis of the hyperplane orthogonal to the all-ones vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .polyalg import MatrixPolynomial, Polynomial
 
@@ -132,22 +134,33 @@ class UncertainAdjacency:
             f"{out.shape[0]} (is the box far larger than the region?)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopologyState:
-    """Current undirected edge set; pairs are stored as (i, j) with i < j."""
+    """Current undirected edges and the formation edges: two read-only
+    N x N boolean masks, True only at pairs (i, j) with i < j."""
 
-    n_agents: int
-    edges: frozenset[tuple[int, int]]
-    formation_edges: frozenset[tuple[int, int]]
-    last_switch_time: float = 0.0
+    edges: np.ndarray
+    formation: np.ndarray
 
     def __post_init__(self):
-        for (i, j) in self.edges | self.formation_edges:
-            if not (0 <= i < j < self.n_agents):
-                raise ValueError(f"bad edge ({i},{j}) for N={self.n_agents}")
+        n = len(self.edges)
+        for name in ("edges", "formation"):
+            mask = np.array(getattr(self, name), dtype=bool)
+            if mask.shape != (n, n) or np.tril(mask).any():
+                raise ValueError(f"{name}: need a {n} x {n} mask True only "
+                                 f"above the diagonal, got shape {mask.shape}")
+            mask.flags.writeable = False
+            object.__setattr__(self, name, mask)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+    @property
+    def n_agents(self) -> int:
+        return self.edges.shape[0]
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the edges join all agents.  Cached: one scipy call costs
+        about 0.3 ms of sparse-matrix set-up, and run asks at every record."""
+        return connected_components(self.edges, directed=False)[0] == 1
 
 
 def canon_edge(i: int, j: int) -> tuple[int, int]:
@@ -210,54 +223,16 @@ def pair_distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _edge_mask(edges, N: int) -> np.ndarray:
-    """Boolean N x N matrix, True at the stored (i, j), i < j, of edges."""
-    mask = np.zeros((N, N), dtype=bool)
-    if edges:
-        i, j = zip(*edges)
-        mask[i, j] = True
-    return mask
-
-
 def update_edges(dist: np.ndarray, topo: TopologyState,
-                 geom: AgentGeometry, t: float = 0.0) -> TopologyState:
-    """One hysteresis update of the edge set from the pair-distance matrix
-    dist (pair_distances).
-
-    Adds (i, j) when distance(i, j) <= r_s - eps and the edge is absent;
-    removes a non-formation edge when distance(i, j) > r_s.  Formation edges
-    are never removed here."""
-    N = topo.n_agents
-    present = _edge_mask(topo.edges, N)
-    add = np.triu(dist <= geom.r_s - geom.eps, 1) & ~present
-    drop = present & (dist > geom.r_s) \
-        & ~_edge_mask(topo.formation_edges, N)
-    if not (add.any() or drop.any()):
+                 geom: AgentGeometry) -> TopologyState:
+    """One hysteresis update of the edge mask from the pair-distance matrix
+    dist: add at <= r_s - eps, remove a non-formation edge beyond r_s.
+    Returns topo itself when nothing changes."""
+    drop = (dist > geom.r_s) & ~topo.formation
+    edges = topo.edges & ~drop | np.triu(dist <= geom.r_s - geom.eps, 1)
+    if np.array_equal(edges, topo.edges):
         return topo
-    i, j = np.nonzero((present | add) & ~drop)
-    return TopologyState(N, frozenset(zip(i.tolist(), j.tolist())),
-                         topo.formation_edges, last_switch_time=t)
-
-
-def connected_components(N: int, edges) -> int:
-    """Number of connected components by union-find."""
-    parent = list(range(N))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j) in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(i) for i in range(N)})
-
-
-def is_connected(N: int, edges) -> bool:
-    return connected_components(N, edges) == 1
+    return TopologyState(edges, topo.formation)
 
 
 @dataclass(frozen=True)

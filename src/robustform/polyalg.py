@@ -124,9 +124,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, e: ExponentVec) -> float:
-        return self.terms.get(tuple(e), 0.0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

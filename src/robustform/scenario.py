@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,38 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise ValueError(f"{key}: must be {rule}, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a boolean (JSON true is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(doc: dict, path: str, default=...):
+    """doc's value at a dotted key path, or default for an absent last key."""
+    keys = path.split(".")
+    for k, key in enumerate(keys):
+        _require(isinstance(doc, dict), ".".join(keys[:k]), "an object", doc)
+        if key not in doc and (default is ... or k < len(keys) - 1):
+            raise ValueError(f"{'.'.join(keys[:k + 1])}: missing")
+        doc = doc.get(key, default)
+    return doc
+
+
+def _number(doc: dict, path: str, default=...) -> float:
+    """The number at a key path of doc (see _field), as a float."""
+    value = _field(doc, path, default)
+    _require(isinstance(value, float) or _is_int(value), path, "a number",
+             value)
+    return float(value)
+
+
+def _numbers(doc: dict, key: str, cls):
+    """cls of the numbers in the object doc[key], one per field of cls."""
+    values = {f.name: _number(doc, f"{key}.{f.name}") for f in fields(cls)}
+    extra = sorted(set(doc[key]) - set(values))
+    _require(not extra, key, f"an object of {list(values)}", doc[key])
+    return cls(**values)
+
+
 def check_time_grid(dt, T_end, record_every,
                     zero_horizon: bool = False) -> None:
     """Raise ValueError naming the first bad time-grid setting: dt and
@@ -52,7 +84,7 @@ def check_time_grid(dt, T_end, record_every,
     _require(math.isfinite(T_end) and (T_end > 0 or (zero_horizon and
                                                      T_end == 0)),
              "T_end", f"finite and {'>=' if zero_horizon else '>'} 0", T_end)
-    _require(isinstance(record_every, int) and record_every >= 1,
+    _require(_is_int(record_every) and record_every >= 1,
              "record_every", "an integer >= 1", record_every)
 
 
@@ -105,7 +137,7 @@ class ScenarioSpec:
                 raise ValueError(f"formation edge ({i},{j}) out of range")
         check_time_grid(self.dt, self.T_end, self.record_every)
         n, tol = self.n_weight_samples, self.conv_tol
-        _require(isinstance(n, int) and n >= 0, "n_weight_samples",
+        _require(_is_int(n) and n >= 0, "n_weight_samples",
                  "an integer >= 0", n)
         for key in ("jitter_pos", "jitter_vel"):
             value = getattr(self, key)
@@ -173,20 +205,20 @@ class ScenarioSpec:
         if method != "rk4":
             raise ValueError(f"method: only 'rk4' is supported, got "
                              f"{method!r}")
-        tau = np.asarray(doc["tau"], dtype=float)
+        tau = np.asarray(_field(doc, "tau"), dtype=float)
         if tau.ndim != 2:  # N is read off tau
             raise ValueError(f"tau: must be rows of coordinates, got shape "
                              f"{tau.shape}")
         N = tau.shape[0]
-        unc = doc["uncertainty"]
-        r = int(unc["n_parameters"])
+        r = _field(doc, "uncertainty.n_parameters")
+        _require(_is_int(r) and r >= 0, "uncertainty.n_parameters",
+                 "an integer >= 0", r)
         entries = MatrixPolynomial.zeros(N, N, r)
         pairs = set()
-        for k, w in enumerate(unc["weights"]):
+        for k, w in enumerate(_field(doc, "uncertainty.weights")):
             where = f"uncertainty.weights[{k}]"
             i, j = w["i"], w["j"]
-            if not (isinstance(i, int) and isinstance(j, int)
-                    and 0 <= i < N and 0 <= j < N):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < N and 0 <= j < N):
                 raise ValueError(
                     f"{where}: pair ({i},{j}) is not two indices in [0, {N})")
             if i == j:
@@ -199,33 +231,38 @@ class ScenarioSpec:
             entries.set_entry(i, j, p)
             entries.set_entry(j, i, p)
         omega = [_finite_polynomial(r, s["terms"], f"uncertainty.region[{k}]")
-                 for k, s in enumerate(unc["region"])]
-        box = [tuple(float(v) for v in b) for b in unc["box"]]
+                 for k, s in enumerate(_field(doc, "uncertainty.region"))]
+        box = _field(doc, "uncertainty.box")
         for k, b in enumerate(box):
-            if len(b) != 2 or not all(math.isfinite(v) for v in b):
-                raise ValueError(f"uncertainty.box[{k}]: bounds {list(b)} "
-                                 f"are not two finite numbers")
-        adj = UncertainAdjacency(N=N, entries=entries, omega=omega, box=box)
-        barrier = doc.get("barrier")
+            _require(isinstance(b, list) and len(b) == 2 and all(
+                isinstance(v, (int, float)) and math.isfinite(v) for v in b),
+                f"uncertainty.box[{k}]", "two finite numbers", b)
+        adj = UncertainAdjacency(N=N, entries=entries, omega=omega,
+                                 box=[tuple(map(float, b)) for b in box])
+        edges = _field(doc, "formation_edges")
+        for k, e in enumerate(edges):
+            _require(isinstance(e, list) and len(e) == 2 and all(
+                map(_is_int, e)), f"formation_edges[{k}]",
+                "a pair [i, j] of agent indices", e)
         return cls(
-            name=doc["name"],
-            geometry=AgentGeometry(**doc["geometry"]),
+            name=_field(doc, "name"),
+            geometry=_numbers(doc, "geometry", AgentGeometry),
             tau=tau,
-            positions=np.asarray(doc["positions"], dtype=float),
-            velocities=np.asarray(doc["velocities"], dtype=float),
-            formation_edges=frozenset(
-                (int(i), int(j)) for i, j in doc["formation_edges"]),
+            positions=np.asarray(_field(doc, "positions"), dtype=float),
+            velocities=np.asarray(_field(doc, "velocities"), dtype=float),
+            formation_edges=frozenset(map(tuple, edges)),
             adjacency=adj,
-            barrier=None if barrier is None else BarrierParams(**barrier),
+            barrier=(None if doc.get("barrier") is None
+                     else _numbers(doc, "barrier", BarrierParams)),
             assumption_overrides=dict(doc.get("assumption_overrides", {})),
-            jitter_pos=float(doc.get("jitter_pos", 0.0)),
-            jitter_vel=float(doc.get("jitter_vel", 0.0)),
-            T_end=float(doc.get("T_end", 40.0)),
-            dt=float(doc.get("dt", 1e-3)),
+            jitter_pos=_number(doc, "jitter_pos", 0.0),
+            jitter_vel=_number(doc, "jitter_vel", 0.0),
+            T_end=_number(doc, "T_end", 40.0),
+            dt=_number(doc, "dt", 1e-3),
             record_every=doc.get("record_every", 100),
             n_weight_samples=doc.get("n_weight_samples", 16),
             conv_tol=(None if doc.get("conv_tol") is None
-                      else float(doc["conv_tol"])),
+                      else _number(doc, "conv_tol")),
         )
 
     def save(self, path) -> None:

@@ -29,8 +29,8 @@ Kojima and Nakata, Math. Prog. 1997); before the first iteration each
 block's columns are grouped by q, and each group is taken through that
 product a chunk of columns at a time.
 
-`residuals` evaluates the constraints of a candidate point directly from
-the problem data, without touching solver state.
+`residuals`, the tests' independent evaluator, reads the constraints of a
+candidate point straight off the problem data, without solver state.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def residuals(problem: SdpProblem, y: np.ndarray) -> dict:
 
     Returns min eigenvalue per LMI block and the objective value.  This
     path shares no code with the solver iteration on purpose: it is the
-    re-check used on stored certificates."""
+    tests' independent evaluator (certificates replay through gram_image)."""
     y = np.asarray(y, dtype=float)
     mins = []
     for k in range(len(problem.lmis)):

@@ -10,8 +10,8 @@ beyond integration tolerance, and switches change the energy by exactly
 the entering and leaving terms.
 
 Each step computes one pair-distance matrix at the new positions; the
-topology and zone updates and the safety and edge-break monitors all read
-it.  Energy and control come from barrier.PairArrays.
+edge and zone masks and the safety and edge-break monitors all read it.
+Energy and control come from barrier.PairArrays.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .barrier import (BarrierParams, DomainViolation, PairArrays,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
 from .certifier import Certificate, certify
 from .netgraph import (AgentGeometry, TopologyState, canon_edge,
-                       is_connected, pair_distances, update_edges,
-                       validate_assumptions)
+                       pair_distances, update_edges, validate_assumptions)
 from .scenario import ScenarioSpec, check_time_grid
 
 
@@ -43,18 +42,17 @@ class PreconditionError(RuntimeError):
 class SimState:
     """Snapshot of the closed-loop system between integration steps.
 
-    zone_pairs is part of the state because collision terms switch on a
-    detection event, not on a smooth condition: membership is frozen
-    while a step integrates and refreshed afterwards.  distances is
-    pair_distances(positions) when step or run made the state; the masks
-    were read off it."""
+    The zone_pairs mask is part of the state because collision terms
+    switch on a detection event, not on a smooth condition: membership is
+    frozen while a step integrates and refreshed afterwards.  distances is
+    pair_distances(positions); the masks were read off it."""
 
     t: float
     positions: np.ndarray
     velocities: np.ndarray
     topo: TopologyState
-    zone_pairs: frozenset
-    distances: np.ndarray | None = None
+    zone_pairs: np.ndarray
+    distances: np.ndarray
 
 
 def step(state: SimState, arrays: PairArrays, params: BarrierParams,
@@ -78,7 +76,7 @@ def step(state: SimState, arrays: PairArrays, params: BarrierParams,
     v_new = v + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
     t_new = state.t + dt
     dist = pair_distances(x_new)
-    topo_new = update_edges(dist, state.topo, arrays.geom, t_new)
+    topo_new = update_edges(dist, state.topo, arrays.geom)
     zone_new = zone_pairs_at(dist, topo_new, arrays.geom)
     return SimState(t=t_new, positions=x_new, velocities=v_new,
                     topo=topo_new, zone_pairs=zone_new, distances=dist)
@@ -121,12 +119,13 @@ class RunResult:
 
 def initial_topology(positions: np.ndarray, formation_edges,
                      geom: AgentGeometry) -> TopologyState:
-    """Edge set at start: the formation edges, then one hysteresis update,
+    """Edge mask at start: the formation edges, then one hysteresis update,
     which adds every pair inside the add radius."""
-    positions = np.asarray(positions, dtype=float)
-    fe = frozenset(canon_edge(i, j) for (i, j) in formation_edges)
-    return update_edges(pair_distances(positions),
-                        TopologyState(positions.shape[0], fe, fe), geom)
+    dist = pair_distances(np.asarray(positions, dtype=float))
+    fe = np.zeros(dist.shape, dtype=bool)
+    for (i, j) in formation_edges:
+        fe[canon_edge(i, j)] = True
+    return update_edges(dist, TopologyState(fe, fe), geom)
 
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
@@ -279,11 +278,12 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                 failure = {"kind": "energy_drift", "t": t_new,
                            "value": drift, "limit": DRIFT_TOL * dt}
 
-            masks_changed = (new_state.topo is not state.topo or
-                             new_state.zone_pairs != state.zone_pairs)
-            if masks_changed:
-                new_arrays = PairArrays(new_state.topo,
-                                        new_state.zone_pairs, tau, geom, G)
+            old_e, new_e = state.topo.edges, new_state.topo.edges
+            old_z, new_z = state.zone_pairs, new_state.zone_pairs
+            edges_changed = not np.array_equal(new_e, old_e)
+            zone_changed = not np.array_equal(new_z, old_z)
+            if edges_changed or zone_changed:
+                new_arrays = PairArrays(new_state.topo, new_z, tau, geom, G)
                 W_actual = new_arrays.energy(x_new, v_new, params)
                 expected = _mask_change_terms(arrays, new_arrays, x_new, G,
                                               params)
@@ -293,17 +293,15 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                         and failure is None:
                     failure = {"kind": "energy_jump", "t": t_new,
                                "value": err}
-                added = sorted(new_state.topo.edges - state.topo.edges)
-                removed = sorted(state.topo.edges - new_state.topo.edges)
-                if added or removed:
+                if edges_changed:
                     n_switches += 1
                     events.append({"t": t_new, "type": "switch",
-                                   "added": added, "removed": removed})
-                entered = sorted(new_state.zone_pairs - state.zone_pairs)
-                left = sorted(state.zone_pairs - new_state.zone_pairs)
-                if entered or left:
+                                   "added": _pairs(new_e & ~old_e),
+                                   "removed": _pairs(old_e & ~new_e)})
+                if zone_changed:
                     events.append({"t": t_new, "type": "zone",
-                                   "entered": entered, "left": left})
+                                   "entered": _pairs(new_z & ~old_z),
+                                   "left": _pairs(old_z & ~new_z)})
                 arrays = new_arrays
             else:
                 W_actual = W_frozen
@@ -328,8 +326,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             if (k + 1) % scenario.record_every == 0 or k == n_steps - 1 \
                     or failure is not None:
                 record(state, arrays)
-                if failure is None and \
-                        not is_connected(N, state.topo.edges):
+                if failure is None and not state.topo.connected:
                     failure = {"kind": "disconnected", "t": t_new}
     except DomainViolation as err:
         failure = {"kind": "domain_violation", "t": state.t,
@@ -346,17 +343,14 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         velocities=np.array(rec_v), controls=np.array(rec_u),
         W_times=np.array(W_t), W_values=np.array(W_vals), events=events)
 
-    y = state.positions - tau
-    form_err = float(np.max(np.linalg.norm(y[fi] - y[fj], axis=1))) \
+    form_err = float(np.max(pair_distances(state.positions - tau)[fi, fj])) \
         if fi.size else 0.0
-    vel_dis = float(np.max(np.linalg.norm(
-        state.velocities[iu] - state.velocities[ju], axis=1))) \
-        if N > 1 else 0.0
     metrics = {
         "t_final": state.t,
         "n_steps_taken": max(0, len(W_vals) - 1),
         "formation_error": form_err,
-        "velocity_disagreement": vel_dis,
+        "velocity_disagreement": float(np.max(
+            pair_distances(state.velocities))),
         "min_distance": float(min_dist_run),
         "n_switches": n_switches,
         "final_W": float(W_vals[-1]) if W_vals else float("nan"),
@@ -370,6 +364,11 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                      assumptions=report)
 
 
+def _pairs(mask: np.ndarray) -> list:
+    """The (i, j) pairs of a mask, in row-major order."""
+    return [tuple(p) for p in np.argwhere(mask).tolist()]
+
+
 def _mask_change_terms(old: PairArrays, new: PairArrays,
                        positions: np.ndarray, G: np.ndarray,
                        params: BarrierParams) -> float:
@@ -381,8 +380,9 @@ def _mask_change_terms(old: PairArrays, new: PairArrays,
     rest = np.zeros_like(positions)
 
     def terms(a: PairArrays, b: PairArrays) -> float:
-        topo = TopologyState(a.n, a.edge_pairs - b.edge_pairs, frozenset())
-        return PairArrays(topo, a.zone_set - b.zone_set, a.tau, a.geom,
+        edges = a.topo.edges & ~b.topo.edges
+        return PairArrays(TopologyState(edges, np.zeros_like(edges)),
+                          a.zone & ~b.zone, a.tau, a.geom,
                           G).energy(positions, rest, params)
 
     return terms(new, old) - terms(old, new)

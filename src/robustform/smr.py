@@ -52,9 +52,6 @@ class PowerVector:
     def __len__(self) -> int:
         return len(self.monos)
 
-    def index(self, e: ExponentVec) -> int:
-        return self.monos.index(tuple(e))
-
     def eval_batch(self, thetas: np.ndarray) -> np.ndarray:
         """phi at a (m, r) batch of points, shape (m, len(phi))."""
         return mono_powers(self.monos, thetas, self.r)

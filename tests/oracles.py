@@ -9,7 +9,8 @@ assembly_columns builds the certification problem's constraint columns one
 variable at a time through dense matrices, and null_basis is the dense
 Gram-Schmidt construction of the Gram null space, the way the package did
 before it assembled svec columns directly.  The tests compare each with the
-package.
+package.  Pair sets are the package's N x N boolean masks, True only above
+the diagonal; the oracles read and write them one pair at a time.
 """
 
 import math
@@ -25,49 +26,55 @@ from robustform.polyalg import mono_sort_key
 from robustform.smr import _positions, gram_null_basis, power_vector
 
 
-def update_edges(positions, topo, geom, t=0.0):
+def pair_mask(N, pairs):
+    """N x N boolean mask, True at each listed (i, j), i < j."""
+    mask = np.zeros((N, N), dtype=bool)
+    for (i, j) in pairs:
+        mask[i, j] = True
+    return mask
+
+
+def pairs(mask):
+    """The (i, j) pairs of a mask, row by row."""
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+
+
+def update_edges(positions, topo, geom):
     """Hysteresis update: add at <= r_s - eps, drop non-formation > r_s."""
     positions = np.asarray(positions, dtype=float)
-    N = topo.n_agents
-    edges = set(topo.edges)
-    changed = False
-    for i in range(N):
-        for j in range(i + 1, N):
-            e = (i, j)
-            dist = np.linalg.norm(positions[i] - positions[j])
-            if e in edges:
-                if dist > geom.r_s and e not in topo.formation_edges:
-                    edges.remove(e)
-                    changed = True
-            elif dist <= geom.r_s - geom.eps:
-                edges.add(e)
-                changed = True
-    if not changed:
+    edges = topo.edges.copy()
+    for i, j in zip(*np.triu_indices(topo.n_agents, k=1)):
+        dist = np.linalg.norm(positions[i] - positions[j])
+        if edges[i, j]:
+            if dist > geom.r_s and not topo.formation[i, j]:
+                edges[i, j] = False
+        elif dist <= geom.r_s - geom.eps:
+            edges[i, j] = True
+    if np.array_equal(edges, topo.edges):
         return topo
-    return TopologyState(N, frozenset(edges), topo.formation_edges,
-                         last_switch_time=t)
+    return TopologyState(edges, topo.formation)
 
 
 def initial_topology(positions, formation_edges, geom):
     """Formation edges plus every pair inside the hysteresis-add radius."""
     positions = np.asarray(positions, dtype=float)
     N = positions.shape[0]
-    fe = frozenset(canon_edge(i, j) for (i, j) in formation_edges)
-    edges = set(fe)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if np.linalg.norm(positions[i] - positions[j]) \
-                    <= geom.r_s - geom.eps:
-                edges.add((i, j))
-    return TopologyState(N, frozenset(edges), fe)
+    fe = pair_mask(N, (canon_edge(i, j) for (i, j) in formation_edges))
+    edges = fe.copy()
+    for i, j in zip(*np.triu_indices(N, k=1)):
+        if np.linalg.norm(positions[i] - positions[j]) \
+                <= geom.r_s - geom.eps:
+            edges[i, j] = True
+    return TopologyState(edges, fe)
 
 
 def zone_pairs_at(positions, topo, geom):
-    """Connected pairs with distance < r_z."""
+    """Mask of the connected pairs with distance < r_z."""
     positions = np.asarray(positions, dtype=float)
-    return frozenset(
-        (i, j) for (i, j) in topo.edges
-        if np.linalg.norm(positions[i] - positions[j]) < geom.r_z)
+    zone = np.zeros_like(topo.edges)
+    for (i, j) in pairs(topo.edges):
+        zone[i, j] = np.linalg.norm(positions[i] - positions[j]) < geom.r_z
+    return zone
 
 
 def neighbor_sets(i, positions, topo, geom):
@@ -76,10 +83,10 @@ def neighbor_sets(i, positions, topo, geom):
     positions = np.asarray(positions, dtype=float)
     ns, nsf, nsz = set(), set(), set()
     for j in range(topo.n_agents):
-        if j == i or not topo.has_edge(i, j):
+        if j == i or not topo.edges[canon_edge(i, j)]:
             continue
         ns.add(j)
-        if canon_edge(i, j) in topo.formation_edges:
+        if topo.formation[canon_edge(i, j)]:
             nsf.add(j)
         if np.linalg.norm(positions[i] - positions[j]) < geom.r_z:
             nsz.add(j)
@@ -98,15 +105,15 @@ def energy_W(positions, velocities, tau, topo, geom, G, params,
     if zone_pairs is None:
         zone_pairs = zone_pairs_at(positions, topo, geom)
     W = 0.0
-    for (i, j) in topo.formation_edges:
+    for (i, j) in pairs(topo.formation):
         tau_norm = float(np.linalg.norm(tau[i] - tau[j]))
         W += psi_e(float(np.linalg.norm(y[i] - y[j])),
                    geom.r_s - tau_norm, params.mu1)
-    for (i, j) in zone_pairs:
+    for (i, j) in pairs(zone_pairs):
         W += psi_c(float(np.linalg.norm(positions[i] - positions[j])),
                    float(np.linalg.norm(tau[i] - tau[j])),
                    geom.d_s, params.mu2)
-    for (i, j) in topo.edges:
+    for (i, j) in pairs(topo.edges):
         d = y[i] - y[j]
         W += 0.5 * G[i, j] * float(d @ d)
     W += 0.5 * float(np.sum(velocities * velocities))
@@ -122,7 +129,7 @@ def control_input(i, positions, velocities, tau, topo, geom, G, params,
     y = positions - tau
     ns, nsf, nsz = neighbor_sets(i, positions, topo, geom)
     if zone_pairs is not None:
-        nsz = {j for j in ns if canon_edge(i, j) in zone_pairs}
+        nsz = {j for j in ns if zone_pairs[canon_edge(i, j)]}
     u = np.zeros(positions.shape[1])
     for j in nsf:
         tn = float(np.linalg.norm(tau[i] - tau[j]))

@@ -30,8 +30,8 @@ GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
 
 
 def pair_topology():
-    return TopologyState(n_agents=2, edges=frozenset({(0, 1)}),
-                         formation_edges=frozenset({(0, 1)}))
+    mask = oracles.pair_mask(2, [(0, 1)])
+    return TopologyState(edges=mask, formation=mask)
 
 
 def energy(positions, velocities, tau, topo, geom, G, params,
@@ -246,16 +246,15 @@ def test_energy_quadratic_part_is_laplacian_form():
     G = np.abs(rng.normal(size=(N, N)))
     G = (G + G.T) / 2.0
     np.fill_diagonal(G, 0.0)
-    edges = frozenset((i, j) for i in range(N) for j in range(i + 1, N))
-    topo = TopologyState(n_agents=N, edges=edges,
-                         formation_edges=frozenset())
+    topo = TopologyState(edges=np.triu(np.ones((N, N), dtype=bool), 1),
+                         formation=oracles.pair_mask(N, []))
     # spread agents out so no pair is inside r_z, and give them the
     # formation offsets so that y = positions - tau is the random part
     tau = 100.0 * np.arange(N)[:, None] * np.array([[1.0, 0.0]])
     y = rng.normal(size=(N, dim))
     params = BarrierParams(1.0, 1.0, 0.05)
     W = energy(tau + y, np.zeros((N, dim)), tau, topo, GEOM, G, params,
-               zone_pairs=frozenset())
+               zone_pairs=oracles.pair_mask(N, []))
     L = laplacian(G)
     quad = 0.5 * y.reshape(-1) @ np.kron(L, np.eye(dim)) @ y.reshape(-1)
     assert W == pytest.approx(quad, abs=1e-12 * max(1.0, abs(quad)))
@@ -277,11 +276,11 @@ def test_energy_zone_pair_contribution():
     params = BarrierParams(0.7, 0.7, 0.05)
     G = np.array([[0.0, 1.0], [1.0, 0.0]])
     topo = pair_topology()
-    assert zone_pairs_at(pair_distances(pos), topo, GEOM) \
-        == frozenset({(0, 1)})
+    assert oracles.pairs(zone_pairs_at(pair_distances(pos), topo, GEOM)) \
+        == [(0, 1)]
     with_zone = energy(pos, np.zeros((2, 2)), tau, topo, GEOM, G, params)
     frozen_out = energy(pos, np.zeros((2, 2)), tau, topo, GEOM, G,
-                        params, zone_pairs=frozenset())
+                        params, zone_pairs=oracles.pair_mask(2, []))
     gap = with_zone - frozen_out
     assert gap == pytest.approx(psi_c(2.2, 3.0, 1.875, 0.7), rel=1e-12)
 
@@ -311,8 +310,8 @@ def test_tune_equilibrium_single_step():
 def test_tune_caps_dominate_recomputed_bound():
     rng = np.random.default_rng(17)
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [1.5, 2.9]])
-    edges = frozenset({(0, 1), (0, 2), (1, 2)})
-    topo = TopologyState(n_agents=3, edges=edges, formation_edges=edges)
+    edges = oracles.pair_mask(3, [(0, 1), (0, 2), (1, 2)])
+    topo = TopologyState(edges=edges, formation=edges)
     pos = tau + 0.2 * rng.normal(size=(3, 2))
     vel = rng.normal(size=(3, 2))
     G = np.array([[0.0, 1.0, 0.8], [1.0, 0.0, 1.2], [0.8, 1.2, 0.0]])

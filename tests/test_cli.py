@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +143,13 @@ def test_check_bad_region_or_box_record_exits_2(tmp_path, capsys, where,
 # record_every 0, an unknown method, an infinite n_weight_samples or
 # jitter), in "simulate: OK" after 0 steps (dt < 0, --T -1), in a run
 # that silently rounded or ignored the value (a fractional or negative
-# n_weight_samples, a nan or negative jitter) or in "convergence tolerance
-# nan was not met" (conv_tol nan)
+# n_weight_samples, a nan or negative jitter), in "convergence tolerance
+# nan was not met" (conv_tol nan), in a raw message that named no field
+# (a null number, a string radius, a missing box, a three-index formation
+# edge, a string parameter count) or in a run that read true as 1
+# (record_every, n_weight_samples).  A field is a key path into the file;
+# MISSING deletes the key.
+MISSING = object()
 BAD_SCALAR_FIELDS = {
     "dt_zero": ("dt", 0.0), "dt_negative": ("dt", -0.005),
     "dt_nan": ("dt", float("nan")),
@@ -163,14 +169,35 @@ BAD_SCALAR_FIELDS = {
     "jitter_vel_nan": ("jitter_vel", float("nan")),
     "jitter_vel_negative": ("jitter_vel", -0.5),
     "conv_tol_nan": ("conv_tol", float("nan")),
-    "conv_tol_zero": ("conv_tol", 0.0)}
+    "conv_tol_zero": ("conv_tol", 0.0),
+    "dt_null": ("dt", None),
+    "jitter_pos_null": ("jitter_pos", None),
+    "r_s_string": ("geometry.r_s", "8"),
+    "box_missing": ("uncertainty.box", MISSING),
+    "formation_edge_triple": ("formation_edges[0]", [0, 1, 2]),
+    "n_parameters_string": ("uncertainty.n_parameters", "x"),
+    "record_every_true": ("record_every", True),
+    "n_weight_samples_true": ("n_weight_samples", True)}
+
+
+def edit_field(doc, path, value):
+    """Set the entry at a key path such as "geometry.r_s" or
+    "formation_edges[0]", or delete it when value is MISSING."""
+    keys = [int(k) if k.isdigit() else k
+            for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    if value is MISSING:
+        del doc[keys[-1]]
+    else:
+        doc[keys[-1]] = value
 
 
 @pytest.mark.parametrize("case", list(BAD_SCALAR_FIELDS))
 def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
     field, value = BAD_SCALAR_FIELDS[case]
     doc = json.loads(builtin_path("six_agent").read_text())
-    doc[field] = value
+    edit_field(doc, field, value)
     p = tmp_path / "grid.json"
     p.write_text(json.dumps(doc))
     assert run_cli("check", str(p)) == 2

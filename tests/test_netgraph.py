@@ -14,7 +14,6 @@ from robustform.barrier import zone_pairs_at
 from robustform.netgraph import (AgentGeometry, AssumptionReport,
                                  GeometryError, TopologyState,
                                  UncertainAdjacency, canon_edge,
-                                 connected_components, is_connected,
                                  laplacian, pair_distances, reduced_basis,
                                  reduced_laplacian, update_edges,
                                  validate_assumptions)
@@ -47,9 +46,10 @@ def swarms(draw):
         pos = np.array(draw(st.lists(st.tuples(grid, grid), min_size=n,
                                      max_size=n)), dtype=float) / 4.0
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = frozenset(e for e in pairs if draw(st.booleans()))
-    formation = frozenset(e for e in sorted(edges) if draw(st.booleans()))
-    return pos, TopologyState(n, edges, formation)
+    edges = [e for e in pairs if draw(st.booleans())]
+    formation = [e for e in edges if draw(st.booleans())]
+    return pos, TopologyState(oracles.pair_mask(n, edges),
+                              oracles.pair_mask(n, formation))
 
 
 def complete_adjacency(N):
@@ -178,44 +178,75 @@ class TestReducedBasis:
 class TestTopology:
 
     def make_topo(self):
-        fe = frozenset({(0, 1), (1, 2)})
-        return TopologyState(4, frozenset({(0, 1), (1, 2), (2, 3)}), fe)
+        return TopologyState(
+            oracles.pair_mask(4, [(0, 1), (1, 2), (2, 3)]),
+            oracles.pair_mask(4, [(0, 1), (1, 2)]))
+
+    @staticmethod
+    def pair_topo(edge: bool, formation: bool = False):
+        """Two agents; (0, 1) an edge and a formation edge as asked."""
+        return TopologyState(
+            oracles.pair_mask(2, [(0, 1)] if edge else []),
+            oracles.pair_mask(2, [(0, 1)] if formation else []))
 
     def test_hysteresis_add(self):
         # Agents 0 and 3 sit exactly at r_s - eps: edge is added.
-        topo = TopologyState(2, frozenset(), frozenset())
         pos = np.array([[0.0, 0.0], [GEOM.r_s - GEOM.eps, 0.0]])
-        new = update_edges(pair_distances(pos), topo, GEOM, t=1.5)
-        assert new.has_edge(0, 1)
-        assert new.last_switch_time == 1.5
+        new = update_edges(pair_distances(pos), self.pair_topo(False), GEOM)
+        assert new.edges[0, 1]
 
     def test_no_add_inside_band(self):
         # Distance in (r_s - eps, r_s]: no addition, and an existing edge
         # also survives, which is the hysteresis band doing its job.
         dist = pair_distances(
             np.array([[0.0, 0.0], [GEOM.r_s - GEOM.eps / 2, 0.0]]))
-        empty = TopologyState(2, frozenset(), frozenset())
-        assert not update_edges(dist, empty, GEOM).has_edge(0, 1)
-        present = TopologyState(2, frozenset({(0, 1)}), frozenset())
-        assert update_edges(dist, present, GEOM).has_edge(0, 1)
+        assert not update_edges(dist, self.pair_topo(False),
+                                GEOM).edges[0, 1]
+        assert update_edges(dist, self.pair_topo(True), GEOM).edges[0, 1]
 
     def test_remove_beyond_rs(self):
         pos = np.array([[0.0, 0.0], [GEOM.r_s + 0.01, 0.0]])
-        present = TopologyState(2, frozenset({(0, 1)}), frozenset())
-        new = update_edges(pair_distances(pos), present, GEOM, t=2.0)
-        assert not new.has_edge(0, 1)
-        assert new.last_switch_time == 2.0
+        new = update_edges(pair_distances(pos), self.pair_topo(True), GEOM)
+        assert not new.edges[0, 1]
 
     def test_formation_edge_never_removed(self):
         dist = pair_distances(np.array([[0.0, 0.0], [GEOM.r_s + 5.0, 0.0]]))
-        present = TopologyState(2, frozenset({(0, 1)}),
-                                frozenset({(0, 1)}))
-        assert update_edges(dist, present, GEOM).has_edge(0, 1)
+        present = self.pair_topo(True, formation=True)
+        assert update_edges(dist, present, GEOM).edges[0, 1]
 
     def test_unchanged_returns_same_object(self):
         dist = pair_distances(np.array([[0.0, 0.0], [3.0, 0.0]]))
-        present = TopologyState(2, frozenset({(0, 1)}), frozenset())
-        assert update_edges(dist, present, GEOM, t=9.0) is present
+        present = self.pair_topo(True)
+        assert update_edges(dist, present, GEOM) is present
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((2, 3), dtype=bool), np.zeros(4, dtype=bool),
+        np.tril(np.ones((3, 3), dtype=bool), -1), np.eye(3, dtype=bool)],
+        ids=["non_square", "one_dimensional", "lower_triangle",
+             "diagonal"])
+    @pytest.mark.parametrize("field", ["edges", "formation"])
+    def test_masks_must_be_strictly_upper_triangular(self, bad, field):
+        n = bad.shape[0]
+        masks = {"edges": np.zeros((n, n), dtype=bool),
+                 "formation": np.zeros((n, n), dtype=bool), field: bad}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            TopologyState(**masks)
+
+    def test_formation_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match="^formation: need a 3 x 3"):
+            TopologyState(np.zeros((3, 3), dtype=bool),
+                          np.zeros((2, 2), dtype=bool))
+
+    def test_masks_are_read_only_copies(self):
+        edges = oracles.pair_mask(3, [(0, 1), (1, 2)])
+        topo = TopologyState(edges, oracles.pair_mask(3, [(0, 1)]))
+        assert topo.n_agents == 3
+        for mask in (topo.edges, topo.formation,
+                     zone_pairs_at(np.zeros((3, 3)), topo, GEOM)):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 2] = True
+        edges[0, 2] = True  # the caller's array is not the stored mask
+        assert not topo.edges[0, 2]
 
     def test_neighbor_sets(self):
         topo = self.make_topo()
@@ -232,8 +263,8 @@ class TestTopology:
         assert ns3 == {2}
         assert nsf3 == set()
         # the zone sets are the zone pairs read off the distance matrix
-        assert zone_pairs_at(pair_distances(pos), topo, GEOM) \
-            == frozenset({(0, 1), (1, 2), (2, 3)})
+        assert oracles.pairs(zone_pairs_at(pair_distances(pos), topo,
+                                           GEOM)) == [(0, 1), (1, 2), (2, 3)]
 
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
@@ -241,14 +272,18 @@ class TestTopology:
     def test_mask_geometry_matches_loop_oracles(self, swarm):
         pos, topo = swarm
         dist = pair_distances(pos)
-        new = update_edges(dist, topo, GEOM, t=1.5)
-        ref = oracles.update_edges(pos, topo, GEOM, t=1.5)
-        assert new == ref
+        new = update_edges(dist, topo, GEOM)
+        ref = oracles.update_edges(pos, topo, GEOM)
+        assert np.array_equal(new.edges, ref.edges)
+        assert np.array_equal(new.formation, ref.formation)
         assert (new is topo) == (ref is topo)
-        assert zone_pairs_at(dist, new, GEOM) \
-            == oracles.zone_pairs_at(pos, new, GEOM)
-        assert initial_topology(pos, topo.formation_edges, GEOM) \
-            == oracles.initial_topology(pos, topo.formation_edges, GEOM)
+        assert np.array_equal(zone_pairs_at(dist, new, GEOM),
+                              oracles.zone_pairs_at(pos, new, GEOM))
+        formation = oracles.pairs(topo.formation)
+        start = initial_topology(pos, formation, GEOM)
+        ref = oracles.initial_topology(pos, formation, GEOM)
+        assert np.array_equal(start.edges, ref.edges)
+        assert np.array_equal(start.formation, ref.formation)
 
     def test_canon_edge(self):
         assert canon_edge(3, 1) == (1, 3)
@@ -256,9 +291,14 @@ class TestTopology:
             canon_edge(2, 2)
 
     def test_connectivity_helpers(self):
-        assert is_connected(3, [(0, 1), (1, 2)])
-        assert not is_connected(3, [(0, 1)])
-        assert connected_components(5, [(0, 1), (2, 3)]) == 3
+        def connected(n, edges):
+            mask = oracles.pair_mask(n, edges)
+            return TopologyState(mask, np.zeros_like(mask)).connected
+
+        assert connected(3, [(0, 1), (1, 2)])
+        assert not connected(3, [(0, 1)])
+        assert not connected(5, [(0, 1), (2, 3)])
+        assert connected(1, [])
 
 
 class TestUncertainAdjacency:
