@@ -249,14 +249,10 @@ class TuneResult:
     mu_safe: float
     w0: float
     zone_term: float
-    n_steps: int
-    residual: float
 
 
-# tune_mu's cap margin, iteration limit and relative self-consistency tolerance
+# tune_mu's cap margin over the worst-case energy
 TUNE_MARGIN = 1.1
-TUNE_MAX_ITER = 100
-TUNE_TOL = 1e-9
 
 
 def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
@@ -266,12 +262,12 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
 
     The caps must beat mu_safe(mu) = W(t0; mu) + N(N-1)/2 * Psi_zone(mu),
     where Psi_zone bounds what one pair entering the collision zone can add
-    and W(t0) is maximized over the supplied weight matrices.  mu_safe is
-    increasing and bounded in mu (the envelope caps at mu = inf), so
-    seeding at TUNE_MARGIN times the envelope value and iterating
-    mu <- TUNE_MARGIN * mu_safe(mu) reaches self-consistency immediately in
-    exact arithmetic; the loop guards against that ever failing and raises
-    with a trace when it does."""
+    and W(t0) is maximized over the supplied weight matrices.  A finite cap
+    only enlarges the barrier denominators, so mu_safe(mu) is at most the
+    envelope mu_safe(inf), in floating point as well; the caps are
+    therefore set in one step to mu = TUNE_MARGIN * mu_safe(inf) (1 when
+    that is 0), and TuneError is raised should TUNE_MARGIN * mu_safe(mu)
+    ever exceed mu."""
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -308,20 +304,9 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
 
     envelope, _, _ = mu_safe_at(math.inf)
     mu = TUNE_MARGIN * envelope if envelope > 0 else 1.0
-    trace = []
-    for step in range(1, TUNE_MAX_ITER + 1):
-        need, w0, zone_total = mu_safe_at(mu)
-        residual = max(0.0, TUNE_MARGIN * need - mu)
-        trace.append((mu, need, residual))
-        if residual <= TUNE_TOL * max(1.0, mu):
-            params = BarrierParams(mu, mu, eps_hat)
-            return TuneResult(params=params, mu_safe=need, w0=w0,
-                              zone_term=zone_total, n_steps=step,
-                              residual=residual)
-        mu = TUNE_MARGIN * need
-    lines = "\n".join(
-        f"  step {k + 1}: mu={m:.6e} mu_safe={n:.6e} residual={r:.3e}"
-        for k, (m, n, r) in enumerate(trace[-10:]))
-    raise TuneError(
-        f"cap tuning did not reach self-consistency in {TUNE_MAX_ITER} "
-        f"iterations; last steps:\n{lines}")
+    need, w0, zone_total = mu_safe_at(mu)
+    if TUNE_MARGIN * need > mu:
+        raise TuneError(f"caps mu={mu:.6e} do not dominate "
+                        f"{TUNE_MARGIN} * mu_safe={TUNE_MARGIN * need:.6e}")
+    return TuneResult(params=BarrierParams(mu, mu, eps_hat), mu_safe=need,
+                      w0=w0, zone_term=zone_total)

@@ -42,6 +42,10 @@ CONNECTIVITY_THRESHOLD = 1e-6
 # by `assemble`, per batched call.
 SAMPLE_CHUNK = 256
 
+# verify_certificate's tolerances on the replayed and the sampled eigenvalues
+PSD_TOL = 1e-6
+SAMPLE_TOL = 1e-6
+
 
 class CertifierError(ValueError):
     pass
@@ -338,9 +342,7 @@ class VerifyReport:
 
 
 def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
-                       n_samples: int = 2000, seed: int = 0,
-                       psd_tol: float = 1e-6,
-                       sample_tol: float = 1e-6) -> VerifyReport:
+                       n_samples: int = 2000, seed: int = 0) -> VerifyReport:
     """Re-check a certificate without the solver.
 
     Replays the Gram identity by evaluating the main constraint of the
@@ -394,14 +396,14 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     for k, ev in enumerate(min_eigs):
         if k == main_lmi:
             continue
-        if ev < -psd_tol:
+        if ev < -PSD_TOL:
             failures.append(
                 f"stored matrix for block {k} has eigenvalue {ev:.3e}")
-    if pencil_margin < -psd_tol:
+    if pencil_margin < -PSD_TOL:
         failures.append(
             f"Gram identity violated: pencil block eigenvalue "
             f"{pencil_margin:.3e}")
-    if trace_error > psd_tol:
+    if trace_error > PSD_TOL:
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
     # Pointwise route: evaluate everything numerically at region samples,
@@ -420,7 +422,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
             shift = (cert.c_star * norm2)[:, None, None] * np.eye(s)
             sampled_pencil = min(sampled_pencil, float(
                 np.linalg.eigvalsh(H_num - shift)[:, 0].min()))
-        if sampled_pencil < -sample_tol:
+        if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
                 f"{sampled_pencil:.3e}")

@@ -88,13 +88,13 @@ def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
 
 def cmd_check(args) -> int:
     spec = _load_scenario(args.scenario)
-    report = validate_assumptions(spec.tau, spec.formation_edges,
-                                  spec.positions, spec.geometry,
+    report = validate_assumptions(spec.tau, spec.formation, spec.positions,
+                                  spec.geometry,
                                   overrides=spec.assumption_overrides)
     lines = report.summary_lines()
     issues = _box_containment_issues(spec)
     print(f"scenario {spec.name}: {spec.n_agents} agents, "
-          f"{len(spec.formation_edges)} formation edges, "
+          f"{np.count_nonzero(spec.formation)} formation edges, "
           f"{spec.adjacency.r} uncertain parameters")
     for line in lines:
         print(line)
@@ -248,8 +248,7 @@ def cmd_simulate(args) -> int:
             "n_agents": spec.n_agents,
             "dim": spec.dim,
             "geometry": asdict(spec.geometry),
-            "formation_edges": sorted(list(e)
-                                      for e in spec.formation_edges),
+            "formation_edges": np.argwhere(spec.formation).tolist(),
         },
         "seed": args.seed,
         "T_end": args.T if args.T is not None else spec.T_end,

@@ -6,8 +6,9 @@ the edge is only removed when the distance exceeds r_s.  Formation edges are
 designated at setup and are never removed by the update rule; losing one at
 runtime is an alarm raised by the simulator's monitors, not something this
 module does silently.  Pairwise geometry is one N x N distance matrix
-(pair_distances) per state; edge sets are read-only boolean masks over it,
-True only at (i, j) with i < j.
+(pair_distances) per state; pair sets, such as the edges and the formation
+edges, are read-only boolean masks over it, True only at (i, j) with i < j
+(upper_mask).  The setup assumptions read the formation pairs off it.
 
 Edge weights may depend polynomially on an uncertainty vector theta confined
 to a semialgebraic set Omega = {theta : s_i(theta) >= 0}.  Connectedness of
@@ -105,11 +106,11 @@ class UncertainAdjacency:
             if s.r != r:
                 raise ValueError("Omega polynomial parameter count mismatch")
         if len(self.box) != r:
-            raise ValueError(
-                f"box has {len(self.box)} intervals, expected {r}")
+            raise ValueError(f"uncertainty.box: {len(self.box)} intervals, "
+                             f"expected {r}")
         for lo, hi in self.box:
             if not lo < hi:
-                raise ValueError(f"empty box interval ({lo}, {hi})")
+                raise ValueError(f"uncertainty.box: ({lo}, {hi}) is empty")
 
     @property
     def r(self) -> int:
@@ -134,6 +135,17 @@ class UncertainAdjacency:
             f"{out.shape[0]} (is the box far larger than the region?)")
 
 
+def upper_mask(value, name: str, n: int) -> np.ndarray:
+    """value as a read-only n x n boolean pair mask; raises ValueError
+    naming name unless it is True only above the diagonal."""
+    mask = np.array(value, dtype=bool)
+    if mask.shape != (n, n) or np.tril(mask).any():
+        raise ValueError(f"{name}: need a {n} x {n} mask True only above "
+                         f"the diagonal, got shape {mask.shape}")
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class TopologyState:
     """Current undirected edges and the formation edges: two read-only
@@ -145,12 +157,8 @@ class TopologyState:
     def __post_init__(self):
         n = len(self.edges)
         for name in ("edges", "formation"):
-            mask = np.array(getattr(self, name), dtype=bool)
-            if mask.shape != (n, n) or np.tril(mask).any():
-                raise ValueError(f"{name}: need a {n} x {n} mask True only "
-                                 f"above the diagonal, got shape {mask.shape}")
-            mask.flags.writeable = False
-            object.__setattr__(self, name, mask)
+            object.__setattr__(self, name,
+                               upper_mask(getattr(self, name), name, n))
 
     @property
     def n_agents(self) -> int:
@@ -161,12 +169,6 @@ class TopologyState:
         """Whether the edges join all agents.  Cached: one scipy call costs
         about 0.3 ms of sparse-matrix set-up, and run asks at every record."""
         return connected_components(self.edges, directed=False)[0] == 1
-
-
-def canon_edge(i: int, j: int) -> tuple[int, int]:
-    if i == j:
-        raise ValueError("self loop")
-    return (i, j) if i < j else (j, i)
 
 
 def laplacian(G):
@@ -271,11 +273,11 @@ class AssumptionReport:
         return lines
 
 
-def validate_assumptions(tau: np.ndarray, formation_edges,
+def validate_assumptions(tau: np.ndarray, formation: np.ndarray,
                          initial_positions: np.ndarray, geom: AgentGeometry,
                          overrides: dict[str, str] | None = None
                          ) -> AssumptionReport:
-    """Check the three setup assumptions.
+    """Check the three setup assumptions on the formation mask's pairs.
 
     A1: every formation pair's desired distance lies in [r_z, r_s - eps].
     A2: every formation pair is within sensing range (r_s - eps) at t0, so
@@ -286,23 +288,20 @@ def validate_assumptions(tau: np.ndarray, formation_edges,
 
     overrides maps an assumption name to a reason string; an overridden
     assumption is reported as skipped and does not fail the report."""
-    tau = np.asarray(tau, dtype=float)
-    initial_positions = np.asarray(initial_positions, dtype=float)
     overrides = overrides or {}
-    fe = sorted(canon_edge(i, j) for (i, j) in formation_edges)
+    fi, fj = np.nonzero(formation)
+    desired = pair_distances(tau)[fi, fj]
+    initial = pair_distances(initial_positions)[fi, fj]
 
     def finish(name, violations):
-        if name in overrides:
-            return AssumptionResult(name, passed=False, skipped=True,
-                                    reason=overrides[name],
-                                    violations=tuple(violations))
-        return AssumptionResult(name, passed=not violations,
+        skipped = name in overrides
+        return AssumptionResult(name, passed=not (violations or skipped),
+                                skipped=skipped,
+                                reason=overrides.get(name, ""),
                                 violations=tuple(violations))
 
     v1, v2, v3 = [], [], []
-    for (i, j) in fe:
-        d = float(np.linalg.norm(tau[i] - tau[j]))
-        d0 = float(np.linalg.norm(initial_positions[i] - initial_positions[j]))
+    for i, j, d, d0 in zip(fi, fj, desired.tolist(), initial.tolist()):
         if not (geom.r_z <= d <= geom.r_s - geom.eps):
             v1.append(f"pair ({i},{j}): desired distance {d:.4f} outside "
                       f"[{geom.r_z}, {geom.r_s - geom.eps}]")

@@ -23,7 +23,7 @@ against the coefficient stack.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,17 +91,6 @@ class Polynomial:
             # re-drop anything that cancelled during accumulation
             clean = {e: c for e, c in clean.items() if abs(c) > COEFF_CLEANUP}
         self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, r: int, records: Iterable[Mapping]) -> "Polynomial":
-        """Build from serialized [{'exponents': [...], 'coeff': c}, ...]."""
-        terms: dict[ExponentVec, float] = {}
-        for rec in records:
-            e = tuple(int(x) for x in rec["exponents"])
-            terms[e] = terms.get(e, 0.0) + float(rec["coeff"])
-        return cls(r, terms)
 
     def to_records(self) -> list[dict]:
         """Serialize as a list of {'exponents': [...], 'coeff': c} records,

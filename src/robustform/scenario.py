@@ -2,11 +2,14 @@
 
 A scenario bundles everything a simulation run needs except the seed:
 agent geometry, desired formation offsets, initial positions and
-velocities, the formation edge list, and the uncertain weight matrix with
-its parameter region.  Scenarios serialize to a small JSON document whose
+velocities, the formation edges, and the uncertain weight matrix with its
+parameter region.  Scenarios serialize to a small JSON document whose
 polynomial entries are explicit term records, so files stay diffable and
-independent of any pickle format.  The shipped scenarios (BUILTIN) are
-defined only by their files under scenarios/, found by builtin_path.
+independent of any pickle format.  A ScenarioSpec holds the file's
+[i, j] formation edges as one N x N pair mask (see netgraph.upper_mask).
+A malformed file raises ValueError naming the key path of the bad value,
+such as tau[1].  The shipped scenarios (BUILTIN) are defined only by
+their files under scenarios/, found by builtin_path.
 
 Runs integrate with classical RK4, the only integrator: a file records it
 as "method": "rk4", and from_dict refuses any other value.
@@ -17,24 +20,18 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .barrier import BarrierParams
-from .netgraph import AgentGeometry, UncertainAdjacency, canon_edge
+from .netgraph import AgentGeometry, UncertainAdjacency, upper_mask
 from .polyalg import MatrixPolynomial, Polynomial
 
 FORMAT = "formation-scenario/1"
 NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
-
-
-def _finite_polynomial(r: int, terms, where: str) -> Polynomial:
-    """Polynomial of term records whose coefficients are all finite."""
-    if not all(math.isfinite(float(t["coeff"])) for t in terms):
-        raise ValueError(f"{where}: non-finite coefficient")
-    return Polynomial.from_records(r, terms)
 
 
 def _require(ok: bool, key: str, rule: str, value) -> None:
@@ -48,23 +45,71 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A float, or an integer (not a boolean) within the range of floats."""
+    return isinstance(value, float) or (
+        _is_int(value) and abs(value) <= sys.float_info.max)
+
+
+def _get(doc, where: str, key: str, default=...):
+    """doc[key], doc being the value at key path where ("" at the top
+    level), or default for an absent key."""
+    _require(isinstance(doc, dict), where, "an object", doc)
+    if key not in doc and default is ...:
+        raise ValueError(f"{where + '.' if where else ''}{key}: missing")
+    return doc.get(key, default)
+
+
 def _field(doc: dict, path: str, default=...):
     """doc's value at a dotted key path, or default for an absent last key."""
-    keys = path.split(".")
-    for k, key in enumerate(keys):
-        _require(isinstance(doc, dict), ".".join(keys[:k]), "an object", doc)
-        if key not in doc and (default is ... or k < len(keys) - 1):
-            raise ValueError(f"{'.'.join(keys[:k + 1])}: missing")
-        doc = doc.get(key, default)
-    return doc
+    *parents, last = path.split(".")
+    for k, key in enumerate(parents):
+        doc = _get(doc, ".".join(parents[:k]), key)
+    return _get(doc, ".".join(parents), last, default)
+
+
+def _items(doc: dict, path: str) -> list:
+    """The list at a key path of doc (see _field)."""
+    value = _field(doc, path)
+    _require(isinstance(value, list), path, "a list", value)
+    return value
 
 
 def _number(doc: dict, path: str, default=...) -> float:
     """The number at a key path of doc (see _field), as a float."""
     value = _field(doc, path, default)
-    _require(isinstance(value, float) or _is_int(value), path, "a number",
-             value)
+    _require(_is_number(value), path, "a number", value)
     return float(value)
+
+
+def _rows(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as an array: one row of numbers per agent, all as long."""
+    rows = _field(doc, key)
+    ok = isinstance(rows, list) and all(isinstance(a, list) for a in rows)
+    _require(ok, key, "rows of coordinates, one list per agent", rows)
+    for k, row in enumerate(rows):
+        _require(len(row) == len(rows[0]) and all(map(_is_number, row)),
+                 f"{key}[{k}]", f"{len(rows[0])} numbers", row)
+    return np.array(rows, dtype=float)
+
+
+def _terms(r: int, doc, where: str) -> Polynomial:
+    """The polynomial of the term records at doc["terms"], doc being the
+    value at key path where.  A record holds r integer "exponents" >= 0
+    and a finite "coeff"; records of equal exponents add up."""
+    records = _get(doc, where, "terms")
+    _require(isinstance(records, list), f"{where}.terms", "a list", records)
+    terms: dict = {}
+    for m, rec in enumerate(records):
+        e, c = (rec.get("exponents"), rec.get("coeff")) \
+            if isinstance(rec, dict) else (None, None)
+        _require(isinstance(e, list) and len(e) == r and all(
+            _is_int(x) and x >= 0 for x in e) and _is_number(c)
+            and math.isfinite(c), f"{where}.terms[{m}]",
+            f"a record of {r} exponents (integers >= 0) and a finite coeff",
+            rec)
+        terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(c)
+    return Polynomial(r, terms)
 
 
 def _numbers(doc: dict, key: str, cls):
@@ -97,7 +142,7 @@ class ScenarioSpec:
     tau: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    formation_edges: frozenset
+    formation: np.ndarray
     adjacency: UncertainAdjacency
     barrier: BarrierParams | None = None
     assumption_overrides: dict = field(default_factory=dict)
@@ -130,11 +175,7 @@ class ScenarioSpec:
         if self.tau.shape != self.positions.shape or \
                 self.tau.shape != self.velocities.shape:
             raise ValueError("tau, positions, velocities shapes differ")
-        self.formation_edges = frozenset(
-            canon_edge(i, j) for (i, j) in self.formation_edges)
-        for (i, j) in self.formation_edges:
-            if not (0 <= i < N and 0 <= j < N):
-                raise ValueError(f"formation edge ({i},{j}) out of range")
+        self.formation = upper_mask(self.formation, "formation", N)
         check_time_grid(self.dt, self.T_end, self.record_every)
         n, tol = self.n_weight_samples, self.conv_tol
         _require(_is_int(n) and n >= 0, "n_weight_samples",
@@ -170,8 +211,7 @@ class ScenarioSpec:
             "tau": self.tau.tolist(),
             "positions": self.positions.tolist(),
             "velocities": self.velocities.tolist(),
-            "formation_edges": sorted(list(e)
-                                      for e in self.formation_edges),
+            "formation_edges": np.argwhere(self.formation).tolist(),
             "uncertainty": {
                 "n_parameters": adj.r,
                 "box": [list(b) for b in adj.box],
@@ -198,63 +238,62 @@ class ScenarioSpec:
         if not isinstance(doc, dict):
             raise ValueError(f"top level must be a JSON object, got "
                              f"{type(doc).__name__}")
-        if doc.get("format") != FORMAT:
-            raise ValueError(
-                f"unsupported scenario format {doc.get('format')!r}")
+        _require(doc.get("format") == FORMAT, "format", repr(FORMAT),
+                 doc.get("format"))
         method = doc.get("method", "rk4")
-        if method != "rk4":
-            raise ValueError(f"method: only 'rk4' is supported, got "
-                             f"{method!r}")
-        tau = np.asarray(_field(doc, "tau"), dtype=float)
-        if tau.ndim != 2:  # N is read off tau
-            raise ValueError(f"tau: must be rows of coordinates, got shape "
-                             f"{tau.shape}")
-        N = tau.shape[0]
+        _require(method == "rk4", "method", "'rk4', the only integrator",
+                 method)
+        tau = _rows(doc, "tau")
+        N = len(tau)  # N is read off tau
+        _require(N >= 2, "tau", "rows of coordinates for at least 2 agents",
+                 tau.tolist())
         r = _field(doc, "uncertainty.n_parameters")
         _require(_is_int(r) and r >= 0, "uncertainty.n_parameters",
                  "an integer >= 0", r)
         entries = MatrixPolynomial.zeros(N, N, r)
-        pairs = set()
-        for k, w in enumerate(_field(doc, "uncertainty.weights")):
+        seen = np.zeros((N, N), dtype=bool)
+        for k, w in enumerate(_items(doc, "uncertainty.weights")):
             where = f"uncertainty.weights[{k}]"
-            i, j = w["i"], w["j"]
-            if not (_is_int(i) and _is_int(j) and 0 <= i < N and 0 <= j < N):
-                raise ValueError(
-                    f"{where}: pair ({i},{j}) is not two indices in [0, {N})")
-            if i == j:
-                raise ValueError(f"{where}: self loop ({i},{j})")
-            pair = canon_edge(i, j)
-            if pair in pairs:
-                raise ValueError(f"{where}: duplicate pair ({i},{j})")
-            pairs.add(pair)
-            p = _finite_polynomial(r, w["terms"], where)
+            i, j = _get(w, where, "i"), _get(w, where, "j")
+            _require(_is_int(i) and _is_int(j) and 0 <= i < N and 0 <= j < N
+                     and i != j and not seen[i, j], where, f"a pair i, j of "
+                     f"distinct agent indices in [0, {N}) not listed before",
+                     (i, j))
+            seen[i, j] = seen[j, i] = True
+            p = _terms(r, w, where)
             entries.set_entry(i, j, p)
             entries.set_entry(j, i, p)
-        omega = [_finite_polynomial(r, s["terms"], f"uncertainty.region[{k}]")
-                 for k, s in enumerate(_field(doc, "uncertainty.region"))]
-        box = _field(doc, "uncertainty.box")
+        omega = [_terms(r, s, f"uncertainty.region[{k}]")
+                 for k, s in enumerate(_items(doc, "uncertainty.region"))]
+        box = _items(doc, "uncertainty.box")
         for k, b in enumerate(box):
             _require(isinstance(b, list) and len(b) == 2 and all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in b),
+                _is_number(v) and math.isfinite(v) for v in b),
                 f"uncertainty.box[{k}]", "two finite numbers", b)
         adj = UncertainAdjacency(N=N, entries=entries, omega=omega,
                                  box=[tuple(map(float, b)) for b in box])
-        edges = _field(doc, "formation_edges")
-        for k, e in enumerate(edges):
+        formation = np.zeros((N, N), dtype=bool)
+        for k, e in enumerate(_items(doc, "formation_edges")):
             _require(isinstance(e, list) and len(e) == 2 and all(
-                map(_is_int, e)), f"formation_edges[{k}]",
-                "a pair [i, j] of agent indices", e)
+                _is_int(v) and 0 <= v < N for v in e) and e[0] != e[1],
+                f"formation_edges[{k}]",
+                f"a pair [i, j] of distinct agent indices in [0, {N})", e)
+            formation[min(e), max(e)] = True
+        overrides = _field(doc, "assumption_overrides", {})
+        _require(isinstance(overrides, dict) and all(
+            isinstance(v, str) for v in overrides.values()),
+            "assumption_overrides", "an object of strings", overrides)
         return cls(
             name=_field(doc, "name"),
             geometry=_numbers(doc, "geometry", AgentGeometry),
             tau=tau,
-            positions=np.asarray(_field(doc, "positions"), dtype=float),
-            velocities=np.asarray(_field(doc, "velocities"), dtype=float),
-            formation_edges=frozenset(map(tuple, edges)),
+            positions=_rows(doc, "positions"),
+            velocities=_rows(doc, "velocities"),
+            formation=formation,
             adjacency=adj,
             barrier=(None if doc.get("barrier") is None
                      else _numbers(doc, "barrier", BarrierParams)),
-            assumption_overrides=dict(doc.get("assumption_overrides", {})),
+            assumption_overrides=overrides,
             jitter_pos=_number(doc, "jitter_pos", 0.0),
             jitter_vel=_number(doc, "jitter_vel", 0.0),
             T_end=_number(doc, "T_end", 40.0),

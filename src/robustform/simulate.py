@@ -23,8 +23,8 @@ import numpy as np
 from .barrier import (BarrierParams, DomainViolation, PairArrays,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
 from .certifier import Certificate, certify
-from .netgraph import (AgentGeometry, TopologyState, canon_edge,
-                       pair_distances, update_edges, validate_assumptions)
+from .netgraph import (TopologyState, pair_distances, update_edges,
+                       validate_assumptions)
 from .scenario import ScenarioSpec, check_time_grid
 
 
@@ -106,7 +106,6 @@ class RunResult:
     tune: TuneResult | None
     cert: Certificate | None
     theta: np.ndarray
-    assumptions: object
 
     @property
     def exit_kind(self) -> str:
@@ -115,17 +114,6 @@ class RunResult:
         if self.failure and self.failure["kind"] == "domain_violation":
             return "domain"
         return "invariant"
-
-
-def initial_topology(positions: np.ndarray, formation_edges,
-                     geom: AgentGeometry) -> TopologyState:
-    """Edge mask at start: the formation edges, then one hysteresis update,
-    which adds every pair inside the add radius."""
-    dist = pair_distances(np.asarray(positions, dtype=float))
-    fe = np.zeros(dist.shape, dtype=bool)
-    for (i, j) in formation_edges:
-        fe[canon_edge(i, j)] = True
-    return update_edges(dist, TopologyState(fe, fe), geom)
 
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
@@ -161,8 +149,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         velocities += rng.uniform(-scenario.jitter_vel,
                                   scenario.jitter_vel, velocities.shape)
 
-    report = validate_assumptions(tau, scenario.formation_edges,
-                                  positions, geom,
+    report = validate_assumptions(tau, scenario.formation, positions, geom,
                                   overrides=scenario.assumption_overrides)
     if not report.all_pass and not unsafe:
         raise PreconditionError(
@@ -170,12 +157,12 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             + "\n  ".join(report.summary_lines()))
 
     # the edge-keeping barrier of a formation pair is defined only below r_s
-    for (i, j) in sorted(scenario.formation_edges):
-        if np.linalg.norm(tau[i] - tau[j]) >= geom.r_s:
+    fi, fj = np.nonzero(scenario.formation)
+    for i, j, d in zip(fi, fj, pair_distances(tau)[fi, fj]):
+        if d >= geom.r_s:
             raise PreconditionError(
-                f"formation pair ({i},{j}): desired distance "
-                f"{np.linalg.norm(tau[i] - tau[j]):.6g} is not below "
-                f"r_s={geom.r_s}")
+                f"formation pair ({i},{j}): desired distance {d:.6g} is "
+                f"not below r_s={geom.r_s}")
 
     cert = certificate
     if cert is not None and not isinstance(cert, Certificate):
@@ -208,8 +195,10 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     weights = adj.entries.eval_batch(thetas)
     theta, G = thetas[0], weights[0]
 
-    topo = initial_topology(positions, scenario.formation_edges, geom)
+    # the edges at start: the formation edges plus one hysteresis update
     dist = pair_distances(positions)
+    topo = update_edges(dist, TopologyState(scenario.formation,
+                                            scenario.formation), geom)
     zone = zone_pairs_at(dist, topo, geom)
     state = SimState(t=0.0, positions=positions, velocities=velocities,
                      topo=topo, zone_pairs=zone, distances=dist)
@@ -253,10 +242,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                           "pair": (int(iu[k]), int(ju[k])), "value": dmin}
         return dmin, None
 
-    # formation edges are fixed for the run: one index pair for the
-    # edge-break monitor and the final formation error
     arrays = PairArrays(topo, zone, tau, geom, G)
-    fi, fj = arrays.fi, arrays.fj
     try:
         W_prev = arrays.energy(positions, velocities, params)
         W_t.append(0.0)
@@ -360,8 +346,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     }
     return RunResult(ok=failure is None, failure=failure, log=log,
                      metrics=metrics, state=state, params=params,
-                     tune=tune, cert=cert, theta=theta,
-                     assumptions=report)
+                     tune=tune, cert=cert, theta=theta)
 
 
 def _pairs(mask: np.ndarray) -> list:

@@ -10,7 +10,9 @@ variable at a time through dense matrices, and null_basis is the dense
 Gram-Schmidt construction of the Gram null space, the way the package did
 before it assembled svec columns directly.  The tests compare each with the
 package.  Pair sets are the package's N x N boolean masks, True only above
-the diagonal; the oracles read and write them one pair at a time.
+the diagonal, the formation mask of a scenario among them; the oracles
+read and write them one pair at a time, at the index upper(i, j), and
+measure each pair's distance with np.linalg.norm.
 """
 
 import math
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 from robustform import sdp
 from robustform.barrier import grad_psi_c, grad_psi_e, psi_c, psi_e
 from robustform.certifier import gram_image
-from robustform.netgraph import TopologyState, canon_edge
+from robustform.netgraph import TopologyState
 from robustform.polyalg import mono_sort_key
 from robustform.smr import _positions, gram_null_basis, power_vector
 
@@ -55,11 +57,17 @@ def update_edges(positions, topo, geom):
     return TopologyState(edges, topo.formation)
 
 
-def initial_topology(positions, formation_edges, geom):
-    """Formation edges plus every pair inside the hysteresis-add radius."""
+def upper(i, j):
+    """The pair (i, j) as its mask index, smaller agent first."""
+    return (min(i, j), max(i, j))
+
+
+def initial_topology(positions, formation, geom):
+    """The formation mask's edges plus every pair inside the
+    hysteresis-add radius."""
     positions = np.asarray(positions, dtype=float)
     N = positions.shape[0]
-    fe = pair_mask(N, (canon_edge(i, j) for (i, j) in formation_edges))
+    fe = np.array(formation, dtype=bool)
     edges = fe.copy()
     for i, j in zip(*np.triu_indices(N, k=1)):
         if np.linalg.norm(positions[i] - positions[j]) \
@@ -83,10 +91,10 @@ def neighbor_sets(i, positions, topo, geom):
     positions = np.asarray(positions, dtype=float)
     ns, nsf, nsz = set(), set(), set()
     for j in range(topo.n_agents):
-        if j == i or not topo.edges[canon_edge(i, j)]:
+        if j == i or not topo.edges[upper(i, j)]:
             continue
         ns.add(j)
-        if topo.formation[canon_edge(i, j)]:
+        if topo.formation[upper(i, j)]:
             nsf.add(j)
         if np.linalg.norm(positions[i] - positions[j]) < geom.r_z:
             nsz.add(j)
@@ -129,7 +137,7 @@ def control_input(i, positions, velocities, tau, topo, geom, G, params,
     y = positions - tau
     ns, nsf, nsz = neighbor_sets(i, positions, topo, geom)
     if zone_pairs is not None:
-        nsz = {j for j in ns if zone_pairs[canon_edge(i, j)]}
+        nsz = {j for j in ns if zone_pairs[upper(i, j)]}
     u = np.zeros(positions.shape[1])
     for j in nsf:
         tn = float(np.linalg.norm(tau[i] - tau[j]))

@@ -1,5 +1,8 @@
 """Command-line contract: exit codes, artifacts, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import re
@@ -7,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from robustform.certifier import Certificate
 from robustform.cli import main
 from robustform.netgraph import UncertainAdjacency
@@ -38,7 +44,7 @@ def pair_scenario_doc(tau_x=3.0, positions=None, barrier=None,
         positions=tau.copy() if positions is None
         else np.asarray(positions, dtype=float),
         velocities=np.zeros((2, 2)),
-        formation_edges=frozenset({(0, 1)}), adjacency=adj,
+        formation=oracles.pair_mask(2, [(0, 1)]), adjacency=adj,
         barrier=barrier, T_end=1.0)
 
 
@@ -147,8 +153,15 @@ def test_check_bad_region_or_box_record_exits_2(tmp_path, capsys, where,
 # nan was not met" (conv_tol nan), in a raw message that named no field
 # (a null number, a string radius, a missing box, a three-index formation
 # edge, a string parameter count) or in a run that read true as 1
-# (record_every, n_weight_samples).  A field is a key path into the file;
-# MISSING deletes the key.
+# (record_every, n_weight_samples).  Then the inputs that exited 0 or 1
+# (a fractional, boolean or infinite exponent, a string coefficient, a
+# one-agent scenario, a list or a number as assumption_overrides), ended
+# in a traceback or exited 2 with a message that named no field (a term
+# record, a missing terms or index, a ragged or non-numeric row, a box of
+# the wrong size or with an empty interval, a self-loop or out-of-range
+# formation edge) or ended in an OverflowError (an integer beyond the range
+# of floats).  A field is a key path into the file; MISSING deletes
+# the key.
 MISSING = object()
 BAD_SCALAR_FIELDS = {
     "dt_zero": ("dt", 0.0), "dt_negative": ("dt", -0.005),
@@ -177,7 +190,37 @@ BAD_SCALAR_FIELDS = {
     "formation_edge_triple": ("formation_edges[0]", [0, 1, 2]),
     "n_parameters_string": ("uncertainty.n_parameters", "x"),
     "record_every_true": ("record_every", True),
-    "n_weight_samples_true": ("n_weight_samples", True)}
+    "n_weight_samples_true": ("n_weight_samples", True),
+    "term_exponent_fractional": ("uncertainty.weights[0].terms[0]",
+                                 {"exponents": [1.5, 0], "coeff": 0.3}),
+    "term_coeff_string": ("uncertainty.weights[0].terms[0]",
+                          {"exponents": [1, 0], "coeff": "2"}),
+    "term_coeff_nonnumeric": ("uncertainty.weights[0].terms[1]",
+                              {"exponents": [0, 1], "coeff": "x"}),
+    "region_exponent_true": ("uncertainty.region[0].terms[0]",
+                             {"exponents": [True, 0], "coeff": -1.0}),
+    "term_exponent_infinite": ("uncertainty.weights[0].terms[0]",
+                               {"exponents": [float("inf"), 0],
+                                "coeff": 0.3}),
+    "term_exponents_short": ("uncertainty.weights[0].terms[2]",
+                             {"exponents": [0], "coeff": 1.0}),
+    "term_exponent_negative": ("uncertainty.region[0].terms[2]",
+                               {"exponents": [0, -1], "coeff": 1.0}),
+    "terms_missing": ("uncertainty.weights[1].terms", MISSING),
+    "weight_index_missing": ("uncertainty.weights[0].i", MISSING),
+    "tau_row_ragged": ("tau[1]", [0.0]),
+    "positions_row_string": ("positions[2]", [0.0, "1"]),
+    "velocities_row_null": ("velocities[0]", [None, 0.0]),
+    "one_agent": ("tau", [[0.0, 0.0]]),
+    "box_interval_count": ("uncertainty.box", [[-1.0, 1.0]]),
+    "box_interval_empty": ("uncertainty.box", [[1.0, -1.0], [-1.0, 1.0]]),
+    "overrides_list": ("assumption_overrides", ["A1"]),
+    "override_reason_number": ("assumption_overrides", {"A1": 3}),
+    "formation_edge_self_loop": ("formation_edges[0]", [1, 1]),
+    "formation_edge_out_of_range": ("formation_edges[0]", [0, 99]),
+    "dt_huge_integer": ("dt", 10 ** 400),
+    "term_coeff_huge_integer": ("uncertainty.weights[0].terms[0]",
+                                {"exponents": [1, 0], "coeff": 10 ** 400})}
 
 
 def edit_field(doc, path, value):
@@ -202,9 +245,84 @@ def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
     p.write_text(json.dumps(doc))
     assert run_cli("check", str(p)) == 2
     assert run_cli("simulate", str(p), "--out", str(tmp_path / "r")) == 2
+    assert run_cli("certify", str(p), "--out", str(tmp_path / "c.json")) == 2
     err = capsys.readouterr().err
-    assert f"{field}:" in err and "Traceback" not in err
+    assert err.count(f"{field}:") == 3 and "Traceback" not in err
     assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_term_records_of_equal_exponents_add_up():
+    # two records of one monomial that cancel leave the polynomial as it was
+    doc = json.loads(builtin_path("six_agent").read_text())
+    before = ScenarioSpec.from_dict(doc).adjacency.entries.entry(0, 1)
+    doc["uncertainty"]["weights"][0]["terms"] += [
+        {"exponents": [1, 1], "coeff": 1.0},
+        {"exponents": [1, 1], "coeff": -1.0}]
+    assert ScenarioSpec.from_dict(doc).adjacency.entries.entry(0, 1) \
+        == before
+
+
+SHIPPED_DOCS = {name: json.loads(builtin_path(name).read_text())
+                for name in BUILTIN}
+
+
+def key_paths(doc, path=()):
+    """The key path of every value in doc below the top level, each a
+    tuple of object keys and list indices."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+SHIPPED_PATHS = {name: list(key_paths(doc))
+                 for name, doc in SHIPPED_DOCS.items()}
+OTHER_TYPES = [None, True, "x", 7, 2.5, [], {}]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario document with one value deleted, replaced by
+    another JSON type or a non-finite number, or, for an integer, replaced
+    by an index out of range."""
+    name = draw(st.sampled_from(sorted(BUILTIN)))
+    doc = copy.deepcopy(SHIPPED_DOCS[name])
+    *parents, key = draw(st.sampled_from(SHIPPED_PATHS[name]))
+    holder = doc
+    for k in parents:
+        holder = holder[k]
+    old = holder[key]
+    kinds = ["delete", "retype", "nonfinite"]
+    if isinstance(old, int) and not isinstance(old, bool):
+        kinds.append("index")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "delete":
+        del holder[key]
+    elif kind == "retype":
+        holder[key] = draw(st.sampled_from(
+            [v for v in OTHER_TYPES if type(v) is not type(old)]))
+    elif kind == "nonfinite":
+        holder[key] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
+    else:
+        holder[key] = draw(st.sampled_from([-1, len(doc["tau"])]))
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=None)
+@given(mutated_scenarios())
+def test_check_mutated_scenario_exits_with_a_documented_code(
+        tmp_path_factory, doc):
+    # check only: a mutated degree or horizon can make certify or simulate
+    # run for a very long time
+    p = tmp_path_factory.mktemp("mutated") / "scenario.json"
+    p.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli("check", str(p)) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -241,7 +359,8 @@ def test_certify_disconnected_inconclusive(tmp_path, capsys):
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
     sc = ScenarioSpec(name="split", geometry=geom, tau=tau,
                       positions=tau.copy(), velocities=np.zeros((3, 2)),
-                      formation_edges=frozenset({(0, 1)}), adjacency=adj)
+                      formation=oracles.pair_mask(3, [(0, 1)]),
+                      adjacency=adj)
     p = tmp_path / "split.json"
     sc.save(p)
     code = run_cli("certify", str(p), "--samples", "200",
@@ -411,8 +530,8 @@ def test_unsafe_flag_lets_uncertifiable_run_proceed(tmp_path):
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
     sc = ScenarioSpec(name="split", geometry=geom, tau=tau,
                       positions=tau.copy(), velocities=np.zeros((3, 2)),
-                      formation_edges=frozenset({(0, 1)}), adjacency=adj,
-                      T_end=0.5)
+                      formation=oracles.pair_mask(3, [(0, 1)]),
+                      adjacency=adj, T_end=0.5)
     p = tmp_path / "split.json"
     sc.save(p)
     # gated: refused outright

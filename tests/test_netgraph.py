@@ -13,12 +13,11 @@ import oracles
 from robustform.barrier import zone_pairs_at
 from robustform.netgraph import (AgentGeometry, AssumptionReport,
                                  GeometryError, TopologyState,
-                                 UncertainAdjacency, canon_edge,
-                                 laplacian, pair_distances, reduced_basis,
+                                 UncertainAdjacency, laplacian,
+                                 pair_distances, reduced_basis,
                                  reduced_laplacian, update_edges,
                                  validate_assumptions)
 from robustform.polyalg import MatrixPolynomial, Polynomial
-from robustform.simulate import initial_topology
 
 GEOM = AgentGeometry(r_a=0.5, r_c=0.75, r_z=2.5, r_s=8.0, d_s=1.875,
                      eps=0.1)
@@ -279,16 +278,12 @@ class TestTopology:
         assert (new is topo) == (ref is topo)
         assert np.array_equal(zone_pairs_at(dist, new, GEOM),
                               oracles.zone_pairs_at(pos, new, GEOM))
-        formation = oracles.pairs(topo.formation)
-        start = initial_topology(pos, formation, GEOM)
-        ref = oracles.initial_topology(pos, formation, GEOM)
+        # the start of a run: the formation mask, then one update
+        start = update_edges(dist, TopologyState(topo.formation,
+                                                 topo.formation), GEOM)
+        ref = oracles.initial_topology(pos, topo.formation, GEOM)
         assert np.array_equal(start.edges, ref.edges)
         assert np.array_equal(start.formation, ref.formation)
-
-    def test_canon_edge(self):
-        assert canon_edge(3, 1) == (1, 3)
-        with pytest.raises(ValueError):
-            canon_edge(2, 2)
 
     def test_connectivity_helpers(self):
         def connected(n, edges):
@@ -350,7 +345,7 @@ class TestAssumptions:
         # Two agents, desired separation 3.5 along x.
         tau = np.array([[0.0, 0.0], [3.5, 0.0]])
         pos = np.array([[0.0, 0.0], [3.6, 0.0]])
-        return tau, [(0, 1)], pos
+        return tau, oracles.pair_mask(2, [(0, 1)]), pos
 
     def test_a3_fails_for_wide_formation(self):
         # r_s - 3.5 = 4.5 is not greater than d_s + 3.5 = 5.375.
@@ -365,7 +360,8 @@ class TestAssumptions:
     def test_a3_passes_for_tight_formation(self):
         tau = np.array([[0.0, 0.0], [2.8, 0.0]])
         pos = np.array([[0.0, 0.0], [2.9, 0.0]])
-        rep = validate_assumptions(tau, [(0, 1)], pos, GEOM)
+        rep = validate_assumptions(tau, oracles.pair_mask(2, [(0, 1)]),
+                                   pos, GEOM)
         # r_s - 2.8 = 5.2 > d_s + 2.8 = 4.675.
         assert rep.all_pass
         assert all(not r.skipped for r in rep.results)
@@ -374,14 +370,16 @@ class TestAssumptions:
         # Desired distance below r_z fails A1.
         tau = np.array([[0.0, 0.0], [2.0, 0.0]])
         pos = np.array([[0.0, 0.0], [2.0, 0.0]])
-        rep = validate_assumptions(tau, [(0, 1)], pos, GEOM)
+        rep = validate_assumptions(tau, oracles.pair_mask(2, [(0, 1)]),
+                                   pos, GEOM)
         assert not rep.get("A1").passed
         assert "pair (0,1)" in rep.get("A1").violations[0]
 
     def test_a2_initial_range(self):
         tau = np.array([[0.0, 0.0], [2.8, 0.0]])
         pos = np.array([[0.0, 0.0], [7.95, 0.0]])
-        rep = validate_assumptions(tau, [(0, 1)], pos, GEOM)
+        rep = validate_assumptions(tau, oracles.pair_mask(2, [(0, 1)]),
+                                   pos, GEOM)
         assert not rep.get("A2").passed
 
     def test_override_reports_skipped(self):
@@ -398,7 +396,8 @@ class TestAssumptions:
         # Same wide pair but no formation edge between them: nothing to
         # check, so every assumption passes vacuously.
         tau, _, pos = self.line_setup()
-        rep = validate_assumptions(tau, [], pos, GEOM)
+        rep = validate_assumptions(tau, oracles.pair_mask(2, []), pos,
+                                   GEOM)
         assert rep.all_pass
 
 

@@ -9,11 +9,11 @@ import pytest
 import oracles
 from robustform.barrier import BarrierParams, PairArrays
 from robustform.netgraph import (AgentGeometry, TopologyState,
-                                 UncertainAdjacency, pair_distances)
+                                 UncertainAdjacency, pair_distances,
+                                 update_edges)
 from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.scenario import ScenarioSpec, builtin_path
-from robustform.simulate import (PreconditionError, SimState,
-                                 initial_topology, run, step)
+from robustform.simulate import PreconditionError, SimState, run, step
 from robustform.barrier import zone_pairs_at
 from robustform.certifier import Certificate, certify
 
@@ -34,7 +34,8 @@ def triangle_system():
 def hexagon_system():
     s = ScenarioSpec.load(builtin_path("six_agent"))
     G = np.asarray(s.adjacency.entries(np.zeros(2)), dtype=float)
-    topo = initial_topology(s.tau, s.formation_edges, s.geometry)
+    topo = update_edges(pair_distances(s.tau),
+                        TopologyState(s.formation, s.formation), s.geometry)
     return s.tau, topo, G
 
 
@@ -51,7 +52,7 @@ def const_pair_scenario(positions, velocities, weight=1.0, tau=None,
         name="pair", geometry=GEOM, tau=tau,
         positions=np.asarray(positions, dtype=float),
         velocities=np.asarray(velocities, dtype=float),
-        formation_edges=frozenset({(0, 1)}), adjacency=adj,
+        formation=oracles.pair_mask(2, [(0, 1)]), adjacency=adj,
         barrier=barrier, **kw)
 
 
@@ -262,8 +263,8 @@ def test_run_refuses_uncertifiable_graph():
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
     sc = ScenarioSpec(name="split", geometry=GEOM, tau=tau,
                       positions=tau.copy(), velocities=np.zeros((3, 2)),
-                      formation_edges=frozenset({(0, 1)}), adjacency=adj,
-                      T_end=0.5)
+                      formation=oracles.pair_mask(3, [(0, 1)]),
+                      adjacency=adj, T_end=0.5)
     with pytest.raises(PreconditionError, match="certificate"):
         run(sc, seed=0)
     res = run(sc, seed=0, unsafe=True)
@@ -285,6 +286,15 @@ def test_run_assumption_gate_and_override():
                               assumption_overrides={"A1": "testing"})
     res = run(sc2, seed=0)
     assert res.ok
+
+
+def test_scenario_formation_is_a_read_only_upper_mask():
+    sc = const_pair_scenario(positions=np.array([[0.0, 0.0], [3.0, 0.0]]),
+                             velocities=np.zeros((2, 2)))
+    assert oracles.pairs(sc.formation) == [(0, 1)]
+    assert not sc.formation.flags.writeable
+    with pytest.raises(ValueError, match="formation: need a 2 x 2 mask"):
+        dataclasses.replace(sc, formation=sc.formation.T)
 
 
 def test_run_accepts_precomputed_certificate():
@@ -395,7 +405,8 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
         name="chain", geometry=GEOM, tau=tau,
         positions=np.array([[0.0, 0.0], [3.0, 0.0], [10.5, 0.0]]),
         velocities=np.array([[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]),
-        formation_edges=frozenset({(0, 1), (1, 2)}), adjacency=adj,
+        formation=oracles.pair_mask(3, [(0, 1), (1, 2)]),
+        adjacency=adj,
         T_end=3.0)
     res = run(sc, seed=0)
     assert res.ok, res.failure
