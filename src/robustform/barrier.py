@@ -7,10 +7,12 @@ formation edges alive.  The collision barrier psi_c vanishes at the desired
 separation and climbs to its cap mu2 exactly at the safety distance d_s, so
 bounded energy keeps agents apart.
 
-psi_e, psi_c and their gradients are written once, on arrays of pairs (a
-scalar is a single pair).  PairArrays reads the pairs of one mask epoch off
-its masks, in row-major order, and evaluates with them the composite
-energy W and the control law -grad W.
+Each barrier is one private kernel on arrays of pair differences, for its
+value or gradient; psi_e, psi_c, their gradients and PairArrays call it.
+PairArrays reads the pairs of one mask epoch off its masks, in row-major
+order, and computes once what the epoch holds constant: the energy W and
+the control law -grad W (one np.bincount scatter) are then a few array
+operations per call.
 
 The caps are not free parameters: tune_mu picks them above the worst-case
 initial energy plus everything zone entries can ever add, which is what
@@ -78,7 +80,7 @@ def eps_hat_default(geom: AgentGeometry) -> float:
 
 def _checked(D, what: str, **values):
     """D, after raising DomainViolation at the first pair where D <= 0."""
-    if (D <= 0).any():
+    if np.count_nonzero(D <= 0):
         k = int(np.flatnonzero(D <= 0)[0])
         at = ", ".join(f"{name}={np.broadcast_to(v, D.shape).flat[k]:.6f}"
                        for name, v in values.items())
@@ -87,15 +89,31 @@ def _checked(D, what: str, **values):
     return D
 
 
-def _edge_denominator(q, r_hat_s, mu1: float):
-    return _checked(r_hat_s - q + r_hat_s * r_hat_s / mu1, "psi_e",
-                    q=q, r_hat_s=r_hat_s)
+def _psi_e(y, r_hat_s, mu1: float, grad: bool):
+    """psi_e at the formation errors y (one vector or (pairs, dim)), or
+    with grad its gradient with respect to the first agent's position."""
+    q = np.sqrt(np.add.reduce(y * y, axis=-1))  # np.linalg.norm's sum
+    D = _checked(r_hat_s - q + r_hat_s * r_hat_s / mu1, "psi_e", q=q,
+                 r_hat_s=r_hat_s)
+    if grad:
+        return ((2.0 * D + q) / (D * D))[..., None] * y
+    return q * q / D
 
 
-def _collision_denominator(p, tau_norm, d_s: float, mu2: float):
+def _psi_c(x, tau_norm, d_s: float, mu2: float, grad: bool):
+    """psi_c at the separations x (one vector or (pairs, dim)), or with
+    grad its gradient with respect to the first agent's position."""
+    p = np.sqrt(np.add.reduce(x * x, axis=-1))
     gap = d_s - tau_norm
-    return _checked(p - d_s + gap * gap / mu2, "psi_c", p=p,
-                    tau_norm=tau_norm)
+    D = _checked(p - d_s + gap * gap / mu2, "psi_c", p=p, tau_norm=tau_norm)
+    diff = p - tau_norm
+    if not grad:
+        return diff * diff / D
+    if (p == 0.0).any():
+        raise DomainViolation(
+            "psi_c gradient singular at zero separation; collision "
+            "avoidance has already failed", int(np.argmax(p == 0.0)))
+    return ((2.0 * diff * D - diff * diff) / (D * D) / p)[..., None] * x
 
 
 def psi_e(q, r_hat_s, mu1: float):
@@ -108,7 +126,7 @@ def psi_e(q, r_hat_s, mu1: float):
         raise ValueError(f"q is a norm, got {q}")
     if (np.asarray(r_hat_s) <= 0).any():
         raise ValueError(f"r_hat_s must be positive, got {r_hat_s}")
-    return q * q / _edge_denominator(q, r_hat_s, mu1)
+    return _psi_e(q[..., None], r_hat_s, mu1, grad=False)
 
 
 def grad_psi_e(y_ij, r_hat_s, mu1: float):
@@ -116,10 +134,7 @@ def grad_psi_e(y_ij, r_hat_s, mu1: float):
 
     ((2 D + q) / D^2) * y_ij with D the psi_e denominator; finite as
     q -> 0.  y_ij is one formation error vector or a (pairs, dim) array."""
-    y_ij = np.asarray(y_ij, dtype=float)
-    q = np.linalg.norm(y_ij, axis=-1)
-    D = _edge_denominator(q, r_hat_s, mu1)
-    return ((2.0 * D + q) / (D * D))[..., None] * y_ij
+    return _psi_e(np.asarray(y_ij, dtype=float), r_hat_s, mu1, grad=True)
 
 
 def psi_c(p, tau_norm, d_s: float, mu2: float):
@@ -131,9 +146,7 @@ def psi_c(p, tau_norm, d_s: float, mu2: float):
     p = np.asarray(p, dtype=float)
     if (p < 0).any():
         raise ValueError(f"p is a norm, got {p}")
-    D = _collision_denominator(p, tau_norm, d_s, mu2)
-    diff = p - tau_norm
-    return diff * diff / D
+    return _psi_c(p[..., None], tau_norm, d_s, mu2, grad=False)
 
 
 def grad_psi_c(x_ij, tau_norm, d_s: float, mu2: float):
@@ -141,34 +154,17 @@ def grad_psi_c(x_ij, tau_norm, d_s: float, mu2: float):
 
     Chain rule through p = ||x_ij||, x_ij the separation vector (or a
     (pairs, dim) array of them); finite as p -> tau_norm."""
-    x_ij = np.asarray(x_ij, dtype=float)
-    p = np.linalg.norm(x_ij, axis=-1)
-    D = _collision_denominator(p, tau_norm, d_s, mu2)
-    if (p == 0.0).any():
-        raise DomainViolation(
-            "psi_c gradient singular at zero separation; collision "
-            "avoidance has already failed", int(np.argmax(p == 0.0)))
-    diff = p - tau_norm
-    dpsi = (2.0 * diff * D - diff * diff) / (D * D)
-    return (dpsi / p)[..., None] * x_ij
+    return _psi_c(np.asarray(x_ij, dtype=float), tau_norm, d_s, mu2,
+                  grad=True)
 
 
 def zone_pairs_at(dist: np.ndarray, topo: TopologyState,
                   geom: AgentGeometry) -> np.ndarray:
     """Read-only mask of the edges currently inside the collision zone
     (dist < r_z), dist the pair-distance matrix (pair_distances)."""
-    zone = np.triu(dist < geom.r_z, 1) & topo.edges
+    zone = (dist < geom.r_z) & topo.edges
     zone.flags.writeable = False
     return zone
-
-
-def _on_pairs(fn, i: np.ndarray, j: np.ndarray, *args):
-    """fn(*args) on the pairs (i, j); a domain violation names its pair."""
-    try:
-        return fn(*args)
-    except DomainViolation as err:
-        k = err.index
-        raise DomainViolation(f"pair ({i[k]},{j[k]}): {err}", k) from None
 
 
 class PairArrays:
@@ -181,64 +177,64 @@ class PairArrays:
       + 1/2 sum over agents of ||rho_i||^2,
 
     with y = positions - tau.  The zone pairs are frozen for the epoch,
-    which is what the drift monitor needs across a step."""
+    which is what the drift monitor needs across a step; all that is
+    constant over the epoch is computed once, when it is built."""
 
     def __init__(self, topo: TopologyState, zone: np.ndarray,
                  tau: np.ndarray, geom: AgentGeometry, G: np.ndarray):
         tau = np.asarray(tau, dtype=float)
-        self.fi, self.fj = np.nonzero(topo.formation)
-        self.r_hat = geom.r_s - np.linalg.norm(tau[self.fi] - tau[self.fj],
-                                               axis=1)
-        self.zi, self.zj = np.nonzero(zone)
-        self.z_tn = np.linalg.norm(tau[self.zi] - tau[self.zj], axis=1)
-        self.ei, self.ej = np.nonzero(topo.edges)
-        self.w = np.asarray(G, dtype=float)[self.ei, self.ej]
-        self.tau = tau
-        self.geom = geom
-        self.topo = topo
-        self.zone = zone
+        fi, fj = self.fi, self.fj = np.nonzero(topo.formation)
+        zi, zj = self.zi, self.zj = np.nonzero(zone)
+        ei, ej = self.ei, self.ej = np.nonzero(topo.edges)
+        self.r_hat = geom.r_s - np.linalg.norm(tau[fi] - tau[fj], axis=1)
+        if (self.r_hat <= 0).any():
+            raise ValueError(f"r_hat_s must be positive, got {self.r_hat}")
+        self.z_tn = np.linalg.norm(tau[zi] - tau[zj], axis=1)
+        self.w = np.asarray(G, dtype=float)[ei, ej]
+        # formation and edge pairs both read y: one gather for the two
+        self.yi, self.yj = np.concatenate([fi, ei]), np.concatenate([fj, ej])
+        # control's scatter: the flat (agent, coordinate) slot of -g at the
+        # first and +g at the second agent of each group of pairs in turn
+        k = np.concatenate([fi, fj, zi, zj, ei, ej])[:, None]
+        self.scatter = (tau.shape[1] * k + np.arange(tau.shape[1])).ravel()
+        self.tau, self.geom, self.topo, self.zone = tau, geom, topo, zone
+
+    def _barriers(self, positions: np.ndarray, params: BarrierParams,
+                  grad: bool) -> tuple:
+        """psi_e on the formation pairs and psi_c on the zone pairs, or
+        with grad their gradients, then the edge pairs' y_i - y_j.  A
+        domain violation names its pair."""
+        y = positions - self.tau
+        d = y.take(self.yi, 0) - y.take(self.yj, 0)
+        nf = self.fi.size
+        i, j, z = self.fi, self.fj, d[:0]
+        try:
+            f = _psi_e(d[:nf], self.r_hat, params.mu1, grad)
+            i, j = self.zi, self.zj
+            if i.size:
+                z = _psi_c(positions.take(i, 0) - positions.take(j, 0),
+                           self.z_tn, self.geom.d_s, params.mu2, grad)
+        except DomainViolation as err:
+            k = err.index
+            raise DomainViolation(f"pair ({i[k]},{j[k]}): {err}", k) from None
+        return f, z, d[nf:]
 
     def control(self, positions: np.ndarray, velocities: np.ndarray,
                 params: BarrierParams) -> np.ndarray:
-        y = positions - self.tau
-        u = np.zeros_like(positions)
-        if self.fi.size:
-            g = _on_pairs(grad_psi_e, self.fi, self.fj,
-                          y[self.fi] - y[self.fj], self.r_hat, params.mu1)
-            np.add.at(u, self.fi, -g)
-            np.add.at(u, self.fj, g)
-        if self.zi.size:
-            g = _on_pairs(grad_psi_c, self.zi, self.zj,
-                          positions[self.zi] - positions[self.zj],
-                          self.z_tn, self.geom.d_s, params.mu2)
-            np.add.at(u, self.zi, -g)
-            np.add.at(u, self.zj, g)
-        if self.ei.size:
-            spring = self.w[:, None] * (y[self.ei] - y[self.ej])
-            damp = self.w[:, None] * (velocities[self.ei]
-                                      - velocities[self.ej])
-            np.add.at(u, self.ei, -(spring + damp))
-            np.add.at(u, self.ej, spring + damp)
-        return u
+        f, z, e = self._barriers(positions, params, True)
+        w = self.w[:, None]
+        s = w * e + w * (velocities.take(self.ei, 0)
+                         - velocities.take(self.ej, 0))
+        g = np.concatenate([-f, f, -z, z, -s, s]).ravel()
+        return np.bincount(self.scatter, g, minlength=positions.size
+                           ).reshape(positions.shape)
 
     def energy(self, positions: np.ndarray, velocities: np.ndarray,
                params: BarrierParams) -> float:
-        y = positions - self.tau
-        W = 0.5 * float(np.sum(velocities * velocities))
-        if self.fi.size:
-            q = np.linalg.norm(y[self.fi] - y[self.fj], axis=1)
-            W += float(np.sum(_on_pairs(psi_e, self.fi, self.fj, q,
-                                        self.r_hat, params.mu1)))
-        if self.zi.size:
-            p = np.linalg.norm(positions[self.zi] - positions[self.zj],
-                               axis=1)
-            W += float(np.sum(_on_pairs(psi_c, self.zi, self.zj, p,
-                                        self.z_tn, self.geom.d_s,
-                                        params.mu2)))
-        if self.ei.size:
-            d = y[self.ei] - y[self.ej]
-            W += 0.5 * float(np.sum(self.w * np.sum(d * d, axis=1)))
-        return W
+        f, z, e = self._barriers(positions, params, False)
+        return (0.5 * float((velocities * velocities).sum())
+                + float(f.sum()) + float(z.sum())
+                + 0.5 * float((self.w * (e * e).sum(axis=1)).sum()))
 
 
 @dataclass
@@ -248,7 +244,6 @@ class TuneResult:
     params: BarrierParams
     mu_safe: float
     w0: float
-    zone_term: float
 
 
 # tune_mu's cap margin over the worst-case energy
@@ -268,12 +263,8 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     therefore set in one step to mu = TUNE_MARGIN * mu_safe(inf) (1 when
     that is 0), and TuneError is raised should TUNE_MARGIN * mu_safe(mu)
     ever exceed mu."""
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    tau = np.asarray(tau, dtype=float)
     N = positions.shape[0]
     eps_hat = eps_hat_default(geom)
-    weight_samples = [np.asarray(G, dtype=float) for G in weight_samples]
     if not weight_samples:
         raise TuneError("need at least one weight matrix sample")
 
@@ -288,7 +279,7 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     zone = zone_pairs_at(pair_distances(positions), topo, geom)
     epochs = [PairArrays(topo, zone, tau, geom, G) for G in weight_samples]
 
-    def mu_safe_at(mu: float) -> tuple[float, float, float]:
+    def mu_safe_at(mu: float) -> tuple[float, float]:
         params = BarrierParams(mu, mu, eps_hat)
         try:
             w0 = max(a.energy(positions, velocities, params)
@@ -299,14 +290,13 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
             ) from err
         zone_cap = float(np.max(psi_c(geom.r_z, pair_taus, geom.d_s, mu))) \
             if pair_taus.size else 0.0
-        zone_total = 0.5 * N * (N - 1) * zone_cap
-        return w0 + zone_total, w0, zone_total
+        return w0 + 0.5 * N * (N - 1) * zone_cap, w0
 
-    envelope, _, _ = mu_safe_at(math.inf)
+    envelope = mu_safe_at(math.inf)[0]
     mu = TUNE_MARGIN * envelope if envelope > 0 else 1.0
-    need, w0, zone_total = mu_safe_at(mu)
+    need, w0 = mu_safe_at(mu)
     if TUNE_MARGIN * need > mu:
         raise TuneError(f"caps mu={mu:.6e} do not dominate "
                         f"{TUNE_MARGIN} * mu_safe={TUNE_MARGIN * need:.6e}")
     return TuneResult(params=BarrierParams(mu, mu, eps_hat), mu_safe=need,
-                      w0=w0, zone_term=zone_total)
+                      w0=w0)

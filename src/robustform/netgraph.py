@@ -5,9 +5,9 @@ hysteresis: a pair becomes an edge when its distance drops to r_s - eps and
 the edge is only removed when the distance exceeds r_s.  Formation edges are
 designated at setup and are never removed by the update rule; losing one at
 runtime is an alarm raised by the simulator's monitors, not something this
-module does silently.  Pairwise geometry is one N x N distance matrix
-(pair_distances) per state; pair sets, such as the edges and the formation
-edges, are read-only boolean masks over it, True only at (i, j) with i < j
+module does silently.  Pairwise geometry is one N x N distance matrix per
+state (pair_distances, summed coordinate by coordinate); pair sets such as
+the edges are read-only boolean masks over it, True only at (i, j), i < j
 (upper_mask).  The setup assumptions read the formation pairs off it.
 
 Edge weights may depend polynomially on an uncertainty vector theta confined
@@ -21,7 +21,7 @@ fixed orthonormal basis of the hyperplane orthogonal to the all-ones vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -220,9 +220,15 @@ def reduced_laplacian(L, M: np.ndarray):
 
 
 def pair_distances(x: np.ndarray) -> np.ndarray:
-    """N x N matrix of center distances ||x_i - x_j||."""
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """N x N matrix of center distances ||x_i - x_j||, adding the squared
+    differences coordinate by coordinate, as np.linalg.norm(axis=-1) does."""
+    return np.sqrt(sum(np.square(np.subtract.outer(c, c)) for c in x.T))
+
+
+@lru_cache
+def _above_diagonal(n: int) -> np.ndarray:
+    """The read-only n x n mask True only above the diagonal, made once."""
+    return upper_mask(np.triu(np.ones((n, n)), 1), "", n)
 
 
 def update_edges(dist: np.ndarray, topo: TopologyState,
@@ -231,7 +237,8 @@ def update_edges(dist: np.ndarray, topo: TopologyState,
     dist: add at <= r_s - eps, remove a non-formation edge beyond r_s.
     Returns topo itself when nothing changes."""
     drop = (dist > geom.r_s) & ~topo.formation
-    edges = topo.edges & ~drop | np.triu(dist <= geom.r_s - geom.eps, 1)
+    edges = topo.edges & ~drop \
+        | (dist <= geom.r_s - geom.eps) & _above_diagonal(len(dist))
     if np.array_equal(edges, topo.edges):
         return topo
     return TopologyState(edges, topo.formation)

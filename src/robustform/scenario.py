@@ -279,6 +279,11 @@ class ScenarioSpec:
                 f"formation_edges[{k}]",
                 f"a pair [i, j] of distinct agent indices in [0, {N})", e)
             formation[min(e), max(e)] = True
+        barrier = doc.get("barrier")  # finite caps; tune_mu's may be inf
+        for key in () if barrier is None else ("mu1", "mu2", "eps_hat"):
+            value = _number(doc, f"barrier.{key}")
+            _require(math.isfinite(value) and value > 0, f"barrier.{key}",
+                     "finite and > 0", value)
         overrides = _field(doc, "assumption_overrides", {})
         _require(isinstance(overrides, dict) and all(
             isinstance(v, str) for v in overrides.values()),
@@ -291,7 +296,7 @@ class ScenarioSpec:
             velocities=_rows(doc, "velocities"),
             formation=formation,
             adjacency=adj,
-            barrier=(None if doc.get("barrier") is None
+            barrier=(None if barrier is None
                      else _numbers(doc, "barrier", BarrierParams)),
             assumption_overrides=overrides,
             jitter_pos=_number(doc, "jitter_pos", 0.0),

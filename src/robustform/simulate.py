@@ -11,7 +11,7 @@ the entering and leaving terms.
 
 Each step computes one pair-distance matrix at the new positions; the
 edge and zone masks and the safety and edge-break monitors all read it.
-Energy and control come from barrier.PairArrays.
+Energy and control come from barrier.PairArrays, built once per mask epoch.
 """
 
 from __future__ import annotations
@@ -74,11 +74,10 @@ def step(state: SimState, arrays: PairArrays, params: BarrierParams,
     u4 = arrays.control(x4, v4, params)
     x_new = x + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
     v_new = v + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
-    t_new = state.t + dt
     dist = pair_distances(x_new)
     topo_new = update_edges(dist, state.topo, arrays.geom)
     zone_new = zone_pairs_at(dist, topo_new, arrays.geom)
-    return SimState(t=t_new, positions=x_new, velocities=v_new,
+    return SimState(t=state.t + dt, positions=x_new, velocities=v_new,
                     topo=topo_new, zone_pairs=zone_new, distances=dist)
 
 
@@ -229,17 +228,16 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         rec_v.append(st.velocities.copy())
         rec_u.append(ar.control(st.positions, st.velocities, params))
 
-    iu, ju = np.triu_indices(N, k=1)
+    upper = np.flatnonzero(np.triu(np.ones((N, N)), 1))  # i < j, flat
 
     def closest_pair(st: SimState):
-        """The smallest pair distance of st, and the safety failure it is
-        when at most d_s."""
-        d = st.distances[iu, ju]
-        k = int(np.argmin(d))
+        """The smallest pair distance of st and, if <= d_s, its failure."""
+        d = st.distances.take(upper)
+        k = int(d.argmin())
         dmin = float(d[k])
         if dmin <= geom.d_s:
             return dmin, {"kind": "safety_distance", "t": st.t,
-                          "pair": (int(iu[k]), int(ju[k])), "value": dmin}
+                          "pair": divmod(int(upper[k]), N), "value": dmin}
         return dmin, None
 
     arrays = PairArrays(topo, zone, tau, geom, G)
@@ -296,7 +294,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             min_dist_run = min(min_dist_run, dmin)
             failure = failure or too_close
             if failure is None:
-                d_form = new_state.distances[fi, fj]
+                d_form = new_state.distances[scenario.formation]
                 broken = np.flatnonzero(d_form >= geom.r_s)
                 if broken.size:
                     b = int(broken[0])

@@ -22,7 +22,7 @@ from robustform.barrier import (BarrierParams, DomainViolation, PairArrays,
                                 grad_psi_e, psi_c, psi_e, tune_mu,
                                 zone_pairs_at)
 from robustform.netgraph import (AgentGeometry, TopologyState, laplacian,
-                                 pair_distances)
+                                 pair_distances, update_edges)
 
 
 GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
@@ -283,6 +283,107 @@ def test_energy_zone_pair_contribution():
                         params, zone_pairs=oracles.pair_mask(2, []))
     gap = with_zone - frozen_out
     assert gap == pytest.approx(psi_c(2.2, 3.0, 1.875, 0.7), rel=1e-12)
+
+
+# ------------------------------------------------------- epoch arrays
+
+def busy_states(dim, count=8):
+    """Seeded (positions, velocities, tau, topo, zone, G) of a pentagon of
+    spacing 3 in dim dimensions, each with formation pairs, zone pairs
+    and edges outside the formation all active."""
+    rng = np.random.default_rng(dim)
+    N = 5
+    angle = 2.0 * np.pi * np.arange(N) / N
+    tau = np.zeros((N, dim))
+    tau[:, 0], tau[:, 1] = np.cos(angle), np.sin(angle)
+    tau *= 3.0 / (2.0 * np.sin(np.pi / N))
+    ring = oracles.pair_mask(N, [(k, (k + 1) % N) if k < N - 1
+                                 else (0, N - 1) for k in range(N)])
+    G = np.abs(rng.normal(size=(N, N)))
+    G = G + G.T
+    np.fill_diagonal(G, 0.0)
+    states = []
+    while len(states) < count:
+        pos = tau + rng.uniform(-0.35, 0.35, size=(N, dim))
+        topo = update_edges(pair_distances(pos), TopologyState(ring, ring),
+                            GEOM)
+        zone = zone_pairs_at(pair_distances(pos), topo, GEOM)
+        if zone.any() and (topo.edges & ~topo.formation).any():
+            states.append((pos, rng.normal(size=(N, dim)), tau, topo, zone,
+                           G))
+    return states
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_epoch_control_and_energy_match_pairwise_oracles(dim):
+    params = BarrierParams(5.0, 4.0, 0.05)
+    for pos, vel, tau, topo, zone, G in busy_states(dim):
+        arrays = PairArrays(topo, zone, tau, GEOM, G)
+        u = arrays.control(pos, vel, params)
+        u_ref = np.stack([
+            oracles.control_input(i, pos, vel, tau, topo, GEOM, G, params,
+                                  zone_pairs=zone) for i in range(len(pos))])
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+        W = arrays.energy(pos, vel, params)
+        W_ref = oracles.energy_W(pos, vel, tau, topo, GEOM, G, params,
+                                 zone_pairs=zone)
+        assert abs(W - W_ref) <= 1e-12 * abs(W_ref)
+
+
+def violation(arrays, method, positions, params):
+    with pytest.raises(DomainViolation) as info:
+        getattr(arrays, method)(positions, np.zeros_like(positions), params)
+    return str(info.value), info.value.index
+
+
+@pytest.mark.parametrize("method", ["control", "energy"])
+def test_epoch_edge_violation_names_first_offending_pair(method):
+    # r_hat = 8 - 3, 8 - 4, 8 - 5 on the pairs (0,1), (0,2), (1,2); with
+    # mu1 = 1 the denominator r_hat - q + r_hat^2 is -5 on (0,2) at q = 25
+    # and -13 on (1,2), the second offender
+    tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    every = oracles.pair_mask(3, [(0, 1), (0, 2), (1, 2)])
+    arrays = PairArrays(TopologyState(every, every),
+                        oracles.pair_mask(3, []), tau, GEOM, np.zeros((3, 3)))
+    pos = tau + np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 25.0]])
+    assert violation(arrays, method, pos, BarrierParams(1.0, 1.0, 0.05)) \
+        == ("pair (0,2): psi_e denominator -5.000e+00 <= 0 at "
+            "q=25.000000, r_hat_s=4.000000", 1)
+
+
+@pytest.mark.parametrize("method", ["control", "energy"])
+def test_epoch_collision_violation_names_first_offending_pair(method):
+    # desired distance 3: gap^2 / mu2 = 1.125^2 / 1.265625 = 1, so the
+    # denominator p - 1.875 + 1 is -0.375 at p = 0.5 on the zone pair (1,2)
+    tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
+    near = oracles.pair_mask(3, [(0, 1), (1, 2)])
+    arrays = PairArrays(TopologyState(near, oracles.pair_mask(3, [])), near,
+                        tau, GEOM, np.zeros((3, 3)))
+    pos = np.array([[0.0, 0.0], [2.25, 0.0], [2.75, 0.0]])
+    assert violation(arrays, method, pos,
+                     BarrierParams(1.0, 1.265625, 0.05)) \
+        == ("pair (1,2): psi_c denominator -3.750e-01 <= 0 at "
+            "p=0.500000, tau_norm=3.000000", 1)
+
+
+def test_epoch_control_names_zero_separation_pair():
+    tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
+    near = oracles.pair_mask(3, [(0, 1), (1, 2)])
+    arrays = PairArrays(TopologyState(near, oracles.pair_mask(3, [])), near,
+                        tau, GEOM, np.zeros((3, 3)))
+    pos = np.array([[0.0, 0.0], [2.25, 0.0], [2.25, 0.0]])
+    assert violation(arrays, "control", pos,
+                     BarrierParams(1.0, 0.5, 0.05)) \
+        == ("pair (1,2): psi_c gradient singular at zero separation; "
+            "collision avoidance has already failed", 1)
+
+
+def test_epoch_refuses_formation_pair_beyond_sensing_radius():
+    tau = np.array([[0.0, 0.0], [GEOM.r_s, 0.0]])
+    with pytest.raises(ValueError, match="r_hat_s must be positive"):
+        PairArrays(pair_topology(), oracles.pair_mask(2, []), tau, GEOM,
+                   np.zeros((2, 2))).energy(tau, np.zeros((2, 2)),
+                                            BarrierParams(1.0, 1.0, 0.05))
 
 
 # ------------------------------------------------------------ tune_mu

@@ -252,6 +252,25 @@ def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
+@pytest.mark.parametrize("key", ["mu1", "mu2", "eps_hat"])
+def test_scenario_barrier_caps_must_be_finite_and_positive(tmp_path, capsys,
+                                                          key, value):
+    # an infinite cap or margin used to pass check and run; a nan or zero
+    # one exited 2 without naming the key
+    doc = json.loads(builtin_path("adversarial").read_text())
+    doc["barrier"][key] = value
+    p = tmp_path / "caps.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
+    assert run_cli("simulate", str(p), "--T", "0.01",
+                   "--out", str(tmp_path / "r")) == 2
+    assert run_cli("certify", str(p), "--out", str(tmp_path / "c.json")) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"barrier.{key}: must be finite and > 0") == 3
+    assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+
 def test_term_records_of_equal_exponents_add_up():
     # two records of one monomial that cancel leave the polynomial as it was
     doc = json.loads(builtin_path("six_agent").read_text())

@@ -213,6 +213,15 @@ class TestTopology:
         present = self.pair_topo(True, formation=True)
         assert update_edges(dist, present, GEOM).edges[0, 1]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pair_distances_are_the_pair_norms_bit_for_bit(self, dim):
+        # np.linalg.norm with an axis sums the squares coordinate by
+        # coordinate (without one, a vector's norm may go through BLAS dot)
+        x = 10.0 * np.random.default_rng(dim).normal(size=(30, dim))
+        ref = np.array([[np.linalg.norm(x[i] - x[j], axis=-1)
+                         for j in range(30)] for i in range(30)])
+        assert np.array_equal(pair_distances(x), ref)
+
     def test_unchanged_returns_same_object(self):
         dist = pair_distances(np.array([[0.0, 0.0], [3.0, 0.0]]))
         present = self.pair_topo(True)
