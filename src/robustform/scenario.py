@@ -113,8 +113,11 @@ def _terms(r: int, doc, where: str) -> Polynomial:
 
 
 def _numbers(doc: dict, key: str, cls):
-    """cls of the numbers in the object doc[key], one per field of cls."""
+    """cls of the finite numbers in the object doc[key], one per field of
+    cls."""
     values = {f.name: _number(doc, f"{key}.{f.name}") for f in fields(cls)}
+    for name, value in values.items():
+        _require(math.isfinite(value), f"{key}.{name}", "finite", value)
     extra = sorted(set(doc[key]) - set(values))
     _require(not extra, key, f"an object of {list(values)}", doc[key])
     return cls(**values)

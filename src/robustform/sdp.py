@@ -22,12 +22,13 @@ keeps the reassembled matrix PSD: its columns are the unit vectors.
 
 The solver runs a standard primal-dual predictor-corrector iteration with
 Nesterov-Todd scaling, an infeasible start, and a Schur complement system
-B_ij = sum_k <F_{k,i}, W_k F_{k,j} W_k> assembled blockwise from sparse
-constraint columns.  A column with q svec entries is a sum of q symmetric
-unit pairs, so W F W is a rank-2q product of rows of W (after Fujisawa,
-Kojima and Nakata, Math. Prog. 1997); before the first iteration each
-block's columns are grouped by q, and each group is taken through that
-product a chunk of columns at a time.
+B_ij = sum_k <F_{k,i}, W_k F_{k,j} W_k>, whose upper triangle is assembled
+blockwise from sparse constraint columns and factored in place.  A column
+with q svec entries is a sum of q symmetric unit pairs, so W F W is a
+rank-2q product of rows of W (after Fujisawa, Kojima and Nakata, Math.
+Prog. 1997); before the first iteration each block's columns are grouped
+by q, and each group is taken through that product a chunk of columns at
+a time.
 
 `residuals`, the tests' independent evaluator, reads the constraints of a
 candidate point straight off the problem data, without solver state.
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
 DIVERGENCE_LIMIT = 1e8
@@ -172,10 +174,6 @@ class SdpProblem:
         n = const.shape[0]
         if const.shape != (n, n):
             raise ValueError("LMI constant term must be square")
-        asym = float(np.max(np.abs(const - const.T))) if const.size else 0.0
-        if asym > 1e-12:
-            raise ValueError(
-                f"LMI constant term not symmetric (max asymmetry {asym:g})")
         cols = sp.coo_array(columns)
         if cols.ndim != 2 or cols.shape[0] != svec_dim(n):
             raise ValueError(f"LMI columns have shape {cols.shape}, need "
@@ -183,8 +181,14 @@ class SdpProblem:
         if cols.shape[1] > self.n_vars:
             raise ValueError(f"LMI columns for {cols.shape[1]} variables, "
                              f"the problem has {self.n_vars}")
-        keep = cols.data != 0.0
-        self.lmis.append(LmiBlock(n, 0.5 * (const + const.T),
+        if not (np.isfinite(const).all() and np.isfinite(cols.data).all()):
+            raise ValueError("LMI constant term or columns not finite")
+        asym = float(np.max(np.abs(const - const.T))) if const.size else 0.0
+        if asym > 1e-12:
+            raise ValueError(
+                f"LMI constant term not symmetric (max asymmetry {asym:g})")
+        keep = cols.data != 0.0  # const is halved first: no overflow
+        self.lmis.append(LmiBlock(n, 0.5 * const + 0.5 * const.T,
                                   cols.row[keep], cols.col[keep],
                                   cols.data[keep]))
         return len(self.lmis) - 1
@@ -283,6 +287,8 @@ class _Scaling:
 
 def _max_step(S: np.ndarray, dS: np.ndarray) -> float:
     """Largest t with S + t dS still PSD, via a factorization of S."""
+    if not np.isfinite(dS).all():
+        raise np.linalg.LinAlgError("step direction not finite")
     try:
         Ls = np.linalg.cholesky(S)
         M = sla.solve_triangular(Ls, dS, lower=True)
@@ -322,12 +328,12 @@ class _BlockColumns:
     """One LMI block's columns, grouped once per solve by `_split_columns`.
 
     A chunk holds, for its C columns of q svec entries each, the rows of
-    W that make up W F W as a (C, n, 2q) by (C, 2q, n) product, and the
-    coefficients of the left factor."""
+    W that make up W F W as a (C, n, 2q) by (C, 2q, n) product, the
+    coefficients of the left factor, and the rows of A' diag(w) of the
+    block's nonzero columns up to the chunk's last one."""
 
     n: int
-    At: sp.csr_matrix   # A' diag(w), one row per nonzero column
-    chunks: list[tuple]  # (target, left, right, coeffs)
+    chunks: list[tuple]  # (target, At, left, right, coeffs)
 
 
 def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
@@ -336,7 +342,8 @@ def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
 
     A column with q svec entries is F = sum of q terms c (e_a e_b' +
     e_b e_a'), so W F W = U V' + V U' with U, V the n-by-q columns of W
-    it touches (scaled by c): 4 q n^2 flops."""
+    it touches (scaled by c): 4 q n^2 flops.  A chunk fills B down to its
+    diagonal: the rows of At up to its last column, a prefix of At."""
     counts = np.diff(A.indptr)
     cols = np.flatnonzero(counts)
     iu, ju = svec_indices(n)
@@ -348,74 +355,67 @@ def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
         group = cols[counts[cols] == q]
         for start in range(0, len(group), chunk):
             cc = group[start:start + chunk]
+            stop = int(np.searchsorted(cols, cc[-1], side="right"))
             span = np.stack([np.arange(A.indptr[i], A.indptr[i + 1])
                              for i in cc])
             pos = A.indices[span]
             a, b = iu[pos], ju[pos]
             coef = 0.5 * A.data[span] * w[pos]
-            chunks.append((_submatrix(cols, cc),
+            chunks.append((_submatrix(cols[:stop], cc), At[:stop],
                            np.concatenate([a, b], axis=1),
                            np.concatenate([b, a], axis=1),
                            np.concatenate([coef, coef], axis=1)))
-    return _BlockColumns(n=n, At=At, chunks=chunks)
+    return _BlockColumns(n=n, chunks=chunks)
 
 
 def _schur_matrix(blocks: list[_BlockColumns], scalings,
                   n_vars: int) -> np.ndarray:
-    """B_ij = sum over blocks of <F_i, W F_j W>, with W = Winv.
+    """B_ij = sum over blocks of <F_i, W F_j W>, with W = Winv, on and
+    above the diagonal; what lies below it is not B.
 
     Each chunk forms W F W as a product of rows of W and fills its
-    columns of B in the rows of the block's nonzero columns, through A'."""
+    columns of B in the rows up to its last column, through A'."""
     B = np.zeros((n_vars, n_vars))
     for blk, sc in zip(blocks, scalings):
         n = blk.n
         iu, ju = svec_indices(n)
         triu = iu * n + ju
         Winv = sc.Winv
-        for target, left, right, coef in blk.chunks:
+        for target, At, left, right, coef in blk.chunks:
             Y = np.matmul((Winv[left] * coef[:, :, None]).transpose(0, 2, 1),
                           Winv[right]).reshape(len(left), -1)
-            B[target] += blk.At @ Y.T[triu]
-    _symmetrize(B)
+            B[target] += At @ Y.T[triu]
     return B
 
 
-def _symmetrize(B: np.ndarray) -> None:
-    """B <- (B + B') / 2 in place, one pair of 256-square tiles at a time;
-    B + B' over the whole matrix reads B' across its rows and takes
-    several times longer."""
-    n, t = B.shape[0], 256
-    for i in range(0, n, t):
-        for j in range(0, i + 1, t):
-            T = B[i:i + t, j:j + t] + B[j:j + t, i:i + t].T
-            T *= 0.5
-            B[i:i + t, j:j + t] = T
-            B[j:j + t, i:i + t] = T.T
-
-
 class _KktSolver:
-    """Cholesky factor of the Schur complement B, retried with a growing
-    diagonal jitter when B is numerically singular."""
+    """Cholesky factor of the Schur complement B = build(), upper triangle
+    only, factored in place as the lower triangle of B' (Fortran order);
+    retried with a growing diagonal jitter on a new B() when singular."""
 
-    def __init__(self, B: np.ndarray):
+    def __init__(self, build):
+        B = build()
+        if not np.isfinite(B).all():
+            raise np.linalg.LinAlgError("Schur complement is not finite")
         scale = max(1.0, float(np.max(np.abs(np.diag(B)))))
         jitter = 0.0
-        for attempt in range(8):
-            # a retry factors a fresh copy of B with jitter on its diagonal
-            Bj = B
+        for _ in range(8):
             if jitter:
-                Bj = B.copy()
-                Bj.flat[::B.shape[0] + 1] += jitter
-            try:
-                self.chol = sla.cho_factor(Bj, lower=True)
-                break
-            except np.linalg.LinAlgError:
-                jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
-        else:
-            raise np.linalg.LinAlgError("Schur complement not factorizable")
+                self.factor = B = None  # the old B goes before the new one
+                B = build()
+                B.flat[::B.shape[0] + 1] += jitter
+            self.factor, info = lapack.dpotrf(B.T, lower=1, clean=0,
+                                              overwrite_a=1)
+            if info == 0:
+                return
+            jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
+        raise np.linalg.LinAlgError("Schur complement not factorizable")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self.chol, rhs)
+        dy, info = lapack.dpotrs(self.factor, rhs, lower=1)
+        if info or not np.isfinite(dy).all():  # so too if rhs is not
+            raise np.linalg.LinAlgError("KKT direction not finite")
+        return dy
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
@@ -522,14 +522,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
                 dZ.append(0.5 * (dZk + dZk.T))
             return dy, dS, dZ
 
-        # every factorization and solve of the iteration: a singular one
-        # ends the run with a status instead of an exception
+        # every factorization, solve and step of the iteration: a singular
+        # or non-finite one ends the run with a status, not an exception
         try:
             scalings = [_Scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
             # the previous iteration's factor goes before the next Schur
-            # matrix is built, and B itself once it is factored
+            # matrix is built
             kkt = None
-            kkt = _KktSolver(_schur_matrix(blocks, scalings, n_vars))
+            kkt = _KktSolver(lambda: _schur_matrix(blocks, scalings, n_vars))
 
             # Predictor: drive straight at complementarity zero.
             N_aff = [-Zk for Zk in Z]
@@ -557,15 +557,15 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
                 U = 2.0 * D / denom
                 N_cmb.append(sc.Rinv.T @ U @ sc.Rinv)
             dy, dS, dZ = direction(N_cmb)
+            ap = min(1.0, 0.99 * min([np.inf] + [_max_step(S[k], dS[k])
+                                                 for k in range(len(S))]))
+            ad = min(1.0, 0.99 * min([np.inf] + [_max_step(Z[k], dZ[k])
+                                                 for k in range(len(Z))]))
         except np.linalg.LinAlgError as err:
             status = SdpStatus.NUMERICAL_FAILURE
             msg = f"scaling, factorization or KKT solve failed: {err}"
             break
 
-        ap = min(1.0, 0.99 * min([np.inf] + [_max_step(S[k], dS[k])
-                                             for k in range(len(S))]))
-        ad = min(1.0, 0.99 * min([np.inf] + [_max_step(Z[k], dZ[k])
-                                             for k in range(len(Z))]))
         if ap < 1e-10 and ad < 1e-10:
             status = SdpStatus.NUMERICAL_FAILURE
             msg = "step length collapsed"

@@ -16,6 +16,7 @@ Energy and control come from barrier.PairArrays, built once per mask epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +248,8 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         W_vals.append(W_prev)
         record(state, arrays)
         min_dist_run, failure = closest_pair(state)
+        if failure is None and not math.isfinite(W_prev):
+            failure = {"kind": "non_finite", "t": state.t}
 
         for k in range(n_steps):
             if failure is not None:
@@ -256,6 +259,11 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             t_new = new_state.t
 
             W_frozen = arrays.energy(x_new, v_new, params)
+            # W sums every squared velocity; a position goes non-finite
+            # only through a stage velocity, which v_new then holds too
+            if not math.isfinite(W_frozen):
+                failure = {"kind": "non_finite", "t": t_new}
+                break
             drift = W_frozen - W_prev
             max_drift = max(max_drift, drift)
             if drift > DRIFT_TOL * dt:

@@ -271,6 +271,38 @@ def test_scenario_barrier_caps_must_be_finite_and_positive(tmp_path, capsys,
     assert "Traceback" not in err and not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("key", ["r_a", "r_c", "r_z", "r_s", "d_s", "eps"])
+def test_scenario_geometry_must_be_finite(tmp_path, capsys, key, value):
+    # an infinite r_s used to pass check and run to "simulate: OK" with a
+    # nan energy; the other cases exited 2 without naming the key
+    doc = json.loads(builtin_path("adversarial").read_text())
+    doc["geometry"][key] = value
+    p = tmp_path / "geometry.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
+    assert run_cli("simulate", str(p), "--T", "0.05",
+                   "--out", str(tmp_path / "r")) == 2
+    assert run_cli("certify", str(p), "--out", str(tmp_path / "c.json")) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"geometry.{key}: must be finite") == 3
+    assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+
+def test_simulate_never_reports_ok_on_an_infinite_energy(tmp_path, capsys):
+    # a finite velocity of 1e200 overflows the kinetic energy at t = 0,
+    # which used to end in "simulate: OK" with final_W inf
+    doc = json.loads(builtin_path("six_agent").read_text())
+    doc["velocities"][0][0] = 1e200
+    p = tmp_path / "fast.json"
+    p.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        code = run_cli("simulate", str(p), "--T", "0", "--unsafe",
+                       "--out", str(tmp_path / "r"))
+    assert code == 4
+    assert "invariant violation: non_finite at t=0" in capsys.readouterr().err
+
+
 def test_term_records_of_equal_exponents_add_up():
     # two records of one monomial that cancel leave the polynomial as it was
     doc = json.loads(builtin_path("six_agent").read_text())

@@ -227,7 +227,7 @@ class TestDegenerate:
     def test_failed_factorization_returns_a_status(self, monkeypatch):
         # a Schur complement that not even the jitter retry can factor ends
         # the run with a status instead of an exception
-        def unfactorizable(B):
+        def unfactorizable(build):
             raise np.linalg.LinAlgError("Schur complement not factorizable")
 
         monkeypatch.setattr(sdp, "_KktSolver", unfactorizable)
@@ -239,6 +239,46 @@ class TestDegenerate:
         assert sol.status is SdpStatus.NUMERICAL_FAILURE
         assert "failed" in sol.message
 
+    @pytest.mark.parametrize("schur, reason", [
+        (lambda n: np.full((n, n), np.nan), "Schur complement is not finite"),
+        # dy = rhs / 1e-310 overflows
+        (lambda n: np.diag(np.full(n, 1e-310)), "KKT direction not finite"),
+    ], ids=["nan_schur", "overflowing_direction"])
+    def test_non_finite_schur_or_direction_returns_a_status(
+            self, monkeypatch, schur, reason):
+        monkeypatch.setattr(sdp, "_schur_matrix",
+                            lambda blocks, scalings, n_vars: schur(n_vars))
+        sol = solve(one_variable_problem(np.diag([2.0, 5.0])))
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert reason in sol.message
+
+    def test_non_finite_right_hand_side_returns_a_status(self, monkeypatch):
+        # W ~ 1e308 makes W R W overflow in the right-hand side, while B
+        # is a finite stand-in
+        monkeypatch.setattr(sdp, "_schur_matrix",
+                            lambda blocks, scalings, n_vars: np.eye(n_vars))
+        with np.errstate(all="ignore"):
+            sol = solve(one_variable_problem(np.diag([1e308, 1e308])))
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert "KKT direction not finite" in sol.message
+
+    def test_largest_finite_constant_returns_a_status(self):
+        const = np.diag([1e308, 1e308])
+        prob = one_variable_problem(const)
+        np.testing.assert_array_equal(prob.lmis[0].const, const)
+        with np.errstate(all="ignore"):
+            sol = solve(prob)
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+
+
+def one_variable_problem(const):
+    """max c subject to const - c I PSD."""
+    prob = SdpProblem()
+    c = prob.add_var("c", obj=1.0)
+    prob.add_lmi(const, oracles.lmi_columns({c: -np.eye(len(const))},
+                                            len(const)))
+    return prob
+
 
 class TestValidationAndResiduals:
 
@@ -248,6 +288,16 @@ class TestValidationAndResiduals:
         with pytest.raises(ValueError):
             prob.add_lmi(np.array([[0.0, 1.0], [0.0, 0.0]]),
                          oracles.lmi_columns({}, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["const", "column"])
+    def test_rejects_non_finite_data(self, where, bad):
+        prob = SdpProblem()
+        v = prob.add_var()
+        const, F = np.eye(2), np.eye(2)
+        (const if where == "const" else F)[0, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            prob.add_lmi(const, oracles.lmi_columns({v: F}, 2))
 
     def test_rejects_wrong_shape_coeff(self):
         # columns for a 3-square LMI have 6 rows, a 2-square one needs 3
@@ -294,9 +344,10 @@ SCHUR_MATRIX = sdp._schur_matrix
 
 
 def solve_checked(monkeypatch, prob, use_oracle=False, **kw):
-    """solve() with every Schur matrix compared to the generic oracle's;
-    returns the solution and the relative errors, one per iteration.
-    use_oracle makes the solver run on the oracle's matrices."""
+    """solve() with every Schur matrix compared to the generic oracle's on
+    the upper triangle, which the factorization reads; returns the
+    solution and the relative errors, one per iteration.  use_oracle makes
+    the solver run on the oracle's matrices."""
     A_list = prob.compile_columns()
     sizes = [blk.size for blk in prob.lmis]
     errors = []
@@ -305,7 +356,7 @@ def solve_checked(monkeypatch, prob, use_oracle=False, **kw):
         B = SCHUR_MATRIX(blocks, scalings, n_vars)
         ref = oracles.schur_matrix(A_list, scalings, sizes, n_vars,
                                    sdp.SCHUR_CHUNK)
-        errors.append(relative_error(B, ref))
+        errors.append(relative_error(np.triu(B), np.triu(ref)))
         return ref if use_oracle else B
 
     monkeypatch.setattr(sdp, "_schur_matrix", checked)
@@ -372,22 +423,41 @@ class TestSchurMatrix:
         B = sdp._schur_matrix(blocks, scalings, prob.n_vars)
         ref = oracles.schur_matrix(A_list, scalings, sizes, prob.n_vars,
                                    chunk)
-        assert relative_error(B, ref) < 1e-10
-        assert np.array_equal(B, B.T)
-        assert not B[-1].any()
+        assert relative_error(np.triu(B), np.triu(ref)) < 1e-10
+        assert not B[:, -1].any()
 
 
 def test_kkt_retry_factors_a_jittered_copy():
-    # a rank-one B has no Cholesky factor; the retry factors B + jitter I
-    # with the first jitter, scale * 1e-12, and leaves B as it was
+    # a rank-one B has no Cholesky factor; the retry builds B again and
+    # factors B + jitter I with the first jitter, scale * 1e-12
     v = np.array([1.0, 2.0, 3.0])
-    B = np.outer(v, v)
-    kept = B.copy()
-    kkt = sdp._KktSolver(B)
-    np.testing.assert_array_equal(B, kept)
+    built = []
+
+    def build():
+        built.append(np.outer(v, v))
+        return built[-1]
+
+    kkt = sdp._KktSolver(build)
+    assert len(built) == 2
     jitter = 9.0 * 1e-12
-    expected = sla.cho_factor(B + jitter * np.eye(3), lower=True)[0]
-    np.testing.assert_array_equal(kkt.chol[0], expected)
+    expected = sla.cho_factor(np.outer(v, v) + jitter * np.eye(3),
+                              lower=True)[0]
+    np.testing.assert_array_equal(np.tril(kkt.factor), np.tril(expected))
+    assert np.shares_memory(kkt.factor, built[-1])
     rhs = np.array([1.0, -1.0, 0.5])
     dy = kkt.solve(rhs)
     np.testing.assert_array_equal(dy, sla.cho_solve((expected, True), rhs))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_kkt_solve_reads_the_upper_triangle(n):
+    # the solver gets B with junk below the diagonal, factors it in place
+    # and solves as the full symmetric matrix does
+    rng = np.random.default_rng(n)
+    B = random_spd(rng, n)
+    junk = np.triu(B) + np.tril(rng.normal(size=(n, n)), -1)
+    kkt = sdp._KktSolver(lambda: junk)
+    assert np.shares_memory(kkt.factor, junk)
+    rhs = rng.normal(size=n)
+    np.testing.assert_allclose(kkt.solve(rhs), np.linalg.solve(B, rhs),
+                               rtol=1e-10, atol=1e-12)

@@ -372,6 +372,19 @@ def test_run_time_grid_overrides():
     assert res.metrics["t_final"] == pytest.approx(0.1)
 
 
+def test_run_never_reports_ok_on_a_non_finite_state():
+    # past the scenario loader, an infinite r_s makes the edge barrier's
+    # gradient nan; the run stops at the first step that is not finite
+    sc = ScenarioSpec.load(builtin_path("adversarial"))
+    sc = dataclasses.replace(sc, geometry=dataclasses.replace(
+        sc.geometry, r_s=np.inf))
+    with np.errstate(invalid="ignore"):
+        res = run(sc, T_end=0.05)
+    assert not res.ok and res.exit_kind == "invariant"
+    assert res.failure == {"kind": "non_finite", "t": sc.dt}
+    assert np.isfinite(res.metrics["final_W"])
+
+
 def test_run_trips_formation_edge_break():
     # caps of 1 cannot hold a pair flying apart with kinetic energy 100;
     # the edge barrier's domain reaches q = 30, so the pair first crosses
