@@ -8,7 +8,7 @@ separation and climbs to its cap mu2 exactly at the safety distance d_s, so
 bounded energy keeps agents apart.
 
 Each barrier is one private kernel on arrays of pair differences, for its
-value or gradient; psi_e, psi_c, their gradients and PairArrays call it.
+value or gradient; PairArrays and tune_mu call it.
 PairArrays reads the pairs of one mask epoch off its masks, in row-major
 order, and computes once what the epoch holds constant: the energy W and
 the control law -grad W (one np.bincount scatter) are then a few array
@@ -90,8 +90,10 @@ def _checked(D, what: str, **values):
 
 
 def _psi_e(y, r_hat_s, mu1: float, grad: bool):
-    """psi_e at the formation errors y (one vector or (pairs, dim)), or
-    with grad its gradient with respect to the first agent's position."""
+    """psi_e = q^2 / D, D = r_hat_s - q + r_hat_s^2/mu1, q = ||y||, at the
+    formation errors y (one vector or (pairs, dim)): mu1 at q = r_hat_s.
+    With grad, its gradient (2 D + q) / D^2 * y with respect to the first
+    agent's position.  mu1 = inf gives the envelope q^2 / (r_hat_s - q)."""
     q = np.sqrt(np.add.reduce(y * y, axis=-1))  # np.linalg.norm's sum
     D = _checked(r_hat_s - q + r_hat_s * r_hat_s / mu1, "psi_e", q=q,
                  r_hat_s=r_hat_s)
@@ -101,8 +103,10 @@ def _psi_e(y, r_hat_s, mu1: float, grad: bool):
 
 
 def _psi_c(x, tau_norm, d_s: float, mu2: float, grad: bool):
-    """psi_c at the separations x (one vector or (pairs, dim)), or with
-    grad its gradient with respect to the first agent's position."""
+    """psi_c = (p - tau_norm)^2 / (p - d_s + (d_s - tau_norm)^2/mu2),
+    p = ||x||, at the separations x (one vector or (pairs, dim)): mu2 at
+    p = d_s.  With grad, its gradient with respect to the first agent's
+    position.  mu2 = inf gives the envelope (p - tau_norm)^2 / (p - d_s)."""
     p = np.sqrt(np.add.reduce(x * x, axis=-1))
     gap = d_s - tau_norm
     D = _checked(p - d_s + gap * gap / mu2, "psi_c", p=p, tau_norm=tau_norm)
@@ -114,48 +118,6 @@ def _psi_c(x, tau_norm, d_s: float, mu2: float, grad: bool):
             "psi_c gradient singular at zero separation; collision "
             "avoidance has already failed", int(np.argmax(p == 0.0)))
     return ((2.0 * diff * D - diff * diff) / (D * D) / p)[..., None] * x
-
-
-def psi_e(q, r_hat_s, mu1: float):
-    """Edge-keeping barrier at formation error q = ||y_ij||.
-
-    q^2 / (r_hat_s - q + r_hat_s^2/mu1); equals mu1 exactly at
-    q = r_hat_s.  mu1 = inf gives the envelope q^2 / (r_hat_s - q)."""
-    q = np.asarray(q, dtype=float)
-    if (q < 0).any():
-        raise ValueError(f"q is a norm, got {q}")
-    if (np.asarray(r_hat_s) <= 0).any():
-        raise ValueError(f"r_hat_s must be positive, got {r_hat_s}")
-    return _psi_e(q[..., None], r_hat_s, mu1, grad=False)
-
-
-def grad_psi_e(y_ij, r_hat_s, mu1: float):
-    """Gradient of psi_e with respect to the first agent's position.
-
-    ((2 D + q) / D^2) * y_ij with D the psi_e denominator; finite as
-    q -> 0.  y_ij is one formation error vector or a (pairs, dim) array."""
-    return _psi_e(np.asarray(y_ij, dtype=float), r_hat_s, mu1, grad=True)
-
-
-def psi_c(p, tau_norm, d_s: float, mu2: float):
-    """Collision barrier at separation p = ||x_ij||.
-
-    (p - tau_norm)^2 / (p - d_s + (d_s - tau_norm)^2/mu2); vanishes at the
-    desired separation and equals mu2 exactly at p = d_s.  mu2 = inf gives
-    the envelope (p - tau_norm)^2 / (p - d_s)."""
-    p = np.asarray(p, dtype=float)
-    if (p < 0).any():
-        raise ValueError(f"p is a norm, got {p}")
-    return _psi_c(p[..., None], tau_norm, d_s, mu2, grad=False)
-
-
-def grad_psi_c(x_ij, tau_norm, d_s: float, mu2: float):
-    """Gradient of psi_c with respect to the first agent's position.
-
-    Chain rule through p = ||x_ij||, x_ij the separation vector (or a
-    (pairs, dim) array of them); finite as p -> tau_norm."""
-    return _psi_c(np.asarray(x_ij, dtype=float), tau_norm, d_s, mu2,
-                  grad=True)
 
 
 def zone_pairs_at(dist: np.ndarray, topo: TopologyState,
@@ -288,7 +250,8 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
             raise TuneError(
                 f"initial state is outside the barrier envelope: {err}"
             ) from err
-        zone_cap = float(np.max(psi_c(geom.r_z, pair_taus, geom.d_s, mu))) \
+        zone_cap = float(np.max(_psi_c(np.array([geom.r_z]), pair_taus,
+                                       geom.d_s, mu, grad=False))) \
             if pair_taus.size else 0.0
         return w0 + 0.5 * N * (N - 1) * zone_cap, w0
 

@@ -236,11 +236,10 @@ class Certificate:
     P_bar: np.ndarray
     R_bars: list[np.ndarray]
     delta: np.ndarray
-    threshold: float = CONNECTIVITY_THRESHOLD
 
     @property
     def connected(self) -> bool:
-        return self.c_star > self.threshold
+        return self.c_star > CONNECTIVITY_THRESHOLD
 
     def to_dict(self) -> dict:
         return {
@@ -249,7 +248,7 @@ class Certificate:
             "r": self.r,
             "degree_plan": self.plan.to_dict(),
             "c_star": self.c_star,
-            "threshold": self.threshold,
+            "threshold": CONNECTIVITY_THRESHOLD,
             "P_bar": self.P_bar.tolist(),
             "R_bars": [R.tolist() for R in self.R_bars],
             "delta": self.delta.tolist(),
@@ -260,6 +259,11 @@ class Certificate:
         if d.get("format") != "connectivity-certificate/1":
             raise CertifierError(
                 f"unrecognized certificate format {d.get('format')!r}")
+        if d.get("threshold", CONNECTIVITY_THRESHOLD) \
+                != CONNECTIVITY_THRESHOLD:
+            raise CertifierError(
+                f"threshold {d['threshold']!r} is not the connectivity "
+                f"threshold {CONNECTIVITY_THRESHOLD}")
         return cls(
             n_agents=int(d["n_agents"]),
             r=int(d["r"]),
@@ -268,7 +272,6 @@ class Certificate:
             P_bar=np.asarray(d["P_bar"], dtype=float),
             R_bars=[np.asarray(R, dtype=float) for R in d["R_bars"]],
             delta=np.asarray(d["delta"], dtype=float).reshape(-1),
-            threshold=float(d.get("threshold", CONNECTIVITY_THRESHOLD)),
         )
 
     def save(self, path) -> None:
@@ -290,12 +293,6 @@ class CertifyResult:
     certificate: Certificate
     solution: sdp.SdpSolution
     assembly: Assembly
-
-    @property
-    def ok(self) -> bool:
-        """Whether the solve itself is trustworthy (independent of the
-        verdict)."""
-        return self.solution.ok
 
 
 def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
@@ -442,10 +439,6 @@ class Lambda2Samples:
     thetas: np.ndarray
     min_value: float
     argmin: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.values)
 
 
 def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,

@@ -309,11 +309,10 @@ class _Chart:
         self.hlines = []
         self.points = []
 
-    def add_series(self, xs, ys, color: str, width: float = 1.5,
-                   label: str | None = None):
+    def add_series(self, xs, ys, color: str, width: float):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        self.series.append((xs, ys, color, width, label))
+        self.series.append((xs, ys, color, width))
 
     def add_hline(self, y: float, color: str, label: str | None = None):
         self.hlines.append((float(y), color, label))
@@ -428,7 +427,7 @@ class _Chart:
                     f'<text x="{self.ML + pw - 4}" y="{_fmt(py - 5)}" '
                     f'text-anchor="end" font-family="sans-serif" '
                     f'font-size="11" fill="{color}">{label}</text>')
-        for xs, ys, color, width, label in self.series:
+        for xs, ys, color, width in self.series:
             if xs.size == 0:
                 continue
             pts = " ".join(f"{_fmt(X(a))},{_fmt(Y(b))}"

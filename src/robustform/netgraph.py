@@ -160,10 +160,6 @@ class TopologyState:
             object.__setattr__(self, name,
                                upper_mask(getattr(self, name), name, n))
 
-    @property
-    def n_agents(self) -> int:
-        return self.edges.shape[0]
-
     @cached_property
     def connected(self) -> bool:
         """Whether the edges join all agents.  Cached: one scipy call costs
@@ -172,23 +168,16 @@ class TopologyState:
 
 
 def laplacian(G):
-    """Graph Laplacian Delta - G for a numeric or polynomial adjacency."""
+    """Graph Laplacian Delta - G of a polynomial adjacency."""
     if isinstance(G, UncertainAdjacency):
         G = G.entries
-    if isinstance(G, MatrixPolynomial):
-        if not G.is_symmetric(tol=0.0):
-            raise ValueError("adjacency is not symmetric")
-        if any(np.any(np.diag(C)) for C in G.coeffs.values()):
-            raise ValueError("adjacency has nonzero diagonal")
-        return MatrixPolynomial(
-            G.rows, G.cols, G.r,
-            {e: np.diag(C.sum(axis=1)) - C for e, C in G.coeffs.items()})
-    G = np.asarray(G, dtype=float)
-    if not np.array_equal(G, G.T):
+    if not G.is_symmetric(tol=0.0):
         raise ValueError("adjacency is not symmetric")
-    if np.any(np.abs(np.diag(G)) > 0):
+    if any(np.any(np.diag(C)) for C in G.coeffs.values()):
         raise ValueError("adjacency has nonzero diagonal")
-    return np.diag(G.sum(axis=1)) - G
+    return MatrixPolynomial(
+        G.rows, G.cols, G.r,
+        {e: np.diag(C.sum(axis=1)) - C for e, C in G.coeffs.items()})
 
 
 def reduced_basis(N: int) -> np.ndarray:
@@ -206,17 +195,15 @@ def reduced_basis(N: int) -> np.ndarray:
     return M
 
 
-def reduced_laplacian(L, M: np.ndarray):
-    """M^T L M; drops the trivial all-ones eigenspace.
+def reduced_laplacian(L: MatrixPolynomial, M: np.ndarray):
+    """M^T L M of a polynomial Laplacian; drops the trivial all-ones
+    eigenspace.
 
     Connectedness for a given theta is exactly positive definiteness of the
     reduced matrix there."""
-    if isinstance(L, MatrixPolynomial):
-        k = M.shape[1]
-        return MatrixPolynomial(k, k, L.r,
-                                {e: M.T @ C @ M for e, C in L.coeffs.items()})
-    L = np.asarray(L, dtype=float)
-    return M.T @ L @ M
+    k = M.shape[1]
+    return MatrixPolynomial(k, k, L.r,
+                            {e: M.T @ C @ M for e, C in L.coeffs.items()})
 
 
 def pair_distances(x: np.ndarray) -> np.ndarray:
@@ -260,12 +247,6 @@ class AssumptionReport:
     @property
     def all_pass(self) -> bool:
         return all(r.passed or r.skipped for r in self.results)
-
-    def get(self, name: str) -> AssumptionResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -14,11 +14,10 @@ reliable.
 MatrixPolynomial is a rows-by-cols matrix polynomial M(theta) = sum_e C_e
 theta^e stored as its per-monomial coefficient matrices {e: C_e}, the form
 the Laplacian reductions, Gram expansions and samplers all work in.  It
-represents parameter-dependent adjacency and Laplacian matrices and the
-matrix polynomials produced by Gram expansions; entries can be read and set
-as Polynomials, and evaluation at a batch of points is one contraction of the
-monomial powers (mono_powers, shared with Polynomial and the power vector)
-against the coefficient stack.
+represents parameter-dependent adjacency and Laplacian matrices; entries
+can be read and set as Polynomials, and evaluation at a batch of points is
+one contraction of the monomial powers (mono_powers, shared with Polynomial
+and the power vector) against the coefficient stack.
 """
 
 from __future__ import annotations
@@ -178,11 +177,6 @@ class MatrixPolynomial:
     @classmethod
     def zeros(cls, rows: int, cols: int, r: int) -> "MatrixPolynomial":
         return cls(rows, cols, r)
-
-    @classmethod
-    def constant(cls, mat: np.ndarray, r: int) -> "MatrixPolynomial":
-        mat = np.asarray(mat, dtype=float)
-        return cls(mat.shape[0], mat.shape[1], r, {(0,) * r: mat})
 
     # -- access -------------------------------------------------------------
 

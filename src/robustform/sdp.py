@@ -48,6 +48,9 @@ import scipy.sparse as sp
 
 DIVERGENCE_LIMIT = 1e8
 
+# Iterations before `solve` gives up with SdpStatus.MAX_ITER.
+MAX_ITERATIONS = 200
+
 # Constraint columns taken through one batched product of the Schur build.
 SCHUR_CHUNK = 256
 
@@ -248,22 +251,36 @@ def residuals(problem: SdpProblem, y: np.ndarray) -> dict:
     }
 
 
-def _presolve(problem: SdpProblem) -> str | None:
-    """Failure message if a variable with a nonzero objective coefficient
-    appears in no LMI: it is unconstrained, so the objective is unbounded.
+def _presolve(problem: SdpProblem, tol: float) -> SdpSolution | None:
+    """The solution of a problem the iteration need not run on, else None.
 
-    A variable in no LMI with zero objective coefficient is left in place;
-    its row of the Schur complement is zero, which the jitter retry of the
-    factorization absorbs, and it stays at its starting value 0."""
+    A variable with a nonzero objective coefficient in no LMI leaves the
+    objective unbounded.  With no variable in any LMI, y = 0 is optimal if
+    every constant term is PSD, to tol relative to its largest entry, and
+    the problem infeasible if not.  Otherwise a variable in no LMI with a
+    zero objective coefficient stays at its starting value 0: its row of
+    the Schur complement is zero, which the jitter retry absorbs."""
     used = np.zeros(problem.n_vars, dtype=bool)
     for blk in problem.lmis:
         used[blk.vars] = True
     b = problem.b_vector()
     bad = [i for i in np.nonzero(~used)[0] if b[i] != 0.0]
     if bad:
-        return (f"objective variable {problem.var_names[bad[0]]} is "
-                "unconstrained; the objective is unbounded")
-    return None
+        return SdpSolution(
+            SdpStatus.INFEASIBLE, np.zeros(problem.n_vars), math.inf,
+            math.inf, [], 0, f"objective variable {problem.var_names[bad[0]]}"
+            " is unconstrained; the objective is unbounded")
+    if used.any():
+        return None
+    mins = [float(np.linalg.eigvalsh(blk.const)[0]) if blk.size else 0.0
+            for blk in problem.lmis]
+    if all(lo > -tol * (1.0 + np.abs(blk.const).max(initial=0.0))
+           for lo, blk in zip(mins, problem.lmis)):
+        return SdpSolution(SdpStatus.OPTIMAL, np.zeros(problem.n_vars), 0.0,
+                           0.0, mins, 0, "no variable appears in an LMI")
+    return SdpSolution(SdpStatus.INFEASIBLE, np.zeros(problem.n_vars), 0.0,
+                       math.inf, mins, 0, "no variable appears in an LMI, "
+                       "and a constant term is not PSD")
 
 
 class _Scaling:
@@ -418,25 +435,23 @@ class _KktSolver:
         return dy
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
+def solve(problem: SdpProblem, tol: float = 1e-8,
           callback=None) -> SdpSolution:
-    """Run the predictor-corrector interior point method.
+    """Run the predictor-corrector interior point method, for at most
+    MAX_ITERATIONS iterations.
 
     tol bounds the relative duality gap and the scaled primal and dual
     residuals at termination.  `callback`, when given, is invoked once per
     iteration with a small stats dict."""
-    fail_msg = _presolve(problem)
-    if fail_msg is not None:
-        return SdpSolution(SdpStatus.INFEASIBLE, np.zeros(problem.n_vars),
-                           math.inf, math.inf, [], 0, fail_msg)
+    presolved = _presolve(problem, tol)
+    if presolved is not None:
+        return presolved
 
     n_vars = problem.n_vars
     b = problem.b_vector()
     A_list = problem.compile_columns()
     sizes = [blk.size for blk in problem.lmis]
     consts = [blk.const for blk in problem.lmis]
-    if not sizes:
-        raise ValueError("problem has no LMI constraints")
     blocks = [_split_columns(A, n, SCHUR_CHUNK)
               for A, n in zip(A_list, sizes)]
     n_tot = sum(sizes)
@@ -464,7 +479,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
     best_point = None
     since_best = 0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         res_d = [lmi_at(k, y) - S[k] for k in range(len(sizes))]
         r_g = -b
         for A, Zk in zip(A_list, Z):
@@ -586,5 +601,5 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200,
             for k in range(len(sizes))]
     gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
     if status is SdpStatus.MAX_ITER:
-        msg = f"no convergence within {max_iter} iterations"
+        msg = f"no convergence within {MAX_ITERATIONS} iterations"
     return SdpSolution(status, y, float(b @ y), gap, mins, it, msg)

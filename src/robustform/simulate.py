@@ -23,7 +23,7 @@ import numpy as np
 
 from .barrier import (BarrierParams, DomainViolation, PairArrays,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
-from .certifier import Certificate, certify
+from .certifier import CONNECTIVITY_THRESHOLD, Certificate, certify
 from .netgraph import (TopologyState, pair_distances, update_edges,
                        validate_assumptions)
 from .scenario import ScenarioSpec, check_time_grid
@@ -176,7 +176,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         if not cert.connected:
             raise PreconditionError(
                 f"certificate c_star={cert.c_star} does not clear its "
-                f"threshold {cert.threshold}")
+                f"threshold {CONNECTIVITY_THRESHOLD}")
     if cert is None and not unsafe:
         res = certify(adj)
         if not res.connected:

@@ -13,7 +13,7 @@ matrix polynomial M(theta) of degree <= 2d gets the block analogue
 
 This module builds the canonical representative (coefficients split equally
 over all Gram positions that produce a given monomial), an orthonormal basis
-of the null space, and the expansion map back to polynomials.
+of the null space, and the expansion map back to coefficient matrices.
 
 Power vector order is graded descending with ties broken lexicographically
 (theta_1 before theta_2), so the constant monomial is always last: for r=1,
@@ -34,7 +34,6 @@ from . import sdp
 from .polyalg import (
     COEFF_CLEANUP,
     ExponentVec,
-    MatrixPolynomial,
     mono_mul,
     mono_powers,
     mono_sort_key,
@@ -232,8 +231,3 @@ def gram_expand(A: np.ndarray, pv: PowerVector, s: int
             coeffs[mu] = C
     return coeffs
 
-
-def gram_expand_matrix(A: np.ndarray, pv: PowerVector, s: int
-                       ) -> MatrixPolynomial:
-    """Expand a Gram matrix back to the matrix polynomial it represents."""
-    return MatrixPolynomial(s, s, pv.r, gram_expand(A, pv, s))

@@ -12,7 +12,10 @@ before it assembled svec columns directly.  The tests compare each with the
 package.  Pair sets are the package's N x N boolean masks, True only above
 the diagonal, the formation mask of a scenario among them; the oracles
 read and write them one pair at a time, at the index upper(i, j), and
-measure each pair's distance with np.linalg.norm.
+measure each pair's distance with np.linalg.norm.  The barriers psi_e and
+psi_c and their gradients are scalar closed forms written with math from
+their formulas; the numeric Laplacian and the Gram expansion are written
+from theirs as well, and none of these shares code with the package.
 """
 
 import math
@@ -21,11 +24,59 @@ import numpy as np
 import scipy.sparse as sp
 
 from robustform import sdp
-from robustform.barrier import grad_psi_c, grad_psi_e, psi_c, psi_e
 from robustform.certifier import gram_image
 from robustform.netgraph import TopologyState
-from robustform.polyalg import mono_sort_key
+from robustform.polyalg import MatrixPolynomial, mono_mul, mono_sort_key
 from robustform.smr import _positions, gram_null_basis, power_vector
+
+
+def psi_e(q, r_hat_s, mu1):
+    """Edge-keeping barrier q^2 / (r_hat_s - q + r_hat_s^2/mu1) at the
+    formation error q = ||y_ij||."""
+    return q * q / (r_hat_s - q + r_hat_s * r_hat_s / mu1)
+
+
+def grad_psi_e(y, r_hat_s, mu1):
+    """d psi_e / dy = psi_e'(q) y / q, psi_e'(q) = (2 q D + q^2) / D^2 with
+    D the psi_e denominator."""
+    q = math.sqrt(sum(v * v for v in y))
+    D = r_hat_s - q + r_hat_s * r_hat_s / mu1
+    return np.array([(2.0 * D + q) / (D * D) * v for v in y])
+
+
+def psi_c(p, tau_norm, d_s, mu2):
+    """Collision barrier (p - tau_norm)^2 / (p - d_s + (d_s - tau_norm)^2
+    / mu2) at the separation p = ||x_ij||."""
+    return (p - tau_norm) ** 2 / (p - d_s + (d_s - tau_norm) ** 2 / mu2)
+
+
+def grad_psi_c(x, tau_norm, d_s, mu2):
+    """d psi_c / dx = psi_c'(p) x / p, psi_c'(p) = (2 (p - tau_norm) D
+    - (p - tau_norm)^2) / D^2 with D the psi_c denominator."""
+    p = math.sqrt(sum(v * v for v in x))
+    D = p - d_s + (d_s - tau_norm) ** 2 / mu2
+    dpsi = (2.0 * (p - tau_norm) * D - (p - tau_norm) ** 2) / (D * D)
+    return np.array([dpsi * v / p for v in x])
+
+
+def laplacian(G):
+    """Degree matrix minus the numeric adjacency G."""
+    G = np.asarray(G, dtype=float)
+    return np.diag(G.sum(1)) - G
+
+
+def gram_expand_matrix(A, pv, s):
+    """The matrix polynomial (phi (x) I_s)' A (phi (x) I_s), phi = pv: the
+    s-by-s block (a, b) of A is added to the coefficient of the monomial
+    phi_a phi_b, one np.add.at over all blocks."""
+    l = len(pv)
+    monos = sorted({mono_mul(a, b) for a in pv.monos for b in pv.monos})
+    at = {mu: k for k, mu in enumerate(monos)}
+    K = np.array([[at[mono_mul(a, b)] for b in pv.monos] for a in pv.monos])
+    blocks = np.asarray(A, dtype=float).reshape(l, s, l, s).swapaxes(1, 2)
+    coeffs = np.zeros((len(monos), s, s))
+    np.add.at(coeffs, K, blocks)
+    return MatrixPolynomial(s, s, pv.r, dict(zip(monos, coeffs)))
 
 
 def pair_mask(N, pairs):
@@ -45,7 +96,7 @@ def update_edges(positions, topo, geom):
     """Hysteresis update: add at <= r_s - eps, drop non-formation > r_s."""
     positions = np.asarray(positions, dtype=float)
     edges = topo.edges.copy()
-    for i, j in zip(*np.triu_indices(topo.n_agents, k=1)):
+    for i, j in zip(*np.triu_indices(len(topo.edges), k=1)):
         dist = np.linalg.norm(positions[i] - positions[j])
         if edges[i, j]:
             if dist > geom.r_s and not topo.formation[i, j]:
@@ -90,7 +141,7 @@ def neighbor_sets(i, positions, topo, geom):
     neighbors among them) for agent i; zone membership is dist < r_z."""
     positions = np.asarray(positions, dtype=float)
     ns, nsf, nsz = set(), set(), set()
-    for j in range(topo.n_agents):
+    for j in range(len(topo.edges)):
         if j == i or not topo.edges[upper(i, j)]:
             continue
         ns.add(j)

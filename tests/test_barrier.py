@@ -1,6 +1,7 @@
 """Barrier potentials: frozen values, gradients, energy, cap tuning.
 
-Hand-derived oracle values:
+The kernels _psi_e and _psi_c are checked against the closed forms in
+oracles.py and against hand-derived values:
 
   psi_e(1; r_hat_s=5, mu1=2)       = 1 / (5 - 1 + 25/2)        = 1/16.5
   psi_c(2; tau=3, d_s=1.875, mu2=0.5)
@@ -18,10 +19,9 @@ import pytest
 
 import oracles
 from robustform.barrier import (BarrierParams, DomainViolation, PairArrays,
-                                TuneError, eps_hat_default, grad_psi_c,
-                                grad_psi_e, psi_c, psi_e, tune_mu,
-                                zone_pairs_at)
-from robustform.netgraph import (AgentGeometry, TopologyState, laplacian,
+                                TuneError, _psi_c, _psi_e, eps_hat_default,
+                                tune_mu, zone_pairs_at)
+from robustform.netgraph import (AgentGeometry, TopologyState,
                                  pair_distances, update_edges)
 
 
@@ -69,76 +69,93 @@ def test_eps_hat_interior_geometry():
 
 # ------------------------------------------------------------- psi_e
 
+def psi_e(q, r_hat_s, mu1):
+    """The kernel's psi_e at the formation error (q, 0)."""
+    return _psi_e(np.array([q, 0.0]), r_hat_s, mu1, grad=False)
+
+
+def psi_c(p, tau_norm, d_s, mu2):
+    """The kernel's psi_c at the separation (p, 0)."""
+    return _psi_c(np.array([p, 0.0]), tau_norm, d_s, mu2, grad=False)
+
+
 def test_psi_e_zero_at_origin():
     assert psi_e(0.0, 5.0, 2.0) == 0.0
+    assert oracles.psi_e(0.0, 5.0, 2.0) == 0.0
 
 
 def test_psi_e_cap_exact():
     for r_hat, mu in [(5.0, 2.0), (1.234, 0.07), (6.125, 220.0),
                       (0.5, 1e-3)]:
-        assert abs(psi_e(r_hat, r_hat, mu) - mu) <= 1e-12 * max(1.0, mu)
+        for f in (psi_e, oracles.psi_e):
+            assert abs(f(r_hat, r_hat, mu) - mu) <= 1e-12 * max(1.0, mu)
 
 
 def test_psi_e_frozen_value():
-    assert psi_e(1.0, 5.0, 2.0) == pytest.approx(1.0 / 16.5, rel=1e-15)
+    for f in (psi_e, oracles.psi_e):
+        assert f(1.0, 5.0, 2.0) == pytest.approx(1.0 / 16.5, rel=1e-15)
 
 
 def test_psi_e_increasing_on_domain():
     qs = np.linspace(0.0, 5.0, 400)
-    vals = [psi_e(q, 5.0, 2.0) for q in qs]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    vals = _psi_e(qs[:, None] * [1.0, 0.0], 5.0, 2.0, grad=False)
+    assert (np.diff(vals) > 0).all()
+    np.testing.assert_allclose(
+        vals, [oracles.psi_e(q, 5.0, 2.0) for q in qs], rtol=1e-15)
 
 
 def test_psi_e_infinite_cap_envelope():
     for q in (0.3, 2.0, 4.9):
-        assert psi_e(q, 5.0, math.inf) == pytest.approx(
-            q * q / (5.0 - q), rel=1e-15)
+        for f in (psi_e, oracles.psi_e):
+            assert f(q, 5.0, math.inf) == pytest.approx(
+                q * q / (5.0 - q), rel=1e-15)
 
 
 def test_psi_e_domain_violation():
     # D = r - q + r^2/mu <= 0 once q >= r + r^2/mu
     with pytest.raises(DomainViolation):
         psi_e(5.0 + 25.0 / 2.0, 5.0, 2.0)
-    with pytest.raises(ValueError):
-        psi_e(-0.1, 5.0, 2.0)
-    with pytest.raises(ValueError):
-        psi_e(1.0, -5.0, 2.0)
 
 
 # ------------------------------------------------------------- psi_c
 
 def test_psi_c_zero_at_desired_distance():
     assert psi_c(3.0, 3.0, 1.875, 0.5) == 0.0
+    assert oracles.psi_c(3.0, 3.0, 1.875, 0.5) == 0.0
 
 
 def test_psi_c_cap_exact():
     for tau, mu in [(3.0, 0.5), (2.8, 7.0), (3.766, 220.0), (4.0, 1e-3)]:
-        assert abs(psi_c(1.875, tau, 1.875, mu) - mu) <= 1e-12 * max(1.0, mu)
+        for f in (psi_c, oracles.psi_c):
+            assert abs(f(1.875, tau, 1.875, mu) - mu) \
+                <= 1e-12 * max(1.0, mu)
 
 
 def test_psi_c_frozen_value():
-    assert psi_c(2.0, 3.0, 1.875, 0.5) == pytest.approx(
-        1.0 / 2.65625, rel=1e-15)
+    for f in (psi_c, oracles.psi_c):
+        assert f(2.0, 3.0, 1.875, 0.5) == pytest.approx(
+            1.0 / 2.65625, rel=1e-15)
 
 
 def test_psi_c_decreasing_toward_desired():
     ps = np.linspace(1.875, 3.0, 400)
-    vals = [psi_c(p, 3.0, 1.875, 0.5) for p in ps]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    vals = _psi_c(ps[:, None] * [1.0, 0.0], 3.0, 1.875, 0.5, grad=False)
+    assert (np.diff(vals) < 0).all()
+    np.testing.assert_allclose(
+        vals, [oracles.psi_c(p, 3.0, 1.875, 0.5) for p in ps], rtol=1e-14)
 
 
 def test_psi_c_infinite_cap_envelope():
     for p in (2.0, 2.5, 2.99):
-        assert psi_c(p, 3.0, 1.875, math.inf) == pytest.approx(
-            (p - 3.0) ** 2 / (p - 1.875), rel=1e-14)
+        for f in (psi_c, oracles.psi_c):
+            assert f(p, 3.0, 1.875, math.inf) == pytest.approx(
+                (p - 3.0) ** 2 / (p - 1.875), rel=1e-14)
 
 
 def test_psi_c_domain_violation():
     # denominator zero at p = d_s - gap^2/mu
     with pytest.raises(DomainViolation):
         psi_c(1.875 - 1.125 ** 2 / 2.0, 3.0, 1.875, 2.0)
-    with pytest.raises(ValueError):
-        psi_c(-1.0, 3.0, 1.875, 0.5)
 
 
 # ---------------------------------------------------------- gradients
@@ -163,11 +180,14 @@ def test_grad_psi_e_matches_central_differences():
         q = float(np.linalg.norm(y))
         if q < 1e-3 or q > 0.9 * r_hat:
             y *= rng.uniform(0.1, 0.85) * r_hat / q
-        g = grad_psi_e(y, r_hat, mu)
-        fd = central_difference(lambda v: psi_e(float(np.linalg.norm(v)),
-                                                r_hat, mu), y, 1e-5)
+        g = _psi_e(y, r_hat, mu, grad=True)
+        fd = central_difference(
+            lambda v: oracles.psi_e(float(np.linalg.norm(v)), r_hat, mu),
+            y, 1e-5)
         denom = max(np.linalg.norm(g), 1e-8)
         assert np.linalg.norm(g - fd) / denom <= 1e-6
+        np.testing.assert_allclose(oracles.grad_psi_e(y, r_hat, mu), g,
+                                   rtol=1e-12, atol=1e-15)
         checked += 1
 
 
@@ -187,34 +207,40 @@ def test_grad_psi_c_matches_central_differences():
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
         y = p_target * direction - tau
-        g = grad_psi_c(y + tau, tn, d_s, mu)
+        g = _psi_c(y + tau, tn, d_s, mu, grad=True)
         fd = central_difference(
-            lambda v: psi_c(float(np.linalg.norm(v + tau)), tn, d_s, mu),
-            y, 1e-5)
+            lambda v: oracles.psi_c(float(np.linalg.norm(v + tau)), tn, d_s,
+                                    mu), y, 1e-5)
         denom = max(np.linalg.norm(g), 1e-8)
         assert np.linalg.norm(g - fd) / denom <= 1e-6
+        np.testing.assert_allclose(oracles.grad_psi_c(y + tau, tn, d_s, mu),
+                                   g, rtol=1e-12, atol=1e-15)
         checked += 1
 
 
 def test_grad_psi_e_bounded_near_origin():
     for scale in (1e-3, 1e-6, 1e-9):
         y = np.array([scale, 0.0])
-        g = grad_psi_e(y, 5.0, 2.0)
+        g = _psi_e(y, 5.0, 2.0, grad=True)
         assert np.all(np.isfinite(g))
         # leading behaviour is (2/D) * y
         D = 5.0 + 25.0 / 2.0
         assert np.linalg.norm(g) <= 3.0 * scale / D
+        np.testing.assert_allclose(oracles.grad_psi_e(y, 5.0, 2.0), g,
+                                   rtol=1e-15)
 
 
 def test_grad_psi_c_finite_at_desired_distance():
-    g = grad_psi_c(np.array([3.0, 0.0]), 3.0, 1.875, 0.5)
+    g = _psi_c(np.array([3.0, 0.0]), 3.0, 1.875, 0.5, grad=True)
     assert np.all(np.isfinite(g))
     assert np.linalg.norm(g) <= 1e-14
+    assert np.linalg.norm(oracles.grad_psi_c([3.0, 0.0], 3.0, 1.875,
+                                             0.5)) <= 1e-14
 
 
 def test_grad_psi_c_singular_at_overlap():
-    with pytest.raises(DomainViolation):
-        grad_psi_c(np.zeros(2), 3.0, 1.875, 0.5)
+    with pytest.raises(DomainViolation, match="zero separation"):
+        _psi_c(np.zeros(2), 3.0, 1.875, 0.5, grad=True)
 
 
 # ------------------------------------------------------------ energy
@@ -255,7 +281,7 @@ def test_energy_quadratic_part_is_laplacian_form():
     params = BarrierParams(1.0, 1.0, 0.05)
     W = energy(tau + y, np.zeros((N, dim)), tau, topo, GEOM, G, params,
                zone_pairs=oracles.pair_mask(N, []))
-    L = laplacian(G)
+    L = oracles.laplacian(G)
     quad = 0.5 * y.reshape(-1) @ np.kron(L, np.eye(dim)) @ y.reshape(-1)
     assert W == pytest.approx(quad, abs=1e-12 * max(1.0, abs(quad)))
 
@@ -282,7 +308,8 @@ def test_energy_zone_pair_contribution():
     frozen_out = energy(pos, np.zeros((2, 2)), tau, topo, GEOM, G,
                         params, zone_pairs=oracles.pair_mask(2, []))
     gap = with_zone - frozen_out
-    assert gap == pytest.approx(psi_c(2.2, 3.0, 1.875, 0.7), rel=1e-12)
+    assert gap == pytest.approx(oracles.psi_c(2.2, 3.0, 1.875, 0.7),
+                                rel=1e-12)
 
 
 # ------------------------------------------------------- epoch arrays
@@ -418,8 +445,8 @@ def test_tune_caps_dominate_recomputed_bound():
     # recompute the bound at the returned caps and check domination
     W0 = oracles.energy_W(pos, vel, tau, topo, GEOM, G, res.params)
     worst_zone = max(
-        psi_c(GEOM.r_z, float(np.linalg.norm(tau[i] - tau[j])), GEOM.d_s,
-              res.params.mu2)
+        oracles.psi_c(GEOM.r_z, float(np.linalg.norm(tau[i] - tau[j])),
+                      GEOM.d_s, res.params.mu2)
         for i in range(3) for j in range(i + 1, 3))
     bound = W0 + 0.5 * 3 * 2 * worst_zone
     assert bound == pytest.approx(res.mu_safe, rel=1e-12)
@@ -430,8 +457,8 @@ def test_tune_edge_keeping_margin_below_cap():
     tau, G = equilibrium_pair()
     res = tune_mu(tau, np.zeros((2, 2)), tau, pair_topology(), GEOM, [G])
     r_hat = GEOM.r_s - 3.0
-    assert psi_e(r_hat - res.params.eps_hat, r_hat,
-                 res.params.mu1) < res.params.mu1
+    assert oracles.psi_e(r_hat - res.params.eps_hat, r_hat,
+                         res.params.mu1) < res.params.mu1
 
 
 def test_tune_velocity_scaling_raises_bound():

@@ -31,7 +31,7 @@ from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
 from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.scenario import ScenarioSpec, builtin_path
-from robustform.smr import gram_expand_matrix, power_vector
+from robustform.smr import power_vector
 
 
 def const_adjacency(W):
@@ -39,7 +39,7 @@ def const_adjacency(W):
     W = np.asarray(W, dtype=float)
     return UncertainAdjacency(
         N=W.shape[0],
-        entries=MatrixPolynomial.constant(W, 0),
+        entries=MatrixPolynomial(len(W), len(W), 0, {(): W}),
         omega=[], box=[])
 
 
@@ -106,7 +106,7 @@ def test_plan_dict_roundtrip():
 
 def test_assemble_single_edge_matches_hand_problem():
     # weight-2 edge, no uncertainty: reduced Laplacian is the 1x1 matrix [2]
-    L_hat = MatrixPolynomial.constant(np.array([[2.0]]), 0)
+    L_hat = MatrixPolynomial(1, 1, 0, {(): [[2.0]]})
     # and P = I / 1: the problem is max c s.t. 4 - c >= 0
     asm = assemble(L_hat, [])
     prob = asm.problem
@@ -144,7 +144,7 @@ def test_assemble_rejects_nonsquare():
 
 
 def test_assemble_rejects_region_variable_mismatch():
-    L_hat = MatrixPolynomial.constant(np.array([[2.0]]), 1)
+    L_hat = MatrixPolynomial(1, 1, 1, {(0,): [[2.0]]})
     with pytest.raises(CertifierError):
         assemble(L_hat, [unit_disk(2)])
 
@@ -164,7 +164,7 @@ def test_assemble_lmi_expands_to_pencil_identity():
     asm = assemble(L_hat, [g])
     y = rng.standard_normal(asm.problem.n_vars)
     G = asm.problem.lmi_value(asm.main_lmi, y)
-    expanded = gram_expand_matrix(G, asm.phi_H, s)
+    expanded = oracles.gram_expand_matrix(G, asm.phi_H, s)
 
     c = y[asm.c_index]
     R_bar = asm.r_vars[0].value(y)
@@ -190,7 +190,7 @@ def test_single_unit_edge():
     # 4 - c >= 0
     adj = const_adjacency([[0.0, 1.0], [1.0, 0.0]])
     res = certify(adj)
-    assert res.ok
+    assert res.solution.ok
     assert res.connected
     assert res.c_star == pytest.approx(4.0, abs=1e-7)
     np.testing.assert_allclose(res.certificate.P_bar, [[1.0]], atol=1e-7)
@@ -224,7 +224,7 @@ def test_edge_weight_vanishing_inside_region():
     adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
                                 [unit_disk(1)], [(-1.0, 1.0)])
     res = certify(adj)
-    assert res.ok
+    assert res.solution.ok
     assert not res.connected
     assert res.c_star == pytest.approx(-2.0, abs=1e-6)
 
@@ -234,7 +234,7 @@ def test_disconnected_pair_of_edges():
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
     res = certify(const_adjacency(W))
-    assert res.ok
+    assert res.solution.ok
     assert not res.connected
     assert abs(res.c_star) <= 1e-6
 
@@ -262,7 +262,7 @@ def test_verdict_matches_eigenvalues_on_random_graphs():
                 W[i, j] = W[j, i] = rng.uniform(0.1, 2.0)
         lam2 = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
         res = certify(const_adjacency(W))
-        assert res.ok
+        assert res.solution.ok
         assert res.connected == (lam2 > 1e-3), \
             f"trial {trial}: c*={res.c_star:.3e}, lambda2={lam2:.3e}"
 
@@ -312,6 +312,20 @@ def test_certificate_json_roundtrip(tmp_path):
 def test_certificate_rejects_unknown_format():
     with pytest.raises(CertifierError):
         Certificate.from_dict({"format": "something-else"})
+
+
+def test_certificate_threshold_is_not_read_from_the_file():
+    # a file cannot lower the bar its own bound has to clear
+    _adj, res = certified_edge()
+    doc = res.certificate.to_dict()
+    assert doc["threshold"] == 1e-6
+    doc["c_star"] = -5.0
+    assert not Certificate.from_dict(doc).connected
+    doc["threshold"] = -10.0
+    with pytest.raises(CertifierError, match="threshold"):
+        Certificate.from_dict(doc)
+    del doc["threshold"]
+    assert not Certificate.from_dict(doc).connected
 
 
 def test_certificate_rejects_polynomial_pencil_matrix():
@@ -470,7 +484,7 @@ def test_sample_lambda2_affine_edge():
     adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
                                 [unit_disk(1)], [(-1.0, 1.0)])
     sweep = sample_lambda2(adj, n_samples=4000, seed=2)
-    assert sweep.n_samples == 4000
+    assert len(sweep.values) == 4000
     assert 1.0 <= sweep.min_value < 1.05
     assert sweep.argmin[0] < -0.95
     np.testing.assert_allclose(sweep.values,

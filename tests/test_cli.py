@@ -603,7 +603,8 @@ def test_version_flag(capsys):
 
 
 # set-up failures that used to leave simulate as a traceback with exit 1:
-# the edge barrier of a pair held beyond r_s = 8 (a ValueError from psi_e)
+# the edge barrier of a pair held beyond r_s = 8 (a ValueError from its
+# r_hat_s check)
 # and a desired distance inside d_s (a TuneError from tune_mu)
 @pytest.mark.parametrize("tau_x, message", [
     (8.5, "formation pair (0,1)"), (1.5, "barrier cap tuning")])

@@ -55,6 +55,16 @@ def complete_adjacency(N):
     return np.ones((N, N)) - np.eye(N)
 
 
+def constant(G):
+    """The numeric adjacency G as a matrix polynomial in no parameters."""
+    return MatrixPolynomial(len(G), len(G), 0, {(): G})
+
+
+def results(rep):
+    """The assumption results of rep by name."""
+    return {r.name: r for r in rep.results}
+
+
 class TestGeometry:
 
     def test_valid(self):
@@ -83,12 +93,12 @@ class TestLaplacian:
         G = np.zeros((3, 3))
         G[0, 1] = G[1, 0] = 1.0
         G[1, 2] = G[2, 1] = 1.0
-        L = laplacian(G)
+        L = laplacian(constant(G))([])
         eig = np.sort(np.linalg.eigvalsh(L))
         assert np.allclose(eig, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_complete4_lambda2(self):
-        L = laplacian(complete_adjacency(4))
+        L = laplacian(constant(complete_adjacency(4)))([])
         eig = np.sort(np.linalg.eigvalsh(L))
         assert eig[1] == pytest.approx(4.0, abs=1e-12)
 
@@ -96,25 +106,26 @@ class TestLaplacian:
         rng = np.random.default_rng(7)
         W = rng.uniform(0.5, 2.0, size=(5, 5))
         G = np.triu(W, 1) + np.triu(W, 1).T
-        L = laplacian(G)
+        L = laplacian(constant(G))([])
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
         assert np.allclose(L, L.T)
+        np.testing.assert_array_equal(L, oracles.laplacian(G))
 
     def test_rejects_asymmetric(self):
         G = np.zeros((3, 3))
         G[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            laplacian(G)
+        with pytest.raises(ValueError, match="not symmetric"):
+            laplacian(constant(G))
 
     def test_rejects_near_symmetric(self):
         # a relative asymmetry of 1e-6 is still asymmetric
         with pytest.raises(ValueError, match="not symmetric"):
-            laplacian(np.array([[0.0, 1.0], [1.000001, 0.0]]))
+            laplacian(constant(np.array([[0.0, 1.0], [1.000001, 0.0]])))
 
     def test_rejects_diagonal(self):
         G = complete_adjacency(3) + np.eye(3)
-        with pytest.raises(ValueError):
-            laplacian(G)
+        with pytest.raises(ValueError, match="nonzero diagonal"):
+            laplacian(constant(G))
 
     def test_polynomial_matches_numeric_samples(self):
         # K3 with one uncertain weight 1 + 0.3 theta on edge (0,1).
@@ -130,7 +141,8 @@ class TestLaplacian:
         for th in (-1.0, 0.0, 0.5, 2.0):
             num = complete_adjacency(3)
             num[0, 1] = num[1, 0] = 1.0 + 0.3 * th
-            assert np.allclose(L(np.array([th])), laplacian(num), atol=1e-12)
+            assert np.allclose(L(np.array([th])), oracles.laplacian(num),
+                               atol=1e-12)
 
 
 class TestReducedBasis:
@@ -147,19 +159,18 @@ class TestReducedBasis:
 
     def test_k2_reduced_laplacian(self):
         # K2 has Laplacian [[1,-1],[-1,1]]; its nontrivial eigenvalue is 2.
-        L = laplacian(complete_adjacency(2))
+        L = laplacian(constant(complete_adjacency(2)))
         R = reduced_laplacian(L, reduced_basis(2))
         assert R.shape == (1, 1)
-        assert R[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert R([])[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_reduced_spectrum_drops_zero(self):
         rng = np.random.default_rng(3)
         W = rng.uniform(0.1, 1.0, size=(6, 6))
         G = np.triu(W, 1) + np.triu(W, 1).T
-        L = laplacian(G)
-        R = reduced_laplacian(L, reduced_basis(6))
-        full = np.sort(np.linalg.eigvalsh(L))
-        red = np.sort(np.linalg.eigvalsh(R))
+        R = reduced_laplacian(laplacian(constant(G)), reduced_basis(6))
+        full = np.sort(np.linalg.eigvalsh(oracles.laplacian(G)))
+        red = np.sort(np.linalg.eigvalsh(R([])))
         assert np.allclose(red, full[1:], atol=1e-10)
 
     def test_polynomial_reduction_commutes_with_eval(self):
@@ -248,7 +259,7 @@ class TestTopology:
     def test_masks_are_read_only_copies(self):
         edges = oracles.pair_mask(3, [(0, 1), (1, 2)])
         topo = TopologyState(edges, oracles.pair_mask(3, [(0, 1)]))
-        assert topo.n_agents == 3
+        assert topo.edges.shape == topo.formation.shape == (3, 3)
         for mask in (topo.edges, topo.formation,
                      zone_pairs_at(np.zeros((3, 3)), topo, GEOM)):
             with pytest.raises(ValueError, match="read-only"):
@@ -360,9 +371,10 @@ class TestAssumptions:
         # r_s - 3.5 = 4.5 is not greater than d_s + 3.5 = 5.375.
         tau, fe, pos = self.line_setup()
         rep = validate_assumptions(tau, fe, pos, GEOM)
-        assert rep.get("A1").passed
-        assert rep.get("A2").passed
-        a3 = rep.get("A3")
+        by_name = results(rep)
+        assert by_name["A1"].passed
+        assert by_name["A2"].passed
+        a3 = by_name["A3"]
         assert not a3.passed and not a3.skipped
         assert not rep.all_pass
 
@@ -381,21 +393,21 @@ class TestAssumptions:
         pos = np.array([[0.0, 0.0], [2.0, 0.0]])
         rep = validate_assumptions(tau, oracles.pair_mask(2, [(0, 1)]),
                                    pos, GEOM)
-        assert not rep.get("A1").passed
-        assert "pair (0,1)" in rep.get("A1").violations[0]
+        assert not results(rep)["A1"].passed
+        assert "pair (0,1)" in results(rep)["A1"].violations[0]
 
     def test_a2_initial_range(self):
         tau = np.array([[0.0, 0.0], [2.8, 0.0]])
         pos = np.array([[0.0, 0.0], [7.95, 0.0]])
         rep = validate_assumptions(tau, oracles.pair_mask(2, [(0, 1)]),
                                    pos, GEOM)
-        assert not rep.get("A2").passed
+        assert not results(rep)["A2"].passed
 
     def test_override_reports_skipped(self):
         tau, fe, pos = self.line_setup()
         rep = validate_assumptions(tau, fe, pos, GEOM,
                                    overrides={"A3": "wide-formation demo"})
-        a3 = rep.get("A3")
+        a3 = results(rep)["A3"]
         assert a3.skipped and not a3.passed
         assert rep.all_pass
         text = "\n".join(rep.summary_lines())

@@ -106,7 +106,7 @@ class TestMatrixPolynomial:
 
     def test_constant_roundtrip(self):
         M = np.arange(6, dtype=float).reshape(2, 3)
-        A = MatrixPolynomial.constant(M, r=2)
+        A = MatrixPolynomial(2, 3, 2, {(0, 0): M})
         np.testing.assert_array_equal(A([0.3, -0.7]), M)
         assert A.deg() == 0
 

@@ -7,6 +7,7 @@ optimal value is known exactly before the solver runs."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import oracles
 from robustform import sdp
@@ -224,6 +225,30 @@ class TestDegenerate:
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
         assert sol.y[0] == pytest.approx(0.0, abs=1e-6)
 
+    def test_empty_problem_is_optimal(self):
+        sol = solve(SdpProblem())
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.y.shape == (0,) and sol.n_iterations == 0
+
+    def test_variable_in_no_lmi_is_optimal_at_zero(self):
+        prob = SdpProblem()
+        prob.add_var("free")
+        sol = solve(prob)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.y.tolist() == [0.0] and sol.objective_value == 0.0
+
+    @pytest.mark.parametrize("const, status", [
+        (np.eye(2), SdpStatus.OPTIMAL),
+        (np.diag([1.0, -1.0]), SdpStatus.INFEASIBLE)], ids=["psd", "not_psd"])
+    def test_lmi_without_variables_is_decided_by_its_constant(self, const,
+                                                              status):
+        prob = SdpProblem()
+        prob.add_lmi(const, sp.csc_array((3, 0)))
+        sol = solve(prob)
+        assert sol.status is status
+        assert sol.y.shape == (0,)
+        assert sol.min_eigenvalues == [float(np.linalg.eigvalsh(const)[0])]
+
     def test_failed_factorization_returns_a_status(self, monkeypatch):
         # a Schur complement that not even the jitter retry can factor ends
         # the run with a status instead of an exception
@@ -343,7 +368,7 @@ def certification_problem(name):
 SCHUR_MATRIX = sdp._schur_matrix
 
 
-def solve_checked(monkeypatch, prob, use_oracle=False, **kw):
+def solve_checked(monkeypatch, prob, use_oracle=False):
     """solve() with every Schur matrix compared to the generic oracle's on
     the upper triangle, which the factorization reads; returns the
     solution and the relative errors, one per iteration.  use_oracle makes
@@ -360,7 +385,7 @@ def solve_checked(monkeypatch, prob, use_oracle=False, **kw):
         return ref if use_oracle else B
 
     monkeypatch.setattr(sdp, "_schur_matrix", checked)
-    return solve(prob, **kw), errors
+    return solve(prob), errors
 
 
 class TestSchurMatrix:
@@ -382,7 +407,8 @@ class TestSchurMatrix:
         # block's R and delta columns) and of n (c's -I).  W is a multiple
         # of I at the start; the second iterate has a general W.
         prob = certification_problem("fifty_agent")
-        _, errors = solve_checked(monkeypatch, prob, max_iter=2)
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        _, errors = solve_checked(monkeypatch, prob)
         assert len(errors) == 2 and max(errors) < 1e-10
 
     @pytest.mark.parametrize("chunk", [2, 512])

@@ -15,7 +15,7 @@ from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.smr import (
     _positions,
     gram_base,
-    gram_expand_matrix,
+    gram_expand,
     gram_null_basis,
     power_vector,
 )
@@ -89,8 +89,23 @@ class TestCanonicalGram:
 
     def test_expand_inverts_canonical(self):
         pv, base = gram_form(QUARTIC, 2)
-        f = gram_expand_matrix(base, pv, 1).entry(0, 0)
+        f = oracles.gram_expand_matrix(base, pv, 1).entry(0, 0)
         assert f == QUARTIC
+
+    def test_gram_expand_matches_oracle(self):
+        # the package's expansion, batched over a leading axis, against the
+        # oracle's, one Gram matrix at a time
+        rng = np.random.default_rng(23)
+        for r, d, s in [(1, 2, 1), (2, 1, 3), (3, 2, 2)]:
+            pv = power_vector(r, d)
+            A = rng.normal(size=(4,) + (len(pv) * s,) * 2)
+            got = gram_expand(A, pv, s)
+            for k in range(4):
+                want = oracles.gram_expand_matrix(A[k], pv, s).coeffs
+                assert sorted(got) == sorted(want)
+                for mu, C in want.items():
+                    np.testing.assert_allclose(got[mu][k], C, rtol=0,
+                                               atol=1e-12)
 
     def test_handworked_gram_is_in_affine_family(self):
         # the hand-worked representative differs from the canonical base by
@@ -107,7 +122,7 @@ class TestCanonicalGram:
         pv, _base = gram_form(QUARTIC, 2)
         for delta in (-1.0, 0.0, 2.5):
             A = QUARTIC_GRAM + delta * NULL_PATTERN
-            f = gram_expand_matrix(A, pv, 1).entry(0, 0)
+            f = oracles.gram_expand_matrix(A, pv, 1).entry(0, 0)
             err = max(abs(f.terms.get(e, 0.0) - QUARTIC.terms[e])
                       for e in QUARTIC.terms)
             assert err < 1e-12
@@ -129,7 +144,7 @@ class TestCanonicalGram:
         r, s, d = 2, 3, 1
         M = _random_sym_matpoly(rng, s, r, 2 * d)
         pv, base = gram_form(M, d)
-        back = gram_expand_matrix(base, pv, s)
+        back = oracles.gram_expand_matrix(base, pv, s)
         _assert_matpoly_close(back, M, atol=1e-12)
 
     def test_base_is_symmetric(self):
@@ -162,7 +177,7 @@ class TestNullBasis:
         assert len(nb) == null_dimension(2, 1, 2)
         pv = power_vector(2, 1)
         for B in nb:
-            M = gram_expand_matrix(B, pv, 2)
+            M = oracles.gram_expand_matrix(B, pv, 2)
             assert M.deg() == 0
             assert M.coeffs == {}
 
@@ -180,7 +195,7 @@ class TestNullBasis:
             pv = power_vector(r, d)
             for B in oracles.null_matrices(r, d, s):
                 np.testing.assert_allclose(B, B.T, atol=1e-14)
-                M = gram_expand_matrix(B, pv, s)
+                M = oracles.gram_expand_matrix(B, pv, s)
                 worst = max((np.max(np.abs(C)) for C in M.coeffs.values()),
                             default=0.0)
                 assert worst < 1e-12
@@ -229,7 +244,7 @@ class TestRoundTripRandom:
             d = int(rng.integers(1, 4 if r < 3 else 3))
             f = _random_poly_of_degree(rng, r, 2 * d)
             pv, base = gram_form(f, d)
-            back = gram_expand_matrix(base, pv, 1).entry(0, 0)
+            back = oracles.gram_expand_matrix(base, pv, 1).entry(0, 0)
             err = max(abs(back.terms.get(e, 0.0) - c)
                       for e, c in f.terms.items()) if f.terms else 0.0
             assert err < 1e-10
@@ -237,7 +252,7 @@ class TestRoundTripRandom:
             null_basis = oracles.null_matrices(r, d, 1)
             delta = rng.uniform(-2, 2, size=len(null_basis))
             member = base + sum(dk * B for dk, B in zip(delta, null_basis))
-            back2 = gram_expand_matrix(member, pv, 1).entry(0, 0)
+            back2 = oracles.gram_expand_matrix(member, pv, 1).entry(0, 0)
             err2 = max(abs(back2.terms.get(e, 0.0) - c)
                        for e, c in f.terms.items()) if f.terms else 0.0
             assert err2 < 1e-10
@@ -254,7 +269,7 @@ class TestRoundTripRandom:
             s = int(rng.integers(1, 3))
             M = _random_sym_matpoly(rng, s, r, 2 * d_from)
             pv, A2 = gram_form(M, d_to)
-            back = gram_expand_matrix(A2, pv, s)
+            back = oracles.gram_expand_matrix(A2, pv, s)
             _assert_matpoly_close(back, M, atol=1e-11)
 
 
@@ -301,7 +316,7 @@ def _kernel_dim_by_svd(r, d, s):
         for q in range(p, size):
             E = np.zeros((size, size))
             E[p, q] = E[q, p] = 1.0
-            M = gram_expand_matrix(E, pv, s)
+            M = oracles.gram_expand_matrix(E, pv, s)
             vec = []
             # fixed coefficient coordinates: all monomials up to 2d, all entries
             full = power_vector(r, 2 * d).monos
