@@ -30,7 +30,7 @@ from scipy import sparse
 from . import sdp
 from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
     reduced_laplacian
-from .polyalg import ExponentVec, MatrixPolynomial, Polynomial, mono_mul
+from .polyalg import ExponentVec, mono_mul
 from .smr import PowerVector, _positions, gram_base, gram_expand, \
     gram_null_basis, power_vector
 
@@ -61,36 +61,17 @@ class DegreePlan:
 
     @classmethod
     def auto(cls, deg_L: int, region_degrees: Sequence[int]) -> "DegreePlan":
-        """Smallest balanced plan for the given data degrees.
+        """Smallest balanced plan for the given data degrees, the only plan
+        `certify` writes and `verify_certificate` accepts.
 
         d_H starts at ceil(deg_L / 2) and is raised until every region
         inequality admits a nonnegative multiplier degree; each multiplier
         then gets the largest degree that still fits."""
-        if deg_L < 0:
-            raise CertifierError(f"deg_L must be nonnegative, got {deg_L}")
         d_H = (deg_L + 1) // 2
         for dg in region_degrees:
-            if dg < 0:
-                raise CertifierError("region degrees must be nonnegative")
             d_H = max(d_H, (dg + 1) // 2)
         d_R = tuple((2 * d_H - dg) // 2 for dg in region_degrees)
         return cls(d_H, d_R)
-
-    def validate(self, deg_L: int, region_degrees: Sequence[int]) -> None:
-        if self.d_H < 0 or any(d < 0 for d in self.d_R):
-            raise CertifierError(f"negative degree in {self}")
-        if len(self.d_R) != len(region_degrees):
-            raise CertifierError(
-                f"plan has {len(self.d_R)} multiplier degrees for "
-                f"{len(region_degrees)} region inequalities")
-        if deg_L > 2 * self.d_H:
-            raise CertifierError(
-                f"pencil degree {deg_L} exceeds 2*d_H = {2 * self.d_H}")
-        for i, (dr, dg) in enumerate(zip(self.d_R, region_degrees)):
-            if 2 * dr + dg > 2 * self.d_H:
-                raise CertifierError(
-                    f"multiplier {i}: degree {2 * dr + dg} exceeds "
-                    f"2*d_H = {2 * self.d_H}")
 
     def to_dict(self) -> dict:
         # d_P, the degree of the pencil matrix, stays in the file format;
@@ -123,33 +104,20 @@ class Assembly:
     main_lmi: int
 
 
-def _gram_setup(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
-                plan: DegreePlan | None):
-    """Check the data of a certification problem; return its plan (the
-    given one, validated, or the automatic one), the power vectors of the
-    Gram identity and of each multiplier, and the Gram positions of the
-    identity's power vector."""
-    rows, cols = L_hat.shape
-    if rows != cols:
-        raise CertifierError(f"reduced Laplacian must be square, got "
-                             f"{L_hat.shape}")
-    if rows == 0:
-        raise CertifierError("empty reduced Laplacian; need >= 2 agents")
-    if not L_hat.is_symmetric(tol=1e-12):
-        raise CertifierError("reduced Laplacian is not symmetric")
-    for i, g in enumerate(region):
-        if g.r != L_hat.r:
-            raise CertifierError(
-                f"region inequality {i} has {g.r} variables, expected "
-                f"{L_hat.r}")
-    region_degrees = [g.degree for g in region]
-    if plan is None:
-        plan = DegreePlan.auto(L_hat.deg(), region_degrees)
-    else:
-        plan.validate(L_hat.deg(), region_degrees)
-    phi_H = power_vector(L_hat.r, plan.d_H)
-    return (plan, phi_H, [power_vector(L_hat.r, dr) for dr in plan.d_R],
-            _positions(phi_H))
+def _setup(adj: UncertainAdjacency):
+    """Everything the certification problem of adj is built from: the
+    reduced Laplacian, the automatic degree plan, the power vectors of the
+    Gram identity and of each multiplier, the Gram positions of the
+    identity's power vector and the null basis of its Gram expansion.
+
+    UncertainAdjacency guarantees a symmetric weight matrix with a zero
+    diagonal and region inequalities in its parameters, and reduced_basis
+    at least two agents, so the data need no further checks here."""
+    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
+    plan = DegreePlan.auto(L_hat.deg(), [g.degree for g in adj.omega])
+    phi_H = power_vector(adj.r, plan.d_H)
+    return (L_hat, plan, phi_H, [power_vector(adj.r, dr) for dr in plan.d_R],
+            _positions(phi_H), gram_null_basis(adj.r, plan.d_H, L_hat.rows))
 
 
 def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
@@ -176,9 +144,8 @@ def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
     return gram_base(terms, phi_H, s, pos_H)
 
 
-def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
-             plan: DegreePlan | None = None) -> Assembly:
-    """Compile the certification problem for a reduced Laplacian.
+def assemble(adj: UncertainAdjacency) -> Assembly:
+    """Compile the certification problem for an uncertain adjacency.
 
     Maximize c subject to
 
@@ -192,23 +159,22 @@ def assemble(L_hat: MatrixPolynomial, region: Sequence[Polynomial],
     on the region the pencil 2 Lhat / s dominates c * |phi(theta)|^2 * I,
     hence c * I when c >= 0, since the power vector contains the constant
     monomial."""
-    plan, phi_H, phi_R, pos_H = _gram_setup(L_hat, region, plan)
+    L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
     s = L_hat.rows
-    r = L_hat.r
+    r = adj.r
     size_H = len(phi_H) * s
 
     prob = sdp.SdpProblem()
     c_index = prob.add_var("c", obj=1.0)
     r_vars = [prob.add_psd_var(len(pv) * s, f"R{i}")
               for i, pv in enumerate(phi_R)]
-    nulls = gram_null_basis(r, plan.d_H, s)
     delta_indices = [prob.add_var(f"delta{k}") for k in range(nulls.shape[1])]
 
     pencil = gram_image(np.eye(s) / s, power_vector(r, 0), L_hat.coeffs,
                         phi_H, s, pos_H)
     # one svec column per variable, in variable order: c, the R_i, delta
     columns = [sparse.csc_array(-sdp.svec(np.eye(size_H))[:, None])]
-    for g, var, pv in zip(region, r_vars, phi_R):
+    for g, var, pv in zip(adj.omega, r_vars, phi_R):
         m = len(var.indices)
         for lo in range(0, m, SAMPLE_CHUNK):
             units = np.eye(min(SAMPLE_CHUNK, m - lo), m, lo)
@@ -301,16 +267,12 @@ def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
     connected is True only when the solver converged and the certified
     bound clears the threshold; any other outcome is inconclusive, never a
     disconnection proof."""
-    N = adj.N
-    L = laplacian(adj)
-    M = reduced_basis(N)
-    L_hat = reduced_laplacian(L, M)
-    asm = assemble(L_hat, adj.omega)
+    asm = assemble(adj)
     sol = sdp.solve(asm.problem, tol=tol)
     y = sol.y
     c_star = float(y[asm.c_index])
     cert = Certificate(
-        n_agents=N, r=asm.r, plan=asm.plan, c_star=c_star,
+        n_agents=adj.N, r=asm.r, plan=asm.plan, c_star=c_star,
         P_bar=np.eye(asm.s) / asm.s,
         R_bars=[v.value(y) for v in asm.r_vars],
         delta=np.array([y[i] for i in asm.delta_indices]))
@@ -354,12 +316,12 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if cert.r != adj.r:
         raise CertifierError(
             f"certificate has {cert.r} parameters, adjacency has {adj.r}")
-    L = laplacian(adj)
-    M = reduced_basis(adj.N)
-    L_hat = reduced_laplacian(L, M)
-    plan, phi_H, phi_R, pos_H = _gram_setup(L_hat, adj.omega, cert.plan)
+    L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
+    if cert.plan != plan:
+        raise CertifierError(
+            f"certificate degree plan {cert.plan} is not the automatic plan "
+            f"{plan} of the adjacency")
     s = L_hat.rows
-    nulls = gram_null_basis(adj.r, plan.d_H, s)
     if len(cert.R_bars) != len(phi_R):
         raise CertifierError(
             f"{len(cert.R_bars)} multiplier matrices for "

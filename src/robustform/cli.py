@@ -46,11 +46,12 @@ def _resolve_scenario_path(path: str) -> str:
     return path
 
 
-def _load_scenario(path: str) -> ScenarioSpec:
-    """Parse a scenario file; raises SystemExit(2) with a location."""
-    path = _resolve_scenario_path(path)
+def _load_scenario(arg: str) -> tuple[str, ScenarioSpec]:
+    """The resolved path of the scenario argument and the scenario parsed
+    from it; raises SystemExit(2) with a location."""
+    path = _resolve_scenario_path(arg)
     try:
-        return ScenarioSpec.load(path)
+        return path, ScenarioSpec.load(path)
     except FileNotFoundError:
         print(f"error: no such scenario file: {path}", file=sys.stderr)
         raise SystemExit(2)
@@ -87,7 +88,7 @@ def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    spec = _load_scenario(args.scenario)
+    _, spec = _load_scenario(args.scenario)
     report = validate_assumptions(spec.tau, spec.formation, spec.positions,
                                   spec.geometry,
                                   overrides=spec.assumption_overrides)
@@ -108,8 +109,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    path = _resolve_scenario_path(args.scenario)
-    spec = _load_scenario(path)
+    path, spec = _load_scenario(args.scenario)
     adj = spec.adjacency
     try:
         samples = sample_lambda2(adj, n_samples=args.samples, seed=args.seed)
@@ -196,8 +196,7 @@ def _write_events_jsonl(path: Path, events) -> None:
 
 
 def cmd_simulate(args) -> int:
-    scenario_path = _resolve_scenario_path(args.scenario)
-    spec = _load_scenario(scenario_path)
+    scenario_path, spec = _load_scenario(args.scenario)
     scenario_bytes = Path(scenario_path).read_bytes()
     try:
         res = run(spec, seed=args.seed, T_end=args.T, dt=args.dt,
@@ -243,7 +242,7 @@ def cmd_simulate(args) -> int:
         "tool_version": __version__,
         "scenario": {
             "name": spec.name,
-            "path": str(scenario_path),
+            "path": args.scenario,
             "sha256": hashlib.sha256(scenario_bytes).hexdigest(),
             "n_agents": spec.n_agents,
             "dim": spec.dim,
@@ -300,6 +299,7 @@ class _Chart:
 
     W, H = 640, 480
     ML, MR, MT, MB = 62, 16, 36, 46
+    TICKS = 5  # most tick intervals per axis
 
     def __init__(self, title: str, xlabel: str, ylabel: str,
                  equal_aspect: bool = False):
@@ -352,7 +352,8 @@ class _Chart:
             y0, y1 = cy - s * ph / 2, cy + s * ph / 2
         return x0, x1, y0, y1
 
-    def _ticks(self, lo: float, hi: float, n: int = 5):
+    def _ticks(self, lo: float, hi: float):
+        n = self.TICKS
         span = hi - lo
         step = 10.0 ** math.floor(math.log10(span / n))
         for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

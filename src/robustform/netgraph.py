@@ -99,7 +99,7 @@ class UncertainAdjacency:
         for i in range(self.N):
             if not self.entries.entry(i, i).is_zero:
                 raise ValueError(f"nonzero diagonal entry at ({i},{i})")
-        if not self.entries.is_symmetric(tol=0.0):
+        if not self.entries.is_symmetric():
             raise ValueError("adjacency is not symmetric")
         r = self.entries.r
         for s in self.omega:
@@ -167,14 +167,9 @@ class TopologyState:
         return connected_components(self.edges, directed=False)[0] == 1
 
 
-def laplacian(G):
-    """Graph Laplacian Delta - G of a polynomial adjacency."""
-    if isinstance(G, UncertainAdjacency):
-        G = G.entries
-    if not G.is_symmetric(tol=0.0):
-        raise ValueError("adjacency is not symmetric")
-    if any(np.any(np.diag(C)) for C in G.coeffs.values()):
-        raise ValueError("adjacency has nonzero diagonal")
+def laplacian(adj: UncertainAdjacency) -> MatrixPolynomial:
+    """Graph Laplacian Delta - G of the adjacency's weight matrix G."""
+    G = adj.entries
     return MatrixPolynomial(
         G.rows, G.cols, G.r,
         {e: np.diag(C.sum(axis=1)) - C for e, C in G.coeffs.items()})

@@ -203,13 +203,12 @@ class MatrixPolynomial:
         """Max total degree over entries (0 for the zero matrix)."""
         return max((mono_degree(e) for e in self.coeffs), default=0)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        """Coefficient-wise symmetry check.  tol=0 demands exact equality of
-        stored coefficients (canonical forms make this meaningful)."""
+    def is_symmetric(self) -> bool:
+        """Exact coefficient-wise symmetry check (canonical forms make
+        equality of stored coefficients meaningful)."""
         if self.rows != self.cols:
             return False
-        return all(np.all(np.abs(C - C.T) <= tol)
-                   for C in self.coeffs.values())
+        return all(np.array_equal(C, C.T) for C in self.coeffs.values())
 
     # -- evaluation ---------------------------------------------------------
 

@@ -321,8 +321,8 @@ def null_basis(r, d, s):
 
 
 def assembly_columns(asm, region):
-    """The compiled columns of every block of asm = assemble(L_hat,
-    region), built one variable at a time: each multiplier column is the
+    """The compiled columns of every block of asm = assemble(adj), region
+    = adj.omega, built one variable at a time: each multiplier column is the
     dense Gram image of a dense basis matrix, each Gram offset a dense
     null_basis element, and each column goes through svec_sparse."""
     prob = asm.problem

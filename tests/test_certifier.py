@@ -79,21 +79,6 @@ def test_plan_auto_raises_dH_for_region():
     assert plan.d_R == (0,)
 
 
-def test_plan_validate_rejects_pencil_overflow():
-    with pytest.raises(CertifierError):
-        DegreePlan(0, ()).validate(1, [])
-
-
-def test_plan_validate_rejects_multiplier_overflow():
-    with pytest.raises(CertifierError):
-        DegreePlan(1, (1,)).validate(1, [2])
-
-
-def test_plan_validate_rejects_length_mismatch():
-    with pytest.raises(CertifierError):
-        DegreePlan(1, ()).validate(1, [2])
-
-
 def test_plan_dict_roundtrip():
     plan = DegreePlan(3, (2, 0))
     assert plan.to_dict() == {"d_P": 0, "d_H": 3, "d_R": [2, 0]}
@@ -105,10 +90,9 @@ def test_plan_dict_roundtrip():
 
 
 def test_assemble_single_edge_matches_hand_problem():
-    # weight-2 edge, no uncertainty: reduced Laplacian is the 1x1 matrix [2]
-    L_hat = MatrixPolynomial(1, 1, 0, {(): [[2.0]]})
+    # unit edge, no uncertainty: reduced Laplacian is the 1x1 matrix [2]
     # and P = I / 1: the problem is max c s.t. 4 - c >= 0
-    asm = assemble(L_hat, [])
+    asm = assemble(const_adjacency([[0.0, 1.0], [1.0, 0.0]]))
     prob = asm.problem
     assert prob.n_vars == 1
     assert asm.delta_indices == []
@@ -130,23 +114,10 @@ def test_assemble_counts_fifty_agent_plan():
     for i in range(n):
         w[(i, (i + 1) % n)] = Polynomial(1, {(0,): 0.2, (1,): 0.05})
     adj = edge_weight_adjacency(n, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
-    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(n))
-    asm = assemble(L_hat, adj.omega)
+    asm = assemble(adj)
     assert asm.plan == DegreePlan(1, (0,))
     assert asm.problem.n_vars == 1 + 1176 + 1225
     assert asm.problem.lmis[asm.main_lmi].size == 98
-
-
-def test_assemble_rejects_nonsquare():
-    mp = MatrixPolynomial.zeros(2, 3, 0)
-    with pytest.raises(CertifierError):
-        assemble(mp, [])
-
-
-def test_assemble_rejects_region_variable_mismatch():
-    L_hat = MatrixPolynomial(1, 1, 1, {(0,): [[2.0]]})
-    with pytest.raises(CertifierError):
-        assemble(L_hat, [unit_disk(2)])
 
 
 def test_assemble_lmi_expands_to_pencil_identity():
@@ -154,14 +125,16 @@ def test_assemble_lmi_expands_to_pencil_identity():
     # Gram-expand to P L + L P - c |phi|^2 I - R g with P = I / s, checked
     # numerically
     rng = np.random.default_rng(11)
-    s, r = 3, 2
-    coeffs = {}
-    for e in [(0, 0), (1, 0), (0, 1)]:
-        C = rng.standard_normal((s, s))
-        coeffs[e] = C + C.T
-    L_hat = MatrixPolynomial(s, s, r, coeffs)
+    n, r = 4, 2
+    s = n - 1
+    weights = {(i, j): Polynomial(r, dict(zip(
+        [(0, 0), (1, 0), (0, 1)], rng.standard_normal(3).tolist())))
+        for i in range(n) for j in range(i + 1, n)}
     g = unit_disk(r)
-    asm = assemble(L_hat, [g])
+    adj = edge_weight_adjacency(n, weights, r, [g],
+                                [(-1.0, 1.0), (-1.0, 1.0)])
+    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(n))
+    asm = assemble(adj)
     y = rng.standard_normal(asm.problem.n_vars)
     G = asm.problem.lmi_value(asm.main_lmi, y)
     expanded = oracles.gram_expand_matrix(G, asm.phi_H, s)
@@ -364,6 +337,20 @@ def test_verify_rejects_wrong_graph_size():
         verify_certificate(res.certificate, other)
 
 
+def test_verify_rejects_a_plan_other_than_the_automatic_one():
+    # certify writes only the automatic plan, d_H = 1, d_R = (0,) here
+    adj, res = certified_edge()
+    cert = res.certificate
+    for plan in (DegreePlan(2, (1,)), DegreePlan(1, ())):
+        fake = Certificate(cert.n_agents, cert.r, plan, cert.c_star,
+                           cert.P_bar, cert.R_bars, cert.delta)
+        with pytest.raises(CertifierError) as err:
+            verify_certificate(fake, adj, n_samples=0)
+        # the message names both plans
+        assert str(plan) in str(err.value)
+        assert str(cert.plan) in str(err.value)
+
+
 def test_verify_perturbed_delta_breaks_identity():
     # the triangle's plan has antisymmetric-block null directions, so a
     # perturbed offset reshuffles the Gram matrix away from the solved cone
@@ -449,8 +436,7 @@ def test_compiled_columns_equal_the_per_variable_route(case):
     # every block's columns, entry for entry, against the dense route of
     # one basis matrix, Gram image and null-basis element per variable
     adj = _oracle_case(case)
-    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
-    asm = assemble(L_hat, adj.omega)
+    asm = assemble(adj)
     got = asm.problem.compile_columns()
     ref = oracles.assembly_columns(asm, adj.omega)
     assert len(got) == len(ref) == len(asm.r_vars) + 1
@@ -529,8 +515,8 @@ def test_replay_equals_residuals_of_the_assembled_problem(case):
                        cert.delta + rng.normal(scale=0.1,
                                                size=cert.delta.shape))
     rep = verify_certificate(fake, adj, n_samples=0)
-    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
-    asm = assemble(L_hat, adj.omega, plan=cert.plan)
+    asm = assemble(adj)
+    assert asm.plan == cert.plan
     y = np.zeros(asm.problem.n_vars)
     y[asm.c_index] = fake.c_star
     for var, R in zip(asm.r_vars, fake.R_bars):

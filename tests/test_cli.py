@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from robustform.certifier import Certificate
+from robustform.certifier import Certificate, certify, verify_certificate
 from robustform.cli import main
 from robustform.netgraph import UncertainAdjacency
 from robustform.polyalg import MatrixPolynomial, Polynomial
@@ -399,6 +399,32 @@ def test_certify_six_agent(tmp_path, capsys):
     assert cert.n_agents == 6
 
 
+def test_certify_and_simulate_large_weights(tmp_path, capsys):
+    # six_agent with every weight coefficient times 1e4: M^T L M is then
+    # symmetric only up to rounding of about 1e-12, which is no reason to
+    # fail.  lambda_2, and with it c*, is linear in the weights
+    doc = json.loads(builtin_path("six_agent").read_text())
+    for record in doc["uncertainty"]["weights"]:
+        for term in record["terms"]:
+            term["coeff"] *= 1e4
+    p = tmp_path / "heavy.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "heavy_cert.json"
+    assert run_cli("certify", str(p), "--samples", "500",
+                   "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("certify: CONNECTED\n")
+    assert "Traceback" not in captured.err
+    cert = Certificate.load(out)
+    base = certify(ScenarioSpec.load(builtin_path("six_agent")).adjacency)
+    assert cert.c_star == pytest.approx(1e4 * base.c_star, rel=1e-8)
+    adj = ScenarioSpec.load(p).adjacency
+    rep = verify_certificate(cert, adj, n_samples=500, seed=0)
+    assert rep.ok, rep.failures
+    assert run_cli("simulate", str(p), "--T", "0",
+                   "--out", str(tmp_path / "runs")) == 0
+
+
 def test_certify_disconnected_inconclusive(tmp_path, capsys):
     geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
                          d_s=1.875, eps=0.1)
@@ -497,6 +523,18 @@ def test_simulate_domain_violation_exits_5(tmp_path):
     sc.save(p)
     code = run_cli("simulate", str(p), "--out", str(tmp_path / "runs"))
     assert code == 5
+
+
+def test_manifest_records_the_scenario_argument_as_given(tmp_path):
+    # the resolved path would differ between two checkouts of the package
+    p = tmp_path / "copy.json"
+    p.write_bytes(builtin_path("six_agent").read_bytes())
+    for arg, sub in [("six_agent", "a"), (str(p), "b")]:
+        assert run_cli("simulate", arg, "--T", "0",
+                       "--out", str(tmp_path / sub)) == 0
+        manifest = json.loads(
+            (tmp_path / sub / "six_agent_seed0" / "manifest.json").read_text())
+        assert manifest["scenario"]["path"] == arg
 
 
 def test_simulate_zero_horizon_ok(tmp_path):

@@ -55,9 +55,10 @@ def complete_adjacency(N):
     return np.ones((N, N)) - np.eye(N)
 
 
-def constant(G):
-    """The numeric adjacency G as a matrix polynomial in no parameters."""
-    return MatrixPolynomial(len(G), len(G), 0, {(): G})
+def adjacency(G):
+    """The numeric adjacency G as an adjacency in no parameters."""
+    return UncertainAdjacency(
+        len(G), MatrixPolynomial(len(G), len(G), 0, {(): G}), [], [])
 
 
 def results(rep):
@@ -93,12 +94,12 @@ class TestLaplacian:
         G = np.zeros((3, 3))
         G[0, 1] = G[1, 0] = 1.0
         G[1, 2] = G[2, 1] = 1.0
-        L = laplacian(constant(G))([])
+        L = laplacian(adjacency(G))([])
         eig = np.sort(np.linalg.eigvalsh(L))
         assert np.allclose(eig, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_complete4_lambda2(self):
-        L = laplacian(constant(complete_adjacency(4)))([])
+        L = laplacian(adjacency(complete_adjacency(4)))([])
         eig = np.sort(np.linalg.eigvalsh(L))
         assert eig[1] == pytest.approx(4.0, abs=1e-12)
 
@@ -106,26 +107,10 @@ class TestLaplacian:
         rng = np.random.default_rng(7)
         W = rng.uniform(0.5, 2.0, size=(5, 5))
         G = np.triu(W, 1) + np.triu(W, 1).T
-        L = laplacian(constant(G))([])
+        L = laplacian(adjacency(G))([])
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
         assert np.allclose(L, L.T)
         np.testing.assert_array_equal(L, oracles.laplacian(G))
-
-    def test_rejects_asymmetric(self):
-        G = np.zeros((3, 3))
-        G[0, 1] = 1.0
-        with pytest.raises(ValueError, match="not symmetric"):
-            laplacian(constant(G))
-
-    def test_rejects_near_symmetric(self):
-        # a relative asymmetry of 1e-6 is still asymmetric
-        with pytest.raises(ValueError, match="not symmetric"):
-            laplacian(constant(np.array([[0.0, 1.0], [1.000001, 0.0]])))
-
-    def test_rejects_diagonal(self):
-        G = complete_adjacency(3) + np.eye(3)
-        with pytest.raises(ValueError, match="nonzero diagonal"):
-            laplacian(constant(G))
 
     def test_polynomial_matches_numeric_samples(self):
         # K3 with one uncertain weight 1 + 0.3 theta on edge (0,1).
@@ -137,7 +122,7 @@ class TestLaplacian:
             w01, zero, one,
             one, one, zero,
         ])
-        L = laplacian(A)
+        L = laplacian(UncertainAdjacency(3, A, [], [(-1.0, 2.0)]))
         for th in (-1.0, 0.0, 0.5, 2.0):
             num = complete_adjacency(3)
             num[0, 1] = num[1, 0] = 1.0 + 0.3 * th
@@ -159,7 +144,7 @@ class TestReducedBasis:
 
     def test_k2_reduced_laplacian(self):
         # K2 has Laplacian [[1,-1],[-1,1]]; its nontrivial eigenvalue is 2.
-        L = laplacian(constant(complete_adjacency(2)))
+        L = laplacian(adjacency(complete_adjacency(2)))
         R = reduced_laplacian(L, reduced_basis(2))
         assert R.shape == (1, 1)
         assert R([])[0, 0] == pytest.approx(2.0, abs=1e-12)
@@ -168,7 +153,7 @@ class TestReducedBasis:
         rng = np.random.default_rng(3)
         W = rng.uniform(0.1, 1.0, size=(6, 6))
         G = np.triu(W, 1) + np.triu(W, 1).T
-        R = reduced_laplacian(laplacian(constant(G)), reduced_basis(6))
+        R = reduced_laplacian(laplacian(adjacency(G)), reduced_basis(6))
         full = np.sort(np.linalg.eigvalsh(oracles.laplacian(G)))
         red = np.sort(np.linalg.eigvalsh(R([])))
         assert np.allclose(red, full[1:], atol=1e-10)
@@ -177,7 +162,7 @@ class TestReducedBasis:
         w = Polynomial(1, {(0,): 2.0, (1,): 1.0})
         zero = Polynomial(1)
         A = _grid(2, 2, 1, [zero, w, w, zero])
-        L = laplacian(A)
+        L = laplacian(UncertainAdjacency(2, A, [], [(0.0, 1.0)]))
         M = reduced_basis(2)
         R = reduced_laplacian(L, M)
         th = np.array([0.7])
@@ -341,15 +326,26 @@ class TestUncertainAdjacency:
     def test_rejects_nonzero_diagonal(self):
         t = Polynomial(1, {(1,): 1.0})
         ent = _grid(2, 2, 1, [t, t, t, t])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzero diagonal"):
             UncertainAdjacency(2, ent, [], [(-1, 1)])
+        with pytest.raises(ValueError, match="nonzero diagonal"):
+            adjacency(complete_adjacency(3) + np.eye(3))
 
     def test_rejects_asymmetric(self):
         zero = Polynomial(1)
         one = Polynomial(1, {(0,): 1.0})
         ent = _grid(2, 2, 1, [zero, one, zero, zero])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             UncertainAdjacency(2, ent, [], [(-1, 1)])
+        G = np.zeros((3, 3))
+        G[0, 1] = 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            adjacency(G)
+
+    def test_rejects_near_symmetric(self):
+        # a relative asymmetry of 1e-6 is still asymmetric
+        with pytest.raises(ValueError, match="not symmetric"):
+            adjacency(np.array([[0.0, 1.0], [1.000001, 0.0]]))
 
     def test_rejects_bad_box(self):
         w = Polynomial(1, {(0,): 1.0, (1,): 1.0})

@@ -51,3 +51,71 @@ def test_every_package_function_is_used_outside_the_tests():
                     for qual, name in defined(trees[path])
                     if name not in used)
     assert unused == []
+
+
+def defaulted(tree):
+    """(qualified name, callee name, parameter, position) of every
+    parameter with a default of the functions and methods the tree
+    defines, at any depth.  A method's position leaves out its self or cls
+    and its callee name is the class name for __init__; position is None
+    for a keyword-only parameter."""
+    def visit(node, owner):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, item.name)
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = item.args
+                params = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                skip = 1 if owner and not static else 0
+                callee = owner if item.name == "__init__" else item.name
+                qual = f"{owner}.{item.name}" if owner else item.name
+                for k in range(len(params) - len(a.defaults), len(params)):
+                    yield qual, callee, params[k].arg, k - skip
+                for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        yield qual, callee, p.arg, None
+                yield from visit(item, None)
+            else:
+                yield from visit(item, owner)
+    yield from visit(tree, None)
+
+
+def callee_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else \
+        f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    # a default that no command or benchmark overrides is a test-only knob:
+    # it counts as set when a call passes it by keyword or positionally,
+    # or when an identifier string names it (bench/tracer.py fills in
+    # sdp.solve's callback through kwargs)
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    strings = {node.value for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+
+    def is_set(callee, param, position):
+        if param in strings:
+            return True
+        for call in calls:
+            if callee_name(call) != callee:
+                continue
+            if any(kw.arg in (param, None) for kw in call.keywords):
+                return True
+            if position is not None and (
+                    len(call.args) > position
+                    or any(isinstance(x, ast.Starred) for x in call.args)):
+                return True
+        return False
+
+    unset = sorted(f"{qual}({param}=)" for path in PACKAGE
+                   for qual, callee, param, position in defaulted(
+                       ast.parse(path.read_text(), str(path)))
+                   if not is_set(callee, param, position))
+    assert unset == []

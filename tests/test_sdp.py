@@ -12,7 +12,6 @@ import scipy.sparse as sp
 import oracles
 from robustform import sdp
 from robustform.certifier import assemble
-from robustform.netgraph import laplacian, reduced_basis, reduced_laplacian
 from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.sdp import (SdpProblem, SdpStatus, residuals, smat, solve,
                             svec, svec_dim)
@@ -361,8 +360,7 @@ def relative_error(B, ref):
 
 def certification_problem(name):
     adj = ScenarioSpec.load(builtin_path(name)).adjacency
-    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
-    return assemble(L_hat, adj.omega).problem
+    return assemble(adj).problem
 
 
 SCHUR_MATRIX = sdp._schur_matrix

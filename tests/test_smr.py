@@ -10,7 +10,6 @@ import pytest
 
 import oracles
 from robustform import sdp
-from robustform.certifier import assemble
 from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.smr import (
     _positions,
@@ -127,13 +126,6 @@ class TestCanonicalGram:
                       for e in QUARTIC.terms)
             assert err < 1e-12
             assert set(f.terms) == set(QUARTIC.terms)
-
-    def test_asymmetric_matrix_rejected(self):
-        # the certifier checks symmetry before it takes any Gram form
-        M = MatrixPolynomial.zeros(2, 2, 1)
-        M.set_entry(0, 1, Polynomial(1, {(1,): 1.0}))
-        with pytest.raises(ValueError):
-            assemble(M, [])
 
     def test_degree_too_high_rejected(self):
         with pytest.raises(ValueError):
