@@ -165,10 +165,9 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
     size_H = len(phi_H) * s
 
     prob = sdp.SdpProblem()
-    c_index = prob.add_var("c", obj=1.0)
-    r_vars = [prob.add_psd_var(len(pv) * s, f"R{i}")
-              for i, pv in enumerate(phi_R)]
-    delta_indices = [prob.add_var(f"delta{k}") for k in range(nulls.shape[1])]
+    c_index = prob.add_var(obj=1.0)
+    r_vars = [prob.add_psd_var(len(pv) * s) for pv in phi_R]
+    delta_indices = [prob.add_var() for _ in range(nulls.shape[1])]
 
     pencil = gram_image(np.eye(s) / s, power_vector(r, 0), L_hat.coeffs,
                         phi_H, s, pos_H)

@@ -160,18 +160,10 @@ def _write_energy_csv(path: Path, log) -> None:
             w.writerow([_csv_num(t), _csv_num(W)])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+def _tolist(obj):
+    """json.dumps default: NumPy arrays and non-float scalars as Python
+    lists and numbers (float64 is a float, which json writes itself)."""
+    return obj.tolist()
 
 
 # switch and zone events are written one line per pair:
@@ -192,7 +184,7 @@ def _write_events_jsonl(path: Path, events) -> None:
                 docs = [{"action": ev["type"], **{
                     k: v for k, v in ev.items() if k != "type"}}]
             for doc in docs:
-                fh.write(json.dumps(_jsonable(doc)) + "\n")
+                fh.write(json.dumps(doc, default=_tolist) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -217,7 +209,7 @@ def cmd_simulate(args) -> int:
     _write_trajectory_csv(run_dir / "trajectory.csv", res.log, spec.dim)
     _write_energy_csv(run_dir / "energy.csv", res.log)
     (run_dir / "metrics.json").write_text(
-        json.dumps(_jsonable(res.metrics), indent=2) + "\n")
+        json.dumps(res.metrics, indent=2, default=_tolist) + "\n")
     _write_events_jsonl(run_dir / "events.jsonl", res.log.events)
 
     cert_name = None
@@ -254,7 +246,7 @@ def cmd_simulate(args) -> int:
         "dt": dt_used,
         "method": "rk4",
         "unsafe": bool(args.unsafe),
-        "theta": _jsonable(res.theta),
+        "theta": res.theta,
         "barrier": {"mu1": res.params.mu1, "mu2": res.params.mu2,
                     "eps_hat": res.params.eps_hat},
         "tuned": res.tune is not None,
@@ -264,7 +256,7 @@ def cmd_simulate(args) -> int:
         "outputs": sorted(outputs),
     }
     (run_dir / "manifest.json").write_text(
-        json.dumps(_jsonable(manifest), indent=2) + "\n")
+        json.dumps(manifest, indent=2, default=_tolist) + "\n")
 
     print(f"run directory: {run_dir}")
     for k in ("t_final", "formation_error", "velocity_disagreement",
@@ -450,7 +442,8 @@ class _Chart:
 
 def _read_run_dir(run_dir: Path):
     """Parse a run directory; raises ValueError (or the parser's own
-    error) on anything a run does not write."""
+    error) on anything a run does not write.  trajectory.csv holds one
+    row per time and agent 0..n_agents-1, at least one time."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     if not isinstance(manifest, dict):
         raise ValueError("manifest.json is not a JSON object")
@@ -462,22 +455,25 @@ def _read_run_dir(run_dir: Path):
         raise ValueError(f"formation edge outside agents 0..{N - 1}")
     with (run_dir / "trajectory.csv").open() as fh:
         header, *body = csv.reader(fh)
-    rows = [[float(v) for v in row] for row in body]
+    if not body:
+        raise ValueError("trajectory.csv has no rows")
     dim = (len(header) - 2) // 3
-    data = np.array(rows) if rows else np.zeros((0, 2 + 3 * dim))
-    times = np.unique(data[:, 0]) if rows else np.zeros(0)
-    S = times.shape[0]
-    positions = np.zeros((S, N, dim))
-    velocities = np.zeros((S, N, dim))
-    t_index = {t: k for k, t in enumerate(times)}
-    for row in rows:
-        s = t_index[row[0]]
-        a = row[1]
-        if not (0 <= a < N and a.is_integer()):
-            raise ValueError(f"trajectory.csv: agent {a:g} is not one of "
-                             f"0..{N - 1}")
-        positions[s, int(a)] = row[2:2 + dim]
-        velocities[s, int(a)] = row[2 + dim:2 + 2 * dim]
+    data = np.array([[float(v) for v in row] for row in body])
+    times, t_index = np.unique(data[:, 0], return_inverse=True)
+    agent = data[:, 1]
+    bad = ~((0 <= agent) & (agent < N) & (agent == np.floor(agent)))
+    if bad.any():
+        raise ValueError(f"trajectory.csv: agent {agent[bad][0]:g} is not "
+                         f"one of 0..{N - 1}")
+    # the row count is checked first, so that nothing sized by N is made
+    # unless N <= len(body)
+    if len(body) != len(times) * N or len(np.unique(
+            t_index * N + agent.astype(int))) != len(body):
+        raise ValueError("trajectory.csv does not hold one row per time "
+                         f"and agent 0..{N - 1}")
+    data = data[np.lexsort((agent, t_index))].reshape(len(times), N, -1)
+    positions = data[..., 2:2 + dim]
+    velocities = data[..., 2 + dim:2 + 2 * dim]
     with (run_dir / "energy.csv").open() as fh:
         _, *body = csv.reader(fh)
     erows = [(float(row[0]), float(row[1])) for row in body]
@@ -502,29 +498,25 @@ def cmd_plot(args) -> int:
     chart = _Chart("Agent trajectories", "x", "y", equal_aspect=True)
     for a in range(N):
         color = _PALETTE[a % len(_PALETTE)]
-        if times.size:
-            chart.add_series(xy[:, a, 0], xy[:, a, 1], color, 1.2)
-            chart.add_point(xy[-1, a, 0], xy[-1, a, 1], color, 4.0)
-    if times.size:
-        for (i, j) in fe:
-            chart.add_series(xy[-1, [i, j], 0], xy[-1, [i, j], 1],
-                             "#999999", 0.8)
+        chart.add_series(xy[:, a, 0], xy[:, a, 1], color, 1.2)
+        chart.add_point(xy[-1, a, 0], xy[-1, a, 1], color, 4.0)
+    for (i, j) in fe:
+        chart.add_series(xy[-1, [i, j], 0], xy[-1, [i, j], 1],
+                         "#999999", 0.8)
     (run_dir / "trajectories.svg").write_text(chart.render())
 
     iu, ju = np.triu_indices(N, k=1)
     chart = _Chart("Minimum pairwise distance", "t", "distance")
-    if times.size:
-        dmin = np.array([float(np.min(pair_distances(p)[iu, ju]))
-                         for p in positions])
-        chart.add_series(times, dmin, _PALETTE[0], 1.6)
+    dmin = np.array([float(np.min(pair_distances(p)[iu, ju]))
+                     for p in positions])
+    chart.add_series(times, dmin, _PALETTE[0], 1.6)
     chart.add_hline(d_s, "#d62728", f"d_s = {_fmt(d_s)}")
     (run_dir / "min_distance.svg").write_text(chart.render())
 
     chart = _Chart("Velocity disagreement", "t", "max |v_i - v_j|")
-    if times.size:
-        vdis = np.array([float(np.max(pair_distances(v)))
-                         for v in velocities])
-        chart.add_series(times, vdis, _PALETTE[1], 1.6)
+    vdis = np.array([float(np.max(pair_distances(v)))
+                     for v in velocities])
+    chart.add_series(times, vdis, _PALETTE[1], 1.6)
     (run_dir / "velocity_diff.svg").write_text(chart.render())
 
     chart = _Chart("Composite energy", "t", "W")

@@ -9,12 +9,12 @@ scalar decision variables:
 There are no equality constraints: every variable is free and the feasible
 set is cut out by the LMIs alone.
 
-Coefficients are given in one format only: the svec column.  svec stacks
-the upper triangle row by row, off-diagonal entries scaled by sqrt(2) so
-that matrix inner products become plain dot products.  `add_lmi` takes the
-constant term and one sparse matrix whose column i is svec(F_{k,i}); the
-block keeps its nonzero entries as (svec row, variable, value) triplets,
-and `compile_columns` turns them into one sparse column matrix per block.
+Coefficients are given and kept in one format only: the svec column.
+svec stacks the upper triangle row by row, off-diagonal entries scaled by
+sqrt(2) so that matrix inner products become plain dot products.  `add_lmi`
+takes the constant term and one sparse matrix whose column i is
+svec(F_{k,i}), and keeps that matrix in canonical CSC form (sorted rows, no
+duplicates, no stored zeros), the form the solver reads.
 
 Symmetric matrix variables are layered on top through `add_psd_var`, which
 allocates one scalar per svec entry and attaches the identity LMI that
@@ -109,7 +109,6 @@ def svec_position(i, j, n: int):
 class MatrixVar:
     """Handle for a symmetric PSD matrix variable stored as svec scalars."""
 
-    name: str
     size: int
     indices: np.ndarray  # flat variable indices, one per upper-tri entry
 
@@ -119,18 +118,15 @@ class MatrixVar:
 
 @dataclass
 class LmiBlock:
-    """One PSD constraint: its constant term and the nonzero entries of
-    its coefficient columns as (svec row, variable, value) triplets."""
+    """One PSD constraint: its constant term and the canonical CSC matrix
+    whose column i is svec(F_i), for the variables up to its last column."""
 
     size: int
     const: np.ndarray
-    rows: np.ndarray
-    vars: np.ndarray
-    vals: np.ndarray
+    columns: sp.csc_matrix
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        v = np.bincount(self.rows, weights=self.vals * y[self.vars],
-                        minlength=svec_dim(self.size))
+        v = self.columns @ y[:self.columns.shape[1]]
         return self.const + smat(v, self.size)
 
 
@@ -138,80 +134,69 @@ class SdpProblem:
     """Incrementally built LMI problem; see the module docstring for the form."""
 
     def __init__(self):
-        self.n_vars = 0
-        self.var_names: list[str] = []
-        self.objective: dict[int, float] = {}
+        self.objective: list[float] = []  # b, one coefficient per variable
         self.lmis: list[LmiBlock] = []
 
-    def add_var(self, name: str = "", obj: float = 0.0) -> int:
-        idx = self.n_vars
-        self.n_vars += 1
-        self.var_names.append(name or f"y{idx}")
-        if obj:
-            self.objective[idx] = self.objective.get(idx, 0.0) + obj
-        return idx
+    @property
+    def n_vars(self) -> int:
+        return len(self.objective)
 
-    def add_psd_var(self, size: int, name: str = "") -> MatrixVar:
+    def add_var(self, obj: float = 0.0) -> int:
+        self.objective.append(float(obj))
+        return self.n_vars - 1
+
+    def add_psd_var(self, size: int) -> MatrixVar:
         """Symmetric PSD matrix variable of the given size.
 
         Allocates svec scalars and attaches the identity LMI that constrains
         the reassembled matrix to the PSD cone: column k of that LMI is the
         k-th unit vector."""
-        base = self.n_vars
-        m = svec_dim(size)
-        idx = np.arange(base, base + m)
-        self.n_vars += m
-        nm = name or f"X{base}"
-        self.var_names.extend(f"{nm}[{k}]" for k in range(m))
-        self.lmis.append(LmiBlock(size, np.zeros((size, size)),
-                                  np.arange(m), idx, np.ones(m)))
-        return MatrixVar(nm, size, idx)
+        base, m = self.n_vars, svec_dim(size)
+        self.objective.extend([0.0] * m)
+        self.add_lmi(np.zeros((size, size)),
+                     sp.eye(m, base + m, base, format="csc"))
+        return MatrixVar(size, np.arange(base, base + m))
 
     def add_lmi(self, const: np.ndarray, columns) -> int:
         """PSD constraint const + sum_i y_i F_i.
 
         columns is one sparse matrix with svec_dim(n) rows whose column i
         is svec(F_i); it may have fewer columns than there are variables,
-        and the missing ones are zero."""
+        and the missing ones are zero.  The block keeps a canonical copy."""
         const = np.asarray(const, dtype=float)
         n = const.shape[0]
         if const.shape != (n, n):
             raise ValueError("LMI constant term must be square")
-        cols = sp.coo_array(columns)
-        if cols.ndim != 2 or cols.shape[0] != svec_dim(n):
-            raise ValueError(f"LMI columns have shape {cols.shape}, need "
+        shape = np.shape(columns)
+        if len(shape) != 2 or shape[0] != svec_dim(n):
+            raise ValueError(f"LMI columns have shape {shape}, need "
                              f"{svec_dim(n)} rows for LMI size {n}")
-        if cols.shape[1] > self.n_vars:
-            raise ValueError(f"LMI columns for {cols.shape[1]} variables, "
+        if shape[1] > self.n_vars:
+            raise ValueError(f"LMI columns for {shape[1]} variables, "
                              f"the problem has {self.n_vars}")
+        cols = sp.csc_matrix(columns, dtype=float, copy=True)
+        cols.sum_duplicates()
+        cols.eliminate_zeros()
         if not (np.isfinite(const).all() and np.isfinite(cols.data).all()):
             raise ValueError("LMI constant term or columns not finite")
         asym = float(np.max(np.abs(const - const.T))) if const.size else 0.0
         if asym > 1e-12:
             raise ValueError(
                 f"LMI constant term not symmetric (max asymmetry {asym:g})")
-        keep = cols.data != 0.0  # const is halved first: no overflow
-        self.lmis.append(LmiBlock(n, 0.5 * const + 0.5 * const.T,
-                                  cols.row[keep], cols.col[keep],
-                                  cols.data[keep]))
+        # const is halved first: no overflow
+        self.lmis.append(LmiBlock(n, 0.5 * const + 0.5 * const.T, cols))
         return len(self.lmis) - 1
 
-    # -- assembled views ----------------------------------------------------
-
-    def b_vector(self) -> np.ndarray:
-        b = np.zeros(self.n_vars)
-        for i, c in self.objective.items():
-            b[i] = c
-        return b
-
     def compile_columns(self) -> list[sp.csc_matrix]:
-        """Per-block sparse matrix whose column i is svec(F_{k,i})."""
-        return [sp.csc_matrix((blk.vals, (blk.rows, blk.vars)),
-                              shape=(svec_dim(blk.size), self.n_vars))
-                for blk in self.lmis]
-
-    def lmi_value(self, k: int, y: np.ndarray) -> np.ndarray:
-        return self.lmis[k].value(np.asarray(y, dtype=float))
+        """Per-block sparse matrix whose column i is svec(F_{k,i}): the
+        stored matrix with empty columns for the variables added after it."""
+        out = []
+        for blk in self.lmis:
+            A = blk.columns
+            indptr = np.pad(A.indptr, (0, self.n_vars - A.shape[1]), "edge")
+            out.append(sp.csc_matrix((A.data, A.indices, indptr),
+                                     shape=(A.shape[0], self.n_vars)))
+        return out
 
 
 @dataclass
@@ -236,18 +221,18 @@ class SdpSolution:
 def residuals(problem: SdpProblem, y: np.ndarray) -> dict:
     """Feasibility of a candidate point, straight from the problem data.
 
-    Returns min eigenvalue per LMI block and the objective value.  This
-    path shares no code with the solver iteration on purpose: it is the
-    tests' independent evaluator (certificates replay through gram_image)."""
+    Returns min eigenvalue per LMI block and the objective value.  Each
+    block is evaluated by `LmiBlock.value` from its stored columns, not
+    through the solver's compiled columns or iterates: this is the tests'
+    evaluator (certificates replay through gram_image)."""
     y = np.asarray(y, dtype=float)
     mins = []
-    for k in range(len(problem.lmis)):
-        M = problem.lmi_value(k, y)
+    for blk in problem.lmis:
+        M = blk.value(y)
         mins.append(float(np.linalg.eigvalsh(M)[0]) if M.size else 0.0)
-    b = problem.b_vector()
     return {
         "min_eigenvalues": mins,
-        "objective": float(b @ y),
+        "objective": float(np.asarray(problem.objective) @ y),
     }
 
 
@@ -262,14 +247,14 @@ def _presolve(problem: SdpProblem, tol: float) -> SdpSolution | None:
     the Schur complement is zero, which the jitter retry absorbs."""
     used = np.zeros(problem.n_vars, dtype=bool)
     for blk in problem.lmis:
-        used[blk.vars] = True
-    b = problem.b_vector()
-    bad = [i for i in np.nonzero(~used)[0] if b[i] != 0.0]
+        A = blk.columns
+        used[:A.shape[1]] |= np.diff(A.indptr) > 0
+    bad = [i for i in np.nonzero(~used)[0] if problem.objective[i] != 0.0]
     if bad:
         return SdpSolution(
             SdpStatus.INFEASIBLE, np.zeros(problem.n_vars), math.inf,
-            math.inf, [], 0, f"objective variable {problem.var_names[bad[0]]}"
-            " is unconstrained; the objective is unbounded")
+            math.inf, [], 0, f"objective variable y{bad[0]} is "
+            "unconstrained; the objective is unbounded")
     if used.any():
         return None
     mins = [float(np.linalg.eigvalsh(blk.const)[0]) if blk.size else 0.0
@@ -448,7 +433,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
         return presolved
 
     n_vars = problem.n_vars
-    b = problem.b_vector()
+    b = np.array(problem.objective)
     A_list = problem.compile_columns()
     sizes = [blk.size for blk in problem.lmis]
     consts = [blk.const for blk in problem.lmis]

@@ -378,15 +378,15 @@ def test_interior_point_reaches_planted_and_analytic_optima():
 
     # smallest diagonal entry: max c with diag(2, 5) - c I PSD
     prob = SdpProblem()
-    c = prob.add_var("c", obj=1.0)
+    c = prob.add_var(obj=1.0)
     prob.add_lmi(np.diag([2.0, 5.0]), oracles.lmi_columns({c: -np.eye(2)}, 2))
     sol = solve(prob, tol=1e-11)
     assert abs(sol.objective_value - 2.0) <= 1e-9
 
     # normalized scalar: max c with p PSD, 1 - p PSD, and 2p - c PSD
     prob = SdpProblem()
-    c = prob.add_var("c", obj=1.0)
-    p = prob.add_psd_var(1, "p")
+    c = prob.add_var(obj=1.0)
+    p = prob.add_psd_var(1)
     scalar = int(p.indices[0])
     prob.add_lmi(np.ones((1, 1)),
                  oracles.lmi_columns({scalar: -np.ones((1, 1))}, 1))

@@ -100,9 +100,10 @@ def test_assemble_single_edge_matches_hand_problem():
     blk = prob.lmis[asm.main_lmi]
     assert blk.size == 1
     np.testing.assert_allclose(blk.const, [[4.0]])
-    assert blk.vars.tolist() == [asm.c_index]
-    np.testing.assert_allclose(prob.lmi_value(asm.main_lmi, [1.0]), [[3.0]])
-    assert prob.objective == {asm.c_index: 1.0}
+    assert np.flatnonzero(np.diff(blk.columns.indptr)).tolist() \
+        == [asm.c_index]
+    np.testing.assert_allclose(blk.value(np.array([1.0])), [[3.0]])
+    assert prob.objective == [1.0]
 
 
 def test_assemble_counts_fifty_agent_plan():
@@ -136,7 +137,7 @@ def test_assemble_lmi_expands_to_pencil_identity():
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(n))
     asm = assemble(adj)
     y = rng.standard_normal(asm.problem.n_vars)
-    G = asm.problem.lmi_value(asm.main_lmi, y)
+    G = asm.problem.lmis[asm.main_lmi].value(y)
     expanded = oracles.gram_expand_matrix(G, asm.phi_H, s)
 
     c = y[asm.c_index]

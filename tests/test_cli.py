@@ -578,9 +578,15 @@ def _edit_manifest(**scenario):
     ("manifest.json", _edit_manifest(formation_edges=[[0, 99]])),
     ("manifest.json", _edit_manifest(n_agents=math.inf)),
     ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,99,", 1)),
-    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,-1,", 1))],
+    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,-1,", 1)),
+    # n_agents larger than the trajectory: read before anything sized by
+    # it is made, and no phantom agent is drawn
+    ("manifest.json", _edit_manifest(n_agents=10**12)),
+    ("manifest.json", _edit_manifest(n_agents=7)),
+    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,2,", 1))],
     ids=["manifest_not_an_object", "edge_out_of_range", "infinite_n_agents",
-         "agent_99", "agent_minus_1"])
+         "agent_99", "agent_minus_1", "huge_n_agents", "extra_agent",
+         "agent_twice_at_one_time"])
 def test_plot_corrupt_run_directory_exits_2(tmp_path, capsys, name,
                                             corrupt):
     out = tmp_path / "runs"

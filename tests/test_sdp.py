@@ -88,7 +88,7 @@ class TestAnalytic:
     def test_min_eigenvalue_of_diagonal(self):
         # max c with diag(2, 3) - c I PSD; the answer is the smallest entry.
         prob = SdpProblem()
-        c = prob.add_var("c", obj=1.0)
+        c = prob.add_var(obj=1.0)
         prob.add_lmi(np.diag([2.0, 3.0]),
                      oracles.lmi_columns({c: -np.eye(2)}, 2))
         sol = solve(prob)
@@ -122,7 +122,7 @@ class TestAnalytic:
         rng = np.random.default_rng(11)
         C = sym(rng, 5, scale=2.0)
         prob = SdpProblem()
-        t = prob.add_var("t", obj=-1.0)
+        t = prob.add_var(obj=-1.0)
         prob.add_lmi(-C, oracles.lmi_columns({t: np.eye(5)}, 5))
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
@@ -166,7 +166,7 @@ class TestPlanted:
         prob1, opt = planted_problem(9, sizes=(4,), m=3)
         prob2 = SdpProblem()
         for i in range(3):
-            prob2.add_var(obj=10.0 * prob1.objective.get(i, 0.0))
+            prob2.add_var(obj=10.0 * prob1.objective[i])
         prob2.add_lmi(10.0 * prob1.lmis[0].const,
                       10.0 * prob1.compile_columns()[0])
         s1 = solve(prob1)
@@ -205,18 +205,18 @@ class TestDegenerate:
 
     def test_presolve_dangling_objective_var(self):
         prob = SdpProblem()
-        prob.add_var("free", obj=1.0)
-        c = prob.add_var("c", obj=1.0)
+        prob.add_var(obj=1.0)
+        c = prob.add_var(obj=1.0)
         prob.add_lmi(np.diag([2.0]), oracles.lmi_columns({c: -np.eye(1)}, 1))
         sol = solve(prob)
         assert sol.status is SdpStatus.INFEASIBLE
-        assert "unbounded" in sol.message
+        assert "variable y0" in sol.message and "unbounded" in sol.message
 
     def test_presolve_dangling_unused_var(self):
         # A variable in no constraint with no objective weight is harmless.
         prob = SdpProblem()
-        prob.add_var("unused")
-        c = prob.add_var("c", obj=1.0)
+        prob.add_var()
+        c = prob.add_var(obj=1.0)
         prob.add_lmi(np.diag([2.0, 5.0]),
                      oracles.lmi_columns({c: -np.eye(2)}, 2))
         sol = solve(prob)
@@ -231,7 +231,7 @@ class TestDegenerate:
 
     def test_variable_in_no_lmi_is_optimal_at_zero(self):
         prob = SdpProblem()
-        prob.add_var("free")
+        prob.add_var()
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.y.tolist() == [0.0] and sol.objective_value == 0.0
@@ -256,7 +256,7 @@ class TestDegenerate:
 
         monkeypatch.setattr(sdp, "_KktSolver", unfactorizable)
         prob = SdpProblem()
-        c = prob.add_var("c", obj=1.0)
+        c = prob.add_var(obj=1.0)
         prob.add_lmi(np.diag([2.0, 5.0]),
                      oracles.lmi_columns({c: -np.eye(2)}, 2))
         sol = solve(prob)
@@ -298,7 +298,7 @@ class TestDegenerate:
 def one_variable_problem(const):
     """max c subject to const - c I PSD."""
     prob = SdpProblem()
-    c = prob.add_var("c", obj=1.0)
+    c = prob.add_var(obj=1.0)
     prob.add_lmi(const, oracles.lmi_columns({c: -np.eye(len(const))},
                                             len(const)))
     return prob
@@ -329,6 +329,9 @@ class TestValidationAndResiduals:
         v = prob.add_var()
         with pytest.raises(ValueError):
             prob.add_lmi(np.eye(2), oracles.lmi_columns({v: np.eye(3)}, 3))
+        # a 1-D array of the right length is not a column matrix
+        with pytest.raises(ValueError, match="shape"):
+            prob.add_lmi(np.eye(2), sp.coo_array(np.ones(3)))
 
     def test_rejects_unknown_index(self):
         prob = SdpProblem()
@@ -336,9 +339,42 @@ class TestValidationAndResiduals:
         with pytest.raises(ValueError):
             prob.add_lmi(np.eye(2), oracles.lmi_columns({5: np.eye(2)}, 2))
 
+    def test_columns_are_stored_canonical_and_padded(self):
+        # column 0 (c's -I) with unsorted rows and an explicit zero, column
+        # 1 as a duplicated entry, and no column for the third variable,
+        # in read-only arrays like the cached null basis
+        def problem(data, indices, indptr):
+            arrays = [np.array(a) for a in (data, indices, indptr)]
+            for a in arrays:
+                a.flags.writeable = False
+            prob = SdpProblem()
+            prob.add_var(obj=1.0)
+            prob.add_var()
+            t = prob.add_var(obj=-1.0)
+            prob.add_lmi(np.diag([2.0, 5.0]),
+                         sp.csc_matrix(tuple(arrays), shape=(3, 2)))
+            prob.add_lmi(-np.eye(1), oracles.lmi_columns({t: np.eye(1)}, 1))
+            return prob
+
+        messy = problem([-1.0, 0.0, -1.0, 0.25, 0.25], [2, 1, 0, 1, 1],
+                        [0, 3, 5])
+        twin = problem([-1.0, -1.0, 0.5], [0, 2, 1], [0, 2, 3])
+        for prob in (messy, twin):
+            A = prob.lmis[0].columns
+            assert A.shape == (3, 2)
+            np.testing.assert_array_equal(A.indptr, [0, 2, 3])
+            np.testing.assert_array_equal(A.indices, [0, 2, 1])
+            np.testing.assert_array_equal(A.data, [-1.0, -1.0, 0.5])
+            padded = prob.compile_columns()[0]
+            assert padded.shape == (3, 3)
+            np.testing.assert_array_equal(padded.indptr, [0, 2, 3, 3])
+        a, b = solve(messy), solve(twin)
+        assert a.status is SdpStatus.OPTIMAL
+        np.testing.assert_array_equal(a.y, b.y)
+
     def test_residuals_report(self):
         prob = SdpProblem()
-        c = prob.add_var("c", obj=1.0)
+        c = prob.add_var(obj=1.0)
         prob.add_lmi(np.diag([2.0, 3.0]),
                      oracles.lmi_columns({c: -np.eye(2)}, 2))
         prob.add_lmi(np.array([[1.0]]),
