@@ -257,7 +257,6 @@ class CertifyResult:
     status: sdp.SdpStatus
     certificate: Certificate
     solution: sdp.SdpSolution
-    assembly: Assembly
 
 
 def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
@@ -277,8 +276,7 @@ def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
         delta=np.array([y[i] for i in asm.delta_indices]))
     connected = bool(sol.ok and cert.connected)
     return CertifyResult(connected=connected, c_star=c_star,
-                         status=sol.status, certificate=cert, solution=sol,
-                         assembly=asm)
+                         status=sol.status, certificate=cert, solution=sol)
 
 
 @dataclass
@@ -295,7 +293,6 @@ class VerifyReport:
     trace_error: float
     pencil_margin: float
     sampled_pencil_margin: float
-    n_samples: int
     failures: list[str] = field(default_factory=list)
 
 
@@ -389,7 +386,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                         min_eigenvalues=min_eigs, trace_error=trace_error,
                         pencil_margin=pencil_margin,
                         sampled_pencil_margin=sampled_pencil,
-                        n_samples=len(thetas), failures=failures)
+                        failures=failures)
 
 
 @dataclass

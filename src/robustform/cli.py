@@ -36,6 +36,8 @@ from .scenario import ScenarioSpec
 from .simulate import PreconditionError, run
 
 MANIFEST_FORMAT = "run-manifest/1"
+# check tests every corner of the uncertainty box: at most 2^16
+MAX_BOX_PARAMETERS = 16
 
 
 def _resolve_scenario_path(path: str) -> str:
@@ -69,31 +71,38 @@ def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
 
     If the region's defining polynomials are all strictly positive at a
     box corner, the region reaches the box boundary with margin and very
-    likely spills outside it."""
+    likely spills outside it.  Raises ValueError, naming
+    uncertainty.n_parameters, when there are more than 2^MAX_BOX_PARAMETERS
+    corners to test."""
     adj = spec.adjacency
     r = adj.r
     if r == 0 or not adj.omega:
         return []
-    issues = []
+    if r > MAX_BOX_PARAMETERS:
+        raise ValueError(
+            f"uncertainty.n_parameters: {r} parameters; check tests the "
+            f"2^r box corners for at most {MAX_BOX_PARAMETERS}")
     corners = np.array(np.meshgrid(
         *[np.array(b) for b in adj.box], indexing="ij")
     ).reshape(r, -1).T
-    for corner in corners:
-        vals = [float(s.eval_batch(corner[None, :])[0]) for s in adj.omega]
-        if all(v > 1e-9 for v in vals):
-            issues.append(
-                f"box corner {corner.tolist()} lies strictly inside the "
-                f"parameter region; the sampling box may truncate it")
-    return issues
+    inside = np.all([s.eval_batch(corners) > 1e-9 for s in adj.omega],
+                    axis=0)
+    return [f"box corner {corner.tolist()} lies strictly inside the "
+            f"parameter region; the sampling box may truncate it"
+            for corner in corners[inside]]
 
 
 def cmd_check(args) -> int:
-    _, spec = _load_scenario(args.scenario)
+    path, spec = _load_scenario(args.scenario)
+    try:
+        issues = _box_containment_issues(spec)
+    except ValueError as err:
+        print(f"error: {path}: {err}", file=sys.stderr)
+        return 2
     report = validate_assumptions(spec.tau, spec.formation, spec.positions,
                                   spec.geometry,
                                   overrides=spec.assumption_overrides)
     lines = report.summary_lines()
-    issues = _box_containment_issues(spec)
     print(f"scenario {spec.name}: {spec.n_agents} agents, "
           f"{np.count_nonzero(spec.formation)} formation edges, "
           f"{spec.adjacency.r} uncertain parameters")
@@ -280,164 +289,112 @@ def cmd_simulate(args) -> int:
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
+_W, _H = 640, 480                     # chart size
+_ML, _MR, _MT, _MB = 62, 16, 36, 46   # margins around the plot area
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB
+_TICKS = 5  # most tick intervals per axis
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-class _Chart:
-    """Line chart emitted as a minimal standalone SVG."""
+def _span(values: np.ndarray) -> tuple[float, float]:
+    """The padded range of one axis: the values' range (0..1 if there are
+    none, widened to 1 if it is flat) and 5 % on either side."""
+    lo, hi = (float(values.min()), float(values.max())) if values.size \
+        else (0.0, 1.0)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
 
-    W, H = 640, 480
-    ML, MR, MT, MB = 62, 16, 36, 46
-    TICKS = 5  # most tick intervals per axis
 
-    def __init__(self, title: str, xlabel: str, ylabel: str,
-                 equal_aspect: bool = False):
-        self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.equal_aspect = equal_aspect
-        self.series = []
-        self.hlines = []
-        self.points = []
+def _ticks(lo: float, hi: float) -> list[float]:
+    span = hi - lo
+    step = 10.0 ** math.floor(math.log10(span / _TICKS))
+    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+        if span / (step * mult) <= _TICKS:
+            step *= mult
+            break
+    ticks = []
+    v = math.ceil(lo / step) * step
+    while v <= hi + 1e-9 * span:
+        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        v += step
+    return ticks
 
-    def add_series(self, xs, ys, color: str, width: float):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        self.series.append((xs, ys, color, width))
 
-    def add_hline(self, y: float, color: str, label: str | None = None):
-        self.hlines.append((float(y), color, label))
+def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="{size}"{extra}>'
+            f'{body}</text>')
 
-    def add_point(self, x: float, y: float, color: str, radius: float):
-        self.points.append((float(x), float(y), color, radius))
 
-    def _ranges(self):
-        xs = [s[0] for s in self.series if s[0].size] + \
-            [np.array([p[0] for p in self.points])
-             if self.points else np.zeros(0)]
-        ys = [s[1] for s in self.series if s[1].size] + \
-            [np.array([p[1] for p in self.points])
-             if self.points else np.zeros(0)]
-        ys += [np.array([h[0]]) for h in self.hlines]
-        allx = np.concatenate([a for a in xs if a.size]) \
-            if any(a.size for a in xs) else np.array([0.0, 1.0])
-        ally = np.concatenate([a for a in ys if a.size]) \
-            if any(a.size for a in ys) else np.array([0.0, 1.0])
-        x0, x1 = float(allx.min()), float(allx.max())
-        y0, y1 = float(ally.min()), float(ally.max())
-        if x1 - x0 < 1e-12:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 - y0 < 1e-12:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-        padx, pady = 0.05 * (x1 - x0), 0.05 * (y1 - y0)
-        x0, x1 = x0 - padx, x1 + padx
-        y0, y1 = y0 - pady, y1 + pady
-        if self.equal_aspect:
-            pw = self.W - self.ML - self.MR
-            ph = self.H - self.MT - self.MB
-            sx = (x1 - x0) / pw
-            sy = (y1 - y0) / ph
-            s = max(sx, sy)
-            cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-            x0, x1 = cx - s * pw / 2, cx + s * pw / 2
-            y0, y1 = cy - s * ph / 2, cy + s * ph / 2
-        return x0, x1, y0, y1
+def _chart(title: str, xlabel: str, ylabel: str, series, points=(),
+           hline=None, equal_aspect: bool = False) -> str:
+    """A line chart as a minimal standalone SVG.  series are (xs, ys,
+    color, width): a polyline, or a dot if it has one point; points are
+    (x, y, color, radius) dots; hline is one dashed, labelled (y, color,
+    label) line.  equal_aspect gives both axes one scale."""
+    x0, x1 = _span(np.hstack([s[0] for s in series]
+                             + [p[0] for p in points]))
+    y0, y1 = _span(np.hstack([s[1] for s in series]
+                             + [p[1] for p in points]
+                             + ([hline[0]] if hline else [])))
+    if equal_aspect:
+        s = max((x1 - x0) / _PW, (y1 - y0) / _PH)
+        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+        x0, x1 = cx - s * _PW / 2, cx + s * _PW / 2
+        y0, y1 = cy - s * _PH / 2, cy + s * _PH / 2
 
-    def _ticks(self, lo: float, hi: float):
-        n = self.TICKS
-        span = hi - lo
-        step = 10.0 ** math.floor(math.log10(span / n))
-        for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-            if span / (step * mult) <= n:
-                step *= mult
-                break
-        first = math.ceil(lo / step) * step
-        ticks = []
-        v = first
-        while v <= hi + 1e-9 * span:
-            ticks.append(0.0 if abs(v) < 1e-12 * span else v)
-            v += step
-        return ticks
+    def X(x):
+        return _ML + (x - x0) / (x1 - x0) * _PW
 
-    def render(self) -> str:
-        x0, x1, y0, y1 = self._ranges()
-        pw = self.W - self.ML - self.MR
-        ph = self.H - self.MT - self.MB
+    def Y(y):
+        return _MT + (y1 - y) / (y1 - y0) * _PH
 
-        def X(x):
-            return self.ML + (x - x0) / (x1 - x0) * pw
-
-        def Y(y):
-            return self.MT + (y1 - y) / (y1 - y0) * ph
-
-        out = []
-        out.append(
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{self.W}" height="{self.H}" '
-            f'viewBox="0 0 {self.W} {self.H}">')
-        out.append(f'<rect width="{self.W}" height="{self.H}" '
-                   f'fill="#ffffff"/>')
-        out.append(
-            f'<text x="{self.W // 2}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">'
-            f'{self.title}</text>')
-        out.append(
-            f'<rect x="{self.ML}" y="{self.MT}" width="{pw}" '
-            f'height="{ph}" fill="none" stroke="#333333"/>')
-        for tx in self._ticks(x0, x1):
-            px = X(tx)
-            out.append(f'<line x1="{_fmt(px)}" y1="{self.MT + ph}" '
-                       f'x2="{_fmt(px)}" y2="{self.MT + ph + 4}" '
-                       f'stroke="#333333"/>')
-            out.append(f'<text x="{_fmt(px)}" y="{self.MT + ph + 18}" '
-                       f'text-anchor="middle" font-family="sans-serif" '
-                       f'font-size="11">{_fmt(tx)}</text>')
-        for ty in self._ticks(y0, y1):
-            py = Y(ty)
-            out.append(f'<line x1="{self.ML - 4}" y1="{_fmt(py)}" '
-                       f'x2="{self.ML}" y2="{_fmt(py)}" '
-                       f'stroke="#333333"/>')
-            out.append(f'<text x="{self.ML - 7}" y="{_fmt(py + 4)}" '
-                       f'text-anchor="end" font-family="sans-serif" '
-                       f'font-size="11">{_fmt(ty)}</text>')
-        out.append(
-            f'<text x="{self.ML + pw // 2}" y="{self.H - 8}" '
-            f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12">{self.xlabel}</text>')
-        out.append(
-            f'<text x="16" y="{self.MT + ph // 2}" '
-            f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 16 '
-            f'{self.MT + ph // 2})">{self.ylabel}</text>')
-        for yv, color, label in self.hlines:
-            py = Y(yv)
-            out.append(f'<line x1="{self.ML}" y1="{_fmt(py)}" '
-                       f'x2="{self.ML + pw}" y2="{_fmt(py)}" '
-                       f'stroke="{color}" stroke-dasharray="6,4"/>')
-            if label:
-                out.append(
-                    f'<text x="{self.ML + pw - 4}" y="{_fmt(py - 5)}" '
-                    f'text-anchor="end" font-family="sans-serif" '
-                    f'font-size="11" fill="{color}">{label}</text>')
-        for xs, ys, color, width in self.series:
-            if xs.size == 0:
-                continue
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+           f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+           f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
+           _text(_W // 2, 22, "middle", 15, title),
+           f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" '
+           f'fill="none" stroke="#333333"/>']
+    for tx in _ticks(x0, x1):
+        px = _fmt(X(tx))
+        out += [f'<line x1="{px}" y1="{_MT + _PH}" x2="{px}" '
+                f'y2="{_MT + _PH + 4}" stroke="#333333"/>',
+                _text(px, _MT + _PH + 18, "middle", 11, _fmt(tx))]
+    for ty in _ticks(y0, y1):
+        py = Y(ty)
+        out += [f'<line x1="{_ML - 4}" y1="{_fmt(py)}" x2="{_ML}" '
+                f'y2="{_fmt(py)}" stroke="#333333"/>',
+                _text(_ML - 7, _fmt(py + 4), "end", 11, _fmt(ty))]
+    mid = _MT + _PH // 2
+    out += [_text(_ML + _PW // 2, _H - 8, "middle", 12, xlabel),
+            _text(16, mid, "middle", 12, ylabel,
+                  f' transform="rotate(-90 16 {mid})"')]
+    if hline:
+        yv, color, label = hline
+        py = Y(yv)
+        out += [f'<line x1="{_ML}" y1="{_fmt(py)}" x2="{_ML + _PW}" '
+                f'y2="{_fmt(py)}" stroke="{color}" stroke-dasharray="6,4"/>',
+                _text(_ML + _PW - 4, _fmt(py - 5), "end", 11, label,
+                      f' fill="{color}"')]
+    for xs, ys, color, width in series:
+        if len(xs) == 1:
+            out.append(f'<circle cx="{_fmt(X(xs[0]))}" '
+                       f'cy="{_fmt(Y(ys[0]))}" r="2.5" fill="{color}"/>')
+        elif len(xs):
             pts = " ".join(f"{_fmt(X(a))},{_fmt(Y(b))}"
                            for a, b in zip(xs, ys))
-            if xs.size == 1:
-                a, b = float(xs[0]), float(ys[0])
-                out.append(f'<circle cx="{_fmt(X(a))}" cy="{_fmt(Y(b))}" '
-                           f'r="2.5" fill="{color}"/>')
-            else:
-                out.append(f'<polyline points="{pts}" fill="none" '
-                           f'stroke="{color}" '
-                           f'stroke-width="{_fmt(width)}"/>')
-        for x, y, color, radius in self.points:
-            out.append(f'<circle cx="{_fmt(X(x))}" cy="{_fmt(Y(y))}" '
-                       f'r="{_fmt(radius)}" fill="{color}"/>')
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+            out.append(f'<polyline points="{pts}" fill="none" '
+                       f'stroke="{color}" stroke-width="{_fmt(width)}"/>')
+    out += [f'<circle cx="{_fmt(X(x))}" cy="{_fmt(Y(y))}" '
+            f'r="{_fmt(radius)}" fill="{color}"/>'
+            for x, y, color, radius in points]
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def _read_run_dir(run_dir: Path):
@@ -495,37 +452,33 @@ def cmd_plot(args) -> int:
     # the first two coordinates; a one-coordinate run is drawn on y = 0
     xy = positions[..., :2]
     xy = np.pad(xy, ((0, 0), (0, 0), (0, 2 - xy.shape[2])))
-    chart = _Chart("Agent trajectories", "x", "y", equal_aspect=True)
-    for a in range(N):
-        color = _PALETTE[a % len(_PALETTE)]
-        chart.add_series(xy[:, a, 0], xy[:, a, 1], color, 1.2)
-        chart.add_point(xy[-1, a, 0], xy[-1, a, 1], color, 4.0)
-    for (i, j) in fe:
-        chart.add_series(xy[-1, [i, j], 0], xy[-1, [i, j], 1],
-                         "#999999", 0.8)
-    (run_dir / "trajectories.svg").write_text(chart.render())
-
+    colors = [_PALETTE[a % len(_PALETTE)] for a in range(N)]
     iu, ju = np.triu_indices(N, k=1)
-    chart = _Chart("Minimum pairwise distance", "t", "distance")
     dmin = np.array([float(np.min(pair_distances(p)[iu, ju]))
                      for p in positions])
-    chart.add_series(times, dmin, _PALETTE[0], 1.6)
-    chart.add_hline(d_s, "#d62728", f"d_s = {_fmt(d_s)}")
-    (run_dir / "min_distance.svg").write_text(chart.render())
-
-    chart = _Chart("Velocity disagreement", "t", "max |v_i - v_j|")
     vdis = np.array([float(np.max(pair_distances(v)))
                      for v in velocities])
-    chart.add_series(times, vdis, _PALETTE[1], 1.6)
-    (run_dir / "velocity_diff.svg").write_text(chart.render())
-
-    chart = _Chart("Composite energy", "t", "W")
-    if energy.shape[0]:
-        chart.add_series(energy[:, 0], energy[:, 1], _PALETTE[2], 1.6)
-    (run_dir / "energy.svg").write_text(chart.render())
-
-    for name in ("trajectories.svg", "min_distance.svg",
-                 "velocity_diff.svg", "energy.svg"):
+    charts = {
+        "trajectories.svg": _chart(
+            "Agent trajectories", "x", "y",
+            [(xy[:, a, 0], xy[:, a, 1], colors[a], 1.2) for a in range(N)]
+            + [(xy[-1, [i, j], 0], xy[-1, [i, j], 1], "#999999", 0.8)
+               for i, j in fe],
+            [(xy[-1, a, 0], xy[-1, a, 1], colors[a], 4.0) for a in range(N)],
+            equal_aspect=True),
+        "min_distance.svg": _chart(
+            "Minimum pairwise distance", "t", "distance",
+            [(times, dmin, _PALETTE[0], 1.6)],
+            hline=(d_s, "#d62728", f"d_s = {_fmt(d_s)}")),
+        "velocity_diff.svg": _chart(
+            "Velocity disagreement", "t", "max |v_i - v_j|",
+            [(times, vdis, _PALETTE[1], 1.6)]),
+        "energy.svg": _chart("Composite energy", "t", "W",
+                             [(energy[:, 0], energy[:, 1], _PALETTE[2], 1.6)]),
+    }
+    for name, svg in charts.items():
+        (run_dir / name).write_text(svg)
+    for name in charts:
         print(f"wrote {run_dir / name}")
     return 0
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .barrier import (BarrierParams, DomainViolation, PairArrays,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
-from .certifier import CONNECTIVITY_THRESHOLD, Certificate, certify
+from .certifier import (CONNECTIVITY_THRESHOLD, Certificate,
+                        CertifierError, certify, verify_certificate)
 from .netgraph import (TopologyState, pair_distances, update_edges,
                        validate_assumptions)
 from .scenario import ScenarioSpec, check_time_grid
@@ -126,8 +127,9 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     no certificate, a run that is not unsafe certifies the scenario
     itself.  Raises PreconditionError when the setup assumptions fail,
     when no positive connectivity certificate can be produced, or when the
-    supplied one is for another agent count or does not clear its
-    threshold, unless unsafe=True; and also when a formation pair is not
+    supplied one is for another agent count, does not clear its threshold
+    or fails its algebraic replay (verify_certificate without samples),
+    unless unsafe=True; and also when a formation pair is not
     closer than r_s or the barrier caps cannot be tuned.  Invariant
     violations do not raise: they stop the run and are reported on the
     result."""
@@ -164,6 +166,18 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                 f"formation pair ({i},{j}): desired distance {d:.6g} is "
                 f"not below r_s={geom.r_s}")
 
+    # the seed fixes the draw order: the run's theta, then the tuning
+    # samples; all weight matrices are then evaluated in one batch.  The
+    # draw comes before the certificate gate, which uses no randomness, so
+    # that a region too small to sample fails before any solve
+    thetas = adj.sample_omega(rng, 1) if adj.r > 0 else np.zeros((1, 0))
+    if scenario.barrier is None and adj.r > 0 \
+            and scenario.n_weight_samples > 0:
+        thetas = np.vstack(
+            [thetas, adj.sample_omega(rng, scenario.n_weight_samples)])
+    weights = adj.entries.eval_batch(thetas)
+    theta, G = thetas[0], weights[0]
+
     cert = certificate
     if cert is not None and not isinstance(cert, Certificate):
         raise TypeError(f"certificate must be a Certificate, got "
@@ -177,6 +191,13 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             raise PreconditionError(
                 f"certificate c_star={cert.c_star} does not clear its "
                 f"threshold {CONNECTIVITY_THRESHOLD}")
+        try:
+            failures = verify_certificate(cert, adj, n_samples=0).failures
+        except CertifierError as err:
+            failures = [str(err)]
+        if failures:
+            raise PreconditionError(
+                "certificate replay failed: " + "; ".join(failures))
     if cert is None and not unsafe:
         res = certify(adj)
         if not res.connected:
@@ -184,16 +205,6 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                 f"no positive connectivity certificate: status "
                 f"{res.status}, c_star={res.c_star}")
         cert = res.certificate
-
-    # the seed fixes the draw order: the run's theta, then the tuning
-    # samples; all weight matrices are then evaluated in one batch
-    thetas = adj.sample_omega(rng, 1) if adj.r > 0 else np.zeros((1, 0))
-    if scenario.barrier is None and adj.r > 0 \
-            and scenario.n_weight_samples > 0:
-        thetas = np.vstack(
-            [thetas, adj.sample_omega(rng, scenario.n_weight_samples)])
-    weights = adj.entries.eval_batch(thetas)
-    theta, G = thetas[0], weights[0]
 
     # the edges at start: the formation edges plus one hysteresis update
     dist = pair_distances(positions)

@@ -18,10 +18,12 @@ their formulas; the numeric Laplacian and the Gram expansion are written
 from theirs as well, and none of these shares code with the package.
 """
 
+import itertools
 import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize_scalar
 
 from robustform import sdp
 from robustform.certifier import gram_image
@@ -357,3 +359,93 @@ def assembly_columns(asm, region):
                                     np.concatenate(cols))),
             shape=(sdp.svec_dim(lmi.size), prob.n_vars)))
     return out
+
+
+def worst_lambda2(n_agents, uncertainty):
+    """The exact minimum of lambda2(theta), the second-smallest eigenvalue
+    of the Laplacian of W(theta), over the region of a scenario file's
+    uncertainty section (its term records), or None where it is not known.
+
+    Every weight must be affine in theta: then lambda2, a minimum of
+    x' L(theta) x over unit x orthogonal to 1, is concave, and its minimum
+    over a compact convex region lies at an extreme point.  The region must
+    be either the box itself (no region polynomial, or one ball that holds
+    the box) with at most 10 parameters, whose extreme points are its
+    vertices; or one ball a + b'theta - k |theta|^2 >= 0, k > 0, inside the
+    box, whose extreme points are its sphere: two points for one parameter,
+    a circle for two, searched on a 4096-angle grid and refined by a
+    bounded 1-D search around the three lowest grid minima."""
+    r = uncertainty["n_parameters"]
+    box = np.array(uncertainty["box"], dtype=float).reshape(r, 2)
+    A = np.zeros((r + 1, n_agents, n_agents))  # W = A[0] + sum theta_k A[k]
+    for rec in uncertainty["weights"]:
+        for term in rec["terms"]:
+            e = term["exponents"]
+            if sum(e) > 1:
+                return None
+            k = 1 + e.index(1) if sum(e) else 0
+            A[k, rec["i"], rec["j"]] += term["coeff"]
+            A[k, rec["j"], rec["i"]] += term["coeff"]
+
+    def lambda2(thetas):
+        W = A[0] + np.tensordot(thetas, A[1:], axes=1)
+        L = np.eye(n_agents) * W.sum(-1)[..., None] - W
+        return np.linalg.eigvalsh(L)[:, 1]
+
+    def on_vertices():
+        if r > 10:
+            return None
+        vertices = np.array(list(itertools.product(*box))).reshape(2 ** r, r)
+        return float(lambda2(vertices).min())
+
+    region = uncertainty["region"]
+    if not region:
+        return on_vertices()
+    if len(region) > 1 or r == 0:
+        return None
+    # a + b'theta - k |theta|^2 = k (rho^2 - |theta - c|^2), c = b / 2k
+    a, b, quad = 0.0, np.zeros(r), np.zeros((r, r))
+    for term in region[0]["terms"]:
+        e, coeff = term["exponents"], term["coeff"]
+        if sum(e) == 0:
+            a += coeff
+        elif sum(e) == 1:
+            b[e.index(1)] += coeff
+        elif sum(e) == 2:
+            i, j = [q for q, power in enumerate(e) for _ in range(power)]
+            quad[i, j] += coeff
+        else:
+            return None
+    k = -quad[0, 0]
+    if not (k > 0 and np.array_equal(quad, -k * np.eye(r))):
+        return None
+    c = b / (2 * k)
+    rho2 = a / k + c @ c
+    if rho2 <= 0:
+        return None
+    if np.sum(np.max((box - c[:, None]) ** 2, axis=1)) <= rho2:
+        return on_vertices()  # every vertex lies in the ball
+    rho = math.sqrt(rho2)
+    if np.any(c - rho < box[:, 0]) or np.any(c + rho > box[:, 1]):
+        return None
+    if r == 1:
+        return float(lambda2(np.array([c - rho, c + rho])).min())
+    if r != 2:
+        return None
+
+    def on_circle(phi):
+        phi = np.atleast_1d(phi)
+        return lambda2(c + rho * np.stack([np.cos(phi), np.sin(phi)], 1))
+
+    n = 4096
+    h = 2 * math.pi / n
+    phi = h * np.arange(n)
+    v = on_circle(phi)
+    minima = np.flatnonzero((v < np.roll(v, 1)) & (v <= np.roll(v, -1)))
+    best = float(v.min())
+    for m in minima[np.argsort(v[minima])][:3]:
+        res = minimize_scalar(lambda t: float(on_circle(t)[0]),
+                              bounds=(phi[m] - h, phi[m] + h),
+                              method="bounded", options={"xatol": 1e-12})
+        best = min(best, float(res.fun))
+    return best

@@ -130,6 +130,16 @@ def test_gram_roundtrip_on_500_random_forms_and_null_bases_vanish():
     assert time.perf_counter() - t0 < 30.0
 
 
+def _records(adj):
+    """The uncertainty section of a scenario file for adj: its box and the
+    term records of its region and its weights."""
+    return {"n_parameters": adj.r, "box": [list(b) for b in adj.box],
+            "region": [{"terms": g.to_records()} for g in adj.omega],
+            "weights": [{"i": i, "j": j,
+                         "terms": adj.entries.entry(i, j).to_records()}
+                        for i in range(adj.N) for j in range(i + 1, adj.N)]}
+
+
 def _constant_adjacency(W):
     N = W.shape[0]
     M = MatrixPolynomial.zeros(N, N, 0)
@@ -145,7 +155,11 @@ def _constant_adjacency(W):
 def test_certificate_verdict_matches_eigenvalue_oracle_on_200_graphs():
     # fixed weights: a positive certificate must appear exactly when the
     # second Laplacian eigenvalue is clearly positive, for connected and
-    # disconnected graphs alike
+    # disconnected graphs alike, and the bound c* s / 2 must not exceed
+    # the exact worst case.  c* is a floating-point solver value: on one
+    # disconnected graph (k = 181) it is 1.1e-24 over the exact 0, hence
+    # the 1e-12 slack
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     disagreements = []
@@ -165,7 +179,11 @@ def test_certificate_verdict_matches_eigenvalue_oracle_on_200_graphs():
         lam2 = float(np.linalg.eigvalsh(L)[1])
         oracle = lam2 > 1e-3
         n_connected += oracle
-        res = certify(_constant_adjacency(W))
+        adj = _constant_adjacency(W)
+        worst = oracles.worst_lambda2(N, _records(adj))
+        assert abs(worst - lam2) <= 1e-12
+        res = certify(adj)
+        assert res.certificate.c_star * (N - 1) / 2.0 <= worst + 1e-12
         verdict = res.solution.ok and res.certificate.c_star > 1e-6
         if verdict != oracle:
             disagreements.append((k, N, lam2, res.certificate.c_star))
@@ -185,10 +203,11 @@ def _disk_adjacency(N, edges):
 
 def test_disk_uncertainty_certificates_are_sound():
     # 20 two-parameter scenarios on the unit disk: every positive verdict
-    # must be confirmed by dense eigenvalue sampling, its certified lambda2
-    # bound c* s / 2 must lie at or below the sampled minimum, and graphs
-    # that can disconnect somewhere on the disk must never get a positive
-    # verdict
+    # must be confirmed by dense eigenvalue sampling, the certified lambda2
+    # bound c* s / 2 must lie at or below the exact worst case, which lies
+    # at or below the sampled minimum, and graphs that can disconnect
+    # somewhere on the disk (their vanishing weight is not affine, so the
+    # worst case is not known exactly) must never get a positive verdict
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
 
@@ -221,15 +240,17 @@ def test_disk_uncertainty_certificates_are_sound():
     for kind, adj in scenarios:
         res = certify(adj)
         positive = res.solution.ok and res.certificate.c_star > 1e-6
+        worst = oracles.worst_lambda2(adj.N, _records(adj))
+        if kind == "breakable":
+            assert not positive and worst is None
+            n_breakable_rejected += 1
+            continue
+        assert res.certificate.c_star * (adj.N - 1) / 2.0 <= worst
         if positive:
             samp = sample_lambda2(adj, 10000, seed=5)
             assert len(samp.values) == 10000
             assert samp.min_value > 0.0
-            assert res.certificate.c_star * (adj.N - 1) / 2.0 \
-                <= samp.min_value
-        if kind == "breakable":
-            assert not positive
-            n_breakable_rejected += 1
+            assert worst <= samp.min_value
     assert n_breakable_rejected >= 3
     assert time.perf_counter() - t0 < 300.0
 
@@ -303,6 +324,20 @@ def test_hexagon_swarm_ten_seeds_stay_safe_and_converge():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.parametrize("name, exact", [("six_agent", 5.180214769),
+                                         ("adversarial", 0.1)])
+def test_shipped_bound_lies_below_the_exact_worst_case(name, exact):
+    # six_agent's worst case lies on the unit circle; adversarial has one
+    # constant weight 0.05 between two agents
+    spec = ScenarioSpec.load(builtin_path(name))
+    doc = json.loads(builtin_path(name).read_text())
+    worst = oracles.worst_lambda2(spec.n_agents, doc["uncertainty"])
+    assert abs(worst - exact) <= 1e-9
+    assert certify(spec.adjacency).c_star * (spec.n_agents - 1) / 2.0 \
+        <= worst
+    assert worst <= sample_lambda2(spec.adjacency, 10000, seed=0).min_value
+
+
 def test_fifty_agent_ring_completes_with_invariants_intact():
     t0 = time.perf_counter()
     spec = ScenarioSpec.load(builtin_path("fifty_agent"))
@@ -311,6 +346,14 @@ def test_fifty_agent_ring_completes_with_invariants_intact():
     assert res.metrics["min_distance"] > spec.geometry.d_s
     assert res.metrics["max_energy_drift"] <= 1e-4 * spec.dt
     assert res.metrics["t_final"] >= spec.T_end - spec.dt
+    # the bound of the certificate the run made lies below the exact
+    # worst case, at the vertices theta = -1 and 1, and so does every
+    # sampled lambda2
+    doc = json.loads(builtin_path("fifty_agent").read_text())
+    worst = oracles.worst_lambda2(spec.n_agents, doc["uncertainty"])
+    assert abs(worst - 0.014889483088) <= 1e-12
+    assert res.cert.c_star * (spec.n_agents - 1) / 2.0 <= worst
+    assert worst <= sample_lambda2(spec.adjacency, 10000, seed=0).min_value
     assert time.perf_counter() - t0 < 600.0
 
 

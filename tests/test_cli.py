@@ -5,7 +5,11 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import robustform
 from robustform.certifier import Certificate, certify, verify_certificate
 from robustform.cli import main
 from robustform.netgraph import UncertainAdjacency
@@ -63,6 +68,54 @@ def test_check_names_violating_pair(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "A1: FAIL" in out
     assert "(0,1)" in out
+
+
+def test_check_reports_box_corners_inside_the_region(tmp_path, capsys):
+    # the region 3 - t1^2 - t2^2 >= 0 holds strictly at all four corners
+    # of the box [-1, 1]^2, listed in meshgrid order
+    doc = json.loads(builtin_path("six_agent").read_text())
+    doc["uncertainty"]["region"][0]["terms"][2]["coeff"] = 3.0
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 1
+    corners = ["[-1.0, -1.0]", "[-1.0, 1.0]", "[1.0, -1.0]", "[1.0, 1.0]"]
+    assert capsys.readouterr().out.splitlines() == [
+        "scenario six_agent: 6 agents, 6 formation edges, "
+        "2 uncertain parameters", "A1: PASS", "A2: PASS", "A3: PASS"] + [
+        f"box: box corner {c} lies strictly inside the parameter region; "
+        f"the sampling box may truncate it" for c in corners] + [
+        "check: FAILED"]
+
+
+def test_check_many_parameters_exits_2_without_a_traceback(tmp_path):
+    # six_agent over 30 parameters: 2^30 box corners would take 8 GiB, so
+    # the child runs under a 3 GiB address-space limit
+    doc = json.loads(builtin_path("six_agent").read_text())
+    unc = doc["uncertainty"]
+    r = 30
+    unc["n_parameters"] = r
+    unc["box"] = [[-1.0, 1.0]] * r
+    for rec in unc["weights"] + unc["region"]:
+        for term in rec["terms"]:
+            term["exponents"] += [0] * (r - 2)
+    p = tmp_path / "many.json"
+    p.write_text(json.dumps(doc))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    path = [str(Path(robustform.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustform.cli", "check", str(p)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: {p}: uncertainty.n_parameters: 30 "
+                           f"parameters; check tests the 2^r box corners "
+                           f"for at most 16\n")
+    assert proc.stdout == ""
 
 
 def test_check_malformed_file_exits_2(tmp_path, capsys):
@@ -667,14 +720,19 @@ def test_simulate_barrier_setup_failure_is_a_precondition(
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("command", ["certify", "simulate"])
-def test_region_too_small_to_sample_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, constant", [
+    ("certify", 1e-6), ("simulate", 1e-6),
+    ("certify", -1.0), ("simulate", -1.0)],
+    ids=["certify", "simulate", "certify-empty", "simulate-empty"])
+def test_region_too_small_to_sample_exits_2(tmp_path, capsys, command,
+                                            constant):
     # radius^2 1e-6 inside the box [-1, 1]^2: rejection sampling finds
-    # (almost) no point of the region
+    # (almost) no point of the region; radius^2 -1: the region is empty,
+    # and simulate draws its theta before it would certify
     doc = json.loads(builtin_path("six_agent").read_text())
     terms = doc["uncertainty"]["region"][0]["terms"]
     assert terms[2] == {"exponents": [0, 0], "coeff": 1.0}
-    terms[2]["coeff"] = 1e-6
+    terms[2]["coeff"] = constant
     p = tmp_path / "tiny.json"
     p.write_text(json.dumps(doc))
     assert run_cli(command, str(p), "--out", str(tmp_path / "out")) == 2

@@ -4,7 +4,8 @@ Every module-level function and every method other than a dunder that
 src/robustform defines must be named somewhere in src/ or bench/ outside
 its own definition: as a name, an attribute, an import or an identifier
 string (bench/tracer.py names what it wraps in strings).  A name that only
-the tests use belongs in the tests."""
+the tests use belongs in the tests.  Every field of a package dataclass
+must be read somewhere in src/, bench/ or tests/."""
 
 import ast
 from pathlib import Path
@@ -119,3 +120,35 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
                        ast.parse(path.read_text(), str(path)))
                    if not is_set(callee, param, position))
     assert unset == []
+
+
+def dataclass_fields(tree):
+    """(qualified name, name) of the annotated fields of the module-level
+    dataclasses the tree defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and "dataclass" in {
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                for d in node.decorator_list}:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read where an attribute of its name is loaded or
+    # an identifier string names it, in the package, the benchmark or the
+    # tests; a field that nothing reads is a record of nothing
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in SOURCES + sorted((ROOT / "tests").glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)} | {
+        node.value for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier()}
+    unread = sorted(qual for path in PACKAGE
+                    for qual, name in dataclass_fields(
+                        ast.parse(path.read_text(), str(path)))
+                    if name not in read)
+    assert unread == []
