@@ -148,10 +148,11 @@ class PairArrays:
         fi, fj = self.fi, self.fj = np.nonzero(topo.formation)
         zi, zj = self.zi, self.zj = np.nonzero(zone)
         ei, ej = self.ei, self.ej = np.nonzero(topo.edges)
-        self.r_hat = geom.r_s - np.linalg.norm(tau[fi] - tau[fj], axis=1)
+        d_tau = pair_distances(tau)
+        self.r_hat = geom.r_s - d_tau[fi, fj]
         if (self.r_hat <= 0).any():
             raise ValueError(f"r_hat_s must be positive, got {self.r_hat}")
-        self.z_tn = np.linalg.norm(tau[zi] - tau[zj], axis=1)
+        self.z_tn = d_tau[zi, zj]
         self.w = np.asarray(G, dtype=float)[ei, ej]
         # formation and edge pairs both read y: one gather for the two
         self.yi, self.yj = np.concatenate([fi, ei]), np.concatenate([fj, ej])

@@ -252,31 +252,44 @@ class Certificate:
 
 @dataclass
 class CertifyResult:
-    connected: bool
-    c_star: float
-    status: sdp.SdpStatus
     certificate: Certificate
     solution: sdp.SdpSolution
+    refusals: list[str]
+
+    @property
+    def connected(self) -> bool:
+        return not self.refusals
 
 
 def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
     """Solve the certification problem for an uncertain adjacency.
 
-    connected is True only when the solver converged and the certified
-    bound clears the threshold; any other outcome is inconclusive, never a
-    disconnection proof."""
+    A failed solve is one refusal, made without a replay; else the refusals
+    are those of the certificate.  Inconclusive never proves disconnection."""
     asm = assemble(adj)
     sol = sdp.solve(asm.problem, tol=tol)
     y = sol.y
-    c_star = float(y[asm.c_index])
     cert = Certificate(
-        n_agents=adj.N, r=asm.r, plan=asm.plan, c_star=c_star,
+        n_agents=adj.N, r=asm.r, plan=asm.plan, c_star=float(y[asm.c_index]),
         P_bar=np.eye(asm.s) / asm.s,
         R_bars=[v.value(y) for v in asm.r_vars],
         delta=np.array([y[i] for i in asm.delta_indices]))
-    connected = bool(sol.ok and cert.connected)
-    return CertifyResult(connected=connected, c_star=c_star,
-                         status=sol.status, certificate=cert, solution=sol)
+    return CertifyResult(cert, sol, refusals(cert, adj) if sol.ok else [
+        f"solver status {sol.status}, c_star={cert.c_star}"])
+
+
+def refusals(cert: Certificate, adj: UncertainAdjacency) -> list[str]:
+    """Why cert does not prove adj connected, [] when it does: the one gate
+    of the certify verdict and of every run.  In order: a c* that does not
+    clear CONNECTIVITY_THRESHOLD, the CertifierError of a certificate that
+    does not fit adj, the failures of verify_certificate without samples."""
+    reasons = [] if cert.connected else [
+        f"c_star={cert.c_star} does not clear its threshold "
+        f"{CONNECTIVITY_THRESHOLD}"]
+    try:
+        return reasons + verify_certificate(cert, adj, n_samples=0).failures
+    except CertifierError as err:
+        return reasons + [str(err)]
 
 
 @dataclass

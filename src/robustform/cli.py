@@ -3,7 +3,7 @@
 Exit codes form the machine-readable half of the contract:
 
   check     0 assumptions pass, 1 violated, 2 parse error
-  certify   0 certified and sampling agrees, 1 inconclusive,
+  certify   0 certified, replayed and sampling agrees, 1 inconclusive,
             2 parse error, 3 solver failure
   simulate  0 clean run, 1 precondition or convergence failure,
             2 parse error, 4 invariant violation, 5 barrier domain
@@ -127,9 +127,9 @@ def cmd_certify(args) -> int:
         return 2
     res = certify(adj, tol=args.tol)
     if not res.solution.ok:
-        print(f"solver failure: {res.status}")
+        print(f"solver failure: {res.solution.status}")
         return 3
-    print(f"c_star = {res.c_star:.9g}")
+    print(f"c_star = {res.certificate.c_star:.9g}")
     print(f"degree plan: d_H={res.certificate.plan.d_H} "
           f"d_R={list(res.certificate.plan.d_R)}")
     print(f"sampled min lambda2 = {samples.min_value:.9g} "
@@ -140,6 +140,8 @@ def cmd_certify(args) -> int:
     if res.connected and samples.min_value > 0.0:
         print("certify: CONNECTED")
         return 0
+    for reason in res.refusals:
+        print(f"refused: {reason}")
     print("certify: INCONCLUSIVE")
     return 1
 

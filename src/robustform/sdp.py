@@ -222,9 +222,9 @@ def residuals(problem: SdpProblem, y: np.ndarray) -> dict:
     """Feasibility of a candidate point, straight from the problem data.
 
     Returns min eigenvalue per LMI block and the objective value.  Each
-    block is evaluated by `LmiBlock.value` from its stored columns, not
-    through the solver's compiled columns or iterates: this is the tests'
-    evaluator (certificates replay through gram_image)."""
+    block is evaluated by `LmiBlock.value` from its stored columns, the
+    evaluator the solver uses too, at y rather than at the solver's
+    iterates (certificates replay through gram_image)."""
     y = np.asarray(y, dtype=float)
     mins = []
     for blk in problem.lmis:
@@ -441,17 +441,13 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
               for A, n in zip(A_list, sizes)]
     n_tot = sum(sizes)
 
-    def lmi_at(k, yv):
-        return consts[k] + smat(np.asarray(A_list[k] @ yv).ravel(), sizes[k])
-
     # Infeasible start: y = 0, identity-scaled S and Z.
     y = np.zeros(n_vars)
     S, Z = [], []
-    for k, n in enumerate(sizes):
-        M0 = lmi_at(k, y)
-        zeta = max(1.0, float(np.linalg.norm(M0, 2)))
-        S.append(zeta * np.eye(n))
-        Z.append(np.eye(n))
+    for blk in problem.lmis:
+        zeta = max(1.0, float(np.linalg.norm(blk.value(y), 2)))
+        S.append(zeta * np.eye(blk.size))
+        Z.append(np.eye(blk.size))
 
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     msg = ""
@@ -465,7 +461,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
     since_best = 0
 
     for it in range(1, MAX_ITERATIONS + 1):
-        res_d = [lmi_at(k, y) - S[k] for k in range(len(sizes))]
+        res_d = [blk.value(y) - Sk for blk, Sk in zip(problem.lmis, S)]
         r_g = -b
         for A, Zk in zip(A_list, Z):
             r_g = r_g - A.T @ svec(Zk)
@@ -582,8 +578,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
         status = SdpStatus.NEAR_OPTIMAL
         msg = (f"stopped at the best iterate; criteria met within "
                f"{best_merit / tol:.1f}x tol")
-    mins = [float(np.linalg.eigvalsh(lmi_at(k, y))[0])
-            for k in range(len(sizes))]
+    mins = [float(np.linalg.eigvalsh(blk.value(y))[0])
+            for blk in problem.lmis]
     gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
     if status is SdpStatus.MAX_ITER:
         msg = f"no convergence within {MAX_ITERATIONS} iterations"

@@ -23,8 +23,7 @@ import numpy as np
 
 from .barrier import (BarrierParams, DomainViolation, PairArrays,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
-from .certifier import (CONNECTIVITY_THRESHOLD, Certificate,
-                        CertifierError, certify, verify_certificate)
+from .certifier import Certificate, certify, refusals
 from .netgraph import (TopologyState, pair_distances, update_edges,
                        validate_assumptions)
 from .scenario import ScenarioSpec, check_time_grid
@@ -125,14 +124,12 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     Raises ValueError naming a bad dt or T_end (the rules of the scenario
     fields, except that T_end = 0 records the initial state only).  Given
     no certificate, a run that is not unsafe certifies the scenario
-    itself.  Raises PreconditionError when the setup assumptions fail,
-    when no positive connectivity certificate can be produced, or when the
-    supplied one is for another agent count, does not clear its threshold
-    or fails its algebraic replay (verify_certificate without samples),
-    unless unsafe=True; and also when a formation pair is not
-    closer than r_s or the barrier caps cannot be tuned.  Invariant
-    violations do not raise: they stop the run and are reported on the
-    result."""
+    itself.  Raises PreconditionError when the setup assumptions fail or
+    when the certificate, supplied or made, has refusals
+    (certifier.refusals), unless unsafe=True; and also when a formation
+    pair is not closer than r_s or the barrier caps cannot be tuned.
+    Invariant violations do not raise: they stop the run and are reported
+    on the result."""
     geom = scenario.geometry
     adj = scenario.adjacency
     tau = scenario.tau
@@ -182,29 +179,15 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     if cert is not None and not isinstance(cert, Certificate):
         raise TypeError(f"certificate must be a Certificate, got "
                         f"{type(cert).__name__}")
-    if cert is not None and not unsafe:
-        if cert.n_agents != N:
+    if not unsafe:
+        if cert is None:
+            res = certify(adj)
+            cert, reasons = res.certificate, res.refusals
+        else:
+            reasons = refusals(cert, adj)
+        if reasons:
             raise PreconditionError(
-                f"certificate is for {cert.n_agents} agents, scenario has "
-                f"{N}")
-        if not cert.connected:
-            raise PreconditionError(
-                f"certificate c_star={cert.c_star} does not clear its "
-                f"threshold {CONNECTIVITY_THRESHOLD}")
-        try:
-            failures = verify_certificate(cert, adj, n_samples=0).failures
-        except CertifierError as err:
-            failures = [str(err)]
-        if failures:
-            raise PreconditionError(
-                "certificate replay failed: " + "; ".join(failures))
-    if cert is None and not unsafe:
-        res = certify(adj)
-        if not res.connected:
-            raise PreconditionError(
-                f"no positive connectivity certificate: status "
-                f"{res.status}, c_star={res.c_star}")
-        cert = res.certificate
+                "no connectivity certificate: " + "; ".join(reasons))
 
     # the edges at start: the formation edges plus one hysteresis update
     dist = pair_distances(positions)

@@ -333,8 +333,8 @@ def test_shipped_bound_lies_below_the_exact_worst_case(name, exact):
     doc = json.loads(builtin_path(name).read_text())
     worst = oracles.worst_lambda2(spec.n_agents, doc["uncertainty"])
     assert abs(worst - exact) <= 1e-9
-    assert certify(spec.adjacency).c_star * (spec.n_agents - 1) / 2.0 \
-        <= worst
+    c_star = certify(spec.adjacency).certificate.c_star
+    assert c_star * (spec.n_agents - 1) / 2.0 <= worst
     assert worst <= sample_lambda2(spec.adjacency, 10000, seed=0).min_value
 
 

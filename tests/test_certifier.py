@@ -166,7 +166,7 @@ def test_single_unit_edge():
     res = certify(adj)
     assert res.solution.ok
     assert res.connected
-    assert res.c_star == pytest.approx(4.0, abs=1e-7)
+    assert res.certificate.c_star == pytest.approx(4.0, abs=1e-7)
     np.testing.assert_allclose(res.certificate.P_bar, [[1.0]], atol=1e-7)
 
 
@@ -179,7 +179,7 @@ def test_path_three_vertices():
     # 2 lambda_2 / s with s = 2: the Laplacian's spectrum is 0, 1, 3
     lam2 = float(np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1])
     assert lam2 == pytest.approx(1.0, abs=1e-12)
-    assert res.c_star == pytest.approx(2.0 * lam2 / 2, abs=1e-6)
+    assert res.certificate.c_star == pytest.approx(2.0 * lam2 / 2, abs=1e-6)
 
 
 def test_edge_affine_weight_certifies_at_one():
@@ -188,7 +188,7 @@ def test_edge_affine_weight_certifies_at_one():
                                 [unit_disk(1)], [(-1.0, 1.0)])
     res = certify(adj)
     assert res.connected
-    assert res.c_star == pytest.approx(1.0, abs=1e-6)
+    assert res.certificate.c_star == pytest.approx(1.0, abs=1e-6)
     rep = verify_certificate(res.certificate, adj, n_samples=500, seed=3)
     assert rep.ok, rep.failures
 
@@ -200,7 +200,7 @@ def test_edge_weight_vanishing_inside_region():
     res = certify(adj)
     assert res.solution.ok
     assert not res.connected
-    assert res.c_star == pytest.approx(-2.0, abs=1e-6)
+    assert res.certificate.c_star == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_disconnected_pair_of_edges():
@@ -210,7 +210,7 @@ def test_disconnected_pair_of_edges():
     res = certify(const_adjacency(W))
     assert res.solution.ok
     assert not res.connected
-    assert abs(res.c_star) <= 1e-6
+    assert abs(res.certificate.c_star) <= 1e-6
 
 
 def test_verdict_matches_eigenvalues_on_random_graphs():
@@ -238,7 +238,8 @@ def test_verdict_matches_eigenvalues_on_random_graphs():
         res = certify(const_adjacency(W))
         assert res.solution.ok
         assert res.connected == (lam2 > 1e-3), \
-            f"trial {trial}: c*={res.c_star:.3e}, lambda2={lam2:.3e}"
+            f"trial {trial}: c*={res.certificate.c_star:.3e}, " \
+            f"lambda2={lam2:.3e}"
 
 
 def test_two_parameter_triangle():
@@ -269,18 +270,25 @@ def certified_edge():
 
 
 def test_certificate_json_roundtrip(tmp_path):
-    adj, res = certified_edge()
-    path = tmp_path / "cert.json"
-    res.certificate.save(path)
-    doc = json.loads(path.read_text())
-    assert doc["degree_plan"]["d_P"] == 0
-    loaded = Certificate.load(path)
-    assert loaded.c_star == res.certificate.c_star
-    assert loaded.plan == res.certificate.plan
-    np.testing.assert_array_equal(loaded.P_bar, res.certificate.P_bar)
-    np.testing.assert_array_equal(loaded.delta, res.certificate.delta)
-    rep = verify_certificate(loaded, adj, n_samples=200, seed=0)
-    assert rep.ok, rep.failures
+    # the gate replays the certificate in memory; the file must hold the
+    # same bits, for one parameter on an interval and for six_agent's two
+    # parameters on a disk
+    six = ScenarioSpec.load(builtin_path("six_agent")).adjacency
+    for k, (adj, res) in enumerate([certified_edge(), (six, certify(six))]):
+        cert = res.certificate
+        path = tmp_path / f"cert{k}.json"
+        cert.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["degree_plan"]["d_P"] == 0
+        loaded = Certificate.load(path)
+        assert loaded.c_star == cert.c_star
+        assert loaded.plan == cert.plan
+        assert len(loaded.R_bars) == len(cert.R_bars) == len(adj.omega)
+        for a, b in zip([loaded.P_bar, loaded.delta, *loaded.R_bars],
+                        [cert.P_bar, cert.delta, *cert.R_bars]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        rep = verify_certificate(loaded, adj, n_samples=200, seed=0)
+        assert rep.ok, rep.failures
 
 
 def test_certificate_rejects_unknown_format():

@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 import oracles
 import robustform
+from robustform import certifier
 from robustform.certifier import Certificate, certify, verify_certificate
 from robustform.cli import main
 from robustform.netgraph import UncertainAdjacency
 from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
+from robustform.simulate import PreconditionError, run
 from robustform.netgraph import AgentGeometry
 
 
@@ -470,7 +472,8 @@ def test_certify_and_simulate_large_weights(tmp_path, capsys):
     assert "Traceback" not in captured.err
     cert = Certificate.load(out)
     base = certify(ScenarioSpec.load(builtin_path("six_agent")).adjacency)
-    assert cert.c_star == pytest.approx(1e4 * base.c_star, rel=1e-8)
+    assert cert.c_star == pytest.approx(1e4 * base.certificate.c_star,
+                                        rel=1e-8)
     adj = ScenarioSpec.load(p).adjacency
     rep = verify_certificate(cert, adj, n_samples=500, seed=0)
     assert rep.ok, rep.failures
@@ -497,6 +500,30 @@ def test_certify_disconnected_inconclusive(tmp_path, capsys):
                    "--out", str(tmp_path / "c.json"))
     assert code == 1
     assert capsys.readouterr().out.endswith("certify: INCONCLUSIVE\n")
+
+
+def test_certificate_failing_its_replay_is_refused(tmp_path, capsys,
+                                                   monkeypatch):
+    # c* raised by 1 after the solve: the stored matrices no longer prove
+    # the bound, so neither the certify verdict nor a run may trust them
+    solve = certifier.sdp.solve
+
+    def raised(problem, **kwargs):
+        sol = solve(problem, **kwargs)
+        sol.y[0] += 1.0  # c, the first variable assemble adds
+        return sol
+
+    monkeypatch.setattr(certifier.sdp, "solve", raised)
+    assert run_cli("certify", "six_agent", "--samples", "500",
+                   "--out", str(tmp_path / "c.json")) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"\ncertificate written to [^\n]*\n"
+                     r"refused: Gram identity violated: pencil block "
+                     r"eigenvalue -[0-9.e+-]+\ncertify: INCONCLUSIVE\n$",
+                     out), out
+    with pytest.raises(PreconditionError, match="^no connectivity "
+                       "certificate: Gram identity violated: "):
+        run(ScenarioSpec.load(builtin_path("six_agent")), T_end=0.1)
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "1.5", "many"])

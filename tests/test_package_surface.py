@@ -152,3 +152,19 @@ def test_every_dataclass_field_is_read():
                         ast.parse(path.read_text(), str(path)))
                     if name not in read)
     assert unread == []
+
+
+# the names through which a certificate is replayed or judged
+GATE_NAMES = {"verify_certificate", "CONNECTIVITY_THRESHOLD", "PSD_TOL",
+              "SAMPLE_TOL"}
+
+
+def test_only_the_certifier_names_the_replay_and_its_tolerances():
+    # certifier.refusals is the one gate of the certify verdict and of a
+    # run: no other module replays a certificate or weighs it against a
+    # threshold of its own
+    naming = sorted(f"{path.name}: {name}" for path in PACKAGE
+                    if path.name != "certifier.py"
+                    for name in GATE_NAMES & set(named(ast.parse(
+                        path.read_text(), str(path)))))
+    assert naming == []

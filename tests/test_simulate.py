@@ -313,7 +313,7 @@ FIFTY_CERT = Path(__file__).parents[1] / "bench" / \
 
 
 @pytest.mark.parametrize("scenario, c_star, message", [
-    ("six_agent", None, "certificate is for 50 agents, scenario has 6"),
+    ("six_agent", None, "certificate is for 50 agents, adjacency has 6"),
     ("fifty_agent", 5e-7, "does not clear its threshold 1e-06"),
     ("fifty_agent", 123.0, "Gram identity violated")])
 def test_run_refuses_a_certificate_that_does_not_fit(scenario, c_star,
