@@ -38,10 +38,6 @@ from .smr import PowerVector, _positions, gram_base, gram_expand, \
 # the outcome is treated as inconclusive rather than as a disconnection proof.
 CONNECTIVITY_THRESHOLD = 1e-6
 
-# Sample points evaluated and eigendecomposed, or multiplier columns built
-# by `assemble`, per batched call.
-SAMPLE_CHUNK = 256
-
 # verify_certificate's tolerances on the replayed and the sampled eigenvalues
 PSD_TOL = 1e-6
 SAMPLE_TOL = 1e-6
@@ -173,10 +169,11 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
                         phi_H, s, pos_H)
     # one svec column per variable, in variable order: c, the R_i, delta
     columns = [sparse.csc_array(-sdp.svec(np.eye(size_H))[:, None])]
+    length = sdp.batch_length(size_H, size_H)
     for g, var, pv in zip(adj.omega, r_vars, phi_R):
         m = len(var.indices)
-        for lo in range(0, m, SAMPLE_CHUNK):
-            units = np.eye(min(SAMPLE_CHUNK, m - lo), m, lo)
+        for lo in range(0, m, length):
+            units = np.eye(min(length, m - lo), m, lo)
             G = gram_image(sdp.smat(units, var.size), pv, g.terms, phi_H,
                            s, pos_H)
             columns.append(sparse.csc_array(-sdp.svec(G).T))
@@ -375,18 +372,19 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
     # Pointwise route: evaluate everything numerically at region samples,
-    # a chunk of samples at a time.
+    # a batch of samples at a time.
     rng = np.random.default_rng(seed)
     thetas = adj.sample_omega(rng, n_samples) if n_samples > 0 else \
         np.zeros((0, adj.r))
     sampled_pencil = float("inf")
     if len(thetas):
         P = cert.P_bar
-        for lo in range(0, len(thetas), SAMPLE_CHUNK):
-            chunk = thetas[lo:lo + SAMPLE_CHUNK]
-            L_num = L_hat.eval_batch(chunk)
+        length = sdp.batch_length(s, s)
+        for lo in range(0, len(thetas), length):
+            batch = thetas[lo:lo + length]
+            L_num = L_hat.eval_batch(batch)
             H_num = P @ L_num + L_num.transpose(0, 2, 1) @ P
-            norm2 = np.sum(phi_H.eval_batch(chunk) ** 2, axis=1)
+            norm2 = np.sum(phi_H.eval_batch(batch) ** 2, axis=1)
             shift = (cert.c_star * norm2)[:, None, None] * np.eye(s)
             sampled_pencil = min(sampled_pencil, float(
                 np.linalg.eigvalsh(H_num - shift)[:, 0].min()))
@@ -424,9 +422,10 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     thetas = adj.sample_omega(rng, n_samples)
     L = laplacian(adj)
     values = np.empty(n_samples)
-    for lo in range(0, n_samples, SAMPLE_CHUNK):
-        values[lo:lo + SAMPLE_CHUNK] = np.linalg.eigvalsh(
-            L.eval_batch(thetas[lo:lo + SAMPLE_CHUNK]))[:, 1]
+    length = sdp.batch_length(adj.N, adj.N)
+    for lo in range(0, n_samples, length):
+        values[lo:lo + length] = np.linalg.eigvalsh(
+            L.eval_batch(thetas[lo:lo + length]))[:, 1]
     k = int(np.argmin(values))
     return Lambda2Samples(values=values, thetas=thetas,
                           min_value=float(values[k]),

@@ -27,8 +27,8 @@ blockwise from sparse constraint columns and factored in place.  A column
 with q svec entries is a sum of q symmetric unit pairs, so W F W is a
 rank-2q product of rows of W (after Fujisawa, Kojima and Nakata, Math.
 Prog. 1997); before the first iteration each block's columns are grouped
-by q, and each group is taken through that product a chunk of columns at
-a time.
+by q, and each group is taken through that product in batches of as many
+columns as fit in BATCH_BYTES.
 
 `residuals`, the tests' independent evaluator, reads the constraints of a
 candidate point straight off the problem data, without solver state.
@@ -51,8 +51,12 @@ DIVERGENCE_LIMIT = 1e8
 # Iterations before `solve` gives up with SdpStatus.MAX_ITER.
 MAX_ITERATIONS = 200
 
-# Constraint columns taken through one batched product of the Schur build.
-SCHUR_CHUNK = 256
+# Bytes of float64 temporaries one batched step may hold: a batch of the
+# Schur build here, of the multiplier columns and of the sampled sweeps in
+# the certifier.  About one core's L2 cache: in a sweep from 256 KiB to
+# 4 MiB, on a Xeon core with 2 MiB of L2, the fifty-agent Schur build was
+# fastest at 1.5-2 MiB.
+BATCH_BYTES = 2 << 20
 
 
 class SdpStatus(enum.Enum):
@@ -72,10 +76,19 @@ def svec_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+@functools.lru_cache(maxsize=64)
 def svec_weights(n: int) -> np.ndarray:
+    """1 on the diagonal, sqrt(2) off it, in svec order; read-only."""
     iu, ju = svec_indices(n)
     w = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    w.flags.writeable = False
     return w
+
+
+def batch_length(*shape: int) -> int:
+    """Items of the given float64 shape that fit in BATCH_BYTES, at least
+    one: the length of every batch of the Schur build and the certifier."""
+    return max(1, BATCH_BYTES // (8 * math.prod(shape)))
 
 
 def svec(X: np.ndarray) -> np.ndarray:
@@ -274,6 +287,10 @@ class _Scaling:
     __slots__ = ("lam", "R", "Rinv", "Winv")
 
     def __init__(self, S: np.ndarray, Z: np.ndarray):
+        # the one finiteness check of the iterate: the triangular solves
+        # here and in _max_step skip their own
+        if not (np.isfinite(S).all() and np.isfinite(Z).all()):
+            raise np.linalg.LinAlgError("iterate not finite")
         Ls = np.linalg.cholesky(S)
         G = Ls.T @ Z @ Ls
         lam2, Q = np.linalg.eigh(0.5 * (G + G.T))
@@ -282,19 +299,21 @@ class _Scaling:
         lam_q = lam2 ** 0.25
         self.lam = lam
         self.R = Ls @ Q / lam_q[None, :]
-        Linv = sla.solve_triangular(Ls, np.eye(Ls.shape[0]), lower=True)
+        Linv = sla.solve_triangular(Ls, np.eye(Ls.shape[0]), lower=True,
+                                    check_finite=False)
         self.Rinv = lam_q[:, None] * (Q.T @ Linv)
         self.Winv = self.Rinv.T @ self.Rinv
 
 
 def _max_step(S: np.ndarray, dS: np.ndarray) -> float:
-    """Largest t with S + t dS still PSD, via a factorization of S."""
+    """Largest t with S + t dS still PSD, via a factorization of S, an
+    iterate whose finiteness _Scaling has checked."""
     if not np.isfinite(dS).all():
         raise np.linalg.LinAlgError("step direction not finite")
     try:
         Ls = np.linalg.cholesky(S)
-        M = sla.solve_triangular(Ls, dS, lower=True)
-        M = sla.solve_triangular(Ls, M.T, lower=True)
+        M = sla.solve_triangular(Ls, dS, lower=True, check_finite=False)
+        M = sla.solve_triangular(Ls, M.T, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         # roundoff can push an extreme iterate just off the cone; clamp
         # the spectrum at a tiny positive floor instead of giving up
@@ -329,22 +348,23 @@ def _submatrix(rows: np.ndarray, cols: np.ndarray):
 class _BlockColumns:
     """One LMI block's columns, grouped once per solve by `_split_columns`.
 
-    A chunk holds, for its C columns of q svec entries each, the rows of
+    A batch holds, for its C columns of q svec entries each, the rows of
     W that make up W F W as a (C, n, 2q) by (C, 2q, n) product, the
     coefficients of the left factor, and the rows of A' diag(w) of the
-    block's nonzero columns up to the chunk's last one."""
+    block's nonzero columns up to the batch's last one."""
 
     n: int
-    chunks: list[tuple]  # (target, At, left, right, coeffs)
+    batches: list[tuple]  # (target, At, left, right, coeffs)
 
 
-def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
-    """Group the nonzero columns by their svec entry count q, in chunks of
-    at most `chunk` columns.
+def _split_columns(A: sp.csc_matrix, n: int) -> _BlockColumns:
+    """Group the nonzero columns by their svec entry count q, in batches
+    of `batch_length` columns, each item the larger of W F W and its
+    2q rows of W.
 
     A column with q svec entries is F = sum of q terms c (e_a e_b' +
     e_b e_a'), so W F W = U V' + V U' with U, V the n-by-q columns of W
-    it touches (scaled by c): 4 q n^2 flops.  A chunk fills B down to its
+    it touches (scaled by c): 4 q n^2 flops.  A batch fills B down to its
     diagonal: the rows of At up to its last column, a prefix of At."""
     counts = np.diff(A.indptr)
     cols = np.flatnonzero(counts)
@@ -352,22 +372,29 @@ def _split_columns(A: sp.csc_matrix, n: int, chunk: int) -> _BlockColumns:
     w = svec_weights(n)
     # the svec weights go into A', so svec(Y) is a plain gather of Y
     At = (sp.diags(w) @ A).T.tocsr()[cols]
-    chunks = []
+    batches = []
     for q in np.unique(counts[cols]):
         group = cols[counts[cols] == q]
-        for start in range(0, len(group), chunk):
-            cc = group[start:start + chunk]
+        length = batch_length(max(2 * int(q), n), n)
+        for start in range(0, len(group), length):
+            cc = group[start:start + length]
             stop = int(np.searchsorted(cols, cc[-1], side="right"))
             span = np.stack([np.arange(A.indptr[i], A.indptr[i + 1])
                              for i in cc])
             pos = A.indices[span]
             a, b = iu[pos], ju[pos]
             coef = 0.5 * A.data[span] * w[pos]
-            chunks.append((_submatrix(cols[:stop], cc), At[:stop],
-                           np.concatenate([a, b], axis=1),
-                           np.concatenate([b, a], axis=1),
-                           np.concatenate([coef, coef], axis=1)))
-    return _BlockColumns(n=n, chunks=chunks)
+            # At's leading rows on slices of its arrays: At[:stop] would
+            # copy them for every batch (scipy still copies short ones)
+            end = At.indptr[stop]
+            prefix = sp.csr_matrix((At.data[:end], At.indices[:end],
+                                    At.indptr[:stop + 1]),
+                                   shape=(stop, At.shape[1]))
+            batches.append((_submatrix(cols[:stop], cc), prefix,
+                            np.concatenate([a, b], axis=1),
+                            np.concatenate([b, a], axis=1),
+                            np.concatenate([coef, coef], axis=1)))
+    return _BlockColumns(n=n, batches=batches)
 
 
 def _schur_matrix(blocks: list[_BlockColumns], scalings,
@@ -375,7 +402,7 @@ def _schur_matrix(blocks: list[_BlockColumns], scalings,
     """B_ij = sum over blocks of <F_i, W F_j W>, with W = Winv, on and
     above the diagonal; what lies below it is not B.
 
-    Each chunk forms W F W as a product of rows of W and fills its
+    Each batch forms W F W as a product of rows of W and fills its
     columns of B in the rows up to its last column, through A'."""
     B = np.zeros((n_vars, n_vars))
     for blk, sc in zip(blocks, scalings):
@@ -383,7 +410,7 @@ def _schur_matrix(blocks: list[_BlockColumns], scalings,
         iu, ju = svec_indices(n)
         triu = iu * n + ju
         Winv = sc.Winv
-        for target, At, left, right, coef in blk.chunks:
+        for target, At, left, right, coef in blk.batches:
             Y = np.matmul((Winv[left] * coef[:, :, None]).transpose(0, 2, 1),
                           Winv[right]).reshape(len(left), -1)
             B[target] += At @ Y.T[triu]
@@ -435,19 +462,24 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
     n_vars = problem.n_vars
     b = np.array(problem.objective)
     A_list = problem.compile_columns()
+    A_T = [A.T for A in A_list]
     sizes = [blk.size for blk in problem.lmis]
     consts = [blk.const for blk in problem.lmis]
-    blocks = [_split_columns(A, n, SCHUR_CHUNK)
-              for A, n in zip(A_list, sizes)]
+    blocks = [_split_columns(A, n) for A, n in zip(A_list, sizes)]
     n_tot = sum(sizes)
 
-    # Infeasible start: y = 0, identity-scaled S and Z.
+    # Infeasible start: y = 0, identity-scaled S and Z.  The spectral norm
+    # of a finite constant term can overflow, and S would not be finite.
     y = np.zeros(n_vars)
-    S, Z = [], []
-    for blk in problem.lmis:
-        zeta = max(1.0, float(np.linalg.norm(blk.value(y), 2)))
-        S.append(zeta * np.eye(blk.size))
-        Z.append(np.eye(blk.size))
+    zetas = [max(1.0, float(np.linalg.norm(blk.value(y), 2)))
+             for blk in problem.lmis]
+    if not np.isfinite(zetas).all():
+        return SdpSolution(SdpStatus.NUMERICAL_FAILURE, y, 0.0, math.inf,
+                           [], 0, "the spectral norm of a constant term "
+                           "overflows")
+    S = [zeta * np.eye(n) for zeta, n in zip(zetas, sizes)]
+    Z = [np.eye(n) for n in sizes]
+    c_norms = [1.0 + np.linalg.norm(c, 2) for c in consts]
 
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     msg = ""
@@ -461,66 +493,67 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
     since_best = 0
 
     for it in range(1, MAX_ITERATIONS + 1):
-        res_d = [blk.value(y) - Sk for blk, Sk in zip(problem.lmis, S)]
-        r_g = -b
-        for A, Zk in zip(A_list, Z):
-            r_g = r_g - A.T @ svec(Zk)
-        r_g = np.asarray(r_g).ravel()
-        gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
-        pobj = float(b @ y)
-        dobj = sum(float(np.sum(F0 * Zk)) for F0, Zk in zip(consts, Z))
-
-        pinf = max(np.linalg.norm(rd, 2) / (1.0 + np.linalg.norm(c, 2))
-                   for rd, c in zip(res_d, consts))
-        dinf = np.linalg.norm(r_g, np.inf) / b_scale
-        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-
-        if callback is not None:
-            callback({"iter": it, "gap": gap, "pinf": pinf, "dinf": dinf,
-                      "pobj": pobj, "dobj": dobj})
-
-        merit = max(relgap, pinf, dinf)
-        if merit < best_merit:
-            best_merit = merit
-            best_point = (y.copy(), [Sk.copy() for Sk in S],
-                          [Zk.copy() for Zk in Z])
-            since_best = 0
-        else:
-            since_best += 1
-
-        if relgap < tol and pinf < tol and dinf < tol:
-            status = SdpStatus.OPTIMAL
-            break
-        if since_best >= 10:
-            status = SdpStatus.NUMERICAL_FAILURE
-            msg = "no merit progress over 10 iterations"
-            break
-
-        diverged = max(
-            np.linalg.norm(y, np.inf) if y.size else 0.0,
-            max(np.linalg.norm(Zk, np.inf) for Zk in Z))
-        if diverged > DIVERGENCE_LIMIT:
-            status = SdpStatus.INFEASIBLE
-            msg = ("iterates diverged; the problem is infeasible or "
-                   "unbounded")
-            break
-
-        def direction(N_list):
-            rhs_y = -r_g.copy()
-            for A, sc, Nk, rd in zip(A_list, scalings, N_list, res_d):
-                rhs_y += A.T @ svec(Nk - sc.Winv @ rd @ sc.Winv)
-            dy = kkt.solve(np.asarray(rhs_y).ravel())
-            dS, dZ = [], []
-            for k, (A, sc, rd) in enumerate(zip(A_list, scalings, res_d)):
-                dSk = smat(np.asarray(A @ dy).ravel(), sizes[k]) + rd
-                dZk = N_list[k] - sc.Winv @ dSk @ sc.Winv
-                dS.append(dSk)
-                dZ.append(0.5 * (dZk + dZk.T))
-            return dy, dS, dZ
-
-        # every factorization, solve and step of the iteration: a singular
-        # or non-finite one ends the run with a status, not an exception
+        # every residual norm, factorization, solve and step of the
+        # iteration: a singular or non-finite one ends the run with a
+        # status, not an exception
         try:
+            res_d = [blk.value(y) - Sk for blk, Sk in zip(problem.lmis, S)]
+            r_g = -b
+            for At, Zk in zip(A_T, Z):
+                r_g = r_g - At @ svec(Zk)
+            r_g = np.asarray(r_g).ravel()
+            gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
+            pobj = float(b @ y)
+            dobj = sum(float(np.sum(F0 * Zk)) for F0, Zk in zip(consts, Z))
+
+            pinf = max(np.linalg.norm(rd, 2) / cn
+                       for rd, cn in zip(res_d, c_norms))
+            dinf = np.linalg.norm(r_g, np.inf) / b_scale
+            relgap = gap / (1.0 + abs(pobj) + abs(dobj))
+
+            if callback is not None:
+                callback({"iter": it, "gap": gap, "pinf": pinf, "dinf": dinf,
+                          "pobj": pobj, "dobj": dobj})
+
+            merit = max(relgap, pinf, dinf)
+            if merit < best_merit:
+                best_merit = merit
+                best_point = (y.copy(), [Sk.copy() for Sk in S],
+                              [Zk.copy() for Zk in Z])
+                since_best = 0
+            else:
+                since_best += 1
+
+            if relgap < tol and pinf < tol and dinf < tol:
+                status = SdpStatus.OPTIMAL
+                break
+            if since_best >= 10:
+                status = SdpStatus.NUMERICAL_FAILURE
+                msg = "no merit progress over 10 iterations"
+                break
+
+            diverged = max(
+                np.linalg.norm(y, np.inf) if y.size else 0.0,
+                max(np.linalg.norm(Zk, np.inf) for Zk in Z))
+            if diverged > DIVERGENCE_LIMIT:
+                status = SdpStatus.INFEASIBLE
+                msg = ("iterates diverged; the problem is infeasible or "
+                       "unbounded")
+                break
+
+            def direction(N_list):
+                rhs_y = -r_g.copy()
+                for At, sc, Nk, rd in zip(A_T, scalings, N_list, res_d):
+                    rhs_y += At @ svec(Nk - sc.Winv @ rd @ sc.Winv)
+                dy = kkt.solve(np.asarray(rhs_y).ravel())
+                dS, dZ = [], []
+                for k, (A, sc, rd) in enumerate(zip(A_list, scalings, res_d)):
+                    dSk = smat(np.asarray(A @ dy).ravel(), sizes[k]) + rd
+                    dZk = N_list[k] - sc.Winv @ dSk @ sc.Winv
+                    dS.append(dSk)
+                    dZ.append(0.5 * (dZk + dZk.T))
+                return dy, dS, dZ
+
             scalings = [_Scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
             # the previous iteration's factor goes before the next Schur
             # matrix is built
@@ -559,7 +592,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
                                                  for k in range(len(Z))]))
         except np.linalg.LinAlgError as err:
             status = SdpStatus.NUMERICAL_FAILURE
-            msg = f"scaling, factorization or KKT solve failed: {err}"
+            msg = (f"residual norm, scaling, factorization or KKT solve "
+                   f"failed: {err}")
             break
 
         if ap < 1e-10 and ad < 1e-10:

@@ -205,11 +205,12 @@ def control_input(i, positions, velocities, tau, topo, geom, G, params,
     return u
 
 
-def schur_matrix(A_list, scalings, sizes, n_vars, chunk):
+def schur_matrix(A_list, scalings, sizes, n_vars, chunk=256):
     """Generic Schur complement B_ij = sum_k <F_{k,i}, W_k F_{k,j} W_k>.
 
     Every nonzero column is unpacked to a dense symmetric matrix, taken
-    through W M W, and multiplied by the whole of A' again."""
+    through W M W, and multiplied by the whole of A' again, `chunk`
+    columns at a time whatever the solver's batches."""
     B = np.zeros((n_vars, n_vars))
     for A, sc, n in zip(A_list, scalings, sizes):
         cols = np.nonzero(np.diff(A.indptr))[0]

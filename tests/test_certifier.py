@@ -17,6 +17,7 @@ pencil matrix is fixed at P = I / s, so with no uncertainty c* is
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_assemble_counts_fifty_agent_plan():
     assert asm.plan == DegreePlan(1, (0,))
     assert asm.problem.n_vars == 1 + 1176 + 1225
     assert asm.problem.lmis[asm.main_lmi].size == 98
+
+
+def test_assemble_fifty_agent_holds_a_few_batches():
+    # the multiplier columns go through gram_image BATCH_BYTES of
+    # size_H-square images at a time; 256 columns at a time held 72 MB
+    adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+    tracemalloc.start()
+    try:
+        assemble(adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_assemble_lmi_expands_to_pencil_identity():
@@ -457,11 +471,15 @@ def test_compiled_columns_equal_the_per_variable_route(case):
 
 
 @pytest.mark.parametrize("case", ["six_agent", "random_disk"])
-def test_batched_sampled_margins_match_per_sample_loop(case):
+def test_batched_sampled_margins_match_per_sample_loop(case, monkeypatch):
     adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency \
         if case == "six_agent" else _random_disk_adjacency(31)
     cert = certify(adj).certificate
-    # 600 samples: two full chunks of the batched route and a partial one
+    # 600 samples: two full batches of 256 s-square pencils in the
+    # batched route and a partial one
+    s = len(cert.P_bar)
+    monkeypatch.setattr(sdp, "BATCH_BYTES", 256 * 8 * s * s)
+    assert sdp.batch_length(s, s) == 256
     rep = verify_certificate(cert, adj, n_samples=600, seed=3)
     pencil, P_min = _sampled_margins_per_sample(cert, adj, 600, 3)
     assert rep.ok, rep.failures

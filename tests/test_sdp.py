@@ -4,6 +4,8 @@ The main oracle here is a planted-solution generator: it builds a problem
 around a hand-constructed primal-dual pair with zero duality gap, so the
 optimal value is known exactly before the solver runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -150,15 +152,15 @@ class TestPlanted:
         assert sol.objective_value == pytest.approx(opt, abs=2e-6)
 
     def test_chunking_invariant(self, monkeypatch):
-        prob, opt = planted_problem(5)
-        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 2)
-        a = solve(prob)
-        monkeypatch.setattr(sdp, "SCHUR_CHUNK", 512)
-        bsol = solve(prob)
-        assert a.status is SdpStatus.OPTIMAL
-        assert bsol.status is SdpStatus.OPTIMAL
-        assert a.objective_value == pytest.approx(bsol.objective_value,
-                                                  abs=1e-7)
+        # one column per batch of the Schur build and the default budget
+        # run the same iterates, bit for bit
+        prob, _ = planted_problem(5)
+        default = solve(prob)
+        monkeypatch.setattr(sdp, "BATCH_BYTES", 1)
+        single = solve(prob)
+        assert default.status is single.status is SdpStatus.OPTIMAL
+        assert default.n_iterations == single.n_iterations
+        np.testing.assert_array_equal(default.y, single.y)
 
     def test_scaling_equivariance(self):
         # Multiplying every data matrix and the objective by 10 scales the
@@ -285,6 +287,19 @@ class TestDegenerate:
             sol = solve(one_variable_problem(np.diag([1e308, 1e308])))
         assert sol.status is SdpStatus.NUMERICAL_FAILURE
         assert "KKT direction not finite" in sol.message
+
+    def test_constant_whose_norm_overflows_returns_a_status(self):
+        # a PSD constant with entries 1e308 has spectral norm 2e308, which
+        # overflows; the start would scale S by it.  y = 0 is optimal, but
+        # the solver ends with a status, without an exception or warning
+        prob = SdpProblem()
+        prob.add_var(obj=1.0)
+        prob.add_lmi(np.full((2, 2), 1e308),
+                     sp.csc_array(-sdp.svec(np.eye(2))[:, None]))
+        sol = solve(prob)
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert "overflows" in sol.message
+        assert sol.y.tolist() == [0.0]
 
     def test_largest_finite_constant_returns_a_status(self):
         const = np.diag([1e308, 1e308])
@@ -413,8 +428,7 @@ def solve_checked(monkeypatch, prob, use_oracle=False):
 
     def checked(blocks, scalings, n_vars):
         B = SCHUR_MATRIX(blocks, scalings, n_vars)
-        ref = oracles.schur_matrix(A_list, scalings, sizes, n_vars,
-                                   sdp.SCHUR_CHUNK)
+        ref = oracles.schur_matrix(A_list, scalings, sizes, n_vars)
         errors.append(relative_error(np.triu(B), np.triu(ref)))
         return ref if use_oracle else B
 
@@ -445,12 +459,59 @@ class TestSchurMatrix:
         _, errors = solve_checked(monkeypatch, prob)
         assert len(errors) == 2 and max(errors) < 1e-10
 
-    @pytest.mark.parametrize("chunk", [2, 512])
+    def test_fifty_agent_batches_leave_every_bit(self, monkeypatch):
+        # the upper triangle, which the factorization reads, is the same
+        # with one column per batch as at the default budget, on the
+        # first iterate (W a multiple of I) and the second (a general W)
+        prob = certification_problem("fifty_agent")
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        A_list = prob.compile_columns()
+        sizes = [blk.size for blk in prob.lmis]
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "BATCH_BYTES", 1)
+            single = [sdp._split_columns(A, n)
+                      for A, n in zip(A_list, sizes)]
+        equal = []
+
+        def both(blocks, scalings, n_vars):
+            assert len(blocks[-1].batches) < len(single[-1].batches)
+            B = SCHUR_MATRIX(blocks, scalings, n_vars)
+            B1 = SCHUR_MATRIX(single, scalings, n_vars)
+            equal.append(all(np.array_equal(B[i, i:], B1[i, i:])
+                             for i in range(n_vars)))
+            return B
+
+        monkeypatch.setattr(sdp, "_schur_matrix", both)
+        solve(prob)
+        assert equal == [True, True]
+
+    def test_fifty_agent_build_holds_b_and_a_few_batches(self):
+        # the traced peak of one Schur build is B itself plus the
+        # temporaries of one batch at a time; 256 columns per batch held
+        # B + 41 MB
+        prob = certification_problem("fifty_agent")
+        A_list = prob.compile_columns()
+        sizes = [blk.size for blk in prob.lmis]
+        rng = np.random.default_rng(0)
+        scalings = [sdp._Scaling(random_spd(rng, n), random_spd(rng, n))
+                    for n in sizes]
+        blocks = [sdp._split_columns(A, n) for A, n in zip(A_list, sizes)]
+        tracemalloc.start()
+        try:
+            B = sdp._schur_matrix(blocks, scalings, prob.n_vars)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= B.nbytes + 4 * sdp.BATCH_BYTES
+
+    @pytest.mark.parametrize("words", [2, 512])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_blocks_match_oracle(self, seed, chunk):
+    def test_random_blocks_match_oracle(self, monkeypatch, seed, words):
         # per block and variable: no entry, one diagonal entry, a few
         # entries, +-I (q = n entries, the shape of c's column) or a full
-        # symmetric matrix; one variable is in no block
+        # symmetric matrix; one variable is in no block.  A budget of 2
+        # float64 words takes one column per batch, one of 512 a few.
+        monkeypatch.setattr(sdp, "BATCH_BYTES", 8 * words)
         rng = np.random.default_rng(seed)
         prob = SdpProblem()
         idx = [prob.add_var() for _ in range(14)]
@@ -478,11 +539,9 @@ class TestSchurMatrix:
         sizes = [blk.size for blk in prob.lmis]
         scalings = [sdp._Scaling(random_spd(rng, n), random_spd(rng, n))
                     for n in sizes]
-        blocks = [sdp._split_columns(A, n, chunk)
-                  for A, n in zip(A_list, sizes)]
+        blocks = [sdp._split_columns(A, n) for A, n in zip(A_list, sizes)]
         B = sdp._schur_matrix(blocks, scalings, prob.n_vars)
-        ref = oracles.schur_matrix(A_list, scalings, sizes, prob.n_vars,
-                                   chunk)
+        ref = oracles.schur_matrix(A_list, scalings, sizes, prob.n_vars)
         assert relative_error(np.triu(B), np.triu(ref)) < 1e-10
         assert not B[:, -1].any()
 
