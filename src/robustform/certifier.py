@@ -199,10 +199,6 @@ class Certificate:
     R_bars: list[np.ndarray]
     delta: np.ndarray
 
-    @property
-    def connected(self) -> bool:
-        return self.c_star > CONNECTIVITY_THRESHOLD
-
     def to_dict(self) -> dict:
         return {
             "format": "connectivity-certificate/1",
@@ -280,7 +276,7 @@ def refusals(cert: Certificate, adj: UncertainAdjacency) -> list[str]:
     of the certify verdict and of every run.  In order: a c* that does not
     clear CONNECTIVITY_THRESHOLD, the CertifierError of a certificate that
     does not fit adj, the failures of verify_certificate without samples."""
-    reasons = [] if cert.connected else [
+    reasons = [] if cert.c_star > CONNECTIVITY_THRESHOLD else [
         f"c_star={cert.c_star} does not clear its threshold "
         f"{CONNECTIVITY_THRESHOLD}"]
     try:
@@ -294,14 +290,13 @@ class VerifyReport:
     """Outcome of replaying a certificate against the graph data.
 
     Two independent routes: an algebraic replay of the Gram identity
-    (min_eigenvalues, trace_error) and a pointwise sweep over sampled
-    parameters (sampled_pencil_margin)."""
+    (min_eigenvalues, the least eigenvalue of P_bar, of each R_bar and,
+    last, of the pencil block; trace_error) and a pointwise sweep over
+    sampled parameters (sampled_pencil_margin)."""
 
     ok: bool
-    c_star: float
     min_eigenvalues: list[float]
     trace_error: float
-    pencil_margin: float
     sampled_pencil_margin: float
     failures: list[str] = field(default_factory=list)
 
@@ -314,7 +309,13 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     certification problem at the stored matrices and reading off its
     eigenvalues and those of the stored matrices, then independently
     samples the region and checks the pencil dominance numerically at each
-    sample point."""
+    sample point.  Raises CertifierError, before any arithmetic, for a
+    certificate with a field that is not finite or that does not fit adj."""
+    for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
+            (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
+            ("delta", cert.delta)]:
+        if not np.isfinite(value).all():
+            raise CertifierError(f"{name} is not finite")
     if cert.n_agents != adj.N:
         raise CertifierError(
             f"certificate is for {cert.n_agents} agents, adjacency has "
@@ -353,14 +354,11 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     H -= cert.c_star * np.eye(len(H))
     min_eigs = [float(np.linalg.eigvalsh(X)[0])
                 for X in [X for _, X, _ in stored] + [H]]
-    main_lmi = len(stored)
-    pencil_margin = min_eigs[main_lmi]
+    pencil_margin = min_eigs[-1]
     trace_error = abs(float(np.trace(cert.P_bar)) - 1.0)
 
     failures: list[str] = []
-    for k, ev in enumerate(min_eigs):
-        if k == main_lmi:
-            continue
+    for k, ev in enumerate(min_eigs[:-1]):
         if ev < -PSD_TOL:
             failures.append(
                 f"stored matrix for block {k} has eigenvalue {ev:.3e}")
@@ -393,9 +391,8 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                 f"sampled pencil dominance violated by "
                 f"{sampled_pencil:.3e}")
 
-    return VerifyReport(ok=not failures, c_star=cert.c_star,
-                        min_eigenvalues=min_eigs, trace_error=trace_error,
-                        pencil_margin=pencil_margin,
+    return VerifyReport(ok=not failures, min_eigenvalues=min_eigs,
+                        trace_error=trace_error,
                         sampled_pencil_margin=sampled_pencil,
                         failures=failures)
 

@@ -4,11 +4,12 @@ Exit codes form the machine-readable half of the contract:
 
   check     0 assumptions pass, 1 violated, 2 parse error
   certify   0 certified, replayed and sampling agrees, 1 inconclusive,
-            2 parse error, 3 solver failure
+            2 parse error or unwritable output, 3 solver failure
   simulate  0 clean run, 1 precondition or convergence failure,
-            2 parse error, 4 invariant violation, 5 barrier domain
-            violation
-  plot      0 plots written, 2 missing or corrupt run directory
+            2 parse error or unwritable output, 4 invariant violation,
+            5 barrier domain violation
+  plot      0 plots written, 2 missing or corrupt run directory or
+            unwritable chart
 
 Every output byte is a pure function of (scenario file, flags, seed): no
 timestamps, no environment leakage, so reruns are byte-identical.
@@ -66,6 +67,14 @@ def _load_scenario(arg: str) -> tuple[str, ScenarioSpec]:
         raise SystemExit(2)
 
 
+def _cannot_write(path, err: OSError) -> int:
+    """Report an output that cannot be written, the file err names or else
+    path (a failed write names none): exit 2."""
+    print(f"error: cannot write {err.filename or path}: {err.strerror}",
+          file=sys.stderr)
+    return 2
+
+
 def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
     """Necessary-condition check that the box encloses the region.
 
@@ -99,10 +108,9 @@ def cmd_check(args) -> int:
     except ValueError as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 2
-    report = validate_assumptions(spec.tau, spec.formation, spec.positions,
-                                  spec.geometry,
-                                  overrides=spec.assumption_overrides)
-    lines = report.summary_lines()
+    passed, lines = validate_assumptions(
+        spec.tau, spec.formation, spec.positions, spec.geometry,
+        overrides=spec.assumption_overrides)
     print(f"scenario {spec.name}: {spec.n_agents} agents, "
           f"{np.count_nonzero(spec.formation)} formation edges, "
           f"{spec.adjacency.r} uncertain parameters")
@@ -110,7 +118,7 @@ def cmd_check(args) -> int:
         print(line)
     for issue in issues:
         print(f"box: {issue}")
-    if report.all_pass and not issues:
+    if passed and not issues:
         print("check: OK")
         return 0
     print("check: FAILED")
@@ -135,7 +143,10 @@ def cmd_certify(args) -> int:
     print(f"sampled min lambda2 = {samples.min_value:.9g} "
           f"over {args.samples} points")
     out = args.out or f"{spec.name}_certificate.json"
-    res.certificate.save(out)
+    try:
+        res.certificate.save(out)
+    except OSError as err:
+        return _cannot_write(out, err)
     print(f"certificate written to {out}")
     if res.connected and samples.min_value > 0.0:
         print("certify: CONNECTED")
@@ -211,22 +222,12 @@ def cmd_simulate(args) -> int:
         print(f"precondition failed: {err}", file=sys.stderr)
         return 1
 
-    out_root = Path(args.out)
-    run_dir = out_root / f"{spec.name}_seed{args.seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-
+    run_dir = Path(args.out) / f"{spec.name}_seed{args.seed}"
     outputs = ["trajectory.csv", "energy.csv", "metrics.json",
                "events.jsonl", "manifest.json"]
-    _write_trajectory_csv(run_dir / "trajectory.csv", res.log, spec.dim)
-    _write_energy_csv(run_dir / "energy.csv", res.log)
-    (run_dir / "metrics.json").write_text(
-        json.dumps(res.metrics, indent=2, default=_tolist) + "\n")
-    _write_events_jsonl(run_dir / "events.jsonl", res.log.events)
-
     cert_name = None
     if res.cert is not None:
         cert_name = "certificate.json"
-        res.cert.save(run_dir / cert_name)
         outputs.append(cert_name)
 
     # the convergence budget is defined at the scenario's own horizon;
@@ -266,8 +267,19 @@ def cmd_simulate(args) -> int:
         "converged": converged,
         "outputs": sorted(outputs),
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=_tolist) + "\n")
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_trajectory_csv(run_dir / "trajectory.csv", res.log, spec.dim)
+        _write_energy_csv(run_dir / "energy.csv", res.log)
+        (run_dir / "metrics.json").write_text(
+            json.dumps(res.metrics, indent=2, default=_tolist) + "\n")
+        _write_events_jsonl(run_dir / "events.jsonl", res.log.events)
+        if cert_name is not None:
+            res.cert.save(run_dir / cert_name)
+        (run_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, default=_tolist) + "\n")
+    except OSError as err:
+        return _cannot_write(run_dir, err)
 
     print(f"run directory: {run_dir}")
     for k in ("t_final", "formation_error", "velocity_disagreement",
@@ -278,7 +290,7 @@ def cmd_simulate(args) -> int:
         where = f" pair {f['pair']}" if "pair" in f else ""
         print(f"invariant violation: {f['kind']} at t={f['t']:.6g}{where}",
               file=sys.stderr)
-        return 5 if res.exit_kind == "domain" else 4
+        return 5 if f["kind"] == "domain_violation" else 4
     if not converged:
         print(f"run completed but convergence tolerance "
               f"{spec.conv_tol} was not met", file=sys.stderr)
@@ -479,7 +491,10 @@ def cmd_plot(args) -> int:
                              [(energy[:, 0], energy[:, 1], _PALETTE[2], 1.6)]),
     }
     for name, svg in charts.items():
-        (run_dir / name).write_text(svg)
+        try:
+            (run_dir / name).write_text(svg)
+        except OSError as err:
+            return _cannot_write(run_dir / name, err)
     for name in charts:
         print(f"wrote {run_dir / name}")
     return 0

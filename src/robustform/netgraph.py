@@ -226,40 +226,10 @@ def update_edges(dist: np.ndarray, topo: TopologyState,
     return TopologyState(edges, topo.formation)
 
 
-@dataclass(frozen=True)
-class AssumptionResult:
-    name: str
-    passed: bool
-    skipped: bool = False
-    reason: str = ""
-    violations: tuple = ()
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    results: tuple[AssumptionResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed or r.skipped for r in self.results)
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for r in self.results:
-            if r.skipped:
-                status = f"SKIPPED ({r.reason})"
-            else:
-                status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{r.name}: {status}")
-            for v in r.violations:
-                lines.append(f"  {v}")
-        return lines
-
-
 def validate_assumptions(tau: np.ndarray, formation: np.ndarray,
                          initial_positions: np.ndarray, geom: AgentGeometry,
                          overrides: dict[str, str] | None = None
-                         ) -> AssumptionReport:
+                         ) -> tuple[bool, list[str]]:
     """Check the three setup assumptions on the formation mask's pairs.
 
     A1: every formation pair's desired distance lies in [r_z, r_s - eps].
@@ -270,29 +240,33 @@ def validate_assumptions(tau: np.ndarray, formation: np.ndarray,
         formation error at which a collision could occur.
 
     overrides maps an assumption name to a reason string; an overridden
-    assumption is reported as skipped and does not fail the report."""
+    assumption is reported as skipped and does not fail the check.
+    Returns whether none fails, and the report: per assumption a line
+    `A1: PASS`, `FAIL` or `SKIPPED (reason)`, then one indented line per
+    violating pair, listed under a skipped assumption too."""
     overrides = overrides or {}
     fi, fj = np.nonzero(formation)
     desired = pair_distances(tau)[fi, fj]
     initial = pair_distances(initial_positions)[fi, fj]
 
-    def finish(name, violations):
-        skipped = name in overrides
-        return AssumptionResult(name, passed=not (violations or skipped),
-                                skipped=skipped,
-                                reason=overrides.get(name, ""),
-                                violations=tuple(violations))
-
-    v1, v2, v3 = [], [], []
+    found = {"A1": [], "A2": [], "A3": []}
     for i, j, d, d0 in zip(fi, fj, desired.tolist(), initial.tolist()):
         if not (geom.r_z <= d <= geom.r_s - geom.eps):
-            v1.append(f"pair ({i},{j}): desired distance {d:.4f} outside "
-                      f"[{geom.r_z}, {geom.r_s - geom.eps}]")
+            found["A1"].append(f"pair ({i},{j}): desired distance {d:.4f} "
+                               f"outside [{geom.r_z}, {geom.r_s - geom.eps}]")
         if d0 > geom.r_s - geom.eps:
-            v2.append(f"pair ({i},{j}): initial distance {d0:.4f} > "
-                      f"{geom.r_s - geom.eps}")
+            found["A2"].append(f"pair ({i},{j}): initial distance {d0:.4f} "
+                               f"> {geom.r_s - geom.eps}")
         if not (geom.r_s - d > geom.d_s + d):
-            v3.append(f"pair ({i},{j}): r_s - {d:.4f} = {geom.r_s - d:.4f} "
-                      f"not > d_s + {d:.4f} = {geom.d_s + d:.4f}")
-    return AssumptionReport((finish("A1", v1), finish("A2", v2),
-                             finish("A3", v3)))
+            found["A3"].append(
+                f"pair ({i},{j}): r_s - {d:.4f} = {geom.r_s - d:.4f} "
+                f"not > d_s + {d:.4f} = {geom.d_s + d:.4f}")
+    passed, lines = True, []
+    for name, violations in found.items():
+        if name in overrides:
+            status = f"SKIPPED ({overrides[name]})"
+        else:
+            status = "FAIL" if violations else "PASS"
+            passed = passed and not violations
+        lines += [f"{name}: {status}"] + [f"  {v}" for v in violations]
+    return passed, lines

@@ -470,18 +470,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
 
     # Infeasible start: y = 0, identity-scaled S and Z.  The spectral norm
     # of a finite constant term can overflow, and S would not be finite.
+    # _presolve leaves at least one variable, so b and y are not empty.
     y = np.zeros(n_vars)
-    zetas = [max(1.0, float(np.linalg.norm(blk.value(y), 2)))
-             for blk in problem.lmis]
-    if not np.isfinite(zetas).all():
+    c_norms = [float(np.linalg.norm(c, 2)) for c in consts]
+    if not np.isfinite(c_norms).all():
         return SdpSolution(SdpStatus.NUMERICAL_FAILURE, y, 0.0, math.inf,
                            [], 0, "the spectral norm of a constant term "
                            "overflows")
-    S = [zeta * np.eye(n) for zeta, n in zip(zetas, sizes)]
+    S = [max(1.0, cn) * np.eye(n) for cn, n in zip(c_norms, sizes)]
     Z = [np.eye(n) for n in sizes]
-    c_norms = [1.0 + np.linalg.norm(c, 2) for c in consts]
 
-    b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
+    b_scale = 1.0 + float(np.max(np.abs(b)))
     msg = ""
     status = SdpStatus.MAX_ITER
     it = 0
@@ -506,7 +505,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
             pobj = float(b @ y)
             dobj = sum(float(np.sum(F0 * Zk)) for F0, Zk in zip(consts, Z))
 
-            pinf = max(np.linalg.norm(rd, 2) / cn
+            pinf = max(np.linalg.norm(rd, 2) / (1.0 + cn)
                        for rd, cn in zip(res_d, c_norms))
             dinf = np.linalg.norm(r_g, np.inf) / b_scale
             relgap = gap / (1.0 + abs(pobj) + abs(dobj))
@@ -532,9 +531,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
                 msg = "no merit progress over 10 iterations"
                 break
 
-            diverged = max(
-                np.linalg.norm(y, np.inf) if y.size else 0.0,
-                max(np.linalg.norm(Zk, np.inf) for Zk in Z))
+            diverged = max(np.linalg.norm(y, np.inf),
+                           max(np.linalg.norm(Zk, np.inf) for Zk in Z))
             if diverged > DIVERGENCE_LIMIT:
                 status = SdpStatus.INFEASIBLE
                 msg = ("iterates diverged; the problem is infeasible or "

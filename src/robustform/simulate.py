@@ -107,14 +107,6 @@ class RunResult:
     cert: Certificate | None
     theta: np.ndarray
 
-    @property
-    def exit_kind(self) -> str:
-        if self.ok:
-            return "ok"
-        if self.failure and self.failure["kind"] == "domain_violation":
-            return "domain"
-        return "invariant"
-
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         dt: float | None = None, unsafe: bool = False,
@@ -148,12 +140,12 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         velocities += rng.uniform(-scenario.jitter_vel,
                                   scenario.jitter_vel, velocities.shape)
 
-    report = validate_assumptions(tau, scenario.formation, positions, geom,
-                                  overrides=scenario.assumption_overrides)
-    if not report.all_pass and not unsafe:
+    passed, lines = validate_assumptions(
+        tau, scenario.formation, positions, geom,
+        overrides=scenario.assumption_overrides)
+    if not passed and not unsafe:
         raise PreconditionError(
-            "setup assumptions failed:\n  "
-            + "\n  ".join(report.summary_lines()))
+            "setup assumptions failed:\n  " + "\n  ".join(lines))
 
     # the edge-keeping barrier of a formation pair is defined only below r_s
     fi, fj = np.nonzero(scenario.formation)

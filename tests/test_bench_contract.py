@@ -80,5 +80,5 @@ def test_stored_fifty_agent_certificate_replays():
     adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
     rep = verify_certificate(cert, adj, n_samples=200)
     assert rep.ok, rep.failures
-    assert rep.pencil_margin == pytest.approx(STORED_PENCIL_MARGIN,
-                                              rel=0, abs=1e-12)
+    assert rep.min_eigenvalues[-1] == pytest.approx(STORED_PENCIL_MARGIN,
+                                                    rel=0, abs=1e-12)

@@ -26,8 +26,8 @@ import oracles
 from robustform import sdp
 from robustform.certifier import (Assembly, Certificate, CertifierError,
                                   CertifyResult, DegreePlan, Lambda2Samples,
-                                  assemble, certify, sample_lambda2,
-                                  verify_certificate)
+                                  assemble, certify, refusals,
+                                  sample_lambda2, verify_certificate)
 from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
 from robustform.polyalg import MatrixPolynomial, Polynomial
@@ -312,16 +312,17 @@ def test_certificate_rejects_unknown_format():
 
 def test_certificate_threshold_is_not_read_from_the_file():
     # a file cannot lower the bar its own bound has to clear
-    _adj, res = certified_edge()
+    adj, res = certified_edge()
     doc = res.certificate.to_dict()
     assert doc["threshold"] == 1e-6
     doc["c_star"] = -5.0
-    assert not Certificate.from_dict(doc).connected
+    refused = ["c_star=-5.0 does not clear its threshold 1e-06"]
+    assert refusals(Certificate.from_dict(doc), adj)[:1] == refused
     doc["threshold"] = -10.0
     with pytest.raises(CertifierError, match="threshold"):
         Certificate.from_dict(doc)
     del doc["threshold"]
-    assert not Certificate.from_dict(doc).connected
+    assert refusals(Certificate.from_dict(doc), adj)[:1] == refused
 
 
 def test_certificate_rejects_polynomial_pencil_matrix():
@@ -339,7 +340,8 @@ def test_verify_rejects_inflated_bound():
                        cert.P_bar, cert.R_bars, cert.delta)
     rep = verify_certificate(fake, adj, n_samples=500, seed=5)
     assert not rep.ok
-    assert rep.pencil_margin < -1e-3 or rep.sampled_pencil_margin < -1e-3
+    assert rep.min_eigenvalues[-1] < -1e-3 \
+        or rep.sampled_pencil_margin < -1e-3
 
 
 def test_verify_rejects_tampered_P():
@@ -392,7 +394,7 @@ def test_verify_perturbed_delta_breaks_identity():
     fake = Certificate(cert.n_agents, cert.r, cert.plan, cert.c_star,
                        cert.P_bar, cert.R_bars, bad)
     rep = verify_certificate(fake, adj, n_samples=0)
-    assert rep.pencil_margin < -1e-3
+    assert rep.min_eigenvalues[-1] < -1e-3
 
 
 def _sampled_margins_per_sample(cert, adj, n_samples, seed):
@@ -553,7 +555,7 @@ def test_replay_equals_residuals_of_the_assembled_problem(case):
     # the replay's first block is P_bar, which has no block in the problem
     np.testing.assert_allclose(rep.min_eigenvalues[1:],
                                ref["min_eigenvalues"], rtol=0, atol=1e-12)
-    assert rep.pencil_margin == rep.min_eigenvalues[1 + asm.main_lmi]
+    assert rep.min_eigenvalues[-1] == rep.min_eigenvalues[1 + asm.main_lmi]
 
     P = moved(cert.P_bar)
     fake.P_bar = P

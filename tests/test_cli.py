@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -60,6 +61,38 @@ def test_check_shipped_scenarios_pass(capsys):
         assert run_cli("check", name) == 0
     out = capsys.readouterr().out
     assert "A1: PASS" in out
+
+
+def test_check_fifty_agent_lists_the_pairs_of_its_skipped_assumption(
+        capsys):
+    # a skipped assumption still lists every violating pair: the ring's 50
+    # formation pairs, in row-major order
+    assert run_cli("check", "fifty_agent") == 0
+    pairs = [(0, 1), (0, 49)] + [(i, i + 1) for i in range(1, 49)]
+    assert capsys.readouterr().out.splitlines() == [
+        "scenario fifty_agent: 50 agents, 50 formation edges, 1 uncertain "
+        "parameters",
+        "A1: PASS",
+        "A2: PASS",
+        "A3: SKIPPED (ring spacing 3.766 with r_s=5 leaves no barrier "
+        "separation margin; collision zone is unreachable here because the "
+        "edge barrier caps formation error at 1.234)",
+    ] + [f"  pair ({i},{j}): r_s - 3.7674 = 1.2326 not > d_s + 3.7674 = "
+         f"5.6424" for i, j in pairs] + ["check: OK"]
+
+
+def test_run_names_the_failed_assumption_and_its_pair():
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    tau = sc.tau.copy()
+    tau[1][0] += 3
+    with pytest.raises(PreconditionError) as err:
+        run(dataclasses.replace(sc, tau=tau), seed=0)
+    assert str(err.value) == (
+        "setup assumptions failed:\n"
+        "  A1: PASS\n"
+        "  A2: PASS\n"
+        "  A3: FAIL\n"
+        "    pair (1,2): r_s - 5.8000 = 2.2000 not > d_s + 5.8000 = 7.6750")
 
 
 def test_check_names_violating_pair(tmp_path, capsys):
@@ -681,6 +714,37 @@ def test_plot_corrupt_run_directory_exits_2(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read run directory")
     assert "Traceback" not in err
+
+
+def test_certify_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "c.json"
+    assert run_cli("certify", "six_agent", "--samples", "500",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_simulate_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "a_file"
+    out.write_text("")
+    assert run_cli("simulate", "six_agent", "--T", "0",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out / 'six_agent_seed0'}" \
+        ": Not a directory\n"
+
+
+def test_plot_unwritable_chart_exits_2(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "six_agent", "--T", "0",
+                   "--out", str(out)) == 0
+    chart = out / "six_agent_seed0" / "energy.svg"
+    chart.mkdir()
+    capsys.readouterr()
+    assert run_cli("plot", str(chart.parent)) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {chart}: Is a directory\n"
 
 
 def test_plot_zero_horizon_run(tmp_path):

@@ -15,7 +15,8 @@ from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.simulate import PreconditionError, SimState, run, step
 from robustform.barrier import zone_pairs_at
-from robustform.certifier import Certificate, certify
+from robustform.certifier import (Certificate, CertifierError, certify,
+                                  verify_certificate)
 
 
 GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
@@ -234,7 +235,6 @@ def test_run_adversarial_trips_safety_monitor():
     res = run(ScenarioSpec.load(builtin_path("adversarial")), seed=1)
     assert not res.ok
     assert res.failure["kind"] == "safety_distance"
-    assert res.exit_kind == "invariant"
     assert 0.0 < res.failure["t"] < 0.5
     assert res.failure["value"] <= GEOM.d_s
     assert res.metrics["min_distance"] <= GEOM.d_s
@@ -250,7 +250,6 @@ def test_run_domain_violation_reported():
     res = run(sc, seed=0)
     assert not res.ok
     assert res.failure["kind"] == "domain_violation"
-    assert res.exit_kind == "domain"
 
 
 def test_run_refuses_uncertifiable_graph():
@@ -328,6 +327,43 @@ def test_run_refuses_a_certificate_that_does_not_fit(scenario, c_star,
         .cert is cert
 
 
+def _non_finite(cert, field, value):
+    """cert with value at the first entry of field (R_bars: of R_bars[0])."""
+    if field == "c_star":
+        return dataclasses.replace(cert, c_star=value)
+    if field == "R_bars":
+        R = [X.copy() for X in cert.R_bars]
+        R[0][0, 0] = value
+        return dataclasses.replace(cert, R_bars=R)
+    X = getattr(cert, field).copy()
+    X.flat[0] = value
+    return dataclasses.replace(cert, **{field: X})
+
+
+@pytest.mark.parametrize("field, value, reasons", [
+    ("delta", np.nan, ["delta is not finite"]),
+    ("R_bars", np.inf, ["R_bars[0] is not finite"]),
+    ("R_bars", np.nan, ["R_bars[0] is not finite"]),
+    ("P_bar", np.nan, ["P_bar is not finite"]),
+    ("c_star", np.nan, ["c_star=nan does not clear its threshold 1e-06",
+                        "c_star is not finite"]),
+    ("c_star", np.inf, ["c_star is not finite"])],
+    ids=["delta-nan", "R_bars-inf", "R_bars-nan", "P_bar-nan", "c_star-nan",
+         "c_star-inf"])
+def test_run_refuses_a_non_finite_certificate(field, value, reasons):
+    # the replay's eigenvalue solver used to raise LinAlgError on these, and
+    # a nan in a stored matrix was refused as a matrix of the wrong shape
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    cert = _non_finite(certify(sc.adjacency).certificate, field, value)
+    with pytest.raises(CertifierError) as err:
+        verify_certificate(cert, sc.adjacency, n_samples=0)
+    assert str(err.value) == reasons[-1]
+    with pytest.raises(PreconditionError) as err:
+        run(sc, seed=0, T_end=0.1, certificate=cert)
+    assert str(err.value) == "no connectivity certificate: " \
+        + "; ".join(reasons)
+
+
 def test_run_takes_only_a_certificate():
     sc = ScenarioSpec.load(builtin_path("six_agent"))
     with pytest.raises(TypeError, match="must be a Certificate"):
@@ -381,7 +417,7 @@ def test_run_never_reports_ok_on_a_non_finite_state():
         sc.geometry, r_s=np.inf))
     with np.errstate(invalid="ignore"):
         res = run(sc, T_end=0.05)
-    assert not res.ok and res.exit_kind == "invariant"
+    assert not res.ok
     assert res.failure == {"kind": "non_finite", "t": sc.dt}
     assert np.isfinite(res.metrics["final_W"])
 
@@ -396,7 +432,6 @@ def test_run_trips_formation_edge_break():
         barrier=BarrierParams(1.0, 1.0, 0.05), T_end=2.0)
     res = run(sc, seed=0)
     assert res.failure["kind"] == "formation_edge_break"
-    assert res.exit_kind == "invariant"
     assert res.failure["pair"] == (0, 1)
     assert GEOM.r_s <= res.failure["value"] < GEOM.r_s + 0.1
     assert 0.0 < res.failure["t"] < 1.0
