@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -75,6 +76,38 @@ def _cannot_write(path, err: OSError) -> int:
     return 2
 
 
+def _check_writable(path: Path, directory: bool = False) -> None:
+    """Raise the OSError that writing the file path would meet, or with
+    directory making path and its parents, without creating anything: a
+    parent missing or not a directory, a directory in a file's place or a
+    file in a directory's, or no permission.  Lets a command refuse its
+    output before any work."""
+    if not directory:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+            return
+        except FileNotFoundError:
+            if not path.parent.is_dir():
+                raise
+        base, missing = path.parent, path
+    elif path.exists():
+        if not path.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST),
+                                  str(path))
+        base, missing = path, path
+    else:
+        missing = path
+        while not missing.parent.exists():
+            missing = missing.parent
+        base = missing.parent
+        if not base.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR), str(path))
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                              str(missing))
+
+
 def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
     """Necessary-condition check that the box encloses the region.
 
@@ -128,6 +161,11 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     path, spec = _load_scenario(args.scenario)
     adj = spec.adjacency
+    out = args.out or f"{spec.name}_certificate.json"
+    try:
+        _check_writable(Path(out))
+    except OSError as err:
+        return _cannot_write(out, err)
     try:
         samples = sample_lambda2(adj, n_samples=args.samples, seed=args.seed)
     except RegionSamplingError as err:
@@ -142,7 +180,6 @@ def cmd_certify(args) -> int:
           f"d_R={list(res.certificate.plan.d_R)}")
     print(f"sampled min lambda2 = {samples.min_value:.9g} "
           f"over {args.samples} points")
-    out = args.out or f"{spec.name}_certificate.json"
     try:
         res.certificate.save(out)
     except OSError as err:
@@ -212,6 +249,20 @@ def _write_events_jsonl(path: Path, events) -> None:
 def cmd_simulate(args) -> int:
     scenario_path, spec = _load_scenario(args.scenario)
     scenario_bytes = Path(scenario_path).read_bytes()
+    run_dir = Path(args.out) / f"{spec.name}_seed{args.seed}"
+    outputs = ["trajectory.csv", "energy.csv", "metrics.json",
+               "events.jsonl", "manifest.json"]
+    # a run that is not unsafe certifies, and writes its certificate
+    cert_name = None if args.unsafe else "certificate.json"
+    if cert_name is not None:
+        outputs.append(cert_name)
+    try:
+        _check_writable(run_dir, directory=True)
+        if run_dir.is_dir():
+            for name in outputs:
+                _check_writable(run_dir / name)
+    except OSError as err:
+        return _cannot_write(run_dir, err)
     try:
         res = run(spec, seed=args.seed, T_end=args.T, dt=args.dt,
                   unsafe=args.unsafe)
@@ -221,14 +272,6 @@ def cmd_simulate(args) -> int:
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return 1
-
-    run_dir = Path(args.out) / f"{spec.name}_seed{args.seed}"
-    outputs = ["trajectory.csv", "energy.csv", "metrics.json",
-               "events.jsonl", "manifest.json"]
-    cert_name = None
-    if res.cert is not None:
-        cert_name = "certificate.json"
-        outputs.append(cert_name)
 
     # the convergence budget is defined at the scenario's own horizon;
     # a run cut short by --T is judged on invariants alone
@@ -490,11 +533,13 @@ def cmd_plot(args) -> int:
         "energy.svg": _chart("Composite energy", "t", "W",
                              [(energy[:, 0], energy[:, 1], _PALETTE[2], 1.6)]),
     }
-    for name, svg in charts.items():
-        try:
+    try:
+        for name in charts:  # all of them, before the first is written
+            _check_writable(run_dir / name)
+        for name, svg in charts.items():
             (run_dir / name).write_text(svg)
-        except OSError as err:
-            return _cannot_write(run_dir / name, err)
+    except OSError as err:
+        return _cannot_write(run_dir / name, err)
     for name in charts:
         print(f"wrote {run_dir / name}")
     return 0

@@ -9,9 +9,13 @@ sensing range, the composite energy never grows between topology switches
 beyond integration tolerance, and switches change the energy by exactly
 the entering and leaving terms.
 
-Each step computes one pair-distance matrix at the new positions; the
-edge and zone masks and the safety and edge-break monitors all read it.
-Energy and control come from barrier.PairArrays, built once per mask epoch.
+The integrator carries one stacked state z = [x, v] (2 x N x d), so each
+RK4 stage is one array update.  Energy and rate come from barrier.PairArrays,
+built once per mask epoch: its Point at a step's end point is evaluated
+once, and the energy monitor, the record and the next step's first stage
+all read it.  Each step computes one pair-distance matrix at the new
+positions; the edge and zone masks and the safety and edge-break monitors
+all read it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import (BarrierParams, DomainViolation, PairArrays,
+from .barrier import (BarrierParams, DomainViolation, PairArrays, Point,
                       TuneError, TuneResult, tune_mu, zone_pairs_at)
 from .certifier import Certificate, certify, refusals
 from .netgraph import (TopologyState, pair_distances, update_edges,
@@ -43,43 +47,46 @@ class PreconditionError(RuntimeError):
 class SimState:
     """Snapshot of the closed-loop system between integration steps.
 
-    The zone_pairs mask is part of the state because collision terms
-    switch on a detection event, not on a smooth condition: membership is
-    frozen while a step integrates and refreshed afterwards.  distances is
+    z is the stacked state [positions, velocities], 2 x N x d.  The
+    zone_pairs mask is part of the state because collision terms switch on
+    a detection event, not on a smooth condition: membership is frozen
+    while a step integrates and refreshed afterwards.  distances is
     pair_distances(positions); the masks were read off it."""
 
     t: float
-    positions: np.ndarray
-    velocities: np.ndarray
+    z: np.ndarray
     topo: TopologyState
     zone_pairs: np.ndarray
     distances: np.ndarray
 
+    @property
+    def positions(self) -> np.ndarray:
+        return self.z[0]
 
-def step(state: SimState, arrays: PairArrays, params: BarrierParams,
-         dt: float) -> SimState:
+    @property
+    def velocities(self) -> np.ndarray:
+        return self.z[1]
+
+
+def step(state: SimState, point: Point, dt: float) -> SimState:
     """Advance one classical RK4 step with topology and zone membership
     frozen.
 
-    arrays is the PairArrays of the incoming state's masks; the control
-    law sees those masks at every stage.  The returned state carries the
-    refreshed masks, read off the one distance matrix of the new
-    positions."""
-    x, v = state.positions, state.velocities
-    u1 = arrays.control(x, v, params)
-    x2, v2 = x + 0.5 * dt * v, v + 0.5 * dt * u1
-    u2 = arrays.control(x2, v2, params)
-    x3, v3 = x + 0.5 * dt * v2, v + 0.5 * dt * u2
-    u3 = arrays.control(x3, v3, params)
-    x4, v4 = x + dt * v3, v + dt * u3
-    u4 = arrays.control(x4, v4, params)
-    x_new = x + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_new = v + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
-    dist = pair_distances(x_new)
+    point is the epoch of the incoming state's masks at state.z; its rate
+    is the first stage, and the control law sees those masks at every
+    stage.  The returned state carries the refreshed masks, read off the
+    one distance matrix of the new positions."""
+    z, arrays = state.z, point.arrays
+    k1 = point.rate()
+    k2 = Point(arrays, z + 0.5 * dt * k1).rate()
+    k3 = Point(arrays, z + 0.5 * dt * k2).rate()
+    k4 = Point(arrays, z + dt * k3).rate()
+    z_new = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    dist = pair_distances(z_new[0])
     topo_new = update_edges(dist, state.topo, arrays.geom)
     zone_new = zone_pairs_at(dist, topo_new, arrays.geom)
-    return SimState(t=state.t + dt, positions=x_new, velocities=v_new,
-                    topo=topo_new, zone_pairs=zone_new, distances=dist)
+    return SimState(t=state.t + dt, z=z_new, topo=topo_new,
+                    zone_pairs=zone_new, distances=dist)
 
 
 @dataclass
@@ -186,8 +193,8 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     topo = update_edges(dist, TopologyState(scenario.formation,
                                             scenario.formation), geom)
     zone = zone_pairs_at(dist, topo, geom)
-    state = SimState(t=0.0, positions=positions, velocities=velocities,
-                     topo=topo, zone_pairs=zone, distances=dist)
+    state = SimState(t=0.0, z=np.stack([positions, velocities]), topo=topo,
+                     zone_pairs=zone, distances=dist)
 
     tune = None
     if scenario.barrier is not None:
@@ -209,13 +216,15 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     max_jump_err = 0.0
     n_switches = 0
 
-    def record(st: SimState, ar: PairArrays):
+    # no state array is written in place, so the record keeps views
+    def record(st: SimState, pt: Point):
         rec_t.append(st.t)
-        rec_x.append(st.positions.copy())
-        rec_v.append(st.velocities.copy())
-        rec_u.append(ar.control(st.positions, st.velocities, params))
+        rec_x.append(st.positions)
+        rec_v.append(st.velocities)
+        rec_u.append(pt.rate()[1])
 
     upper = np.flatnonzero(np.triu(np.ones((N, N)), 1))  # i < j, flat
+    formation_at = np.ravel_multi_index((fi, fj), (N, N))
 
     def closest_pair(st: SimState):
         """The smallest pair distance of st and, if <= d_s, its failure."""
@@ -227,12 +236,13 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
                           "pair": divmod(int(upper[k]), N), "value": dmin}
         return dmin, None
 
-    arrays = PairArrays(topo, zone, tau, geom, G)
+    arrays = PairArrays(topo, zone, tau, geom, G, params)
     try:
-        W_prev = arrays.energy(positions, velocities, params)
+        point = Point(arrays, state.z)
+        W_prev = point.energy()
         W_t.append(0.0)
         W_vals.append(W_prev)
-        record(state, arrays)
+        record(state, point)
         min_dist_run, failure = closest_pair(state)
         if failure is None and not math.isfinite(W_prev):
             failure = {"kind": "non_finite", "t": state.t}
@@ -240,13 +250,13 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         for k in range(n_steps):
             if failure is not None:
                 break
-            new_state = step(state, arrays, params, dt)
-            x_new, v_new = new_state.positions, new_state.velocities
+            new_state = step(state, point, dt)
             t_new = new_state.t
 
-            W_frozen = arrays.energy(x_new, v_new, params)
+            point = Point(arrays, new_state.z)
+            W_frozen = point.energy()
             # W sums every squared velocity; a position goes non-finite
-            # only through a stage velocity, which v_new then holds too
+            # only through a stage velocity, which z then holds too
             if not math.isfinite(W_frozen):
                 failure = {"kind": "non_finite", "t": t_new}
                 break
@@ -258,13 +268,16 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
 
             old_e, new_e = state.topo.edges, new_state.topo.edges
             old_z, new_z = state.zone_pairs, new_state.zone_pairs
-            edges_changed = not np.array_equal(new_e, old_e)
-            zone_changed = not np.array_equal(new_z, old_z)
+            # update_edges returns the incoming topology when it keeps it
+            edges_changed = new_state.topo is not state.topo
+            zone_changed = np.count_nonzero(new_z ^ old_z) > 0
             if edges_changed or zone_changed:
-                new_arrays = PairArrays(new_state.topo, new_z, tau, geom, G)
-                W_actual = new_arrays.energy(x_new, v_new, params)
-                expected = _mask_change_terms(arrays, new_arrays, x_new, G,
-                                              params)
+                new_arrays = PairArrays(new_state.topo, new_z, tau, geom, G,
+                                        params)
+                point = Point(new_arrays, new_state.z)
+                W_actual = point.energy()
+                expected = _mask_change_terms(arrays, new_arrays,
+                                              new_state.z, G, params)
                 err = abs(W_actual - W_frozen - expected)
                 max_jump_err = max(max_jump_err, err)
                 if err > JUMP_TOL * max(1.0, abs(W_actual)) \
@@ -288,10 +301,9 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             min_dist_run = min(min_dist_run, dmin)
             failure = failure or too_close
             if failure is None:
-                d_form = new_state.distances[scenario.formation]
-                broken = np.flatnonzero(d_form >= geom.r_s)
-                if broken.size:
-                    b = int(broken[0])
+                d_form = new_state.distances.take(formation_at)
+                if np.count_nonzero(d_form >= geom.r_s):
+                    b = int((d_form >= geom.r_s).argmax())  # the first
                     failure = {"kind": "formation_edge_break", "t": t_new,
                                "pair": (int(fi[b]), int(fj[b])),
                                "value": float(d_form[b])}
@@ -303,7 +315,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
 
             if (k + 1) % scenario.record_every == 0 or k == n_steps - 1 \
                     or failure is not None:
-                record(state, arrays)
+                record(state, point)
                 if failure is None and not state.topo.connected:
                     failure = {"kind": "disconnected", "t": t_new}
     except DomainViolation as err:
@@ -346,20 +358,20 @@ def _pairs(mask: np.ndarray) -> list:
     return [tuple(p) for p in np.argwhere(mask).tolist()]
 
 
-def _mask_change_terms(old: PairArrays, new: PairArrays,
-                       positions: np.ndarray, G: np.ndarray,
-                       params: BarrierParams) -> float:
+def _mask_change_terms(old: PairArrays, new: PairArrays, z: np.ndarray,
+                       G: np.ndarray, params: BarrierParams) -> float:
     """Exact energy difference induced by a mask change at fixed state.
 
     The collision and spring terms of the pairs that entered the masks,
     minus those of the pairs that left them, each set evaluated as a
-    PairArrays epoch of its own at rest."""
-    rest = np.zeros_like(positions)
+    PairArrays epoch of its own at z's positions, at rest."""
+    rest = z.copy()
+    rest[1] = 0.0
 
     def terms(a: PairArrays, b: PairArrays) -> float:
         edges = a.topo.edges & ~b.topo.edges
-        return PairArrays(TopologyState(edges, np.zeros_like(edges)),
-                          a.zone & ~b.zone, a.tau, a.geom,
-                          G).energy(positions, rest, params)
+        return Point(PairArrays(TopologyState(edges, np.zeros_like(edges)),
+                                a.zone & ~b.zone, a.tau, a.geom, G, params),
+                     rest).energy()
 
     return terms(new, old) - terms(old, new)

@@ -261,13 +261,13 @@ def test_barrier_caps_exact_and_gradients_match_finite_differences():
     for _ in range(50):  # caps are hit exactly at the boundary
         r_hat = float(rng.uniform(1.0, 10.0))
         mu1 = float(rng.uniform(0.5, 50.0))
-        assert abs(_psi_e(np.array([r_hat, 0.0]), r_hat, mu1, False)
-                   - mu1) < 1e-12
+        assert abs(_psi_e(np.array([r_hat, 0.0]), r_hat,
+                          r_hat * r_hat / mu1)[0]() - mu1) < 1e-12
         tau = float(rng.uniform(2.0, 6.0))
         d_s = float(rng.uniform(0.5, 0.9)) * tau
         mu2 = float(rng.uniform(0.5, 50.0))
-        assert abs(_psi_c(np.array([d_s, 0.0]), tau, d_s, mu2, False)
-                   - mu2) < 1e-12
+        assert abs(_psi_c(np.array([d_s, 0.0]), tau, d_s,
+                          (d_s - tau) ** 2 / mu2)[0]() - mu2) < 1e-12
 
     h = 1e-5
     checked = 0
@@ -277,7 +277,7 @@ def test_barrier_caps_exact_and_gradients_match_finite_differences():
             mu1 = float(rng.uniform(1.0, 30.0))
             y = rng.uniform(-1, 1, size=2)
             y *= rng.uniform(0.1, 0.9) * r_hat / np.linalg.norm(y)
-            g = _psi_e(y, r_hat, mu1, grad=True)
+            g = _psi_e(y, r_hat, r_hat * r_hat / mu1)[1]()
             num = np.zeros(2)
             for a in range(2):
                 e = np.zeros(2)
@@ -293,7 +293,7 @@ def test_barrier_caps_exact_and_gradients_match_finite_differences():
             mu2 = float(rng.uniform(1.0, 30.0))
             x = rng.uniform(-1, 1, size=2)  # the separation vector itself
             x *= rng.uniform(d_s * 1.05, tau_n * 1.5) / np.linalg.norm(x)
-            g = _psi_c(x, tau_n, d_s, mu2, grad=True)
+            g = _psi_c(x, tau_n, d_s, (d_s - tau_n) ** 2 / mu2)[1]()
             num = np.zeros(2)
             for a in range(2):
                 e = np.zeros(2)

@@ -19,8 +19,8 @@ import pytest
 
 import oracles
 from robustform.barrier import (BarrierParams, DomainViolation, PairArrays,
-                                TuneError, _psi_c, _psi_e, eps_hat_default,
-                                tune_mu, zone_pairs_at)
+                                Point, TuneError, _psi_c, _psi_e,
+                                eps_hat_default, tune_mu, zone_pairs_at)
 from robustform.netgraph import (AgentGeometry, TopologyState,
                                  pair_distances, update_edges)
 
@@ -39,8 +39,8 @@ def energy(positions, velocities, tau, topo, geom, G, params,
     """W through PairArrays; zone_pairs defaults to the pairs within r_z."""
     if zone_pairs is None:
         zone_pairs = zone_pairs_at(pair_distances(positions), topo, geom)
-    return PairArrays(topo, zone_pairs, tau, geom, G).energy(
-        positions, velocities, params)
+    return Point(PairArrays(topo, zone_pairs, tau, geom, G, params),
+                 np.stack([positions, velocities])).energy()
 
 
 # ---------------------------------------------------------------- params
@@ -69,14 +69,29 @@ def test_eps_hat_interior_geometry():
 
 # ------------------------------------------------------------- psi_e
 
+def kernel_e(y, r_hat_s, mu1, grad=False):
+    """The kernel's psi_e, or with grad its gradient, at the formation
+    errors y, under the cap mu1."""
+    value, gradient = _psi_e(y, r_hat_s, r_hat_s * r_hat_s / mu1)
+    return (gradient if grad else value)()
+
+
+def kernel_c(x, tau_norm, d_s, mu2, grad=False):
+    """The kernel's psi_c, or with grad its gradient, at the separations x,
+    under the cap mu2."""
+    gap = d_s - tau_norm
+    value, gradient = _psi_c(x, tau_norm, d_s, gap * gap / mu2)
+    return (gradient if grad else value)()
+
+
 def psi_e(q, r_hat_s, mu1):
     """The kernel's psi_e at the formation error (q, 0)."""
-    return _psi_e(np.array([q, 0.0]), r_hat_s, mu1, grad=False)
+    return kernel_e(np.array([q, 0.0]), r_hat_s, mu1)
 
 
 def psi_c(p, tau_norm, d_s, mu2):
     """The kernel's psi_c at the separation (p, 0)."""
-    return _psi_c(np.array([p, 0.0]), tau_norm, d_s, mu2, grad=False)
+    return kernel_c(np.array([p, 0.0]), tau_norm, d_s, mu2)
 
 
 def test_psi_e_zero_at_origin():
@@ -98,7 +113,7 @@ def test_psi_e_frozen_value():
 
 def test_psi_e_increasing_on_domain():
     qs = np.linspace(0.0, 5.0, 400)
-    vals = _psi_e(qs[:, None] * [1.0, 0.0], 5.0, 2.0, grad=False)
+    vals = kernel_e(qs[:, None] * [1.0, 0.0], 5.0, 2.0, grad=False)
     assert (np.diff(vals) > 0).all()
     np.testing.assert_allclose(
         vals, [oracles.psi_e(q, 5.0, 2.0) for q in qs], rtol=1e-15)
@@ -139,7 +154,7 @@ def test_psi_c_frozen_value():
 
 def test_psi_c_decreasing_toward_desired():
     ps = np.linspace(1.875, 3.0, 400)
-    vals = _psi_c(ps[:, None] * [1.0, 0.0], 3.0, 1.875, 0.5, grad=False)
+    vals = kernel_c(ps[:, None] * [1.0, 0.0], 3.0, 1.875, 0.5, grad=False)
     assert (np.diff(vals) < 0).all()
     np.testing.assert_allclose(
         vals, [oracles.psi_c(p, 3.0, 1.875, 0.5) for p in ps], rtol=1e-14)
@@ -180,7 +195,7 @@ def test_grad_psi_e_matches_central_differences():
         q = float(np.linalg.norm(y))
         if q < 1e-3 or q > 0.9 * r_hat:
             y *= rng.uniform(0.1, 0.85) * r_hat / q
-        g = _psi_e(y, r_hat, mu, grad=True)
+        g = kernel_e(y, r_hat, mu, grad=True)
         fd = central_difference(
             lambda v: oracles.psi_e(float(np.linalg.norm(v)), r_hat, mu),
             y, 1e-5)
@@ -207,7 +222,7 @@ def test_grad_psi_c_matches_central_differences():
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
         y = p_target * direction - tau
-        g = _psi_c(y + tau, tn, d_s, mu, grad=True)
+        g = kernel_c(y + tau, tn, d_s, mu, grad=True)
         fd = central_difference(
             lambda v: oracles.psi_c(float(np.linalg.norm(v + tau)), tn, d_s,
                                     mu), y, 1e-5)
@@ -221,7 +236,7 @@ def test_grad_psi_c_matches_central_differences():
 def test_grad_psi_e_bounded_near_origin():
     for scale in (1e-3, 1e-6, 1e-9):
         y = np.array([scale, 0.0])
-        g = _psi_e(y, 5.0, 2.0, grad=True)
+        g = kernel_e(y, 5.0, 2.0, grad=True)
         assert np.all(np.isfinite(g))
         # leading behaviour is (2/D) * y
         D = 5.0 + 25.0 / 2.0
@@ -231,7 +246,7 @@ def test_grad_psi_e_bounded_near_origin():
 
 
 def test_grad_psi_c_finite_at_desired_distance():
-    g = _psi_c(np.array([3.0, 0.0]), 3.0, 1.875, 0.5, grad=True)
+    g = kernel_c(np.array([3.0, 0.0]), 3.0, 1.875, 0.5, grad=True)
     assert np.all(np.isfinite(g))
     assert np.linalg.norm(g) <= 1e-14
     assert np.linalg.norm(oracles.grad_psi_c([3.0, 0.0], 3.0, 1.875,
@@ -240,7 +255,7 @@ def test_grad_psi_c_finite_at_desired_distance():
 
 def test_grad_psi_c_singular_at_overlap():
     with pytest.raises(DomainViolation, match="zero separation"):
-        _psi_c(np.zeros(2), 3.0, 1.875, 0.5, grad=True)
+        kernel_c(np.zeros(2), 3.0, 1.875, 0.5, grad=True)
 
 
 # ------------------------------------------------------------ energy
@@ -345,21 +360,27 @@ def busy_states(dim, count=8):
 def test_epoch_control_and_energy_match_pairwise_oracles(dim):
     params = BarrierParams(5.0, 4.0, 0.05)
     for pos, vel, tau, topo, zone, G in busy_states(dim):
-        arrays = PairArrays(topo, zone, tau, GEOM, G)
-        u = arrays.control(pos, vel, params)
+        point = Point(PairArrays(topo, zone, tau, GEOM, G, params),
+                      np.stack([pos, vel]))
+        u = point.rate()[1]
         u_ref = np.stack([
             oracles.control_input(i, pos, vel, tau, topo, GEOM, G, params,
                                   zone_pairs=zone) for i in range(len(pos))])
         assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
-        W = arrays.energy(pos, vel, params)
+        assert np.array_equal(point.rate()[0], vel)
+        W = point.energy()
         W_ref = oracles.energy_W(pos, vel, tau, topo, GEOM, G, params,
                                  zone_pairs=zone)
         assert abs(W - W_ref) <= 1e-12 * abs(W_ref)
 
 
-def violation(arrays, method, positions, params):
+def violation(arrays, method, positions):
+    """The DomainViolation of the epoch's control law ("control") or energy
+    at positions, at rest."""
+    z = np.stack([positions, np.zeros_like(positions)])
     with pytest.raises(DomainViolation) as info:
-        getattr(arrays, method)(positions, np.zeros_like(positions), params)
+        point = Point(arrays, z)
+        point.rate() if method == "control" else point.energy()
     return str(info.value), info.value.index
 
 
@@ -371,9 +392,10 @@ def test_epoch_edge_violation_names_first_offending_pair(method):
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     every = oracles.pair_mask(3, [(0, 1), (0, 2), (1, 2)])
     arrays = PairArrays(TopologyState(every, every),
-                        oracles.pair_mask(3, []), tau, GEOM, np.zeros((3, 3)))
+                        oracles.pair_mask(3, []), tau, GEOM, np.zeros((3, 3)),
+                        BarrierParams(1.0, 1.0, 0.05))
     pos = tau + np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 25.0]])
-    assert violation(arrays, method, pos, BarrierParams(1.0, 1.0, 0.05)) \
+    assert violation(arrays, method, pos) \
         == ("pair (0,2): psi_e denominator -5.000e+00 <= 0 at "
             "q=25.000000, r_hat_s=4.000000", 1)
 
@@ -385,22 +407,25 @@ def test_epoch_collision_violation_names_first_offending_pair(method):
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
     near = oracles.pair_mask(3, [(0, 1), (1, 2)])
     arrays = PairArrays(TopologyState(near, oracles.pair_mask(3, [])), near,
-                        tau, GEOM, np.zeros((3, 3)))
+                        tau, GEOM, np.zeros((3, 3)),
+                        BarrierParams(1.0, 1.265625, 0.05))
     pos = np.array([[0.0, 0.0], [2.25, 0.0], [2.75, 0.0]])
-    assert violation(arrays, method, pos,
-                     BarrierParams(1.0, 1.265625, 0.05)) \
+    assert violation(arrays, method, pos) \
         == ("pair (1,2): psi_c denominator -3.750e-01 <= 0 at "
             "p=0.500000, tau_norm=3.000000", 1)
 
 
 def test_epoch_control_names_zero_separation_pair():
+    # the energy is defined at zero separation; only the control law, formed
+    # after the energy monitor has read the point, is singular there
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
     near = oracles.pair_mask(3, [(0, 1), (1, 2)])
     arrays = PairArrays(TopologyState(near, oracles.pair_mask(3, [])), near,
-                        tau, GEOM, np.zeros((3, 3)))
+                        tau, GEOM, np.zeros((3, 3)),
+                        BarrierParams(1.0, 0.5, 0.05))
     pos = np.array([[0.0, 0.0], [2.25, 0.0], [2.25, 0.0]])
-    assert violation(arrays, "control", pos,
-                     BarrierParams(1.0, 0.5, 0.05)) \
+    assert np.isfinite(Point(arrays, np.stack([pos, 0.0 * pos])).energy())
+    assert violation(arrays, "control", pos) \
         == ("pair (1,2): psi_c gradient singular at zero separation; "
             "collision avoidance has already failed", 1)
 
@@ -409,8 +434,7 @@ def test_epoch_refuses_formation_pair_beyond_sensing_radius():
     tau = np.array([[0.0, 0.0], [GEOM.r_s, 0.0]])
     with pytest.raises(ValueError, match="r_hat_s must be positive"):
         PairArrays(pair_topology(), oracles.pair_mask(2, []), tau, GEOM,
-                   np.zeros((2, 2))).energy(tau, np.zeros((2, 2)),
-                                            BarrierParams(1.0, 1.0, 0.05))
+                   np.zeros((2, 2)), BarrierParams(1.0, 1.0, 0.05))
 
 
 # ------------------------------------------------------------ tune_mu

@@ -5,6 +5,11 @@ timing wrapper.  A refactor that renames or moves one of them breaks the
 benchmark, so each entry must resolve here the way Tracer.install looks it
 up: through the class __dict__ for a class, through getattr for a module.
 
+The tracer attributes time by those names, so the simulate loop must reach
+step, update_edges and zone_pairs_at through robustform.simulate's module
+globals once per step: a refactor that inlines or bypasses one of them
+would leave its span at zero without failing anything else.
+
 bench/oracle.py re-checks every certificate the benchmark writes, from the
 scenario JSON alone.  A change to the certificate format or to the certified
 quantity that the oracle does not know of fails the benchmark, so a
@@ -54,6 +59,25 @@ def test_patched_name_resolves(where, name):
         assert hasattr(owner, name), f"{where} binds no {name}"
         raw = getattr(owner, name)
     assert callable(raw) or isinstance(raw, classmethod)
+
+
+def test_tracer_sees_every_step_of_a_run():
+    from robustform import simulate
+    t = tracer.Tracer()
+    t.install()
+    try:
+        res = simulate.run(ScenarioSpec.load(builtin_path("six_agent")),
+                           seed=0, T_end=0.1)
+    finally:
+        t.uninstall()
+    steps = res.metrics["n_steps_taken"]
+    assert steps == 20
+    # the initial edge and zone masks, then one of each per step
+    assert (t.calls["simulate.monitor"], t.calls["simulate.integrate"],
+            t.calls["netgraph.update_edges"],
+            t.calls["barrier.zone_pairs_at"]) == (1, steps, steps + 1,
+                                                   steps + 1)
+    assert t.self_s["simulate.integrate"] > 0.0
 
 
 def test_six_agent_certificate_passes_the_oracle(tmp_path):

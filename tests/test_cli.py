@@ -735,6 +735,49 @@ def test_simulate_unwritable_output_exits_2(tmp_path, capsys):
         ": Not a directory\n"
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached although the output is unwritable")
+
+
+def test_certify_refuses_unwritable_output_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("robustform.cli.sample_lambda2", _unreachable)
+    monkeypatch.setattr("robustform.cli.certify", _unreachable)
+    for out, why in [(tmp_path / "missing_dir" / "c.json",
+                      "No such file or directory"),
+                     (tmp_path, "Is a directory")]:
+        assert run_cli("certify", "six_agent", "--out", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: {why}\n")
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_simulate_refuses_unwritable_output_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("robustform.cli.run", _unreachable)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    run_dir = tmp_path / "runs" / "six_agent_seed0"
+    (run_dir / "energy.csv").mkdir(parents=True)
+    for out, path, why in [
+            (a_file, a_file / "six_agent_seed0", "Not a directory"),
+            (a_file / "deeper", a_file / "deeper" / "six_agent_seed0",
+             "Not a directory"),
+            (tmp_path / "runs", run_dir / "energy.csv", "Is a directory")]:
+        assert run_cli("simulate", "six_agent", "--out", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: {why}\n")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["energy.csv"]
+
+
+def test_simulate_creates_nothing_when_its_precondition_fails(tmp_path):
+    out = tmp_path / "new" / "runs"
+    pair = tmp_path / "pair.json"
+    pair_scenario_doc(tau_x=2.0).save(pair)  # violates A1
+    assert run_cli("simulate", str(pair), "--out", str(out)) == 1
+    assert not (tmp_path / "new").exists()
+
+
 def test_plot_unwritable_chart_exits_2(tmp_path, capsys):
     out = tmp_path / "runs"
     assert run_cli("simulate", "six_agent", "--T", "0",
@@ -745,6 +788,9 @@ def test_plot_unwritable_chart_exits_2(tmp_path, capsys):
     assert run_cli("plot", str(chart.parent)) == 2
     assert capsys.readouterr().err == \
         f"error: cannot write {chart}: Is a directory\n"
+    # no chart is written unless all of them can be
+    assert sorted(p.name for p in chart.parent.glob("*.svg")) \
+        == ["energy.svg"]
 
 
 def test_plot_zero_horizon_run(tmp_path):

@@ -1,13 +1,14 @@
 """Controller structure, integrator behavior, and monitored runs."""
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from robustform.barrier import BarrierParams, PairArrays
+from robustform.barrier import BarrierParams, PairArrays, Point
 from robustform.netgraph import (AgentGeometry, TopologyState,
                                  UncertainAdjacency, pair_distances,
                                  update_edges)
@@ -40,6 +41,16 @@ def hexagon_system():
     return s.tau, topo, G
 
 
+def control(arrays, positions, velocities):
+    """The control law u = -grad W of an epoch: the velocity half of its
+    rate at the stacked state [positions, velocities]."""
+    return Point(arrays, np.stack([positions, velocities])).rate()[1]
+
+
+def energy(arrays, positions, velocities):
+    return Point(arrays, np.stack([positions, velocities])).energy()
+
+
 def const_pair_scenario(positions, velocities, weight=1.0, tau=None,
                         barrier=None, **kw):
     if tau is None:
@@ -63,8 +74,8 @@ def test_control_zero_at_equilibrium():
     tau, topo, G = triangle_system()
     common = np.array([1.2, -0.4])
     vel = np.tile(common, (3, 1))
-    arrays = PairArrays(topo, oracles.pair_mask(3, []), tau, GEOM, G)
-    u = arrays.control(tau.copy(), vel, PARAMS)
+    arrays = PairArrays(topo, oracles.pair_mask(3, []), tau, GEOM, G, PARAMS)
+    u = control(arrays, tau.copy(), vel)
     assert np.allclose(u, 0.0, atol=1e-14)
     for i in range(3):
         ui = oracles.control_input(i, tau, vel, tau, topo, GEOM, G, PARAMS)
@@ -81,8 +92,8 @@ def test_control_pair_antisymmetry():
         pos = tau + 0.5 * rng.normal(size=(2, 2))
         vel = rng.normal(size=(2, 2))
         zone = zone_pairs_at(pair_distances(pos), topo, GEOM)
-        arrays = PairArrays(topo, zone, tau, GEOM, G)
-        u = arrays.control(pos, vel, PARAMS)
+        arrays = PairArrays(topo, zone, tau, GEOM, G, PARAMS)
+        u = control(arrays, pos, vel)
         assert np.allclose(u[0], -u[1], atol=1e-12)
 
 
@@ -94,8 +105,8 @@ def test_control_sums_to_zero_with_zone_active():
     geom = ScenarioSpec.load(builtin_path("six_agent")).geometry
     zone = zone_pairs_at(pair_distances(pos), topo, geom)
     assert zone[0, 1]
-    arrays = PairArrays(topo, zone, tau, geom, G)
-    u = arrays.control(pos, vel, PARAMS)
+    arrays = PairArrays(topo, zone, tau, geom, G, PARAMS)
+    u = control(arrays, pos, vel)
     assert np.allclose(u.sum(axis=0), 0.0, atol=1e-12)
 
 
@@ -107,8 +118,8 @@ def test_vectorized_control_matches_per_agent():
         pos = tau + 0.4 * rng.normal(size=(6, 2))
         vel = rng.normal(size=(6, 2))
         zone = zone_pairs_at(pair_distances(pos), topo, s.geometry)
-        arrays = PairArrays(topo, zone, tau, s.geometry, G)
-        u_fast = arrays.control(pos, vel, PARAMS)
+        arrays = PairArrays(topo, zone, tau, s.geometry, G, PARAMS)
+        u_fast = control(arrays, pos, vel)
         u_ref = np.stack([
             oracles.control_input(i, pos, vel, tau, topo, s.geometry, G,
                                   PARAMS, zone_pairs=zone)
@@ -126,14 +137,14 @@ def test_control_reads_only_neighbors():
     pos = tau + 0.3 * rng.normal(size=(6, 2))
     vel = rng.normal(size=(6, 2))
     zone = oracles.pair_mask(6, [])
-    u0 = PairArrays(topo, zone, tau, s.geometry, G).control(pos, vel,
-                                                           PARAMS)[0]
+    u0 = control(PairArrays(topo, zone, tau, s.geometry, G, PARAMS), pos,
+                 vel)[0]
     pos2, vel2, G2 = pos.copy(), vel.copy(), G.copy()
     pos2[3:] += 50.0
     vel2[3:] = rng.normal(size=(3, 2)) * 10
     G2[0, 4] = G2[4, 0] = 999.0  # not an edge of this topology
-    u0b = PairArrays(topo, zone, tau, s.geometry, G2).control(pos2, vel2,
-                                                             PARAMS)[0]
+    u0b = control(PairArrays(topo, zone, tau, s.geometry, G2, PARAMS),
+                  pos2, vel2)[0]
     assert np.allclose(u0, u0b, atol=0.0)
 
 
@@ -143,12 +154,11 @@ def test_free_motion_advances_exactly():
     tau = np.array([[0.0, 0.0], [100.0, 0.0]])
     none = oracles.pair_mask(2, [])
     topo = TopologyState(none, none)
-    state = SimState(t=0.0, positions=tau.copy(),
-                     velocities=np.array([[1.0, -2.0], [0.5, 0.25]]),
+    state = SimState(t=0.0, z=np.stack([tau, [[1.0, -2.0], [0.5, 0.25]]]),
                      topo=topo, zone_pairs=none,
                      distances=pair_distances(tau))
-    arrays = PairArrays(topo, none, tau, GEOM, np.zeros((2, 2)))
-    new = step(state, arrays, PARAMS, dt=0.01)
+    arrays = PairArrays(topo, none, tau, GEOM, np.zeros((2, 2)), PARAMS)
+    new = step(state, Point(arrays, state.z), dt=0.01)
     assert np.allclose(new.positions,
                        state.positions + 0.01 * state.velocities,
                        rtol=1e-13, atol=0.0)
@@ -159,12 +169,11 @@ def test_step_refreshes_topology_after_integration():
     tau = np.array([[0.0, 0.0], [7.95, 0.0]])
     none = oracles.pair_mask(2, [])
     topo = TopologyState(none, none)
-    state = SimState(t=0.0, positions=tau.copy(),
-                     velocities=np.array([[0.5, 0.0], [-0.5, 0.0]]),
+    state = SimState(t=0.0, z=np.stack([tau, [[0.5, 0.0], [-0.5, 0.0]]]),
                      topo=topo, zone_pairs=none,
                      distances=pair_distances(tau))
-    arrays = PairArrays(topo, none, tau, GEOM, np.zeros((2, 2)))
-    new = step(state, arrays, PARAMS, dt=0.1)
+    arrays = PairArrays(topo, none, tau, GEOM, np.zeros((2, 2)), PARAMS)
+    new = step(state, Point(arrays, state.z), dt=0.1)
     assert not state.topo.edges.any()
     assert oracles.pairs(new.topo.edges) == [(0, 1)]
     assert np.array_equal(new.distances, pair_distances(new.positions))
@@ -178,8 +187,8 @@ def test_energy_fast_path_matches_reference():
         pos = tau + 0.4 * rng.normal(size=(6, 2))
         vel = rng.normal(size=(6, 2))
         zone = zone_pairs_at(pair_distances(pos), topo, s.geometry)
-        arrays = PairArrays(topo, zone, tau, s.geometry, G)
-        fast = arrays.energy(pos, vel, PARAMS)
+        arrays = PairArrays(topo, zone, tau, s.geometry, G, PARAMS)
+        fast = energy(arrays, pos, vel)
         ref = oracles.energy_W(pos, vel, tau, topo, s.geometry, G, PARAMS,
                                zone_pairs=zone)
         assert fast == pytest.approx(ref, rel=1e-12)
@@ -192,11 +201,12 @@ def test_energy_decreases_over_step():
     pos = tau + 0.2 * rng.normal(size=(6, 2))
     vel = rng.normal(size=(6, 2))
     zone = zone_pairs_at(pair_distances(pos), topo, s.geometry)
-    arrays = PairArrays(topo, zone, tau, s.geometry, G)
-    state = SimState(0.0, pos, vel, topo, zone, pair_distances(pos))
-    W0 = arrays.energy(pos, vel, PARAMS)
-    new = step(state, arrays, PARAMS, dt=1e-3)
-    W1 = arrays.energy(new.positions, new.velocities, PARAMS)
+    arrays = PairArrays(topo, zone, tau, s.geometry, G, PARAMS)
+    state = SimState(0.0, np.stack([pos, vel]), topo, zone,
+                     pair_distances(pos))
+    W0 = energy(arrays, pos, vel)
+    new = step(state, Point(arrays, state.z), dt=1e-3)
+    W1 = energy(arrays, new.positions, new.velocities)
     assert W1 < W0
 
 
@@ -208,13 +218,13 @@ def test_rk4_error_is_fourth_order():
     pos0 = tau + 0.2 * rng.normal(size=(3, 2))
     vel0 = 0.5 * rng.normal(size=(3, 2))
     zone = oracles.pair_mask(3, [])
-    arrays = PairArrays(topo, zone, tau, GEOM, G)
+    arrays = PairArrays(topo, zone, tau, GEOM, G, PARAMS)
 
     def integrate(dt, T=0.4):
-        state = SimState(0.0, pos0.copy(), vel0.copy(), topo, zone,
+        state = SimState(0.0, np.stack([pos0, vel0]), topo, zone,
                          pair_distances(pos0))
         for _ in range(int(round(T / dt))):
-            state = step(state, arrays, PARAMS, dt)
+            state = step(state, Point(arrays, state.z), dt)
             assert state.topo is topo  # no switching in this window
             assert np.array_equal(state.zone_pairs, zone)
         return state
@@ -438,11 +448,10 @@ def test_run_trips_formation_edge_break():
     assert res.metrics["min_distance"] == pytest.approx(3.0)
 
 
-def test_run_zone_and_edge_switches_conserve_energy_jumps():
-    # a chain 0-1-2 whose far end flies in: (0, 2) is added at r_s - eps,
-    # (1, 2) and then (0, 1) pass through the collision zone, and (0, 2) is
-    # dropped again beyond r_s; every mask change must move W by exactly
-    # the entering minus the leaving terms
+def chain_scenario():
+    """A chain 0-1-2 whose far end flies in: (0, 2) is added at r_s - eps,
+    (1, 2) and then (0, 1) pass through the collision zone, and (0, 2) is
+    dropped again beyond r_s."""
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
     entries = MatrixPolynomial.zeros(3, 3, 0)
     w = Polynomial(0, {(): 0.2})
@@ -450,14 +459,19 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
         entries.set_entry(i, j, w)
         entries.set_entry(j, i, w)
     adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
-    sc = ScenarioSpec(
+    return ScenarioSpec(
         name="chain", geometry=GEOM, tau=tau,
         positions=np.array([[0.0, 0.0], [3.0, 0.0], [10.5, 0.0]]),
         velocities=np.array([[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]),
         formation=oracles.pair_mask(3, [(0, 1), (1, 2)]),
         adjacency=adj,
         T_end=3.0)
-    res = run(sc, seed=0)
+
+
+def test_run_zone_and_edge_switches_conserve_energy_jumps():
+    # every mask change of the chain must move W by exactly the entering
+    # minus the leaving terms
+    res = run(chain_scenario(), seed=0)
     assert res.ok, res.failure
     assert res.log.events == [
         {"t": 0.4160000000000003, "type": "switch", "added": [(0, 2)],
@@ -488,3 +502,75 @@ def test_run_rejects_bad_time_grid_argument(argument, value):
     with pytest.raises(ValueError, match=f"^{argument}: must be"):
         run(ScenarioSpec.load(builtin_path("six_agent")),
             **{argument: value})
+
+
+# ---------------------------------------------------------- golden bytes
+
+# sha256 of the run-directory files the integrator, the barrier kernel and
+# the monitors determine (certificate.json is left out: its bytes depend on
+# the BLAS thread count).  Recorded with the code of commit 65c779e; any
+# change to a floating-point operation of the simulate path, or to the order
+# of its operations, moves them.
+GOLDEN_RUN_FILES = {
+    # a zone event at t = 0.28
+    ("six_agent", 5, "10"): {
+        "trajectory.csv":
+        "387f55ecb177dbc2a395756f30eaf40d4d8e2d6552433336cf4fbca4de47e2cd",
+        "energy.csv":
+        "0267c710257fec5e982b9d0fa35205442f461a2c2408b46940ced77c76e49978",
+        "events.jsonl":
+        "fc2727a14dedfd51391fc053388652e27b604c86e41121169266f2f9eb99be54",
+        "metrics.json":
+        "72098a0441fc30a56a5652fb34a12b25e8e3a9adc6cb068addef05ca6593dc65"},
+    # stops on a safety_distance failure at t = 0.228
+    ("adversarial", 1, None): {
+        "trajectory.csv":
+        "dac0f12d1e92503a6f66d437fe52751a4e975730c283cc979db1fc85c8b2c2fe",
+        "energy.csv":
+        "b32ee94ae7824f233e6e977a45925a1dfb7039ba2e6eddbf861b311cd6523b11",
+        "events.jsonl":
+        "040c404401935af431acbc814dc6bea6ca8f3ecb94ccd55f1596dd9f1f1c39a4",
+        "metrics.json":
+        "47aec6c77f19adb9198a5f9577e20d90b16af6c50866f47d068594c7f2cce81c"},
+    # two edge switches and four zone events
+    ("chain", 0, None): {
+        "trajectory.csv":
+        "015aa59e190134014703ae92cd9ef79bc1da7c472ae1c420e633378830a9452a",
+        "energy.csv":
+        "7128dfef773607a54d7b700e09db2a2332bacae711e4d924eeac8bf2af32a52d",
+        "events.jsonl":
+        "817dcff5b3cd52e220b2c406e13b13ad9cc5f757fcc0fe9c36c17a52231f8f1f",
+        "metrics.json":
+        "873cb33935a6d80e940d96476fade0e3d923dfbf898130f4d25530442af67f29"},
+}
+# times, positions, velocities, controls and W_values of
+# run(fifty_agent, seed=3, T_end=0.2) with the stored certificate
+GOLDEN_FIFTY_LOG = \
+    "20aa6dc6077703185beb3a8083ce822a26bed0d1553e13177f12d0e01e5e64bf"
+
+
+@pytest.mark.parametrize("scenario, seed, horizon", list(GOLDEN_RUN_FILES),
+                         ids=[name for name, _, _ in GOLDEN_RUN_FILES])
+def test_simulate_run_directory_bytes(tmp_path, scenario, seed, horizon):
+    from robustform.cli import main
+    path = scenario
+    if scenario == "chain":
+        path = tmp_path / "chain.json"
+        chain_scenario().save(path)
+    argv = ["simulate", str(path), "--seed", str(seed),
+            "--out", str(tmp_path / "runs")]
+    main(argv + (["--T", horizon] if horizon else []))
+    run_dir = tmp_path / "runs" / f"{scenario}_seed{seed}"
+    assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_RUN_FILES[scenario, seed, horizon]} \
+        == GOLDEN_RUN_FILES[scenario, seed, horizon]
+
+
+def test_fifty_agent_log_bytes():
+    res = run(ScenarioSpec.load(builtin_path("fifty_agent")), seed=3,
+              T_end=0.2, certificate=Certificate.load(FIFTY_CERT))
+    h = hashlib.sha256()
+    for a in (res.log.times, res.log.positions, res.log.velocities,
+              res.log.controls, res.log.W_values):
+        h.update(a.tobytes())
+    assert h.hexdigest() == GOLDEN_FIFTY_LOG
