@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .barrier import BarrierParams
-from .netgraph import AgentGeometry, UncertainAdjacency, upper_mask
+from .netgraph import AgentGeometry, UncertainAdjacency, laplacian, \
+    upper_mask
 from .polyalg import MatrixPolynomial, Polynomial
 
 FORMAT = "formation-scenario/1"
@@ -121,6 +122,32 @@ def _numbers(doc: dict, key: str, cls):
     extra = sorted(set(doc[key]) - set(values))
     _require(not extra, key, f"an object of {list(values)}", doc[key])
     return cls(**values)
+
+
+def _check_reach(adj: UncertainAdjacency, index: dict) -> None:
+    """Raise ValueError, naming the weights, unless every Laplacian entry
+    sum_e C_e[i, j] theta^e of adj is bounded on its box by the finite
+    sum_e |C_e[i, j]| prod_k max(|lo_k|, |hi_k|)^e_k, so that no point of
+    the box evaluates it to an inf or a nan.  index maps each pair (i, j),
+    i < j, to the position of its record in uncertainty.weights."""
+    radius = np.array([max(abs(lo), abs(hi)) for lo, hi in adj.box])
+    reach = np.zeros((adj.N, adj.N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, C in laplacian(adj).coeffs.items():
+            reach += np.where(C != 0, np.abs(C) * np.prod(radius ** e), 0.0)
+    bad = ~np.isfinite(reach)
+    # an off-diagonal entry is one weight, a diagonal one sums a row
+    if np.triu(bad, 1).any():
+        i, j = np.argwhere(np.triu(bad, 1))[0].tolist()
+        raise ValueError(
+            f"uncertainty.weights[{index[i, j]}]: the weight of pair "
+            f"({i}, {j}) can exceed the float range on uncertainty.box")
+    if bad.any():
+        i = int(np.flatnonzero(np.diag(bad))[0])
+        pairs = ", ".join(str(p) for p in sorted(index) if i in p)
+        raise ValueError(
+            f"uncertainty.weights: the weights of agent {i}, pairs {pairs}, "
+            f"can sum beyond the float range on uncertainty.box")
 
 
 def check_time_grid(dt, T_end, record_every,
@@ -255,6 +282,7 @@ class ScenarioSpec:
                  "an integer >= 0", r)
         entries = MatrixPolynomial.zeros(N, N, r)
         seen = np.zeros((N, N), dtype=bool)
+        index = {}
         for k, w in enumerate(_items(doc, "uncertainty.weights")):
             where = f"uncertainty.weights[{k}]"
             i, j = _get(w, where, "i"), _get(w, where, "j")
@@ -263,6 +291,7 @@ class ScenarioSpec:
                      f"distinct agent indices in [0, {N}) not listed before",
                      (i, j))
             seen[i, j] = seen[j, i] = True
+            index[min(i, j), max(i, j)] = k
             p = _terms(r, w, where)
             entries.set_entry(i, j, p)
             entries.set_entry(j, i, p)
@@ -275,6 +304,7 @@ class ScenarioSpec:
                 f"uncertainty.box[{k}]", "two finite numbers", b)
         adj = UncertainAdjacency(N=N, entries=entries, omega=omega,
                                  box=[tuple(map(float, b)) for b in box])
+        _check_reach(adj, index)
         formation = np.zeros((N, N), dtype=bool)
         for k, e in enumerate(_items(doc, "formation_edges")):
             _require(isinstance(e, list) and len(e) == 2 and all(

@@ -94,6 +94,20 @@ def test_six_agent_certificate_passes_the_oracle(tmp_path):
     assert 0.0 < info["lambda2_bound"] <= info["oracle_min_lambda2"]
 
 
+def test_stored_fifty_agent_certificate_passes_the_oracle():
+    # the check every ring50 round makes: fifty_agent takes sample_lambda2's
+    # band route, six_agent above its dense one
+    adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+    lam = sample_lambda2(adj, n_samples=500, seed=0)
+    fails, info = oracle.certificate_checks(
+        oracle.ScenarioOracle(builtin_path("fifty_agent")),
+        json.loads((BENCH / "fifty_agent_certificate.json").read_text()),
+        lam.thetas, lam.values, np.random.default_rng([0, 2017]),
+        n_samples=1000)
+    assert fails == []
+    assert 0.0 < info["lambda2_bound"] <= info["oracle_min_lambda2"]
+
+
 # Algebraic pencil margin of the stored certificate, as replayed with the
 # null basis built one dense matrix per element.
 STORED_PENCIL_MARGIN = 3.019996667139514e-10

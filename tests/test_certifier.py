@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 import oracles
-from robustform import sdp
+from robustform import certifier, sdp
 from robustform.certifier import (Assembly, Certificate, CertifierError,
                                   CertifyResult, DegreePlan, Lambda2Samples,
-                                  assemble, certify, refusals,
+                                  assemble, band_form, certify, refusals,
                                   sample_lambda2, verify_certificate)
 from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
@@ -521,6 +521,120 @@ def test_sample_lambda2_rejects_nonpositive_count():
     adj = const_adjacency([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(CertifierError):
         sample_lambda2(adj, n_samples=0)
+
+
+# the monomials of degree <= 2 in two parameters
+QUADRATIC = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def quadratic_adjacency(N, coeffs):
+    """Adjacency with weight sum_q coeffs[i, j][q] theta^QUADRATIC[q] on
+    each listed pair, theta in the unit disk."""
+    return edge_weight_adjacency(
+        N, {p: Polynomial(2, dict(zip(QUADRATIC, c)))
+            for p, c in coeffs.items()}, 2, [unit_disk(2)],
+        [(-1.0, 1.0), (-1.0, 1.0)])
+
+
+def assert_lambda2_matches_dense_oracle(N, coeffs, sweep):
+    """sweep's values against eigvalsh of the Laplacian assembled in NumPy
+    from coeffs at sweep's points, to 1e-10 of max(1, ||L(theta)||)."""
+    t1, t2 = sweep.thetas.T
+    powers = np.stack([t1 ** a * t2 ** b for a, b in QUADRATIC], axis=1)
+    W = np.zeros((len(powers), N, N))
+    for (i, j), c in coeffs.items():
+        W[:, i, j] = W[:, j, i] = powers @ np.asarray(c)
+    eigs = np.linalg.eigvalsh(np.eye(N) * W.sum(-1)[..., None] - W)
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
+    assert np.all(np.abs(sweep.values - eigs[:, 1]) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_band_route_matches_dense_eigenvalues_on_sparse_graphs(seed):
+    # a ring plus a few short random chords, random degree-2 weights
+    rng = np.random.default_rng([seed, 26])
+    N = int(rng.integers(16, 61))
+    pairs = {(i, (i + 1) % N) for i in range(N)}
+    for i in rng.integers(N, size=int(rng.integers(1, N // 10 + 1))):
+        pairs.add((int(i), int(i + rng.integers(2, 4)) % N))
+    coeffs = {(min(p), max(p)): rng.normal(size=len(QUADRATIC))
+              for p in pairs}
+    adj = quadratic_adjacency(N, coeffs)
+    assert band_form(laplacian(adj)) is not None
+    assert_lambda2_matches_dense_oracle(
+        N, coeffs, sample_lambda2(adj, n_samples=300, seed=seed))
+
+
+def test_band_route_on_a_disconnected_path():
+    # two paths of 10 agents with positive weights: lambda_2 = 0
+    coeffs = {(i, i + 1): [1.0, 0.3, -0.2, 0.0, 0.1, 0.2]
+              for i in range(19) if i != 9}
+    adj = quadratic_adjacency(20, coeffs)
+    assert band_form(laplacian(adj)).rows == 2
+    sweep = sample_lambda2(adj, n_samples=300, seed=1)
+    assert_lambda2_matches_dense_oracle(20, coeffs, sweep)
+    assert np.abs(sweep.values).max() < 1e-10
+
+
+def test_band_route_on_an_edgeless_graph():
+    adj = quadratic_adjacency(8, {})
+    assert band_form(laplacian(adj)).rows == 1
+    np.testing.assert_array_equal(
+        sample_lambda2(adj, n_samples=50, seed=2).values, 0.0)
+
+
+@pytest.mark.parametrize("N, banded", [(12, True), (11, False)])
+def test_band_route_starts_at_the_rule_boundary(N, banded):
+    # a ring has half-bandwidth 2 in reverse Cuthill-McKee order, so the
+    # band route takes it from N = 4 (2 + 1) = 12 agents on
+    rng = np.random.default_rng(N)
+    coeffs = {(min(i, (i + 1) % N), max(i, (i + 1) % N)):
+              rng.normal(size=len(QUADRATIC)) for i in range(N)}
+    adj = quadratic_adjacency(N, coeffs)
+    band = band_form(laplacian(adj))
+    assert (band.rows == 3) if banded else band is None
+    assert_lambda2_matches_dense_oracle(
+        N, coeffs, sample_lambda2(adj, n_samples=200, seed=3))
+
+
+@pytest.mark.parametrize("name, dsbevx_calls, eigvalsh_calls", [
+    ("fifty_agent", 300, 0), ("six_agent", 0, 1), ("adversarial", 0, 1)])
+def test_sample_lambda2_route_of_each_shipped_scenario(
+        monkeypatch, name, dsbevx_calls, eigvalsh_calls):
+    calls = {"dsbevx": 0, "eigvalsh": 0}
+
+    def counted(owner, attr):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(certifier.lapack, "dsbevx")
+    counted(np.linalg, "eigvalsh")
+    sample_lambda2(ScenarioSpec.load(builtin_path(name)).adjacency,
+                   n_samples=300, seed=0)
+    assert calls == {"dsbevx": dsbevx_calls, "eigvalsh": eigvalsh_calls}
+
+
+@pytest.mark.parametrize("name", ["six_agent", "fifty_agent"])
+def test_sampled_pencil_margin_is_the_shifted_lambda2(name):
+    # with P = I / s the sampled pencil at theta is 2 Lhat(theta) / s -
+    # c* |phi_H(theta)|^2 I, whose least eigenvalue is 2 lambda_2 / s less
+    # the shift; both sweeps draw the same points for a seed
+    adj = ScenarioSpec.load(builtin_path(name)).adjacency
+    cert = certify(adj).certificate
+    s = adj.N - 1
+    np.testing.assert_array_equal(cert.P_bar, np.eye(s) / s)
+    for seed in range(2):
+        sweep = sample_lambda2(adj, n_samples=200, seed=seed)
+        phi2 = np.sum(power_vector(adj.r, cert.plan.d_H).eval_batch(
+            sweep.thetas) ** 2, axis=1)
+        expected = float(np.min(2 * sweep.values / s - cert.c_star * phi2))
+        margin = verify_certificate(cert, adj, n_samples=200,
+                                    seed=seed).sampled_pencil_margin
+        assert margin == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("case", ["six_agent", "random_disk"])

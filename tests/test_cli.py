@@ -214,6 +214,41 @@ def test_check_bad_weight_record_exits_2(tmp_path, capsys, case):
     assert f"uncertainty.weights[{k}]" in capsys.readouterr().err
 
 
+def overflowing_scenario(case):
+    """six_agent with finite weight records whose Laplacian can overflow:
+    in case "diagonal" two weights of 1e308 at agent 0 sum to inf, in case
+    "box" a 1e300 theta_1 coefficient meets a box of half-width 1e10."""
+    doc = json.loads(builtin_path("six_agent").read_text())
+    unc = doc["uncertainty"]
+    if case == "diagonal":
+        for w in unc["weights"][:2]:  # pairs (0, 1) and (0, 2)
+            w["terms"] = [{"exponents": [0, 0], "coeff": 1e308}]
+        return doc, "the weights of agent 0, pairs (0, 1), (0, 2)"
+    unc["weights"][0]["terms"][0] = {"exponents": [1, 0], "coeff": 1e300}
+    unc["box"][0] = [-1e10, 1e10]
+    unc["region"] = []
+    return doc, "uncertainty.weights[0]: the weight of pair (0, 1)"
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["certify", "--samples", "100"], ["simulate", "--T", "0.01"]])
+@pytest.mark.parametrize("case", ["diagonal", "box"])
+def test_laplacian_that_can_overflow_exits_2(tmp_path, capsys, case,
+                                             command):
+    # both files used to pass check; certify then raised from the SDP
+    # assembly (diagonal) or from the lambda_2 sweep (box), and simulate
+    # raised or refused the failed solve's certificate with exit 1
+    doc, named = overflowing_scenario(case)
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    out = [] if command == ["check"] else ["--out", str(tmp_path / "o")]
+    assert run_cli(command[0], str(p), *command[1:], *out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {p}: invalid scenario: uncertainty.weights" in err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("where, bad", [
     ("region[0]", "inf"), ("region[0]", "nan"),
     ("box[0]", "inf"), ("box[1]", "-inf"), ("box[1]", "nan")])
