@@ -51,34 +51,16 @@ class TuneError(RuntimeError):
 
 @dataclass(frozen=True)
 class BarrierParams:
-    """Barrier caps and the edge-keeping margin epsilon-hat."""
+    """The barrier caps: mu1 of edge keeping, mu2 of collision avoidance."""
 
     mu1: float
     mu2: float
-    eps_hat: float
 
     def __post_init__(self):
         if not (self.mu1 > 0 and self.mu2 > 0):
             raise ValueError(
                 f"caps must be positive, got mu1={self.mu1}, "
                 f"mu2={self.mu2}")
-        if not self.eps_hat > 0:
-            raise ValueError(f"eps_hat must be positive, got {self.eps_hat}")
-
-
-def eps_hat_default(geom: AgentGeometry) -> float:
-    """Margin below the sensing radius used by the edge-keeping argument.
-
-    Half of min{d_s/2 - r_c, eps} when that interval is nonempty.  The
-    boundary geometry d_s = 2 r_c leaves the interval empty; there the
-    margin falls back to eps/2, which preserves every monitored invariant
-    (the interval's role is slack between the collision cap and the hard
-    radius, and the fallback only affects how close to the sensing boundary
-    an edge may start)."""
-    upper = min(geom.d_s / 2.0 - geom.r_c, geom.eps)
-    if upper > 0:
-        return upper / 2.0
-    return geom.eps / 2.0
 
 
 def _violation(D, what: str, **values) -> DomainViolation:
@@ -258,6 +240,8 @@ class TuneResult:
 
 # tune_mu's cap margin over the worst-case energy
 TUNE_MARGIN = 1.1
+# region samples, after its own theta, at which a run tunes its caps
+TUNE_SAMPLES = 16
 
 
 def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
@@ -274,7 +258,6 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     that is 0), and TuneError is raised should TUNE_MARGIN * mu_safe(mu)
     ever exceed mu."""
     N = positions.shape[0]
-    eps_hat = eps_hat_default(geom)
     if not weight_samples:
         raise TuneError("need at least one weight matrix sample")
 
@@ -291,7 +274,7 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     gaps = geom.d_s - pair_taus
 
     def mu_safe_at(mu: float) -> tuple[float, float]:
-        params = BarrierParams(mu, mu, eps_hat)
+        params = BarrierParams(mu, mu)
         try:
             w0 = max(Point(PairArrays(topo, zone, tau, geom, G, params),
                            z).energy() for G in weight_samples)
@@ -310,5 +293,5 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
     if TUNE_MARGIN * need > mu:
         raise TuneError(f"caps mu={mu:.6e} do not dominate "
                         f"{TUNE_MARGIN} * mu_safe={TUNE_MARGIN * need:.6e}")
-    return TuneResult(params=BarrierParams(mu, mu, eps_hat), mu_safe=need,
+    return TuneResult(params=BarrierParams(mu, mu), mu_safe=need,
                       w0=w0)

@@ -33,6 +33,7 @@ from . import sdp
 from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
     reduced_laplacian
 from .polyalg import ExponentVec, MatrixPolynomial, mono_mul
+from .scenario import known_keys
 from .smr import PowerVector, _positions, gram_base, gram_expand, \
     gram_null_basis, power_vector
 
@@ -86,6 +87,7 @@ class DegreePlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DegreePlan":
+        known_keys(d, "degree_plan", ("d_P", "d_H", "d_R"))
         if int(d["d_P"]) != 0:
             raise CertifierError(
                 f"pencil matrix degree d_P = {d['d_P']}; only constant "
@@ -227,6 +229,8 @@ class Certificate:
         if d.get("format") != "connectivity-certificate/1":
             raise CertifierError(
                 f"unrecognized certificate format {d.get('format')!r}")
+        known_keys(d, "", ("format", "n_agents", "r", "degree_plan",
+                           "c_star", "threshold", "P_bar", "R_bars", "delta"))
         if d.get("threshold", CONNECTIVITY_THRESHOLD) \
                 != CONNECTIVITY_THRESHOLD:
             raise CertifierError(

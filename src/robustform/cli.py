@@ -37,7 +37,7 @@ from .netgraph import (RegionSamplingError, pair_distances,
 from .scenario import ScenarioSpec
 from .simulate import PreconditionError, run
 
-MANIFEST_FORMAT = "run-manifest/1"
+MANIFEST_FORMAT = "run-manifest/2"
 # check tests every corner of the uncertainty box: at most 2^16
 MAX_BOX_PARAMETERS = 16
 
@@ -299,11 +299,9 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "T_end": args.T if args.T is not None else spec.T_end,
         "dt": dt_used,
-        "method": "rk4",
         "unsafe": bool(args.unsafe),
         "theta": res.theta,
-        "barrier": {"mu1": res.params.mu1, "mu2": res.params.mu2,
-                    "eps_hat": res.params.eps_hat},
+        "barrier": asdict(res.params),
         "tuned": res.tune is not None,
         "certificate": cert_name,
         "ok": res.ok,

@@ -226,6 +226,10 @@ def update_edges(dist: np.ndarray, topo: TopologyState,
     return TopologyState(edges, topo.formation)
 
 
+# the setup assumptions validate_assumptions checks, by name
+ASSUMPTIONS = ("A1", "A2", "A3")
+
+
 def validate_assumptions(tau: np.ndarray, formation: np.ndarray,
                          initial_positions: np.ndarray, geom: AgentGeometry,
                          overrides: dict[str, str] | None = None
@@ -249,7 +253,7 @@ def validate_assumptions(tau: np.ndarray, formation: np.ndarray,
     desired = pair_distances(tau)[fi, fj]
     initial = pair_distances(initial_positions)[fi, fj]
 
-    found = {"A1": [], "A2": [], "A3": []}
+    found = {name: [] for name in ASSUMPTIONS}
     for i, j, d, d0 in zip(fi, fj, desired.tolist(), initial.tolist()):
         if not (geom.r_z <= d <= geom.r_s - geom.eps):
             found["A1"].append(f"pair ({i},{j}): desired distance {d:.4f} "

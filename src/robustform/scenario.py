@@ -8,11 +8,10 @@ polynomial entries are explicit term records, so files stay diffable and
 independent of any pickle format.  A ScenarioSpec holds the file's
 [i, j] formation edges as one N x N pair mask (see netgraph.upper_mask).
 A malformed file raises ValueError naming the key path of the bad value,
-such as tau[1].  The shipped scenarios (BUILTIN) are defined only by
-their files under scenarios/, found by builtin_path.
-
-Runs integrate with classical RK4, the only integrator: a file records it
-as "method": "rk4", and from_dict refuses any other value.
+such as tau[1], and refuses every key it does not read.  A key a file
+may leave out takes the default of its ScenarioSpec field.  The shipped
+scenarios (BUILTIN) are defined only by their files under scenarios/,
+found by builtin_path.
 """
 
 from __future__ import annotations
@@ -27,11 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from .barrier import BarrierParams
-from .netgraph import AgentGeometry, UncertainAdjacency, laplacian, \
-    upper_mask
+from .netgraph import ASSUMPTIONS, AgentGeometry, UncertainAdjacency, \
+    laplacian, upper_mask
 from .polyalg import MatrixPolynomial, Polynomial
 
-FORMAT = "formation-scenario/1"
+FORMAT = "formation-scenario/2"
+# the keys of a document; from "barrier" on, a key a file leaves out takes
+# the default of its ScenarioSpec field
+KEYS = ("format", "name", "geometry", "tau", "positions", "velocities",
+        "formation_edges", "uncertainty", "barrier", "assumption_overrides",
+        "jitter_pos", "jitter_vel", "T_end", "dt", "record_every",
+        "conv_tol")
 NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
@@ -52,21 +57,31 @@ def _is_number(value) -> bool:
         _is_int(value) and abs(value) <= sys.float_info.max)
 
 
-def _get(doc, where: str, key: str, default=...):
-    """doc[key], doc being the value at key path where ("" at the top
-    level), or default for an absent key."""
+def known_keys(doc, where: str, keys) -> dict:
+    """doc, the value at key path where ("" at the top level), once it is
+    an object of no keys but keys; else ValueError names the first other."""
     _require(isinstance(doc, dict), where, "an object", doc)
-    if key not in doc and default is ...:
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{where + '.' if where else ''}{key}: unknown "
+                             f"key (known: {', '.join(keys)})")
+    return doc
+
+
+def _get(doc, where: str, key: str):
+    """doc[key], doc being the value at key path where."""
+    _require(isinstance(doc, dict), where, "an object", doc)
+    if key not in doc:
         raise ValueError(f"{where + '.' if where else ''}{key}: missing")
-    return doc.get(key, default)
+    return doc[key]
 
 
-def _field(doc: dict, path: str, default=...):
-    """doc's value at a dotted key path, or default for an absent last key."""
+def _field(doc: dict, path: str):
+    """doc's value at a dotted key path."""
     *parents, last = path.split(".")
     for k, key in enumerate(parents):
         doc = _get(doc, ".".join(parents[:k]), key)
-    return _get(doc, ".".join(parents), last, default)
+    return _get(doc, ".".join(parents), last)
 
 
 def _items(doc: dict, path: str) -> list:
@@ -76,9 +91,9 @@ def _items(doc: dict, path: str) -> list:
     return value
 
 
-def _number(doc: dict, path: str, default=...) -> float:
+def _number(doc: dict, path: str) -> float:
     """The number at a key path of doc (see _field), as a float."""
-    value = _field(doc, path, default)
+    value = _field(doc, path)
     _require(_is_number(value), path, "a number", value)
     return float(value)
 
@@ -94,16 +109,17 @@ def _rows(doc: dict, key: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _terms(r: int, doc, where: str) -> Polynomial:
+def _terms(r: int, doc, where: str, keys) -> Polynomial:
     """The polynomial of the term records at doc["terms"], doc being the
-    value at key path where.  A record holds r integer "exponents" >= 0
-    and a finite "coeff"; records of equal exponents add up."""
-    records = _get(doc, where, "terms")
+    value at key path where, an object of keys.  A record holds r integer
+    "exponents" >= 0 and a finite "coeff"; records of equal exponents add
+    up."""
+    records = _get(known_keys(doc, where, keys), where, "terms")
     _require(isinstance(records, list), f"{where}.terms", "a list", records)
     terms: dict = {}
     for m, rec in enumerate(records):
-        e, c = (rec.get("exponents"), rec.get("coeff")) \
-            if isinstance(rec, dict) else (None, None)
+        rec = known_keys(rec, f"{where}.terms[{m}]", ("exponents", "coeff"))
+        e, c = rec.get("exponents"), rec.get("coeff")
         _require(isinstance(e, list) and len(e) == r and all(
             _is_int(x) and x >= 0 for x in e) and _is_number(c)
             and math.isfinite(c), f"{where}.terms[{m}]",
@@ -113,14 +129,16 @@ def _terms(r: int, doc, where: str) -> Polynomial:
     return Polynomial(r, terms)
 
 
-def _numbers(doc: dict, key: str, cls):
-    """cls of the finite numbers in the object doc[key], one per field of
-    cls."""
-    values = {f.name: _number(doc, f"{key}.{f.name}") for f in fields(cls)}
+def _numbers(doc: dict, key: str, cls, positive: bool):
+    """cls of the finite numbers, all > 0 if positive, in the object
+    doc[key], one per field of cls."""
+    names = [f.name for f in fields(cls)]
+    known_keys(_field(doc, key), key, names)
+    values = {name: _number(doc, f"{key}.{name}") for name in names}
     for name, value in values.items():
-        _require(math.isfinite(value), f"{key}.{name}", "finite", value)
-    extra = sorted(set(doc[key]) - set(values))
-    _require(not extra, key, f"an object of {list(values)}", doc[key])
+        _require(math.isfinite(value) and (value > 0 or not positive),
+                 f"{key}.{name}", "finite and > 0" if positive else "finite",
+                 value)
     return cls(**values)
 
 
@@ -181,7 +199,6 @@ class ScenarioSpec:
     T_end: float = 40.0
     dt: float = 1e-3
     record_every: int = 100
-    n_weight_samples: int = 16
     conv_tol: float | None = None
 
     def __post_init__(self):
@@ -207,15 +224,16 @@ class ScenarioSpec:
             raise ValueError("tau, positions, velocities shapes differ")
         self.formation = upper_mask(self.formation, "formation", N)
         check_time_grid(self.dt, self.T_end, self.record_every)
-        n, tol = self.n_weight_samples, self.conv_tol
-        _require(_is_int(n) and n >= 0, "n_weight_samples",
-                 "an integer >= 0", n)
         for key in ("jitter_pos", "jitter_vel"):
             value = getattr(self, key)
             _require(math.isfinite(value) and value >= 0, key,
                      "finite and >= 0", value)
+        tol, overrides = self.conv_tol, self.assumption_overrides
         _require(tol is None or (math.isfinite(tol) and tol > 0), "conv_tol",
                  "null or finite and > 0", tol)
+        _require(all(isinstance(v, str) for v in known_keys(
+            overrides, "assumption_overrides", ASSUMPTIONS).values()),
+            "assumption_overrides", "an object of strings", overrides)
 
     @property
     def n_agents(self) -> int:
@@ -234,7 +252,7 @@ class ScenarioSpec:
                 if not p.is_zero:
                     weights.append({"i": i, "j": j,
                                     "terms": p.to_records()})
-        doc = {
+        return {
             "format": FORMAT,
             "name": self.name,
             "geometry": asdict(self.geometry),
@@ -248,31 +266,27 @@ class ScenarioSpec:
                 "region": [{"terms": s.to_records()} for s in adj.omega],
                 "weights": weights,
             },
-            "barrier": None if self.barrier is None else {
-                "mu1": self.barrier.mu1, "mu2": self.barrier.mu2,
-                "eps_hat": self.barrier.eps_hat},
+            "barrier": asdict(self.barrier) if self.barrier else None,
             "assumption_overrides": dict(self.assumption_overrides),
             "jitter_pos": self.jitter_pos,
             "jitter_vel": self.jitter_vel,
             "T_end": self.T_end,
             "dt": self.dt,
             "record_every": self.record_every,
-            "n_weight_samples": self.n_weight_samples,
-            "method": "rk4",
             "conv_tol": self.conv_tol,
         }
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
         if not isinstance(doc, dict):
             raise ValueError(f"top level must be a JSON object, got "
                              f"{type(doc).__name__}")
-        _require(doc.get("format") == FORMAT, "format", repr(FORMAT),
-                 doc.get("format"))
-        method = doc.get("method", "rk4")
-        _require(method == "rk4", "method", "'rk4', the only integrator",
-                 method)
+        _require(doc.get("format") == FORMAT, "format", f"{FORMAT!r} (from "
+                 f"/1, also delete method, n_weight_samples and "
+                 f"barrier.eps_hat)", doc.get("format"))
+        known_keys(doc, "", KEYS)
+        known_keys(_field(doc, "uncertainty"), "uncertainty",
+                   ("n_parameters", "box", "region", "weights"))
         tau = _rows(doc, "tau")
         N = len(tau)  # N is read off tau
         _require(N >= 2, "tau", "rows of coordinates for at least 2 agents",
@@ -292,10 +306,10 @@ class ScenarioSpec:
                      (i, j))
             seen[i, j] = seen[j, i] = True
             index[min(i, j), max(i, j)] = k
-            p = _terms(r, w, where)
+            p = _terms(r, w, where, ("i", "j", "terms"))
             entries.set_entry(i, j, p)
             entries.set_entry(j, i, p)
-        omega = [_terms(r, s, f"uncertainty.region[{k}]")
+        omega = [_terms(r, s, f"uncertainty.region[{k}]", ("terms",))
                  for k, s in enumerate(_items(doc, "uncertainty.region"))]
         box = _items(doc, "uncertainty.box")
         for k, b in enumerate(box):
@@ -312,34 +326,26 @@ class ScenarioSpec:
                 f"formation_edges[{k}]",
                 f"a pair [i, j] of distinct agent indices in [0, {N})", e)
             formation[min(e), max(e)] = True
-        barrier = doc.get("barrier")  # finite caps; tune_mu's may be inf
-        for key in () if barrier is None else ("mu1", "mu2", "eps_hat"):
-            value = _number(doc, f"barrier.{key}")
-            _require(math.isfinite(value) and value > 0, f"barrier.{key}",
-                     "finite and > 0", value)
-        overrides = _field(doc, "assumption_overrides", {})
-        _require(isinstance(overrides, dict) and all(
-            isinstance(v, str) for v in overrides.values()),
-            "assumption_overrides", "an object of strings", overrides)
+        given = {key: doc[key] for key in KEYS[KEYS.index("barrier"):]
+                 if key in doc}
+        for key in ("jitter_pos", "jitter_vel", "T_end", "dt"):
+            if key in given:
+                given[key] = _number(doc, key)
+        if given.get("conv_tol") is not None:
+            given["conv_tol"] = _number(doc, "conv_tol")
+        if given.get("barrier") is not None:  # tune_mu's caps may be inf
+            given["barrier"] = _numbers(doc, "barrier", BarrierParams,
+                                        positive=True)
         return cls(
             name=_field(doc, "name"),
-            geometry=_numbers(doc, "geometry", AgentGeometry),
+            geometry=_numbers(doc, "geometry", AgentGeometry,
+                              positive=False),
             tau=tau,
             positions=_rows(doc, "positions"),
             velocities=_rows(doc, "velocities"),
             formation=formation,
             adjacency=adj,
-            barrier=(None if barrier is None
-                     else _numbers(doc, "barrier", BarrierParams)),
-            assumption_overrides=overrides,
-            jitter_pos=_number(doc, "jitter_pos", 0.0),
-            jitter_vel=_number(doc, "jitter_vel", 0.0),
-            T_end=_number(doc, "T_end", 40.0),
-            dt=_number(doc, "dt", 1e-3),
-            record_every=doc.get("record_every", 100),
-            n_weight_samples=doc.get("n_weight_samples", 16),
-            conv_tol=(None if doc.get("conv_tol") is None
-                      else _number(doc, "conv_tol")),
+            **given,
         )
 
     def save(self, path) -> None:

@@ -30,8 +30,9 @@ Prog. 1997); before the first iteration each block's columns are grouped
 by q, and each group is taken through that product in batches of as many
 columns as fit in BATCH_BYTES.
 
-`residuals`, the tests' independent evaluator, reads the constraints of a
-candidate point straight off the problem data, without solver state.
+`residuals` reads the constraints of a candidate point straight off the
+problem data, without solver state: the solver's closing pass and the tests
+evaluate a point through it.
 """
 
 from __future__ import annotations
@@ -234,10 +235,8 @@ class SdpSolution:
 def residuals(problem: SdpProblem, y: np.ndarray) -> dict:
     """Feasibility of a candidate point, straight from the problem data.
 
-    Returns min eigenvalue per LMI block and the objective value.  Each
-    block is evaluated by `LmiBlock.value` from its stored columns, the
-    evaluator the solver uses too, at y rather than at the solver's
-    iterates (certificates replay through gram_image)."""
+    Returns min eigenvalue per LMI block, each block evaluated by
+    `LmiBlock.value` from its stored columns, and the objective value."""
     y = np.asarray(y, dtype=float)
     mins = []
     for blk in problem.lmis:
@@ -496,24 +495,29 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
         # iteration: a singular or non-finite one ends the run with a
         # status, not an exception
         try:
-            res_d = [blk.value(y) - Sk for blk, Sk in zip(problem.lmis, S)]
-            r_g = -b
-            for At, Zk in zip(A_T, Z):
-                r_g = r_g - At @ svec(Zk)
-            r_g = np.asarray(r_g).ravel()
-            gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
-            pobj = float(b @ y)
-            dobj = sum(float(np.sum(F0 * Zk)) for F0, Zk in zip(consts, Z))
-
-            pinf = max(np.linalg.norm(rd, 2) / (1.0 + cn)
-                       for rd, cn in zip(res_d, c_norms))
-            dinf = np.linalg.norm(r_g, np.inf) / b_scale
-            relgap = gap / (1.0 + abs(pobj) + abs(dobj))
+            with np.errstate(over="ignore", invalid="ignore"):
+                res_d = [blk.value(y) - Sk
+                         for blk, Sk in zip(problem.lmis, S)]
+                r_g = -b
+                for At, Zk in zip(A_T, Z):
+                    r_g = r_g - At @ svec(Zk)
+                r_g = np.asarray(r_g).ravel()
+                gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
+                pobj = float(b @ y)
+                dobj = sum(float(np.sum(F0 * Zk))
+                           for F0, Zk in zip(consts, Z))
+                pinf = max(np.linalg.norm(rd, 2) / (1.0 + cn)
+                           for rd, cn in zip(res_d, c_norms))
+                dinf = np.linalg.norm(r_g, np.inf) / b_scale
+                relgap = gap / (1.0 + abs(pobj) + abs(dobj))
 
             if callback is not None:
                 callback({"iter": it, "gap": gap, "pinf": pinf, "dinf": dinf,
                           "pobj": pobj, "dobj": dobj})
 
+            if not np.isfinite([gap, pobj, dobj, pinf, dinf]).all():
+                raise np.linalg.LinAlgError("residuals or objectives are "
+                                            "not finite")
             merit = max(relgap, pinf, dinf)
             if merit < best_merit:
                 best_merit = merit
@@ -610,9 +614,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
         status = SdpStatus.NEAR_OPTIMAL
         msg = (f"stopped at the best iterate; criteria met within "
                f"{best_merit / tol:.1f}x tol")
-    mins = [float(np.linalg.eigvalsh(blk.value(y))[0])
-            for blk in problem.lmis]
-    gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
+    closing = residuals(problem, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = sum(float(np.sum(Sk * Zk)) for Sk, Zk in zip(S, Z))
     if status is SdpStatus.MAX_ITER:
         msg = f"no convergence within {MAX_ITERATIONS} iterations"
-    return SdpSolution(status, y, float(b @ y), gap, mins, it, msg)
+    return SdpSolution(status, y, closing["objective"], gap,
+                       closing["min_eigenvalues"], it, msg)

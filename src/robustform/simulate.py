@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import (BarrierParams, DomainViolation, PairArrays, Point,
-                      TuneError, TuneResult, tune_mu, zone_pairs_at)
+from .barrier import (TUNE_SAMPLES, BarrierParams, DomainViolation,
+                      PairArrays, Point, TuneError, TuneResult, tune_mu,
+                      zone_pairs_at)
 from .certifier import Certificate, certify, refusals
 from .netgraph import (TopologyState, pair_distances, update_edges,
                        validate_assumptions)
@@ -167,10 +168,8 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     # draw comes before the certificate gate, which uses no randomness, so
     # that a region too small to sample fails before any solve
     thetas = adj.sample_omega(rng, 1) if adj.r > 0 else np.zeros((1, 0))
-    if scenario.barrier is None and adj.r > 0 \
-            and scenario.n_weight_samples > 0:
-        thetas = np.vstack(
-            [thetas, adj.sample_omega(rng, scenario.n_weight_samples)])
+    if scenario.barrier is None and adj.r > 0:
+        thetas = np.vstack([thetas, adj.sample_omega(rng, TUNE_SAMPLES)])
     weights = adj.entries.eval_batch(thetas)
     theta, G = thetas[0], weights[0]
 

@@ -19,8 +19,8 @@ import pytest
 
 import oracles
 from robustform.barrier import (BarrierParams, DomainViolation, PairArrays,
-                                Point, TuneError, _psi_c, _psi_e,
-                                eps_hat_default, tune_mu, zone_pairs_at)
+                                Point, TuneError, _psi_c, _psi_e, tune_mu,
+                                zone_pairs_at)
 from robustform.netgraph import (AgentGeometry, TopologyState,
                                  pair_distances, update_edges)
 
@@ -46,25 +46,11 @@ def energy(positions, velocities, tau, topo, geom, G, params,
 # ---------------------------------------------------------------- params
 
 def test_params_validate():
-    BarrierParams(1.0, 2.0, 0.05)
+    BarrierParams(1.0, 2.0)
     with pytest.raises(ValueError):
-        BarrierParams(0.0, 1.0, 0.05)
+        BarrierParams(0.0, 1.0)
     with pytest.raises(ValueError):
-        BarrierParams(1.0, -1.0, 0.05)
-    with pytest.raises(ValueError):
-        BarrierParams(1.0, 1.0, 0.0)
-
-
-def test_eps_hat_boundary_geometry_falls_back():
-    # d_s = 2 r_c exactly: the nominal interval is empty
-    assert eps_hat_default(GEOM) == pytest.approx(0.05, abs=0)
-
-
-def test_eps_hat_interior_geometry():
-    geom = AgentGeometry(r_a=0.75, r_c=0.8, r_z=2.5, r_s=8.0,
-                         d_s=1.875, eps=0.3)
-    # min(1.875/2 - 0.8, 0.3) / 2
-    assert eps_hat_default(geom) == pytest.approx(0.1375 / 2, abs=1e-15)
+        BarrierParams(1.0, -1.0)
 
 
 # ------------------------------------------------------------- psi_e
@@ -262,7 +248,7 @@ def test_grad_psi_c_singular_at_overlap():
 
 def test_energy_zero_at_rest_on_formation():
     tau = np.array([[0.0, 0.0], [3.0, 0.0]])
-    params = BarrierParams(0.44, 0.44, 0.05)
+    params = BarrierParams(0.44, 0.44)
     W = energy(tau, np.zeros((2, 2)), tau, pair_topology(), GEOM,
                np.array([[0.0, 1.0], [1.0, 0.0]]), params)
     assert W == 0.0
@@ -273,7 +259,7 @@ def test_energy_translation_invariant():
     tau = np.array([[0.0, 0.0], [3.0, 0.0]])
     pos = tau + 0.3 * rng.normal(size=(2, 2))
     vel = rng.normal(size=(2, 2))
-    params = BarrierParams(2.0, 2.0, 0.05)
+    params = BarrierParams(2.0, 2.0)
     G = np.array([[0.0, 1.3], [1.3, 0.0]])
     a = energy(pos, vel, tau, pair_topology(), GEOM, G, params)
     b = energy(pos + np.array([5.0, -2.0]), vel, tau, pair_topology(),
@@ -293,7 +279,7 @@ def test_energy_quadratic_part_is_laplacian_form():
     # formation offsets so that y = positions - tau is the random part
     tau = 100.0 * np.arange(N)[:, None] * np.array([[1.0, 0.0]])
     y = rng.normal(size=(N, dim))
-    params = BarrierParams(1.0, 1.0, 0.05)
+    params = BarrierParams(1.0, 1.0)
     W = energy(tau + y, np.zeros((N, dim)), tau, topo, GEOM, G, params,
                zone_pairs=oracles.pair_mask(N, []))
     L = oracles.laplacian(G)
@@ -304,7 +290,7 @@ def test_energy_quadratic_part_is_laplacian_form():
 def test_energy_kinetic_part():
     tau = np.array([[0.0, 0.0], [3.0, 0.0]])
     vel = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    params = BarrierParams(0.44, 0.44, 0.05)
+    params = BarrierParams(0.44, 0.44)
     W = energy(tau, vel, tau, pair_topology(), GEOM,
                np.array([[0.0, 1.0], [1.0, 0.0]]), params)
     assert W == pytest.approx(0.5 * np.sum(vel ** 2), rel=1e-15)
@@ -314,7 +300,7 @@ def test_energy_zone_pair_contribution():
     # park the pair inside r_z and compare against the explicit psi_c
     tau = np.array([[0.0, 0.0], [3.0, 0.0]])
     pos = np.array([[0.0, 0.0], [2.2, 0.0]])
-    params = BarrierParams(0.7, 0.7, 0.05)
+    params = BarrierParams(0.7, 0.7)
     G = np.array([[0.0, 1.0], [1.0, 0.0]])
     topo = pair_topology()
     assert oracles.pairs(zone_pairs_at(pair_distances(pos), topo, GEOM)) \
@@ -358,7 +344,7 @@ def busy_states(dim, count=8):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_epoch_control_and_energy_match_pairwise_oracles(dim):
-    params = BarrierParams(5.0, 4.0, 0.05)
+    params = BarrierParams(5.0, 4.0)
     for pos, vel, tau, topo, zone, G in busy_states(dim):
         point = Point(PairArrays(topo, zone, tau, GEOM, G, params),
                       np.stack([pos, vel]))
@@ -393,7 +379,7 @@ def test_epoch_edge_violation_names_first_offending_pair(method):
     every = oracles.pair_mask(3, [(0, 1), (0, 2), (1, 2)])
     arrays = PairArrays(TopologyState(every, every),
                         oracles.pair_mask(3, []), tau, GEOM, np.zeros((3, 3)),
-                        BarrierParams(1.0, 1.0, 0.05))
+                        BarrierParams(1.0, 1.0))
     pos = tau + np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 25.0]])
     assert violation(arrays, method, pos) \
         == ("pair (0,2): psi_e denominator -5.000e+00 <= 0 at "
@@ -408,7 +394,7 @@ def test_epoch_collision_violation_names_first_offending_pair(method):
     near = oracles.pair_mask(3, [(0, 1), (1, 2)])
     arrays = PairArrays(TopologyState(near, oracles.pair_mask(3, [])), near,
                         tau, GEOM, np.zeros((3, 3)),
-                        BarrierParams(1.0, 1.265625, 0.05))
+                        BarrierParams(1.0, 1.265625))
     pos = np.array([[0.0, 0.0], [2.25, 0.0], [2.75, 0.0]])
     assert violation(arrays, method, pos) \
         == ("pair (1,2): psi_c denominator -3.750e-01 <= 0 at "
@@ -422,7 +408,7 @@ def test_epoch_control_names_zero_separation_pair():
     near = oracles.pair_mask(3, [(0, 1), (1, 2)])
     arrays = PairArrays(TopologyState(near, oracles.pair_mask(3, [])), near,
                         tau, GEOM, np.zeros((3, 3)),
-                        BarrierParams(1.0, 0.5, 0.05))
+                        BarrierParams(1.0, 0.5))
     pos = np.array([[0.0, 0.0], [2.25, 0.0], [2.25, 0.0]])
     assert np.isfinite(Point(arrays, np.stack([pos, 0.0 * pos])).energy())
     assert violation(arrays, "control", pos) \
@@ -434,7 +420,7 @@ def test_epoch_refuses_formation_pair_beyond_sensing_radius():
     tau = np.array([[0.0, 0.0], [GEOM.r_s, 0.0]])
     with pytest.raises(ValueError, match="r_hat_s must be positive"):
         PairArrays(pair_topology(), oracles.pair_mask(2, []), tau, GEOM,
-                   np.zeros((2, 2)), BarrierParams(1.0, 1.0, 0.05))
+                   np.zeros((2, 2)), BarrierParams(1.0, 1.0))
 
 
 # ------------------------------------------------------------ tune_mu
@@ -481,7 +467,8 @@ def test_tune_edge_keeping_margin_below_cap():
     tau, G = equilibrium_pair()
     res = tune_mu(tau, np.zeros((2, 2)), tau, pair_topology(), GEOM, [G])
     r_hat = GEOM.r_s - 3.0
-    assert oracles.psi_e(r_hat - res.params.eps_hat, r_hat,
+    # a formation error of r_hat less the margin eps / 2 stays below the cap
+    assert oracles.psi_e(r_hat - GEOM.eps / 2, r_hat,
                          res.params.mu1) < res.params.mu1
 
 

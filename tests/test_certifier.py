@@ -325,6 +325,19 @@ def test_certificate_threshold_is_not_read_from_the_file():
     assert refusals(Certificate.from_dict(doc), adj)[:1] == refused
 
 
+@pytest.mark.parametrize("where, key", [("", "c_starr"),
+                                        ("degree_plan", "d_Q")])
+def test_certificate_refuses_an_unknown_key(where, key):
+    # an extra key, such as a misspelt c_star beside the real one, used
+    # to load without notice
+    _adj, res = certified_edge()
+    doc = res.certificate.to_dict()
+    (doc[where] if where else doc)[key] = 1.0
+    path = f"{where}.{key}" if where else key
+    with pytest.raises(ValueError, match=rf"^{path}: unknown key"):
+        Certificate.from_dict(doc)
+
+
 def test_certificate_rejects_polynomial_pencil_matrix():
     _adj, res = certified_edge()
     doc = res.certificate.to_dict()

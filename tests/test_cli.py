@@ -284,7 +284,8 @@ def test_check_bad_region_or_box_record_exits_2(tmp_path, capsys, where,
 # the wrong size or with an empty interval, a self-loop or out-of-range
 # formation edge) or ended in an OverflowError (an integer beyond the range
 # of floats).  A field is a key path into the file; MISSING deletes
-# the key.
+# the key.  method and n_weight_samples are no longer keys of the format:
+# their cases are refused as unknown keys.
 MISSING = object()
 BAD_SCALAR_FIELDS = {
     "dt_zero": ("dt", 0.0), "dt_negative": ("dt", -0.005),
@@ -343,7 +344,17 @@ BAD_SCALAR_FIELDS = {
     "formation_edge_out_of_range": ("formation_edges[0]", [0, 99]),
     "dt_huge_integer": ("dt", 10 ** 400),
     "term_coeff_huge_integer": ("uncertainty.weights[0].terms[0]",
-                                {"exponents": [1, 0], "coeff": 10 ** 400})}
+                                {"exponents": [1, 0], "coeff": 10 ** 400}),
+    # unknown keys, one at each level of the document, were dropped
+    # without notice: a "DT" left the run at the default step
+    "unknown_top_level_key": ("DT", 0.01),
+    "unknown_geometry_key": ("geometry.R_s", 8.0),
+    "unknown_uncertainty_key": ("uncertainty.n_params", 2),
+    "unknown_weight_key": ("uncertainty.weights[0].k", 2),
+    "unknown_region_key": ("uncertainty.region[0].degree", 2),
+    "unknown_term_key": ("uncertainty.weights[0].terms[0].coef", 0.3),
+    "unknown_barrier_key": ("barrier.eps_hat", 0.05),
+    "unknown_assumption": ("assumption_overrides.a3", "x")}
 
 
 def edit_field(doc, path, value):
@@ -363,6 +374,8 @@ def edit_field(doc, path, value):
 def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
     field, value = BAD_SCALAR_FIELDS[case]
     doc = json.loads(builtin_path("six_agent").read_text())
+    if field.startswith("barrier."):
+        doc["barrier"] = {"mu1": 300.0, "mu2": 300.0}
     edit_field(doc, field, value)
     p = tmp_path / "grid.json"
     p.write_text(json.dumps(doc))
@@ -375,8 +388,110 @@ def test_simulate_bad_time_grid_field_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_version_1_file_names_the_keys_to_delete(tmp_path, capsys):
+    doc = json.loads(builtin_path("adversarial").read_text())
+    doc.update({"format": "formation-scenario/1", "method": "rk4",
+                "n_weight_samples": 16})
+    doc["barrier"]["eps_hat"] = 0.05
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {p}: invalid scenario: format: must be "
+        f"'formation-scenario/2' (from /1, also delete method, "
+        f"n_weight_samples and barrier.eps_hat), got "
+        f"'formation-scenario/1'\n")
+
+
+# The sensitivity test perturbs every numeric key of the shipped scenarios:
+# the value each key takes where doubling it (or 0 to 1) would make an
+# invalid file or land where the key has no effect.  A perturbed file must
+# still parse, except for the keys of REFUSED.
+PERTURBED = {
+    "geometry.r_a": 1.0,
+    "geometry.r_c": 1.0,
+    "geometry.r_z": 2.7,     # d_s < r_z < r_s - eps
+    "geometry.d_s": 1.9,     # d_s < r_z
+    "geometry.eps": 3.0,     # r_s - eps = 5 leaves the hexagon's opposite
+                             # pairs, 5.6 apart, out of the edges at start
+    "T_end": 0.05,           # the base horizon is 0.1 (see SENSITIVITY_BASE)
+    "record_every": 10,
+    "formation_edges[][]": 2,
+    "uncertainty.n_parameters": 3,
+    "uncertainty.weights[].i": 2,
+    "uncertainty.weights[].j": 2,
+    "uncertainty.region[].terms[].exponents[]": 4,
+}
+# Keys that no valid value of their own changes, tested by the exit 2 of a
+# value that breaks their rule: r_a and r_c only bound the other radii
+# (0 < r_a <= r_c, d_s >= 2 r_c); n_parameters fixes the length of every
+# exponent list and of the box; six_agent lists every pair once, so a
+# weight's i or j can only repeat a pair
+REFUSED = {"geometry.r_a", "geometry.r_c", "uncertainty.n_parameters",
+           "uncertainty.weights[].i", "uncertainty.weights[].j"}
+# keys documented as metadata: name names the output files only
+METADATA = {"name"}
+# six_agent at a horizon of 20 steps, so that T_end and conv_tol count;
+# adversarial, whose barrier block pins the caps, trips its safety monitor
+# at t = 0.228 of its 2.0
+SENSITIVITY_BASE = {"six_agent": {"T_end": 0.1}, "adversarial": {}}
+
+
+def numeric_leaves(doc, path=""):
+    """(key path, value) of every number in doc, in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from numeric_leaves(value, f"{path}[{k}]")
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, doc
+
+
+def command_outputs(work, capsys, doc):
+    """Exit code, stdout and stderr of check, certify and simulate on doc,
+    run in the new directory work with relative paths, and the bytes of
+    every file they write but manifest.json, which only echoes its input."""
+    work.mkdir()
+    os.chdir(work)
+    Path("scenario.json").write_text(json.dumps(doc))
+    codes = [run_cli("check", "scenario.json"),
+             run_cli("certify", "scenario.json", "--samples", "20",
+                     "--out", "certificate.json"),
+             run_cli("simulate", "scenario.json", "--out", "runs")]
+    files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*"))
+             if p.is_file() and p.name not in ("manifest.json",
+                                               "scenario.json")}
+    return codes, capsys.readouterr(), files
+
+
+def test_every_numeric_scenario_key_changes_an_output(tmp_path, capsys,
+                                                       monkeypatch):
+    # barrier.eps_hat of formation-scenario/1 changed only manifest.json
+    monkeypatch.chdir(tmp_path)
+    seen, unchanged = set(METADATA), []
+    for name, changes in SENSITIVITY_BASE.items():
+        doc = {**json.loads(builtin_path(name).read_text()), **changes}
+        base = command_outputs(tmp_path / name, capsys, doc)
+        for path, value in numeric_leaves(doc):
+            key = re.sub(r"\[\d+\]", "[]", path)
+            if key in seen:
+                continue
+            seen.add(key)
+            new = copy.deepcopy(doc)
+            edit_field(new, path, PERTURBED.get(key, 2 * value or 1))
+            got = command_outputs(tmp_path / f"{name}.{key}", capsys, new)
+            ok = got[0] == [2, 2, 2] if key in REFUSED \
+                else 2 not in got[0] and got != base
+            if not ok:
+                unchanged.append((name, path, got[0]))
+    assert unchanged == []
+    assert set(PERTURBED) <= seen
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
-@pytest.mark.parametrize("key", ["mu1", "mu2", "eps_hat"])
+@pytest.mark.parametrize("key", ["mu1", "mu2"])
 def test_scenario_barrier_caps_must_be_finite_and_positive(tmp_path, capsys,
                                                           key, value):
     # an infinite cap or margin used to pass check and run; a nan or zero
@@ -424,6 +539,23 @@ def test_simulate_never_reports_ok_on_an_infinite_energy(tmp_path, capsys):
                        "--out", str(tmp_path / "r"))
     assert code == 4
     assert "invariant violation: non_finite at t=0" in capsys.readouterr().err
+
+
+def test_certify_overflowing_weights_is_a_solver_failure(tmp_path, capsys):
+    # weights of 1e307 overflow the solver's duality gap, which used to
+    # print "RuntimeWarning: overflow encountered in reduce" (an error
+    # under the suite's filterwarnings) before the exit 3
+    doc = json.loads(builtin_path("six_agent").read_text())
+    for w in doc["uncertainty"]["weights"]:
+        for term in w["terms"]:
+            term["coeff"] *= 1e307
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("certify", str(p), "--samples", "50",
+                   "--out", str(tmp_path / "c.json")) == 3
+    out, err = capsys.readouterr()
+    assert out == "solver failure: SdpStatus.NUMERICAL_FAILURE\n"
+    assert err == ""
 
 
 def test_term_records_of_equal_exponents_add_up():
@@ -628,7 +760,7 @@ def test_simulate_writes_run_directory(tmp_path):
                  "events.jsonl", "manifest.json", "certificate.json"):
         assert (rd / name).exists(), name
     manifest = json.loads((rd / "manifest.json").read_text())
-    assert manifest["format"] == "run-manifest/1"
+    assert manifest["format"] == "run-manifest/2"
     assert manifest["seed"] == 1
     assert len(manifest["scenario"]["sha256"]) == 64
     assert manifest["ok"] is True
@@ -666,7 +798,7 @@ def test_simulate_domain_violation_exits_5(tmp_path):
     from robustform.barrier import BarrierParams
     sc = pair_scenario_doc(
         positions=np.array([[3.0, 0.0], [0.0, 0.0]]),
-        barrier=BarrierParams(1e6, 1e6, 0.05))
+        barrier=BarrierParams(1e6, 1e6))
     p = tmp_path / "swap.json"
     sc.save(p)
     code = run_cli("simulate", str(p), "--out", str(tmp_path / "runs"))

@@ -280,13 +280,23 @@ class TestDegenerate:
 
     def test_non_finite_right_hand_side_returns_a_status(self, monkeypatch):
         # W ~ 1e308 makes W R W overflow in the right-hand side, while B
-        # is a finite stand-in
+        # is a finite stand-in.  One entry keeps the gap, 1e308, finite:
+        # two would overflow it and end the run before any direction
         monkeypatch.setattr(sdp, "_schur_matrix",
                             lambda blocks, scalings, n_vars: np.eye(n_vars))
         with np.errstate(all="ignore"):
-            sol = solve(one_variable_problem(np.diag([1e308, 1e308])))
+            sol = solve(one_variable_problem(np.diag([1e308])))
         assert sol.status is SdpStatus.NUMERICAL_FAILURE
         assert "KKT direction not finite" in sol.message
+
+    def test_overflowing_gap_ends_the_run_without_a_warning(self):
+        # S = 1e308 I and Z = I overflow the gap <S, Z> to inf, which used
+        # to warn "overflow encountered in reduce" (an error under the
+        # suite's filterwarnings) and run on with a nan merit
+        sol = solve(one_variable_problem(np.diag([1e308, 1e308])))
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert sol.message.endswith("residuals or objectives are not finite")
+        assert sol.n_iterations == 1
 
     def test_constant_whose_norm_overflows_returns_a_status(self):
         # a PSD constant with entries 1e308 has spectral norm 2e308, which

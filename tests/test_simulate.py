@@ -22,7 +22,7 @@ from robustform.certifier import (Certificate, CertifierError, certify,
 
 GEOM = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
                      d_s=1.875, eps=0.1)
-PARAMS = BarrierParams(5.0, 5.0, 0.05)
+PARAMS = BarrierParams(5.0, 5.0)
 
 
 def triangle_system():
@@ -256,7 +256,7 @@ def test_run_domain_violation_reported():
     sc = const_pair_scenario(
         positions=np.array([[3.0, 0.0], [0.0, 0.0]]),
         velocities=np.zeros((2, 2)),
-        barrier=BarrierParams(1e6, 1e6, 0.05), T_end=1.0)
+        barrier=BarrierParams(1e6, 1e6), T_end=1.0)
     res = run(sc, seed=0)
     assert not res.ok
     assert res.failure["kind"] == "domain_violation"
@@ -439,7 +439,7 @@ def test_run_trips_formation_edge_break():
     sc = const_pair_scenario(
         positions=np.array([[0.0, 0.0], [3.0, 0.0]]),
         velocities=np.array([[-10.0, 0.0], [10.0, 0.0]]),
-        barrier=BarrierParams(1.0, 1.0, 0.05), T_end=2.0)
+        barrier=BarrierParams(1.0, 1.0), T_end=2.0)
     res = run(sc, seed=0)
     assert res.failure["kind"] == "formation_edge_break"
     assert res.failure["pair"] == (0, 1)
