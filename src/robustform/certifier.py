@@ -21,6 +21,7 @@ bound on the algebraic connectivity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,8 +33,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from . import sdp
 from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
     reduced_laplacian
-from .polyalg import ExponentVec, MatrixPolynomial, mono_mul
-from .scenario import known_keys
+from .polyalg import ExponentVec, MatrixPolynomial, mono_degree, mono_mul
+# the scenario reader's typed readers, which name the key path of a bad value
+from .scenario import _field, _get, _is_int, _is_number, _items, _matrix, \
+    _number, _require, known_keys
 from .smr import PowerVector, _positions, gram_base, gram_expand, \
     gram_null_basis, power_vector
 
@@ -52,6 +55,10 @@ SAMPLE_TOL = 1e-6
 # (12, 2), 30.7 against 98.9 at (50, 2) and 146 against 100 at (50, 49); over
 # the ten (N, b) pairs measured this rule never picks the slower route.
 BAND_RATIO = 4
+
+# _setup refuses a relaxation of more SDP variables: the solver's Schur
+# matrix of 10 000 variables takes 800 MB
+MAX_SDP_VARS = 10_000
 
 
 class CertifierError(ValueError):
@@ -85,14 +92,34 @@ class DegreePlan:
         # the pencil matrix is the constant I / s, so it is always 0
         return {"d_P": 0, "d_H": self.d_H, "d_R": list(self.d_R)}
 
+    def n_vars(self, r: int, s: int) -> int:
+        """SDP variable count of the relaxation in r parameters of an
+        s-square reduced Laplacian, in closed form: the bound c, one
+        symmetric block per multiplier and the null directions of the Gram
+        expansion, which every monomial of degree <= 2 d_H takes."""
+        def svec(d):  # svec dimension of a Gram block of degree d
+            return sdp.svec_dim(math.comb(r + d, r) * s)
+        return 1 + sum(map(svec, self.d_R)) + svec(self.d_H) \
+            - math.comb(r + 2 * self.d_H, r) * sdp.svec_dim(s)
+
     @classmethod
     def from_dict(cls, d: dict) -> "DegreePlan":
-        known_keys(d, "degree_plan", ("d_P", "d_H", "d_R"))
-        if int(d["d_P"]) != 0:
+        """The plan of a certificate's degree_plan object d; raises
+        ValueError naming the key path of a bad value."""
+        keys = ("d_P", "d_H", "d_R")
+        known_keys(d, "degree_plan", keys)
+        d_P, d_H, d_R = (_get(d, "degree_plan", key) for key in keys)
+        if not (_is_int(d_P) and d_P == 0):
             raise CertifierError(
-                f"pencil matrix degree d_P = {d['d_P']}; only constant "
+                f"pencil matrix degree d_P = {d_P!r}; only constant "
                 f"pencil matrices (d_P = 0) are supported")
-        return cls(int(d["d_H"]), tuple(int(x) for x in d["d_R"]))
+        _require(_is_int(d_H) and d_H >= 0, "degree_plan.d_H",
+                 "an integer >= 0", d_H)
+        _require(isinstance(d_R, list), "degree_plan.d_R", "a list", d_R)
+        for k, x in enumerate(d_R):
+            _require(_is_int(x) and x >= 0, f"degree_plan.d_R[{k}]",
+                     "an integer >= 0", x)
+        return cls(d_H, tuple(d_R))
 
 
 @dataclass
@@ -120,9 +147,17 @@ def _setup(adj: UncertainAdjacency):
 
     UncertainAdjacency guarantees a symmetric weight matrix with a zero
     diagonal and region inequalities in its parameters, and reduced_basis
-    at least two agents, so the data need no further checks here."""
+    at least two agents.  Raises CertifierError, before any power vector is
+    built, when the relaxation has more than MAX_SDP_VARS variables."""
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
-    plan = DegreePlan.auto(L_hat.deg(), [g.degree for g in adj.omega])
+    plan = DegreePlan.auto(L_hat.deg(), [
+        max(map(mono_degree, adj.omega.terms(k, 0)), default=0)
+        for k in range(adj.omega.rows)])
+    n_vars = plan.n_vars(adj.r, L_hat.rows)
+    if n_vars > MAX_SDP_VARS:
+        raise CertifierError(
+            f"degree plan d_H={plan.d_H} d_R={list(plan.d_R)} asks for "
+            f"{n_vars} SDP variables, above the limit of {MAX_SDP_VARS}")
     phi_H = power_vector(adj.r, plan.d_H)
     return (L_hat, plan, phi_H, [power_vector(adj.r, dr) for dr in plan.d_R],
             _positions(phi_H), gram_null_basis(adj.r, plan.d_H, L_hat.rows))
@@ -182,12 +217,11 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
     # one svec column per variable, in variable order: c, the R_i, delta
     columns = [sparse.csc_array(-sdp.svec(np.eye(size_H))[:, None])]
     length = sdp.batch_length(size_H, size_H)
-    for g, var, pv in zip(adj.omega, r_vars, phi_R):
-        m = len(var.indices)
+    for k, (var, pv) in enumerate(zip(r_vars, phi_R)):
+        g, m = adj.omega.terms(k, 0), len(var.indices)
         for lo in range(0, m, length):
             units = np.eye(min(length, m - lo), m, lo)
-            G = gram_image(sdp.smat(units, var.size), pv, g.terms, phi_H,
-                           s, pos_H)
+            G = gram_image(sdp.smat(units, var.size), pv, g, phi_H, s, pos_H)
             columns.append(sparse.csc_array(-sdp.svec(G).T))
     columns.append(nulls)
 
@@ -226,6 +260,10 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
+        """The certificate of a document; raises ValueError naming the key
+        path of a bad value, as a scenario does.  Non-finite numbers load:
+        verify_certificate refuses them by name."""
+        _require(isinstance(d, dict), "certificate", "a JSON object", d)
         if d.get("format") != "connectivity-certificate/1":
             raise CertifierError(
                 f"unrecognized certificate format {d.get('format')!r}")
@@ -236,14 +274,22 @@ class Certificate:
             raise CertifierError(
                 f"threshold {d['threshold']!r} is not the connectivity "
                 f"threshold {CONNECTIVITY_THRESHOLD}")
+        n_agents, r = _field(d, "n_agents"), _field(d, "r")
+        _require(_is_int(n_agents) and n_agents >= 2, "n_agents",
+                 "an integer >= 2", n_agents)
+        _require(_is_int(r) and r >= 0, "r", "an integer >= 0", r)
+        delta = _items(d, "delta")
+        for k, x in enumerate(delta):
+            _require(_is_number(x), f"delta[{k}]", "a number", x)
         return cls(
-            n_agents=int(d["n_agents"]),
-            r=int(d["r"]),
-            plan=DegreePlan.from_dict(d["degree_plan"]),
-            c_star=float(d["c_star"]),
-            P_bar=np.asarray(d["P_bar"], dtype=float),
-            R_bars=[np.asarray(R, dtype=float) for R in d["R_bars"]],
-            delta=np.asarray(d["delta"], dtype=float).reshape(-1),
+            n_agents=n_agents,
+            r=r,
+            plan=DegreePlan.from_dict(_field(d, "degree_plan")),
+            c_star=_number(d, "c_star"),
+            P_bar=_matrix(_field(d, "P_bar"), "P_bar"),
+            R_bars=[_matrix(R, f"R_bars[{k}]")
+                    for k, R in enumerate(_items(d, "R_bars"))],
+            delta=np.array(delta, dtype=float),
         )
 
     def save(self, path) -> None:
@@ -362,8 +408,8 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                 f"matrix, got shape {X.shape}")
 
     H = gram_image(cert.P_bar, phi_0, L_hat.coeffs, phi_H, s, pos_H)
-    for g, R, pv in zip(adj.omega, cert.R_bars, phi_R):
-        H -= gram_image(R, pv, g.terms, phi_H, s, pos_H)
+    for k, (R, pv) in enumerate(zip(cert.R_bars, phi_R)):
+        H -= gram_image(R, pv, adj.omega.terms(k, 0), phi_H, s, pos_H)
     H += sdp.smat(nulls @ cert.delta, len(H))
     H -= cert.c_star * np.eye(len(H))
     min_eigs = [float(np.linalg.eigvalsh(X)[0])

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certifier import certify, sample_lambda2
+from .certifier import CertifierError, certify, sample_lambda2
 from .netgraph import (RegionSamplingError, pair_distances,
                        validate_assumptions)
 from .scenario import ScenarioSpec
@@ -118,7 +118,7 @@ def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
     corners to test."""
     adj = spec.adjacency
     r = adj.r
-    if r == 0 or not adj.omega:
+    if r == 0 or not adj.omega.rows:
         return []
     if r > MAX_BOX_PARAMETERS:
         raise ValueError(
@@ -127,8 +127,7 @@ def _box_containment_issues(spec: ScenarioSpec) -> list[str]:
     corners = np.array(np.meshgrid(
         *[np.array(b) for b in adj.box], indexing="ij")
     ).reshape(r, -1).T
-    inside = np.all([s.eval_batch(corners) > 1e-9 for s in adj.omega],
-                    axis=0)
+    inside = np.all(adj.omega.eval_batch(corners)[..., 0] > 1e-9, axis=1)
     return [f"box corner {corner.tolist()} lies strictly inside the "
             f"parameter region; the sampling box may truncate it"
             for corner in corners[inside]]
@@ -171,7 +170,11 @@ def cmd_certify(args) -> int:
     except RegionSamplingError as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 2
-    res = certify(adj, tol=args.tol)
+    try:
+        res = certify(adj, tol=args.tol)
+    except CertifierError as err:
+        print(f"error: {path}: {err}", file=sys.stderr)
+        return 2
     if not res.solution.ok:
         print(f"solver failure: {res.solution.status}")
         return 3
@@ -264,9 +267,8 @@ def cmd_simulate(args) -> int:
     except OSError as err:
         return _cannot_write(run_dir, err)
     try:
-        res = run(spec, seed=args.seed, T_end=args.T, dt=args.dt,
-                  unsafe=args.unsafe)
-    except RegionSamplingError as err:
+        res = run(spec, seed=args.seed, T_end=args.T, unsafe=args.unsafe)
+    except (RegionSamplingError, CertifierError) as err:
         print(f"error: {scenario_path}: {err}", file=sys.stderr)
         return 2
     except PreconditionError as err:
@@ -275,8 +277,7 @@ def cmd_simulate(args) -> int:
 
     # the convergence budget is defined at the scenario's own horizon;
     # a run cut short by --T is judged on invariants alone
-    dt_used = args.dt if args.dt is not None else spec.dt
-    full_horizon = res.metrics["t_final"] >= spec.T_end - 0.5 * dt_used
+    full_horizon = res.metrics["t_final"] >= spec.T_end - 0.5 * spec.dt
     converged = True
     if spec.conv_tol is not None and res.metrics["n_steps_taken"] > 0 \
             and full_horizon:
@@ -298,7 +299,7 @@ def cmd_simulate(args) -> int:
         },
         "seed": args.seed,
         "T_end": args.T if args.T is not None else spec.T_end,
-        "dt": dt_used,
+        "dt": spec.dt,
         "unsafe": bool(args.unsafe),
         "theta": res.theta,
         "barrier": asdict(res.params),
@@ -597,9 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_number_flag(int, 0), default=0)
     p.add_argument("--T", type=_number_flag(float, 0), default=None,
                    help="horizon override (0 records the initial state)")
-    p.add_argument("--dt", type=_number_flag(float, 0, strict=True),
-                   default=None,
-                   help="step-size override")
     p.add_argument("--unsafe", action="store_true",
                    help="skip assumption and certificate gating")
     p.add_argument("--out", default="runs",

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .polyalg import MatrixPolynomial, Polynomial
+from .polyalg import MatrixPolynomial
 
 
 class GeometryError(ValueError):
@@ -81,14 +81,15 @@ class UncertainAdjacency:
     """Symmetric polynomial weight matrix plus the uncertainty set Omega.
 
     entries     N x N MatrixPolynomial, zero diagonal, symmetric
-    omega       list of polynomials s_i; Omega = {theta : all s_i(theta) >= 0}
+    omega       k x 1 MatrixPolynomial of the region inequalities, s_i in
+                row i; Omega = {theta : all s_i(theta) >= 0}
     box         per-parameter bounds enclosing Omega, used for rejection
                 sampling
     """
 
     N: int
     entries: MatrixPolynomial
-    omega: list[Polynomial]
+    omega: MatrixPolynomial
     box: list[tuple[float, float]]
 
     def __post_init__(self):
@@ -97,14 +98,14 @@ class UncertainAdjacency:
                 f"adjacency shape {self.entries.shape}, expected "
                 f"({self.N}, {self.N})")
         for i in range(self.N):
-            if not self.entries.entry(i, i).is_zero:
+            if self.entries.terms(i, i):
                 raise ValueError(f"nonzero diagonal entry at ({i},{i})")
         if not self.entries.is_symmetric():
             raise ValueError("adjacency is not symmetric")
         r = self.entries.r
-        for s in self.omega:
-            if s.r != r:
-                raise ValueError("Omega polynomial parameter count mismatch")
+        if self.omega.cols != 1 or self.omega.r != r:
+            raise ValueError(f"Omega must be one column of polynomials in "
+                             f"{r} parameters, got {self.omega}")
         if len(self.box) != r:
             raise ValueError(f"uncertainty.box: {len(self.box)} intervals, "
                              f"expected {r}")
@@ -123,9 +124,7 @@ class UncertainAdjacency:
         out = np.empty((0, self.r))
         for _ in range(SAMPLE_MAX_TRIES):
             cand = rng.uniform(lo, hi, size=(max(n, 64), self.r))
-            keep = np.ones(cand.shape[0], dtype=bool)
-            for s in self.omega:
-                keep &= s.eval_batch(cand) >= 0.0
+            keep = np.all(self.omega.eval_batch(cand)[..., 0] >= 0.0, axis=1)
             out = np.vstack([out, cand[keep]])
             if out.shape[0] >= n:
                 return out[:n]

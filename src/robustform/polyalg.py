@@ -1,23 +1,19 @@
-"""Sparse multivariate polynomials and matrix polynomials: storage,
-serialization and evaluation.
+"""Sparse multivariate matrix polynomials: storage and evaluation.
 
-Polynomials live over a parameter vector theta in R^r with float coefficients.
-A polynomial is a dict mapping exponent tuples to coefficients:
+Polynomials live over a parameter vector theta in R^r with float
+coefficients.  A rows-by-cols matrix polynomial M(theta) = sum_e C_e theta^e
+is stored as its per-monomial coefficient matrices {e: C_e}, e an exponent
+tuple:
 
-    4*t1^2*t2 + 9  ->  {(2, 1): 4.0, (0, 0): 9.0}
+    [[4*t1^2*t2 + 9]]  ->  {(2, 1): [[4.0]], (0, 0): [[9.0]]}
 
-Zero-coefficient terms are never stored; any coefficient of magnitude at most
-COEFF_CLEANUP, including a sum of like terms that cancels, is dropped at
-construction, so equal polynomials always have equal term dicts and == is
-reliable.
-
-MatrixPolynomial is a rows-by-cols matrix polynomial M(theta) = sum_e C_e
-theta^e stored as its per-monomial coefficient matrices {e: C_e}, the form
-the Laplacian reductions, Gram expansions and samplers all work in.  It
-represents parameter-dependent adjacency and Laplacian matrices; entries
-can be read and set as Polynomials, and evaluation at a batch of points is
-one contraction of the monomial powers (mono_powers, shared with Polynomial
-and the power vector) against the coefficient stack.
+It is the one polynomial type: the weight, Laplacian and Gram matrices are
+square ones, and the region inequalities s_k(theta) >= 0 one column, s_k in
+row k.  Any coefficient of magnitude at most COEFF_CLEANUP is stored as 0
+and a monomial whose matrix is all zero is never stored, so the term dict
+of an entry (terms) holds only its nonzero coefficients.  Evaluation at a
+batch of points is one contraction of the monomial powers (mono_powers,
+shared with the power vector) against the coefficient stack.
 """
 
 from __future__ import annotations
@@ -67,82 +63,6 @@ def mono_powers(monos: Sequence[ExponentVec], thetas, r: int) -> np.ndarray:
     return out
 
 
-class Polynomial:
-    """Immutable-by-convention sparse polynomial in r parameters."""
-
-    __slots__ = ("r", "terms")
-
-    def __init__(self, r: int, terms: Mapping[ExponentVec, float] | None = None):
-        if r < 0:
-            raise ValueError(f"parameter count must be >= 0, got {r}")
-        self.r = int(r)
-        clean: dict[ExponentVec, float] = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(x) for x in e)
-                if len(e) != r:
-                    raise ValueError(f"exponent {e} has length {len(e)}, expected {r}")
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e}")
-                c = float(c)
-                if abs(c) > COEFF_CLEANUP:
-                    clean[e] = clean.get(e, 0.0) + c
-            # re-drop anything that cancelled during accumulation
-            clean = {e: c for e, c in clean.items() if abs(c) > COEFF_CLEANUP}
-        self.terms = clean
-
-    def to_records(self) -> list[dict]:
-        """Serialize as a list of {'exponents': [...], 'coeff': c} records,
-        in graded-descending monomial order (deterministic)."""
-        return [
-            {"exponents": list(e), "coeff": self.terms[e]}
-            for e in sorted(self.terms, key=mono_sort_key)
-        ]
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(mono_degree(e) for e in self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.r == other.r and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.r, frozenset(self.terms.items())))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, theta: Sequence[float]) -> float:
-        return float(self.eval_batch(theta)[0])
-
-    def eval_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate at a (m, r) batch of points, returning shape (m,)."""
-        monos = list(self.terms)
-        return mono_powers(monos, thetas, self.r) @ \
-            np.array([self.terms[e] for e in monos], dtype=float)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"Polynomial(r={self.r}, 0)"
-        parts = []
-        for e in sorted(self.terms, key=mono_sort_key):
-            c = self.terms[e]
-            mono = "*".join(f"t{k+1}^{p}" if p > 1 else f"t{k+1}"
-                            for k, p in enumerate(e) if p)
-            parts.append(f"{c:g}" + (f"*{mono}" if mono else ""))
-        return f"Polynomial(r={self.r}, {' + '.join(parts)})"
-
-
 class MatrixPolynomial:
     """rows-by-cols matrix polynomial M(theta) = sum_e C_e theta^e, stored as
     its per-monomial coefficient matrices coeffs = {e: C_e}.
@@ -172,28 +92,12 @@ class MatrixPolynomial:
             if np.any(C):
                 self.coeffs[e] = C
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, r: int) -> "MatrixPolynomial":
-        return cls(rows, cols, r)
-
     # -- access -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return Polynomial(self.r, {e: C[i, j] for e, C in self.coeffs.items()})
-
-    def set_entry(self, i: int, j: int, p: Polynomial) -> None:
-        # construction-time helper; MatrixPolynomials are not mutated after use
-        if p.r != self.r:
-            raise ValueError("parameter count mismatch")
-        for C in self.coeffs.values():
-            C[i, j] = 0.0
-        for e, c in p.terms.items():
-            if e not in self.coeffs:
-                self.coeffs[e] = np.zeros((self.rows, self.cols))
-            self.coeffs[e][i, j] = c
-        self.coeffs = {e: C for e, C in self.coeffs.items() if np.any(C)}
+    def terms(self, i: int, j: int) -> dict[ExponentVec, float]:
+        """The nonzero coefficients of entry (i, j) by monomial, in the
+        order of coeffs."""
+        return {e: float(C[i, j]) for e, C in self.coeffs.items() if C[i, j]}
 
     @property
     def shape(self) -> tuple[int, int]:

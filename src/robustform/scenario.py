@@ -28,7 +28,7 @@ import numpy as np
 from .barrier import BarrierParams
 from .netgraph import ASSUMPTIONS, AgentGeometry, UncertainAdjacency, \
     laplacian, upper_mask
-from .polyalg import MatrixPolynomial, Polynomial
+from .polyalg import COEFF_CLEANUP, MatrixPolynomial, mono_sort_key
 
 FORMAT = "formation-scenario/2"
 # the keys of a document; from "barrier" on, a key a file leaves out takes
@@ -98,22 +98,29 @@ def _number(doc: dict, path: str) -> float:
     return float(value)
 
 
-def _rows(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as an array: one row of numbers per agent, all as long."""
-    rows = _field(doc, key)
+def _matrix(rows, where: str, rule: str = "rows of numbers") -> np.ndarray:
+    """rows, the value at key path where, as an array: a list of rows of
+    numbers, all as long; else ValueError names where and rule."""
     ok = isinstance(rows, list) and all(isinstance(a, list) for a in rows)
-    _require(ok, key, "rows of coordinates, one list per agent", rows)
+    _require(ok, where, rule, rows)
     for k, row in enumerate(rows):
         _require(len(row) == len(rows[0]) and all(map(_is_number, row)),
-                 f"{key}[{k}]", f"{len(rows[0])} numbers", row)
+                 f"{where}[{k}]", f"{len(rows[0])} numbers", row)
     return np.array(rows, dtype=float)
 
 
-def _terms(r: int, doc, where: str, keys) -> Polynomial:
-    """The polynomial of the term records at doc["terms"], doc being the
-    value at key path where, an object of keys.  A record holds r integer
-    "exponents" >= 0 and a finite "coeff"; records of equal exponents add
-    up."""
+def _rows(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as an array: one row of numbers per agent, all as long."""
+    return _matrix(_field(doc, key), key,
+                   "rows of coordinates, one list per agent")
+
+
+def _terms(r: int, doc, where: str, keys) -> dict:
+    """The nonzero coefficients by monomial, in record order, of the term
+    records at doc["terms"], doc being the value at key path where, an
+    object of keys.  A record holds r integer "exponents" >= 0 and a finite
+    "coeff"; records of equal exponents add up, and a sum of magnitude at
+    most COEFF_CLEANUP counts as zero."""
     records = _get(known_keys(doc, where, keys), where, "terms")
     _require(isinstance(records, list), f"{where}.terms", "a list", records)
     terms: dict = {}
@@ -126,7 +133,14 @@ def _terms(r: int, doc, where: str, keys) -> Polynomial:
             f"a record of {r} exponents (integers >= 0) and a finite coeff",
             rec)
         terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(c)
-    return Polynomial(r, terms)
+    return {e: c for e, c in terms.items() if abs(c) > COEFF_CLEANUP}
+
+
+def _records(terms: dict) -> list[dict]:
+    """The term records of a term dict, in graded-descending monomial
+    order (see polyalg.mono_sort_key)."""
+    return [{"exponents": list(e), "coeff": terms[e]}
+            for e in sorted(terms, key=mono_sort_key)]
 
 
 def _numbers(doc: dict, key: str, cls, positive: bool):
@@ -245,13 +259,9 @@ class ScenarioSpec:
 
     def to_dict(self) -> dict:
         adj = self.adjacency
-        weights = []
-        for i in range(adj.N):
-            for j in range(i + 1, adj.N):
-                p = adj.entries.entry(i, j)
-                if not p.is_zero:
-                    weights.append({"i": i, "j": j,
-                                    "terms": p.to_records()})
+        weights = [{"i": i, "j": j, "terms": _records(terms)}
+                   for i in range(adj.N) for j in range(i + 1, adj.N)
+                   if (terms := adj.entries.terms(i, j))]
         return {
             "format": FORMAT,
             "name": self.name,
@@ -263,7 +273,8 @@ class ScenarioSpec:
             "uncertainty": {
                 "n_parameters": adj.r,
                 "box": [list(b) for b in adj.box],
-                "region": [{"terms": s.to_records()} for s in adj.omega],
+                "region": [{"terms": _records(adj.omega.terms(k, 0))}
+                           for k in range(adj.omega.rows)],
                 "weights": weights,
             },
             "barrier": asdict(self.barrier) if self.barrier else None,
@@ -294,7 +305,8 @@ class ScenarioSpec:
         r = _field(doc, "uncertainty.n_parameters")
         _require(_is_int(r) and r >= 0, "uncertainty.n_parameters",
                  "an integer >= 0", r)
-        entries = MatrixPolynomial.zeros(N, N, r)
+        # the weights by monomial, in order of first appearance in the file
+        coeffs: dict = {}
         seen = np.zeros((N, N), dtype=bool)
         index = {}
         for k, w in enumerate(_items(doc, "uncertainty.weights")):
@@ -306,18 +318,24 @@ class ScenarioSpec:
                      (i, j))
             seen[i, j] = seen[j, i] = True
             index[min(i, j), max(i, j)] = k
-            p = _terms(r, w, where, ("i", "j", "terms"))
-            entries.set_entry(i, j, p)
-            entries.set_entry(j, i, p)
-        omega = [_terms(r, s, f"uncertainty.region[{k}]", ("terms",))
-                 for k, s in enumerate(_items(doc, "uncertainty.region"))]
+            for e, c in _terms(r, w, where, ("i", "j", "terms")).items():
+                C = coeffs.setdefault(e, np.zeros((N, N)))
+                C[i, j] = C[j, i] = c
+        region = _items(doc, "uncertainty.region")
+        rows: dict = {}
+        for k, s in enumerate(region):
+            for e, c in _terms(r, s, f"uncertainty.region[{k}]",
+                               ("terms",)).items():
+                rows.setdefault(e, np.zeros((len(region), 1)))[k, 0] = c
         box = _items(doc, "uncertainty.box")
         for k, b in enumerate(box):
             _require(isinstance(b, list) and len(b) == 2 and all(
                 _is_number(v) and math.isfinite(v) for v in b),
                 f"uncertainty.box[{k}]", "two finite numbers", b)
-        adj = UncertainAdjacency(N=N, entries=entries, omega=omega,
-                                 box=[tuple(map(float, b)) for b in box])
+        adj = UncertainAdjacency(
+            N=N, entries=MatrixPolynomial(N, N, r, coeffs),
+            omega=MatrixPolynomial(len(region), 1, r, rows),
+            box=[tuple(map(float, b)) for b in box])
         _check_reach(adj, index)
         formation = np.zeros((N, N), dtype=bool)
         for k, e in enumerate(_items(doc, "formation_edges")):

@@ -117,14 +117,14 @@ class RunResult:
 
 
 def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
-        dt: float | None = None, unsafe: bool = False,
+        unsafe: bool = False,
         certificate: Certificate | None = None) -> RunResult:
     """Integrate one seeded realization of a scenario, with monitoring.
 
-    Raises ValueError naming a bad dt or T_end (the rules of the scenario
-    fields, except that T_end = 0 records the initial state only).  Given
-    no certificate, a run that is not unsafe certifies the scenario
-    itself.  Raises PreconditionError when the setup assumptions fail or
+    The step is the scenario's dt.  Raises ValueError naming a bad T_end
+    (the rule of the scenario field, except that T_end = 0 records the
+    initial state only).  Given no certificate, a run that is not unsafe
+    certifies the scenario itself.  Raises PreconditionError when the setup assumptions fail or
     when the certificate, supplied or made, has refusals
     (certifier.refusals), unless unsafe=True; and also when a formation
     pair is not closer than r_s or the barrier caps cannot be tuned.
@@ -134,7 +134,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
     adj = scenario.adjacency
     tau = scenario.tau
     N = scenario.n_agents
-    dt = scenario.dt if dt is None else dt
+    dt = scenario.dt
     T_end = scenario.T_end if T_end is None else T_end
     check_time_grid(dt, T_end, scenario.record_every, zero_horizon=True)
 

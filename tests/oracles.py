@@ -27,7 +27,7 @@ from scipy.optimize import minimize_scalar
 
 from robustform import sdp
 from robustform.certifier import gram_image
-from robustform.netgraph import TopologyState
+from robustform.netgraph import TopologyState, UncertainAdjacency
 from robustform.polyalg import MatrixPolynomial, mono_mul, mono_sort_key
 from robustform.smr import _positions, gram_null_basis, power_vector
 
@@ -79,6 +79,35 @@ def gram_expand_matrix(A, pv, s):
     coeffs = np.zeros((len(monos), s, s))
     np.add.at(coeffs, K, blocks)
     return MatrixPolynomial(s, s, pv.r, dict(zip(monos, coeffs)))
+
+
+def matpoly(rows, cols, r, entries):
+    """The rows x cols MatrixPolynomial whose entry (i, j) has the term
+    dict entries[i, j], its monomials in order of first appearance, as a
+    scenario file's reader inserts them."""
+    coeffs = {}
+    for (i, j), terms in entries.items():
+        for e, c in terms.items():
+            coeffs.setdefault(e, np.zeros((rows, cols)))[i, j] = c
+    return MatrixPolynomial(rows, cols, r, coeffs)
+
+
+def weight_matrix(N, r, w):
+    """The symmetric N x N weight matrix with the term dict w[i, j] at
+    (i, j) and (j, i)."""
+    return matpoly(N, N, r, {**w, **{(j, i): t for (i, j), t in w.items()}})
+
+
+def region_column(r, *polys):
+    """The region column of the term dicts polys, polys[k] in row k."""
+    return matpoly(len(polys), 1, r, {(k, 0): p for k, p in enumerate(polys)})
+
+
+def adjacency(N, w, r=0, region=(), box=()):
+    """The UncertainAdjacency of the weight term dicts w[i, j] (see
+    weight_matrix) on the region of the term dicts region, in box."""
+    return UncertainAdjacency(N, weight_matrix(N, r, w),
+                              region_column(r, *region), list(box))
 
 
 def pair_mask(N, pairs):
@@ -334,10 +363,11 @@ def assembly_columns(asm, region):
 
     def main():
         yield asm.c_index, -np.eye(len(phi_H) * s)
-        for g, var, pv in zip(region, asm.r_vars, asm.phi_R):
+        for i, (var, pv) in enumerate(zip(asm.r_vars, asm.phi_R)):
             for k in range(len(var.indices)):
                 yield int(var.indices[k]), -gram_image(
-                    basis_matrix(var.size, k), pv, g.terms, phi_H, s, pos_H)
+                    basis_matrix(var.size, k), pv, region.terms(i, 0),
+                    phi_H, s, pos_H)
         yield from zip(asm.delta_indices,
                        null_basis(asm.r, asm.plan.d_H, s))
 

@@ -21,8 +21,7 @@ import oracles
 import robustform
 from robustform.barrier import _psi_c, _psi_e
 from robustform.certifier import certify, sample_lambda2
-from robustform.netgraph import UncertainAdjacency
-from robustform.polyalg import MatrixPolynomial, Polynomial
+from robustform.polyalg import MatrixPolynomial
 from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.sdp import SdpProblem, SdpStatus, solve
 from robustform.simulate import run
@@ -37,27 +36,22 @@ def _random_poly(rng, r, deg):
             if sum(e) <= deg:
                 break
         terms[e] = float(rng.uniform(-5, 5))
-    return Polynomial(r, terms)
+    return terms
 
 
 def _random_sym_matpoly(rng, s, r, deg):
-    M = MatrixPolynomial.zeros(s, s, r)
-    for i in range(s):
-        for j in range(i, s):
-            p = _random_poly(rng, r, deg)
-            M.set_entry(i, j, p)
-            M.set_entry(j, i, p)
-    return M
+    w = {(i, j): _random_poly(rng, r, deg)
+         for i in range(s) for j in range(i, s)}
+    return oracles.weight_matrix(s, r, w)
 
 
 def _max_coeff_err(A, B):
     worst = 0.0
     for i in range(A.rows):
         for j in range(A.cols):
-            pa, pb = A.entry(i, j), B.entry(i, j)
-            for e in set(pa.terms) | set(pb.terms):
-                worst = max(worst, abs(pa.terms.get(e, 0.0)
-                                       - pb.terms.get(e, 0.0)))
+            pa, pb = A.terms(i, j), B.terms(i, j)
+            for e in set(pa) | set(pb):
+                worst = max(worst, abs(pa.get(e, 0.0) - pb.get(e, 0.0)))
     return worst
 
 
@@ -68,7 +62,7 @@ def test_quartic_alternate_gram_pair_reconstructs_and_lies_in_family():
     # must be reachable from the canonical representative within the
     # null-space family.
     t0 = time.perf_counter()
-    f = Polynomial(1, {(4,): 7.0, (3,): 2.0, (2,): 4.0, (1,): 6.0, (0,): 9.0})
+    f = {(4,): 7.0, (3,): 2.0, (2,): 4.0, (1,): 6.0, (0,): 9.0}
     F = np.array([[7.0, 1.0, 0.0],
                   [1.0, 4.0, 3.0],
                   [0.0, 3.0, 9.0]])
@@ -79,14 +73,12 @@ def test_quartic_alternate_gram_pair_reconstructs_and_lies_in_family():
                          [-delta, 0.0, 0.0]])
 
     pv = power_vector(1, 2)
-    target = MatrixPolynomial.zeros(1, 1, 1)
-    target.set_entry(0, 0, f)
+    target = MatrixPolynomial(1, 1, 1, {e: [[c]] for e, c in f.items()})
     for delta in (-1.0, 0.0, 2.5):
         got = oracles.gram_expand_matrix(F + shift(delta), pv, 1)
         assert _max_coeff_err(got, target) < 1e-12
 
-    base = gram_base({e: np.array([[c]]) for e, c in f.terms.items()}, pv, 1,
-                     _positions(pv))
+    base = gram_base(target.coeffs, pv, 1, _positions(pv))
     diff = F - base
     proj = sum(float(np.sum(diff * B)) * B
                for B in oracles.null_matrices(1, 2, 1))
@@ -121,7 +113,7 @@ def test_gram_roundtrip_on_500_random_forms_and_null_bases_vanish():
                     Z = oracles.gram_expand_matrix(B, pv, s)
                     for i in range(Z.rows):
                         for j in range(Z.cols):
-                            terms = Z.entry(i, j).terms
+                            terms = Z.terms(i, j)
                             if terms:
                                 worst_null = max(worst_null,
                                                  max(abs(v)
@@ -134,22 +126,22 @@ def _records(adj):
     """The uncertainty section of a scenario file for adj: its box and the
     term records of its region and its weights."""
     return {"n_parameters": adj.r, "box": [list(b) for b in adj.box],
-            "region": [{"terms": g.to_records()} for g in adj.omega],
+            "region": [{"terms": _term_records(adj.omega.terms(k, 0))}
+                       for k in range(adj.omega.rows)],
             "weights": [{"i": i, "j": j,
-                         "terms": adj.entries.entry(i, j).to_records()}
+                         "terms": _term_records(adj.entries.terms(i, j))}
                         for i in range(adj.N) for j in range(i + 1, adj.N)]}
+
+
+def _term_records(terms):
+    return [{"exponents": list(e), "coeff": c} for e, c in terms.items()]
 
 
 def _constant_adjacency(W):
     N = W.shape[0]
-    M = MatrixPolynomial.zeros(N, N, 0)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if W[i, j]:
-                p = Polynomial(0, {(): float(W[i, j])})
-                M.set_entry(i, j, p)
-                M.set_entry(j, i, p)
-    return UncertainAdjacency(N, M, [], [])
+    return oracles.adjacency(N, {(i, j): {(): float(W[i, j])}
+                                 for i in range(N) for j in range(i + 1, N)
+                                 if W[i, j]})
 
 
 def test_certificate_verdict_matches_eigenvalue_oracle_on_200_graphs():
@@ -193,12 +185,8 @@ def test_certificate_verdict_matches_eigenvalue_oracle_on_200_graphs():
 
 
 def _disk_adjacency(N, edges):
-    disk = [Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})]
-    M = MatrixPolynomial.zeros(N, N, 2)
-    for (i, j), p in edges.items():
-        M.set_entry(i, j, p)
-        M.set_entry(j, i, p)
-    return UncertainAdjacency(N, M, disk, [(-1.0, 1.0), (-1.0, 1.0)])
+    disk = {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}
+    return oracles.adjacency(N, edges, 2, [disk], [(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def test_disk_uncertainty_certificates_are_sound():
@@ -212,9 +200,9 @@ def test_disk_uncertainty_certificates_are_sound():
     rng = np.random.default_rng(11)
 
     def affine(margin):
-        return Polynomial(2, {(0, 0): float(rng.uniform(margin, margin + 0.7)),
-                              (1, 0): float(rng.uniform(-0.3, 0.3)),
-                              (0, 1): float(rng.uniform(-0.3, 0.3))})
+        return {(0, 0): float(rng.uniform(margin, margin + 0.7)),
+                (1, 0): float(rng.uniform(-0.3, 0.3)),
+                (0, 1): float(rng.uniform(-0.3, 0.3))}
 
     scenarios = []
     for _ in range(16):  # healthy: ring plus a chord, weights bounded away
@@ -227,7 +215,7 @@ def test_disk_uncertainty_certificates_are_sound():
         if (int(a), int(b)) not in edges:
             edges[(int(a), int(b))] = affine(0.8)
         scenarios.append(("healthy", _disk_adjacency(N, edges)))
-    vanishing = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0})  # zero at origin
+    vanishing = {(2, 0): 1.0, (0, 2): 1.0}  # zero at origin
     for _ in range(4):  # a path whose middle link can vanish on the disk
         N = int(rng.integers(4, 6))
         edges = {}

@@ -30,7 +30,7 @@ from robustform.certifier import (Assembly, Certificate, CertifierError,
                                   sample_lambda2, verify_certificate)
 from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
-from robustform.polyalg import MatrixPolynomial, Polynomial
+from robustform.polyalg import MatrixPolynomial
 from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.smr import power_vector
 
@@ -41,24 +41,15 @@ def const_adjacency(W):
     return UncertainAdjacency(
         N=W.shape[0],
         entries=MatrixPolynomial(len(W), len(W), 0, {(): W}),
-        omega=[], box=[])
-
-
-def edge_weight_adjacency(n, weights, r, omega, box):
-    """Adjacency from {(i, j): weight polynomial}."""
-    mp = MatrixPolynomial.zeros(n, n, r)
-    for (i, j), w in weights.items():
-        mp.set_entry(i, j, w)
-        mp.set_entry(j, i, w)
-    return UncertainAdjacency(N=n, entries=mp, omega=omega, box=box)
+        omega=oracles.region_column(0), box=[])
 
 
 def unit_disk(r):
-    """1 - |theta|^2."""
+    """The term dict of 1 - |theta|^2."""
     terms = {(0,) * r: 1.0}
     for k in range(r):
         terms[tuple(2 * (m == k) for m in range(r))] = -1.0
-    return Polynomial(r, terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +105,8 @@ def test_assemble_counts_fifty_agent_plan():
     n = 50
     w = {}
     for i in range(n):
-        w[(i, (i + 1) % n)] = Polynomial(1, {(0,): 0.2, (1,): 0.05})
-    adj = edge_weight_adjacency(n, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
+        w[(i, (i + 1) % n)] = {(0,): 0.2, (1,): 0.05}
+    adj = oracles.adjacency(n, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
     asm = assemble(adj)
     assert asm.plan == DegreePlan(1, (0,))
     assert asm.problem.n_vars == 1 + 1176 + 1225
@@ -142,12 +133,12 @@ def test_assemble_lmi_expands_to_pencil_identity():
     rng = np.random.default_rng(11)
     n, r = 4, 2
     s = n - 1
-    weights = {(i, j): Polynomial(r, dict(zip(
-        [(0, 0), (1, 0), (0, 1)], rng.standard_normal(3).tolist())))
+    weights = {(i, j): dict(zip(
+        [(0, 0), (1, 0), (0, 1)], rng.standard_normal(3).tolist()))
         for i in range(n) for j in range(i + 1, n)}
     g = unit_disk(r)
-    adj = edge_weight_adjacency(n, weights, r, [g],
-                                [(-1.0, 1.0), (-1.0, 1.0)])
+    adj = oracles.adjacency(n, weights, r, [g],
+                            [(-1.0, 1.0), (-1.0, 1.0)])
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(n))
     asm = assemble(adj)
     y = rng.standard_normal(asm.problem.n_vars)
@@ -165,7 +156,7 @@ def test_assemble_lmi_expands_to_pencil_identity():
         phi = asm.phi_H.eval_batch(theta)[0]
         want = (P_num @ L_num + L_num.T @ P_num
                 - c * float(phi @ phi) * np.eye(s)
-                - g(theta) * R_num)
+                - adj.omega(theta)[0, 0] * R_num)
         np.testing.assert_allclose(expanded(theta), want, atol=1e-10)
 
 
@@ -197,9 +188,9 @@ def test_path_three_vertices():
 
 
 def test_edge_affine_weight_certifies_at_one():
-    w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
-    adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
-                                [unit_disk(1)], [(-1.0, 1.0)])
+    w = {(0,): 1.0, (1,): 0.5}
+    adj = oracles.adjacency(2, {(0, 1): w}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
     res = certify(adj)
     assert res.connected
     assert res.certificate.c_star == pytest.approx(1.0, abs=1e-6)
@@ -208,9 +199,9 @@ def test_edge_affine_weight_certifies_at_one():
 
 
 def test_edge_weight_vanishing_inside_region():
-    w = Polynomial(1, {(1,): 1.0})
-    adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
-                                [unit_disk(1)], [(-1.0, 1.0)])
+    w = {(1,): 1.0}
+    adj = oracles.adjacency(2, {(0, 1): w}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
     res = certify(adj)
     assert res.solution.ok
     assert not res.connected
@@ -258,10 +249,10 @@ def test_verdict_matches_eigenvalues_on_random_graphs():
 
 def test_two_parameter_triangle():
     r = 2
-    w01 = Polynomial(r, {(0, 0): 1.0, (1, 0): 0.3})
-    w12 = Polynomial(r, {(0, 0): 1.2, (0, 1): -0.4})
-    w02 = Polynomial(r, {(0, 0): 0.8, (1, 0): 0.1, (0, 1): 0.1})
-    adj = edge_weight_adjacency(
+    w01 = {(0, 0): 1.0, (1, 0): 0.3}
+    w12 = {(0, 0): 1.2, (0, 1): -0.4}
+    w02 = {(0, 0): 0.8, (1, 0): 0.1, (0, 1): 0.1}
+    adj = oracles.adjacency(
         3, {(0, 1): w01, (1, 2): w12, (0, 2): w02}, r,
         [unit_disk(r)], [(-1.0, 1.0), (-1.0, 1.0)])
     res = certify(adj)
@@ -277,9 +268,9 @@ def test_two_parameter_triangle():
 
 
 def certified_edge():
-    w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
-    adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
-                                [unit_disk(1)], [(-1.0, 1.0)])
+    w = {(0,): 1.0, (1,): 0.5}
+    adj = oracles.adjacency(2, {(0, 1): w}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
     return adj, certify(adj)
 
 
@@ -297,7 +288,7 @@ def test_certificate_json_roundtrip(tmp_path):
         loaded = Certificate.load(path)
         assert loaded.c_star == cert.c_star
         assert loaded.plan == cert.plan
-        assert len(loaded.R_bars) == len(cert.R_bars) == len(adj.omega)
+        assert len(loaded.R_bars) == len(cert.R_bars) == adj.omega.rows
         for a, b in zip([loaded.P_bar, loaded.delta, *loaded.R_bars],
                         [cert.P_bar, cert.delta, *cert.R_bars]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -335,6 +326,49 @@ def test_certificate_refuses_an_unknown_key(where, key):
     (doc[where] if where else doc)[key] = 1.0
     path = f"{where}.{key}" if where else key
     with pytest.raises(ValueError, match=rf"^{path}: unknown key"):
+        Certificate.from_dict(doc)
+
+
+def _edit(doc, path, value):
+    """doc with the value at key path path (a tuple) set to value, or
+    deleted for value DELETE."""
+    *parents, key = path
+    for k in parents:
+        doc = doc[k]
+    if value is DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    # a bare KeyError('c_star') before the typed readers
+    (("c_star",), DELETE, "c_star: missing"),
+    # int()'s own message
+    (("n_agents",), "fifty", "n_agents: must be an integer >= 2"),
+    # loaded as 50
+    (("n_agents",), 50.5, "n_agents: must be an integer >= 2"),
+    # loaded as 1.0
+    (("c_star",), True, "c_star: must be a number"),
+    # NumPy's inhomogeneous-shape error
+    (("delta",), [[0.0], [0.0, 1.0]], r"delta\[0\]: must be a number"),
+    (("P_bar",), [[0.5], [0.5, 0.5]], r"P_bar\[1\]: must be 1 numbers"),
+    (("R_bars",), {"0": []}, "R_bars: must be a list"),
+    (("R_bars", 0), 1.0, r"R_bars\[0\]: must be rows of numbers"),
+    (("degree_plan", "d_H"), "1", "degree_plan.d_H: must be an integer"),
+    (("degree_plan", "d_R", 0), 0.5,
+     r"degree_plan.d_R\[0\]: must be an integer"),
+    (("degree_plan",), [], "degree_plan: must be an object")])
+def test_certificate_names_the_key_path_of_a_bad_value(path, value,
+                                                        message):
+    # the typed readers of a scenario file, with its messages
+    _adj, res = certified_edge()
+    doc = res.certificate.to_dict()
+    _edit(doc, path, value)
+    with pytest.raises(ValueError, match=f"^{message}"):
         Certificate.from_dict(doc)
 
 
@@ -393,10 +427,10 @@ def test_verify_perturbed_delta_breaks_identity():
     # the triangle's plan has antisymmetric-block null directions, so a
     # perturbed offset reshuffles the Gram matrix away from the solved cone
     r = 2
-    w01 = Polynomial(r, {(0, 0): 1.0, (1, 0): 0.3})
-    w12 = Polynomial(r, {(0, 0): 1.2, (0, 1): -0.4})
-    w02 = Polynomial(r, {(0, 0): 0.8, (1, 0): 0.1, (0, 1): 0.1})
-    adj = edge_weight_adjacency(
+    w01 = {(0, 0): 1.0, (1, 0): 0.3}
+    w12 = {(0, 0): 1.2, (0, 1): -0.4}
+    w02 = {(0, 0): 0.8, (1, 0): 0.1, (0, 1): 0.1}
+    adj = oracles.adjacency(
         3, {(0, 1): w01, (1, 2): w12, (0, 2): w02}, r,
         [unit_disk(r)], [(-1.0, 1.0), (-1.0, 1.0)])
     res = certify(adj)
@@ -419,7 +453,7 @@ def _sampled_margins_per_sample(cert, adj, n_samples, seed):
     s = L_hat.rows
     phi_H = power_vector(adj.r, cert.plan.d_H)
     norm2 = np.sum(phi_H.eval_batch(thetas) ** 2, axis=1)
-    entries = [[L_hat.entry(i, j).terms for j in range(s)] for i in range(s)]
+    entries = [[L_hat.terms(i, j) for j in range(s)] for i in range(s)]
     P_num = cert.P_bar
     pencil = float("inf")
     for t, theta in enumerate(thetas):
@@ -438,12 +472,12 @@ def _random_disk_adjacency(seed, n=5):
     pairs = {(int(rng.integers(0, j)), j) for j in range(1, n)}
     pairs |= {(0, n - 1), (1, 3)}
     weights = {
-        e: Polynomial(2, {(0, 0): float(rng.uniform(1.0, 2.0)),
+        e: {(0, 0): float(rng.uniform(1.0, 2.0)),
                           (1, 0): float(rng.uniform(-0.3, 0.3)),
-                          (0, 1): float(rng.uniform(-0.3, 0.3))})
+                          (0, 1): float(rng.uniform(-0.3, 0.3))}
         for e in sorted(pairs)}
-    return edge_weight_adjacency(n, weights, 2, [unit_disk(2)],
-                                 [(-1.0, 1.0), (-1.0, 1.0)])
+    return oracles.adjacency(n, weights, 2, [unit_disk(2)],
+                             [(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def _oracle_case(case):
@@ -455,15 +489,53 @@ def _oracle_case(case):
     if case.startswith("random_disk_"):
         return _random_disk_adjacency(int(case.rsplit("_", 1)[1]))
     if case == "zero_region":
-        return edge_weight_adjacency(
-            2, {(0, 1): Polynomial(1, {(0,): 1.0, (1,): 0.5})}, 1,
-            [Polynomial(1, {}), unit_disk(1)], [(-1.0, 1.0)])
+        return oracles.adjacency(
+            2, {(0, 1): {(0,): 1.0, (1,): 0.5}}, 1,
+            [{}, unit_disk(1)], [(-1.0, 1.0)])
     if case == "quartic_path":
-        w = Polynomial(1, {(0,): 1.0, (2,): 0.5, (4,): 0.25})
-        return edge_weight_adjacency(
-            3, {(0, 1): w, (1, 2): Polynomial(1, {(0,): 1.0})}, 1,
+        w = {(0,): 1.0, (2,): 0.5, (4,): 0.25}
+        return oracles.adjacency(
+            3, {(0, 1): w, (1, 2): {(0,): 1.0}}, 1,
             [unit_disk(1)], [(-1.0, 1.0)])
     return ScenarioSpec.load(builtin_path(case)).adjacency
+
+
+@pytest.mark.parametrize("case, n_vars", [
+    ("six_agent", 46), ("adversarial", 1), ("fifty_agent", 2402),
+    ("random_disk_0", 29), ("quartic_path", 17), ("zero_region", 5)])
+def test_closed_form_variable_count_is_the_assembled_one(case, n_vars):
+    adj = _oracle_case(case)
+    asm = assemble(adj)
+    assert asm.plan.n_vars(adj.r, asm.s) == asm.problem.n_vars == n_vars
+
+
+# six_agent with the exponent of its first weight term raised: the degree
+# plan and its closed-form variable count.  Without the limit, 40 went on
+# to an SDP whose Schur matrix takes 1206451^2 * 8 bytes (11.6 TB), and
+# 10^6 first enumerated power vectors of 1.25e11 monomials
+@pytest.mark.parametrize("exponent, plan, n_vars", [
+    (40, "d_H=20 d_R=[19]", 1206451),
+    (10 ** 6, "d_H=500000 d_R=[499999]", 390628125004062498750001)])
+def test_relaxation_above_the_variable_limit_is_refused_unbuilt(
+        monkeypatch, exponent, plan, n_vars):
+    cert = certify(
+        ScenarioSpec.load(builtin_path("six_agent")).adjacency).certificate
+    doc = json.loads(builtin_path("six_agent").read_text())
+    doc["uncertainty"]["weights"][0]["terms"][0]["exponents"] = [exponent, 0]
+    adj = ScenarioSpec.from_dict(doc).adjacency
+    assert n_vars > certifier.MAX_SDP_VARS
+
+    def unbuilt(r, d):
+        raise AssertionError(f"power vector of degree {d} built")
+
+    monkeypatch.setattr(certifier, "power_vector", unbuilt)
+    message = (f"degree plan {plan} asks for {n_vars} SDP variables, above "
+               f"the limit of {certifier.MAX_SDP_VARS}")
+    with pytest.raises(CertifierError) as err:
+        certify(adj)
+    assert str(err.value) == message
+    # a stored certificate meets the same limit, as a refusal
+    assert refusals(cert, adj) == [message]
 
 
 @pytest.mark.parametrize("case", [
@@ -508,9 +580,9 @@ def test_batched_sampled_margins_match_per_sample_loop(case, monkeypatch):
 
 def test_sample_lambda2_affine_edge():
     # lambda_2 = 2 + theta on theta in [-1, 1], minimized at the left edge
-    w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
-    adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
-                                [unit_disk(1)], [(-1.0, 1.0)])
+    w = {(0,): 1.0, (1,): 0.5}
+    adj = oracles.adjacency(2, {(0, 1): w}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
     sweep = sample_lambda2(adj, n_samples=4000, seed=2)
     assert len(sweep.values) == 4000
     assert 1.0 <= sweep.min_value < 1.05
@@ -521,9 +593,9 @@ def test_sample_lambda2_affine_edge():
 
 def test_sample_lambda2_reproducible():
     adj, _res = None, None
-    w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
-    adj = edge_weight_adjacency(2, {(0, 1): w}, 1,
-                                [unit_disk(1)], [(-1.0, 1.0)])
+    w = {(0,): 1.0, (1,): 0.5}
+    adj = oracles.adjacency(2, {(0, 1): w}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
     a = sample_lambda2(adj, n_samples=300, seed=4)
     b = sample_lambda2(adj, n_samples=300, seed=4)
     np.testing.assert_array_equal(a.values, b.values)
@@ -543,10 +615,9 @@ QUADRATIC = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 def quadratic_adjacency(N, coeffs):
     """Adjacency with weight sum_q coeffs[i, j][q] theta^QUADRATIC[q] on
     each listed pair, theta in the unit disk."""
-    return edge_weight_adjacency(
-        N, {p: Polynomial(2, dict(zip(QUADRATIC, c)))
-            for p, c in coeffs.items()}, 2, [unit_disk(2)],
-        [(-1.0, 1.0), (-1.0, 1.0)])
+    return oracles.adjacency(
+        N, {p: dict(zip(QUADRATIC, c)) for p, c in coeffs.items()}, 2,
+        [unit_disk(2)], [(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def assert_lambda2_matches_dense_oracle(N, coeffs, sweep):

@@ -23,8 +23,6 @@ import robustform
 from robustform import certifier
 from robustform.certifier import Certificate, certify, verify_certificate
 from robustform.cli import main
-from robustform.netgraph import UncertainAdjacency
-from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
 from robustform.simulate import PreconditionError, run
 from robustform.netgraph import AgentGeometry
@@ -42,11 +40,7 @@ def pair_scenario_doc(tau_x=3.0, positions=None, barrier=None,
     geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
                          d_s=1.875, eps=0.1)
     tau = np.array([[0.0, 0.0], [tau_x, 0.0]])
-    entries = MatrixPolynomial.zeros(2, 2, 0)
-    w = Polynomial(0, {(): weight})
-    entries.set_entry(0, 1, w)
-    entries.set_entry(1, 0, w)
-    adj = UncertainAdjacency(N=2, entries=entries, omega=[], box=[])
+    adj = oracles.adjacency(2, {(0, 1): {(): weight}})
     return ScenarioSpec(
         name="pair", geometry=geom, tau=tau,
         positions=tau.copy() if positions is None
@@ -559,14 +553,25 @@ def test_certify_overflowing_weights_is_a_solver_failure(tmp_path, capsys):
 
 
 def test_term_records_of_equal_exponents_add_up():
-    # two records of one monomial that cancel leave the polynomial as it was
+    # records of one monomial add up; records that cancel, or leave no
+    # more than COEFF_CLEANUP, store no monomial
     doc = json.loads(builtin_path("six_agent").read_text())
-    before = ScenarioSpec.from_dict(doc).adjacency.entries.entry(0, 1)
+    before = ScenarioSpec.from_dict(doc).adjacency
     doc["uncertainty"]["weights"][0]["terms"] += [
         {"exponents": [1, 1], "coeff": 1.0},
-        {"exponents": [1, 1], "coeff": -1.0}]
-    assert ScenarioSpec.from_dict(doc).adjacency.entries.entry(0, 1) \
-        == before
+        {"exponents": [1, 0], "coeff": 0.25},
+        {"exponents": [1, 1], "coeff": -1.0},
+        {"exponents": [0, 3], "coeff": 1.0},
+        {"exponents": [0, 3], "coeff": -(1.0 - 1e-16)}]
+    doc["uncertainty"]["region"][0]["terms"] += [
+        {"exponents": [0, 0], "coeff": 0.5}]
+    after = ScenarioSpec.from_dict(doc).adjacency
+    assert after.entries.terms(0, 1) == {
+        (1, 0): 0.3 + 0.25, (0, 1): -0.25, (0, 0): 1.0}
+    assert after.entries.terms(1, 0) == after.entries.terms(0, 1)
+    assert list(after.entries.coeffs) == list(before.entries.coeffs)
+    assert after.omega.terms(0, 0) == {(2, 0): -1.0, (0, 2): -1.0,
+                                       (0, 0): 1.5}
 
 
 SHIPPED_DOCS = {name: json.loads(builtin_path(name).read_text())
@@ -631,9 +636,122 @@ def test_check_mutated_scenario_exits_with_a_documented_code(
         assert run_cli("check", str(p)) in (0, 1, 2)
 
 
+# the mutations of bounded_mutations, by name; DELETE removes the value
+DELETE = object()
+MUTATIONS = {"delete": DELETE, "null": None, "string": "x", "nan": math.nan,
+             "negative": -3, "huge": 10 ** 6, "nested_empty": [[]]}
+# the exit codes each command documents
+EXIT_CODES = {"check": {0, 1, 2}, "certify": {0, 1, 2, 3},
+              "simulate": {0, 1, 2, 4, 5}}
+
+
+@st.composite
+def bounded_mutations(draw):
+    """A shipped scenario document with the value at one key path, at any
+    depth, deleted or replaced by one of MUTATIONS."""
+    name = draw(st.sampled_from(sorted(BUILTIN)))
+    doc = copy.deepcopy(SHIPPED_DOCS[name])
+    *parents, key = draw(st.sampled_from(SHIPPED_PATHS[name]))
+    holder = doc
+    for k in parents:
+        holder = holder[k]
+    value = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
+    if value is DELETE:
+        del holder[key]
+    else:
+        holder[key] = copy.deepcopy(value)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=100,
+          deadline=None)
+@given(bounded_mutations())
+def test_commands_on_a_mutated_scenario_exit_with_a_documented_code(
+        tmp_path_factory, doc):
+    # check, certify and simulate in process, bounded by a short horizon,
+    # a few samples and the relaxation's variable limit: each exits with a
+    # code it documents, and writes only to the outputs it was given
+    base = tmp_path_factory.mktemp("mutated")
+    for sub in ("in", "cwd", "out"):
+        (base / sub).mkdir()
+    p = base / "in" / "scenario.json"
+    p.write_text(json.dumps(doc))
+    commands = [("check", []),
+                ("certify", ["--samples", "20",
+                             "--out", str(base / "out" / "c.json")]),
+                ("simulate", ["--T", "0.02",
+                              "--out", str(base / "out" / "runs")])]
+    cwd = os.getcwd()
+    os.chdir(base / "cwd")
+    try:
+        for command, args in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run_cli(command, str(p), *args)
+            assert code in EXIT_CODES[command], (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+    finally:
+        os.chdir(cwd)
+    assert os.listdir(base / "cwd") == []
+    assert os.listdir(base / "in") == ["scenario.json"]
+
+
+@pytest.mark.parametrize("exponent", [40, 10 ** 6])
+def test_relaxation_above_the_variable_limit_exits_2(tmp_path, capsys,
+                                                     exponent):
+    # six_agent with the exponent of its first weight term raised: check
+    # builds no relaxation and passes; certify and simulate refuse it
+    # before building it, and write nothing
+    doc = json.loads(builtin_path("six_agent").read_text())
+    doc["uncertainty"]["weights"][0]["terms"][0]["exponents"] = [exponent, 0]
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)) == 0
+    capsys.readouterr()
+    d_H = exponent // 2
+    n_vars = certifier.DegreePlan(d_H, (d_H - 1,)).n_vars(2, 5)
+    for argv in (["certify", str(p), "--out", str(tmp_path / "c.json")],
+                 ["simulate", str(p), "--out", str(tmp_path / "runs")]):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {p}: degree plan d_H={d_H} d_R=[{d_H - 1}] asks for "
+            f"{n_vars} SDP variables, above the limit of 10000\n"))
+    assert sorted(os.listdir(tmp_path)) == ["deep.json"]
+
+
+# certify's report of each shipped scenario and seed before the path line,
+# recorded at the default 10 000 samples
+CERTIFY_TEXT = {
+    ("six_agent", 0): "c_star = 1.03604295\n"
+    "degree plan: d_H=1 d_R=[0]\n"
+    "sampled min lambda2 = 5.18394429 over 10000 points\n",
+    ("six_agent", 1): "c_star = 1.03604295\n"
+    "degree plan: d_H=1 d_R=[0]\n"
+    "sampled min lambda2 = 5.18254537 over 10000 points\n",
+    ("adversarial", 0): "c_star = 0.199999998\n"
+    "degree plan: d_H=0 d_R=[]\n"
+    "sampled min lambda2 = 0.1 over 10000 points\n",
+    ("adversarial", 1): "c_star = 0.199999998\n"
+    "degree plan: d_H=0 d_R=[]\n"
+    "sampled min lambda2 = 0.1 over 10000 points\n"}
+
+
+@pytest.mark.parametrize("name, seed", list(CERTIFY_TEXT))
+def test_certify_prints_the_recorded_bound_and_sampled_minimum(
+        tmp_path, capsys, name, seed):
+    # c* to 9 digits and the sampled lambda_2 minimum, which the region's
+    # membership test decides, at the default 10 000 samples
+    out = tmp_path / "c.json"
+    assert run_cli("certify", name, "--seed", str(seed),
+                   "--out", str(out)) == 0
+    assert capsys.readouterr() == (
+        f"{CERTIFY_TEXT[name, seed]}certificate written to {out}\n"
+        f"certify: CONNECTED\n", "")
+
+
 @pytest.mark.parametrize("flag, value", [
-    ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "inf"), ("--T", "-1"),
-    ("--T", "nan")])
+    ("--T", "-1"), ("--T", "nan")])
 def test_simulate_bad_time_flag_exits_2(tmp_path, capsys, flag, value):
     assert run_cli("simulate", "six_agent", flag, value,
                    "--out", str(tmp_path / "r")) == 2
@@ -685,11 +803,7 @@ def test_certify_disconnected_inconclusive(tmp_path, capsys):
     geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
                          d_s=1.875, eps=0.1)
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-    entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial(0, {(): 1.0})
-    entries.set_entry(0, 1, w)
-    entries.set_entry(1, 0, w)
-    adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
+    adj = oracles.adjacency(3, {(0, 1): {(): 1.0}})
     sc = ScenarioSpec(name="split", geometry=geom, tau=tau,
                       positions=tau.copy(), velocities=np.zeros((3, 2)),
                       formation=oracles.pair_mask(3, [(0, 1)]),
@@ -975,11 +1089,7 @@ def test_unsafe_flag_lets_uncertifiable_run_proceed(tmp_path):
     geom = AgentGeometry(r_a=0.75, r_c=0.9375, r_z=2.5, r_s=8.0,
                          d_s=1.875, eps=0.1)
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 100.0]])
-    entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial(0, {(): 1.0})
-    entries.set_entry(0, 1, w)
-    entries.set_entry(1, 0, w)
-    adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
+    adj = oracles.adjacency(3, {(0, 1): {(): 1.0}})
     sc = ScenarioSpec(name="split", geometry=geom, tau=tau,
                       positions=tau.copy(), velocities=np.zeros((3, 2)),
                       formation=oracles.pair_mask(3, [(0, 1)]),

@@ -17,7 +17,7 @@ from robustform.netgraph import (AgentGeometry, GeometryError,
                                  pair_distances, reduced_basis,
                                  reduced_laplacian, update_edges,
                                  validate_assumptions)
-from robustform.polyalg import MatrixPolynomial, Polynomial
+from robustform.polyalg import MatrixPolynomial
 
 GEOM = AgentGeometry(r_a=0.5, r_c=0.75, r_z=2.5, r_s=8.0, d_s=1.875,
                      eps=0.1)
@@ -58,7 +58,8 @@ def complete_adjacency(N):
 def adjacency(G):
     """The numeric adjacency G as an adjacency in no parameters."""
     return UncertainAdjacency(
-        len(G), MatrixPolynomial(len(G), len(G), 0, {(): G}), [], [])
+        len(G), MatrixPolynomial(len(G), len(G), 0, {(): G}),
+        oracles.region_column(0), [])
 
 
 class TestGeometry:
@@ -120,15 +121,16 @@ class TestLaplacian:
 
     def test_polynomial_matches_numeric_samples(self):
         # K3 with one uncertain weight 1 + 0.3 theta on edge (0,1).
-        w01 = Polynomial(1, {(0,): 1.0, (1,): 0.3})
-        one = Polynomial(1, {(0,): 1.0})
-        zero = Polynomial(1)
+        w01 = {(0,): 1.0, (1,): 0.3}
+        one = {(0,): 1.0}
+        zero = {}
         A = _grid(3, 3, 1, [
             zero, w01, one,
             w01, zero, one,
             one, one, zero,
         ])
-        L = laplacian(UncertainAdjacency(3, A, [], [(-1.0, 2.0)]))
+        L = laplacian(UncertainAdjacency(3, A, oracles.region_column(1),
+                                         [(-1.0, 2.0)]))
         for th in (-1.0, 0.0, 0.5, 2.0):
             num = complete_adjacency(3)
             num[0, 1] = num[1, 0] = 1.0 + 0.3 * th
@@ -165,10 +167,11 @@ class TestReducedBasis:
         assert np.allclose(red, full[1:], atol=1e-10)
 
     def test_polynomial_reduction_commutes_with_eval(self):
-        w = Polynomial(1, {(0,): 2.0, (1,): 1.0})
-        zero = Polynomial(1)
+        w = {(0,): 2.0, (1,): 1.0}
+        zero = {}
         A = _grid(2, 2, 1, [zero, w, w, zero])
-        L = laplacian(UncertainAdjacency(2, A, [], [(0.0, 1.0)]))
+        L = laplacian(UncertainAdjacency(2, A, oracles.region_column(1),
+                                         [(0.0, 1.0)]))
         M = reduced_basis(2)
         R = reduced_laplacian(L, M)
         th = np.array([0.7])
@@ -310,12 +313,13 @@ class TestTopology:
 class TestUncertainAdjacency:
 
     def make(self):
-        w = Polynomial(1, {(0,): 1.0, (1,): 0.5})
-        zero = Polynomial(1)
+        w = {(0,): 1.0, (1,): 0.5}
+        zero = {}
         ent = _grid(2, 2, 1, [zero, w, w, zero])
         # Omega = [-1, 1] described by 1 - theta^2 >= 0.
-        s = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-        return UncertainAdjacency(2, ent, [s], [(-1.2, 1.2)])
+        s = {(0,): 1.0, (2,): -1.0}
+        return UncertainAdjacency(2, ent, oracles.region_column(1, s),
+                                  [(-1.2, 1.2)])
 
     def test_valid(self):
         ua = self.make()
@@ -330,17 +334,37 @@ class TestUncertainAdjacency:
         assert pts.min() < -0.8 and pts.max() > 0.8
 
     def test_rejects_nonzero_diagonal(self):
-        t = Polynomial(1, {(1,): 1.0})
+        t = {(1,): 1.0}
         ent = _grid(2, 2, 1, [t, t, t, t])
         with pytest.raises(ValueError, match="nonzero diagonal"):
-            UncertainAdjacency(2, ent, [], [(-1, 1)])
+            UncertainAdjacency(2, ent, oracles.region_column(1),
+                               [(-1, 1)])
 
     def test_rejects_asymmetric(self):
-        zero = Polynomial(1)
-        one = Polynomial(1, {(0,): 1.0})
+        zero = {}
+        one = {(0,): 1.0}
         ent = _grid(2, 2, 1, [zero, one, zero, zero])
         with pytest.raises(ValueError, match="not symmetric"):
-            UncertainAdjacency(2, ent, [], [(-1, 1)])
+            UncertainAdjacency(2, ent, oracles.region_column(1),
+                               [(-1, 1)])
+
+    def test_rejects_region_that_is_not_one_column(self):
+        # the region inequalities are one k x 1 column in the weights'
+        # parameters
+        ent = self.make().entries
+        for omega in (oracles.matpoly(1, 2, 1, {}),
+                      oracles.region_column(2, {(0, 0): 1.0})):
+            with pytest.raises(ValueError, match="one column"):
+                UncertainAdjacency(2, ent, omega, [(-1, 1)])
+
+    def test_sample_omega_keeps_points_of_every_inequality(self):
+        # theta >= 0 and 1 - theta^2 >= 0: the samples fill [0, 1]
+        ua = UncertainAdjacency(
+            2, self.make().entries,
+            oracles.region_column(1, {(1,): 1.0}, {(0,): 1.0, (2,): -1.0}),
+            [(-1.2, 1.2)])
+        pts = ua.sample_omega(np.random.default_rng(1), 400)
+        assert 0.0 <= pts.min() < 0.05 and 0.95 < pts.max() <= 1.0
 
     def test_rejects_near_symmetric(self):
         # a relative asymmetry of 1e-6 is still asymmetric
@@ -348,11 +372,11 @@ class TestUncertainAdjacency:
             adjacency(np.array([[0.0, 1.0], [1.000001, 0.0]]))
 
     def test_rejects_bad_box(self):
-        w = Polynomial(1, {(0,): 1.0, (1,): 1.0})
-        zero = Polynomial(1)
+        w = {(0,): 1.0, (1,): 1.0}
+        zero = {}
         ent = _grid(2, 2, 1, [zero, w, w, zero])
         with pytest.raises(ValueError):
-            UncertainAdjacency(2, ent, [], [])
+            UncertainAdjacency(2, ent, oracles.region_column(1), [])
 
 
 class TestAssumptions:
@@ -413,8 +437,6 @@ class TestAssumptions:
 
 
 def _grid(rows, cols, r, entries):
-    """Matrix polynomial from a row-major list of Polynomial entries."""
-    A = MatrixPolynomial.zeros(rows, cols, r)
-    for k, p in enumerate(entries):
-        A.set_entry(k // cols, k % cols, p)
-    return A
+    """Matrix polynomial from a row-major list of term-dict entries."""
+    return oracles.matpoly(rows, cols, r, {
+        divmod(k, cols): p for k, p in enumerate(entries)})

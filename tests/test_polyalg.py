@@ -1,24 +1,26 @@
-"""Polynomial and matrix-polynomial algebra."""
+"""Matrix-polynomial algebra."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from robustform.polyalg import (
     COEFF_CLEANUP,
     MatrixPolynomial,
-    Polynomial,
     mono_sort_key,
 )
+from robustform.scenario import ScenarioSpec, builtin_path
 
 
-def poly_eval(f, theta):
-    """Scalar oracle: monomial-by-monomial evaluation with an exactly
-    rounded sum (math.fsum), no Horner rewriting."""
-    assert len(theta) == f.r
+def poly_eval(terms, theta):
+    """Scalar oracle: monomial-by-monomial evaluation of a term dict with
+    an exactly rounded sum (math.fsum), no Horner rewriting."""
     total = []
-    for e, c in f.terms.items():
+    for e, c in terms.items():
+        assert len(e) == len(theta)
         v = 1.0
         for x, p in zip(theta, e):
             if p:
@@ -33,53 +35,74 @@ def matpoly_eval(m, theta):
     out = np.empty((m.rows, m.cols))
     for i in range(m.rows):
         for j in range(m.cols):
-            out[i, j] = poly_eval(m.entry(i, j), theta)
+            out[i, j] = poly_eval(m.terms(i, j), theta)
     return out
 
 
-def quartic_example() -> Polynomial:
-    # 7t^4 + 2t^3 + 4t^2 + 6t + 9
-    return Polynomial(1, {(4,): 7, (3,): 2, (2,): 4, (1,): 6, (0,): 9})
+def quartic_example() -> MatrixPolynomial:
+    # [[7t^4 + 2t^3 + 4t^2 + 6t + 9]]
+    return MatrixPolynomial(1, 1, 1, {(4,): [[7]], (3,): [[2]], (2,): [[4]],
+                                      (1,): [[6]], (0,): [[9]]})
 
 
 class TestPolynomial:
+    """One entry's polynomial: its term dict, cleanup, evaluation and term
+    records."""
+
     def test_eval_at_one(self):
         f = quartic_example()
-        assert poly_eval(f, [1.0]) == 28.0
-        assert f([1.0]) == 28.0
+        assert poly_eval(f.terms(0, 0), [1.0]) == 28.0
+        assert f([1.0]).tolist() == [[28.0]]
 
     def test_eval_at_integer_points_exact(self):
         f = quartic_example()
         # exact for integer inputs in float range
-        assert f([2.0]) == 7 * 16 + 2 * 8 + 4 * 4 + 12 + 9
-        assert f([-1.0]) == 7 - 2 + 4 - 6 + 9
+        assert f([2.0])[0, 0] == 7 * 16 + 2 * 8 + 4 * 4 + 12 + 9
+        assert f([-1.0])[0, 0] == 7 - 2 + 4 - 6 + 9
 
     def test_zero_padding_never_stored(self):
-        p = Polynomial(2, {(0, 0): 0.0, (1, 0): 1.0})
-        assert (0, 0) not in p.terms
-        q = Polynomial(2, {(1, 0): 1.0 + -1.0})
-        assert q.is_zero
-        assert q.terms == {}
-        assert q.degree == 0
+        # terms(i, j) holds the nonzero coefficients of one entry only
+        A = MatrixPolynomial(1, 2, 2, {(0, 0): [[0.0, 1.0]],
+                                       (1, 0): [[2.0, 0.0]],
+                                       (0, 1): [[3.0, 4.0]]})
+        assert A.terms(0, 0) == {(1, 0): 2.0, (0, 1): 3.0}
+        assert A.terms(0, 1) == {(0, 0): 1.0, (0, 1): 4.0}
+        assert all(type(c) is float for c in A.terms(0, 0).values())
+        assert MatrixPolynomial(2, 2, 1).terms(1, 0) == {}
 
     def test_cleanup_threshold(self):
-        p = Polynomial(1, {(1,): COEFF_CLEANUP / 10})
-        assert p.is_zero
-        q = Polynomial(1, {(1,): 1.0 + -(1.0 - 1e-16)})
-        assert q.is_zero
+        # a coefficient, or a sum that cancels, of at most COEFF_CLEANUP
+        # is never stored
+        p = MatrixPolynomial(1, 1, 1, {(1,): [[COEFF_CLEANUP / 10]]})
+        assert p.coeffs == {} and p.terms(0, 0) == {} and p.deg() == 0
+        q = MatrixPolynomial(1, 1, 1, {(1,): [[1.0 + -(1.0 - 1e-16)]]})
+        assert q.coeffs == {}
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            Polynomial(1, {(-1,): 1.0})
+            MatrixPolynomial(1, 1, 1, {(-1,): [[1.0]]})
 
     def test_records_roundtrip(self):
-        f = quartic_example()
-        g = Polynomial(1, {tuple(rec["exponents"]): rec["coeff"]
-                           for rec in f.to_records()})
-        assert f == g
-        # order in the serialization is graded descending
-        exps = [tuple(rec["exponents"]) for rec in f.to_records()]
-        assert exps == [(4,), (3,), (2,), (1,), (0,)]
+        # a scenario file's term records are read in record order and
+        # written in graded-descending order, the constant last
+        doc = json.loads(builtin_path("six_agent").read_text())
+        terms = [{"exponents": e, "coeff": c} for e, c in
+                 [([0, 0], 1.0), ([0, 1], 2.0), ([2, 0], 3.0),
+                  ([1, 0], 4.0), ([1, 1], 5.0), ([0, 2], 6.0)]]
+        doc["uncertainty"]["weights"][0]["terms"] = terms
+        doc["uncertainty"]["region"][0]["terms"] = terms[::-1]
+        spec = ScenarioSpec.from_dict(doc)
+        assert list(spec.adjacency.entries.terms(0, 1)) == [
+            (0, 0), (0, 1), (2, 0), (1, 0), (1, 1), (0, 2)]
+        unc = spec.to_dict()["uncertainty"]
+        for written in (unc["weights"][0]["terms"],
+                        unc["region"][0]["terms"]):
+            assert [t["exponents"] for t in written] == [
+                [2, 0], [1, 1], [0, 2], [1, 0], [0, 1], [0, 0]]
+            assert [t["coeff"] for t in written] == [3.0, 5.0, 6.0, 4.0,
+                                                     2.0, 1.0]
+        assert ScenarioSpec.from_dict(spec.to_dict()).to_dict() \
+            == spec.to_dict()
 
     def test_mono_sort_key_order(self):
         monos = [(0, 0), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1)]
@@ -87,22 +110,25 @@ class TestPolynomial:
         assert ordered == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
 
     def test_batch_eval_matches_scalar(self):
+        # the region inequalities are one k x 1 column, s_k in row k
         rng = np.random.default_rng(3)
-        f = _random_poly(rng, 3)
+        polys = [_random_poly(rng, 3) for _ in range(4)]
+        omega = oracles.region_column(3, *polys)
         pts = rng.uniform(-1, 1, size=(40, 3))
-        batch = f.eval_batch(pts)
-        for i in range(40):
-            assert batch[i] == pytest.approx(poly_eval(f, pts[i]), abs=1e-12)
+        batch = omega.eval_batch(pts)
+        assert batch.shape == (40, 4, 1)
+        for m in range(40):
+            for k, p in enumerate(polys):
+                assert batch[m, k, 0] == pytest.approx(
+                    poly_eval(p, pts[m]), abs=1e-12)
 
 
 class TestMatrixPolynomial:
     def test_symmetry_flag(self):
-        A = MatrixPolynomial.zeros(2, 2, 1)
-        p = Polynomial(1, {(1,): 2.0})
-        A.set_entry(0, 1, p)
+        A = oracles.matpoly(2, 2, 1, {(0, 1): {(1,): 2.0}})
         assert not A.is_symmetric()
-        A.set_entry(1, 0, p)
-        assert A.is_symmetric()
+        assert oracles.weight_matrix(2, 1, {(0, 1): {(1,): 2.0}}) \
+            .is_symmetric()
 
     def test_constant_roundtrip(self):
         M = np.arange(6, dtype=float).reshape(2, 3)
@@ -116,7 +142,7 @@ class TestMatrixPolynomial:
         B = MatrixPolynomial(2, 2, 2, A.coeffs)
         for i in range(2):
             for j in range(2):
-                assert A.entry(i, j) == B.entry(i, j)
+                assert A.terms(i, j) == B.terms(i, j)
 
     def test_eval_batch_matches_pointwise(self):
         rng = np.random.default_rng(17)
@@ -140,15 +166,7 @@ class TestMatrixPolynomial:
         assert list(A.coeffs) == [(0,)]
         np.testing.assert_array_equal(A.coeffs[(0,)], [[1.0, 0.0],
                                                        [0.0, 0.0]])
-        assert A.entry(0, 1).is_zero and A.entry(0, 0) == \
-            Polynomial(1, {(0,): 1.0})
-
-    def test_set_entry_replaces_and_drops_empty_monomials(self):
-        A = MatrixPolynomial.zeros(2, 2, 1)
-        A.set_entry(0, 1, Polynomial(1, {(1,): 2.0, (0,): 1.0}))
-        A.set_entry(0, 1, Polynomial(1, {(2,): 3.0}))
-        assert set(A.coeffs) == {(2,)}
-        assert A.entry(0, 1) == Polynomial(1, {(2,): 3.0})
+        assert A.terms(0, 1) == {} and A.terms(0, 0) == {(0,): 1.0}
 
 
 def _random_poly(rng, r, max_deg=3, n_terms=5):
@@ -156,12 +174,10 @@ def _random_poly(rng, r, max_deg=3, n_terms=5):
     for _ in range(n_terms):
         e = tuple(int(x) for x in rng.integers(0, max_deg + 1, size=r))
         terms[e] = float(rng.uniform(-3, 3))
-    return Polynomial(r, terms)
+    return terms
 
 
 def _random_matpoly(rng, rows, cols, r):
-    A = MatrixPolynomial.zeros(rows, cols, r)
-    for i in range(rows):
-        for j in range(cols):
-            A.set_entry(i, j, _random_poly(rng, r, max_deg=2, n_terms=3))
-    return A
+    return oracles.matpoly(rows, cols, r, {
+        (i, j): _random_poly(rng, r, max_deg=2, n_terms=3)
+        for i in range(rows) for j in range(cols)})

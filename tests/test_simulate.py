@@ -10,9 +10,7 @@ import pytest
 import oracles
 from robustform.barrier import BarrierParams, PairArrays, Point
 from robustform.netgraph import (AgentGeometry, TopologyState,
-                                 UncertainAdjacency, pair_distances,
-                                 update_edges)
-from robustform.polyalg import MatrixPolynomial, Polynomial
+                                 pair_distances, update_edges)
 from robustform.scenario import ScenarioSpec, builtin_path
 from robustform.simulate import PreconditionError, SimState, run, step
 from robustform.barrier import zone_pairs_at
@@ -55,11 +53,7 @@ def const_pair_scenario(positions, velocities, weight=1.0, tau=None,
                         barrier=None, **kw):
     if tau is None:
         tau = np.array([[0.0, 0.0], [3.0, 0.0]])
-    entries = MatrixPolynomial.zeros(2, 2, 0)
-    w = Polynomial(0, {(): weight})
-    entries.set_entry(0, 1, w)
-    entries.set_entry(1, 0, w)
-    adj = UncertainAdjacency(N=2, entries=entries, omega=[], box=[])
+    adj = oracles.adjacency(2, {(0, 1): {(): weight}})
     return ScenarioSpec(
         name="pair", geometry=GEOM, tau=tau,
         positions=np.asarray(positions, dtype=float),
@@ -265,11 +259,7 @@ def test_run_domain_violation_reported():
 def test_run_refuses_uncertifiable_graph():
     # third agent with zero-weight links: weighted graph is disconnected
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 100.0]])
-    entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial(0, {(): 1.0})
-    entries.set_entry(0, 1, w)
-    entries.set_entry(1, 0, w)
-    adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
+    adj = oracles.adjacency(3, {(0, 1): {(): 1.0}})
     sc = ScenarioSpec(name="split", geometry=GEOM, tau=tau,
                       positions=tau.copy(), velocities=np.zeros((3, 2)),
                       formation=oracles.pair_mask(3, [(0, 1)]),
@@ -414,7 +404,8 @@ def test_run_log_shapes_and_metrics():
 def test_run_time_grid_overrides():
     sc = ScenarioSpec.load(builtin_path("six_agent"))
     cert = certify(sc.adjacency).certificate
-    res = run(sc, seed=3, T_end=0.1, dt=0.01, certificate=cert)
+    res = run(dataclasses.replace(sc, dt=0.01), seed=3, T_end=0.1,
+              certificate=cert)
     assert res.metrics["n_steps_taken"] == 10
     assert res.metrics["t_final"] == pytest.approx(0.1)
 
@@ -453,12 +444,8 @@ def chain_scenario():
     (1, 2) and then (0, 1) pass through the collision zone, and (0, 2) is
     dropped again beyond r_s."""
     tau = np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]])
-    entries = MatrixPolynomial.zeros(3, 3, 0)
-    w = Polynomial(0, {(): 0.2})
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        entries.set_entry(i, j, w)
-        entries.set_entry(j, i, w)
-    adj = UncertainAdjacency(N=3, entries=entries, omega=[], box=[])
+    adj = oracles.adjacency(3, {(i, j): {(): 0.2}
+                                for i, j in ((0, 1), (0, 2), (1, 2))})
     return ScenarioSpec(
         name="chain", geometry=GEOM, tau=tau,
         positions=np.array([[0.0, 0.0], [3.0, 0.0], [10.5, 0.0]]),
@@ -492,12 +479,10 @@ def test_run_zone_and_edge_switches_conserve_energy_jumps():
         <= jump_tol * max(1.0, float(np.max(res.log.W_values)))
 
 
-# arguments that used to end in ZeroDivisionError (dt 0), in "cannot
-# convert float NaN to integer" (T_end nan) or in ok=True after 0 steps
-# (dt < 0)
+# arguments that used to end in "cannot convert float NaN to integer"
+# (T_end nan); the step is the scenario's dt, checked where it is read
 @pytest.mark.parametrize("argument, value", [
-    ("dt", 0.0), ("dt", -0.01), ("T_end", float("nan")),
-    ("T_end", -1.0)])
+    ("T_end", float("nan")), ("T_end", -1.0)])
 def test_run_rejects_bad_time_grid_argument(argument, value):
     with pytest.raises(ValueError, match=f"^{argument}: must be"):
         run(ScenarioSpec.load(builtin_path("six_agent")),

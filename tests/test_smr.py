@@ -10,7 +10,6 @@ import pytest
 
 import oracles
 from robustform import sdp
-from robustform.polyalg import MatrixPolynomial, Polynomial
 from robustform.smr import (
     _positions,
     gram_base,
@@ -19,8 +18,14 @@ from robustform.smr import (
     power_vector,
 )
 
+
+def _scalar(r, terms):
+    """The 1 x 1 matrix polynomial of a term dict."""
+    return oracles.matpoly(1, 1, r, {(0, 0): terms})
+
+
 # Reference quartic used throughout: 7t^4 + 2t^3 + 4t^2 + 6t + 9.
-QUARTIC = Polynomial(1, {(4,): 7, (3,): 2, (2,): 4, (1,): 6, (0,): 9})
+QUARTIC = _scalar(1, {(4,): 7.0, (3,): 2.0, (2,): 4.0, (1,): 6.0, (0,): 9.0})
 
 # A second valid Gram matrix for it against phi = (t^2, t, 1), worked out
 # by hand, together with the one-dimensional null direction of that phi.
@@ -33,10 +38,8 @@ NULL_PATTERN = np.array([[0.0, 0.0, -1.0],
 
 
 def gram_form(m, d):
-    """Power vector and canonical Gram matrix of a polynomial or a matrix
-    polynomial of degree <= 2d, through gram_base."""
-    if isinstance(m, Polynomial):
-        m = MatrixPolynomial(1, 1, m.r, {e: [[c]] for e, c in m.terms.items()})
+    """Power vector and canonical Gram matrix of a matrix polynomial of
+    degree <= 2d, through gram_base."""
     pv = power_vector(m.r, d)
     return pv, gram_base(m.coeffs, pv, m.rows, _positions(pv))
 
@@ -88,8 +91,8 @@ class TestCanonicalGram:
 
     def test_expand_inverts_canonical(self):
         pv, base = gram_form(QUARTIC, 2)
-        f = oracles.gram_expand_matrix(base, pv, 1).entry(0, 0)
-        assert f == QUARTIC
+        f = oracles.gram_expand_matrix(base, pv, 1)
+        assert f.terms(0, 0) == QUARTIC.terms(0, 0)
 
     def test_gram_expand_matches_oracle(self):
         # the package's expansion, batched over a leading axis, against the
@@ -121,11 +124,11 @@ class TestCanonicalGram:
         pv, _base = gram_form(QUARTIC, 2)
         for delta in (-1.0, 0.0, 2.5):
             A = QUARTIC_GRAM + delta * NULL_PATTERN
-            f = oracles.gram_expand_matrix(A, pv, 1).entry(0, 0)
-            err = max(abs(f.terms.get(e, 0.0) - QUARTIC.terms[e])
-                      for e in QUARTIC.terms)
+            f = oracles.gram_expand_matrix(A, pv, 1).terms(0, 0)
+            want = QUARTIC.terms(0, 0)
+            err = max(abs(f.get(e, 0.0) - c) for e, c in want.items())
             assert err < 1e-12
-            assert set(f.terms) == set(QUARTIC.terms)
+            assert set(f) == set(want)
 
     def test_degree_too_high_rejected(self):
         with pytest.raises(ValueError):
@@ -235,18 +238,16 @@ class TestRoundTripRandom:
             r = int(rng.integers(1, 4))
             d = int(rng.integers(1, 4 if r < 3 else 3))
             f = _random_poly_of_degree(rng, r, 2 * d)
-            pv, base = gram_form(f, d)
-            back = oracles.gram_expand_matrix(base, pv, 1).entry(0, 0)
-            err = max(abs(back.terms.get(e, 0.0) - c)
-                      for e, c in f.terms.items()) if f.terms else 0.0
+            pv, base = gram_form(_scalar(r, f), d)
+            back = oracles.gram_expand_matrix(base, pv, 1).terms(0, 0)
+            err = max(abs(back.get(e, 0.0) - c) for e, c in f.items())
             assert err < 1e-10
             # random family member expands to the same polynomial
             null_basis = oracles.null_matrices(r, d, 1)
             delta = rng.uniform(-2, 2, size=len(null_basis))
             member = base + sum(dk * B for dk, B in zip(delta, null_basis))
-            back2 = oracles.gram_expand_matrix(member, pv, 1).entry(0, 0)
-            err2 = max(abs(back2.terms.get(e, 0.0) - c)
-                       for e, c in f.terms.items()) if f.terms else 0.0
+            back2 = oracles.gram_expand_matrix(member, pv, 1).terms(0, 0)
+            err2 = max(abs(back2.get(e, 0.0) - c) for e, c in f.items())
             assert err2 < 1e-10
 
     def test_pad_preserves_expansion(self):
@@ -274,27 +275,23 @@ def _random_poly_of_degree(rng, r, deg):
             if sum(e) <= deg:
                 break
         terms[e] = float(rng.uniform(-5, 5))
-    return Polynomial(r, terms)
+    return terms
 
 
 def _random_sym_matpoly(rng, s, r, deg):
-    M = MatrixPolynomial.zeros(s, s, r)
-    for i in range(s):
-        for j in range(i, s):
-            p = _random_poly_of_degree(rng, r, deg)
-            M.set_entry(i, j, p)
-            M.set_entry(j, i, p)
-    return M
+    w = {(i, j): _random_poly_of_degree(rng, r, deg)
+         for i in range(s) for j in range(i, s)}
+    return oracles.weight_matrix(s, r, w)
 
 
 def _assert_matpoly_close(A, B, atol):
     assert A.shape == B.shape
     for i in range(A.rows):
         for j in range(A.cols):
-            pa, pb = A.entry(i, j), B.entry(i, j)
-            for e in set(pa.terms) | set(pb.terms):
-                assert pa.terms.get(e, 0.0) == pytest.approx(
-                    pb.terms.get(e, 0.0), abs=atol)
+            pa, pb = A.terms(i, j), B.terms(i, j)
+            for e in set(pa) | set(pb):
+                assert pa.get(e, 0.0) == pytest.approx(pb.get(e, 0.0),
+                                                       abs=atol)
 
 
 def _kernel_dim_by_svd(r, d, s):
@@ -315,7 +312,7 @@ def _kernel_dim_by_svd(r, d, s):
             for mu in full:
                 for i in range(s):
                     for j in range(i, s):
-                        vec.append(M.entry(i, j).terms.get(mu, 0.0))
+                        vec.append(M.terms(i, j).get(mu, 0.0))
             rows.append(vec)
     A = np.array(rows).T
     rank = np.linalg.matrix_rank(A, tol=1e-9)
