@@ -30,6 +30,16 @@ Prog. 1997); before the first iteration each block's columns are grouped
 by q, and each group is taken through that product in batches of as many
 columns as fit in BATCH_BYTES.
 
+Step lengths and centring follow SDPT3 (Toh, Todd and Tutuncu, Optim.
+Methods Softw. 1999).  The scaling has Rinv S Rinv' = diag(lam) = R' Z R,
+so S + t dS stays PSD exactly while I + t lam^-1/2 (Rinv dS Rinv') lam^-1/2
+does, and likewise Z with R' dZ R: each step length is one symmetric
+eigenvalue problem per block, with no factorization.  sigma = (gap_aff /
+gap)^e, e = 1 when the predictor's shorter step alpha is below
+CENTRING_STEP or mu has fallen to CENTRING_MU times its start, else
+max(1, 3 alpha^2); each step goes 0.9 + 0.09 alpha of the way to the
+boundary.
+
 `residuals` reads the constraints of a candidate point straight off the
 problem data, without solver state: the solver's closing pass and the tests
 evaluate a point through it.
@@ -51,6 +61,10 @@ DIVERGENCE_LIMIT = 1e8
 
 # Iterations before `solve` gives up with SdpStatus.MAX_ITER.
 MAX_ITERATIONS = 200
+
+# Thresholds of the centring exponent; see the module docstring.
+CENTRING_STEP = 1.0 / math.sqrt(3.0)
+CENTRING_MU = 1e-6
 
 # Bytes of float64 temporaries one batched step may hold: a batch of the
 # Schur build here, of the multiplier columns and of the sampled sweeps in
@@ -281,13 +295,14 @@ def _presolve(problem: SdpProblem, tol: float) -> SdpSolution | None:
 
 
 class _Scaling:
-    """Per-block Nesterov-Todd scaling data."""
+    """Per-block Nesterov-Todd scaling data: R and Rinv with
+    Rinv S Rinv' = diag(lam) = R' Z R."""
 
     __slots__ = ("lam", "R", "Rinv", "Winv")
 
     def __init__(self, S: np.ndarray, Z: np.ndarray):
-        # the one finiteness check of the iterate: the triangular solves
-        # here and in _max_step skip their own
+        # the one finiteness check of the iterate: the triangular solve
+        # here skips its own
         if not (np.isfinite(S).all() and np.isfinite(Z).all()):
             raise np.linalg.LinAlgError("iterate not finite")
         Ls = np.linalg.cholesky(S)
@@ -303,27 +318,19 @@ class _Scaling:
         self.Rinv = lam_q[:, None] * (Q.T @ Linv)
         self.Winv = self.Rinv.T @ self.Rinv
 
-
-def _max_step(S: np.ndarray, dS: np.ndarray) -> float:
-    """Largest t with S + t dS still PSD, via a factorization of S, an
-    iterate whose finiteness _Scaling has checked."""
-    if not np.isfinite(dS).all():
-        raise np.linalg.LinAlgError("step direction not finite")
-    try:
-        Ls = np.linalg.cholesky(S)
-        M = sla.solve_triangular(Ls, dS, lower=True, check_finite=False)
-        M = sla.solve_triangular(Ls, M.T, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        # roundoff can push an extreme iterate just off the cone; clamp
-        # the spectrum at a tiny positive floor instead of giving up
-        lam, Q = np.linalg.eigh(0.5 * (S + S.T))
-        root = np.sqrt(np.maximum(lam, 1e-15 * max(float(lam[-1]), 1e-300)))
-        B = Q / root[None, :]
-        M = B.T @ dS @ B
-    lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-    if lo >= -1e-14:
-        return np.inf
-    return -1.0 / lo
+    def steps(self, dS: np.ndarray, dZ: np.ndarray):
+        """The directions in the frame where S and Z are both diag(lam),
+        Rinv dS Rinv' and R' dZ R, and the largest step along each that
+        stays in the cone, inf when there is no bound."""
+        etas = (self.Rinv @ dS @ self.Rinv.T, self.R.T @ dZ @ self.R)
+        d = self.lam ** -0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.stack(etas) * d[:, None] * d[None, :]
+            M = 0.5 * (M + M.transpose(0, 2, 1))
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError("step direction not finite")
+        lo = np.linalg.eigvalsh(M)[:, 0]
+        return etas, [np.inf if v >= -1e-14 else -1.0 / v for v in lo]
 
 
 def _index(idx: np.ndarray):
@@ -488,7 +495,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
     # the best point lets a stalled run still return its honest optimum.
     best_merit = math.inf
     best_point = None
-    since_best = 0
+    bests = []  # best_merit after each iteration
+    # the callback's account of the step that produced the iterate
+    last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "exponent"))
 
     for it in range(1, MAX_ITERATIONS + 1):
         # every residual norm, factorization, solve and step of the
@@ -513,7 +522,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
 
             if callback is not None:
                 callback({"iter": it, "gap": gap, "pinf": pinf, "dinf": dinf,
-                          "pobj": pobj, "dobj": dobj})
+                          "pobj": pobj, "dobj": dobj, **last_step})
 
             if not np.isfinite([gap, pobj, dobj, pinf, dinf]).all():
                 raise np.linalg.LinAlgError("residuals or objectives are "
@@ -523,16 +532,16 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
                 best_merit = merit
                 best_point = (y.copy(), [Sk.copy() for Sk in S],
                               [Zk.copy() for Zk in Z])
-                since_best = 0
-            else:
-                since_best += 1
+            bests.append(best_merit)
 
             if relgap < tol and pinf < tol and dinf < tol:
                 status = SdpStatus.OPTIMAL
                 break
-            if since_best >= 10:
+            # a stall: a best merit that still creeps down keeps a run
+            # alive only if it halves every 10 iterations
+            if len(bests) > 10 and best_merit > 0.5 * bests[-11]:
                 status = SdpStatus.NUMERICAL_FAILURE
-                msg = "no merit progress over 10 iterations"
+                msg = "the best merit did not halve over 10 iterations"
                 break
 
             diverged = max(np.linalg.norm(y, np.inf),
@@ -562,25 +571,31 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
             kkt = None
             kkt = _KktSolver(lambda: _schur_matrix(blocks, scalings, n_vars))
 
-            # Predictor: drive straight at complementarity zero.
-            N_aff = [-Zk for Zk in Z]
-            dy_a, dS_a, dZ_a = direction(N_aff)
+            def step_lengths(dS, dZ, frac):
+                """Each block's scaled directions, and the primal and dual
+                steps frac of the way to the boundary, at most 1."""
+                out = [sc.steps(dSk, dZk)
+                       for sc, dSk, dZk in zip(scalings, dS, dZ)]
+                ap, ad = np.min([t for _, t in out], axis=0)
+                return ([e for e, _ in out], min(1.0, frac * float(ap)),
+                        min(1.0, frac * float(ad)))
 
-            ap = min([1.0] + [_max_step(S[k], dS_a[k])
-                              for k in range(len(S))])
-            ad = min([1.0] + [_max_step(Z[k], dZ_a[k])
-                              for k in range(len(Z))])
+            # Predictor: drive straight at complementarity zero.
+            _, dS_a, dZ_a = direction([-Zk for Zk in Z])
+            etas, ap, ad = step_lengths(dS_a, dZ_a, 1.0)
             gap_aff = sum(float(np.sum((S[k] + ap * dS_a[k]) *
                                        (Z[k] + ad * dZ_a[k])))
                           for k in range(len(S)))
             mu = gap / n_tot
-            sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3))
+            mu0 = mu if it == 1 else mu0
+            short = min(ap, ad)
+            expo = 1.0 if short < CENTRING_STEP or mu <= CENTRING_MU * mu0 \
+                else max(1.0, 3.0 * short ** 2)
+            sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** expo))
 
             # Corrector with the Mehrotra second order term.
             N_cmb = []
-            for k, sc in enumerate(scalings):
-                etaS = sc.Rinv @ dS_a[k] @ sc.Rinv.T
-                etaZ = sc.R.T @ dZ_a[k] @ sc.R
+            for k, (sc, (etaS, etaZ)) in enumerate(zip(scalings, etas)):
                 cross = etaS @ etaZ
                 D = sigma * mu * np.eye(sizes[k]) - np.diag(sc.lam ** 2) \
                     - 0.5 * (cross + cross.T)
@@ -588,10 +603,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
                 U = 2.0 * D / denom
                 N_cmb.append(sc.Rinv.T @ U @ sc.Rinv)
             dy, dS, dZ = direction(N_cmb)
-            ap = min(1.0, 0.99 * min([np.inf] + [_max_step(S[k], dS[k])
-                                                 for k in range(len(S))]))
-            ad = min(1.0, 0.99 * min([np.inf] + [_max_step(Z[k], dZ[k])
-                                                 for k in range(len(Z))]))
+            _, ap, ad = step_lengths(dS, dZ, 0.9 + 0.09 * short)
         except np.linalg.LinAlgError as err:
             status = SdpStatus.NUMERICAL_FAILURE
             msg = (f"residual norm, scaling, factorization or KKT solve "
@@ -603,6 +615,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8,
             msg = "step length collapsed"
             break
 
+        last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma,
+                     "exponent": expo}
         y = y + ap * dy
         for k in range(len(S)):
             S[k] = S[k] + ap * dS[k]

@@ -4,7 +4,8 @@ Most functions here loop over agents or pairs in Python and measure every
 distance on their own, the way the package did before its geometry was
 read off one pair-distance matrix and its energy and control were evaluated
 on index arrays (barrier.PairArrays).  schur_matrix is the SDP solver's
-generic Schur complement builder, one path for every constraint column.
+generic Schur complement builder, one path for every constraint column,
+and max_step its step length through a Cholesky factor of the iterate.
 assembly_columns builds the certification problem's constraint columns one
 variable at a time through dense matrices, and null_basis is the dense
 Gram-Schmidt construction of the Gram null space, the way the package did
@@ -22,6 +23,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
@@ -108,6 +110,52 @@ def adjacency(N, w, r=0, region=(), box=()):
     weight_matrix) on the region of the term dicts region, in box."""
     return UncertainAdjacency(N, weight_matrix(N, r, w),
                               region_column(r, *region), list(box))
+
+
+def uncertainty_records(adj):
+    """The uncertainty section of a scenario file for adj: its box and the
+    term records of its region and its weights."""
+    def records(terms):
+        return [{"exponents": list(e), "coeff": c} for e, c in terms.items()]
+
+    return {"n_parameters": adj.r, "box": [list(b) for b in adj.box],
+            "region": [{"terms": records(adj.omega.terms(k, 0))}
+                       for k in range(adj.omega.rows)],
+            "weights": [{"i": i, "j": j,
+                         "terms": records(adj.entries.terms(i, j))}
+                        for i in range(adj.N) for j in range(i + 1, adj.N)]}
+
+
+def seeded_graphs(seed=2017, count=240):
+    """The seeded sweep of uncertain graphs, a list of adjacencies.
+
+    Graph k has N in 3..12 agents and r = 1 + k % 2 parameters on the box
+    [-1, 1]^r.  Its region is the inequalities 1 - theta_q^2 >= 0 when
+    (k // 2) % 2 == 0, else the unit disk 1 - |theta|^2 >= 0.  Its edges
+    form a random spanning tree, the parent of agent j drawn from
+    0..j-1, each with the affine weight c0 + c'theta, c0 ~ U(0.5, 1.5)
+    and every c_q ~ U(-0.4, 0.4).  Agent N - 1 is left isolated when
+    k % 5 == 0."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for k in range(count):
+        N = int(rng.integers(3, 13))
+        r = 1 + k % 2
+        one = (0,) * r
+        linear = [tuple(int(p == q) for p in range(r)) for q in range(r)]
+        squares = [tuple(2 * e for e in mono) for mono in linear]
+        if (k // 2) % 2 == 0:
+            region = [{one: 1.0, sq: -1.0} for sq in squares]
+        else:
+            region = [{one: 1.0, **dict.fromkeys(squares, -1.0)}]
+        w = {}
+        for j in range(1, N - 1 if k % 5 == 0 else N):
+            i = int(rng.integers(0, j))
+            c0 = float(rng.uniform(0.5, 1.5))
+            c = rng.uniform(-0.4, 0.4, r)
+            w[i, j] = {one: c0, **dict(zip(linear, map(float, c)))}
+        graphs.append(adjacency(N, w, r, region, [(-1.0, 1.0)] * r))
+    return graphs
 
 
 def pair_mask(N, pairs):
@@ -256,6 +304,24 @@ def schur_matrix(A_list, scalings, sizes, n_vars, chunk=256):
             K = (Y[:, iu, ju] * w[None, :]).T
             B[:, cc] += At @ K
     return 0.5 * (B + B.T)
+
+
+def max_step(S, dS):
+    """Largest t with S + t dS still PSD, inf when there is no bound: -1
+    over the least eigenvalue of L^-1 dS L^-T, L the Cholesky factor of S.
+    When roundoff has pushed S just off the cone, S's spectrum is clamped
+    at a tiny positive floor instead."""
+    try:
+        Ls = np.linalg.cholesky(S)
+        M = sla.solve_triangular(Ls, dS, lower=True)
+        M = sla.solve_triangular(Ls, M.T, lower=True)
+    except np.linalg.LinAlgError:
+        lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+        root = np.sqrt(np.maximum(lam, 1e-15 * max(float(lam[-1]), 1e-300)))
+        B = Q / root[None, :]
+        M = B.T @ dS @ B
+    lo = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return np.inf if lo >= -1e-14 else -1.0 / lo
 
 
 def lmi_columns(coeffs, n):

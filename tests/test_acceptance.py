@@ -122,21 +122,6 @@ def test_gram_roundtrip_on_500_random_forms_and_null_bases_vanish():
     assert time.perf_counter() - t0 < 30.0
 
 
-def _records(adj):
-    """The uncertainty section of a scenario file for adj: its box and the
-    term records of its region and its weights."""
-    return {"n_parameters": adj.r, "box": [list(b) for b in adj.box],
-            "region": [{"terms": _term_records(adj.omega.terms(k, 0))}
-                       for k in range(adj.omega.rows)],
-            "weights": [{"i": i, "j": j,
-                         "terms": _term_records(adj.entries.terms(i, j))}
-                        for i in range(adj.N) for j in range(i + 1, adj.N)]}
-
-
-def _term_records(terms):
-    return [{"exponents": list(e), "coeff": c} for e, c in terms.items()]
-
-
 def _constant_adjacency(W):
     N = W.shape[0]
     return oracles.adjacency(N, {(i, j): {(): float(W[i, j])}
@@ -172,7 +157,7 @@ def test_certificate_verdict_matches_eigenvalue_oracle_on_200_graphs():
         oracle = lam2 > 1e-3
         n_connected += oracle
         adj = _constant_adjacency(W)
-        worst = oracles.worst_lambda2(N, _records(adj))
+        worst = oracles.worst_lambda2(N, oracles.uncertainty_records(adj))
         assert abs(worst - lam2) <= 1e-12
         res = certify(adj)
         assert res.certificate.c_star * (N - 1) / 2.0 <= worst + 1e-12
@@ -195,7 +180,8 @@ def test_disk_uncertainty_certificates_are_sound():
     # bound c* s / 2 must lie at or below the exact worst case, which lies
     # at or below the sampled minimum, and graphs that can disconnect
     # somewhere on the disk (their vanishing weight is not affine, so the
-    # worst case is not known exactly) must never get a positive verdict
+    # worst case is not known exactly) must never get a positive verdict.
+    # Every solve ends OPTIMAL: none stalls near c* = 0
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
 
@@ -227,8 +213,10 @@ def test_disk_uncertainty_certificates_are_sound():
     n_breakable_rejected = 0
     for kind, adj in scenarios:
         res = certify(adj)
+        assert res.solution.status is SdpStatus.OPTIMAL, res.solution.message
         positive = res.solution.ok and res.certificate.c_star > 1e-6
-        worst = oracles.worst_lambda2(adj.N, _records(adj))
+        worst = oracles.worst_lambda2(adj.N,
+                                       oracles.uncertainty_records(adj))
         if kind == "breakable":
             assert not positive and worst is None
             n_breakable_rejected += 1
@@ -241,6 +229,28 @@ def test_disk_uncertainty_certificates_are_sound():
             assert worst <= samp.min_value
     assert n_breakable_rejected >= 3
     assert time.perf_counter() - t0 < 300.0
+
+
+def test_seeded_sweep_verdicts_match_the_exact_worst_case():
+    # the first 60 graphs of the seeded sweep (affine weights on a box or
+    # a disk, some with an isolated agent): wherever the exact worst-case
+    # lambda2 is known, the verdict is that it is clearly positive, and the
+    # bound c* s / 2 does not exceed it
+    t0 = time.perf_counter()
+    n_checked = n_connected = 0
+    for adj in oracles.seeded_graphs()[:60]:
+        worst = oracles.worst_lambda2(adj.N, oracles.uncertainty_records(adj))
+        if worst is None:
+            continue
+        res = certify(adj)
+        assert res.solution.ok, res.solution.message
+        verdict = res.certificate.c_star > 1e-6
+        assert verdict == (worst > 1e-3)
+        assert res.certificate.c_star * (adj.N - 1) / 2.0 <= worst + 1e-12
+        n_checked += 1
+        n_connected += verdict
+    assert n_checked >= 40 and 10 <= n_connected < n_checked
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_barrier_caps_exact_and_gradients_match_finite_differences():

@@ -556,6 +556,65 @@ class TestSchurMatrix:
         assert not B[:, -1].any()
 
 
+@pytest.mark.parametrize("kind", ["general", "psd_primal", "psd_both"])
+def test_step_lengths_from_the_scaling_match_the_cholesky_route(kind):
+    # Rinv S Rinv' = diag(lam) = R' Z R, so the steps read off the scaled
+    # directions are those of S + t dS and Z + t dZ themselves; a PSD
+    # direction has no bound
+    rng = np.random.default_rng(["general", "psd_primal", "psd_both"]
+                                .index(kind))
+    for n in range(1, 21):
+        S, Z = random_spd(rng, n), random_spd(rng, n)
+        sc = sdp._Scaling(S, Z)
+        lam = np.diag(sc.lam)
+        assert relative_error(sc.Rinv @ S @ sc.Rinv.T, lam) < 1e-10
+        assert relative_error(sc.R.T @ Z @ sc.R, lam) < 1e-10
+        dS = sym(rng, n) if kind == "general" else random_spd(rng, n)
+        dZ = random_spd(rng, n) if kind == "psd_both" else sym(rng, n)
+        etas, steps = sc.steps(dS, dZ)
+        np.testing.assert_allclose(etas[0], sc.Rinv @ dS @ sc.Rinv.T)
+        np.testing.assert_allclose(etas[1], sc.R.T @ dZ @ sc.R)
+        for t, ref in zip(steps, [oracles.max_step(S, dS),
+                                  oracles.max_step(Z, dZ)]):
+            if ref == np.inf:
+                assert t == np.inf
+            else:
+                assert abs(t - ref) <= 1e-10 * ref
+        if kind == "psd_both":
+            assert steps == [np.inf, np.inf]
+
+
+def test_callback_reports_the_step_that_made_each_iterate():
+    # alpha_p, alpha_d, sigma and the centring exponent e of the step
+    # into each iterate; the start has none.  e adapts between 1 and the
+    # cube that a full predictor step gets
+    log = []
+    sol = solve(certification_problem("six_agent"), callback=log.append)
+    assert sol.status is SdpStatus.OPTIMAL
+    assert len(log) == sol.n_iterations
+    keys = ("alpha_p", "alpha_d", "sigma", "exponent")
+    assert all(log[0][k] is None for k in keys)
+    for stats in log[1:]:
+        assert 0.0 < stats["alpha_p"] <= 1.0 and 0.0 < stats["alpha_d"] <= 1.0
+        assert 0.0 <= stats["sigma"] <= 1.0
+        assert 1.0 <= stats["exponent"] <= 3.0
+    exponents = [stats["exponent"] for stats in log[1:]]
+    assert 1.0 in exponents and any(1.0 < e < 3.0 for e in exponents)
+
+
+def test_a_creeping_merit_ends_the_run_as_a_stall():
+    # at tol 1e-11 the dual residual of seeded graph 201 bottoms out near
+    # 1e-10 and then falls a little on most iterations.  A best merit that
+    # does not halve over 10 iterations ends the run as a stall; a stall
+    # test that waited for any decrease ran on to MAX_ITERATIONS.  Whether
+    # the best iterate comes within 100x tol depends on the rounding of
+    # the BLAS thread count
+    prob = assemble(oracles.seeded_graphs()[201]).problem
+    sol = solve(prob, tol=1e-11)
+    assert sol.status in (SdpStatus.NEAR_OPTIMAL, SdpStatus.NUMERICAL_FAILURE)
+    assert sol.n_iterations <= 30
+
+
 def test_kkt_retry_factors_a_jittered_copy():
     # a rank-one B has no Cholesky factor; the retry builds B again and
     # factors B + jitter I with the first jitter, scale * 1e-12
