@@ -48,12 +48,26 @@ CONNECTIVITY_THRESHOLD = 1e-6
 PSD_TOL = 1e-6
 SAMPLE_TOL = 1e-6
 
+# least_eigenvalues calls LAPACK's subset driver dsyevx once per matrix from
+# this order on, and a batched eigvalsh of the whole stack below it.  At one
+# BLAS thread, per random symmetric matrix, the least eigenvalue alone cost
+# 5.7 us against 2.3 for the batched eigvalsh at order 5, 10.6 against 9.1
+# at 12, 13.8 against 14.3 at 16, 15.9 against 17.9 at 18, 18.2 against 21.9
+# at 20 and 63.8 against 112 at 49.  The two least (sample_lambda2's k = 2)
+# break even later: 25.8 against 24.2 at order 20, 31.4 against 31.7 at 24
+# and 86.1 against 116 at 49.  dsyevr, the other subset driver, read 67.5 us
+# at order 49.
+SUBSET_ORDER = 20
+
 # sample_lambda2 takes the band route when the Laplacian's half-bandwidth b
 # in reverse Cuthill-McKee order satisfies BAND_RATIO * (b + 1) <= N.  At one
-# BLAS thread a dsbevx call for lambda_2 alone cost 5.0 us per point against
-# 2.8 for a batched dense eigvalsh at (N, b) = (6, 2), 7.1 against 7.2 at
-# (12, 2), 30.7 against 98.9 at (50, 2) and 146 against 100 at (50, 49); over
-# the ten (N, b) pairs measured this rule never picks the slower route.
+# BLAS thread a dsbevx call for lambda_2 alone cost 5.3 us per point against
+# 3.0 for the dense route (least_eigenvalues, k = 2) at (N, b) = (6, 2), 7.8
+# against 6.5 at (10, 2), 8.8 against 8.8 at (12, 2), 14.2 against 23.8 at
+# (20, 2), 37.5 against 79 at (50, 2), 79 against 78 at (50, 12) and 104
+# against 78 at (50, 49).  The one pair where the rule picks the slower
+# route is (24, 23), 25 against 28 us, and no ratio that keeps (50, 49) dense
+# can pick the band there.
 BAND_RATIO = 4
 
 # _setup refuses a relaxation of more SDP variables: the solver's Schur
@@ -345,6 +359,32 @@ def refusals(cert: Certificate, adj: UncertainAdjacency) -> list[str]:
         return reasons + [str(err)]
 
 
+def least_eigenvalues(stack: np.ndarray, k: int = 1,
+                      first: int = 0) -> np.ndarray:
+    """The k smallest eigenvalues, ascending, of each symmetric matrix in
+    stack, of shape (..., n, n) with k <= n; the result has shape (..., k).
+
+    Below SUBSET_ORDER one batched eigvalsh takes the whole spectrum of
+    every matrix.  From it on LAPACK's subset driver dsyevx bisects for the
+    k values alone, one call per matrix; the two agree to rounding.  Both
+    read the lower triangle.  A failed dsyevx call raises CertifierError
+    naming the sample, numbered from first."""
+    n = stack.shape[-1]
+    if n < SUBSET_ORDER:
+        return np.linalg.eigvalsh(stack)[..., :k]
+    flat = stack.reshape(-1, n, n)
+    out = np.empty((len(flat), k))
+    for i, A in enumerate(flat):
+        w, _, m, _, info = lapack.dsyevx(A, compute_v=0, range="I", il=1,
+                                         iu=k, lower=1)
+        if info != 0 or m != k:
+            raise CertifierError(
+                f"dsyevx failed at sample {first + i}: info={info}, "
+                f"{m} eigenvalues")
+        out[i] = w[:k]
+    return out.reshape(stack.shape[:-2] + (k,))
+
+
 @dataclass
 class VerifyReport:
     """Outcome of replaying a certificate against the graph data.
@@ -366,11 +406,14 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     """Re-check a certificate without the solver.
 
     Replays the Gram identity by evaluating the main constraint of the
-    certification problem at the stored matrices and reading off its
-    eigenvalues and those of the stored matrices, then independently
+    certification problem at the stored matrices and reading off its least
+    eigenvalue and those of the stored matrices, then independently
     samples the region and checks the pencil dominance numerically at each
-    sample point.  Raises CertifierError, before any arithmetic, for a
-    certificate with a field that is not finite or that does not fit adj."""
+    sample point, by the least eigenvalue of its pencil.  Every least
+    eigenvalue comes from least_eigenvalues, so it is one dsyevx call per
+    matrix of order SUBSET_ORDER or more, and a batched eigvalsh below.
+    Raises CertifierError, before any arithmetic, for a certificate with a
+    field that is not finite or that does not fit adj."""
     for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
             (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
             ("delta", cert.delta)]:
@@ -412,7 +455,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         H -= gram_image(R, pv, adj.omega.terms(k, 0), phi_H, s, pos_H)
     H += sdp.smat(nulls @ cert.delta, len(H))
     H -= cert.c_star * np.eye(len(H))
-    min_eigs = [float(np.linalg.eigvalsh(X)[0])
+    min_eigs = [float(least_eigenvalues(X)[0])
                 for X in [X for _, X, _ in stored] + [H]]
     pencil_margin = min_eigs[-1]
     trace_error = abs(float(np.trace(cert.P_bar)) - 1.0)
@@ -440,12 +483,14 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         length = sdp.batch_length(s, s)
         for lo in range(0, len(thetas), length):
             batch = thetas[lo:lo + length]
-            L_num = L_hat.eval_batch(batch)
-            H_num = P @ L_num + L_num.transpose(0, 2, 1) @ P
+            # P is symmetric, so (P L)' = L' P and the pencil is P L + (P L)'
+            H_num = P @ L_hat.eval_batch(batch)
+            H_num += H_num.transpose(0, 2, 1)
             norm2 = np.sum(phi_H.eval_batch(batch) ** 2, axis=1)
-            shift = (cert.c_star * norm2)[:, None, None] * np.eye(s)
+            H_num.reshape(len(batch), s * s)[:, ::s + 1] -= \
+                cert.c_star * norm2[:, None]
             sampled_pencil = min(sampled_pencil, float(
-                np.linalg.eigvalsh(H_num - shift)[:, 0].min()))
+                least_eigenvalues(H_num, first=lo).min()))
         if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -502,8 +547,10 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     A purely numerical check, independent of the Gram machinery: draw
     parameters from the region, evaluate the Laplacian, take eigenvalues.
     A sparse graph (see band_form) takes LAPACK's band driver dsbevx for
-    lambda_2 alone at each point; any other graph takes a batched dense
-    eigvalsh.  The two routes agree to rounding, about 1e-12 relative."""
+    lambda_2 alone at each point; any other graph takes the two least
+    eigenvalues of each dense Laplacian from least_eigenvalues.  Each route
+    agrees with a full eigvalsh to rounding, within 1e-12 of
+    max(1, ||L(theta)||)."""
     if n_samples <= 0:
         raise CertifierError("n_samples must be positive")
     rng = np.random.default_rng(seed)
@@ -514,8 +561,8 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     if band is None:
         length = sdp.batch_length(adj.N, adj.N)
         for lo in range(0, n_samples, length):
-            values[lo:lo + length] = np.linalg.eigvalsh(
-                L.eval_batch(thetas[lo:lo + length]))[:, 1]
+            values[lo:lo + length] = least_eigenvalues(
+                L.eval_batch(thetas[lo:lo + length]), 2, lo)[:, 1]
     else:
         length = sdp.batch_length(adj.N, band.rows)
         for lo in range(0, n_samples, length):

@@ -17,6 +17,7 @@ measure each pair's distance with np.linalg.norm.  The barriers psi_e and
 psi_c and their gradients are scalar closed forms written with math from
 their formulas; the numeric Laplacian and the Gram expansion are written
 from theirs as well, and none of these shares code with the package.
+count_calls counts the library calls a route makes, for the route tests.
 """
 
 import itertools
@@ -304,6 +305,22 @@ def schur_matrix(A_list, scalings, sizes, n_vars, chunk=256):
             K = (Y[:, iu, ju] * w[None, :]).T
             B[:, cc] += At @ K
     return 0.5 * (B + B.T)
+
+
+def count_calls(monkeypatch, *targets):
+    """Calls of each (owner, attr) in targets, by attr: a dict that each
+    call through the wrapper monkeypatch puts in place counts in."""
+    calls = dict.fromkeys((attr for _, attr in targets), 0)
+
+    def counted(attr, inner):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in targets:
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    return calls
 
 
 def max_step(S, dS):

@@ -575,6 +575,59 @@ def test_batched_sampled_margins_match_per_sample_loop(case, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# least eigenvalues
+
+
+def _spectral_stack(n, rng):
+    """Symmetric n-square matrices: two random ones at different scales,
+    then the degenerate spectra, identity, zero, a repeated least
+    eigenvalue and rank one."""
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    repeated = np.linspace(-1.0, 2.0, n)
+    repeated[:2] = -1.0
+    v = rng.normal(size=(n, 1))
+    X = rng.normal(size=(2, n, n))
+    return np.stack([X[0] + X[0].T, 1e3 * (X[1] + X[1].T), np.eye(n),
+                     np.zeros((n, n)), (Q * repeated) @ Q.T, v @ v.T])
+
+
+ORDERS = [1, 2, certifier.SUBSET_ORDER - 1, certifier.SUBSET_ORDER, 49, 98]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in ORDERS for k in (1, 2)
+                                  if k <= n])
+def test_least_eigenvalues_match_eigvalsh(n, k):
+    stack = _spectral_stack(n, np.random.default_rng([n, k]))
+    got = certifier.least_eigenvalues(stack, k)
+    eigs = np.linalg.eigvalsh(stack)
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
+    assert got.shape == (len(stack), k)
+    assert np.all(np.abs(got - eigs[:, :k]) <= 1e-12 * scale[:, None])
+    # leading axes of any shape, and a single matrix
+    np.testing.assert_array_equal(
+        certifier.least_eigenvalues(stack.reshape(2, 3, n, n), k),
+        got.reshape(2, 3, k))
+    np.testing.assert_array_equal(
+        certifier.least_eigenvalues(stack[4], k), got[4])
+
+
+def test_least_eigenvalues_name_the_sample_of_a_failed_call(monkeypatch):
+    inner = certifier.lapack.dsyevx
+
+    def fail_on_third(a, **kwargs):
+        calls.append(a)
+        w, z, m, ifail, info = inner(a, **kwargs)
+        return (w, z, m, ifail, 1) if len(calls) == 3 else \
+            (w, z, m, ifail, info)
+
+    calls = []
+    monkeypatch.setattr(certifier.lapack, "dsyevx", fail_on_third)
+    n = certifier.SUBSET_ORDER
+    with pytest.raises(CertifierError, match="dsyevx failed at sample 7"):
+        certifier.least_eigenvalues(np.zeros((4, n, n)), first=5)
+
+
+# ---------------------------------------------------------------------------
 # sampled connectivity sweep
 
 
@@ -681,25 +734,61 @@ def test_band_route_starts_at_the_rule_boundary(N, banded):
         N, coeffs, sample_lambda2(adj, n_samples=200, seed=3))
 
 
+def test_dense_route_above_the_subset_order_matches_dense_eigenvalues(
+        monkeypatch):
+    # a complete graph has no band to take, and from SUBSET_ORDER agents on
+    # its lambda_2 comes from one dsyevx call per point
+    N = 24
+    rng = np.random.default_rng(24)
+    coeffs = {(i, j): rng.normal(size=len(QUADRATIC))
+              for i in range(N) for j in range(i + 1, N)}
+    adj = quadratic_adjacency(N, coeffs)
+    assert band_form(laplacian(adj)) is None
+    assert N >= certifier.SUBSET_ORDER
+    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsyevx"))
+    sweep = sample_lambda2(adj, n_samples=300, seed=5)
+    assert calls == {"dsyevx": 300}
+    assert_lambda2_matches_dense_oracle(N, coeffs, sweep)
+
+
+def _count_eigenvalue_calls(monkeypatch):
+    return oracles.count_calls(
+        monkeypatch, (certifier.lapack, "dsbevx"),
+        (certifier.lapack, "dsyevx"), (np.linalg, "eigvalsh"))
+
+
 @pytest.mark.parametrize("name, dsbevx_calls, eigvalsh_calls", [
     ("fifty_agent", 300, 0), ("six_agent", 0, 1), ("adversarial", 0, 1)])
 def test_sample_lambda2_route_of_each_shipped_scenario(
         monkeypatch, name, dsbevx_calls, eigvalsh_calls):
-    calls = {"dsbevx": 0, "eigvalsh": 0}
-
-    def counted(owner, attr):
-        inner = getattr(owner, attr)
-
-        def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(owner, attr, wrapper)
-
-    counted(certifier.lapack, "dsbevx")
-    counted(np.linalg, "eigvalsh")
+    calls = _count_eigenvalue_calls(monkeypatch)
     sample_lambda2(ScenarioSpec.load(builtin_path(name)).adjacency,
                    n_samples=300, seed=0)
-    assert calls == {"dsbevx": dsbevx_calls, "eigvalsh": eigvalsh_calls}
+    assert calls == {"dsbevx": dsbevx_calls, "dsyevx": 0,
+                     "eigvalsh": eigvalsh_calls}
+
+
+@pytest.mark.parametrize("name, dsyevx_calls, eigvalsh_calls", [
+    # 300 pencils of order 49, then P_bar, R_bars[0] (both 49) and H (98)
+    ("fifty_agent", 303, 0),
+    # P_bar, R_bars[0] (both 5) and H (15), then one batch of pencils
+    ("six_agent", 0, 4),
+    # P_bar and H (both 1), then one batch of pencils
+    ("adversarial", 0, 3)])
+def test_verify_certificate_route_of_each_shipped_scenario(
+        monkeypatch, name, dsyevx_calls, eigvalsh_calls):
+    # the route depends only on the block orders, so a zero certificate of
+    # the right shapes takes it
+    adj = ScenarioSpec.load(builtin_path(name)).adjacency
+    L_hat, plan, _, phi_R, _, nulls = certifier._setup(adj)
+    s = L_hat.rows
+    cert = Certificate(adj.N, adj.r, plan, 0.0, np.eye(s) / s,
+                       [np.zeros((len(pv) * s,) * 2) for pv in phi_R],
+                       np.zeros(nulls.shape[1]))
+    calls = _count_eigenvalue_calls(monkeypatch)
+    verify_certificate(cert, adj, n_samples=300, seed=0)
+    assert calls == {"dsbevx": 0, "dsyevx": dsyevx_calls,
+                     "eigvalsh": eigvalsh_calls}
 
 
 @pytest.mark.parametrize("name", ["six_agent", "fifty_agent"])
@@ -719,6 +808,37 @@ def test_sampled_pencil_margin_is_the_shifted_lambda2(name):
         margin = verify_certificate(cert, adj, n_samples=200,
                                     seed=seed).sampled_pencil_margin
         assert margin == pytest.approx(expected, rel=1e-10)
+
+
+def test_sampled_margin_reads_the_least_eigenvalue_of_the_reduced_laplacian():
+    # path 0-1-2 with w01 = 1 and w12 = theta on [-1, 1].  The sampled
+    # pencil at theta is 2 Lhat(theta) / s - c* (1 + theta^2) I, so its
+    # margin reads mu_1, the least eigenvalue of Lhat = M' L M.  Where
+    # w12 < 0, L is indefinite and lambda_2(L) is median(mu_1, 0, mu_2) = 0,
+    # not mu_1: the lambda_2-based expression reads 0.866 here
+    adj = oracles.adjacency(3, {(0, 1): {(0,): 1.0}, (1, 2): {(1,): 1.0}}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
+    res = certify(adj)
+    cert = res.certificate
+    assert res.solution.status is sdp.SdpStatus.OPTIMAL
+    assert cert.c_star == pytest.approx(-math.sqrt(3) / 2, abs=1e-6)
+    assert cert.plan.d_H == 1
+    theta = adj.sample_omega(np.random.default_rng(0), 200)[:, 0]
+    W = np.zeros((200, 3, 3))
+    W[:, 0, 1] = W[:, 1, 0] = 1.0
+    W[:, 1, 2] = W[:, 2, 1] = theta
+    L = np.eye(3) * W.sum(-1)[..., None] - W
+    M = np.linalg.qr(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0],
+                               [1.0, 0.0, -1.0]]))[0][:, 1:]
+    mu_1 = np.linalg.eigvalsh(M.T @ L @ M)[:, 0]
+    shift = cert.c_star * (1 + theta ** 2)
+    expected = float(np.min(mu_1 - shift))  # 2 mu_1 / s with s = 2
+    margin = verify_certificate(cert, adj, n_samples=200,
+                                seed=0).sampled_pencil_margin
+    assert margin == pytest.approx(expected, rel=0, abs=1e-12)
+    assert margin == pytest.approx(7.58e-4, rel=1e-3)
+    lambda_2 = np.linalg.eigvalsh(L)[:, 1]
+    assert float(np.min(lambda_2 - shift)) > 0.866
 
 
 @pytest.mark.parametrize("case", ["six_agent", "random_disk"])
