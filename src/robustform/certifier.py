@@ -16,6 +16,11 @@ per region inequality.  Because the squared power vector used in the Gram
 expansion is at least one everywhere, a positive optimal c* gives
 2 Lhat(theta) / s >= c* I on the region, so c* s / 2 is a certified lower
 bound on the algebraic connectivity.
+
+Every route builds the pencil from one coefficient family, pencil_terms:
+assemble and the algebraic replay take its Gram image, and the sampled
+replay sweeps it.  Every sampled eigenvalue, of the pencil or of the
+Laplacian, comes from one sweep, eigenvalue_at.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ SAMPLE_TOL = 1e-6
 # at order 49.
 SUBSET_ORDER = 20
 
-# sample_lambda2 takes the band route when the Laplacian's half-bandwidth b
-# in reverse Cuthill-McKee order satisfies BAND_RATIO * (b + 1) <= N.  At one
+# eigenvalue_at takes the band route when the matrix's half-bandwidth b in
+# reverse Cuthill-McKee order satisfies BAND_RATIO * (b + 1) <= N.  At one
 # BLAS thread a dsbevx call for lambda_2 alone cost 5.3 us per point against
 # 3.0 for the dense route (least_eigenvalues, k = 2) at (N, b) = (6, 2), 7.8
 # against 6.5 at (10, 2), 8.8 against 8.8 at (12, 2), 14.2 against 23.8 at
@@ -73,6 +78,12 @@ BAND_RATIO = 4
 # _setup refuses a relaxation of more SDP variables: the solver's Schur
 # matrix of 10 000 variables takes 800 MB
 MAX_SDP_VARS = 10_000
+
+# sample_lambda2 and verify_certificate refuse to draw more sample points.
+# A draw's traced peak grows with the parameter count r: 32 bytes per point
+# at fifty_agent's r = 1, 67 at six_agent's r = 2 and 212 on a disk in
+# r = 8, so the limit holds a draw to 32, 67 and 212 MB
+MAX_SAMPLES = 1_000_000
 
 
 class CertifierError(ValueError):
@@ -177,23 +188,24 @@ def _setup(adj: UncertainAdjacency):
             _positions(phi_H), gram_null_basis(adj.r, plan.d_H, L_hat.rows))
 
 
-def gram_image(X: np.ndarray, phi_X: PowerVector, factor: dict,
-               phi_H: PowerVector, s: int, pos_H: dict) -> np.ndarray:
-    """Gram matrix against phi_H of a product with the matrix polynomial
-    whose Gram matrix is X against phi_X; linear in X.  X may carry
-    leading batch axes, which the result shares.
+def pencil_terms(P: np.ndarray, L_hat: MatrixPolynomial
+                 ) -> dict[ExponentVec, np.ndarray]:
+    """Coefficient matrices by monomial of the pencil P L_hat + L_hat' P
+    of a symmetric P: {e: P C_e + (P C_e)'} for L_hat = sum_e C_e theta^e."""
+    terms = {e: P @ C for e, C in L_hat.coeffs.items()}
+    return {e: M + M.T for e, M in terms.items()}
 
-    factor maps monomials to s-by-s matrices or to scalars.  Matrices
-    (the reduced Laplacian L) give the pencil, Gram(P L + L' P); scalars
-    (a region inequality g) give the multiplier term, Gram(R g)."""
+
+def gram_image(X: np.ndarray, phi_X: PowerVector, g: dict,
+               phi_H: PowerVector, s: int, pos_H: dict) -> np.ndarray:
+    """Gram matrix against phi_H of the multiplier term R g, R the matrix
+    polynomial whose Gram matrix is X against phi_X and g a region
+    inequality given by its terms; linear in X.  X may carry leading batch
+    axes, which the result shares."""
     terms: dict[ExponentVec, np.ndarray] = {}
     for e1, A in gram_expand(X, phi_X, s).items():
-        for e2, C in factor.items():
-            if np.ndim(C):
-                M = A @ C
-                M = M + np.swapaxes(M, -1, -2)
-            else:
-                M = C * A
+        for e2, c in g.items():
+            M = c * A
             mu = mono_mul(e1, e2)
             terms[mu] = terms[mu] + M if mu in terms else M
     if not terms:
@@ -226,8 +238,7 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
     r_vars = [prob.add_psd_var(len(pv) * s) for pv in phi_R]
     delta_indices = [prob.add_var() for _ in range(nulls.shape[1])]
 
-    pencil = gram_image(np.eye(s) / s, power_vector(r, 0), L_hat.coeffs,
-                        phi_H, s, pos_H)
+    pencil = gram_base(pencil_terms(np.eye(s) / s, L_hat), phi_H, s, pos_H)
     # one svec column per variable, in variable order: c, the R_i, delta
     columns = [sparse.csc_array(-sdp.svec(np.eye(size_H))[:, None])]
     length = sdp.batch_length(size_H, size_H)
@@ -405,15 +416,14 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                        n_samples: int = 2000, seed: int = 0) -> VerifyReport:
     """Re-check a certificate without the solver.
 
-    Replays the Gram identity by evaluating the main constraint of the
-    certification problem at the stored matrices and reading off its least
-    eigenvalue and those of the stored matrices, then independently
-    samples the region and checks the pencil dominance numerically at each
-    sample point, by the least eigenvalue of its pencil.  Every least
-    eigenvalue comes from least_eigenvalues, so it is one dsyevx call per
-    matrix of order SUBSET_ORDER or more, and a batched eigvalsh below.
-    Raises CertifierError, before any arithmetic, for a certificate with a
-    field that is not finite or that does not fit adj."""
+    Replays the Gram identity: the least eigenvalues of the stored matrices
+    and of the main constraint evaluated at them, whose pencil block is the
+    Gram image of pencil_terms(P_bar, L_hat).  Then, independently,
+    eigenvalue_at sweeps the pencil less c* |phi_H(theta)|^2 I over
+    n_samples region points for its least eigenvalue.  Raises
+    CertifierError, before any arithmetic, for a certificate with a field
+    that is not finite or that does not fit adj, and before drawing for
+    more than MAX_SAMPLES samples."""
     for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
             (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
             ("delta", cert.delta)]:
@@ -450,7 +460,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                 f"{name} must be a symmetric {len(pv) * s}-square "
                 f"matrix, got shape {X.shape}")
 
-    H = gram_image(cert.P_bar, phi_0, L_hat.coeffs, phi_H, s, pos_H)
+    H = gram_base(pencil_terms(cert.P_bar, L_hat), phi_H, s, pos_H)
     for k, (R, pv) in enumerate(zip(cert.R_bars, phi_R)):
         H -= gram_image(R, pv, adj.omega.terms(k, 0), phi_H, s, pos_H)
     H += sdp.smat(nulls @ cert.delta, len(H))
@@ -472,25 +482,17 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if trace_error > PSD_TOL:
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
-    # Pointwise route: evaluate everything numerically at region samples,
-    # a batch of samples at a time.
-    rng = np.random.default_rng(seed)
-    thetas = adj.sample_omega(rng, n_samples) if n_samples > 0 else \
-        np.zeros((0, adj.r))
+    # Pointwise route: the pencil less c* |phi_H(theta)|^2 I, the sum of
+    # c* I theta^(2m) over the monomials theta^m of phi_H, at region samples
     sampled_pencil = float("inf")
-    if len(thetas):
-        P = cert.P_bar
-        length = sdp.batch_length(s, s)
-        for lo in range(0, len(thetas), length):
-            batch = thetas[lo:lo + length]
-            # P is symmetric, so (P L)' = L' P and the pencil is P L + (P L)'
-            H_num = P @ L_hat.eval_batch(batch)
-            H_num += H_num.transpose(0, 2, 1)
-            norm2 = np.sum(phi_H.eval_batch(batch) ** 2, axis=1)
-            H_num.reshape(len(batch), s * s)[:, ::s + 1] -= \
-                cert.c_star * norm2[:, None]
-            sampled_pencil = min(sampled_pencil, float(
-                least_eigenvalues(H_num, first=lo).min()))
+    if n_samples > 0:
+        thetas = _draw(adj, n_samples, seed)
+        terms = pencil_terms(cert.P_bar, L_hat)
+        for e in phi_H.monos:
+            mu = mono_mul(e, e)
+            terms[mu] = terms.get(mu, 0.0) - cert.c_star * np.eye(s)
+        sampled_pencil = float(eigenvalue_at(
+            MatrixPolynomial(s, s, adj.r, terms), thetas, 1).min())
         if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -525,6 +527,10 @@ def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
     pattern = np.zeros((N, N), dtype=bool)
     for C in L.coeffs.values():
         pattern |= C != 0
+    # a row of d nonzeros spans at least d // 2 places on one side of the
+    # diagonal in any order, so b >= d // 2 without the ordering
+    if BAND_RATIO * (pattern.sum(axis=1).max() // 2 + 1) > N:
+        return None
     order = reverse_cuthill_mckee(sparse.csr_array(pattern),
                                   symmetric_mode=True)
     rank = np.empty(N, dtype=int)
@@ -540,41 +546,50 @@ def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
         for e, C in L.coeffs.items()})
 
 
-def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
-                   seed: int | None = None) -> Lambda2Samples:
-    """Second-smallest Laplacian eigenvalue at sampled region points.
-
-    A purely numerical check, independent of the Gram machinery: draw
-    parameters from the region, evaluate the Laplacian, take eigenvalues.
-    A sparse graph (see band_form) takes LAPACK's band driver dsbevx for
-    lambda_2 alone at each point; any other graph takes the two least
-    eigenvalues of each dense Laplacian from least_eigenvalues.  Each route
-    agrees with a full eigvalsh to rounding, within 1e-12 of
-    max(1, ||L(theta)||)."""
-    if n_samples <= 0:
-        raise CertifierError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
-    thetas = adj.sample_omega(rng, n_samples)
-    L = laplacian(adj)
-    band = band_form(L)
-    values = np.empty(n_samples)
-    if band is None:
-        length = sdp.batch_length(adj.N, adj.N)
-        for lo in range(0, n_samples, length):
+def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray,
+                  k: int) -> np.ndarray:
+    """The k-th smallest eigenvalue of the symmetric matrix polynomial A at
+    each point of the (m, r) batch thetas: LAPACK's band driver dsbevx at
+    each point on the band of a sparse A (see band_form), least_eigenvalues
+    of each dense evaluation otherwise.  Both agree with eigvalsh within
+    1e-12 of max(1, ||A(theta)||).  A failed call names the sample."""
+    band = band_form(A)
+    values = np.empty(len(thetas))
+    length = sdp.batch_length(A.rows, A.rows if band is None else band.rows)
+    for lo in range(0, len(thetas), length):
+        batch = thetas[lo:lo + length]
+        if band is None:
             values[lo:lo + length] = least_eigenvalues(
-                L.eval_batch(thetas[lo:lo + length]), 2, lo)[:, 1]
-    else:
-        length = sdp.batch_length(adj.N, band.rows)
-        for lo in range(0, n_samples, length):
-            for k, ab in enumerate(band.eval_batch(thetas[lo:lo + length]),
-                                   lo):
-                w, _, m, _, info = lapack.dsbevx(
-                    ab, 0.0, 0.0, 2, 2, compute_v=0, range=2, lower=1)
-                if info != 0 or m != 1:
-                    raise CertifierError(
-                        f"dsbevx failed at sample {k}: info={info}, "
-                        f"{m} eigenvalues")
-                values[k] = w[0]
+                A.eval_batch(batch), k, lo)[:, k - 1]
+            continue
+        for i, ab in enumerate(band.eval_batch(batch), lo):
+            w, _, m, _, info = lapack.dsbevx(
+                ab, 0.0, 0.0, k, k, compute_v=0, range=2, lower=1)
+            if info != 0 or m != 1:
+                raise CertifierError(
+                    f"dsbevx failed at sample {i}: info={info}, "
+                    f"{m} eigenvalues")
+            values[i] = w[0]
+    return values
+
+
+def _draw(adj: UncertainAdjacency, n_samples: int, seed: int) -> np.ndarray:
+    """n_samples points of adj's region, drawn from seed; raises
+    CertifierError, before any is drawn, unless 1 <= n_samples <=
+    MAX_SAMPLES."""
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise CertifierError(f"n_samples must be between 1 and the limit "
+                             f"{MAX_SAMPLES}, got {n_samples}")
+    return adj.sample_omega(np.random.default_rng(seed), n_samples)
+
+
+def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
+                   seed: int = 0) -> Lambda2Samples:
+    """Second-smallest Laplacian eigenvalue at sampled region points, by
+    eigenvalue_at: a purely numerical check, independent of the Gram
+    machinery."""
+    thetas = _draw(adj, n_samples, seed)
+    values = eigenvalue_at(laplacian(adj), thetas, 2)
     k = int(np.argmin(values))
     return Lambda2Samples(values=values, thetas=thetas,
                           min_value=float(values[k]),

@@ -167,7 +167,7 @@ def cmd_certify(args) -> int:
         return _cannot_write(out, err)
     try:
         samples = sample_lambda2(adj, n_samples=args.samples, seed=args.seed)
-    except RegionSamplingError as err:
+    except (RegionSamplingError, CertifierError) as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 2
     try:

@@ -655,6 +655,15 @@ def test_sample_lambda2_reproducible():
     np.testing.assert_array_equal(a.thetas, b.thetas)
 
 
+def test_sample_lambda2_without_a_seed_is_deterministic():
+    adj = oracles.adjacency(2, {(0, 1): {(0,): 1.0, (1,): 0.5}}, 1,
+                            [unit_disk(1)], [(-1.0, 1.0)])
+    a = sample_lambda2(adj, n_samples=300)
+    b = sample_lambda2(adj, n_samples=300)
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.thetas, b.thetas)
+
+
 def test_sample_lambda2_rejects_nonpositive_count():
     adj = const_adjacency([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(CertifierError):
@@ -673,17 +682,33 @@ def quadratic_adjacency(N, coeffs):
         [unit_disk(2)], [(-1.0, 1.0), (-1.0, 1.0)])
 
 
-def assert_lambda2_matches_dense_oracle(N, coeffs, sweep):
-    """sweep's values against eigvalsh of the Laplacian assembled in NumPy
-    from coeffs at sweep's points, to 1e-10 of max(1, ||L(theta)||)."""
-    t1, t2 = sweep.thetas.T
+def assert_eigenvalue_matches_dense_oracle(N, coeffs, thetas, values, k):
+    """values against the k-th least eigenvalue by eigvalsh of the
+    Laplacian assembled in NumPy from coeffs at thetas, to 1e-10 of
+    max(1, ||L(theta)||)."""
+    t1, t2 = thetas.T
     powers = np.stack([t1 ** a * t2 ** b for a, b in QUADRATIC], axis=1)
     W = np.zeros((len(powers), N, N))
     for (i, j), c in coeffs.items():
         W[:, i, j] = W[:, j, i] = powers @ np.asarray(c)
     eigs = np.linalg.eigvalsh(np.eye(N) * W.sum(-1)[..., None] - W)
     scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
-    assert np.all(np.abs(sweep.values - eigs[:, 1]) <= 1e-10 * scale)
+    assert np.all(np.abs(values - eigs[:, k - 1]) <= 1e-10 * scale)
+
+
+def assert_lambda2_matches_dense_oracle(N, coeffs, sweep):
+    """sweep's values against the oracle's lambda_2 at sweep's points."""
+    assert_eigenvalue_matches_dense_oracle(N, coeffs, sweep.thetas,
+                                           sweep.values, 2)
+
+
+def assert_sweep_matches_dense_oracle(N, coeffs, adj, thetas):
+    """eigenvalue_at of adj's Laplacian, for k = 1 and 2, against the
+    oracle's at thetas."""
+    for k in (1, 2):
+        assert_eigenvalue_matches_dense_oracle(
+            N, coeffs, thetas,
+            certifier.eigenvalue_at(laplacian(adj), thetas, k), k)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -698,8 +723,9 @@ def test_band_route_matches_dense_eigenvalues_on_sparse_graphs(seed):
               for p in pairs}
     adj = quadratic_adjacency(N, coeffs)
     assert band_form(laplacian(adj)) is not None
-    assert_lambda2_matches_dense_oracle(
-        N, coeffs, sample_lambda2(adj, n_samples=300, seed=seed))
+    sweep = sample_lambda2(adj, n_samples=300, seed=seed)
+    assert_lambda2_matches_dense_oracle(N, coeffs, sweep)
+    assert_sweep_matches_dense_oracle(N, coeffs, adj, sweep.thetas)
 
 
 def test_band_route_on_a_disconnected_path():
@@ -711,6 +737,7 @@ def test_band_route_on_a_disconnected_path():
     sweep = sample_lambda2(adj, n_samples=300, seed=1)
     assert_lambda2_matches_dense_oracle(20, coeffs, sweep)
     assert np.abs(sweep.values).max() < 1e-10
+    assert_sweep_matches_dense_oracle(20, coeffs, adj, sweep.thetas)
 
 
 def test_band_route_on_an_edgeless_graph():
@@ -732,6 +759,25 @@ def test_band_route_starts_at_the_rule_boundary(N, banded):
     assert (band.rows == 3) if banded else band is None
     assert_lambda2_matches_dense_oracle(
         N, coeffs, sample_lambda2(adj, n_samples=200, seed=3))
+
+
+@pytest.mark.parametrize("graph, orderings", [("complete", 0), ("ring", 1)])
+def test_band_form_orders_only_a_pattern_whose_rows_allow_a_band(
+        monkeypatch, graph, orderings):
+    # a full row of the complete graph on 24 agents rules out every band
+    # without the ordering; the rows of 3 of a ring on 11 agents leave
+    # b >= 1, which would fit, so only the ordering finds its b = 2
+    if graph == "complete":
+        N, pairs = 24, [(i, j) for i in range(24) for j in range(i + 1, 24)]
+    else:
+        N, pairs = 11, [(i, i + 1) for i in range(10)] + [(0, 10)]
+    rng = np.random.default_rng(N)
+    adj = quadratic_adjacency(
+        N, {p: rng.normal(size=len(QUADRATIC)) for p in pairs})
+    calls = oracles.count_calls(monkeypatch,
+                                (certifier, "reverse_cuthill_mckee"))
+    assert band_form(laplacian(adj)) is None
+    assert calls == {"reverse_cuthill_mckee": orderings}
 
 
 def test_dense_route_above_the_subset_order_matches_dense_eigenvalues(

@@ -851,6 +851,19 @@ def test_certify_bad_sample_count_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("excess", [1, 10 ** 12])
+def test_certify_sample_count_above_the_limit_exits_2(tmp_path, capsys,
+                                                      excess):
+    # refused before a point is drawn: a trillion points would take 14.6 TiB
+    out = tmp_path / "c.json"
+    assert run_cli("certify", "six_agent", "--samples",
+                   str(certifier.MAX_SAMPLES + excess), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"between 1 and the limit {certifier.MAX_SAMPLES}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("certify", "--seed", "-1"), ("simulate", "--seed", "-1"),
     ("certify", "--tol", "nan"), ("certify", "--tol", "inf"),

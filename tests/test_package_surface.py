@@ -168,3 +168,20 @@ def test_only_the_certifier_names_the_replay_and_its_tolerances():
                     for name in GATE_NAMES & set(named(ast.parse(
                         path.read_text(), str(path)))))
     assert naming == []
+
+
+# each LAPACK eigenvalue driver and the one function that names it
+DRIVERS = {"dsbevx": "eigenvalue_at", "dsyevx": "least_eigenvalues"}
+
+
+def test_each_eigenvalue_driver_has_one_caller():
+    # every sampled eigenvalue goes through certifier.eigenvalue_at, the
+    # one caller of the band driver, and every dense subset of a spectrum
+    # through least_eigenvalues
+    naming = sorted(
+        f"{path.name}: {getattr(node, 'name', '<module>')}: {driver}"
+        for path in PACKAGE
+        for node in ast.parse(path.read_text(), str(path)).body
+        for driver in DRIVERS.keys() & set(named(node)))
+    assert naming == sorted(f"certifier.py: {caller}: {driver}"
+                            for driver, caller in DRIVERS.items())
