@@ -151,8 +151,6 @@ class PairArrays:
         ei, ej = np.nonzero(topo.edges)
         d_tau = pair_distances(tau)
         r_hat = self.r_hat = geom.r_s - d_tau[fi, fj]
-        if (r_hat <= 0).any():
-            raise ValueError(f"r_hat_s must be positive, got {r_hat}")
         self.e_shift = r_hat * r_hat / params.mu1
         self.z_tn = d_tau[zi, zj]
         gap = geom.d_s - self.z_tn
@@ -263,12 +261,6 @@ def tune_mu(positions: np.ndarray, velocities: np.ndarray, tau: np.ndarray,
 
     iu, ju = np.triu_indices(N, k=1)
     pair_taus = pair_distances(tau)[iu, ju]
-    bad = np.flatnonzero(pair_taus <= geom.d_s)
-    if bad.size:
-        k = int(bad[0])
-        raise TuneError(
-            f"infeasible formation: desired distance {pair_taus[k]:.4f} "
-            f"of pair ({iu[k]},{ju[k]}) is not above d_s={geom.d_s}")
     zone = zone_pairs_at(pair_distances(positions), topo, geom)
     z = np.stack([positions, velocities])
     gaps = geom.d_s - pair_taus

@@ -167,12 +167,8 @@ def cmd_certify(args) -> int:
         return _cannot_write(out, err)
     try:
         samples = sample_lambda2(adj, n_samples=args.samples, seed=args.seed)
-    except (RegionSamplingError, CertifierError) as err:
-        print(f"error: {path}: {err}", file=sys.stderr)
-        return 2
-    try:
         res = certify(adj, tol=args.tol)
-    except CertifierError as err:
+    except (RegionSamplingError, CertifierError) as err:
         print(f"error: {path}: {err}", file=sys.stderr)
         return 2
     if not res.solution.ok:
@@ -455,14 +451,17 @@ def _chart(title: str, xlabel: str, ylabel: str, series, points=(),
 
 def _read_run_dir(run_dir: Path):
     """Parse a run directory; raises ValueError (or the parser's own
-    error) on anything a run does not write.  trajectory.csv holds one
-    row per time and agent 0..n_agents-1, at least one time."""
+    error) on anything a run does not write, and on a number that is not
+    finite, naming its file.  trajectory.csv holds one row per time and
+    agent 0..n_agents-1, at least one time."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     if not isinstance(manifest, dict):
         raise ValueError("manifest.json is not a JSON object")
     scen = manifest["scenario"]
     N = int(scen["n_agents"])
     d_s = float(scen["geometry"]["d_s"])
+    if not math.isfinite(d_s):
+        raise ValueError(f"manifest.json: d_s {d_s} is not finite")
     fe = [(int(i), int(j)) for i, j in scen["formation_edges"]]
     if any(not (0 <= a < N) for e in fe for a in e):
         raise ValueError(f"formation edge outside agents 0..{N - 1}")
@@ -472,6 +471,8 @@ def _read_run_dir(run_dir: Path):
         raise ValueError("trajectory.csv has no rows")
     dim = (len(header) - 2) // 3
     data = np.array([[float(v) for v in row] for row in body])
+    if not np.isfinite(data).all():
+        raise ValueError("trajectory.csv holds a number that is not finite")
     times, t_index = np.unique(data[:, 0], return_inverse=True)
     agent = data[:, 1]
     bad = ~((0 <= agent) & (agent < N) & (agent == np.floor(agent)))
@@ -491,6 +492,8 @@ def _read_run_dir(run_dir: Path):
         _, *body = csv.reader(fh)
     erows = [(float(row[0]), float(row[1])) for row in body]
     energy = np.array(erows) if erows else np.zeros((0, 2))
+    if not np.isfinite(energy).all():
+        raise ValueError("energy.csv holds a number that is not finite")
     return N, d_s, fe, times, positions, velocities, energy
 
 

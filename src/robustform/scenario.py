@@ -3,7 +3,7 @@
 A scenario bundles everything a simulation run needs except the seed:
 agent geometry, desired formation offsets, initial positions and
 velocities, the formation edges, and the uncertain weight matrix with its
-parameter region.  Scenarios serialize to a small JSON document whose
+parameter region.  A scenario is read from a small JSON document whose
 polynomial entries are explicit term records, so files stay diffable and
 independent of any pickle format.  A ScenarioSpec holds the file's
 [i, j] formation edges as one N x N pair mask (see netgraph.upper_mask).
@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .barrier import BarrierParams
 from .netgraph import ASSUMPTIONS, AgentGeometry, UncertainAdjacency, \
     laplacian, upper_mask
-from .polyalg import COEFF_CLEANUP, MatrixPolynomial, mono_sort_key
+from .polyalg import MatrixPolynomial
 
 FORMAT = "formation-scenario/2"
 # the keys of a document; from "barrier" on, a key a file leaves out takes
@@ -116,11 +116,11 @@ def _rows(doc: dict, key: str) -> np.ndarray:
 
 
 def _terms(r: int, doc, where: str, keys) -> dict:
-    """The nonzero coefficients by monomial, in record order, of the term
+    """The coefficients by monomial, in record order, of the term
     records at doc["terms"], doc being the value at key path where, an
     object of keys.  A record holds r integer "exponents" >= 0 and a finite
-    "coeff"; records of equal exponents add up, and a sum of magnitude at
-    most COEFF_CLEANUP counts as zero."""
+    "coeff"; records of equal exponents add up (MatrixPolynomial stores a
+    sum of magnitude at most COEFF_CLEANUP as zero)."""
     records = _get(known_keys(doc, where, keys), where, "terms")
     _require(isinstance(records, list), f"{where}.terms", "a list", records)
     terms: dict = {}
@@ -133,14 +133,7 @@ def _terms(r: int, doc, where: str, keys) -> dict:
             f"a record of {r} exponents (integers >= 0) and a finite coeff",
             rec)
         terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(c)
-    return {e: c for e, c in terms.items() if abs(c) > COEFF_CLEANUP}
-
-
-def _records(terms: dict) -> list[dict]:
-    """The term records of a term dict, in graded-descending monomial
-    order (see polyalg.mono_sort_key)."""
-    return [{"exponents": list(e), "coeff": terms[e]}
-            for e in sorted(terms, key=mono_sort_key)]
+    return terms
 
 
 def _numbers(doc: dict, key: str, cls, positive: bool):
@@ -180,19 +173,6 @@ def _check_reach(adj: UncertainAdjacency, index: dict) -> None:
         raise ValueError(
             f"uncertainty.weights: the weights of agent {i}, pairs {pairs}, "
             f"can sum beyond the float range on uncertainty.box")
-
-
-def check_time_grid(dt, T_end, record_every,
-                    zero_horizon: bool = False) -> None:
-    """Raise ValueError naming the first bad time-grid setting: dt and
-    T_end finite and > 0 (T_end >= 0 with zero_horizon), record_every an
-    integer >= 1."""
-    _require(math.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
-    _require(math.isfinite(T_end) and (T_end > 0 or (zero_horizon and
-                                                     T_end == 0)),
-             "T_end", f"finite and {'>=' if zero_horizon else '>'} 0", T_end)
-    _require(_is_int(record_every) and record_every >= 1,
-             "record_every", "an integer >= 1", record_every)
 
 
 @dataclass
@@ -237,7 +217,12 @@ class ScenarioSpec:
                 self.tau.shape != self.velocities.shape:
             raise ValueError("tau, positions, velocities shapes differ")
         self.formation = upper_mask(self.formation, "formation", N)
-        check_time_grid(self.dt, self.T_end, self.record_every)
+        for key in ("dt", "T_end"):
+            value = getattr(self, key)
+            _require(math.isfinite(value) and value > 0, key,
+                     "finite and > 0", value)
+        _require(_is_int(self.record_every) and self.record_every >= 1,
+                 "record_every", "an integer >= 1", self.record_every)
         for key in ("jitter_pos", "jitter_vel"):
             value = getattr(self, key)
             _require(math.isfinite(value) and value >= 0, key,
@@ -256,36 +241,6 @@ class ScenarioSpec:
     @property
     def dim(self) -> int:
         return self.tau.shape[1]
-
-    def to_dict(self) -> dict:
-        adj = self.adjacency
-        weights = [{"i": i, "j": j, "terms": _records(terms)}
-                   for i in range(adj.N) for j in range(i + 1, adj.N)
-                   if (terms := adj.entries.terms(i, j))]
-        return {
-            "format": FORMAT,
-            "name": self.name,
-            "geometry": asdict(self.geometry),
-            "tau": self.tau.tolist(),
-            "positions": self.positions.tolist(),
-            "velocities": self.velocities.tolist(),
-            "formation_edges": np.argwhere(self.formation).tolist(),
-            "uncertainty": {
-                "n_parameters": adj.r,
-                "box": [list(b) for b in adj.box],
-                "region": [{"terms": _records(adj.omega.terms(k, 0))}
-                           for k in range(adj.omega.rows)],
-                "weights": weights,
-            },
-            "barrier": asdict(self.barrier) if self.barrier else None,
-            "assumption_overrides": dict(self.assumption_overrides),
-            "jitter_pos": self.jitter_pos,
-            "jitter_vel": self.jitter_vel,
-            "T_end": self.T_end,
-            "dt": self.dt,
-            "record_every": self.record_every,
-            "conv_tol": self.conv_tol,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
@@ -365,9 +320,6 @@ class ScenarioSpec:
             adjacency=adj,
             **given,
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "ScenarioSpec":

@@ -31,7 +31,7 @@ from .barrier import (TUNE_SAMPLES, BarrierParams, DomainViolation,
 from .certifier import Certificate, certify, refusals
 from .netgraph import (TopologyState, pair_distances, update_edges,
                        validate_assumptions)
-from .scenario import ScenarioSpec, check_time_grid
+from .scenario import ScenarioSpec
 
 
 # monitor limits: energy rise per step DRIFT_TOL * dt with the masks frozen;
@@ -121,22 +121,25 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         certificate: Certificate | None = None) -> RunResult:
     """Integrate one seeded realization of a scenario, with monitoring.
 
-    The step is the scenario's dt.  Raises ValueError naming a bad T_end
-    (the rule of the scenario field, except that T_end = 0 records the
-    initial state only).  Given no certificate, a run that is not unsafe
-    certifies the scenario itself.  Raises PreconditionError when the setup assumptions fail or
-    when the certificate, supplied or made, has refusals
-    (certifier.refusals), unless unsafe=True; and also when a formation
-    pair is not closer than r_s or the barrier caps cannot be tuned.
-    Invariant violations do not raise: they stop the run and are reported
-    on the result."""
+    The step is the scenario's dt.  Raises ValueError naming a T_end
+    that is not finite and >= 0 (T_end = 0 records the initial state
+    only).  Given no certificate, a run that is not unsafe certifies the
+    scenario itself.  Raises PreconditionError when the setup assumptions
+    fail or when the certificate, supplied or made, has refusals
+    (certifier.refusals), unless unsafe=True; and also when the barriers
+    are not defined at the formation (a formation pair desired no closer
+    than r_s, or any pair no farther than d_s) or the caps cannot be
+    tuned.  Invariant violations do not raise: they stop the run and are
+    reported on the result."""
     geom = scenario.geometry
     adj = scenario.adjacency
     tau = scenario.tau
     N = scenario.n_agents
     dt = scenario.dt
-    T_end = scenario.T_end if T_end is None else T_end
-    check_time_grid(dt, T_end, scenario.record_every, zero_horizon=True)
+    if T_end is None:
+        T_end = scenario.T_end
+    elif not (math.isfinite(T_end) and T_end >= 0):
+        raise ValueError(f"T_end: must be finite and >= 0, got {T_end!r}")
 
     rng = np.random.default_rng(seed)
     positions = scenario.positions.copy()
@@ -155,19 +158,27 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         raise PreconditionError(
             "setup assumptions failed:\n  " + "\n  ".join(lines))
 
-    # the edge-keeping barrier of a formation pair is defined only below r_s
+    # the barriers' domain: the edge-keeping barrier of a formation pair is
+    # defined only below r_s, the collision barrier of a pair above d_s
+    d_tau = pair_distances(tau)
     fi, fj = np.nonzero(scenario.formation)
-    for i, j, d in zip(fi, fj, pair_distances(tau)[fi, fj]):
+    for i, j, d in zip(fi, fj, d_tau[fi, fj]):
         if d >= geom.r_s:
             raise PreconditionError(
                 f"formation pair ({i},{j}): desired distance {d:.6g} is "
                 f"not below r_s={geom.r_s}")
+    close = np.argwhere(np.triu(d_tau <= geom.d_s, 1))
+    if close.size:
+        i, j = close[0]
+        raise PreconditionError(
+            f"pair ({i},{j}): desired distance {d_tau[i, j]:.6g} is not "
+            f"above d_s={geom.d_s}")
 
     # the seed fixes the draw order: the run's theta, then the tuning
     # samples; all weight matrices are then evaluated in one batch.  The
     # draw comes before the certificate gate, which uses no randomness, so
     # that a region too small to sample fails before any solve
-    thetas = adj.sample_omega(rng, 1) if adj.r > 0 else np.zeros((1, 0))
+    thetas = adj.sample_omega(rng, 1)
     if scenario.barrier is None and adj.r > 0:
         thetas = np.vstack([thetas, adj.sample_omega(rng, TUNE_SAMPLES)])
     weights = adj.entries.eval_batch(thetas)

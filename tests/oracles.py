@@ -18,10 +18,15 @@ psi_c and their gradients are scalar closed forms written with math from
 their formulas; the numeric Laplacian and the Gram expansion are written
 from theirs as well, and none of these shares code with the package.
 count_calls counts the library calls a route makes, for the route tests.
+scenario_dict and save_scenario write a ScenarioSpec back as a scenario
+file, which the package only reads.
 """
 
+import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +37,7 @@ from robustform import sdp
 from robustform.certifier import gram_image
 from robustform.netgraph import TopologyState, UncertainAdjacency
 from robustform.polyalg import MatrixPolynomial, mono_mul, mono_sort_key
+from robustform.scenario import FORMAT
 from robustform.smr import _positions, gram_null_basis, power_vector
 
 
@@ -115,16 +121,40 @@ def adjacency(N, w, r=0, region=(), box=()):
 
 def uncertainty_records(adj):
     """The uncertainty section of a scenario file for adj: its box and the
-    term records of its region and its weights."""
+    term records of its region and of its weights that are not zero, each
+    in graded-descending monomial order (polyalg.mono_sort_key)."""
     def records(terms):
-        return [{"exponents": list(e), "coeff": c} for e, c in terms.items()]
+        return [{"exponents": list(e), "coeff": terms[e]}
+                for e in sorted(terms, key=mono_sort_key)]
 
     return {"n_parameters": adj.r, "box": [list(b) for b in adj.box],
             "region": [{"terms": records(adj.omega.terms(k, 0))}
                        for k in range(adj.omega.rows)],
-            "weights": [{"i": i, "j": j,
-                         "terms": records(adj.entries.terms(i, j))}
-                        for i in range(adj.N) for j in range(i + 1, adj.N)]}
+            "weights": [{"i": i, "j": j, "terms": records(terms)}
+                        for i in range(adj.N) for j in range(i + 1, adj.N)
+                        if (terms := adj.entries.terms(i, j))]}
+
+
+def scenario_dict(spec):
+    """The scenario file document of a ScenarioSpec, in the form the
+    shipped files are written in."""
+    return {"format": FORMAT, "name": spec.name,
+            "geometry": dataclasses.asdict(spec.geometry),
+            "tau": spec.tau.tolist(), "positions": spec.positions.tolist(),
+            "velocities": spec.velocities.tolist(),
+            "formation_edges": np.argwhere(spec.formation).tolist(),
+            "uncertainty": uncertainty_records(spec.adjacency),
+            "barrier": dataclasses.asdict(spec.barrier) if spec.barrier
+            else None,
+            "assumption_overrides": dict(spec.assumption_overrides),
+            "jitter_pos": spec.jitter_pos, "jitter_vel": spec.jitter_vel,
+            "T_end": spec.T_end, "dt": spec.dt,
+            "record_every": spec.record_every, "conv_tol": spec.conv_tol}
+
+
+def save_scenario(spec, path):
+    """Write the scenario file of a ScenarioSpec to path."""
+    Path(path).write_text(json.dumps(scenario_dict(spec), indent=2) + "\n")
 
 
 def seeded_graphs(seed=2017, count=240):

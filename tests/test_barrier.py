@@ -416,13 +416,6 @@ def test_epoch_control_names_zero_separation_pair():
             "collision avoidance has already failed", 1)
 
 
-def test_epoch_refuses_formation_pair_beyond_sensing_radius():
-    tau = np.array([[0.0, 0.0], [GEOM.r_s, 0.0]])
-    with pytest.raises(ValueError, match="r_hat_s must be positive"):
-        PairArrays(pair_topology(), oracles.pair_mask(2, []), tau, GEOM,
-                   np.zeros((2, 2)), BarrierParams(1.0, 1.0))
-
-
 # ------------------------------------------------------------ tune_mu
 
 def equilibrium_pair():
@@ -490,13 +483,6 @@ def test_tune_worst_weight_sample_governs():
     alone = tune_mu(pos, np.zeros((2, 2)), tau, pair_topology(), GEOM,
                     [strong])
     assert res.mu_safe == pytest.approx(alone.mu_safe, rel=1e-12)
-
-
-def test_tune_rejects_formation_inside_safety_distance():
-    tau = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(TuneError, match="not above d_s"):
-        tune_mu(tau, np.zeros((2, 2)), tau, pair_topology(), GEOM,
-                [np.array([[0.0, 1.0], [1.0, 0.0]])])
 
 
 def test_tune_rejects_initial_error_beyond_envelope():

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -92,7 +93,7 @@ def test_run_names_the_failed_assumption_and_its_pair():
 def test_check_names_violating_pair(tmp_path, capsys):
     doc = pair_scenario_doc(tau_x=9.0)  # beyond r_s - eps
     p = tmp_path / "bad.json"
-    doc.save(p)
+    oracles.save_scenario(doc, p)
     assert run_cli("check", str(p)) == 1
     out = capsys.readouterr().out
     assert "A1: FAIL" in out
@@ -179,7 +180,8 @@ def test_shipped_files_are_the_builtin_scenarios():
     files = sorted(builtin_path("six_agent").parent.glob("*.json"))
     assert sorted(p.stem for p in files) == sorted(BUILTIN)
     for p in files:
-        text = json.dumps(ScenarioSpec.load(p).to_dict(), indent=2) + "\n"
+        text = json.dumps(oracles.scenario_dict(ScenarioSpec.load(p)),
+                          indent=2) + "\n"
         assert text.encode() == p.read_bytes(), p.name
 
 
@@ -533,6 +535,11 @@ def test_simulate_never_reports_ok_on_an_infinite_energy(tmp_path, capsys):
                        "--out", str(tmp_path / "r"))
     assert code == 4
     assert "invariant violation: non_finite at t=0" in capsys.readouterr().err
+    # its energy.csv reads 0,inf: plot used to end in a traceback
+    assert run_cli("plot", str(tmp_path / "r" / "six_agent_seed0")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read run directory")
+    assert "energy.csv holds a number that is not finite" in err
 
 
 def test_certify_overflowing_weights_is_a_solver_failure(tmp_path, capsys):
@@ -642,7 +649,19 @@ MUTATIONS = {"delete": DELETE, "null": None, "string": "x", "nan": math.nan,
              "negative": -3, "huge": 10 ** 6, "nested_empty": [[]]}
 # the exit codes each command documents
 EXIT_CODES = {"check": {0, 1, 2}, "certify": {0, 1, 2, 3},
-              "simulate": {0, 1, 2, 4, 5}}
+              "simulate": {0, 1, 2, 4, 5}, "plot": {0, 2}}
+
+
+def mutate(doc, path, value):
+    """Delete the value at a key path of doc (see key_paths) if value is
+    DELETE, else replace it by a copy of value."""
+    *parents, key = path
+    for k in parents:
+        doc = doc[k]
+    if value is DELETE:
+        del doc[key]
+    else:
+        doc[key] = copy.deepcopy(value)
 
 
 @st.composite
@@ -651,15 +670,8 @@ def bounded_mutations(draw):
     depth, deleted or replaced by one of MUTATIONS."""
     name = draw(st.sampled_from(sorted(BUILTIN)))
     doc = copy.deepcopy(SHIPPED_DOCS[name])
-    *parents, key = draw(st.sampled_from(SHIPPED_PATHS[name]))
-    holder = doc
-    for k in parents:
-        holder = holder[k]
-    value = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
-    if value is DELETE:
-        del holder[key]
-    else:
-        holder[key] = copy.deepcopy(value)
+    mutate(doc, draw(st.sampled_from(SHIPPED_PATHS[name])),
+           MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))])
     return doc
 
 
@@ -695,6 +707,62 @@ def test_commands_on_a_mutated_scenario_exit_with_a_documented_code(
         os.chdir(cwd)
     assert os.listdir(base / "cwd") == []
     assert os.listdir(base / "in") == ["scenario.json"]
+
+
+CHARTS = {"trajectories.svg", "min_distance.svg", "velocity_diff.svg",
+          "energy.svg"}
+
+
+@pytest.fixture(scope="module")
+def adversarial_run_dir(tmp_path_factory):
+    """A short adversarial run directory, the base of the plot probe."""
+    out = tmp_path_factory.mktemp("plot_base")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("simulate", "adversarial", "--T", "0.05",
+                       "--out", str(out)) == 0
+    return out / "adversarial_seed0"
+
+
+@settings(derandomize=True, database=None, max_examples=100,
+          deadline=None)
+@given(st.data())
+def test_plot_on_a_mutated_run_directory_exits_with_a_documented_code(
+        tmp_path_factory, adversarial_run_dir, data):
+    # one cell of a CSV file or one manifest value deleted or replaced by
+    # one of MUTATIONS or inf: plot exits 0 or 2 and writes no file but
+    # its charts
+    base = tmp_path_factory.mktemp("plot")
+    (base / "cwd").mkdir()
+    run_dir = shutil.copytree(adversarial_run_dir, base / "run")
+    name = data.draw(st.sampled_from(
+        ["trajectory.csv", "energy.csv", "manifest.json"]))
+    value = data.draw(st.sampled_from([math.inf, *MUTATIONS.values()]))
+    path = run_dir / name
+    if name == "manifest.json":
+        doc = json.loads(path.read_text())
+        mutate(doc, data.draw(st.sampled_from(list(key_paths(doc)))), value)
+        path.write_text(json.dumps(doc))
+    else:
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        line = data.draw(st.integers(0, len(rows) - 1))
+        column = data.draw(st.integers(0, len(rows[line]) - 1))
+        mutate(rows, (line, column), "" if value is None else
+               value if value is DELETE else str(value))
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+    before = set(os.listdir(run_dir))
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(base / "cwd")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli("plot", str(run_dir))
+    finally:
+        os.chdir(cwd)
+    assert code in EXIT_CODES["plot"], err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert set(os.listdir(run_dir)) - before <= CHARTS
+    assert os.listdir(base / "cwd") == []
 
 
 @pytest.mark.parametrize("exponent", [40, 10 ** 6])
@@ -809,7 +877,7 @@ def test_certify_disconnected_inconclusive(tmp_path, capsys):
                       formation=oracles.pair_mask(3, [(0, 1)]),
                       adjacency=adj)
     p = tmp_path / "split.json"
-    sc.save(p)
+    oracles.save_scenario(sc, p)
     code = run_cli("certify", str(p), "--samples", "200",
                    "--out", str(tmp_path / "c.json"))
     assert code == 1
@@ -927,7 +995,7 @@ def test_simulate_domain_violation_exits_5(tmp_path):
         positions=np.array([[3.0, 0.0], [0.0, 0.0]]),
         barrier=BarrierParams(1e6, 1e6))
     p = tmp_path / "swap.json"
-    sc.save(p)
+    oracles.save_scenario(sc, p)
     code = run_cli("simulate", str(p), "--out", str(tmp_path / "runs"))
     assert code == 5
 
@@ -990,10 +1058,18 @@ def _edit_manifest(**scenario):
     # it is made, and no phantom agent is drawn
     ("manifest.json", _edit_manifest(n_agents=10**12)),
     ("manifest.json", _edit_manifest(n_agents=7)),
-    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,2,", 1))],
+    ("trajectory.csv", lambda text: text.replace("\n0,3,", "\n0,2,", 1)),
+    # numbers that are not finite used to end in a traceback from the
+    # chart's axis ticks
+    ("trajectory.csv", lambda text: re.sub(r"\n0,3,[^,]*", "\n0,3,nan",
+                                           text, count=1)),
+    ("energy.csv", lambda text: re.sub(r"\n0,.*", "\n0,inf", text, count=1)),
+    ("manifest.json", lambda text: text.replace(
+        '"d_s": 1.875', '"d_s": NaN', 1))],
     ids=["manifest_not_an_object", "edge_out_of_range", "infinite_n_agents",
          "agent_99", "agent_minus_1", "huge_n_agents", "extra_agent",
-         "agent_twice_at_one_time"])
+         "agent_twice_at_one_time", "nan_position", "infinite_energy",
+         "nan_safety_distance"])
 def test_plot_corrupt_run_directory_exits_2(tmp_path, capsys, name,
                                             corrupt):
     out = tmp_path / "runs"
@@ -1067,7 +1143,7 @@ def test_simulate_refuses_unwritable_output_before_any_work(
 def test_simulate_creates_nothing_when_its_precondition_fails(tmp_path):
     out = tmp_path / "new" / "runs"
     pair = tmp_path / "pair.json"
-    pair_scenario_doc(tau_x=2.0).save(pair)  # violates A1
+    oracles.save_scenario(pair_scenario_doc(tau_x=2.0), pair)  # violates A1
     assert run_cli("simulate", str(pair), "--out", str(out)) == 1
     assert not (tmp_path / "new").exists()
 
@@ -1108,7 +1184,7 @@ def test_unsafe_flag_lets_uncertifiable_run_proceed(tmp_path):
                       formation=oracles.pair_mask(3, [(0, 1)]),
                       adjacency=adj, T_end=0.5)
     p = tmp_path / "split.json"
-    sc.save(p)
+    oracles.save_scenario(sc, p)
     # gated: refused outright
     assert run_cli("simulate", str(p), "--out",
                    str(tmp_path / "r1")) == 1
@@ -1127,17 +1203,17 @@ def test_version_flag(capsys):
 
 
 # set-up failures that used to leave simulate as a traceback with exit 1:
-# the edge barrier of a pair held beyond r_s = 8 (a ValueError from its
-# r_hat_s check)
-# and a desired distance inside d_s (a TuneError from tune_mu)
+# a formation pair desired beyond r_s = 8, where its edge barrier is not
+# defined, and a pair desired inside d_s, where its collision barrier is not
 @pytest.mark.parametrize("tau_x, message", [
-    (8.5, "formation pair (0,1)"), (1.5, "barrier cap tuning")])
+    (8.5, "formation pair (0,1)"),
+    (1.5, "pair (0,1): desired distance 1.5 is not above d_s")])
 def test_simulate_barrier_setup_failure_is_a_precondition(
         tmp_path, capsys, tau_x, message):
     sc = pair_scenario_doc(tau_x=tau_x, positions=[[0.0, 0.0], [3.0, 0.0]])
     sc.assumption_overrides = {"A1": "probe", "A3": "probe"}
     p = tmp_path / "pair.json"
-    sc.save(p)
+    oracles.save_scenario(sc, p)
     assert run_cli("check", str(p)) == 0
     capsys.readouterr()
     assert run_cli("simulate", str(p), "--out", str(tmp_path / "r")) == 1

@@ -5,10 +5,21 @@ src/robustform defines must be named somewhere in src/ or bench/ outside
 its own definition: as a name, an attribute, an import or an identifier
 string (bench/tracer.py names what it wraps in strings).  A name that only
 the tests use belongs in the tests.  Every field of a package dataclass
-must be read somewhere in src/, bench/ or tests/."""
+must be read somewhere in src/, bench/ or tests/.  Every function and
+method must also be entered when the commands and the benchmark's entry
+points run, unless it is an error path or named only by bench/tracer.py."""
 
 import ast
+import contextlib
+import importlib
+import io
+import sys
 from pathlib import Path
+
+from robustform.certifier import Certificate, verify_certificate
+from robustform.cli import main
+from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
+from robustform.simulate import run
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "robustform").glob("*.py"))
@@ -16,17 +27,15 @@ SOURCES = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 
 def defined(tree):
-    """(qualified name, name) of the module-level functions and the
-    non-dunder methods of module-level classes."""
+    """(qualified name, node) of the module-level functions and of the
+    methods of module-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.name
+            yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not (item.name.startswith("__")
-                                 and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item.name
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
 
 
 def named(tree):
@@ -49,8 +58,10 @@ def test_every_package_function_is_used_outside_the_tests():
              for path in SOURCES}
     used = {name for tree in trees.values() for name in named(tree)}
     unused = sorted(qual for path in PACKAGE
-                    for qual, name in defined(trees[path])
-                    if name not in used)
+                    for qual, node in defined(trees[path])
+                    if not (node.name.startswith("__")
+                            and node.name.endswith("__"))
+                    and node.name not in used)
     assert unused == []
 
 
@@ -185,3 +196,58 @@ def test_each_eigenvalue_driver_has_one_caller():
         for driver in DRIVERS.keys() & set(named(node)))
     assert naming == sorted(f"certifier.py: {caller}: {driver}"
                             for driver, caller in DRIVERS.items())
+
+
+# the functions no command or benchmark entry point enters on a valid
+# input: the error paths, and what only bench/tracer.py's PATCHES name
+UNENTERED = {"barrier.py: _violation", "barrier.py: _at_pair",
+             "barrier.py: DomainViolation.__init__", "cli.py: _cannot_write",
+             "polyalg.py: MatrixPolynomial.__repr__",
+             "polyalg.py: MatrixPolynomial.__call__",
+             "smr.py: PowerVector.eval_batch"}
+
+
+def test_every_package_function_is_entered_by_a_command_or_the_benchmark(
+        tmp_path):
+    # the static test above counts a name as used wherever it appears; this
+    # one runs every command, and the benchmark's replay and run of the
+    # stored fifty-agent certificate, and records each function entered
+    # a function's code starts at its first decorator, if it has one
+    names = {(str(path), min([node.lineno] + [d.lineno for d in
+                                              node.decorator_list])):
+             f"{path.name}: {qual}" for path in PACKAGE
+             for qual, node in defined(ast.parse(path.read_text()))}
+    entered = set()
+    # a cached function is entered only on a miss: start with empty caches
+    for path in PACKAGE:
+        module = importlib.import_module(f"robustform.{path.stem}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add(names.get((code.co_filename, code.co_firstlineno)))
+
+    out = tmp_path / "runs"
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for name in BUILTIN:
+                main(["check", name])
+                main(["certify", name, "--samples", "20",
+                      "--out", str(tmp_path / f"{name}.json")])
+            # six_agent switches an edge and enters the zone within 1 s
+            main(["simulate", "six_agent", "--T", "1", "--out", str(out)])
+            main(["simulate", "adversarial", "--out", str(out)])
+            main(["plot", str(out / "six_agent_seed0")])
+            spec = ScenarioSpec.load(builtin_path("fifty_agent"))
+            cert = Certificate.load(ROOT / "bench" /
+                                    "fifty_agent_certificate.json")
+            verify_certificate(cert, spec.adjacency, n_samples=20, seed=0)
+            run(spec, seed=0, T_end=0.01, certificate=cert)
+    finally:
+        sys.setprofile(None)
+    assert sorted(set(names.values()) - entered) == sorted(UNENTERED)

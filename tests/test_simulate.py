@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,21 @@ def test_run_trips_formation_edge_break():
     assert res.metrics["min_distance"] == pytest.approx(3.0)
 
 
+def test_run_refuses_a_pair_desired_inside_the_safety_distance():
+    # the collision barrier is not defined at a desired distance 1.5 <= d_s:
+    # with caps fixed by the scenario the run used to start and end in a
+    # safety_distance failure at t = 1.25; tuned caps were refused
+    sc = const_pair_scenario(
+        positions=np.array([[0.0, 0.0], [3.0, 0.0]]),
+        velocities=np.zeros((2, 2)), tau=np.array([[0.0, 0.0], [1.5, 0.0]]),
+        barrier=BarrierParams(1.0, 1.0), T_end=2.0,
+        assumption_overrides={"A1": "probe", "A3": "probe"})
+    for unsafe in (False, True):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "pair (0,1): desired distance 1.5 is not above d_s=1.875")):
+            run(sc, seed=0, unsafe=unsafe)
+
+
 def chain_scenario():
     """A chain 0-1-2 whose far end flies in: (0, 2) is added at r_s - eps,
     (1, 2) and then (0, 1) pass through the collision zone, and (0, 2) is
@@ -541,7 +557,7 @@ def test_simulate_run_directory_bytes(tmp_path, scenario, seed, horizon):
     path = scenario
     if scenario == "chain":
         path = tmp_path / "chain.json"
-        chain_scenario().save(path)
+        oracles.save_scenario(chain_scenario(), path)
     argv = ["simulate", str(path), "--seed", str(seed),
             "--out", str(tmp_path / "runs")]
     main(argv + (["--T", horizon] if horizon else []))
