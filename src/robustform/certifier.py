@@ -18,9 +18,10 @@ expansion is at least one everywhere, a positive optimal c* gives
 bound on the algebraic connectivity.
 
 Every route builds the pencil from one coefficient family, pencil_terms:
-assemble and the algebraic replay take its Gram image, and the sampled
-replay sweeps it.  Every sampled eigenvalue, of the pencil or of the
-Laplacian, comes from one sweep, eigenvalue_at.
+assemble and the algebraic replay take its Gram image of the reduced
+Laplacian, and the sampled replay sweeps it on the N-square Laplacian,
+where a sparse graph keeps its band.  Every sampled eigenvalue, of the
+pencil or of the Laplacian, comes from one sweep, eigenvalue_at.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from . import sdp
 from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
     reduced_laplacian
-from .polyalg import ExponentVec, MatrixPolynomial, mono_degree, mono_mul
+from .polyalg import ExponentVec, MatrixPolynomial, mono_degree, \
+    mono_mul, mono_powers
 # the scenario reader's typed readers, which name the key path of a bad value
 from .scenario import _field, _get, _is_int, _is_number, _items, _matrix, \
     _number, _require, known_keys
@@ -74,6 +76,13 @@ SUBSET_ORDER = 20
 # route is (24, 23), 25 against 28 us, and no ratio that keeps (50, 49) dense
 # can pick the band there.
 BAND_RATIO = 4
+
+# least_on_complement reads a second least eigenvalue above NULL_TOL times
+# a bound on the matrix's norm as the least on the complement of the ones
+# vector.  The computed eigenvalue of the ones vector, zero in exact
+# arithmetic, stayed within 1.4e-16 of that bound on 60 signed rings of 12
+# to 120 agents with weights scaled from 1e-6 to 1e6, at 300 points each
+NULL_TOL = 1e-12
 
 # _setup refuses a relaxation of more SDP variables: the solver's Schur
 # matrix of 10 000 variables takes 800 MB
@@ -166,15 +175,17 @@ class Assembly:
 
 def _setup(adj: UncertainAdjacency):
     """Everything the certification problem of adj is built from: the
-    reduced Laplacian, the automatic degree plan, the power vectors of the
-    Gram identity and of each multiplier, the Gram positions of the
-    identity's power vector and the null basis of its Gram expansion.
+    Laplacian L, the reduced basis M, the reduced Laplacian M' L M, the
+    automatic degree plan, the power vectors of the Gram identity and of
+    each multiplier, the Gram positions of the identity's power vector and
+    the null basis of its Gram expansion.
 
     UncertainAdjacency guarantees a symmetric weight matrix with a zero
     diagonal and region inequalities in its parameters, and reduced_basis
     at least two agents.  Raises CertifierError, before any power vector is
     built, when the relaxation has more than MAX_SDP_VARS variables."""
-    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
+    L, M = laplacian(adj), reduced_basis(adj.N)
+    L_hat = reduced_laplacian(L, M)
     plan = DegreePlan.auto(L_hat.deg(), [
         max(map(mono_degree, adj.omega.terms(k, 0)), default=0)
         for k in range(adj.omega.rows)])
@@ -184,15 +195,17 @@ def _setup(adj: UncertainAdjacency):
             f"degree plan d_H={plan.d_H} d_R={list(plan.d_R)} asks for "
             f"{n_vars} SDP variables, above the limit of {MAX_SDP_VARS}")
     phi_H = power_vector(adj.r, plan.d_H)
-    return (L_hat, plan, phi_H, [power_vector(adj.r, dr) for dr in plan.d_R],
+    return (L, M, L_hat, plan, phi_H,
+            [power_vector(adj.r, dr) for dr in plan.d_R],
             _positions(phi_H), gram_null_basis(adj.r, plan.d_H, L_hat.rows))
 
 
-def pencil_terms(P: np.ndarray, L_hat: MatrixPolynomial
+def pencil_terms(P: np.ndarray, L: MatrixPolynomial
                  ) -> dict[ExponentVec, np.ndarray]:
-    """Coefficient matrices by monomial of the pencil P L_hat + L_hat' P
-    of a symmetric P: {e: P C_e + (P C_e)'} for L_hat = sum_e C_e theta^e."""
-    terms = {e: P @ C for e, C in L_hat.coeffs.items()}
+    """Coefficient matrices by monomial of the pencil P L + L' P of a
+    symmetric P: {e: P C_e + (P C_e)'} for L = sum_e C_e theta^e, the
+    reduced Laplacian L_hat or the N-square Laplacian itself."""
+    terms = {e: P @ C for e, C in L.coeffs.items()}
     return {e: M + M.T for e, M in terms.items()}
 
 
@@ -228,7 +241,7 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
     on the region the pencil 2 Lhat / s dominates c * |phi(theta)|^2 * I,
     hence c * I when c >= 0, since the power vector contains the constant
     monomial."""
-    L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
+    _, _, L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
     s = L_hat.rows
     r = adj.r
     size_H = len(phi_H) * s
@@ -418,12 +431,20 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
 
     Replays the Gram identity: the least eigenvalues of the stored matrices
     and of the main constraint evaluated at them, whose pencil block is the
-    Gram image of pencil_terms(P_bar, L_hat).  Then, independently,
-    eigenvalue_at sweeps the pencil less c* |phi_H(theta)|^2 I over
-    n_samples region points for its least eigenvalue.  Raises
-    CertifierError, before any arithmetic, for a certificate with a field
-    that is not finite or that does not fit adj, and before drawing for
-    more than MAX_SAMPLES samples."""
+    Gram image of pencil_terms(P_bar, L_hat).  Then, independently, sweeps
+    n_samples region points for the pencil's least eigenvalue less
+    c* |phi_H(theta)|^2.  The sweep takes the full pencil, pencil_terms of
+    P = I / s + M (P_bar - I / s) M' and the Laplacian L: that is
+    M (P_bar L_hat + L_hat P_bar) M', whose eigenvalues are the reduced
+    pencil's and a 0 on the ones vector.  With the P_bar = I / s of every
+    certificate that certify writes it is 2 L / s, which keeps the band of
+    a sparse L, and least_on_complement reads the least eigenvalue on the
+    complement of the ones vector off that band.  A full pencil without a
+    band, as of a dense graph or of a general P_bar, leaves eigenvalue_at
+    to sweep the reduced pencil.  Raises CertifierError, before any
+    arithmetic, for a certificate with a field that is not finite or that
+    does not fit adj, and before drawing for more than MAX_SAMPLES
+    samples."""
     for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
             (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
             ("delta", cert.delta)]:
@@ -436,7 +457,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if cert.r != adj.r:
         raise CertifierError(
             f"certificate has {cert.r} parameters, adjacency has {adj.r}")
-    L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
+    L, M, L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
     if cert.plan != plan:
         raise CertifierError(
             f"certificate degree plan {cert.plan} is not the automatic plan "
@@ -460,7 +481,8 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                 f"{name} must be a symmetric {len(pv) * s}-square "
                 f"matrix, got shape {X.shape}")
 
-    H = gram_base(pencil_terms(cert.P_bar, L_hat), phi_H, s, pos_H)
+    terms = pencil_terms(cert.P_bar, L_hat)
+    H = gram_base(terms, phi_H, s, pos_H)
     for k, (R, pv) in enumerate(zip(cert.R_bars, phi_R)):
         H -= gram_image(R, pv, adj.omega.terms(k, 0), phi_H, s, pos_H)
     H += sdp.smat(nulls @ cert.delta, len(H))
@@ -482,17 +504,24 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if trace_error > PSD_TOL:
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
-    # Pointwise route: the pencil less c* |phi_H(theta)|^2 I, the sum of
-    # c* I theta^(2m) over the monomials theta^m of phi_H, at region samples
+    # Pointwise route: the pencil's least eigenvalue at region samples, on
+    # the full pencil's band where it has one, less c* |phi_H(theta)|^2.
+    # The full pencil has L's pattern for P_bar = I / s and is dense for
+    # any other P_bar, so it is built only when L has a band
     sampled_pencil = float("inf")
     if n_samples > 0:
         thetas = _draw(adj, n_samples, seed)
-        terms = pencil_terms(cert.P_bar, L_hat)
-        for e in phi_H.monos:
-            mu = mono_mul(e, e)
-            terms[mu] = terms.get(mu, 0.0) - cert.c_star * np.eye(s)
-        sampled_pencil = float(eigenvalue_at(
-            MatrixPolynomial(s, s, adj.r, terms), thetas, 1).min())
+        band = None
+        if band_form(L) is not None:
+            N = adj.N
+            P = np.eye(N) / s + M @ (cert.P_bar - np.eye(s) / s) @ M.T
+            full = MatrixPolynomial(N, N, adj.r, pencil_terms(P, L))
+            band = band_form(full)
+        values = eigenvalue_at(MatrixPolynomial(s, s, adj.r, terms),
+                               thetas, 1) if band is None else \
+            least_on_complement(full, band, thetas)
+        phi2 = np.sum(mono_powers(phi_H.monos, thetas, adj.r) ** 2, axis=1)
+        sampled_pencil = float(np.min(values - cert.c_star * phi2))
         if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -511,7 +540,6 @@ class Lambda2Samples:
     values: np.ndarray
     thetas: np.ndarray
     min_value: float
-    argmin: np.ndarray
 
 
 def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
@@ -546,14 +574,16 @@ def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
         for e, C in L.coeffs.items()})
 
 
-def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray,
-                  k: int) -> np.ndarray:
+def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray, k: int,
+                  band: MatrixPolynomial | None = None) -> np.ndarray:
     """The k-th smallest eigenvalue of the symmetric matrix polynomial A at
     each point of the (m, r) batch thetas: LAPACK's band driver dsbevx at
     each point on the band of a sparse A (see band_form), least_eigenvalues
     of each dense evaluation otherwise.  Both agree with eigvalsh within
-    1e-12 of max(1, ||A(theta)||).  A failed call names the sample."""
-    band = band_form(A)
+    1e-12 of max(1, ||A(theta)||).  band, when given, is band_form(A), for
+    a caller that sweeps A more than once.  A failed call names the sample,
+    numbered within thetas."""
+    band = band_form(A) if band is None else band
     values = np.empty(len(thetas))
     length = sdp.batch_length(A.rows, A.rows if band is None else band.rows)
     for lo in range(0, len(thetas), length):
@@ -570,6 +600,33 @@ def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray,
                     f"dsbevx failed at sample {i}: info={info}, "
                     f"{m} eigenvalues")
             values[i] = w[0]
+    return values
+
+
+def least_on_complement(A: MatrixPolynomial, band: MatrixPolynomial,
+                        thetas: np.ndarray) -> np.ndarray:
+    """mu_1, the least eigenvalue on the complement of the ones vector, at
+    each point of thetas, of a symmetric N x N matrix polynomial A that
+    maps the ones vector to zero, such as a Laplacian or its full pencil;
+    band is band_form(A).
+
+    Besides its N - 1 eigenvalues on the complement, A(theta) has a 0 on
+    the ones vector, which is computed as a rounding error of either sign.
+    So mu_1 is A's second least eigenvalue where that lies above
+    NULL_TOL nu(theta), nu = sum_e |theta^e| ||C_e||_F a bound on
+    ||A(theta)||, and elsewhere whichever of the two least has the larger
+    magnitude: eigenvalue_at sweeps k = 2 at every point and k = 1 only at
+    the others.  Reading any positive second eigenvalue as mu_1 would take
+    a computed +1e-17 for mu_1 where mu_1 < 0."""
+    values = eigenvalue_at(A, thetas, 2, band)
+    monos = list(A.coeffs)
+    nu = np.abs(mono_powers(monos, thetas, A.r)) @ np.array(
+        [np.linalg.norm(A.coeffs[e]) for e in monos])
+    low = np.flatnonzero(values <= NULL_TOL * nu)
+    if low.size:
+        least = eigenvalue_at(A, thetas[low], 1, band)
+        values[low] = np.where(np.abs(least) > np.abs(values[low]), least,
+                               values[low])
     return values
 
 
@@ -590,7 +647,5 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     machinery."""
     thetas = _draw(adj, n_samples, seed)
     values = eigenvalue_at(laplacian(adj), thetas, 2)
-    k = int(np.argmin(values))
     return Lambda2Samples(values=values, thetas=thetas,
-                          min_value=float(values[k]),
-                          argmin=thetas[k].copy())
+                          min_value=float(values.min()))

@@ -351,15 +351,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _span(values: np.ndarray) -> tuple[float, float]:
+def _span(values: np.ndarray, source: str) -> tuple[float, float]:
     """The padded range of one axis: the values' range (0..1 if there are
-    none, widened to 1 if it is flat) and 5 % on either side."""
+    none, widened to 1 if it is flat) and 5 % on either side.  Raises
+    ValueError naming source, the files the values come from, when that
+    range cannot be drawn (see _drawable)."""
     lo, hi = (float(values.min()), float(values.max())) if values.size \
         else (0.0, 1.0)
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
+    if not _drawable(lo - pad, hi + pad):
+        raise ValueError(f"{source}: cannot draw values from {lo:g} to "
+                         f"{hi:g} on one axis")
     return lo - pad, hi + pad
+
+
+def _drawable(lo: float, hi: float) -> bool:
+    """Whether an axis from lo to hi has a finite width and is wider than
+    the spacing of floats there."""
+    return lo < hi and math.isfinite(hi - lo)
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -369,12 +380,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
         if span / (step * mult) <= _TICKS:
             step *= mult
             break
-    ticks = []
-    v = math.ceil(lo / step) * step
-    while v <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
-        v += step
-    return ticks
+    # whole multiples of step, counted rather than summed: a sum stops
+    # growing where step is below the spacing of floats near lo
+    first = math.ceil(lo / step)
+    last = math.floor((hi + 1e-9 * span) / step)
+    return [k * step for k in range(first, last + 1)]
 
 
 def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
@@ -383,22 +393,27 @@ def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
             f'{body}</text>')
 
 
-def _chart(title: str, xlabel: str, ylabel: str, series, points=(),
-           hline=None, equal_aspect: bool = False) -> str:
+def _chart(source: str, title: str, xlabel: str, ylabel: str, series,
+           points=(), hline=None, equal_aspect: bool = False) -> str:
     """A line chart as a minimal standalone SVG.  series are (xs, ys,
     color, width): a polyline, or a dot if it has one point; points are
     (x, y, color, radius) dots; hline is one dashed, labelled (y, color,
-    label) line.  equal_aspect gives both axes one scale."""
+    label) line.  equal_aspect gives both axes one scale.  Raises
+    ValueError naming source, the files the numbers come from, when an
+    axis cannot be drawn."""
     x0, x1 = _span(np.hstack([s[0] for s in series]
-                             + [p[0] for p in points]))
+                             + [p[0] for p in points]), source)
     y0, y1 = _span(np.hstack([s[1] for s in series]
                              + [p[1] for p in points]
-                             + ([hline[0]] if hline else [])))
+                             + ([hline[0]] if hline else [])), source)
     if equal_aspect:
         s = max((x1 - x0) / _PW, (y1 - y0) / _PH)
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         x0, x1 = cx - s * _PW / 2, cx + s * _PW / 2
         y0, y1 = cy - s * _PH / 2, cy + s * _PH / 2
+        if not (_drawable(x0, x1) and _drawable(y0, y1)):
+            raise ValueError(f"{source}: cannot draw both axes to one "
+                             f"scale")
 
     def X(x):
         return _ML + (x - x0) / (x1 - x0) * _PW
@@ -497,44 +512,51 @@ def _read_run_dir(run_dir: Path):
     return N, d_s, fe, times, positions, velocities, energy
 
 
-def cmd_plot(args) -> int:
-    run_dir = Path(args.run_dir)
-    try:
-        N, d_s, fe, times, positions, velocities, energy = \
-            _read_run_dir(run_dir)
-    except (OSError, ValueError, LookupError, TypeError,
-            OverflowError) as err:
-        print(f"error: cannot read run directory {run_dir}: {err}",
-              file=sys.stderr)
-        return 2
-
+def _charts(N, d_s, fe, times, positions, velocities, energy) -> dict:
+    """The four charts, by file name, of a run directory that
+    _read_run_dir parsed.  Raises ValueError, naming the files, when their
+    numbers span an axis that cannot be drawn."""
     # the first two coordinates; a one-coordinate run is drawn on y = 0
     xy = positions[..., :2]
     xy = np.pad(xy, ((0, 0), (0, 0), (0, 2 - xy.shape[2])))
     colors = [_PALETTE[a % len(_PALETTE)] for a in range(N)]
     iu, ju = np.triu_indices(N, k=1)
-    dmin = np.array([float(np.min(pair_distances(p)[iu, ju]))
-                     for p in positions])
-    vdis = np.array([float(np.max(pair_distances(v)))
-                     for v in velocities])
-    charts = {
+    # a distance that overflows is inf, which _chart refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmin = np.array([float(np.min(pair_distances(p)[iu, ju]))
+                         for p in positions])
+        vdis = np.array([float(np.max(pair_distances(v)))
+                         for v in velocities])
+    return {
         "trajectories.svg": _chart(
-            "Agent trajectories", "x", "y",
+            "trajectory.csv", "Agent trajectories", "x", "y",
             [(xy[:, a, 0], xy[:, a, 1], colors[a], 1.2) for a in range(N)]
             + [(xy[-1, [i, j], 0], xy[-1, [i, j], 1], "#999999", 0.8)
                for i, j in fe],
             [(xy[-1, a, 0], xy[-1, a, 1], colors[a], 4.0) for a in range(N)],
             equal_aspect=True),
         "min_distance.svg": _chart(
-            "Minimum pairwise distance", "t", "distance",
-            [(times, dmin, _PALETTE[0], 1.6)],
+            "trajectory.csv and manifest.json", "Minimum pairwise distance",
+            "t", "distance", [(times, dmin, _PALETTE[0], 1.6)],
             hline=(d_s, "#d62728", f"d_s = {_fmt(d_s)}")),
         "velocity_diff.svg": _chart(
-            "Velocity disagreement", "t", "max |v_i - v_j|",
-            [(times, vdis, _PALETTE[1], 1.6)]),
-        "energy.svg": _chart("Composite energy", "t", "W",
-                             [(energy[:, 0], energy[:, 1], _PALETTE[2], 1.6)]),
+            "trajectory.csv", "Velocity disagreement", "t",
+            "max |v_i - v_j|", [(times, vdis, _PALETTE[1], 1.6)]),
+        "energy.svg": _chart(
+            "energy.csv", "Composite energy", "t", "W",
+            [(energy[:, 0], energy[:, 1], _PALETTE[2], 1.6)]),
     }
+
+
+def cmd_plot(args) -> int:
+    run_dir = Path(args.run_dir)
+    try:
+        charts = _charts(*_read_run_dir(run_dir))
+    except (OSError, ValueError, LookupError, TypeError,
+            OverflowError) as err:
+        print(f"error: cannot read run directory {run_dir}: {err}",
+              file=sys.stderr)
+        return 2
     try:
         for name in charts:  # all of them, before the first is written
             _check_writable(run_dir / name)

@@ -18,6 +18,7 @@ pencil matrix is fixed at P = I / s, so with no uncertainty c* is
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -639,7 +640,7 @@ def test_sample_lambda2_affine_edge():
     sweep = sample_lambda2(adj, n_samples=4000, seed=2)
     assert len(sweep.values) == 4000
     assert 1.0 <= sweep.min_value < 1.05
-    assert sweep.argmin[0] < -0.95
+    assert sweep.thetas[sweep.values.argmin()][0] < -0.95
     np.testing.assert_allclose(sweep.values,
                                2.0 + sweep.thetas[:, 0], atol=1e-9)
 
@@ -780,6 +781,61 @@ def test_band_form_orders_only_a_pattern_whose_rows_allow_a_band(
     assert calls == {"reverse_cuthill_mckee": orderings}
 
 
+def signed_ring(N):
+    """Weight term dicts of an N-ring with unit weights but w01 = 3 theta
+    - 1, theta in [-1, 1].  The rest of the ring is a path of resistance
+    N - 1, so L(theta) is indefinite, mu_1 < 0, where w01 < -1 / (N - 1)."""
+    w = {(i, i + 1): {(0,): 1.0} for i in range(1, N - 1)}
+    w[(0, 1)] = {(0,): -1.0, (1,): 3.0}
+    w[(0, N - 1)] = {(0,): 1.0}
+    return w
+
+
+def reduced_pencils(N, w, thetas):
+    """The reduced pencils 2 M' L(theta) M / s, s = N - 1, of the weight
+    term dicts w at thetas, from the weights evaluated in NumPy and an
+    orthonormal basis M of the complement of the ones vector taken by QR,
+    independent of the Helmert basis."""
+    W = np.zeros((len(thetas), N, N))
+    for (i, j), terms in w.items():
+        W[:, i, j] = W[:, j, i] = sum(
+            c * np.prod(thetas ** np.array(e), axis=1)
+            for e, c in terms.items())
+    L = np.eye(N) * W.sum(-1)[..., None] - W
+    M = np.linalg.qr(np.hstack([np.ones((N, 1)), np.eye(N)[:, 1:]]))[0]
+    return 2 * M[:, 1:].T @ L @ M[:, 1:] / (N - 1)
+
+
+def test_band_route_reads_mu_1_of_a_signed_ring(monkeypatch):
+    # where mu_1 < 0 the second least eigenvalue of the full pencil is its
+    # computed 0 on the ones vector, a rounding error of either sign: a
+    # rule "lambda_2 > 0 gives mu_1 = lambda_2" misreads those points
+    N, s = 30, 29
+    w = signed_ring(N)
+    adj = oracles.adjacency(N, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
+    full = MatrixPolynomial(N, N, 1, certifier.pencil_terms(
+        np.eye(N) / s, laplacian(adj)))
+    band = band_form(full)
+    assert band is not None
+    thetas = adj.sample_omega(np.random.default_rng(7), 300)
+    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsbevx"))
+    values = certifier.least_on_complement(full, band, thetas)
+    pencils = reduced_pencils(N, w, thetas)
+    mu_1 = np.linalg.eigvalsh(pencils)[:, 0]
+    assert 50 < np.count_nonzero(mu_1 < 0) < 250
+    scale = np.maximum(1.0, np.linalg.norm(pencils, 2, axis=(1, 2)))
+    assert np.all(np.abs(values - mu_1) <= 1e-12 * scale)
+    # k = 2 at every point, k = 1 only where mu_1 < 0
+    assert calls == {"dsbevx": 300 + np.count_nonzero(mu_1 < 0)}
+
+    # the replay's sampled margin, on the band, against the reduced pencils
+    cert = certify(adj).certificate
+    margin = verify_certificate(cert, adj, n_samples=300,
+                                seed=7).sampled_pencil_margin
+    expected = np.min(mu_1 - cert.c_star * (1 + thetas[:, 0] ** 2))
+    assert margin == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_dense_route_above_the_subset_order_matches_dense_eigenvalues(
         monkeypatch):
     # a complete graph has no band to take, and from SUBSET_ORDER agents on
@@ -814,27 +870,45 @@ def test_sample_lambda2_route_of_each_shipped_scenario(
                      "eigvalsh": eigvalsh_calls}
 
 
-@pytest.mark.parametrize("name, dsyevx_calls, eigvalsh_calls", [
-    # 300 pencils of order 49, then P_bar, R_bars[0] (both 49) and H (98)
-    ("fifty_agent", 303, 0),
-    # P_bar, R_bars[0] (both 5) and H (15), then one batch of pencils
-    ("six_agent", 0, 4),
-    # P_bar and H (both 1), then one batch of pencils
-    ("adversarial", 0, 3)])
+@pytest.mark.parametrize("name, dsbevx_calls, dsyevx_calls, eigvalsh_calls", [
+    # 300 points of the full pencil 2 L / s on L's band, each with a
+    # clearly positive second eigenvalue, then P_bar, R_bars[0] (both 49)
+    # and H (98)
+    ("fifty_agent", 300, 3, 0),
+    # P_bar, R_bars[0] (both 5) and H (15), then one batch of reduced
+    # pencils: a full pencil of 6 agents has no band
+    ("six_agent", 0, 0, 4),
+    # P_bar and H (both 1), then one batch of reduced pencils
+    ("adversarial", 0, 0, 3)])
 def test_verify_certificate_route_of_each_shipped_scenario(
-        monkeypatch, name, dsyevx_calls, eigvalsh_calls):
-    # the route depends only on the block orders, so a zero certificate of
-    # the right shapes takes it
+        monkeypatch, name, dsbevx_calls, dsyevx_calls, eigvalsh_calls):
+    # the route depends only on the block orders and on P_bar, so a zero
+    # certificate with the P_bar = I / s that certify writes takes it
     adj = ScenarioSpec.load(builtin_path(name)).adjacency
-    L_hat, plan, _, phi_R, _, nulls = certifier._setup(adj)
+    _, _, L_hat, plan, _, phi_R, _, nulls = certifier._setup(adj)
     s = L_hat.rows
     cert = Certificate(adj.N, adj.r, plan, 0.0, np.eye(s) / s,
                        [np.zeros((len(pv) * s,) * 2) for pv in phi_R],
                        np.zeros(nulls.shape[1]))
     calls = _count_eigenvalue_calls(monkeypatch)
     verify_certificate(cert, adj, n_samples=300, seed=0)
-    assert calls == {"dsbevx": 0, "dsyevx": dsyevx_calls,
+    assert calls == {"dsbevx": dsbevx_calls, "dsyevx": dsyevx_calls,
                      "eigvalsh": eigvalsh_calls}
+
+
+def test_stored_general_certificate_takes_the_dense_reduced_route(
+        monkeypatch):
+    # the stored fifty_agent certificate's P_bar is not I / s, so its full
+    # pencil is dense: 300 reduced pencils of order 49 take dsyevx, then
+    # P_bar, R_bars[0] and H
+    adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+    cert = Certificate.load(Path(__file__).resolve().parents[1] / "bench"
+                            / "fifty_agent_certificate.json")
+    s = adj.N - 1
+    assert not np.array_equal(cert.P_bar, np.eye(s) / s)
+    calls = _count_eigenvalue_calls(monkeypatch)
+    assert verify_certificate(cert, adj, n_samples=300, seed=0).ok
+    assert calls == {"dsbevx": 0, "dsyevx": 303, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("name", ["six_agent", "fifty_agent"])

@@ -1086,6 +1086,49 @@ def test_plot_corrupt_run_directory_exits_2(tmp_path, capsys, name,
     assert "Traceback" not in err
 
 
+def _set_cells(cells):
+    """An edit of a CSV file's text that sets cells[(row, column)], rows
+    counted from the first after the header."""
+    def edit(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        for (i, j), value in cells.items():
+            rows[i][j] = value
+        return "".join(",".join(row) + "\n" for row in rows)
+    return edit
+
+
+def _set_column(j, value):
+    """An edit that sets column j of every row after the header."""
+    return lambda text: _set_cells(
+        {(i, j): value for i in range(1, text.count("\n"))})(text)
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    # finite numbers whose range, or whose pair distances, overflow: the
+    # axis was inf and its ticks ended in a traceback
+    ("trajectory.csv", _set_cells({(1, 2): "1e308", (2, 2): "-1e308"})),
+    ("trajectory.csv", _set_cells({(1, 4): "1e155", (2, 4): "-1e155"})),
+    ("energy.csv", lambda text: "t,W\n0,1e308\n0.5,-1e308\n"),
+    # a flat range too far from 0 to widen: no axis fits between floats
+    ("trajectory.csv", _set_column(2, "1e20"))],
+    ids=["position_range", "velocity_distances", "energy_range",
+         "flat_far_from_zero"])
+def test_plot_refuses_numbers_no_axis_can_draw(tmp_path, capsys, name,
+                                               corrupt):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "six_agent", "--T", "0",
+                   "--out", str(out)) == 0
+    path = out / "six_agent_seed0" / name
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert run_cli("plot", str(path.parent)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read run directory {path.parent}: "
+                          f"{name}: cannot draw")
+    assert "Traceback" not in err
+    assert list(path.parent.glob("*.svg")) == []
+
+
 def test_certify_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "c.json"
     assert run_cli("certify", "six_agent", "--samples", "500",
