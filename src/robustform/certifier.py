@@ -21,11 +21,15 @@ Every route builds the pencil from one coefficient family, pencil_terms:
 assemble and the algebraic replay take its Gram image of the reduced
 Laplacian, and the sampled replay sweeps it on the N-square Laplacian,
 where a sparse graph keeps its band.  Every sampled eigenvalue, of the
-pencil or of the Laplacian, comes from one sweep, eigenvalue_at.
+pencil or of the Laplacian, comes from one sweep, eigenvalue_at, and both
+sampled checks read only the least of them less an offset, which
+sampled_minimum finds exactly behind a Cholesky screen that skips the
+points proven to lie above it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,6 +87,30 @@ BAND_RATIO = 4
 # arithmetic, stayed within 1.4e-16 of that bound on 60 signed rings of 12
 # to 120 agents with weights scaled from 1e-6 to 1e6, at 300 points each
 NULL_TOL = 1e-12
+
+# sampled_minimum's Cholesky screen clears a point when LAPACK's dpbtrf
+# factorises the band of B = D' A(theta) D - t D'D, D = [e_i - e_{i+1}]
+# for an N-square A that maps the ones vector to zero and D = I otherwise.
+# A factorisation that runs to completion is exact for B + dB with |dB| <=
+# gamma_{kd+2} |R'| |R| (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Thm 10.3), and an R of half-bandwidth kd has
+# || |R| ||^2 <= (kd + 1)^2 ||R||^2, so ||dB|| <= (kd + 2)^3 u ||B||.
+# Forming B from q monomials of degree <= deg adds (q + deg + 3) u times
+# ||D||^2 (nu + |t|), nu the norm bound of least_on_complement, which
+# also bounds ||B||.  So mu_1 > t - slack_B / lambda_min(D'D), mu_1 the
+# least eigenvalue on the range of D, with lambda_min(D'D) = 4 sin^2(pi /
+# 2N), ||D||^2 = 4 cos^2(pi / 2N) for the difference basis and 1 for I.
+# The screen takes t = offset + m + slack, m the running minimum, with
+#     slack = SCREEN_TOL ((kd + 2)^3 + q + deg) ||D||^2 (nu + |offset + m|)
+#             / lambda_min(D'D) + NULL_TOL nu,
+# the last term for the error of the exact value (see NULL_TOL).
+# SCREEN_TOL is about 4.5 u, u = 2^-53, which leaves room for the 1 / (1 -
+# n u) factors of the bounds and the rounding of t
+SCREEN_TOL = 5e-16
+
+# sampled_minimum evaluates this many evenly spaced points exactly before it
+# screens, and as many of the points that fail each screen
+SCREEN_ROUND = 16
 
 # _setup refuses a relaxation of more SDP variables: the solver's Schur
 # matrix of 10 000 variables takes 800 MB
@@ -432,18 +460,22 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     Replays the Gram identity: the least eigenvalues of the stored matrices
     and of the main constraint evaluated at them, whose pencil block is the
     Gram image of pencil_terms(P_bar, L_hat).  Then, independently, sweeps
-    n_samples region points for the pencil's least eigenvalue less
-    c* |phi_H(theta)|^2.  The sweep takes the full pencil, pencil_terms of
-    P = I / s + M (P_bar - I / s) M' and the Laplacian L: that is
+    n_samples region points for the least of the pencil's least eigenvalue
+    less c* |phi_H(theta)|^2, by sampled_minimum.  The sweep takes the full
+    pencil, pencil_terms of P = I / s + M (P_bar - I / s) M' and the
+    Laplacian L: that is
     M (P_bar L_hat + L_hat P_bar) M', whose eigenvalues are the reduced
     pencil's and a 0 on the ones vector.  With the P_bar = I / s of every
     certificate that certify writes it is 2 L / s, which keeps the band of
     a sparse L, and least_on_complement reads the least eigenvalue on the
     complement of the ones vector off that band.  A full pencil without a
     band, as of a dense graph or of a general P_bar, leaves eigenvalue_at
-    to sweep the reduced pencil.  Raises CertifierError, before any
-    arithmetic, for a certificate with a field that is not finite or that
-    does not fit adj, and before drawing for more than MAX_SAMPLES
+    to sweep the reduced pencil.  sampled_minimum screens the points of
+    the full pencil on the difference basis and those of a reduced pencil
+    of order SUBSET_ORDER or more on the identity, and evaluates exactly
+    only those that may lie at the minimum.  Raises CertifierError, before
+    any arithmetic, for a certificate with a field that is not finite or
+    that does not fit adj, and before drawing for more than MAX_SAMPLES
     samples."""
     for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
             (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
@@ -504,8 +536,9 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if trace_error > PSD_TOL:
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
-    # Pointwise route: the pencil's least eigenvalue at region samples, on
-    # the full pencil's band where it has one, less c* |phi_H(theta)|^2.
+    # Pointwise route: the least over region samples of the pencil's least
+    # eigenvalue, on the full pencil's band where it has one, less
+    # c* |phi_H(theta)|^2.
     # The full pencil has L's pattern for P_bar = I / s and is dense for
     # any other P_bar, so it is built only when L has a band
     sampled_pencil = float("inf")
@@ -515,13 +548,19 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         if band_form(L) is not None:
             N = adj.N
             P = np.eye(N) / s + M @ (cert.P_bar - np.eye(s) / s) @ M.T
-            full = MatrixPolynomial(N, N, adj.r, pencil_terms(P, L))
-            band = band_form(full)
-        values = eigenvalue_at(MatrixPolynomial(s, s, adj.r, terms),
-                               thetas, 1) if band is None else \
-            least_on_complement(full, band, thetas)
+            pencil = MatrixPolynomial(N, N, adj.r, pencil_terms(P, L))
+            band = band_form(pencil)
+        complement = band is not None
+        if not complement:
+            pencil = MatrixPolynomial(s, s, adj.r, terms)
+            band = band_form(pencil)
         phi2 = np.sum(mono_powers(phi_H.monos, thetas, adj.r) ** 2, axis=1)
-        sampled_pencil = float(np.min(values - cert.c_star * phi2))
+        sampled_pencil = sampled_minimum(
+            pencil, band, thetas, cert.c_star * phi2,
+            (lambda batch: least_on_complement(pencil, band, batch))
+            if complement else
+            (lambda batch: eigenvalue_at(pencil, batch, 1, band)),
+            complement)
         if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -535,11 +574,22 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
 
 @dataclass
 class Lambda2Samples:
-    """Sampled algebraic-connectivity sweep over the region."""
+    """Sampled algebraic-connectivity sweep over the region: the points
+    thetas, the least lambda_2 among them and the Laplacian L.  values, the
+    lambda_2 of L at each point, is computed on first read by the
+    exhaustive sweep; min_value equals its least element."""
 
-    values: np.ndarray
     thetas: np.ndarray
     min_value: float
+    L: MatrixPolynomial
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        thetas = self.thetas
+        if thetas.shape[1] == 0:  # r = 0: the region is one point
+            return np.repeat(eigenvalue_at(self.L, thetas[:1], 2),
+                             len(thetas))
+        return eigenvalue_at(self.L, thetas, 2)
 
 
 def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
@@ -567,11 +617,28 @@ def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
     b = int(np.abs(rank[i] - rank[j]).max(initial=0))
     if BAND_RATIO * (b + 1) > N:
         return None
-    row = np.arange(b + 1)[:, None] + np.arange(N)
-    rows = order[np.minimum(row, N - 1)]
     return MatrixPolynomial(b + 1, N, L.r, {
-        e: np.where(row < N, C[rows, order], 0.0)
+        e: _lower_band(C[np.ix_(order, order)], b)
         for e, C in L.coeffs.items()})
+
+
+def _lower_band(B: np.ndarray, kd: int) -> np.ndarray:
+    """The (kd + 1) x n lower-band storage of the n-square matrix B, as
+    LAPACK's band routines read it with lower=1: entry [k, j] is B[j + k, j],
+    and 0 past the last row."""
+    n = len(B)
+    row = np.arange(kd + 1)[:, None] + np.arange(n)
+    return np.where(row < n, B[np.minimum(row, n - 1), np.arange(n)], 0.0)
+
+
+def _unband(ab: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower-band storage is ab."""
+    n = ab.shape[1]
+    B = np.zeros((n, n))
+    for k, diagonal in enumerate(ab):
+        j = np.arange(n - k)
+        B[j + k, j] = B[j, j + k] = diagonal[:n - k]
+    return B
 
 
 def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray, k: int,
@@ -619,15 +686,127 @@ def least_on_complement(A: MatrixPolynomial, band: MatrixPolynomial,
     the others.  Reading any positive second eigenvalue as mu_1 would take
     a computed +1e-17 for mu_1 where mu_1 < 0."""
     values = eigenvalue_at(A, thetas, 2, band)
-    monos = list(A.coeffs)
-    nu = np.abs(mono_powers(monos, thetas, A.r)) @ np.array(
-        [np.linalg.norm(A.coeffs[e]) for e in monos])
-    low = np.flatnonzero(values <= NULL_TOL * nu)
+    low = np.flatnonzero(values <= NULL_TOL * _norm_bound(A, thetas))
     if low.size:
         least = eigenvalue_at(A, thetas[low], 1, band)
         values[low] = np.where(np.abs(least) > np.abs(values[low]), least,
                                values[low])
     return values
+
+
+def _norm_bound(A: MatrixPolynomial, thetas: np.ndarray) -> np.ndarray:
+    """nu(theta) = sum_e |theta^e| ||C_e||_F at each point of thetas, a
+    bound on ||A(theta)|| for A = sum_e C_e theta^e."""
+    monos = list(A.coeffs)
+    return np.abs(mono_powers(monos, thetas, A.r)) @ np.array(
+        [np.linalg.norm(A.coeffs[e]) for e in monos])
+
+
+def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None,
+            complement: bool):
+    """sampled_minimum's Cholesky screen of the symmetric matrix polynomial
+    A: a function of a batch of points, their offsets and the running
+    minimum m that is True at each point where dpbtrf factorises the band
+    of D' A(theta) D - t(theta) D'D, t = offset + m + slack (see
+    SCREEN_TOL).  That proves mu_1(theta) - offset(theta) > m, mu_1 the
+    least eigenvalue of A on the range of D, with the exact value's error
+    left over.  D is the difference basis [e_i - e_{i+1}] when complement,
+    for an A that maps the ones vector to zero, and the identity otherwise,
+    in the order of band, the band_form of A, when given."""
+    coeffs = A.coeffs if band is None else {
+        e: _unband(C) for e, C in band.coeffs.items()}
+    n = A.rows
+    kd = n - 1 if band is None else band.rows - 1
+    gram, cond = np.eye(n), 1.0
+    if complement:
+        coeffs = {e: np.diff(np.diff(C, axis=0), axis=1)
+                  for e, C in coeffs.items()}
+        gram = np.diff(np.diff(gram, axis=0), axis=1)
+        # ||D||^2 / lambda_min(D'D) of the difference basis
+        cond = 1.0 / math.tan(math.pi / (2 * n)) ** 2
+        n, kd = n - 1, min(kd + 1, n - 2)
+    monos = list(coeffs)
+    # one row per monomial and a last one for D'D, each a band transposed
+    # so that every band of a batch is Fortran-ordered and dpbtrf
+    # factorises it in place
+    stack = np.stack([_lower_band(C, kd).T for C in [
+        coeffs[e] for e in monos] + [gram]]).reshape(len(monos) + 1, -1)
+    scale = SCREEN_TOL * ((kd + 2) ** 3 + len(monos) + A.deg()) * cond
+    length = sdp.batch_length(kd + 1, n)
+
+    def passes(thetas: np.ndarray, offset: np.ndarray,
+               least: float) -> np.ndarray:
+        nu = _norm_bound(A, thetas)
+        t = offset + least
+        t = t + scale * (nu + np.abs(t)) + NULL_TOL * nu
+        info = []
+        for lo in range(0, len(thetas), length):
+            batch = slice(lo, lo + length)
+            weights = np.column_stack(
+                [mono_powers(monos, thetas[batch], A.r), -t[batch]])
+            bands = (weights @ stack).reshape(-1, n, kd + 1)
+            info += [lapack.dpbtrf(ab, lower=1, overwrite_ab=1)[1]
+                     for ab in bands.transpose(0, 2, 1)]
+        return np.isfinite(t) & (np.array(info) == 0)
+    return passes
+
+
+def sampled_minimum(A: MatrixPolynomial, band: MatrixPolynomial | None,
+                    thetas: np.ndarray, offset: np.ndarray, exact,
+                    complement: bool) -> float:
+    """The least of exact(thetas) - offset over the (m, r) batch thetas,
+    bit for bit the value of the exhaustive sweep.  exact maps a batch of
+    points to an eigenvalue of the symmetric matrix polynomial A at each,
+    which is at least the least eigenvalue of A, on the complement of the
+    ones vector when complement, to within NULL_TOL nu; band is the
+    band_form of A.
+
+    In r = 0 the region is one point, evaluated once.  Where the exact
+    route makes one LAPACK call per point, on a band or from SUBSET_ORDER
+    on, SCREEN_ROUND evenly spaced points set the running minimum m, and
+    every other point is screened first, in chunks of SCREEN_ROUND^2 (see
+    _screen): a point that the screen clears lies above m and is skipped.
+    Once more than SCREEN_ROUND points have failed, a round evaluates
+    SCREEN_ROUND evenly spaced ones of them exactly, lowers m and screens
+    the others again; a round whose screen clears fewer than half of them
+    evaluates them all.  A chunk whose screen clears fewer than half ends
+    the screening, and every point left is evaluated exactly.  The point
+    that attains the minimum never clears, so it is always evaluated."""
+    if thetas.shape[1] == 0:  # r = 0: the region is one point
+        thetas, offset = thetas[:1], offset[:1]
+    if len(thetas) <= SCREEN_ROUND or (band is None
+                                       and A.rows < SUBSET_ORDER):
+        return float(np.min(exact(thetas) - offset))
+
+    def evenly(points):
+        return points[np.arange(SCREEN_ROUND) * len(points) // SCREEN_ROUND]
+
+    def lowered(least, points):  # least and the exact values at points
+        if not len(points):
+            return least
+        return float(np.min(np.append(
+            exact(thetas[points]) - offset[points], least)))
+
+    first = evenly(np.arange(len(thetas)))
+    least = lowered(np.inf, first)
+    passes = _screen(A, band, complement)
+    rest = np.setdiff1d(np.arange(len(thetas)), first)
+    pool, chunk = rest[:0], SCREEN_ROUND ** 2
+    for lo in range(0, len(rest), chunk):
+        points = rest[lo:lo + chunk]
+        failed = points[~passes(thetas[points], offset[points], least)]
+        if 2 * failed.size > points.size:
+            return lowered(least, np.concatenate(
+                [pool, failed, rest[lo + chunk:]]))
+        pool = np.concatenate([pool, failed])
+        while pool.size > SCREEN_ROUND:
+            take = evenly(pool)
+            least = lowered(least, take)
+            points = np.setdiff1d(pool, take)
+            pool = points[~passes(thetas[points], offset[points], least)]
+            if 2 * pool.size > points.size:
+                least, pool = lowered(least, pool), pool[:0]
+    return lowered(least, pool)
 
 
 def _draw(adj: UncertainAdjacency, n_samples: int, seed: int) -> np.ndarray:
@@ -642,10 +821,15 @@ def _draw(adj: UncertainAdjacency, n_samples: int, seed: int) -> np.ndarray:
 
 def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
                    seed: int = 0) -> Lambda2Samples:
-    """Second-smallest Laplacian eigenvalue at sampled region points, by
-    eigenvalue_at: a purely numerical check, independent of the Gram
-    machinery."""
+    """Second-smallest Laplacian eigenvalue at sampled region points: a
+    purely numerical check, independent of the Gram machinery.  The least
+    of them comes from sampled_minimum, behind the Cholesky screen on the
+    difference basis where eigenvalue_at calls LAPACK once per point; the
+    values at every point are swept by eigenvalue_at when first read."""
     thetas = _draw(adj, n_samples, seed)
-    values = eigenvalue_at(laplacian(adj), thetas, 2)
-    return Lambda2Samples(values=values, thetas=thetas,
-                          min_value=float(values.min()))
+    L = laplacian(adj)
+    band = band_form(L)
+    least = sampled_minimum(
+        L, band, thetas, np.zeros(len(thetas)),
+        lambda batch: eigenvalue_at(L, batch, 2, band), complement=True)
+    return Lambda2Samples(thetas=thetas, min_value=least, L=L)

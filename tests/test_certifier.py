@@ -839,7 +839,9 @@ def test_band_route_reads_mu_1_of_a_signed_ring(monkeypatch):
 def test_dense_route_above_the_subset_order_matches_dense_eigenvalues(
         monkeypatch):
     # a complete graph has no band to take, and from SUBSET_ORDER agents on
-    # its lambda_2 comes from one dsyevx call per point
+    # its lambda_2 comes from one dsyevx call per point: the least of 300
+    # takes 98 of them behind 360 Cholesky screens, and reading the values
+    # sweeps all 300
     N = 24
     rng = np.random.default_rng(24)
     coeffs = {(i, j): rng.normal(size=len(QUADRATIC))
@@ -847,34 +849,65 @@ def test_dense_route_above_the_subset_order_matches_dense_eigenvalues(
     adj = quadratic_adjacency(N, coeffs)
     assert band_form(laplacian(adj)) is None
     assert N >= certifier.SUBSET_ORDER
-    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsyevx"))
+    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsyevx"),
+                                (certifier.lapack, "dpbtrf"))
     sweep = sample_lambda2(adj, n_samples=300, seed=5)
-    assert calls == {"dsyevx": 300}
+    assert calls == {"dsyevx": 98, "dpbtrf": 360}
     assert_lambda2_matches_dense_oracle(N, coeffs, sweep)
+    assert calls == {"dsyevx": 398, "dpbtrf": 360}
+    assert sweep.min_value == sweep.values.min()
+
+
+def exhaustively(monkeypatch, sweep):
+    """sweep() with sampled_minimum evaluating every point exactly."""
+    with monkeypatch.context() as patch:
+        patch.setattr(certifier, "SCREEN_ROUND", 10 ** 9)
+        return sweep()
+
+
+def zero_certificate(adj, c_star, P_bar=None):
+    """A certificate for adj with zero multipliers and offsets: its sampled
+    margin depends on c_star and P_bar alone, I / s by default."""
+    _, _, L_hat, plan, _, phi_R, _, nulls = certifier._setup(adj)
+    s = L_hat.rows
+    return Certificate(adj.N, adj.r, plan, c_star,
+                       np.eye(s) / s if P_bar is None else P_bar,
+                       [np.zeros((len(pv) * s,) * 2) for pv in phi_R],
+                       np.zeros(nulls.shape[1]))
+
+
+STORED = Path(__file__).resolve().parents[1] / "bench" \
+    / "fifty_agent_certificate.json"
 
 
 def _count_eigenvalue_calls(monkeypatch):
     return oracles.count_calls(
         monkeypatch, (certifier.lapack, "dsbevx"),
-        (certifier.lapack, "dsyevx"), (np.linalg, "eigvalsh"))
+        (certifier.lapack, "dsyevx"), (np.linalg, "eigvalsh"),
+        (certifier.lapack, "dpbtrf"))
+
+
+# the Cholesky screens of 300 points on fifty_agent's band, where 16 set
+# the running minimum; six_agent and adversarial sweep without a screen
+SCREENS = {"fifty_agent": 284, "six_agent": 0, "adversarial": 0}
 
 
 @pytest.mark.parametrize("name, dsbevx_calls, eigvalsh_calls", [
-    ("fifty_agent", 300, 0), ("six_agent", 0, 1), ("adversarial", 0, 1)])
+    ("fifty_agent", 23, 0), ("six_agent", 0, 1), ("adversarial", 0, 1)])
 def test_sample_lambda2_route_of_each_shipped_scenario(
         monkeypatch, name, dsbevx_calls, eigvalsh_calls):
     calls = _count_eigenvalue_calls(monkeypatch)
     sample_lambda2(ScenarioSpec.load(builtin_path(name)).adjacency,
                    n_samples=300, seed=0)
     assert calls == {"dsbevx": dsbevx_calls, "dsyevx": 0,
-                     "eigvalsh": eigvalsh_calls}
+                     "eigvalsh": eigvalsh_calls, "dpbtrf": SCREENS[name]}
 
 
 @pytest.mark.parametrize("name, dsbevx_calls, dsyevx_calls, eigvalsh_calls", [
-    # 300 points of the full pencil 2 L / s on L's band, each with a
-    # clearly positive second eigenvalue, then P_bar, R_bars[0] (both 49)
-    # and H (98)
-    ("fifty_agent", 300, 3, 0),
+    # 23 of 300 points of the full pencil 2 L / s on L's band, each with a
+    # clearly positive second eigenvalue, behind SCREENS, then P_bar,
+    # R_bars[0] (both 49) and H (98)
+    ("fifty_agent", 23, 3, 0),
     # P_bar, R_bars[0] (both 5) and H (15), then one batch of reduced
     # pencils: a full pencil of 6 agents has no band
     ("six_agent", 0, 0, 4),
@@ -885,30 +918,186 @@ def test_verify_certificate_route_of_each_shipped_scenario(
     # the route depends only on the block orders and on P_bar, so a zero
     # certificate with the P_bar = I / s that certify writes takes it
     adj = ScenarioSpec.load(builtin_path(name)).adjacency
-    _, _, L_hat, plan, _, phi_R, _, nulls = certifier._setup(adj)
-    s = L_hat.rows
-    cert = Certificate(adj.N, adj.r, plan, 0.0, np.eye(s) / s,
-                       [np.zeros((len(pv) * s,) * 2) for pv in phi_R],
-                       np.zeros(nulls.shape[1]))
+    cert = zero_certificate(adj, 0.0)
     calls = _count_eigenvalue_calls(monkeypatch)
     verify_certificate(cert, adj, n_samples=300, seed=0)
     assert calls == {"dsbevx": dsbevx_calls, "dsyevx": dsyevx_calls,
-                     "eigvalsh": eigvalsh_calls}
+                     "eigvalsh": eigvalsh_calls, "dpbtrf": SCREENS[name]}
 
 
 def test_stored_general_certificate_takes_the_dense_reduced_route(
         monkeypatch):
     # the stored fifty_agent certificate's P_bar is not I / s, so its full
-    # pencil is dense: 300 reduced pencils of order 49 take dsyevx, then
-    # P_bar, R_bars[0] and H
+    # pencil is dense: 23 of 300 reduced pencils of order 49 take dsyevx
+    # behind 284 screens, then P_bar, R_bars[0] and H
     adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
-    cert = Certificate.load(Path(__file__).resolve().parents[1] / "bench"
-                            / "fifty_agent_certificate.json")
+    cert = Certificate.load(STORED)
     s = adj.N - 1
     assert not np.array_equal(cert.P_bar, np.eye(s) / s)
     calls = _count_eigenvalue_calls(monkeypatch)
     assert verify_certificate(cert, adj, n_samples=300, seed=0).ok
-    assert calls == {"dsbevx": 0, "dsyevx": 303, "eigvalsh": 0}
+    assert calls == {"dsbevx": 0, "dsyevx": 26, "eigvalsh": 0,
+                     "dpbtrf": 284}
+
+
+# ---------------------------------------------------------------------------
+# sampled minima behind the Cholesky screen
+
+
+@pytest.mark.parametrize("name", ["fifty_agent", "six_agent", "adversarial"])
+def test_screened_minima_are_the_exhaustive_ones_bit_for_bit(monkeypatch,
+                                                            name):
+    adj = ScenarioSpec.load(builtin_path(name)).adjacency
+    certs = [zero_certificate(adj, 1e-4)]
+    if name == "fifty_agent":
+        certs.append(Certificate.load(STORED))
+    for seed in range(2):
+        sweep = sample_lambda2(adj, n_samples=2000, seed=seed)
+        assert sweep.min_value == sweep.values.min()
+        for cert in certs:
+            def margin():
+                return verify_certificate(cert, adj, n_samples=500,
+                                          seed=seed).sampled_pencil_margin
+            assert margin() == exhaustively(monkeypatch, margin)
+
+
+def constant_ring(N):
+    """Weight term dicts of an N-ring whose weights do not depend on its
+    one parameter: every sampled point ties."""
+    w = {(i, i + 1): {(0,): 1.0 + i / N} for i in range(N - 1)}
+    w[(0, N - 1)] = {(0,): 0.5}
+    return w
+
+
+def isolated_ring(N):
+    """A ring of N - 1 agents with affine weights and agent N - 1 alone:
+    lambda_2 is 0 at every point, up to rounding."""
+    w = {(i, i + 1): {(0,): 1.0, (1,): 0.5} for i in range(N - 2)}
+    w[(0, N - 2)] = {(0,): 1.0, (1,): -0.5}
+    return w
+
+
+def screened_case(name):
+    """(adjacency, P_bar or None) of a generated graph of order >= 20."""
+    rng = np.random.default_rng(len(name))
+    if name in ("band", "dense"):
+        N = 40 if name == "band" else 24
+        pairs = [(i, i + 1) for i in range(N - 1)] + [(0, N - 1)] \
+            if name == "band" else \
+            [(i, j) for i in range(N) for j in range(i + 1, N)]
+        coeffs = {p: rng.normal(size=len(QUADRATIC)) * 0.3 + np.eye(6)[0]
+                  for p in pairs}
+        return quadratic_adjacency(N, coeffs), None
+    w = {"signed": signed_ring, "constant": constant_ring,
+         "isolated": isolated_ring, "general": signed_ring}[name](30)
+    adj = oracles.adjacency(30, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
+    if name != "general":
+        return adj, None
+    X = rng.normal(size=(29, 29))
+    P = X @ X.T + 29 * np.eye(29)
+    return adj, (P + P.T) / (2 * np.trace(P))
+
+
+@pytest.mark.parametrize("name", ["band", "dense", "signed", "constant",
+                                  "isolated", "general"])
+def test_screened_minima_match_the_exhaustive_ones(monkeypatch, name):
+    # r = 2 on the band and dense graphs, r = 1 on the rings; the signed
+    # ring has lambda_2 < 0 and mu_1 < 0 at some points, the isolated
+    # vertex makes lambda_2 a rounding error everywhere, constant weights
+    # tie every point, and a general P_bar takes the dense reduced route
+    adj, P_bar = screened_case(name)
+    L = laplacian(adj)
+    if name != "general":
+        sweep = sample_lambda2(adj, n_samples=1000, seed=3)
+        scale = max(1.0, np.abs(sweep.values).max())
+        assert abs(sweep.min_value - sweep.values.min()) <= 1e-12 * scale
+    for c_star in (0.0, -0.02, 0.01):
+        cert = zero_certificate(adj, c_star, P_bar)
+
+        def margin():
+            return verify_certificate(cert, adj, n_samples=500,
+                                      seed=4).sampled_pencil_margin
+        thetas = adj.sample_omega(np.random.default_rng(4), 500)
+        scale = max(1.0, 4 * certifier._norm_bound(L, thetas).max())
+        assert abs(margin() - exhaustively(monkeypatch, margin)) \
+            <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["fifty_agent", "signed", "general"])
+def test_screen_never_clears_a_point_at_the_running_minimum(name):
+    # t = offset + m + slack with offset + m the exact value itself: the
+    # screen's matrix is indefinite by the slack at every point, so no
+    # point clears; a minimum 1e-6 lower clears nearly all of them
+    if name == "fifty_agent":
+        adj, P_bar = ScenarioSpec.load(builtin_path(name)).adjacency, None
+    else:
+        adj, P_bar = screened_case(name)
+    thetas = adj.sample_omega(np.random.default_rng(2), 300)
+    L = laplacian(adj)
+    if P_bar is None:
+        A, complement = MatrixPolynomial(
+            adj.N, adj.N, adj.r,
+            certifier.pencil_terms(np.eye(adj.N) / (adj.N - 1), L)), True
+        band = band_form(A)
+        exact = certifier.least_on_complement(A, band, thetas)
+    else:
+        L_hat = reduced_laplacian(L, reduced_basis(adj.N))
+        A, complement = MatrixPolynomial(
+            adj.N - 1, adj.N - 1, adj.r,
+            certifier.pencil_terms(P_bar, L_hat)), False
+        band = None
+        exact = certifier.eigenvalue_at(A, thetas, 1)
+    passes = certifier._screen(A, band, complement)
+    assert not passes(thetas, exact, 0.0).any()
+    below = exact - 1e-6 * np.maximum(1.0, np.abs(exact))
+    assert passes(thetas, below, 0.0).mean() > 0.9
+
+
+@pytest.mark.parametrize("name", ["constant", "isolated"])
+def test_tied_points_cost_one_exact_call_and_one_screen_each(monkeypatch,
+                                                             name):
+    # every point ties at the minimum: no screen clears, so the first chunk
+    # ends the screening and each point is evaluated exactly once
+    adj, _ = screened_case(name)
+    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsbevx"),
+                                (certifier.lapack, "dpbtrf"))
+    sweep = sample_lambda2(adj, n_samples=300, seed=1)
+    assert calls["dsbevx"] <= 300 and calls["dpbtrf"] <= 300
+    assert sweep.min_value == sweep.values.min()
+
+
+def test_a_parameterless_region_is_evaluated_once(monkeypatch):
+    # r = 0: the region is one point, whatever the number of samples
+    N = 50
+    w = {(i, i + 1): {(): 1.0 + i / N} for i in range(N - 1)}
+    w[(0, N - 1)] = {(): 1.0}
+    adj = oracles.adjacency(N, w)
+    cert = zero_certificate(adj, 1e-4)
+    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsbevx"),
+                                (certifier.lapack, "dpbtrf"))
+    sweep = sample_lambda2(adj, n_samples=10000, seed=0)
+    assert calls == {"dsbevx": 1, "dpbtrf": 0}
+    np.testing.assert_array_equal(sweep.values,
+                                  np.full(10000, sweep.min_value))
+    assert calls == {"dsbevx": 2, "dpbtrf": 0}
+    margin = verify_certificate(cert, adj, n_samples=2000,
+                                seed=0).sampled_pencil_margin
+    # k = 2, and no k = 1: the point's mu_1 is clearly positive
+    assert calls == {"dsbevx": 3, "dpbtrf": 0}
+    W = adj.entries.coeffs[()]
+    lambda_2 = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
+    assert margin == pytest.approx(2 * lambda_2 / (N - 1) - 1e-4,
+                                   rel=0, abs=1e-12)
+
+
+def test_the_certify_lambda2_check_of_fifty_agent_stays_behind_the_screen(
+        monkeypatch):
+    # certify's default sweep: 10 000 points, seed 0
+    adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+    calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsbevx"),
+                                (certifier.lapack, "dpbtrf"))
+    sample_lambda2(adj, n_samples=10000, seed=0)
+    assert calls["dsbevx"] <= 100 and calls["dpbtrf"] <= 11000
 
 
 @pytest.mark.parametrize("name", ["six_agent", "fifty_agent"])

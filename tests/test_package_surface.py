@@ -16,7 +16,8 @@ import io
 import sys
 from pathlib import Path
 
-from robustform.certifier import Certificate, verify_certificate
+from robustform.certifier import Certificate, sample_lambda2, \
+    verify_certificate
 from robustform.cli import main
 from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
 from robustform.simulate import run
@@ -181,14 +182,17 @@ def test_only_the_certifier_names_the_replay_and_its_tolerances():
     assert naming == []
 
 
-# each LAPACK eigenvalue driver and the one function that names it
-DRIVERS = {"dsbevx": "eigenvalue_at", "dsyevx": "least_eigenvalues"}
+# each LAPACK eigenvalue driver and the one function that names it, and
+# the band Cholesky factorisation of the screen in front of them
+DRIVERS = {"dsbevx": "eigenvalue_at", "dsyevx": "least_eigenvalues",
+           "dpbtrf": "_screen"}
 
 
 def test_each_eigenvalue_driver_has_one_caller():
     # every sampled eigenvalue goes through certifier.eigenvalue_at, the
-    # one caller of the band driver, and every dense subset of a spectrum
-    # through least_eigenvalues
+    # one caller of the band driver, every dense subset of a spectrum
+    # through least_eigenvalues, and every Cholesky screen of a sampled
+    # minimum through _screen
     naming = sorted(
         f"{path.name}: {getattr(node, 'name', '<module>')}: {driver}"
         for path in PACKAGE
@@ -253,6 +257,8 @@ def test_every_package_function_is_entered_by_a_command_or_the_benchmark(
                              cert):
                 verify_certificate(replayed, spec.adjacency, n_samples=20,
                                    seed=0)
+            # and checks every sampled lambda_2 of a round's certify
+            sample_lambda2(spec.adjacency, n_samples=20, seed=0).values
             run(spec, seed=0, T_end=0.01, certificate=cert)
     finally:
         sys.setprofile(None)
