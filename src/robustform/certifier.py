@@ -24,7 +24,9 @@ where a sparse graph keeps its band.  Every sampled eigenvalue, of the
 pencil or of the Laplacian, comes from one sweep, eigenvalue_at, and both
 sampled checks read only the least of them less an offset, which
 sampled_minimum finds exactly behind a Cholesky screen that skips the
-points proven to lie above it.
+points proven to lie above it: one dpbtrf call per point where the sweep
+calls LAPACK once per point, and one Cholesky batched across the points,
+_band_cholesky, where it is one batched eigvalsh.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ BAND_RATIO = 4
 # to 120 agents with weights scaled from 1e-6 to 1e6, at 300 points each
 NULL_TOL = 1e-12
 
-# sampled_minimum's Cholesky screen clears a point when LAPACK's dpbtrf
-# factorises the band of B = D' A(theta) D - t D'D, D = [e_i - e_{i+1}]
+# sampled_minimum's Cholesky screen clears a point when LAPACK's dpbtrf, or
+# the same factorisation batched across points, _band_cholesky, factorises
+# the band of B = D' A(theta) D - t D'D, D = [e_i - e_{i+1}]
 # for an N-square A that maps the ones vector to zero and D = I otherwise.
 # A factorisation that runs to completion is exact for B + dB with |dB| <=
 # gamma_{kd+2} |R'| |R| (Higham, Accuracy and Stability of Numerical
@@ -472,11 +475,10 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     band, as of a dense graph or of a general P_bar, leaves eigenvalue_at
     to sweep the reduced pencil.  sampled_minimum screens the points of
     the full pencil on the difference basis and those of a reduced pencil
-    of order SUBSET_ORDER or more on the identity, and evaluates exactly
-    only those that may lie at the minimum.  Raises CertifierError, before
-    any arithmetic, for a certificate with a field that is not finite or
-    that does not fit adj, and before drawing for more than MAX_SAMPLES
-    samples."""
+    on the identity, and evaluates exactly only those that may lie at the
+    minimum.  Raises CertifierError, before any arithmetic, for a
+    certificate with a field that is not finite or that does not fit adj,
+    and before drawing for more than MAX_SAMPLES samples."""
     for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
             (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
             ("delta", cert.delta)]:
@@ -706,13 +708,18 @@ def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None,
             complement: bool):
     """sampled_minimum's Cholesky screen of the symmetric matrix polynomial
     A: a function of a batch of points, their offsets and the running
-    minimum m that is True at each point where dpbtrf factorises the band
-    of D' A(theta) D - t(theta) D'D, t = offset + m + slack (see
-    SCREEN_TOL).  That proves mu_1(theta) - offset(theta) > m, mu_1 the
-    least eigenvalue of A on the range of D, with the exact value's error
-    left over.  D is the difference basis [e_i - e_{i+1}] when complement,
-    for an A that maps the ones vector to zero, and the identity otherwise,
-    in the order of band, the band_form of A, when given."""
+    minimum m that is True at each point where a Cholesky factorisation of
+    the band of D' A(theta) D - t(theta) D'D runs to completion, t = offset
+    + m + slack (see SCREEN_TOL).  That proves mu_1(theta) - offset(theta)
+    > m, mu_1 the least eigenvalue of A on the range of D, with the exact
+    value's error left over.  D is the difference basis [e_i - e_{i+1}]
+    when complement, for an A that maps the ones vector to zero, and the
+    identity otherwise, in the order of band, the band_form of A, when
+    given.  The factorisation follows the route eigenvalue_at takes for A:
+    dpbtrf once per point where that calls LAPACK once per point, on a band
+    or from SUBSET_ORDER on, and _band_cholesky once per batch of points
+    where it is one batched eigvalsh, without a band below SUBSET_ORDER.
+    Both take the same matrices and slack."""
     coeffs = A.coeffs if band is None else {
         e: _unband(C) for e, C in band.coeffs.items()}
     n = A.rows
@@ -733,22 +740,53 @@ def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None,
         coeffs[e] for e in monos] + [gram]]).reshape(len(monos) + 1, -1)
     scale = SCREEN_TOL * ((kd + 2) ** 3 + len(monos) + A.deg()) * cond
     length = sdp.batch_length(kd + 1, n)
+    # the route of the exact sweep: one batched eigvalsh of the whole stack
+    # (see least_eigenvalues) is screened by one batched Cholesky
+    batched = band is None and A.rows < SUBSET_ORDER
 
     def passes(thetas: np.ndarray, offset: np.ndarray,
                least: float) -> np.ndarray:
-        nu = _norm_bound(A, thetas)
-        t = offset + least
-        t = t + scale * (nu + np.abs(t)) + NULL_TOL * nu
-        info = []
-        for lo in range(0, len(thetas), length):
-            batch = slice(lo, lo + length)
-            weights = np.column_stack(
-                [mono_powers(monos, thetas[batch], A.r), -t[batch]])
-            bands = (weights @ stack).reshape(-1, n, kd + 1)
-            info += [lapack.dpbtrf(ab, lower=1, overwrite_ab=1)[1]
-                     for ab in bands.transpose(0, 2, 1)]
-        return np.isfinite(t) & (np.array(info) == 0)
+        factorised = []
+        # a point whose t is not finite fails whatever its band holds, so
+        # the inf and nan that such a t spreads, or a norm bound nu that
+        # overflows, are not worth a warning
+        with np.errstate(all="ignore"):
+            nu = _norm_bound(A, thetas)
+            t = offset + least
+            t = t + scale * (nu + np.abs(t)) + NULL_TOL * nu
+            for lo in range(0, len(thetas), length):
+                batch = slice(lo, lo + length)
+                weights = np.column_stack(
+                    [mono_powers(monos, thetas[batch], A.r), -t[batch]])
+                bands = (weights @ stack).reshape(-1, n, kd + 1)
+                bands = bands.transpose(0, 2, 1)
+                factorised.append(_band_cholesky(bands) if batched else [
+                    lapack.dpbtrf(ab, lower=1, overwrite_ab=1)[1] == 0
+                    for ab in bands])
+        return np.isfinite(t) & np.concatenate(factorised)
     return passes
+
+
+def _band_cholesky(ab: np.ndarray) -> np.ndarray:
+    """True at each band of the (points, kd + 1, n) stack ab, in the
+    lower-band storage of _lower_band, that dpbtrf factorises: one
+    right-looking Cholesky of every band at once, column by column, which
+    overwrites ab.  A band passes only if every pivot is finite and
+    positive, dpbtrf's rule but for an infinite pivot, which fails here.
+    The backward-error bound of SCREEN_TOL holds for any order of the
+    inner products, so it holds here as it does for dpbtrf."""
+    kd, n = ab.shape[1] - 1, ab.shape[2]
+    ok = np.ones(len(ab), dtype=bool)
+    # a failed pivot leaves nan or inf in the columns after it
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            pivot = ab[:, 0, j]
+            ok &= (pivot > 0) & (pivot < np.inf)
+            m = min(kd, n - 1 - j)
+            column = ab[:, 1:m + 1, j] / np.sqrt(pivot)[:, None]
+            for i in range(m):
+                ab[:, :m - i, j + 1 + i] -= column[:, i:] * column[:, i:i + 1]
+    return ok
 
 
 def sampled_minimum(A: MatrixPolynomial, band: MatrixPolynomial | None,
@@ -761,21 +799,21 @@ def sampled_minimum(A: MatrixPolynomial, band: MatrixPolynomial | None,
     ones vector when complement, to within NULL_TOL nu; band is the
     band_form of A.
 
-    In r = 0 the region is one point, evaluated once.  Where the exact
-    route makes one LAPACK call per point, on a band or from SUBSET_ORDER
-    on, SCREEN_ROUND evenly spaced points set the running minimum m, and
-    every other point is screened first, in chunks of SCREEN_ROUND^2 (see
-    _screen): a point that the screen clears lies above m and is skipped.
-    Once more than SCREEN_ROUND points have failed, a round evaluates
-    SCREEN_ROUND evenly spaced ones of them exactly, lowers m and screens
-    the others again; a round whose screen clears fewer than half of them
-    evaluates them all.  A chunk whose screen clears fewer than half ends
-    the screening, and every point left is evaluated exactly.  The point
-    that attains the minimum never clears, so it is always evaluated."""
+    In r = 0 the region is one point, evaluated once.  Else, once there
+    are more than SCREEN_ROUND points, SCREEN_ROUND evenly spaced ones set
+    the running minimum m, and every other point is screened first, in
+    chunks of SCREEN_ROUND^2 (see _screen, whose factorisation follows the
+    exact route): a point that the screen clears lies above m and is
+    skipped.  Once more than SCREEN_ROUND points have failed, a round
+    evaluates SCREEN_ROUND evenly spaced ones of them exactly, lowers m
+    and screens the others again; a round whose screen clears fewer than
+    half of them evaluates them all.  A chunk whose screen clears fewer
+    than half ends the screening, and every point left is evaluated
+    exactly.  The point that attains the minimum never clears, so it is
+    always evaluated."""
     if thetas.shape[1] == 0:  # r = 0: the region is one point
         thetas, offset = thetas[:1], offset[:1]
-    if len(thetas) <= SCREEN_ROUND or (band is None
-                                       and A.rows < SUBSET_ORDER):
+    if len(thetas) <= SCREEN_ROUND:
         return float(np.min(exact(thetas) - offset))
 
     def evenly(points):
@@ -824,8 +862,8 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     """Second-smallest Laplacian eigenvalue at sampled region points: a
     purely numerical check, independent of the Gram machinery.  The least
     of them comes from sampled_minimum, behind the Cholesky screen on the
-    difference basis where eigenvalue_at calls LAPACK once per point; the
-    values at every point are swept by eigenvalue_at when first read."""
+    difference basis; the values at every point are swept by eigenvalue_at
+    when first read."""
     thetas = _draw(adj, n_samples, seed)
     L = laplacian(adj)
     band = band_form(L)

@@ -262,9 +262,11 @@ def cmd_simulate(args) -> int:
                 _check_writable(run_dir / name)
     except OSError as err:
         return _cannot_write(run_dir, err)
+    # run raises ValueError for a region too small to sample, a certificate
+    # that does not fit, or a --T of more than MAX_STEPS steps
     try:
         res = run(spec, seed=args.seed, T_end=args.T, unsafe=args.unsafe)
-    except (RegionSamplingError, CertifierError) as err:
+    except ValueError as err:
         print(f"error: {scenario_path}: {err}", file=sys.stderr)
         return 2
     except PreconditionError as err:

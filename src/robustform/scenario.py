@@ -39,11 +39,28 @@ KEYS = ("format", "name", "geometry", "tau", "positions", "velocities",
         "conv_tol")
 NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
+# step_count refuses a horizon of more steps of dt.  simulate.run keeps two
+# floats of the energy trace per step and a record every record_every
+# steps: its traced peak grew by 123 bytes per step on six_agent
+# (record_every 20) and 107 on fifty_agent (100), so the limit holds
+# those to about 120 MB, and by 1.4 and 6.3 kB per step at record_every 1
+MAX_STEPS = 1_000_000
+
 
 def _require(ok: bool, key: str, rule: str, value) -> None:
     """Raise ValueError naming the field key unless ok."""
     if not ok:
         raise ValueError(f"{key}: must be {rule}, got {value!r}")
+
+
+def step_count(T_end: float, dt: float) -> int:
+    """round(T_end / dt), the steps of dt that reach T_end; raises
+    ValueError naming T_end and the limit when they are more than
+    MAX_STEPS."""
+    steps = T_end / dt  # inf when the quotient overflows
+    _require(math.isfinite(steps) and round(steps) <= MAX_STEPS, "T_end",
+             f"at most the limit of {MAX_STEPS} steps of dt = {dt!r}", T_end)
+    return round(steps)
 
 
 def _is_int(value) -> bool:
@@ -221,6 +238,7 @@ class ScenarioSpec:
             value = getattr(self, key)
             _require(math.isfinite(value) and value > 0, key,
                      "finite and > 0", value)
+        step_count(self.T_end, self.dt)
         _require(_is_int(self.record_every) and self.record_every >= 1,
                  "record_every", "an integer >= 1", self.record_every)
         for key in ("jitter_pos", "jitter_vel"):

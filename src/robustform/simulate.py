@@ -31,7 +31,7 @@ from .barrier import (TUNE_SAMPLES, BarrierParams, DomainViolation,
 from .certifier import Certificate, certify, refusals
 from .netgraph import (TopologyState, pair_distances, update_edges,
                        validate_assumptions)
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, step_count
 
 
 # monitor limits: energy rise per step DRIFT_TOL * dt with the masks frozen;
@@ -123,14 +123,15 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
 
     The step is the scenario's dt.  Raises ValueError naming a T_end
     that is not finite and >= 0 (T_end = 0 records the initial state
-    only).  Given no certificate, a run that is not unsafe certifies the
-    scenario itself.  Raises PreconditionError when the setup assumptions
-    fail or when the certificate, supplied or made, has refusals
-    (certifier.refusals), unless unsafe=True; and also when the barriers
-    are not defined at the formation (a formation pair desired no closer
-    than r_s, or any pair no farther than d_s) or the caps cannot be
-    tuned.  Invariant violations do not raise: they stop the run and are
-    reported on the result."""
+    only) or that asks for more than scenario.MAX_STEPS steps, before any
+    state is allocated.  Given no certificate, a run that is not unsafe
+    certifies the scenario itself.  Raises PreconditionError when the
+    setup assumptions fail or when the certificate, supplied or made, has
+    refusals (certifier.refusals), unless unsafe=True; and also when the
+    barriers are not defined at the formation (a formation pair desired no
+    closer than r_s, or any pair no farther than d_s) or the caps cannot
+    be tuned.  Invariant violations do not raise: they stop the run and
+    are reported on the result."""
     geom = scenario.geometry
     adj = scenario.adjacency
     tau = scenario.tau
@@ -140,6 +141,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         T_end = scenario.T_end
     elif not (math.isfinite(T_end) and T_end >= 0):
         raise ValueError(f"T_end: must be finite and >= 0, got {T_end!r}")
+    n_steps = step_count(T_end, dt)
 
     rng = np.random.default_rng(seed)
     positions = scenario.positions.copy()
@@ -217,7 +219,6 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
             raise PreconditionError(f"barrier cap tuning: {err}") from err
         params = tune.params
 
-    n_steps = int(round(T_end / dt))
     rec_t, rec_x, rec_v, rec_u = [], [], [], []
     W_t, W_vals = [], []
     events: list = []

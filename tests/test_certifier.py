@@ -32,7 +32,7 @@ from robustform.certifier import (Assembly, Certificate, CertifierError,
 from robustform.netgraph import (UncertainAdjacency, laplacian,
                                  reduced_basis, reduced_laplacian)
 from robustform.polyalg import MatrixPolynomial
-from robustform.scenario import ScenarioSpec, builtin_path
+from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
 from robustform.smr import power_vector
 
 
@@ -884,23 +884,30 @@ def _count_eigenvalue_calls(monkeypatch):
     return oracles.count_calls(
         monkeypatch, (certifier.lapack, "dsbevx"),
         (certifier.lapack, "dsyevx"), (np.linalg, "eigvalsh"),
-        (certifier.lapack, "dpbtrf"))
+        (certifier.lapack, "dpbtrf"), (certifier, "_band_cholesky"))
 
 
-# the Cholesky screens of 300 points on fifty_agent's band, where 16 set
-# the running minimum; six_agent and adversarial sweep without a screen
-SCREENS = {"fifty_agent": 284, "six_agent": 0, "adversarial": 0}
+# the Cholesky screens of 300 points, where 16 set the running minimum:
+# one dpbtrf call per screened point on fifty_agent's band, and on
+# six_agent's batched route one _band_cholesky call for each of the chunks
+# of 256 and 28 points and one for a round; adversarial's region is one
+# point (r = 0), evaluated without a screen
+SCREENS = {"fifty_agent": {"dpbtrf": 284, "_band_cholesky": 0},
+           "six_agent": {"dpbtrf": 0, "_band_cholesky": 3},
+           "adversarial": {"dpbtrf": 0, "_band_cholesky": 0}}
 
 
 @pytest.mark.parametrize("name, dsbevx_calls, eigvalsh_calls", [
-    ("fifty_agent", 23, 0), ("six_agent", 0, 1), ("adversarial", 0, 1)])
+    # fifty_agent: 23 of 300 points on L's band; six_agent: the 16 points
+    # that set the running minimum, then those that fail the screen
+    ("fifty_agent", 23, 0), ("six_agent", 0, 2), ("adversarial", 0, 1)])
 def test_sample_lambda2_route_of_each_shipped_scenario(
         monkeypatch, name, dsbevx_calls, eigvalsh_calls):
     calls = _count_eigenvalue_calls(monkeypatch)
     sample_lambda2(ScenarioSpec.load(builtin_path(name)).adjacency,
                    n_samples=300, seed=0)
     assert calls == {"dsbevx": dsbevx_calls, "dsyevx": 0,
-                     "eigvalsh": eigvalsh_calls, "dpbtrf": SCREENS[name]}
+                     "eigvalsh": eigvalsh_calls, **SCREENS[name]}
 
 
 @pytest.mark.parametrize("name, dsbevx_calls, dsyevx_calls, eigvalsh_calls", [
@@ -908,9 +915,10 @@ def test_sample_lambda2_route_of_each_shipped_scenario(
     # clearly positive second eigenvalue, behind SCREENS, then P_bar,
     # R_bars[0] (both 49) and H (98)
     ("fifty_agent", 23, 3, 0),
-    # P_bar, R_bars[0] (both 5) and H (15), then one batch of reduced
-    # pencils: a full pencil of 6 agents has no band
-    ("six_agent", 0, 0, 4),
+    # P_bar, R_bars[0] (both 5) and H (15), then two batches of reduced
+    # pencils, as in sample_lambda2, behind SCREENS: a full pencil of 6
+    # agents has no band
+    ("six_agent", 0, 0, 5),
     # P_bar and H (both 1), then one batch of reduced pencils
     ("adversarial", 0, 0, 3)])
 def test_verify_certificate_route_of_each_shipped_scenario(
@@ -922,7 +930,7 @@ def test_verify_certificate_route_of_each_shipped_scenario(
     calls = _count_eigenvalue_calls(monkeypatch)
     verify_certificate(cert, adj, n_samples=300, seed=0)
     assert calls == {"dsbevx": dsbevx_calls, "dsyevx": dsyevx_calls,
-                     "eigvalsh": eigvalsh_calls, "dpbtrf": SCREENS[name]}
+                     "eigvalsh": eigvalsh_calls, **SCREENS[name]}
 
 
 def test_stored_general_certificate_takes_the_dense_reduced_route(
@@ -937,7 +945,7 @@ def test_stored_general_certificate_takes_the_dense_reduced_route(
     calls = _count_eigenvalue_calls(monkeypatch)
     assert verify_certificate(cert, adj, n_samples=300, seed=0).ok
     assert calls == {"dsbevx": 0, "dsyevx": 26, "eigvalsh": 0,
-                     "dpbtrf": 284}
+                     "dpbtrf": 284, "_band_cholesky": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -978,36 +986,48 @@ def isolated_ring(N):
 
 
 def screened_case(name):
-    """(adjacency, P_bar or None) of a generated graph of order >= 20."""
+    """(adjacency, P_bar or None) of a generated graph of order >= 20, or,
+    for a name that starts with small_, of order below SUBSET_ORDER and
+    without a band, whose sweeps take the batched route."""
     rng = np.random.default_rng(len(name))
+    small = name.startswith("small_")
+    name = name.removeprefix("small_")
     if name in ("band", "dense"):
-        N = 40 if name == "band" else 24
+        N = 40 if name == "band" else 8 if small else 24
         pairs = [(i, i + 1) for i in range(N - 1)] + [(0, N - 1)] \
             if name == "band" else \
             [(i, j) for i in range(N) for j in range(i + 1, N)]
         coeffs = {p: rng.normal(size=len(QUADRATIC)) * 0.3 + np.eye(6)[0]
                   for p in pairs}
         return quadratic_adjacency(N, coeffs), None
+    N = 10 if small else 30
     w = {"signed": signed_ring, "constant": constant_ring,
-         "isolated": isolated_ring, "general": signed_ring}[name](30)
-    adj = oracles.adjacency(30, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
+         "isolated": isolated_ring, "general": signed_ring}[name](N)
+    adj = oracles.adjacency(N, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
     if name != "general":
         return adj, None
-    X = rng.normal(size=(29, 29))
-    P = X @ X.T + 29 * np.eye(29)
+    X = rng.normal(size=(N - 1, N - 1))
+    P = X @ X.T + (N - 1) * np.eye(N - 1)
     return adj, (P + P.T) / (2 * np.trace(P))
 
 
+SMALL_CASES = ["small_dense", "small_signed", "small_constant",
+               "small_isolated", "small_general"]
+
+
 @pytest.mark.parametrize("name", ["band", "dense", "signed", "constant",
-                                  "isolated", "general"])
+                                  "isolated", "general"] + SMALL_CASES)
 def test_screened_minima_match_the_exhaustive_ones(monkeypatch, name):
     # r = 2 on the band and dense graphs, r = 1 on the rings; the signed
     # ring has lambda_2 < 0 and mu_1 < 0 at some points, the isolated
     # vertex makes lambda_2 a rounding error everywhere, constant weights
-    # tie every point, and a general P_bar takes the dense reduced route
+    # tie every point, and a general P_bar takes the dense reduced route;
+    # the small cases screen with the batched Cholesky
     adj, P_bar = screened_case(name)
     L = laplacian(adj)
-    if name != "general":
+    if name in SMALL_CASES:
+        assert adj.N < certifier.SUBSET_ORDER and band_form(L) is None
+    if P_bar is None:
         sweep = sample_lambda2(adj, n_samples=1000, seed=3)
         scale = max(1.0, np.abs(sweep.values).max())
         assert abs(sweep.min_value - sweep.values.min()) <= 1e-12 * scale
@@ -1023,12 +1043,13 @@ def test_screened_minima_match_the_exhaustive_ones(monkeypatch, name):
             <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("name", ["fifty_agent", "signed", "general"])
+@pytest.mark.parametrize("name", ["fifty_agent", "six_agent", "signed",
+                                  "general"] + SMALL_CASES)
 def test_screen_never_clears_a_point_at_the_running_minimum(name):
     # t = offset + m + slack with offset + m the exact value itself: the
     # screen's matrix is indefinite by the slack at every point, so no
     # point clears; a minimum 1e-6 lower clears nearly all of them
-    if name == "fifty_agent":
+    if name in BUILTIN:
         adj, P_bar = ScenarioSpec.load(builtin_path(name)).adjacency, None
     else:
         adj, P_bar = screened_case(name)
@@ -1064,6 +1085,85 @@ def test_tied_points_cost_one_exact_call_and_one_screen_each(monkeypatch,
     sweep = sample_lambda2(adj, n_samples=300, seed=1)
     assert calls["dsbevx"] <= 300 and calls["dpbtrf"] <= 300
     assert sweep.min_value == sweep.values.min()
+
+
+def test_tied_points_on_the_batched_route_cost_two_sweeps_and_one_screen(
+        monkeypatch):
+    # a complete graph of 8 agents whose weights do not depend on the
+    # parameter: the 16 points that set the running minimum take one
+    # eigvalsh, the first chunk's screen clears none of the 284 others,
+    # and they take the second
+    N = 8
+    w = {(i, j): {(0,): 1.0 + (i + 2 * j) / N}
+         for i in range(N) for j in range(i + 1, N)}
+    adj = oracles.adjacency(N, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
+    assert band_form(laplacian(adj)) is None
+    calls = oracles.count_calls(monkeypatch, (np.linalg, "eigvalsh"),
+                                (certifier, "_band_cholesky"))
+    sweep = sample_lambda2(adj, n_samples=300, seed=1)
+    assert calls["eigvalsh"] <= 2 and calls["_band_cholesky"] == 1
+    assert sweep.min_value == sweep.values.min()
+
+
+def shifted_bands(rng, n, kd, count):
+    """count symmetric n-square matrices of half-bandwidth kd, each less a
+    multiple of I that leaves it definite or indefinite with every
+    eigenvalue at least 1e-8 of its norm from 0, in lower-band storage, and
+    whether each is definite."""
+    near = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd
+    bands, definite = [], []
+    while len(bands) < count:
+        X = rng.normal(size=(n, n))
+        B = (X + X.T) * near
+        w = np.linalg.eigvalsh(B)
+        k = int(rng.integers(0, n))
+        # below the spectrum, or midway between two eigenvalues
+        shift = w[0] - rng.uniform(0.01, 1.0) if k == 0 \
+            else (w[k - 1] + w[k]) / 2
+        w = w - shift
+        if np.abs(w).min() < 1e-8 * np.abs(w).max():
+            continue
+        bands.append(certifier._lower_band(B - shift * np.eye(n), kd))
+        definite.append(k == 0)
+    return np.array(bands), np.array(definite)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_batched_cholesky_passes_where_dpbtrf_factorises(dense):
+    rng = np.random.default_rng(19)
+    for n in range(2, certifier.SUBSET_ORDER):
+        kd = n - 1 if dense else int(rng.integers(0, n - 1))
+        bands, definite = shifted_bands(rng, n, kd, 40)
+        factorised = [certifier.lapack.dpbtrf(ab, lower=1)[1] == 0
+                      for ab in bands]
+        np.testing.assert_array_equal(certifier._band_cholesky(bands.copy()),
+                                      factorised)
+        np.testing.assert_array_equal(factorised, definite)
+        assert 0 < definite.sum() < len(definite)
+
+
+def test_batched_cholesky_fails_an_overflow_without_a_warning():
+    # the first column's update overflows to inf and the second pivot to
+    # -inf; an inf pivot fails too.  The suite turns a warning into an error
+    ab = np.array([[[1e-300, 1.0, 1.0], [1e300, 1e300, 0.0]],
+                   [[np.inf, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                   [[np.nan, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                   [[2.0, 2.0, 2.0], [1.0, 1.0, 0.0]]])
+    np.testing.assert_array_equal(certifier._band_cholesky(ab),
+                                  [False, False, False, True])
+
+
+@pytest.mark.parametrize("name", ["six_agent", "fifty_agent"])
+def test_screen_fails_a_t_that_is_not_finite_without_a_warning(name):
+    # six_agent screens with the batched Cholesky, fifty_agent with dpbtrf
+    adj = ScenarioSpec.load(builtin_path(name)).adjacency
+    L = laplacian(adj)
+    passes = certifier._screen(L, band_form(L), True)
+    thetas = adj.sample_omega(np.random.default_rng(0), 5)
+    for offset, least in [(np.inf, 0.0), (-np.inf, 0.0), (np.nan, 0.0),
+                          (0.0, np.inf), (0.0, -np.inf)]:
+        assert not passes(thetas, np.full(5, offset), least).any()
+    assert passes(thetas, np.full(5, -1.0), 0.0).all()
 
 
 def test_a_parameterless_region_is_evaluated_once(monkeypatch):

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 
 import oracles
 import robustform
-from robustform import certifier
+from robustform import certifier, simulate
 from robustform.certifier import Certificate, certify, verify_certificate
 from robustform.cli import main
-from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
+from robustform.scenario import BUILTIN, MAX_STEPS, ScenarioSpec, \
+    builtin_path
 from robustform.simulate import PreconditionError, run
 from robustform.netgraph import AgentGeometry
 
@@ -929,6 +930,38 @@ def test_certify_sample_count_above_the_limit_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"between 1 and the limit {certifier.MAX_SAMPLES}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_check_refuses_a_horizon_above_the_step_limit(tmp_path, capsys):
+    # 2e14 steps of six_agent's dt: check reads the scenario and simulates
+    # nothing, so the refusal is the scenario reader's
+    doc = oracles.scenario_dict(ScenarioSpec.load(builtin_path("six_agent")))
+    doc["T_end"] = 1e12
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("check", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"T_end: must be at most the limit of {MAX_STEPS} " \
+        f"steps of dt = 0.005, got 1000000000000.0" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_horizon_above_the_step_limit_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # a limit of 100 steps: the scenario's 20 pass, and --T 0.505 asks for
+    # 101 steps of dt 0.005, which the run refuses before it certifies
+    path, out = tmp_path / "short.json", tmp_path / "runs"
+    oracles.save_scenario(dataclasses.replace(
+        ScenarioSpec.load(builtin_path("six_agent")), T_end=0.1), path)
+    monkeypatch.setattr("robustform.scenario.MAX_STEPS", 100)
+    calls = oracles.count_calls(monkeypatch, (simulate, "certify"))
+    assert run_cli("simulate", str(path), "--T", "0.505",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "T_end: must be at most the limit of 100 steps" in err
+    assert "Traceback" not in err
+    assert calls == {"certify": 0}
     assert not out.exists()
 
 

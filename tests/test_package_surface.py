@@ -12,6 +12,7 @@ points run, unless it is an error path or named only by bench/tracer.py."""
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import sys
 from pathlib import Path
@@ -183,16 +184,17 @@ def test_only_the_certifier_names_the_replay_and_its_tolerances():
 
 
 # each LAPACK eigenvalue driver and the one function that names it, and
-# the band Cholesky factorisation of the screen in front of them
+# the band Cholesky factorisations of the screen in front of them: LAPACK's
+# per point and the package's batched across points
 DRIVERS = {"dsbevx": "eigenvalue_at", "dsyevx": "least_eigenvalues",
-           "dpbtrf": "_screen"}
+           "dpbtrf": "_screen", "_band_cholesky": "_screen"}
 
 
 def test_each_eigenvalue_driver_has_one_caller():
     # every sampled eigenvalue goes through certifier.eigenvalue_at, the
     # one caller of the band driver, every dense subset of a spectrum
     # through least_eigenvalues, and every Cholesky screen of a sampled
-    # minimum through _screen
+    # minimum through _screen, on either of its factorisations
     naming = sorted(
         f"{path.name}: {getattr(node, 'name', '<module>')}: {driver}"
         for path in PACKAGE
@@ -211,28 +213,45 @@ UNENTERED = {"barrier.py: _violation", "barrier.py: _at_pair",
              "smr.py: PowerVector.eval_batch"}
 
 
+def code_objects(module):
+    """The code of each function the module defines at its top level and of
+    each method of its top-level classes, unwrapped from its decorators:
+    what `defined` finds in the module's file, read from the code imported
+    rather than from the file, which may have changed since."""
+    def unwrapped(value):
+        for attr in ("fget", "func", "__func__", "__wrapped__"):
+            value = getattr(value, attr, value)
+        return getattr(value, "__code__", None)
+
+    mine = [value for value in vars(module).values()
+            if getattr(value, "__module__", None) == module.__name__]
+    for value in mine + [item for cls in mine if inspect.isclass(cls)
+                         for item in vars(cls).values()]:
+        code = unwrapped(value)
+        # a dataclass's generated methods have no code in the file
+        if code is not None and code.co_filename == module.__file__:
+            yield code
+
+
 def test_every_package_function_is_entered_by_a_command_or_the_benchmark(
         tmp_path):
     # the static test above counts a name as used wherever it appears; this
     # one runs every command, and the benchmark's replay and its run of
     # the stored fifty-agent certificate, and records each function entered
-    # a function's code starts at its first decorator, if it has one
-    names = {(str(path), min([node.lineno] + [d.lineno for d in
-                                              node.decorator_list])):
-             f"{path.name}: {qual}" for path in PACKAGE
-             for qual, node in defined(ast.parse(path.read_text()))}
+    modules = [importlib.import_module(f"robustform.{path.stem}")
+               for path in PACKAGE]
+    names = {code: f"{Path(code.co_filename).name}: {code.co_qualname}"
+             for module in modules for code in code_objects(module)}
     entered = set()
     # a cached function is entered only on a miss: start with empty caches
-    for path in PACKAGE:
-        module = importlib.import_module(f"robustform.{path.stem}")
+    for module in modules:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
 
     def profile(frame, event, arg):
         if event == "call":
-            code = frame.f_code
-            entered.add(names.get((code.co_filename, code.co_firstlineno)))
+            entered.add(names.get(frame.f_code))
 
     out = tmp_path / "runs"
     sys.setprofile(profile)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from robustform import simulate
 from robustform.barrier import BarrierParams, PairArrays, Point
 from robustform.netgraph import (AgentGeometry, TopologyState,
                                  pair_distances, update_edges)
@@ -503,6 +504,19 @@ def test_run_rejects_bad_time_grid_argument(argument, value):
     with pytest.raises(ValueError, match=f"^{argument}: must be"):
         run(ScenarioSpec.load(builtin_path("six_agent")),
             **{argument: value})
+
+
+def test_run_takes_at_most_the_step_limit(monkeypatch):
+    # 100 steps of six_agent's dt 0.005 run; 101 are refused before the
+    # run certifies or allocates its state
+    sc = ScenarioSpec.load(builtin_path("six_agent"))
+    monkeypatch.setattr("robustform.scenario.MAX_STEPS", 100)
+    assert run(sc, T_end=0.5, unsafe=True).metrics["n_steps_taken"] == 100
+    calls = oracles.count_calls(monkeypatch, (simulate, "certify"))
+    with pytest.raises(ValueError, match="^T_end: must be at most the "
+                       "limit of 100 steps of dt = 0.005, got 0.505$"):
+        run(sc, T_end=0.505)
+    assert calls == {"certify": 0}
 
 
 # ---------------------------------------------------------- golden bytes
