@@ -21,12 +21,13 @@ Every route builds the pencil from one coefficient family, pencil_terms:
 assemble and the algebraic replay take its Gram image of the reduced
 Laplacian, and the sampled replay sweeps it on the N-square Laplacian,
 where a sparse graph keeps its band.  Every sampled eigenvalue, of the
-pencil or of the Laplacian, comes from one sweep, eigenvalue_at, and both
-sampled checks read only the least of them less an offset, which
-sampled_minimum finds exactly behind a Cholesky screen that skips the
-points proven to lie above it: one dpbtrf call per point where the sweep
-calls LAPACK once per point, and one Cholesky batched across the points,
-_band_cholesky, where it is one batched eigvalsh.
+pencil or of the Laplacian, comes from one sweep, eigenvalue_at.  Both
+sampled checks read only the least of them on the complement of the ones
+vector, less an offset, which sampled_minimum finds exactly behind a
+Cholesky screen on the difference basis that skips the points proven to
+lie above it: one dpbtrf call per point where the sweep calls LAPACK once
+per point, and one Cholesky batched across the points, _band_cholesky,
+where it is one batched eigvalsh.
 """
 
 from __future__ import annotations
@@ -92,17 +93,17 @@ NULL_TOL = 1e-12
 
 # sampled_minimum's Cholesky screen clears a point when LAPACK's dpbtrf, or
 # the same factorisation batched across points, _band_cholesky, factorises
-# the band of B = D' A(theta) D - t D'D, D = [e_i - e_{i+1}]
-# for an N-square A that maps the ones vector to zero and D = I otherwise.
-# A factorisation that runs to completion is exact for B + dB with |dB| <=
-# gamma_{kd+2} |R'| |R| (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., Thm 10.3), and an R of half-bandwidth kd has
+# the band of B = D' A(theta) D - t D'D, D = [e_i - e_{i+1}], for an
+# N-square A that maps the ones vector to zero.  A factorisation that runs
+# to completion is exact for B + dB with |dB| <= gamma_{kd+2} |R'| |R|
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
+# 10.3), and an R of half-bandwidth kd has
 # || |R| ||^2 <= (kd + 1)^2 ||R||^2, so ||dB|| <= (kd + 2)^3 u ||B||.
 # Forming B from q monomials of degree <= deg adds (q + deg + 3) u times
 # ||D||^2 (nu + |t|), nu the norm bound of least_on_complement, which
 # also bounds ||B||.  So mu_1 > t - slack_B / lambda_min(D'D), mu_1 the
 # least eigenvalue on the range of D, with lambda_min(D'D) = 4 sin^2(pi /
-# 2N), ||D||^2 = 4 cos^2(pi / 2N) for the difference basis and 1 for I.
+# 2N) and ||D||^2 = 4 cos^2(pi / 2N).
 # The screen takes t = offset + m + slack, m the running minimum, with
 #     slack = SCREEN_TOL ((kd + 2)^3 + q + deg) ||D||^2 (nu + |offset + m|)
 #             / lambda_min(D'D) + NULL_TOL nu,
@@ -447,7 +448,9 @@ class VerifyReport:
     Two independent routes: an algebraic replay of the Gram identity
     (min_eigenvalues, the least eigenvalue of P_bar, of each R_bar and,
     last, of the pencil block; trace_error) and a pointwise sweep over
-    sampled parameters (sampled_pencil_margin)."""
+    sampled parameters (sampled_pencil_margin, the least sampled mu_1 of
+    the full N-square pencil less c* |phi_H(theta)|^2; inf without
+    samples)."""
 
     ok: bool
     min_eigenvalues: list[float]
@@ -466,19 +469,16 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     n_samples region points for the least of the pencil's least eigenvalue
     less c* |phi_H(theta)|^2, by sampled_minimum.  The sweep takes the full
     pencil, pencil_terms of P = I / s + M (P_bar - I / s) M' and the
-    Laplacian L: that is
-    M (P_bar L_hat + L_hat P_bar) M', whose eigenvalues are the reduced
-    pencil's and a 0 on the ones vector.  With the P_bar = I / s of every
-    certificate that certify writes it is 2 L / s, which keeps the band of
-    a sparse L, and least_on_complement reads the least eigenvalue on the
-    complement of the ones vector off that band.  A full pencil without a
-    band, as of a dense graph or of a general P_bar, leaves eigenvalue_at
-    to sweep the reduced pencil.  sampled_minimum screens the points of
-    the full pencil on the difference basis and those of a reduced pencil
-    on the identity, and evaluates exactly only those that may lie at the
-    minimum.  Raises CertifierError, before any arithmetic, for a
-    certificate with a field that is not finite or that does not fit adj,
-    and before drawing for more than MAX_SAMPLES samples."""
+    Laplacian L: that is M (P_bar L_hat + L_hat P_bar) M', whose
+    eigenvalues are the reduced pencil's and a 0 on the ones vector, and
+    least_on_complement reads mu_1, the least on the complement of the ones
+    vector.  With the P_bar = I / s of every certificate that certify
+    writes it is 2 L / s, which keeps the band of a sparse L; it is dense
+    for a dense graph or a general P_bar.  sampled_minimum screens its
+    points on the difference basis and evaluates exactly only those that
+    may lie at the minimum.  Raises CertifierError, before any arithmetic,
+    for a certificate with a field that is not finite or that does not fit
+    adj, and before drawing for more than MAX_SAMPLES samples."""
     for name, value in [("c_star", cert.c_star), ("P_bar", cert.P_bar)] + [
             (f"R_bars[{i}]", R) for i, R in enumerate(cert.R_bars)] + [
             ("delta", cert.delta)]:
@@ -515,8 +515,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
                 f"{name} must be a symmetric {len(pv) * s}-square "
                 f"matrix, got shape {X.shape}")
 
-    terms = pencil_terms(cert.P_bar, L_hat)
-    H = gram_base(terms, phi_H, s, pos_H)
+    H = gram_base(pencil_terms(cert.P_bar, L_hat), phi_H, s, pos_H)
     for k, (R, pv) in enumerate(zip(cert.R_bars, phi_R)):
         H -= gram_image(R, pv, adj.omega.terms(k, 0), phi_H, s, pos_H)
     H += sdp.smat(nulls @ cert.delta, len(H))
@@ -538,31 +537,18 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if trace_error > PSD_TOL:
         failures.append(f"trace normalization off by {trace_error:.3e}")
 
-    # Pointwise route: the least over region samples of the pencil's least
-    # eigenvalue, on the full pencil's band where it has one, less
-    # c* |phi_H(theta)|^2.
-    # The full pencil has L's pattern for P_bar = I / s and is dense for
-    # any other P_bar, so it is built only when L has a band
+    # Pointwise route: the least over region samples of the full pencil's
+    # mu_1 less c* |phi_H(theta)|^2, on the pencil's band where it has one
     sampled_pencil = float("inf")
     if n_samples > 0:
         thetas = _draw(adj, n_samples, seed)
-        band = None
-        if band_form(L) is not None:
-            N = adj.N
-            P = np.eye(N) / s + M @ (cert.P_bar - np.eye(s) / s) @ M.T
-            pencil = MatrixPolynomial(N, N, adj.r, pencil_terms(P, L))
-            band = band_form(pencil)
-        complement = band is not None
-        if not complement:
-            pencil = MatrixPolynomial(s, s, adj.r, terms)
-            band = band_form(pencil)
+        P = np.eye(adj.N) / s + M @ (cert.P_bar - np.eye(s) / s) @ M.T
+        pencil = MatrixPolynomial(adj.N, adj.N, adj.r, pencil_terms(P, L))
+        band = band_form(pencil)
         phi2 = np.sum(mono_powers(phi_H.monos, thetas, adj.r) ** 2, axis=1)
         sampled_pencil = sampled_minimum(
             pencil, band, thetas, cert.c_star * phi2,
-            (lambda batch: least_on_complement(pencil, band, batch))
-            if complement else
-            (lambda batch: eigenvalue_at(pencil, batch, 1, band)),
-            complement)
+            lambda batch: least_on_complement(pencil, band, batch))
         if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -577,21 +563,23 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
 @dataclass
 class Lambda2Samples:
     """Sampled algebraic-connectivity sweep over the region: the points
-    thetas, the least lambda_2 among them and the Laplacian L.  values, the
-    lambda_2 of L at each point, is computed on first read by the
-    exhaustive sweep; min_value equals its least element."""
+    thetas, the least lambda_2 among them, the Laplacian L and its
+    band_form.  values, the lambda_2 of L at each point, is computed on
+    first read by the exhaustive sweep; min_value equals its least
+    element."""
 
     thetas: np.ndarray
     min_value: float
     L: MatrixPolynomial
+    band: MatrixPolynomial | None
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         thetas = self.thetas
         if thetas.shape[1] == 0:  # r = 0: the region is one point
-            return np.repeat(eigenvalue_at(self.L, thetas[:1], 2),
+            return np.repeat(eigenvalue_at(self.L, thetas[:1], 2, self.band),
                              len(thetas))
-        return eigenvalue_at(self.L, thetas, 2)
+        return eigenvalue_at(self.L, thetas, 2, self.band)
 
 
 def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
@@ -644,15 +632,13 @@ def _unband(ab: np.ndarray) -> np.ndarray:
 
 
 def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray, k: int,
-                  band: MatrixPolynomial | None = None) -> np.ndarray:
+                  band: MatrixPolynomial | None) -> np.ndarray:
     """The k-th smallest eigenvalue of the symmetric matrix polynomial A at
     each point of the (m, r) batch thetas: LAPACK's band driver dsbevx at
-    each point on the band of a sparse A (see band_form), least_eigenvalues
-    of each dense evaluation otherwise.  Both agree with eigvalsh within
-    1e-12 of max(1, ||A(theta)||).  band, when given, is band_form(A), for
-    a caller that sweeps A more than once.  A failed call names the sample,
-    numbered within thetas."""
-    band = band_form(A) if band is None else band
+    each point on band, band_form(A), and least_eigenvalues of each dense
+    evaluation where that is None.  Both agree with eigvalsh within 1e-12
+    of max(1, ||A(theta)||).  A failed call names the sample, numbered
+    within thetas."""
     values = np.empty(len(thetas))
     length = sdp.batch_length(A.rows, A.rows if band is None else band.rows)
     for lo in range(0, len(thetas), length):
@@ -672,12 +658,13 @@ def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray, k: int,
     return values
 
 
-def least_on_complement(A: MatrixPolynomial, band: MatrixPolynomial,
+def least_on_complement(A: MatrixPolynomial,
+                        band: MatrixPolynomial | None,
                         thetas: np.ndarray) -> np.ndarray:
     """mu_1, the least eigenvalue on the complement of the ones vector, at
     each point of thetas, of a symmetric N x N matrix polynomial A that
     maps the ones vector to zero, such as a Laplacian or its full pencil;
-    band is band_form(A).
+    band is band_form(A), None for a dense A.
 
     Besides its N - 1 eigenvalues on the complement, A(theta) has a 0 on
     the ones vector, which is computed as a rounding error of either sign.
@@ -698,40 +685,39 @@ def least_on_complement(A: MatrixPolynomial, band: MatrixPolynomial,
 
 def _norm_bound(A: MatrixPolynomial, thetas: np.ndarray) -> np.ndarray:
     """nu(theta) = sum_e |theta^e| ||C_e||_F at each point of thetas, a
-    bound on ||A(theta)|| for A = sum_e C_e theta^e."""
+    bound on ||A(theta)|| for A = sum_e C_e theta^e.  A bound that
+    overflows is inf, or nan where an infinite norm meets a zero power,
+    without a warning: either fails every test against it."""
     monos = list(A.coeffs)
-    return np.abs(mono_powers(monos, thetas, A.r)) @ np.array(
-        [np.linalg.norm(A.coeffs[e]) for e in monos])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(mono_powers(monos, thetas, A.r)) @ np.array(
+            [np.linalg.norm(A.coeffs[e]) for e in monos])
 
 
-def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None,
-            complement: bool):
-    """sampled_minimum's Cholesky screen of the symmetric matrix polynomial
-    A: a function of a batch of points, their offsets and the running
-    minimum m that is True at each point where a Cholesky factorisation of
-    the band of D' A(theta) D - t(theta) D'D runs to completion, t = offset
-    + m + slack (see SCREEN_TOL).  That proves mu_1(theta) - offset(theta)
-    > m, mu_1 the least eigenvalue of A on the range of D, with the exact
-    value's error left over.  D is the difference basis [e_i - e_{i+1}]
-    when complement, for an A that maps the ones vector to zero, and the
-    identity otherwise, in the order of band, the band_form of A, when
-    given.  The factorisation follows the route eigenvalue_at takes for A:
-    dpbtrf once per point where that calls LAPACK once per point, on a band
-    or from SUBSET_ORDER on, and _band_cholesky once per batch of points
-    where it is one batched eigvalsh, without a band below SUBSET_ORDER.
-    Both take the same matrices and slack."""
+def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None):
+    """sampled_minimum's Cholesky screen of the symmetric N x N matrix
+    polynomial A that maps the ones vector to zero: a function of a batch
+    of points, their offsets and the running minimum m that is True at
+    each point where a Cholesky factorisation of the band of
+    D' A(theta) D - t(theta) D'D runs to completion, t = offset + m +
+    slack (see SCREEN_TOL).  That proves mu_1(theta) - offset(theta) > m,
+    mu_1 the least eigenvalue of A on the complement of the ones vector,
+    with the exact value's error left over.  D is the difference basis
+    [e_i - e_{i+1}] in the order of band, band_form(A), or of A where that
+    is None.  The factorisation follows the route eigenvalue_at takes for
+    A: dpbtrf once per point where that calls LAPACK once per point, on a
+    band or from SUBSET_ORDER on, and _band_cholesky once per batch of
+    points where it is one batched eigvalsh, without a band below
+    SUBSET_ORDER.  Both take the same matrices and slack."""
     coeffs = A.coeffs if band is None else {
         e: _unband(C) for e, C in band.coeffs.items()}
-    n = A.rows
-    kd = n - 1 if band is None else band.rows - 1
-    gram, cond = np.eye(n), 1.0
-    if complement:
-        coeffs = {e: np.diff(np.diff(C, axis=0), axis=1)
-                  for e, C in coeffs.items()}
-        gram = np.diff(np.diff(gram, axis=0), axis=1)
-        # ||D||^2 / lambda_min(D'D) of the difference basis
-        cond = 1.0 / math.tan(math.pi / (2 * n)) ** 2
-        n, kd = n - 1, min(kd + 1, n - 2)
+    coeffs = {e: np.diff(np.diff(C, axis=0), axis=1)
+              for e, C in coeffs.items()}
+    gram = np.diff(np.diff(np.eye(A.rows), axis=0), axis=1)
+    # ||D||^2 / lambda_min(D'D) of the difference basis
+    cond = 1.0 / math.tan(math.pi / (2 * A.rows)) ** 2
+    n = A.rows - 1
+    kd = n - 1 if band is None else min(band.rows, n - 1)
     monos = list(coeffs)
     # one row per monomial and a last one for D'D, each a band transposed
     # so that every band of a batch is Fortran-ordered and dpbtrf
@@ -747,11 +733,10 @@ def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None,
     def passes(thetas: np.ndarray, offset: np.ndarray,
                least: float) -> np.ndarray:
         factorised = []
+        nu = _norm_bound(A, thetas)
         # a point whose t is not finite fails whatever its band holds, so
-        # the inf and nan that such a t spreads, or a norm bound nu that
-        # overflows, are not worth a warning
+        # the inf and nan that such a t spreads are not worth a warning
         with np.errstate(all="ignore"):
-            nu = _norm_bound(A, thetas)
             t = offset + least
             t = t + scale * (nu + np.abs(t)) + NULL_TOL * nu
             for lo in range(0, len(thetas), length):
@@ -790,14 +775,14 @@ def _band_cholesky(ab: np.ndarray) -> np.ndarray:
 
 
 def sampled_minimum(A: MatrixPolynomial, band: MatrixPolynomial | None,
-                    thetas: np.ndarray, offset: np.ndarray, exact,
-                    complement: bool) -> float:
+                    thetas: np.ndarray, offset: np.ndarray,
+                    exact) -> float:
     """The least of exact(thetas) - offset over the (m, r) batch thetas,
     bit for bit the value of the exhaustive sweep.  exact maps a batch of
-    points to an eigenvalue of the symmetric matrix polynomial A at each,
-    which is at least the least eigenvalue of A, on the complement of the
-    ones vector when complement, to within NULL_TOL nu; band is the
-    band_form of A.
+    points to an eigenvalue of the symmetric N x N matrix polynomial A at
+    each, which maps the ones vector to zero, that is at least A's least
+    eigenvalue on the complement of the ones vector, to within NULL_TOL
+    nu; band is band_form(A).
 
     In r = 0 the region is one point, evaluated once.  Else, once there
     are more than SCREEN_ROUND points, SCREEN_ROUND evenly spaced ones set
@@ -827,7 +812,7 @@ def sampled_minimum(A: MatrixPolynomial, band: MatrixPolynomial | None,
 
     first = evenly(np.arange(len(thetas)))
     least = lowered(np.inf, first)
-    passes = _screen(A, band, complement)
+    passes = _screen(A, band)
     rest = np.setdiff1d(np.arange(len(thetas)), first)
     pool, chunk = rest[:0], SCREEN_ROUND ** 2
     for lo in range(0, len(rest), chunk):
@@ -869,5 +854,5 @@ def sample_lambda2(adj: UncertainAdjacency, n_samples: int = 10000,
     band = band_form(L)
     least = sampled_minimum(
         L, band, thetas, np.zeros(len(thetas)),
-        lambda batch: eigenvalue_at(L, batch, 2, band), complement=True)
-    return Lambda2Samples(thetas=thetas, min_value=least, L=L)
+        lambda batch: eigenvalue_at(L, batch, 2, band))
+    return Lambda2Samples(thetas=thetas, min_value=least, L=L, band=band)

@@ -263,7 +263,8 @@ def cmd_simulate(args) -> int:
     except OSError as err:
         return _cannot_write(run_dir, err)
     # run raises ValueError for a region too small to sample, a certificate
-    # that does not fit, or a --T of more than MAX_STEPS steps
+    # that does not fit, or a --T of more steps or records than
+    # scenario.step_count admits
     try:
         res = run(spec, seed=args.seed, T_end=args.T, unsafe=args.unsafe)
     except ValueError as err:

@@ -43,8 +43,18 @@ NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 # floats of the energy trace per step and a record every record_every
 # steps: its traced peak grew by 123 bytes per step on six_agent
 # (record_every 20) and 107 on fifty_agent (100), so the limit holds
-# those to about 120 MB, and by 1.4 and 6.3 kB per step at record_every 1
+# those to about 120 MB
 MAX_STEPS = 1_000_000
+
+# step_count also refuses a horizon whose records take more bytes, counted
+# by record_bytes.  At record_every 1, with the energy trace's 78 bytes per
+# step taken out, simulate.run's traced peak grew by 1341 bytes per record
+# on six_agent (N d = 12 coordinates) and 6230 on fifty_agent (N d = 100):
+# 7 floats per coordinate (the state and its rate, which a record keeps
+# views of, and the three arrays of the log) and about 680 bytes of array
+# headers.  The limit holds the records to about 120 MB, as MAX_STEPS does
+# the energy trace: 88 000 records of six_agent, 19 000 of fifty_agent
+MAX_RECORD_BYTES = 120_000_000
 
 
 def _require(ok: bool, key: str, rule: str, value) -> None:
@@ -53,14 +63,31 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise ValueError(f"{key}: must be {rule}, got {value!r}")
 
 
-def step_count(T_end: float, dt: float) -> int:
+def record_bytes(n_coords: int) -> int:
+    """Bytes that simulate.run holds per record of n_coords = N d state
+    coordinates (see MAX_RECORD_BYTES)."""
+    return 56 * n_coords + 680
+
+
+def step_count(T_end: float, dt: float, record_every: int,
+               n_coords: int) -> int:
     """round(T_end / dt), the steps of dt that reach T_end; raises
     ValueError naming T_end and the limit when they are more than
-    MAX_STEPS."""
+    MAX_STEPS, or when a run of them, which records the first state, every
+    record_every-th and the last, would hold more than MAX_RECORD_BYTES of
+    records of n_coords coordinates each."""
     steps = T_end / dt  # inf when the quotient overflows
     _require(math.isfinite(steps) and round(steps) <= MAX_STEPS, "T_end",
              f"at most the limit of {MAX_STEPS} steps of dt = {dt!r}", T_end)
-    return round(steps)
+    steps = round(steps)
+    records = 1 - (-steps // record_every)
+    held = records * record_bytes(n_coords)
+    _require(held <= MAX_RECORD_BYTES, "T_end",
+             f"within the limit of {MAX_RECORD_BYTES} bytes of records, "
+             f"not {records} records of {n_coords} coordinates ({held} "
+             f"bytes) at dt = {dt!r} and record_every = {record_every}",
+             T_end)
+    return steps
 
 
 def _is_int(value) -> bool:
@@ -238,9 +265,10 @@ class ScenarioSpec:
             value = getattr(self, key)
             _require(math.isfinite(value) and value > 0, key,
                      "finite and > 0", value)
-        step_count(self.T_end, self.dt)
         _require(_is_int(self.record_every) and self.record_every >= 1,
                  "record_every", "an integer >= 1", self.record_every)
+        step_count(self.T_end, self.dt, self.record_every,
+                   self.positions.size)
         for key in ("jitter_pos", "jitter_vel"):
             value = getattr(self, key)
             _require(math.isfinite(value) and value >= 0, key,

@@ -123,8 +123,8 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
 
     The step is the scenario's dt.  Raises ValueError naming a T_end
     that is not finite and >= 0 (T_end = 0 records the initial state
-    only) or that asks for more than scenario.MAX_STEPS steps, before any
-    state is allocated.  Given no certificate, a run that is not unsafe
+    only) or that asks for more steps, or records, than
+    scenario.step_count admits, before any state is allocated.  Given no certificate, a run that is not unsafe
     certifies the scenario itself.  Raises PreconditionError when the
     setup assumptions fail or when the certificate, supplied or made, has
     refusals (certifier.refusals), unless unsafe=True; and also when the
@@ -141,7 +141,7 @@ def run(scenario: ScenarioSpec, seed: int = 0, T_end: float | None = None,
         T_end = scenario.T_end
     elif not (math.isfinite(T_end) and T_end >= 0):
         raise ValueError(f"T_end: must be finite and >= 0, got {T_end!r}")
-    n_steps = step_count(T_end, dt)
+    n_steps = step_count(T_end, dt, scenario.record_every, tau.size)
 
     rng = np.random.default_rng(seed)
     positions = scenario.positions.copy()

@@ -15,6 +15,7 @@ pencil matrix is fixed at P = I / s, so with no uncertainty c* is
   the same 2x2 analysis forces c <= -sqrt(4 + rho^2), so c* = -2.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -446,9 +447,11 @@ def test_verify_perturbed_delta_breaks_identity():
 
 
 def _sampled_margins_per_sample(cert, adj, n_samples, seed):
-    """Reference for the sampled route of verify_certificate: one sample at
-    a time, each reduced-Laplacian entry an exactly rounded sum of terms.
-    Also returns the smallest eigenvalue of the constant pencil matrix."""
+    """Reference for the sampled route of verify_certificate, which sweeps
+    the full N-square pencil: the least eigenvalue of the reduced pencil
+    P_bar Lhat + Lhat P_bar, one sample at a time, each reduced-Laplacian
+    entry an exactly rounded sum of terms.  Also returns the smallest
+    eigenvalue of the constant pencil matrix."""
     L_hat = reduced_laplacian(laplacian(adj), reduced_basis(adj.N))
     thetas = adj.sample_omega(np.random.default_rng(seed), n_samples)
     s = L_hat.rows
@@ -558,19 +561,31 @@ def test_compiled_columns_equal_the_per_variable_route(case):
         np.testing.assert_array_equal(A.data, B.data)
 
 
-@pytest.mark.parametrize("case", ["six_agent", "random_disk"])
+@pytest.mark.parametrize("case", ["six_agent", "random_disk",
+                                  "small_general", "stored"])
 def test_batched_sampled_margins_match_per_sample_loop(case, monkeypatch):
-    adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency \
-        if case == "six_agent" else _random_disk_adjacency(31)
-    cert = certify(adj).certificate
-    # 600 samples: two full batches of 256 s-square pencils in the
-    # batched route and a partial one
-    s = len(cert.P_bar)
-    monkeypatch.setattr(sdp, "BATCH_BYTES", 256 * 8 * s * s)
-    assert sdp.batch_length(s, s) == 256
-    rep = verify_certificate(cert, adj, n_samples=600, seed=3)
-    pencil, P_min = _sampled_margins_per_sample(cert, adj, 600, 3)
-    assert rep.ok, rep.failures
+    # the loop sweeps the reduced pencil P_bar Lhat + Lhat P_bar, the
+    # replay the full N-square one, in batches of length pencils, two full
+    # ones and a partial one.  A general P_bar, in a zero certificate that
+    # fails the Gram identity, and the stored fifty_agent certificate make
+    # the full pencil dense
+    if case == "small_general":
+        adj, P_bar = screened_case(case)
+        cert = zero_certificate(adj, 0.01, P_bar)
+    elif case == "stored":
+        adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+        cert = Certificate.load(STORED)
+    else:
+        adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency \
+            if case == "six_agent" else _random_disk_adjacency(31)
+        cert = certify(adj).certificate
+    N = adj.N
+    n_samples, length = (150, 64) if case == "stored" else (600, 256)
+    monkeypatch.setattr(sdp, "BATCH_BYTES", length * 8 * N * N)
+    assert sdp.batch_length(N, N) == length
+    rep = verify_certificate(cert, adj, n_samples=n_samples, seed=3)
+    pencil, P_min = _sampled_margins_per_sample(cert, adj, n_samples, 3)
+    assert rep.ok == (case != "small_general"), rep.failures
     assert rep.sampled_pencil_margin == pytest.approx(pencil, abs=1e-12)
     assert rep.min_eigenvalues[0] == pytest.approx(P_min, abs=1e-12)
 
@@ -704,12 +719,13 @@ def assert_lambda2_matches_dense_oracle(N, coeffs, sweep):
 
 
 def assert_sweep_matches_dense_oracle(N, coeffs, adj, thetas):
-    """eigenvalue_at of adj's Laplacian, for k = 1 and 2, against the
-    oracle's at thetas."""
+    """eigenvalue_at of adj's Laplacian on its band, for k = 1 and 2,
+    against the oracle's at thetas."""
+    L = laplacian(adj)
     for k in (1, 2):
         assert_eigenvalue_matches_dense_oracle(
             N, coeffs, thetas,
-            certifier.eigenvalue_at(laplacian(adj), thetas, k), k)
+            certifier.eigenvalue_at(L, thetas, k, band_form(L)), k)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -915,11 +931,11 @@ def test_sample_lambda2_route_of_each_shipped_scenario(
     # clearly positive second eigenvalue, behind SCREENS, then P_bar,
     # R_bars[0] (both 49) and H (98)
     ("fifty_agent", 23, 3, 0),
-    # P_bar, R_bars[0] (both 5) and H (15), then two batches of reduced
+    # P_bar, R_bars[0] (both 5) and H (15), then two batches of full
     # pencils, as in sample_lambda2, behind SCREENS: a full pencil of 6
     # agents has no band
     ("six_agent", 0, 0, 5),
-    # P_bar and H (both 1), then one batch of reduced pencils
+    # P_bar and H (both 1), then the region's one full pencil
     ("adversarial", 0, 0, 3)])
 def test_verify_certificate_route_of_each_shipped_scenario(
         monkeypatch, name, dsbevx_calls, dsyevx_calls, eigvalsh_calls):
@@ -933,10 +949,10 @@ def test_verify_certificate_route_of_each_shipped_scenario(
                      "eigvalsh": eigvalsh_calls, **SCREENS[name]}
 
 
-def test_stored_general_certificate_takes_the_dense_reduced_route(
+def test_stored_general_certificate_takes_the_dense_full_route(
         monkeypatch):
     # the stored fifty_agent certificate's P_bar is not I / s, so its full
-    # pencil is dense: 23 of 300 reduced pencils of order 49 take dsyevx
+    # pencil is dense: 23 of 300 full pencils of order 50 take dsyevx
     # behind 284 screens, then P_bar, R_bars[0] and H
     adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
     cert = Certificate.load(STORED)
@@ -1021,7 +1037,7 @@ def test_screened_minima_match_the_exhaustive_ones(monkeypatch, name):
     # r = 2 on the band and dense graphs, r = 1 on the rings; the signed
     # ring has lambda_2 < 0 and mu_1 < 0 at some points, the isolated
     # vertex makes lambda_2 a rounding error everywhere, constant weights
-    # tie every point, and a general P_bar takes the dense reduced route;
+    # tie every point, and a general P_bar makes the full pencil dense;
     # the small cases screen with the batched Cholesky
     adj, P_bar = screened_case(name)
     L = laplacian(adj)
@@ -1053,22 +1069,19 @@ def test_screen_never_clears_a_point_at_the_running_minimum(name):
         adj, P_bar = ScenarioSpec.load(builtin_path(name)).adjacency, None
     else:
         adj, P_bar = screened_case(name)
+    # the full pencil of P = I / s + M (P_bar - I / s) M', as the replay
+    # sweeps it: dense for a general P_bar
     thetas = adj.sample_omega(np.random.default_rng(2), 300)
-    L = laplacian(adj)
-    if P_bar is None:
-        A, complement = MatrixPolynomial(
-            adj.N, adj.N, adj.r,
-            certifier.pencil_terms(np.eye(adj.N) / (adj.N - 1), L)), True
-        band = band_form(A)
-        exact = certifier.least_on_complement(A, band, thetas)
-    else:
-        L_hat = reduced_laplacian(L, reduced_basis(adj.N))
-        A, complement = MatrixPolynomial(
-            adj.N - 1, adj.N - 1, adj.r,
-            certifier.pencil_terms(P_bar, L_hat)), False
-        band = None
-        exact = certifier.eigenvalue_at(A, thetas, 1)
-    passes = certifier._screen(A, band, complement)
+    N, s = adj.N, adj.N - 1
+    P = np.eye(N) / s
+    if P_bar is not None:
+        M = reduced_basis(N)
+        P = P + M @ (P_bar - np.eye(s) / s) @ M.T
+    A = MatrixPolynomial(N, N, adj.r,
+                         certifier.pencil_terms(P, laplacian(adj)))
+    band = band_form(A)
+    exact = certifier.least_on_complement(A, band, thetas)
+    passes = certifier._screen(A, band)
     assert not passes(thetas, exact, 0.0).any()
     below = exact - 1e-6 * np.maximum(1.0, np.abs(exact))
     assert passes(thetas, below, 0.0).mean() > 0.9
@@ -1158,12 +1171,31 @@ def test_screen_fails_a_t_that_is_not_finite_without_a_warning(name):
     # six_agent screens with the batched Cholesky, fifty_agent with dpbtrf
     adj = ScenarioSpec.load(builtin_path(name)).adjacency
     L = laplacian(adj)
-    passes = certifier._screen(L, band_form(L), True)
+    passes = certifier._screen(L, band_form(L))
     thetas = adj.sample_omega(np.random.default_rng(0), 5)
     for offset, least in [(np.inf, 0.0), (-np.inf, 0.0), (np.nan, 0.0),
                           (0.0, np.inf), (0.0, -np.inf)]:
         assert not passes(thetas, np.full(5, offset), least).any()
     assert passes(thetas, np.full(5, -1.0), 0.0).all()
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e307])
+@pytest.mark.parametrize("name", ["six_agent", "fifty_agent"])
+def test_replay_of_weights_whose_norm_overflows_fails_without_a_warning(
+        name, scale):
+    # the Frobenius norms of the full pencil's coefficients overflow in
+    # the norm bound that least_on_complement tests its eigenvalues
+    # against, which warned "overflow encountered in dot" (an error under
+    # the suite's filterwarnings).  A zero certificate fails the Gram
+    # identity of any weights
+    adj = ScenarioSpec.load(builtin_path(name)).adjacency
+    E = adj.entries
+    adj = dataclasses.replace(adj, entries=MatrixPolynomial(
+        E.rows, E.cols, E.r, {e: scale * C for e, C in E.coeffs.items()}))
+    rep = verify_certificate(zero_certificate(adj, 1e-4), adj,
+                             n_samples=300, seed=0)
+    assert not rep.ok
+    assert rep.failures[0].startswith("Gram identity violated")
 
 
 def test_a_parameterless_region_is_evaluated_once(monkeypatch):

@@ -965,6 +965,32 @@ def test_simulate_horizon_above_the_step_limit_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_records_above_the_record_limit_exit_2(tmp_path, capsys,
+                                               monkeypatch):
+    # a limit of 6 records of six_agent (every 20 steps of dt 0.005): the
+    # scenario's 20 steps keep 2, and --T 0.505 asks for 101 steps, which
+    # keep 7.  The run refuses them before it certifies, and check and
+    # simulate refuse a file whose own horizon keeps 7
+    six = ScenarioSpec.load(builtin_path("six_agent"))
+    short, long, out = (tmp_path / "short.json", tmp_path / "long.json",
+                        tmp_path / "runs")
+    oracles.save_scenario(dataclasses.replace(six, T_end=0.1), short)
+    oracles.save_scenario(dataclasses.replace(six, T_end=0.505), long)
+    limit = 6 * robustform.scenario.record_bytes(12)
+    monkeypatch.setattr("robustform.scenario.MAX_RECORD_BYTES", limit)
+    calls = oracles.count_calls(monkeypatch, (simulate, "certify"))
+    message = f"T_end: must be within the limit of {limit} bytes of records"
+    for argv in [("simulate", str(short), "--T", "0.505"),
+                 ("simulate", str(long)), ("check", str(long))]:
+        assert run_cli(*argv, "--out", str(out)) == 2 \
+            if argv[0] == "simulate" else run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "not 7 records" in err
+        assert "Traceback" not in err
+    assert calls == {"certify": 0}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("certify", "--seed", "-1"), ("simulate", "--seed", "-1"),
     ("certify", "--tol", "nan"), ("certify", "--tol", "inf"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+import robustform.scenario
 from robustform import simulate
 from robustform.barrier import BarrierParams, PairArrays, Point
 from robustform.netgraph import (AgentGeometry, TopologyState,
@@ -516,6 +517,30 @@ def test_run_takes_at_most_the_step_limit(monkeypatch):
     with pytest.raises(ValueError, match="^T_end: must be at most the "
                        "limit of 100 steps of dt = 0.005, got 0.505$"):
         run(sc, T_end=0.505)
+    assert calls == {"certify": 0}
+
+
+@pytest.mark.parametrize("every", [1, 3, 20])
+def test_run_holds_at_most_the_record_limit(monkeypatch, every):
+    # 100 steps of six_agent's dt 0.005 keep the first state, every
+    # every-th and the last: 1 + ceil(100 / every) records, each of
+    # record_bytes(12) for 6 agents in 2 dimensions.  A limit of that many
+    # records runs them; 100 + every steps keep one more and are refused
+    # before the run certifies
+    sc = dataclasses.replace(ScenarioSpec.load(builtin_path("six_agent")),
+                             record_every=every)
+    records = 1 + -(-100 // every)
+    per = robustform.scenario.record_bytes(12)
+    monkeypatch.setattr("robustform.scenario.MAX_RECORD_BYTES",
+                        records * per)
+    assert len(run(sc, T_end=0.5, unsafe=True).log.times) == records
+    calls = oracles.count_calls(monkeypatch, (simulate, "certify"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"T_end: must be within the limit of {records * per} bytes of "
+            f"records, not {records + 1} records of 12 coordinates "
+            f"({(records + 1) * per} bytes) at dt = 0.005 and record_every "
+            f"= {every}, got {(100 + every) / 200}")):
+        run(sc, T_end=(100 + every) / 200)
     assert calls == {"certify": 0}
 
 
