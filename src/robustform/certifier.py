@@ -17,6 +17,12 @@ expansion is at least one everywhere, a positive optimal c* gives
 2 Lhat(theta) / s >= c* I on the region, so c* s / 2 is a certified lower
 bound on the algebraic connectivity.
 
+assemble writes the problem in the Haar basis of netgraph.haar_basis,
+which keeps the reduced Laplacian of a sparse graph sparse, and keeps only
+the Gram offsets on its pattern; certify maps the solution into the
+Helmert frame of netgraph.reduced_basis (_helmert_frame), the one frame of
+the certificate and its replay.
+
 Every route builds the pencil from one coefficient family, pencil_terms:
 assemble and the algebraic replay take its Gram image of the reduced
 Laplacian, and the sampled replay sweeps it on the N-square Laplacian,
@@ -44,8 +50,8 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import sdp
-from .netgraph import UncertainAdjacency, laplacian, reduced_basis, \
-    reduced_laplacian
+from .netgraph import UncertainAdjacency, haar_basis, laplacian, \
+    reduced_basis, reduced_laplacian
 from .polyalg import ExponentVec, MatrixPolynomial, mono_degree, \
     mono_mul, mono_powers
 # the scenario reader's typed readers, which name the key path of a bad value
@@ -162,7 +168,9 @@ class DegreePlan:
         """SDP variable count of the relaxation in r parameters of an
         s-square reduced Laplacian, in closed form: the bound c, one
         symmetric block per multiplier and the null directions of the Gram
-        expansion, which every monomial of degree <= 2 d_H takes."""
+        expansion, which every monomial of degree <= 2 d_H takes.  It is
+        the bound that MAX_SDP_VARS refuses on: assemble keeps only the
+        null directions on the pattern of the reduced Laplacian."""
         def svec(d):  # svec dimension of a Gram block of degree d
             return sdp.svec_dim(math.comb(r + d, r) * s)
         return 1 + sum(map(svec, self.d_R)) + svec(self.d_H) \
@@ -191,7 +199,9 @@ class DegreePlan:
 @dataclass
 class Assembly:
     """A compiled certification problem plus the variable map needed to
-    interpret its solution."""
+    interpret its solution: basis is the reduced basis the problem is
+    written in, and nulls the Gram offset directions it keeps, the svec
+    columns of delta_indices."""
 
     problem: sdp.SdpProblem
     plan: DegreePlan
@@ -203,20 +213,24 @@ class Assembly:
     phi_H: PowerVector
     phi_R: list[PowerVector]
     main_lmi: int
+    basis: np.ndarray
+    nulls: sparse.csc_array
 
 
-def _setup(adj: UncertainAdjacency):
-    """Everything the certification problem of adj is built from: the
-    Laplacian L, the reduced basis M, the reduced Laplacian M' L M, the
-    automatic degree plan, the power vectors of the Gram identity and of
-    each multiplier, the Gram positions of the identity's power vector and
-    the null basis of its Gram expansion.
+def _setup(adj: UncertainAdjacency, M: np.ndarray):
+    """Everything the certification problem of adj is built from in the
+    reduced basis M, haar_basis for the assembly and reduced_basis, the
+    Helmert basis, for the replay: the Laplacian L, the reduced Laplacian
+    M' L M, the automatic degree plan, the power vectors of the Gram
+    identity and of each multiplier, the Gram positions of the identity's
+    power vector and the full null basis of its Gram expansion.
 
     UncertainAdjacency guarantees a symmetric weight matrix with a zero
-    diagonal and region inequalities in its parameters, and reduced_basis
+    diagonal and region inequalities in its parameters, and either basis
     at least two agents.  Raises CertifierError, before any power vector is
-    built, when the relaxation has more than MAX_SDP_VARS variables."""
-    L, M = laplacian(adj), reduced_basis(adj.N)
+    built, when the relaxation with every Gram offset has more than
+    MAX_SDP_VARS variables."""
+    L = laplacian(adj)
     L_hat = reduced_laplacian(L, M)
     plan = DegreePlan.auto(L_hat.deg(), [
         max(map(mono_degree, adj.omega.terms(k, 0)), default=0)
@@ -227,7 +241,7 @@ def _setup(adj: UncertainAdjacency):
             f"degree plan d_H={plan.d_H} d_R={list(plan.d_R)} asks for "
             f"{n_vars} SDP variables, above the limit of {MAX_SDP_VARS}")
     phi_H = power_vector(adj.r, plan.d_H)
-    return (L, M, L_hat, plan, phi_H,
+    return (L, L_hat, plan, phi_H,
             [power_vector(adj.r, dr) for dr in plan.d_R],
             _positions(phi_H), gram_null_basis(adj.r, plan.d_H, L_hat.rows))
 
@@ -268,15 +282,31 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
             - sum_i Gram(R_i * g_i)  >=  0,   P = I / s,
 
     where every Gram image is taken against the degree-d_H power vector,
-    C(delta) ranges over the null directions of the Gram expansion, and g_i
+    C(delta) ranges over null directions of the Gram expansion, and g_i
     are the region inequalities.  Expanding the final constraint shows that
     on the region the pencil 2 Lhat / s dominates c * |phi(theta)|^2 * I,
     hence c * I when c >= 0, since the power vector contains the constant
-    monomial."""
-    _, _, L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
+    monomial.
+
+    Lhat is M' L M in the Haar basis M = haar_basis(N), which keeps a
+    sparse graph's Lhat sparse, and C(delta) keeps only the null
+    directions whose every entry, at (a s + u, b s + v), has (u, v) on the
+    pattern of Lhat's stored coefficients.  That restricts the relaxation,
+    so c* can only fall, and every certificate stays valid: fifty_agent
+    solves 1459 variables in place of 2402.  certify writes the solution
+    in the Helmert frame of the replay (see _helmert_frame)."""
+    M = haar_basis(adj.N)
+    _, L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj, M)
     s = L_hat.rows
     r = adj.r
     size_H = len(phi_H) * s
+    # the entries of each null direction off the pattern, counted from the
+    # stored ones: the shared basis is read-only and may not be sorted
+    iu, ju = sdp.svec_indices(size_H)
+    off = ~_pattern(L_hat)[iu % s, ju % s]
+    column = np.repeat(np.arange(nulls.shape[1]), np.diff(nulls.indptr))
+    nulls = nulls[:, np.bincount(column, off[nulls.indices],
+                                 nulls.shape[1]) == 0]
 
     prob = sdp.SdpProblem()
     c_index = prob.add_var(obj=1.0)
@@ -298,7 +328,34 @@ def assemble(adj: UncertainAdjacency) -> Assembly:
     main_lmi = prob.add_lmi(pencil, sparse.hstack(columns, format="csc"))
     return Assembly(problem=prob, plan=plan, r=r, s=s, c_index=c_index,
                     r_vars=r_vars, delta_indices=delta_indices, phi_H=phi_H,
-                    phi_R=phi_R, main_lmi=main_lmi)
+                    phi_R=phi_R, main_lmi=main_lmi, basis=M, nulls=nulls)
+
+
+def _helmert_frame(asm: Assembly, y: np.ndarray
+                   ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The multipliers R_bar and the Gram offsets delta of the solution y
+    of asm, written in the Helmert frame of reduced_basis, which the
+    certificate and its replay use.
+
+    With T = M' M_helmert, M = asm.basis, the Helmert reduced Laplacian is
+    T' Lhat T, so every Gram matrix X of asm maps by the congruence
+    (I (x) T)' X (I (x) T), symmetrised.  The congruence keeps the null
+    space of the Gram expansion, so the mapped offset C(delta) has the
+    coordinates N' svec(C) in the full orthonormal null basis N."""
+    T = asm.basis.T @ reduced_basis(len(asm.basis))
+    s = asm.s
+
+    def congruent(X):  # T' B T of each s-square block B of X
+        n = len(X)
+        blocks = X.reshape(n // s, s, n // s, s).swapaxes(1, 2)
+        X = (T.T @ blocks @ T).swapaxes(1, 2).reshape(n, n)
+        return (X + X.T) / 2
+
+    offsets = congruent(sdp.smat(asm.nulls @ y[asm.delta_indices],
+                                 len(asm.phi_H) * s))
+    nulls = gram_null_basis(asm.r, asm.plan.d_H, asm.s)
+    return ([congruent(v.value(y)) for v in asm.r_vars],
+            nulls.T @ sdp.svec(offsets))
 
 
 @dataclass
@@ -391,12 +448,11 @@ def certify(adj: UncertainAdjacency, tol: float = 1e-8) -> CertifyResult:
     are those of the certificate.  Inconclusive never proves disconnection."""
     asm = assemble(adj)
     sol = sdp.solve(asm.problem, tol=tol)
-    y = sol.y
+    R_bars, delta = _helmert_frame(asm, sol.y)
     cert = Certificate(
-        n_agents=adj.N, r=asm.r, plan=asm.plan, c_star=float(y[asm.c_index]),
-        P_bar=np.eye(asm.s) / asm.s,
-        R_bars=[v.value(y) for v in asm.r_vars],
-        delta=np.array([y[i] for i in asm.delta_indices]))
+        n_agents=adj.N, r=asm.r, plan=asm.plan,
+        c_star=float(sol.y[asm.c_index]), P_bar=np.eye(asm.s) / asm.s,
+        R_bars=R_bars, delta=delta)
     return CertifyResult(cert, sol, refusals(cert, adj) if sol.ok else [
         f"solver status {sol.status}, c_star={cert.c_star}"])
 
@@ -491,7 +547,8 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
     if cert.r != adj.r:
         raise CertifierError(
             f"certificate has {cert.r} parameters, adjacency has {adj.r}")
-    L, M, L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj)
+    M = reduced_basis(adj.N)
+    L, L_hat, plan, phi_H, phi_R, pos_H, nulls = _setup(adj, M)
     if cert.plan != plan:
         raise CertifierError(
             f"certificate degree plan {cert.plan} is not the automatic plan "
@@ -548,7 +605,7 @@ def verify_certificate(cert: Certificate, adj: UncertainAdjacency,
         phi2 = np.sum(mono_powers(phi_H.monos, thetas, adj.r) ** 2, axis=1)
         sampled_pencil = sampled_minimum(
             pencil, band, thetas, cert.c_star * phi2,
-            lambda batch: least_on_complement(pencil, band, batch))
+            least_on_complement(pencil, band))
         if sampled_pencil < -SAMPLE_TOL:
             failures.append(
                 f"sampled pencil dominance violated by "
@@ -592,9 +649,7 @@ def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
     with lower=1.  Band storage is linear in L, so evaluating the result
     at theta gives the band of L(theta)."""
     N = L.rows
-    pattern = np.zeros((N, N), dtype=bool)
-    for C in L.coeffs.values():
-        pattern |= C != 0
+    pattern = _pattern(L)
     # a row of d nonzeros spans at least d // 2 places on one side of the
     # diagonal in any order, so b >= d // 2 without the ordering
     if BAND_RATIO * (pattern.sum(axis=1).max() // 2 + 1) > N:
@@ -610,6 +665,15 @@ def band_form(L: MatrixPolynomial) -> MatrixPolynomial | None:
     return MatrixPolynomial(b + 1, N, L.r, {
         e: _lower_band(C[np.ix_(order, order)], b)
         for e, C in L.coeffs.items()})
+
+
+def _pattern(A: MatrixPolynomial) -> np.ndarray:
+    """Where some stored coefficient of A is nonzero, as a boolean
+    matrix."""
+    pattern = np.zeros(A.shape, dtype=bool)
+    for C in A.coeffs.values():
+        pattern |= C != 0
+    return pattern
 
 
 def _lower_band(B: np.ndarray, kd: int) -> np.ndarray:
@@ -639,15 +703,12 @@ def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray, k: int,
     evaluation where that is None.  Both agree with eigvalsh within 1e-12
     of max(1, ||A(theta)||).  A failed call names the sample, numbered
     within thetas."""
+    if band is None:
+        return _least_at(A, thetas, k)[:, k - 1]
     values = np.empty(len(thetas))
-    length = sdp.batch_length(A.rows, A.rows if band is None else band.rows)
+    length = sdp.batch_length(A.rows, band.rows)
     for lo in range(0, len(thetas), length):
-        batch = thetas[lo:lo + length]
-        if band is None:
-            values[lo:lo + length] = least_eigenvalues(
-                A.eval_batch(batch), k, lo)[:, k - 1]
-            continue
-        for i, ab in enumerate(band.eval_batch(batch), lo):
+        for i, ab in enumerate(band.eval_batch(thetas[lo:lo + length]), lo):
             w, _, m, _, info = lapack.dsbevx(
                 ab, 0.0, 0.0, k, k, compute_v=0, range=2, lower=1)
             if info != 0 or m != 1:
@@ -658,13 +719,25 @@ def eigenvalue_at(A: MatrixPolynomial, thetas: np.ndarray, k: int,
     return values
 
 
+def _least_at(A: MatrixPolynomial, thetas: np.ndarray, k: int
+              ) -> np.ndarray:
+    """least_eigenvalues(A(theta), k) at each point of thetas, shape (m,
+    k), evaluating A densely in batches of sdp.batch_length."""
+    out = np.empty((len(thetas), k))
+    length = sdp.batch_length(A.rows, A.rows)
+    for lo in range(0, len(thetas), length):
+        out[lo:lo + length] = least_eigenvalues(
+            A.eval_batch(thetas[lo:lo + length]), k, lo)
+    return out
+
+
 def least_on_complement(A: MatrixPolynomial,
-                        band: MatrixPolynomial | None,
-                        thetas: np.ndarray) -> np.ndarray:
-    """mu_1, the least eigenvalue on the complement of the ones vector, at
-    each point of thetas, of a symmetric N x N matrix polynomial A that
-    maps the ones vector to zero, such as a Laplacian or its full pencil;
-    band is band_form(A), None for a dense A.
+                        band: MatrixPolynomial | None):
+    """The sweep of mu_1, the least eigenvalue on the complement of the
+    ones vector, of a symmetric N x N matrix polynomial A that maps the
+    ones vector to zero, such as a Laplacian or its full pencil: a function
+    of an (m, r) batch thetas, its value at each point.  band is
+    band_form(A), None for a dense A.
 
     Besides its N - 1 eigenvalues on the complement, A(theta) has a 0 on
     the ones vector, which is computed as a rounding error of either sign.
@@ -672,26 +745,42 @@ def least_on_complement(A: MatrixPolynomial,
     NULL_TOL nu(theta), nu = sum_e |theta^e| ||C_e||_F a bound on
     ||A(theta)||, and elsewhere whichever of the two least has the larger
     magnitude: eigenvalue_at sweeps k = 2 at every point and k = 1 only at
-    the others.  Reading any positive second eigenvalue as mu_1 would take
-    a computed +1e-17 for mu_1 where mu_1 < 0."""
-    values = eigenvalue_at(A, thetas, 2, band)
-    low = np.flatnonzero(values <= NULL_TOL * _norm_bound(A, thetas))
-    if low.size:
-        least = eigenvalue_at(A, thetas[low], 1, band)
-        values[low] = np.where(np.abs(least) > np.abs(values[low]), least,
-                               values[low])
-    return values
+    the others, but for one batched eigvalsh (no band, order below
+    SUBSET_ORDER), whose spectrum holds both.  Reading any positive second
+    eigenvalue as mu_1 would take a computed +1e-17 for mu_1 where
+    mu_1 < 0."""
+    nu = _norm_bound(A)
+    batched = band is None and A.rows < SUBSET_ORDER
+
+    def mu_1(thetas: np.ndarray) -> np.ndarray:
+        if batched:
+            least, values = _least_at(A, thetas, 2).T
+        else:
+            values = eigenvalue_at(A, thetas, 2, band)
+        low = np.flatnonzero(values <= NULL_TOL * nu(thetas))
+        if low.size:
+            least = least[low] if batched else \
+                eigenvalue_at(A, thetas[low], 1, band)
+            values[low] = np.where(np.abs(least) > np.abs(values[low]),
+                                   least, values[low])
+        return values
+    return mu_1
 
 
-def _norm_bound(A: MatrixPolynomial, thetas: np.ndarray) -> np.ndarray:
-    """nu(theta) = sum_e |theta^e| ||C_e||_F at each point of thetas, a
-    bound on ||A(theta)|| for A = sum_e C_e theta^e.  A bound that
-    overflows is inf, or nan where an infinite norm meets a zero power,
-    without a warning: either fails every test against it."""
+def _norm_bound(A: MatrixPolynomial):
+    """The function of a batch thetas that gives nu(theta) = sum_e
+    |theta^e| ||C_e||_F at each point, a bound on ||A(theta)|| for A =
+    sum_e C_e theta^e; the norms are taken once.  A bound that overflows
+    is inf, or nan where an infinite norm meets a zero power, without a
+    warning: either fails every test against it."""
     monos = list(A.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(mono_powers(monos, thetas, A.r)) @ np.array(
-            [np.linalg.norm(A.coeffs[e]) for e in monos])
+        norms = np.array([np.linalg.norm(A.coeffs[e]) for e in monos])
+
+    def nu(thetas: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(mono_powers(monos, thetas, A.r)) @ norms
+    return nu
 
 
 def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None):
@@ -729,11 +818,12 @@ def _screen(A: MatrixPolynomial, band: MatrixPolynomial | None):
     # the route of the exact sweep: one batched eigvalsh of the whole stack
     # (see least_eigenvalues) is screened by one batched Cholesky
     batched = band is None and A.rows < SUBSET_ORDER
+    norm_bound = _norm_bound(A)
 
     def passes(thetas: np.ndarray, offset: np.ndarray,
                least: float) -> np.ndarray:
         factorised = []
-        nu = _norm_bound(A, thetas)
+        nu = norm_bound(thetas)
         # a point whose t is not finite fails whatever its band holds, so
         # the inf and nan that such a t spreads are not worth a warning
         with np.errstate(all="ignore"):

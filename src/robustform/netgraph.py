@@ -174,8 +174,10 @@ def laplacian(adj: UncertainAdjacency) -> MatrixPolynomial:
         {e: np.diag(C.sum(axis=1)) - C for e, C in G.coeffs.items()})
 
 
+@lru_cache(maxsize=16)
 def reduced_basis(N: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane {x : 1^T x = 0}.
+    """Deterministic orthonormal basis of the hyperplane {x : 1^T x = 0};
+    read-only, and kept per N, since every certify and replay asks again.
 
     Columns are the Helmert vectors v_k = (1,...,1,-k,0,...,0)/sqrt(k(k+1)),
     giving an N x (N-1) matrix M with M^T M = I and 1^T M = 0."""
@@ -186,6 +188,35 @@ def reduced_basis(N: int) -> np.ndarray:
         M[:k, k - 1] = 1.0
         M[k, k - 1] = -k
         M[:, k - 1] /= np.sqrt(k * (k + 1))
+    M.flags.writeable = False
+    return M
+
+
+@lru_cache(maxsize=16)
+def haar_basis(N: int) -> np.ndarray:
+    """Deterministic orthonormal basis of {x : 1^T x = 0} that keeps a
+    sparse graph sparse: the unbalanced Haar basis; read-only, and kept per
+    N, as reduced_basis.
+
+    Each span [lo, hi) of at least two agents, from [0, N) on, splits at
+    mid = (lo + hi) // 2 into A = [lo, mid) and B = [mid, hi) and gives the
+    column 1 / |A| on A and -1 / |B| on B, normalised; then A's spans, then
+    B's.  M^T M = I and 1^T M = 0, as for reduced_basis."""
+    if N < 2:
+        raise ValueError("need at least two agents")
+    M = np.zeros((N, N - 1))
+    spans, k = [(0, N)], 0
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo < 2:
+            continue
+        mid = (lo + hi) // 2
+        M[lo:mid, k] = 1.0 / (mid - lo)
+        M[mid:hi, k] = -1.0 / (hi - mid)
+        M[:, k] /= np.linalg.norm(M[:, k])
+        spans += [(mid, hi), (lo, mid)]
+        k += 1
+    M.flags.writeable = False
     return M
 
 

@@ -19,7 +19,12 @@ their formulas; the numeric Laplacian and the Gram expansion are written
 from theirs as well, and none of these shares code with the package.
 count_calls counts the library calls a route makes, for the route tests.
 scenario_dict and save_scenario write a ScenarioSpec back as a scenario
-file, which the package only reads.
+file, which the package only reads.  helmert_certify solves the full
+relaxation, every Gram offset in the Helmert basis, as the package did
+before it solved in the Haar basis with the offsets on the pattern;
+haar_basis, haar_pattern, on_pattern and frame_map build the references
+of the Haar frame from their definitions.  disk_scenarios are the seeded
+two-parameter scenarios on the unit disk.
 """
 
 import dataclasses
@@ -33,12 +38,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
-from robustform import sdp
-from robustform.certifier import gram_image
-from robustform.netgraph import TopologyState, UncertainAdjacency
-from robustform.polyalg import MatrixPolynomial, mono_mul, mono_sort_key
+from robustform import certifier, sdp
+from robustform.certifier import Certificate, gram_image
+from robustform.netgraph import TopologyState, UncertainAdjacency, \
+    reduced_basis
+from robustform.polyalg import COEFF_CLEANUP, MatrixPolynomial, mono_mul, \
+    mono_sort_key
 from robustform.scenario import FORMAT
-from robustform.smr import _positions, gram_null_basis, power_vector
+from robustform.smr import _positions, gram_base, gram_null_basis, \
+    power_vector
 
 
 def psi_e(q, r_hat_s, mu1):
@@ -465,14 +473,65 @@ def null_basis(r, d, s):
                     yield B
 
 
-def assembly_columns(asm, region):
-    """The compiled columns of every block of asm = assemble(adj), region
-    = adj.omega, built one variable at a time: each multiplier column is the
-    dense Gram image of a dense basis matrix, each Gram offset a dense
-    null_basis element, and each column goes through svec_sparse."""
+def haar_basis(N):
+    """The unbalanced Haar basis of {x : 1'x = 0}, by recursion on its
+    definition: the column of [lo, hi), 1 / |A| on A = [lo, mid) and
+    -1 / |B| on B = [mid, hi) for mid = (lo + hi) // 2, scaled to unit
+    length, then the columns of A, then those of B."""
+    def columns(lo, hi):
+        if hi - lo < 2:
+            return []
+        mid = (lo + hi) // 2
+        x = np.zeros(N)
+        x[lo:mid] = 1.0 / (mid - lo)
+        x[mid:hi] = -1.0 / (hi - mid)
+        x /= math.sqrt(1.0 / (mid - lo) + 1.0 / (hi - mid))
+        return [x] + columns(lo, mid) + columns(mid, hi)
+    return np.column_stack(columns(0, N))
+
+
+def frame_map(X, T):
+    """(I (x) T)' X (I (x) T) of a matrix X of len(T)-square blocks, one
+    block at a time: the Gram matrix, in the basis M T, of the Gram
+    matrix X in a basis M."""
+    s = len(T)
+    l = len(X) // s
+    Y = np.zeros_like(X)
+    for a in range(l):
+        for b in range(l):
+            Y[a * s:(a + 1) * s, b * s:(b + 1) * s] = \
+                T.T @ X[a * s:(a + 1) * s, b * s:(b + 1) * s] @ T
+    return Y
+
+
+def haar_pattern(adj):
+    """The entries (u, v) of the reduced Laplacian in haar_basis at which
+    some monomial's coefficient exceeds COEFF_CLEANUP, each coefficient
+    the dense product M' L_e M of the Laplacian written from its formula."""
+    M = haar_basis(adj.N)
+    pattern = np.zeros((adj.N - 1,) * 2, dtype=bool)
+    for W in adj.entries.coeffs.values():
+        pattern |= np.abs(M.T @ laplacian(W) @ M) > COEFF_CLEANUP
+    return pattern
+
+
+def on_pattern(nulls, pattern, l):
+    """The elements of the dense null basis nulls whose nonzero entries,
+    at (a s + u, b s + v) in the l x l blocks, all have (u, v) on the
+    s-square pattern."""
+    inside = np.tile(pattern, (l, l))
+    return [B for B in nulls if not np.any(B[~inside])]
+
+
+def assembly_columns(asm, adj):
+    """The compiled columns of every block of asm = assemble(adj), built
+    one variable at a time: each multiplier column is the dense Gram image
+    of a dense basis matrix, each Gram offset a dense null_basis element
+    on haar_pattern(adj), and each column goes through svec_sparse."""
     prob = asm.problem
     s, phi_H = asm.s, asm.phi_H
     pos_H = _positions(phi_H)
+    region = adj.omega
 
     def main():
         yield asm.c_index, -np.eye(len(phi_H) * s)
@@ -481,8 +540,9 @@ def assembly_columns(asm, region):
                 yield int(var.indices[k]), -gram_image(
                     basis_matrix(var.size, k), pv, region.terms(i, 0),
                     phi_H, s, pos_H)
-        yield from zip(asm.delta_indices,
-                       null_basis(asm.r, asm.plan.d_H, s))
+        yield from zip(asm.delta_indices, on_pattern(
+            null_basis(asm.r, asm.plan.d_H, s), haar_pattern(adj),
+            len(phi_H)))
 
     def identity(var):
         for k in range(len(var.indices)):
@@ -503,6 +563,79 @@ def assembly_columns(asm, region):
                                     np.concatenate(cols))),
             shape=(sdp.svec_dim(lmi.size), prob.n_vars)))
     return out
+
+
+def helmert_certify(adj, tol=1e-8):
+    """(solution, certificate) of the full relaxation: the certification
+    problem assembled in the Helmert basis of reduced_basis with every
+    Gram offset, as the package assembled it before it moved to the Haar
+    basis with the offsets on the pattern.  Its certificate is written in
+    the frame of the replay as it stands, with no map."""
+    _, L_hat, plan, phi_H, phi_R, pos_H, nulls = certifier._setup(
+        adj, reduced_basis(adj.N))
+    s = L_hat.rows
+    size = len(phi_H) * s
+    prob = sdp.SdpProblem()
+    c = prob.add_var(obj=1.0)
+    r_vars = [prob.add_psd_var(len(pv) * s) for pv in phi_R]
+    deltas = [prob.add_var() for _ in range(nulls.shape[1])]
+    columns = [sp.csc_array(-sdp.svec(np.eye(size))[:, None])]
+    length = sdp.batch_length(size, size)
+    for k, (var, pv) in enumerate(zip(r_vars, phi_R)):
+        m = len(var.indices)
+        for lo in range(0, m, length):
+            units = np.eye(min(length, m - lo), m, lo)
+            G = gram_image(sdp.smat(units, var.size), pv,
+                           adj.omega.terms(k, 0), phi_H, s, pos_H)
+            columns.append(sp.csc_array(-sdp.svec(G).T))
+    pencil = gram_base(certifier.pencil_terms(np.eye(s) / s, L_hat), phi_H,
+                       s, pos_H)
+    prob.add_lmi(pencil, sp.hstack(columns + [nulls], format="csc"))
+    sol = sdp.solve(prob, tol=tol)
+    return sol, Certificate(adj.N, adj.r, plan, float(sol.y[c]),
+                           np.eye(s) / s, [v.value(sol.y) for v in r_vars],
+                           sol.y[deltas])
+
+
+def disk_adjacency(N, edges):
+    """N agents with the weight term dicts edges on the unit disk in two
+    parameters."""
+    disk = {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}
+    return adjacency(N, edges, 2, [disk], [(-1.0, 1.0), (-1.0, 1.0)])
+
+
+def disk_scenarios():
+    """The 20 seeded disk scenarios, as (kind, adjacency): 16 "healthy"
+    rings of 4 to 6 agents plus a chord, every weight affine and bounded
+    away from zero, and 4 "breakable" paths whose middle link, |theta|^2,
+    vanishes at the origin."""
+    rng = np.random.default_rng(11)
+
+    def affine(margin):
+        return {(0, 0): float(rng.uniform(margin, margin + 0.7)),
+                (1, 0): float(rng.uniform(-0.3, 0.3)),
+                (0, 1): float(rng.uniform(-0.3, 0.3))}
+
+    scenarios = []
+    for _ in range(16):
+        N = int(rng.integers(4, 7))
+        edges = {}
+        for k in range(N):
+            i, j = k, (k + 1) % N
+            edges[(min(i, j), max(i, j))] = affine(0.8)
+        a, b = sorted(rng.choice(N, size=2, replace=False))
+        if (int(a), int(b)) not in edges:
+            edges[(int(a), int(b))] = affine(0.8)
+        scenarios.append(("healthy", disk_adjacency(N, edges)))
+    vanishing = {(2, 0): 1.0, (0, 2): 1.0}  # zero at origin
+    for _ in range(4):
+        N = int(rng.integers(4, 6))
+        edges = {}
+        for k in range(N - 1):
+            edges[(k, k + 1)] = affine(0.9)
+        edges[(N // 2 - 1, N // 2)] = vanishing
+        scenarios.append(("breakable", disk_adjacency(N, edges)))
+    return scenarios
 
 
 def worst_lambda2(n_agents, uncertainty):

@@ -169,11 +169,6 @@ def test_certificate_verdict_matches_eigenvalue_oracle_on_200_graphs():
     assert time.perf_counter() - t0 < 120.0
 
 
-def _disk_adjacency(N, edges):
-    disk = {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}
-    return oracles.adjacency(N, edges, 2, [disk], [(-1.0, 1.0), (-1.0, 1.0)])
-
-
 def test_disk_uncertainty_certificates_are_sound():
     # 20 two-parameter scenarios on the unit disk: every positive verdict
     # must be confirmed by dense eigenvalue sampling, the certified lambda2
@@ -183,33 +178,7 @@ def test_disk_uncertainty_certificates_are_sound():
     # worst case is not known exactly) must never get a positive verdict.
     # Every solve ends OPTIMAL: none stalls near c* = 0
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-
-    def affine(margin):
-        return {(0, 0): float(rng.uniform(margin, margin + 0.7)),
-                (1, 0): float(rng.uniform(-0.3, 0.3)),
-                (0, 1): float(rng.uniform(-0.3, 0.3))}
-
-    scenarios = []
-    for _ in range(16):  # healthy: ring plus a chord, weights bounded away
-        N = int(rng.integers(4, 7))
-        edges = {}
-        for k in range(N):
-            i, j = k, (k + 1) % N
-            edges[(min(i, j), max(i, j))] = affine(0.8)
-        a, b = sorted(rng.choice(N, size=2, replace=False))
-        if (int(a), int(b)) not in edges:
-            edges[(int(a), int(b))] = affine(0.8)
-        scenarios.append(("healthy", _disk_adjacency(N, edges)))
-    vanishing = {(2, 0): 1.0, (0, 2): 1.0}  # zero at origin
-    for _ in range(4):  # a path whose middle link can vanish on the disk
-        N = int(rng.integers(4, 6))
-        edges = {}
-        for k in range(N - 1):
-            edges[(k, k + 1)] = affine(0.9)
-        edges[(N // 2 - 1, N // 2)] = vanishing
-        scenarios.append(("breakable", _disk_adjacency(N, edges)))
-
+    scenarios = oracles.disk_scenarios()
     n_breakable_rejected = 0
     for kind, adj in scenarios:
         res = certify(adj)

@@ -94,6 +94,22 @@ def test_six_agent_certificate_passes_the_oracle(tmp_path):
     assert 0.0 < info["lambda2_bound"] <= info["oracle_min_lambda2"]
 
 
+def test_fifty_agent_certificate_passes_the_oracle(tmp_path):
+    # the certificate certify writes for fifty_agent, solved in the Haar
+    # basis and mapped into the Helmert frame that the oracle reads
+    out = tmp_path / "cert.json"
+    assert main(["certify", "fifty_agent", "--samples", "500",
+                 "--out", str(out)]) == 0
+    adj = ScenarioSpec.load(builtin_path("fifty_agent")).adjacency
+    lam = sample_lambda2(adj, n_samples=500, seed=0)
+    fails, info = oracle.certificate_checks(
+        oracle.ScenarioOracle(builtin_path("fifty_agent")),
+        json.loads(out.read_text()), lam.thetas, lam.values,
+        np.random.default_rng([0, 2017]), n_samples=1000)
+    assert fails == []
+    assert 0.0 < info["lambda2_bound"] <= info["oracle_min_lambda2"]
+
+
 def test_stored_fifty_agent_certificate_passes_the_oracle():
     # the check every ring50 round makes: fifty_agent takes sample_lambda2's
     # band route, six_agent above its dense one

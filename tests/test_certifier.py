@@ -30,7 +30,7 @@ from robustform.certifier import (Assembly, Certificate, CertifierError,
                                   CertifyResult, DegreePlan, Lambda2Samples,
                                   assemble, band_form, certify, refusals,
                                   sample_lambda2, verify_certificate)
-from robustform.netgraph import (UncertainAdjacency, laplacian,
+from robustform.netgraph import (UncertainAdjacency, haar_basis, laplacian,
                                  reduced_basis, reduced_laplacian)
 from robustform.polyalg import MatrixPolynomial
 from robustform.scenario import BUILTIN, ScenarioSpec, builtin_path
@@ -101,8 +101,11 @@ def test_assemble_single_edge_matches_hand_problem():
 
 
 def test_assemble_counts_fifty_agent_plan():
-    # affine weights in one parameter, 50 agents: 1 bound + 1176 Gram
-    # offsets + 1225 multiplier variables
+    # affine weights in one parameter, 50 agents: the closed form, the
+    # refusal's bound, counts 1 bound + 1176 Gram offsets + 1225 multiplier
+    # variables.  With phi_H = (t, 1) each offset is the antisymmetric part
+    # of the off-diagonal block at one (u, v), u < v, so the assembly keeps
+    # one per pair on the pattern of the Haar reduced Laplacian
     rng = np.random.default_rng(5)
     n = 50
     w = {}
@@ -111,7 +114,9 @@ def test_assemble_counts_fifty_agent_plan():
     adj = oracles.adjacency(n, w, 1, [unit_disk(1)], [(-1.0, 1.0)])
     asm = assemble(adj)
     assert asm.plan == DegreePlan(1, (0,))
-    assert asm.problem.n_vars == 1 + 1176 + 1225
+    assert asm.plan.n_vars(1, 49) == 1 + 1176 + 1225
+    pairs = np.count_nonzero(np.triu(oracles.haar_pattern(adj), 1))
+    assert asm.problem.n_vars == 1 + pairs + 1225 == 1 + 227 + 1225
     assert asm.problem.lmis[asm.main_lmi].size == 98
 
 
@@ -141,7 +146,8 @@ def test_assemble_lmi_expands_to_pencil_identity():
     g = unit_disk(r)
     adj = oracles.adjacency(n, weights, r, [g],
                             [(-1.0, 1.0), (-1.0, 1.0)])
-    L_hat = reduced_laplacian(laplacian(adj), reduced_basis(n))
+    # the problem is written in the Haar basis
+    L_hat = reduced_laplacian(laplacian(adj), oracles.haar_basis(n))
     asm = assemble(adj)
     y = rng.standard_normal(asm.problem.n_vars)
     G = asm.problem.lmis[asm.main_lmi].value(y)
@@ -160,6 +166,54 @@ def test_assemble_lmi_expands_to_pencil_identity():
                 - c * float(phi @ phi) * np.eye(s)
                 - adj.omega(theta)[0, 0] * R_num)
         np.testing.assert_allclose(expanded(theta), want, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["six_agent", "adversarial", "fifty_agent",
+                                  "disk"])
+def test_certify_matches_the_full_helmert_relaxation(case):
+    # certify solves in the Haar basis with the Gram offsets on the
+    # pattern, a restriction of the full relaxation that the oracle solves
+    # in the Helmert basis.  sdp.solve stops at a relative gap of tol =
+    # 1e-8 over 1 + |pobj| + |dobj|, so each c* lies within tol (1 + 2|c*|)
+    # of its problem's optimum.  The restriction loses nothing on these
+    # cases (on fifty_agent's class the closed-form certificate has no
+    # offsets at all), so the two agree within twice that.  Where the exact
+    # worst case is known, it lies on the unit sphere of the region, where
+    # |phi_H|^2 = 1 + |theta|^2 = 2 for d_H >= 1, and the certified
+    # 2 Lhat / s >= c* |phi_H|^2 I gives c* s <= worst there; with the
+    # constant phi_H alone (d_H = 0) it gives c* s / 2 <= worst
+    adjs = [adj for _, adj in oracles.disk_scenarios()] if case == "disk" \
+        else [ScenarioSpec.load(builtin_path(case)).adjacency]
+    for adj in adjs:
+        res = certify(adj)
+        sol, full = oracles.helmert_certify(adj)
+        assert res.solution.status is sol.status is sdp.SdpStatus.OPTIMAL
+        assert res.connected == (refusals(full, adj) == [])
+        c_star = res.certificate.c_star
+        assert abs(c_star - full.c_star) <= 2e-8 * (1 + 2 * abs(c_star))
+        worst = oracles.worst_lambda2(adj.N, oracles.uncertainty_records(adj))
+        if worst is not None:
+            weight = 2 if res.certificate.plan.d_H else 1
+            assert c_star * (adj.N - 1) * weight / 2 <= worst
+
+
+@pytest.mark.parametrize("case", ["six_agent", "fifty_agent"])
+def test_the_certificate_needs_its_map_into_the_helmert_frame(monkeypatch,
+                                                              case):
+    # certify solves in the Haar basis and maps the solution into the
+    # Helmert frame of the replay.  With the replay's basis patched to the
+    # Haar one the map is the identity: that certificate holds in the Haar
+    # frame, and fails the Gram identity in the Helmert frame, while the
+    # certificate certify writes passes there
+    adj = ScenarioSpec.load(builtin_path(case)).adjacency
+    assert certify(adj).connected
+    with monkeypatch.context() as patch:
+        patch.setattr(certifier, "reduced_basis", haar_basis)
+        res = certify(adj)
+    assert res.connected
+    failures = refusals(res.certificate, adj)
+    assert len(failures) == 1
+    assert failures[0].startswith("Gram identity violated")
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +558,27 @@ def _oracle_case(case):
     return ScenarioSpec.load(builtin_path(case)).adjacency
 
 
+# the assembled variable count of each _oracle_case, with the Gram offsets
+# on the pattern of the Haar reduced Laplacian
+SOLVED = {"six_agent": 43, "adversarial": 1, "fifty_agent": 1459,
+          "random_disk_0": 29, "quartic_path": 17, "zero_region": 5}
+
+
 @pytest.mark.parametrize("case, n_vars", [
     ("six_agent", 46), ("adversarial", 1), ("fifty_agent", 2402),
     ("random_disk_0", 29), ("quartic_path", 17), ("zero_region", 5)])
 def test_closed_form_variable_count_is_the_assembled_one(case, n_vars):
+    # the closed form counts every Gram offset: it is the bound that
+    # MAX_SDP_VARS refuses on.  The assembled problem keeps the offsets on
+    # the pattern, counted here from the dense null basis
     adj = _oracle_case(case)
     asm = assemble(adj)
-    assert asm.plan.n_vars(adj.r, asm.s) == asm.problem.n_vars == n_vars
+    assert asm.plan.n_vars(adj.r, asm.s) == n_vars
+    kept = len(oracles.on_pattern(
+        oracles.null_basis(adj.r, asm.plan.d_H, asm.s),
+        oracles.haar_pattern(adj), len(asm.phi_H)))
+    multipliers = sum(sdp.svec_dim(len(pv) * asm.s) for pv in asm.phi_R)
+    assert asm.problem.n_vars == 1 + multipliers + kept == SOLVED[case]
 
 
 # six_agent with the exponent of its first weight term raised: the degree
@@ -552,7 +620,7 @@ def test_compiled_columns_equal_the_per_variable_route(case):
     adj = _oracle_case(case)
     asm = assemble(adj)
     got = asm.problem.compile_columns()
-    ref = oracles.assembly_columns(asm, adj.omega)
+    ref = oracles.assembly_columns(asm, adj)
     assert len(got) == len(ref) == len(asm.r_vars) + 1
     for A, B in zip(got, ref):
         assert A.shape == B.shape
@@ -835,7 +903,7 @@ def test_band_route_reads_mu_1_of_a_signed_ring(monkeypatch):
     assert band is not None
     thetas = adj.sample_omega(np.random.default_rng(7), 300)
     calls = oracles.count_calls(monkeypatch, (certifier.lapack, "dsbevx"))
-    values = certifier.least_on_complement(full, band, thetas)
+    values = certifier.least_on_complement(full, band)(thetas)
     pencils = reduced_pencils(N, w, thetas)
     mu_1 = np.linalg.eigvalsh(pencils)[:, 0]
     assert 50 < np.count_nonzero(mu_1 < 0) < 250
@@ -884,7 +952,8 @@ def exhaustively(monkeypatch, sweep):
 def zero_certificate(adj, c_star, P_bar=None):
     """A certificate for adj with zero multipliers and offsets: its sampled
     margin depends on c_star and P_bar alone, I / s by default."""
-    _, _, L_hat, plan, _, phi_R, _, nulls = certifier._setup(adj)
+    _, L_hat, plan, _, phi_R, _, nulls = certifier._setup(
+        adj, reduced_basis(adj.N))
     s = L_hat.rows
     return Certificate(adj.N, adj.r, plan, c_star,
                        np.eye(s) / s if P_bar is None else P_bar,
@@ -1054,7 +1123,7 @@ def test_screened_minima_match_the_exhaustive_ones(monkeypatch, name):
             return verify_certificate(cert, adj, n_samples=500,
                                       seed=4).sampled_pencil_margin
         thetas = adj.sample_omega(np.random.default_rng(4), 500)
-        scale = max(1.0, 4 * certifier._norm_bound(L, thetas).max())
+        scale = max(1.0, 4 * certifier._norm_bound(L)(thetas).max())
         assert abs(margin() - exhaustively(monkeypatch, margin)) \
             <= 1e-12 * scale
 
@@ -1080,7 +1149,7 @@ def test_screen_never_clears_a_point_at_the_running_minimum(name):
     A = MatrixPolynomial(N, N, adj.r,
                          certifier.pencil_terms(P, laplacian(adj)))
     band = band_form(A)
-    exact = certifier.least_on_complement(A, band, thetas)
+    exact = certifier.least_on_complement(A, band)(thetas)
     passes = certifier._screen(A, band)
     assert not passes(thetas, exact, 0.0).any()
     below = exact - 1e-6 * np.maximum(1.0, np.abs(exact))
@@ -1177,6 +1246,42 @@ def test_screen_fails_a_t_that_is_not_finite_without_a_warning(name):
                           (0.0, np.inf), (0.0, -np.inf)]:
         assert not passes(thetas, np.full(5, offset), least).any()
     assert passes(thetas, np.full(5, -1.0), 0.0).all()
+
+
+def test_a_sweep_takes_the_coefficient_norms_once(monkeypatch):
+    # six_agent's 500-point replay: the screen and least_on_complement
+    # each take the Frobenius norm of the full pencil's three coefficients
+    # once, not on every batch (18 calls at seed 0 before)
+    adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency
+    cert = certify(adj).certificate
+    calls = oracles.count_calls(monkeypatch, (np.linalg, "norm"))
+    assert verify_certificate(cert, adj, n_samples=500, seed=0).ok
+    assert calls == {"norm": 2 * 3}
+
+
+def test_the_batched_route_reads_both_least_eigenvalues_at_once(
+        monkeypatch):
+    # the exhaustive replay of a small signed ring, no band and order
+    # below SUBSET_ORDER: one eigvalsh of each of the 500 pencils gives
+    # mu_1, also where the second eigenvalue is the computed 0 of the ones
+    # vector (807 pencils at seed 0 before, the low points twice)
+    adj, _ = screened_case("small_signed")
+    cert = zero_certificate(adj, 0.0)
+    pencils = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        if a.shape[-1] == adj.N:
+            pencils.append(len(a.reshape(-1, adj.N, adj.N)))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    margin = exhaustively(monkeypatch, lambda: verify_certificate(
+        cert, adj, n_samples=500, seed=0).sampled_pencil_margin)
+    assert sum(pencils) == 500
+    reduced = reduced_pencils(adj.N, signed_ring(adj.N),
+                              adj.sample_omega(np.random.default_rng(0), 500))
+    assert margin == pytest.approx(eigvalsh(reduced)[:, 0].min(), abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e307])
@@ -1284,11 +1389,13 @@ def test_sampled_margin_reads_the_least_eigenvalue_of_the_reduced_laplacian():
 
 @pytest.mark.parametrize("case", ["six_agent", "random_disk"])
 def test_replay_equals_residuals_of_the_assembled_problem(case):
-    # the replay evaluates the main constraint at the stored matrices; the
-    # same matrices packed into the assembled problem must give the same
-    # eigenvalues, also away from the optimum.  The problem fixes P = I / s,
-    # so the stored P_bar stays as written there; the trace error is checked
-    # on a moved P_bar of its own
+    # the replay evaluates the main constraint at the stored matrices, in
+    # the Helmert frame; the same point of the assembled problem, in the
+    # Haar frame with the Gram offsets on the pattern, must give the same
+    # eigenvalues across the congruence of T = M_haar' M_helmert, also away
+    # from the optimum.  The problem fixes P = I / s, so the stored P_bar
+    # stays as written there; the trace error is checked on a moved P_bar
+    # of its own
     adj = ScenarioSpec.load(builtin_path("six_agent")).adjacency \
         if case == "six_agent" else _random_disk_adjacency(31)
     cert = certify(adj).certificate
@@ -1298,18 +1405,25 @@ def test_replay_equals_residuals_of_the_assembled_problem(case):
         N = rng.normal(scale=0.1, size=X.shape)
         return X + (N + N.T) / 2.0
 
-    fake = Certificate(cert.n_agents, cert.r, cert.plan, 0.9 * cert.c_star,
-                       cert.P_bar, [moved(R) for R in cert.R_bars],
-                       cert.delta + rng.normal(scale=0.1,
-                                               size=cert.delta.shape))
-    rep = verify_certificate(fake, adj, n_samples=0)
     asm = assemble(adj)
     assert asm.plan == cert.plan
+    T = oracles.haar_basis(adj.N).T @ reduced_basis(adj.N)
+    R_bars = [moved(R) for R in cert.R_bars]
     y = np.zeros(asm.problem.n_vars)
-    y[asm.c_index] = fake.c_star
-    for var, R in zip(asm.r_vars, fake.R_bars):
-        y[var.indices] = sdp.svec(R)
-    y[asm.delta_indices] = fake.delta
+    y[asm.c_index] = 0.9 * cert.c_star
+    for var, R in zip(asm.r_vars, R_bars):
+        y[var.indices] = sdp.svec(oracles.frame_map(R, T.T))
+    kept = oracles.on_pattern(
+        oracles.null_basis(adj.r, cert.plan.d_H, asm.s),
+        oracles.haar_pattern(adj), len(asm.phi_H))
+    y[asm.delta_indices] = rng.normal(scale=0.1, size=len(kept))
+    offsets = oracles.frame_map(
+        sum(d * B for d, B in zip(y[asm.delta_indices], kept)), T)
+    delta = np.array([np.sum(B * offsets) for B in oracles.null_basis(
+        adj.r, cert.plan.d_H, asm.s)])
+    fake = Certificate(cert.n_agents, cert.r, cert.plan, 0.9 * cert.c_star,
+                       cert.P_bar, R_bars, delta)
+    rep = verify_certificate(fake, adj, n_samples=0)
     ref = sdp.residuals(asm.problem, y)
     # the replay's first block is P_bar, which has no block in the problem
     np.testing.assert_allclose(rep.min_eigenvalues[1:],

@@ -13,7 +13,7 @@ import oracles
 from robustform.barrier import zone_pairs_at
 from robustform.netgraph import (AgentGeometry, GeometryError,
                                  TopologyState,
-                                 UncertainAdjacency, laplacian,
+                                 UncertainAdjacency, haar_basis, laplacian,
                                  pair_distances, reduced_basis,
                                  reduced_laplacian, update_edges,
                                  validate_assumptions)
@@ -177,6 +177,45 @@ class TestReducedBasis:
         th = np.array([0.7])
         assert np.allclose(R(th), M.T @ L(th) @ M, atol=1e-12)
         assert R(th)[0, 0] == pytest.approx(2 * 2.7, abs=1e-12)
+
+
+class TestHaarBasis:
+
+    def test_small_bases_by_hand(self):
+        r2, r6 = np.sqrt(2.0), np.sqrt(6.0)
+        np.testing.assert_allclose(haar_basis(2), [[1 / r2], [-1 / r2]],
+                                   rtol=0, atol=1e-16)
+        # [0, 3) splits into {0} and {1, 2}, then {1, 2} into {1} and {2}
+        np.testing.assert_allclose(
+            haar_basis(3), [[2 / r6, 0], [-1 / r6, 1 / r2],
+                            [-1 / r6, -1 / r2]], rtol=0, atol=1e-16)
+        np.testing.assert_allclose(
+            haar_basis(4), [[0.5, 1 / r2, 0], [0.5, -1 / r2, 0],
+                            [-0.5, 0, 1 / r2], [-0.5, 0, -1 / r2]],
+            rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 6, 11, 50, 101])
+    def test_orthonormal_ones_free_and_the_recursive_definition(self, N):
+        M = haar_basis(N)
+        assert M.shape == (N, N - 1)
+        np.testing.assert_allclose(M.T @ M, np.eye(N - 1), rtol=0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(np.ones(N) @ M, 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(M, oracles.haar_basis(N), rtol=0,
+                                   atol=1e-15)
+
+    def test_a_ring_stays_sparse(self):
+        # M' L M of the unit ring of 50 agents: 503 of 2401 entries, where
+        # the Helmert basis fills all of them
+        N = 50
+        G = np.zeros((N, N))
+        G[np.arange(N), (np.arange(N) + 1) % N] = 1.0
+        L = oracles.laplacian(G + G.T)
+        M = haar_basis(N)
+        assert np.count_nonzero(np.abs(M.T @ L @ M) > 1e-12) == 503
+        helmert = reduced_basis(N)
+        assert np.count_nonzero(np.abs(helmert.T @ L @ helmert) > 1e-12) \
+            == (N - 1) ** 2
 
 
 class TestTopology:
